@@ -181,6 +181,17 @@ def malformed_check(code, out, err):
     return None
 
 
+def judge(req, code, out, err):
+    """(failed, error or None) for one reply.  Only a malformed request
+    can fail: it fails unless refused as documented.  Any other request
+    whose reply does not pass its check, a crash or any other non-zero
+    exit included, is an error, which makes the run incorrect."""
+    problem = req.check(code, out, err)
+    if req.malformed:
+        return problem is not None, None
+    return False, problem
+
+
 def round_requests(seed: int, rnd: int):
     """The requests of one round, in a fixed seeded order."""
     rng = gen.rng_for("cli-requests", seed, rnd)

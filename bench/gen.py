@@ -75,6 +75,11 @@ def blade(mask: int) -> list:
     return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
 
 
+# blade index tuples of every bitmask up to n = 10, made once on import so
+# that building program elements spends no time converting masks
+BLADES = [tuple(blade(m)) for m in range(1 << 10)]
+
+
 def mask_of(indices) -> int:
     m = 0
     for i in indices:
@@ -130,7 +135,7 @@ def to_program(cb, p: int, n: int):
         return cb.CliffordContext(cb.QuadraticForm.make(ctx, diag, upper))
 
     def elt(cctx, e: dict):
-        return cb.CliffElt(cctx, {tuple(blade(m)): field(c) for m, c in e.items()})
+        return cb.CliffElt(cctx, {BLADES[m]: field(c) for m, c in e.items()})
 
     def form(f):
         return cb.BilinearForm.make(ctx, f)

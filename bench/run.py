@@ -84,19 +84,18 @@ def rounds_for(workload: str, seconds: int) -> int:
 
 def setup_samples(workload: str, seed: int):
     """Records of fresh interpreters that import the program and build
-    one round's inputs, then exit, each between two speed probes."""
-    if workload == "cli-requests":
-        argv = ["-c", "import cliffbundle"]
-    else:
-        argv = [str(BENCH / "worker.py"), workload, str(seed), "0", "--setup-only"]
+    round 0's inputs as program objects, each between two speed probes.
+    Each child reports its own set-up CPU (worker.py), which leaves out
+    the benchmark's imports and its drawing of raw inputs."""
+    argv = [str(BENCH / "worker.py"), workload, str(seed), "0", "--setup-only"]
     records = []
     before = calibrate.probe()
     for _ in range(SETUP_PER_GAP):
-        code, _, err, cpu = run_child(argv)
+        code, out, err, _ = run_child(argv)
         if code != 0:
             raise BenchError(f"set-up failed: {err.strip()[-300:]}")
         after = calibrate.probe()
-        records.append(["setup", "-", cpu, False, before, after])
+        records.append(["setup", "-", json.loads(out)["setup_s"], False, before, after])
         before = after
     return records
 
@@ -122,18 +121,14 @@ def cli_execute(reqs, spans_dir: Path | None = None):
             argv = [str(BENCH / "cli_launch.py"), str(spans)] + req.argv
         code, out, err, cpu = run_child(argv, req.stdin)
         after = calibrate.probe()
-        if req.malformed:
-            failed = req.check(code, out, err) is not None
-        else:
-            failed = code != 0
-            problem = None if failed else req.check(code, out, err)
-            if problem:
-                errors.append(f"{req.name}: {problem}")
-            elif not failed and i % REPLAY_EVERY == 0:
-                again = run_child(["-m", "cliffbundle"] + req.argv, req.stdin)
-                if again[:2] != (code, out):
-                    errors.append(f"{req.name}: a second run gave different output")
-                after = calibrate.probe()
+        failed, problem = cli_requests.judge(req, code, out, err)
+        if problem:
+            errors.append(f"{req.name}: {problem}")
+        elif not req.malformed and i % REPLAY_EVERY == 0:
+            again = run_child(["-m", "cliffbundle"] + req.argv, req.stdin)
+            if again[:2] != (code, out):
+                errors.append(f"{req.name}: a second run gave different output")
+            after = calibrate.probe()
         records.append([req.name, "q" if req.p == 0 else "gfp", cpu, failed, before, after])
         before = after
         if spans_dir is not None:
@@ -145,15 +140,13 @@ def cli_execute(reqs, spans_dir: Path | None = None):
 
 
 def worker_execute(workload: str, seed: int, rnd: int, spans_dir: Path | None = None):
-    argv = [str(BENCH / "worker.py"), workload, str(seed), str(rnd), "--check"]
+    argv = [str(BENCH / "worker.py"), workload, str(seed), str(rnd)]
     if spans_dir is not None:
         argv += ["--trace", str(spans_dir / f"round-{rnd}.jsonl")]
     code, out, err, _ = run_child(argv)
     if code != 0:
         raise BenchError(f"{workload} worker failed: {err.strip()[-500:]}")
     report = json.loads(out.splitlines()[-1])
-    for failure in report["failures"]:
-        print(f"# failed: {failure}")
     summaries = [report["summary"]] if "summary" in report else []
     return report["ops"], report["errors"], summaries, [report["import_s"]]
 
@@ -162,8 +155,6 @@ def execute(workload, seed, rnd, spans_dir=None):
     if workload == "cli-requests":
         return cli_execute(cli_requests.round_requests(seed, rnd), spans_dir)
     return worker_execute(workload, seed, rnd, spans_dir)
-
-
 
 
 # ------------------------------------------------------------ metrics
@@ -225,7 +216,7 @@ def run_traced(workload, seed):
 
 def run_untraced(workload, seed, seconds):
     """The run's rounds, with set-up samples before, between and after."""
-    code, _, err, _ = run_child(["-c", "import cliffbundle"])  # fills the byte-code cache
+    code, _, err, _ = run_child(["-c", "import cliffbundle.cli"])  # fills the byte-code cache
     if code != 0:
         raise BenchError(f"cannot import cliffbundle from {SRC}: {err.strip()[-300:]}")
     setup, records, errors = setup_samples(workload, seed), [], []

@@ -20,7 +20,7 @@ import cliffbundle as cb  # noqa: E402
 import cli_requests as cr  # noqa: E402
 import gen  # noqa: E402
 import reference as ref  # noqa: E402
-import worker  # noqa: E402
+import inprocess  # noqa: E402
 
 PROBLEMS = []
 
@@ -130,24 +130,23 @@ def test_library_checks():
     """The dense-kernels checks, on the same operations at n = 3."""
     for p in (0, 7):
         rng = gen.rng_for("selftest", "dense", p)
-        ctx, algebra, elt, form, dual = gen.to_program(cb, p, 3)
-        diag, upper = gen.quadratic(rng, p, 3)
-        f = gen.bilinear(rng, p, 3)
-        cl, F = algebra(diag, upper), form(f)
+        a = inprocess.algebra(cb, p, 3, *gen.quadratic(rng, p, 3), gen.bilinear(rng, p, 3))
         kinds = ["mul", "deform", "deform_apply", "twisted_mul", "symbol", "quantize"]
         kinds += ["exp_contract"] if p == 0 else []
         for kind in kinds:
-            name, _, thunk, check = worker._dense_op(cb, rng, p, 3, kind, ctx, cl, F,
-                                                     cl.shift(F), elt, dual, diag, upper, f)
+            extra = (gen.vector(rng, p, 3) if kind == "deform" else
+                     gen.two_form(rng, p, 3) if kind == "exp_contract" else None)
+            name, _, thunk, check = inprocess._dense_op(
+                cb, a, kind, gen.dense(rng, p, 3), gen.dense(rng, p, 3), extra)
             out = thunk()
             expect(f"{name} p={p}: correct accepted", check(out))
             for what, bad in corruptions(p, gen.from_program(out)):
-                expect(f"{name} p={p}: {what} rejected", not check(elt(out.cctx, bad)))
+                expect(f"{name} p={p}: {what} rejected", not check(a.elt(out.cctx, bad)))
 
     for p in (0, 7):
         rng = gen.rng_for("selftest", "probe", p)
         for _ in range(20):
-            name, _, thunk, check = worker._probe_op(cb, rng, p)
+            name, _, thunk, check = inprocess._probe_op(cb, p, *inprocess._probe_input(rng, p))
             mats, report, restricted = thunk()
             if report.bases:
                 break
@@ -159,15 +158,42 @@ def test_library_checks():
 
     class Result:
         samples, passed, failed, failures = 5, 5, 0, []
-    expect("run_check: clean result accepted", worker._suite_ok(Result()))
+    expect("run_check: clean result accepted", inprocess._suite_ok(Result()))
     Result.passed, Result.failed, Result.failures = 4, 1, ["x"]
-    expect("run_check: a failed sample rejected", not worker._suite_ok(Result()))
+    expect("run_check: a failed sample rejected", not inprocess._suite_ok(Result()))
+
+
+def test_crashes():
+    """A crash is an error, not a failed operation; only a malformed
+    request that is not refused as documented counts as failed."""
+    req = cr._request(gen.rng_for("selftest", "crash"), "product", 0, 3, terms=0)
+    trace = "Traceback (most recent call last):\n  x\nAttributeError: y\n"
+    failed, problem = cr.judge(req, 1, "", trace)
+    expect("request: a crash is an error", not failed and problem is not None)
+    failed, problem = cr.judge(req, 2, "", "cliffbundle: malformed input\n")
+    expect("request: a refusal is an error", not failed and problem is not None)
+    name, argv, text = cr.MALFORMED[0]
+    bad = cr.Request(name, argv, text, 0, cr.malformed_check, malformed=True)
+    expect("malformed: a crash counts as failed", cr.judge(bad, 1, "", trace) == (True, None))
+    expect("malformed: the documented refusal does not fail",
+           cr.judge(bad, 2, "", "cliffbundle: malformed input\n") == (False, None))
+
+    def boom():
+        raise ZeroDivisionError("x")
+    ops = [("ok", 0, lambda: 1, lambda out: out == 1), ("boom", 7, boom, lambda out: True),
+           ("wrong", 0, lambda: 2, lambda out: out == 1)]
+    records, errors = inprocess.run_ops(ops)
+    expect("operation: one that raises is an error", any(e.startswith("boom: raised") for e in errors))
+    expect("operation: a wrong result is an error", any(e.startswith("wrong:") for e in errors))
+    expect("operation: only the bad ones are errors", len(errors) == 2)
+    expect("operation: none counts as failed", not any(r[3] for r in records))
 
 
 def main() -> int:
     test_cli_checks()
     test_rho_pfaffian_suite_malformed()
     test_library_checks()
+    test_crashes()
     for label in PROBLEMS:
         print(f"FAIL {label}")
     print("selftest:", "ok" if not PROBLEMS else f"{len(PROBLEMS)} problems")

@@ -1,231 +1,20 @@
 """One round of an in-process workload, in a fresh interpreter.
 
-    python3 bench/worker.py WORKLOAD SEED ROUND [--check] [--setup-only] [--trace SPANS]
+    python3 bench/worker.py WORKLOAD SEED ROUND [--setup-only] [--trace SPANS]
 
-Imports cliffbundle, builds the round's inputs as program objects, runs
-the operations one at a time on the CPU clock and, with --check, checks
-each result outside the timed span.  Prints one JSON object: per-operation records
-[name, field, cpu seconds, failed, probe before, probe after] (see
-calibrate.py), the import CPU time, the checks
-that failed, the operations that raised, and with --trace the per-layer
-summary.  With --setup-only it
-exits as soon as the inputs are built, which is what ``setup_s`` times.
+The program's own import comes first, so that ``import_s`` (the CPU
+seconds from the interpreter's start until ``cliffbundle.cli`` is
+loaded) holds no code of the benchmark's; the rest is in inprocess.py.
 """
 
-from __future__ import annotations
-
-import json
 import sys
 import time
 
-import calibrate
-import gen
-import reference as ref
+import cliffbundle.cli  # noqa: F401  (what `python -m cliffbundle` loads before main)
 
-FIELDS = (0, 7)
-# algebras per field and n in a round: a few, each reused as in one
-# working session, so that no single random form sets a round's cost
-ALGEBRAS = 2
-DENSE_MIX = {
-    # (operation, n): count per round, by field
-    0: {("mul", 5): 2, ("mul", 6): 1, ("deform", 7): 4, ("deform", 8): 2,
-        ("deform_apply", 5): 2, ("twisted_mul", 5): 2, ("symbol", 8): 1, ("quantize", 8): 1,
-        ("exp_contract", 6): 4, ("exp_contract", 7): 2, ("exp_contract", 8): 1},
-    7: {("mul", 5): 4, ("mul", 6): 1, ("deform", 7): 8, ("deform", 8): 4,
-        ("deform_apply", 5): 3, ("deform_apply", 6): 1, ("twisted_mul", 5): 3,
-        ("twisted_mul", 6): 1, ("symbol", 8): 3, ("quantize", 8): 3},
-}
-# suites that refuse GF(7) by design: they need characteristic 0
-CHAR0_SUITES = {"gauge.conjugation", "gauge.exp-identity", "tensor.deform-exp"}
-# left out: it fails on some seeds (its probe can find nothing), and an
-# operation whose failure depends on the seed cannot be counted steadily;
-# the invariant-probe operation below keeps its layers loaded
-LEFT_OUT_SUITES = {"rep.invariant-lattice"}
-# the suites whose default field is not Q (README's check list)
-NON_Q_DEFAULTS = {"scalars.fermat": 7, "forms.char2-form": 2, "char2.bl-suite": 2}
+IMPORT_S = time.process_time()
 
-
-def field_group(p: int) -> str:
-    return "q" if p == 0 else "gfp"
-
-
-# ------------------------------------------------------------ dense-kernels
-
-
-def dense_ops(cb, seed: int, rnd: int):
-    """The round's operations as (name, field, thunk, check) with inputs
-    already built.  Each field has ALGEBRAS algebras, each with its own
-    bilinear form, per n; the operations of one n take them in turn."""
-    rng = gen.rng_for("dense-kernels", seed, rnd)
-    ops = []
-    for p in FIELDS:
-        algebras = {}
-        for n in (5, 6, 7, 8):
-            ctx, algebra, elt, form, dual = gen.to_program(cb, p, n)
-            algebras[n] = []
-            for _ in range(ALGEBRAS):
-                diag, upper = gen.quadratic(rng, p, n)
-                f = gen.bilinear(rng, p, n)
-                cl, F = algebra(diag, upper), form(f)
-                algebras[n].append((ctx, cl, F, cl.shift(F), elt, dual, diag, upper, f))
-        for (kind, n), count in DENSE_MIX[p].items():
-            for k in range(count):
-                ops.append(_dense_op(cb, rng, p, n, kind, *algebras[n][k % ALGEBRAS]))
-    return ops
-
-
-def _dense_op(cb, rng, p, n, kind, ctx, cl, F, shifted, elt, dual, diag, upper, f):
-    name = f"{kind}.n{n}"
-    u_raw, v_raw = gen.dense(rng, p, n), gen.dense(rng, p, n)
-    if kind == "mul":
-        u, v = elt(cl, u_raw), elt(cl, v_raw)
-        return name, p, lambda: u * v, lambda out: (
-            gen.from_program(out) == ref.product(p, n, diag, upper, u_raw, v_raw))
-    if kind == "deform":
-        w = elt(shifted, u_raw)
-        x = elt(shifted, gen.vector(rng, p, n))
-        return name, p, lambda: cb.deform(F, w, target=cl), lambda out: (
-            cb.deform(-F, out, target=shifted) == w
-            and gen.from_program(cb.deform(F, x, target=cl)) == gen.from_program(x))
-    if kind == "deform_apply":
-        u, v = elt(shifted, u_raw), elt(cl, v_raw)
-        c = ref.mat_add(p, ref.lower_form(n, diag, upper), f)
-        return name, p, lambda: cb.deform_apply(F, u, v), lambda out: (
-            gen.from_program(out) == ref.act(p, c, u_raw, v_raw))
-    if kind == "twisted_mul":
-        u, v = elt(cl, u_raw), elt(cl, v_raw)
-        return name, p, lambda: cb.twisted_mul(F, u, v), lambda out: (
-            gen.from_program(out) == ref.twisted(p, n, diag, upper, f, u_raw, v_raw))
-    if kind == "symbol":
-        w = elt(cl, u_raw)
-        return name, p, lambda: cb.symbol(w), lambda out: (
-            out.cctx.is_exterior() and cb.quantize(cl, out) == w)
-    if kind == "quantize":
-        e = elt(cb.CliffordContext.exterior(ctx), u_raw)
-        return name, p, lambda: cb.quantize(cl, e), lambda out: (
-            out.cctx == cl and cb.symbol(out) == e)
-    if kind == "exp_contract":
-        coeffs = gen.two_form(rng, p, n)
-        astar, w = dual(coeffs), elt(cl, u_raw)
-        a = cb.BilinearForm.make(ctx, ref.alternating_of_two_form(p, n, coeffs))
-        return name, p, lambda: cb.exp_contract(astar, w), lambda out: (
-            out == cb.deform(a, w, target=cl))
-    raise ValueError(kind)
-
-
-# ------------------------------------------------------------ check-suites
-
-
-def suite_ops(cb, seed: int, rnd: int):
-    """Every suite at its defaults, then every suite defined in odd
-    characteristic over GF(7), each with a fresh seed; each pass ends
-    with one invariant-probe operation."""
-    rng = gen.rng_for("check-suites", seed, rnd)
-    ops = []
-    for field in (None, cb.Field(7)):
-        for cid in cb.list_checks():
-            if cid in LEFT_OUT_SUITES or (field is not None and cid in CHAR0_SUITES):
-                continue
-            suite_seed = rng.randrange(1 << 30)
-            p = field.char if field else NON_Q_DEFAULTS.get(cid, 0)
-
-            def run(cid=cid, suite_seed=suite_seed, field=field):
-                return cb.run_check(cid, seed=suite_seed, field=field)
-            ops.append((f"{cid}@{'Fp:7' if field else 'default'}", p, run, _suite_ok))
-        ops.append(_probe_op(cb, rng, field.char if field else 0))
-    return ops
-
-
-def _probe_op(cb, rng, p: int):
-    """rep.invariant-lattice's construction without its assertion that
-    the probe finds something: the generator matrices of a symmetric F
-    with e_1 in its radical (n = 3), the invariant probe, and the
-    restriction to every subspace it reports.  Checked: each reported
-    subspace is invariant under every matrix, by the reference's rank."""
-    n = 3
-    f = gen.bilinear(rng, p, n)
-    for i in range(n):
-        for j in range(i, n):
-            f[j][i] = f[i][j] = 0 if 0 in (i, j) else f[i][j]
-    F = cb.BilinearForm.make(cb.AlgebraContext(n, cb.Field(p)), f)
-    probe_seed = rng.randrange(1 << 30)
-
-    def run():
-        mats = cb.generator_matrices(F)
-        report = cb.invariant_probe(mats, probe_seed)
-        restricted = [cb.restrict_matrices(mats, [list(v) for v in basis])
-                      for basis in report.bases]
-        return mats, report, restricted
-
-    def check(out):
-        mats, report, restricted = out
-        rows = [[[x.value for x in row] for row in m.entries] for m in mats]
-        for basis, small in zip(report.bases, restricted):
-            vecs = [[x.value for x in v] for v in basis]
-            d = ref.rank(p, vecs)
-            images = [[sum(a * b for a, b in zip(row, v)) for row in m] for m in rows for v in vecs]
-            if d != len(vecs) or ref.rank(p, vecs + images) != d:
-                return False
-            if len(small) != len(mats) or any(len(x) != d for x in small):
-                return False
-        return len(restricted) == len(report.bases)
-    return "rep.invariant-probe", p, run, check
-
-
-def _suite_ok(result) -> bool:
-    return result.failed == 0 and result.passed == result.samples and not result.failures
-
-
-BUILDERS = {"dense-kernels": dense_ops, "check-suites": suite_ops}
-
-
-def main(argv) -> int:
-    workload, seed, rnd = argv[0], int(argv[1]), int(argv[2])
-    setup_only, checking = "--setup-only" in argv, "--check" in argv
-    spans_path = argv[argv.index("--trace") + 1] if "--trace" in argv else None
-    import cliffbundle as cb
-    import_s = time.process_time()
-    tracer = None
-    if spans_path:
-        from tracer import Tracer
-        tracer = Tracer()
-        tracer.install()
-    ops = BUILDERS[workload](cb, seed, rnd)
-    if setup_only:
-        return 0
-    clock = time.process_time
-    records, errors, failures = [], [], []
-    before = calibrate.probe()
-    for i, (name, p, thunk, check) in enumerate(ops):
-        if tracer:
-            tracer.op, tracer.active = i, True
-        try:
-            t0 = clock()
-            out = thunk()
-            dt = clock() - t0
-        except Exception as exc:  # an operation that raises counts as failed
-            if tracer:
-                tracer.active = False
-            failures.append(f"{name}: {type(exc).__name__}: {exc}")
-            after = calibrate.probe()
-            records.append([name, field_group(p), 0.0, True, before, after])
-            before = after
-            continue
-        if tracer:
-            tracer.active = False
-        after = calibrate.probe()
-        records.append([name, field_group(p), dt, False, before, after])
-        before = after
-        if checking and not check(out):
-            errors.append(f"{name}: result failed its check")
-    report = {"ops": records, "errors": errors, "failures": failures, "import_s": import_s}
-    if tracer:
-        report["summary"] = tracer.summary()
-        tracer.dump(spans_path, {"workload": workload, "seed": seed, "round": rnd,
-                                 "import_s": import_s, "summary": report["summary"]})
-    print(json.dumps(report))
-    return 0
-
+import inprocess  # noqa: E402  (after the import being timed)
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(inprocess.main(sys.argv[1:], IMPORT_S))
