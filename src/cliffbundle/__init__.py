@@ -1,12 +1,14 @@
 """Exact Clifford algebras over the rationals and prime fields.
 
 The package realizes the family of Clifford algebras Cl(V, Q) attached
-to the quadratic forms Q on one fixed space V: construction by normal
-ordering, deformation maps between the algebras of Q + Q_F and Q,
-products twisted by a bilinear form, gauge transformations by
-alternating forms, symbol/quantization against the exterior algebra,
-and representation matrices on the exterior algebra with an
-invariant-subspace probe.  All arithmetic is exact.
+to the quadratic forms Q on one fixed space V, each acting on the
+exterior algebra through the Chevalley action x . w = x ^ w +
+contraction of w by F(x, .).  The same action gives the deformation
+maps between the algebras of Q + Q_F and Q, products twisted by a
+bilinear form, gauge transformations by alternating forms,
+symbol/quantization against the exterior algebra, and representation
+matrices on the exterior algebra with an invariant-subspace probe.  All
+arithmetic is exact.
 """
 
 from .checks import CheckResult, list_checks, run_check

@@ -108,6 +108,8 @@ def run_check(check_id: str, seed: int = 0, samples: int | None = None,
         field = Field.from_spec(field)
     dim = ddim if dim is None else dim
     samples = dsamples if samples is None else samples
+    if samples < 0:
+        raise ParseError(f"samples must be >= 0, got {samples}")
     t = Tally()
     fn(random.Random(seed), samples, field, dim, t)
     return CheckResult(check_id, seed, samples, t.attempts - t.failed, t.failed, t.failures)

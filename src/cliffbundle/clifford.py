@@ -1,33 +1,43 @@
-"""Clifford algebras in normal form over the subset basis.
+"""Clifford algebras realized on the exterior algebra (Chevalley).
 
 A CliffordContext fixes a quadratic form Q; elements are sparse maps
 from strictly increasing index tuples (blades) to scalars.  The zero
-form gives the exterior algebra.  Products are normal-ordered with the
-rewrite rules
+form gives the exterior algebra.  Every operation is built on one
+kernel, the action of a generator on exterior coordinates attached to
+a bilinear form B,
 
-    e_j e_i -> polar(i, j) 1 - e_i e_j   (j > i)
-    e_i e_i -> Q(e_i) 1
+    e_i . w = e_i ^ w + contraction of w by B(e_i, .),
 
-which use only the stored (diagonal, strict-upper polar) data and are
-valid in every characteristic.
+which satisfies e_i . e_i . w = B(e_i, e_i) w, so words act through the
+Clifford algebra of x -> B(x, x).  With the lower-triangular form G_Q
+(diagonal Q(e_i), below it the polar values) the increasing product
+e_S acts on the unit as e_S . 1 = e_S, so an element's coordinates are
+those of its image in the exterior algebra, in every characteristic.
+Each operation is then one sum of word actions:
 
-The module also provides the quotient map from the tensor algebra, the
-descended contractions, the deformation maps between fibers over
-different quadratic forms, twisted products, the interior action of the
-exterior algebra of the dual, its exponential, and the symbol and
-quantization maps.
+    u * v                   u . v    B = G_Q
+    deform(F, w)            w . 1    B = G_Q + F, Q of the target
+    deform_apply(F, u, v)   u . v    B = G_Q + F, Q of v
+    quotient_map(u)         u . 1    B = G_Q, the keys of u are words
+    DualElt f * g           f . g    B = 0, the wedge
+
+Twisted products, the reversal, the symbol and quantization maps are
+built from these.  The module also provides the descended contractions,
+the interior action of the exterior algebra of the dual and its
+exponential.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import CharacteristicError, ContextMismatch, FormError, ParseError
 from .forms import (AlgebraContext, BilinearForm, DualTwoForm, Field, LinearForm,
-                    QuadraticForm, Vector, quad_of_bilinear, same_context)
+                    QuadraticForm, Vector, quad_of_bilinear, same_context,
+                    triangular_bilinear)
 from .scalars import Scalar
-from .tensor import TensorElt
+from .tensor import TensorElt, _contract_into
 
 
 @dataclass(frozen=True)
@@ -73,47 +83,45 @@ class CliffordContext:
         return cls(QuadraticForm.from_json(ctx, data["quadratic"]))
 
 
-# Bounded: the key includes the context, and callers churn through many
-# short-lived contexts.  1 << 16 still covers one full dimension-12 algebra.
-@lru_cache(maxsize=1 << 16)
-def _blade_times_gen(cctx: CliffordContext, blade: tuple, k: int):
-    """Normal form of (basis blade) * e_k, as a tuple of (blade, coeff)."""
-    if not blade:
-        return (((k,), cctx.field.one),)
-    last = blade[-1]
-    prefix = blade[:-1]
-    if last < k:
-        return ((blade + (k,), cctx.field.one),)
-    q = cctx.quadratic
-    if last == k:
-        qk = q.value_at(k)
-        return ((prefix, qk),) if qk else ()
-    # last > k: commute e_k past e_last
+def _act(rows, i: int, terms: dict) -> dict:
+    """e_i ^ w + contraction of w by B(e_i, .), on a blade -> coeff map;
+    rows are the rows of B, or None for B = 0."""
     out = {}
-    phi = q.polar(k, last)
-    if phi:
-        out[prefix] = phi
-    for b, c in _blade_times_gen(cctx, prefix, k):
-        nb = b + (last,)
-        cur = out.get(nb)
-        out[nb] = -c if cur is None else cur - c
-    return tuple((b, c) for b, c in out.items() if c)
+    for blade, c in terms.items():
+        k = bisect_left(blade, i)
+        if k == len(blade) or blade[k] != i:
+            out[blade[:k] + (i,) + blade[k:]] = -c if k % 2 else c
+    if rows is not None:
+        _contract_into(out, rows[i - 1], terms)
+    return {b: c for b, c in out.items() if c}
 
 
-def _apply_gens(cctx: CliffordContext, terms: dict, gens) -> dict:
-    """Right-multiply a blade->coeff map by a sequence of generators."""
-    cur = terms
-    for k in gens:
-        nxt = {}
-        for blade, coeff in cur.items():
-            for b, c in _blade_times_gen(cctx, blade, k):
-                t = coeff * c
-                prev = nxt.get(b)
-                nxt[b] = t if prev is None else prev + t
-        cur = {b: v for b, v in nxt.items() if v}
-        if not cur:
-            break
-    return cur
+def _operate(rows, u_terms: dict, v_terms: dict) -> dict:
+    """The sum over the words S of u of u_S (e_S . v).  Each e_S . v is
+    e_first . (e_rest . v), memoized per suffix, so the keys of u may be
+    any words, not only increasing blades."""
+    memo = {(): v_terms}
+
+    def on_v(word):
+        got = memo.get(word)
+        if got is None:
+            got = memo[word] = _act(rows, word[0], on_v(word[1:]))
+        return got
+
+    out = {}
+    for word, c in u_terms.items():
+        for blade, d in on_v(word).items():
+            t = c * d
+            cur = out.get(blade)
+            out[blade] = t if cur is None else cur + t
+    return out
+
+
+def _chevalley(q: QuadraticForm, F: BilinearForm | None = None) -> tuple:
+    """Rows of G_q (plus F): G_q is the lower-triangular form with
+    G_q(x, x) = q(x), whose action gives normal-ordered coordinates."""
+    G = triangular_bilinear(q).transpose()
+    return (G if F is None else G + F).rows
 
 
 class CliffElt:
@@ -179,13 +187,8 @@ class CliffElt:
         if isinstance(other, CliffElt):
             if self.cctx != other.cctx:
                 raise ContextMismatch("elements of different Clifford contexts")
-            out = {}
-            for sa, ca in self.terms.items():
-                for sb, cb in other.terms.items():
-                    for blade, coeff in _apply_gens(self.cctx, {sa: ca * cb}, sb).items():
-                        cur = out.get(blade)
-                        out[blade] = coeff if cur is None else cur + coeff
-            return CliffElt(self.cctx, out)
+            return CliffElt(self.cctx, _operate(
+                _chevalley(self.cctx.quadratic), self.terms, other.terms))
         if isinstance(other, (Scalar, int)):
             s = self.cctx.ctx.coerce(other)
             return CliffElt(self.cctx, {b: c * s for b, c in self.terms.items()})
@@ -209,17 +212,11 @@ class CliffElt:
             b: (c if len(b) % 2 == 0 else -c) for b, c in self.terms.items()})
 
     def reverse(self) -> "CliffElt":
-        """The anti-automorphism reversing generator order, computed by
-        re-expanding each reversed blade through the product."""
-        out = CliffElt.zero(self.cctx)
-        for blade, c in self.terms.items():
-            prod = _apply_gens(self.cctx, {(): c}, reversed(blade))
-            out = out + CliffElt(self.cctx, prod)
-        return out
-
-    def lift(self) -> TensorElt:
-        """A canonical tensor-algebra representative (blades as words)."""
-        return TensorElt(self.cctx.ctx, dict(self.terms))
+        """The anti-automorphism reversing generator order: each blade
+        read backwards, as a word acting on the unit."""
+        return CliffElt(self.cctx, _operate(
+            _chevalley(self.cctx.quadratic),
+            {b[::-1]: c for b, c in self.terms.items()}, {(): self.cctx.field.one}))
 
     def __repr__(self):
         if not self.terms:
@@ -238,7 +235,8 @@ class CliffElt:
         out = {}
         for term in data["terms"]:
             blade = tuple(term["blade"])
-            if any(not isinstance(i, int) or not 1 <= i <= cctx.dim for i in blade):
+            if any(isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= cctx.dim
+                   for i in blade):
                 raise ParseError(f"blade index out of range: {list(blade)}")
             if any(blade[t] >= blade[t + 1] for t in range(len(blade) - 1)):
                 raise ParseError(f"blade must be strictly increasing: {list(blade)}")
@@ -305,20 +303,7 @@ class DualElt:
         if not isinstance(other, DualElt):
             return NotImplemented
         same_context(self.ctx, other.ctx)
-        out = {}
-        for sa, ca in self.terms.items():
-            for sb, cb in other.terms.items():
-                if set(sa) & set(sb):
-                    continue
-                # parity of the merge: pairs (a, b) with a in sa, b in sb, a > b
-                crossings = sum(1 for x in sa for y in sb if x > y)
-                merged = tuple(sorted(sa + sb))
-                c = ca * cb
-                if crossings % 2:
-                    c = -c
-                cur = out.get(merged)
-                out[merged] = c if cur is None else cur + c
-        return DualElt(self.ctx, out)
+        return DualElt(self.ctx, _operate(None, self.terms, other.terms))
 
     def __bool__(self):
         return bool(self.terms)
@@ -334,28 +319,16 @@ class DualElt:
 
 def quotient_map(cctx: CliffordContext, u: TensorElt) -> CliffElt:
     """The canonical algebra homomorphism from the tensor algebra onto
-    the quotient: words become normal-ordered generator products."""
+    the quotient: each word acts on the unit."""
     same_context(cctx.ctx, u.ctx)
-    out = CliffElt.zero(cctx)
-    for word, c in u.terms.items():
-        out = out + CliffElt(cctx, _apply_gens(cctx, {(): c}, word))
-    return out
+    return CliffElt(cctx, _operate(_chevalley(cctx.quadratic), u.terms,
+                                   {(): cctx.field.one}))
 
 
 def contract(f: LinearForm, w: CliffElt) -> CliffElt:
     """The descended antiderivation of a linear form on normal forms."""
     same_context(f.ctx, w.cctx.ctx)
-    out = {}
-    for blade, c in w.terms.items():
-        for pos, idx in enumerate(blade):
-            fv = f.at(idx)
-            if not fv:
-                continue
-            t = c * fv if pos % 2 == 0 else -(c * fv)
-            rest = blade[:pos] + blade[pos + 1:]
-            cur = out.get(rest)
-            out[rest] = t if cur is None else cur + t
-    return CliffElt(w.cctx, out)
+    return CliffElt(w.cctx, _contract_into({}, f.coeffs, w.terms))
 
 
 def contract_vec(F: BilinearForm, x: Vector, w: CliffElt) -> CliffElt:
@@ -375,8 +348,9 @@ def deform(F: BilinearForm, w: CliffElt, target: CliffordContext | None = None) 
 
     Maps the algebra of Q' = Q + (x -> F(x,x)) linearly onto the algebra
     of Q; fixes the unit and the vectors; composing deformations adds
-    their forms, so deform(-F, .) is the inverse.  Computed by the blade
-    recursion  deform(x w) = x deform(w) + contraction_x(deform(w)).
+    their forms, so deform(-F, .) is the inverse.  It is w acting on the
+    unit through the form G_Q + F:
+    deform(x w) = x deform(w) + contraction_x(deform(w)).
     """
     src = w.cctx
     same_context(F.ctx, src.ctx)
@@ -385,22 +359,8 @@ def deform(F: BilinearForm, w: CliffElt, target: CliffordContext | None = None) 
     else:
         same_context(target.ctx, src.ctx)
         _check_shift(F, src.quadratic, target.quadratic)
-    cache = {(): CliffElt.unit(target)}
-
-    def bl(blade):
-        got = cache.get(blade)
-        if got is not None:
-            return got
-        tail = bl(blade[1:])
-        idx = blade[0]
-        res = CliffElt.blade(target, (idx,)) * tail + contract(F.row_form(idx), tail)
-        cache[blade] = res
-        return res
-
-    out = CliffElt.zero(target)
-    for blade, c in w.terms.items():
-        out = out + c * bl(blade)
-    return out
+    return CliffElt(target, _operate(_chevalley(target.quadratic, F), w.terms,
+                                     {(): target.field.one}))
 
 
 def deform_apply(F: BilinearForm, u: CliffElt, v: CliffElt) -> CliffElt:
@@ -409,27 +369,18 @@ def deform_apply(F: BilinearForm, u: CliffElt, v: CliffElt) -> CliffElt:
     contraction); evaluating at the unit recovers deform(F, u)."""
     same_context(F.ctx, v.cctx.ctx)
     _check_shift(F, u.cctx.quadratic, v.cctx.quadratic)
-    out = CliffElt.zero(v.cctx)
-    for blade, c in u.terms.items():
-        acc = v
-        for idx in reversed(blade):
-            acc = CliffElt.blade(v.cctx, (idx,)) * acc + contract(F.row_form(idx), acc)
-        out = out + c * acc
-    return out
+    return CliffElt(v.cctx, _operate(_chevalley(v.cctx.quadratic, F), u.terms, v.terms))
 
 
 def twisted_mul(F: BilinearForm, u: CliffElt, v: CliffElt) -> CliffElt:
     """The product of the shifted algebra carried onto this one: deform
     both factors into the algebra of Q + Q_F, multiply there, come back.
-    For a vector u = x this is x v + contraction_x(v)."""
+    The deformation is a module map, so that is the deformed u acting
+    on v; for a vector u = x it is x v + contraction_x(v)."""
     if u.cctx != v.cctx:
         raise ContextMismatch("twisted product needs elements of one context")
     same_context(F.ctx, u.cctx.ctx)
-    shifted = u.cctx.shift(F)
-    negF = -F
-    up = deform(negF, u, target=shifted)
-    vp = deform(negF, v, target=shifted)
-    return deform(F, up * vp, target=u.cctx)
+    return deform_apply(F, deform(-F, u, target=u.cctx.shift(F)), v)
 
 
 def interior(ustar: DualElt, w: CliffElt) -> CliffElt:

@@ -85,10 +85,6 @@ def rref(a):
     return m, pivots
 
 
-def rank(a) -> int:
-    return len(rref(a)[1])
-
-
 def det(a) -> Scalar:
     n = len(a)
     field = a[0][0].field
@@ -156,12 +152,6 @@ def solve(a, b):
     if x is None:
         return None
     return [row[0] for row in x]
-
-
-def row_space_key(vectors):
-    """Canonical hashable key for the span of the given row vectors."""
-    red, pivots = rref(vectors)
-    return tuple(tuple(row) for row in red[:len(pivots)])
 
 
 def row_space_basis(vectors):

@@ -8,6 +8,7 @@ are reproducible bit for bit.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -88,9 +89,6 @@ class EndoMatrix:
         same_context(self.ctx, other.ctx)
         return EndoMatrix(self.ctx, tuple(
             tuple(r) for r in linalg.mat_mul(self.rows(), other.rows())))
-
-    def apply(self, vec):
-        return linalg.mat_vec(self.rows(), vec)
 
     def to_json(self) -> dict:
         return {"matrix": [[str(v) for v in row] for row in self.entries]}
@@ -309,7 +307,7 @@ def _poly_roots(coeffs, field):
         return sorted(set(roots), key=str)
     denom_lcm = 1
     for c in work:
-        denom_lcm = denom_lcm * c.value.denominator // _gcd(denom_lcm, c.value.denominator)
+        denom_lcm = denom_lcm * c.value.denominator // math.gcd(denom_lcm, c.value.denominator)
     ints = [int(c.value * denom_lcm) for c in work]
     a0, lead = ints[0], ints[-1]
     if abs(a0) > 10 ** 12 or abs(lead) > 10 ** 12:
@@ -329,12 +327,6 @@ def _poly_roots(coeffs, field):
         if not _poly_eval(coeffs, x):
             roots.append(x)
     return sorted(set(roots), key=str)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _intersect(ubasis, wbasis, field):
@@ -359,11 +351,13 @@ def _intersect(ubasis, wbasis, field):
 def invariant_probe(mats, seed: int) -> ProbeReport:
     """Heuristic search for common invariant subspaces.
 
-    Draws random vectors and algebra elements, closes kernels, images
-    and cyclic spans under the matrices, and splits along eigenspaces of
-    commutant elements (kernels of Y - mu for Y commuting with every
-    matrix are invariant outright).  Records every proper nonzero common
-    invariant subspace found, plus pairwise sums and intersections.
+    Closes under the matrices their own kernels, kernels and images of
+    random algebra elements and cyclic spans of random vectors, and
+    splits along eigenspaces of commutant elements (kernels of Y - mu
+    for Y commuting with every matrix are invariant outright).  The
+    kernels of the matrices need no randomness, so a singular one is
+    always tried.  Records every proper nonzero common invariant
+    subspace found, plus pairwise sums and intersections.
 
     Semi-decision: finding subspaces certifies reducibility; finding
     none proves nothing.
@@ -422,7 +416,10 @@ def invariant_probe(mats, seed: int) -> ProbeReport:
     for k in range(2, n):
         record([rand_vec() for _ in range(k)])
 
-    # kernels and images of random algebra elements
+    # kernels of the given matrices, then kernels and images of random
+    # algebra elements (random ones are usually invertible)
+    for m in rows_list:
+        record(linalg.nullspace(m))
     for _ in range(8):
         y = rand_algebra_elt()
         ker = linalg.nullspace(y)

@@ -8,10 +8,14 @@ fields.  No floating point appears anywhere.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FieldMismatch, ParseError
+
+# A scalar literal: an integer or a fraction of two integers.
+_LITERAL = re.compile("(-?[0-9]+)(?:/(-?[0-9]+))?")
 
 # Deterministic Miller-Rabin witnesses for all 64-bit integers.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -82,18 +86,20 @@ class Field:
         return Scalar(self, 1)
 
     def parse(self, text: str) -> "Scalar":
-        """Parse "<int>" or "<int>/<int>" (tolerating a unicode minus)."""
-        s = text.strip().replace("−", "-")
+        """Parse "<int>" or "<int>/<int>", where an integer is ASCII
+        digits after an optional minus sign (hyphen or U+2212)."""
+        if not isinstance(text, str):
+            raise ParseError(f"scalar literal must be a string, got {text!r}")
+        match = _LITERAL.fullmatch(text.strip().replace("−", "-"))
+        if match is None:
+            raise ParseError(f"bad scalar literal {text!r}")
+        num, den = match.groups()
         try:
-            if self.char == 0:
-                return Scalar(self, Fraction(s))
-            if "/" in s:
-                num, den = s.split("/", 1)
-                return Scalar(self, int(num)) / Scalar(self, int(den))
-            return Scalar(self, int(s))
+            value = Scalar(self, int(num))
+            return value if den is None else value / Scalar(self, int(den))
         except ZeroDivisionError:
             raise ParseError(f"zero denominator in {text!r}") from None
-        except ValueError:
+        except ValueError:  # more digits than int() converts
             raise ParseError(f"bad scalar literal {text!r}") from None
 
     def __repr__(self):

@@ -160,21 +160,27 @@ def left_mul(x: Vector, u: TensorElt) -> TensorElt:
     return TensorElt(u.ctx, out)
 
 
-def contract(f: LinearForm, u: TensorElt) -> TensorElt:
-    """The antiderivation attached to a linear form: kills the unit,
-    satisfies i_f(x (x) u) = f(x) u - x (x) i_f(u), lowers grade by 1."""
-    same_context(f.ctx, u.ctx)
-    out = {}
-    for word, c in u.terms.items():
+def _contract_into(out: dict, values, terms: dict) -> dict:
+    """Add to out the contraction of a word -> coeff map by the linear
+    form with basis values values[i - 1]: the letter at position pos is
+    removed with weight (-1)^pos f(letter)."""
+    for word, c in terms.items():
         for pos, idx in enumerate(word):
-            fv = f.at(idx)
+            fv = values[idx - 1]
             if not fv:
                 continue
             t = c * fv if pos % 2 == 0 else -(c * fv)
             rest = word[:pos] + word[pos + 1:]
             cur = out.get(rest)
             out[rest] = t if cur is None else cur + t
-    return TensorElt(u.ctx, out)
+    return out
+
+
+def contract(f: LinearForm, u: TensorElt) -> TensorElt:
+    """The antiderivation attached to a linear form: kills the unit,
+    satisfies i_f(x (x) u) = f(x) u - x (x) i_f(u), lowers grade by 1."""
+    same_context(f.ctx, u.ctx)
+    return TensorElt(u.ctx, _contract_into({}, f.coeffs, u.terms))
 
 
 def contract_vec(F: BilinearForm, x: Vector, u: TensorElt) -> TensorElt:

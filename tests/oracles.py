@@ -3,7 +3,8 @@
 Everything here is written from the combinatorial definitions, on
 purpose sharing no code with the package: matching sums for the
 Pfaffian, the pair-contraction expansion for the deformation of a word,
-permutation sums for quantization and determinants.  Slow is fine.
+permutation sums for quantization and determinants, and bubble-sorting
+words with the defining relations for Clifford products.  Slow is fine.
 """
 
 from itertools import combinations, permutations
@@ -119,3 +120,41 @@ def det_perm_sum(rows):
             coeff = coeff * rows[i][perm[i]]
         total = total + perm_sign(perm) * coeff
     return total
+
+
+def normal_order(q, word, memo=None):
+    """A word in the generators as {increasing blade: coeff}, by
+    bubble-sorting it with the defining relations
+        e_j e_i -> polar(i, j) - e_i e_j  (j > i),   e_i e_i -> Q(e_i)."""
+    if memo is None:
+        memo = {}
+    word = tuple(word)
+    if word in memo:
+        return memo[word]
+    field = q.ctx.field
+    out = {word: field.one}
+    for t in range(len(word) - 1):
+        a, b = word[t], word[t + 1]
+        if a < b:
+            continue
+        rest = word[:t] + word[t + 2:]
+        if a == b:
+            out = {w: c * q.value_at(a) for w, c in normal_order(q, rest, memo).items()}
+        else:
+            out = {w: c * q.polar(b, a) for w, c in normal_order(q, rest, memo).items()}
+            swapped = word[:t] + (b, a) + word[t + 2:]
+            for w, c in normal_order(q, swapped, memo).items():
+                out[w] = out.get(w, field.zero) - c
+        break
+    memo[word] = out = {w: c for w, c in out.items() if c}
+    return out
+
+
+def word_sum(q, words):
+    """Normal form of a sum of coeff * word, given as (word, coeff) pairs."""
+    memo = {}
+    total = {}
+    for word, coeff in words:
+        for w, c in normal_order(q, word, memo).items():
+            total[w] = total.get(w, q.ctx.field.zero) + coeff * c
+    return {w: c for w, c in total.items() if c}

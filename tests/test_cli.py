@@ -168,6 +168,19 @@ def test_bad_shape_exits_two(monkeypatch, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv,payload", [
+    (["product"], {"context": CTX, "u": {"terms": [{"blade": [True], "coeff": "1"}]},
+                   "v": {"terms": []}}),
+    (["check", "scalars.field-axioms", "--samples", "-3"], None),
+], ids=["blade-bool", "samples-negative"])
+def test_bad_request_shape_exits_two(argv, payload, monkeypatch, capsys):
+    text = "" if payload is None else json.dumps(payload)
+    code, out, err = run_cli(argv, text, monkeypatch, capsys)
+    assert code == 2
+    assert not out
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_domain_error_exits_one(monkeypatch, capsys):
     payload = {
         "context": {"dim": 2, "field": "Fp:2",

@@ -4,6 +4,7 @@ quantization."""
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -16,9 +17,10 @@ from cliffbundle import (AlgebraContext, BilinearForm, CharacteristicError,
                          twisted_mul)
 from cliffbundle.sampling import (rand_alternating, rand_bilinear, rand_cliff,
                                   rand_dual_two_form, rand_linear_form,
-                                  rand_quadratic, rand_tensor, rand_vector)
+                                  rand_quadratic, rand_scalar, rand_tensor,
+                                  rand_vector)
 
-from oracles import quantize_perm_sum
+from oracles import quantize_perm_sum, word_sum
 
 FIELDS = (RATIONALS, Field(2), Field(7))
 
@@ -37,6 +39,29 @@ def test_normal_ordering_hyperbolic():
     assert e2 * e1 == CliffElt.unit(cctx) - CliffElt.blade(cctx, (1, 2))
     assert e1 * e1 == CliffElt.zero(cctx)
     assert (e1 * e2 + e2 * e1) == CliffElt.unit(cctx)
+
+
+def test_product_matches_relation_oracle():
+    """Products, reversal and the quotient map against bubble-sorting
+    words with the defining relations: this pins the normal-form
+    coordinates, which identity suites alone would not."""
+    rng = random.Random(31)
+    for field in FIELDS:
+        for n, terms in ((4, None), (5, 4), (6, 4)):
+            ctx = AlgebraContext(n, field)
+            cctx = CliffordContext(rand_quadratic(rng, ctx))
+            q = cctx.quadratic
+            if terms is None:
+                blades = [b for k in range(n + 1) for b in combinations(range(1, n + 1), k)]
+                u, v = (CliffElt(cctx, {b: rand_scalar(rng, field, nonzero=True)
+                                        for b in blades}) for _ in range(2))
+            else:
+                u, v = (rand_cliff(rng, cctx, terms=terms) for _ in range(2))
+            pairs = [(a + b, ca * cb) for a, ca in u.terms.items() for b, cb in v.terms.items()]
+            assert (u * v).terms == word_sum(q, pairs)
+            assert u.reverse().terms == word_sum(q, [(b[::-1], c) for b, c in u.terms.items()])
+            t = rand_tensor(rng, ctx, max_grade=6, terms=4)
+            assert quotient_map(cctx, t).terms == word_sum(q, t.terms.items())
 
 
 def test_vector_squares():

@@ -41,10 +41,11 @@ def test_parse_accepts_unicode_minus():
 
 
 def test_parse_rejects_garbage():
-    with pytest.raises(ParseError):
-        RATIONALS.parse("one half")
-    with pytest.raises(ParseError):
-        RATIONALS.parse("1/0")
+    for field in (RATIONALS, Field(7)):
+        # a number, a decimal and an exponent are not literals
+        for bad in ("one half", "1/0", 1.5, "1.5", "1e1000000"):
+            with pytest.raises(ParseError):
+                field.parse(bad)
     with pytest.raises(ParseError):
         Field.from_spec("Fp:4")
     with pytest.raises(ParseError):
