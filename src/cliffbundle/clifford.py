@@ -20,24 +20,36 @@ Each operation is then one sum of word actions:
     deform_apply(F, u, v)   u . v    B = G_Q + F, Q of v
     quotient_map(u)         u . 1    B = G_Q, the keys of u are words
     DualElt f * g           f . g    B = 0, the wedge
+    interior(f, w)          f . w    B = identity, no wedge part
 
-Twisted products, the reversal, the symbol and quantization maps are
-built from these.  The module also provides the descended contractions,
-the interior action of the exterior algebra of the dual and its
-exponential.
+Twisted products, the reversal, the contraction by a linear form, the
+exponential of a dual two-form's interior action, and the symbol and
+quantization maps are built from these.
+
+The kernel works on plain integers.  Inside it a blade is an int
+bitmask (bit i - 1 for e_i, as in the bitmap representation of Dorst,
+Fontijne and Mann), so e_i ^ and the contraction by e_i* carry the sign
+(-1)^k, k the number of set bits below bit i - 1.  Over GF(p) the
+coefficients are residues, reduced mod p once per generator action.
+Over Q the computation is fraction-free: with d the common denominator
+of B, e_i acts by the integer operator d e_i ^ + contraction by
+d B(e_i, .), u and v are scaled to integers by their common
+denominators, and the sum is divided once at the end.  Scalars are
+read when a call enters the kernel and built when it leaves.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 
 from .errors import CharacteristicError, ContextMismatch, FormError, ParseError
 from .forms import (AlgebraContext, BilinearForm, DualTwoForm, Field, LinearForm,
                     QuadraticForm, Vector, quad_of_bilinear, same_context,
                     triangular_bilinear)
 from .scalars import Scalar
-from .tensor import TensorElt, _contract_into
+from .tensor import TensorElt
 
 
 @dataclass(frozen=True)
@@ -83,38 +95,95 @@ class CliffordContext:
         return cls(QuadraticForm.from_json(ctx, data["quadratic"]))
 
 
-def _act(rows, i: int, terms: dict) -> dict:
-    """e_i ^ w + contraction of w by B(e_i, .), on a blade -> coeff map;
-    rows are the rows of B, or None for B = 0."""
+def _mask(blade) -> int:
+    m = 0
+    for i in blade:
+        m |= 1 << (i - 1)
+    return m
+
+
+def _blade(m: int) -> tuple:
+    out = []
+    i = 1
+    while m:
+        if m & 1:
+            out.append(i)
+        m >>= 1
+        i += 1
+    return tuple(out)
+
+
+def _ints(values) -> tuple:
+    """Rationals or residues as integers over one common denominator."""
+    den = lcm(*(c.denominator for c in values))
+    return [c.numerator * (den // c.denominator) for c in values], den
+
+
+def _act(bit: int, scale: int, row, p: int, terms: dict) -> dict:
+    """scale (e_i ^ w) + contraction of w by row, on a mask -> int map;
+    bit is 1 << (i - 1) and row lists (bit, value) for the nonzero
+    entries of B(e_i, .).  Inserting or removing the bit past the k set
+    bits below it carries the sign (-1)^k.  Reduced mod p when p > 0."""
     out = {}
-    for blade, c in terms.items():
-        k = bisect_left(blade, i)
-        if k == len(blade) or blade[k] != i:
-            out[blade[:k] + (i,) + blade[k:]] = -c if k % 2 else c
-    if rows is not None:
-        _contract_into(out, rows[i - 1], terms)
-    return {b: c for b, c in out.items() if c}
+    if scale:
+        low = bit - 1
+        for m, c in terms.items():
+            if not m & bit:
+                out[m | bit] = -scale * c if (m & low).bit_count() & 1 else scale * c
+    get = out.get
+    for b, f in row:
+        low = b - 1
+        for m, c in terms.items():
+            if m & b:
+                k = m ^ b
+                t = f * c
+                out[k] = get(k, 0) + (-t if (m & low).bit_count() & 1 else t)
+    if p:
+        return {k: r for k, c in out.items() if (r := c % p)}
+    return {k: c for k, c in out.items() if c}
 
 
-def _operate(rows, u_terms: dict, v_terms: dict) -> dict:
-    """The sum over the words S of u of u_S (e_S . v).  Each e_S . v is
-    e_first . (e_rest . v), memoized per suffix, so the keys of u may be
-    any words, not only increasing blades."""
-    memo = {(): v_terms}
+def _operate(field: Field, rows, u_terms: dict, v_terms: dict, wedge: bool = True) -> dict:
+    """The sum over the words S of u of u_S (e_S . v), where e_i acts by
+    e_i ^ w (unless wedge is off) plus the contraction by rows[i - 1].
+    Each e_S . v is e_first . (e_rest . v), memoized per suffix, so the
+    keys of u may be any words.
+
+    Scalars are read at entry and built at exit; in between, blades are
+    bitmasks and coefficients ints.  Over Q everything is scaled to
+    integers: with d the common denominator of the rows, e_i acts by
+    d e_i ^ + contraction by d B(e_i, .), which is d times its action,
+    so u_S is weighted by d^(m - |S|), m the longest word of u, and the
+    sum is divided once by d^m and the denominators of u and v."""
+    p = field.char
+    flat, d = _ints([c.value for row in rows for c in row])
+    n = len(rows[0])
+    acts = [(1 << r, [(1 << j, f) for j, f in enumerate(flat[r * n:(r + 1) * n]) if f])
+            for r in range(len(rows))]
+    scale = d if wedge else 0
+    vnum, dv = _ints([c.value for c in v_terms.values()])
+    memo = {(): {_mask(b): c for b, c in zip(v_terms, vnum)}}
 
     def on_v(word):
         got = memo.get(word)
         if got is None:
-            got = memo[word] = _act(rows, word[0], on_v(word[1:]))
+            bit, row = acts[word[0] - 1]
+            got = memo[word] = _act(bit, scale, row, p, on_v(word[1:]))
         return got
 
+    unum, du = _ints([c.value for c in u_terms.values()])
+    top = max(map(len, u_terms), default=0)
     out = {}
-    for word, c in u_terms.items():
-        for blade, d in on_v(word).items():
-            t = c * d
-            cur = out.get(blade)
-            out[blade] = t if cur is None else cur + t
-    return out
+    get = out.get
+    for word, c in zip(u_terms, unum):
+        if d != 1:
+            c *= d ** (top - len(word))
+        for k, x in on_v(word).items():
+            out[k] = get(k, 0) + c * x
+    if p:
+        return {_blade(k): Scalar(field, x) for k, x in out.items() if x % p}
+    den = du * dv * d ** top
+    return {_blade(k): Scalar(field, Fraction(x, den)) for k, x in out.items() if x}
 
 
 def _chevalley(q: QuadraticForm, F: BilinearForm | None = None) -> tuple:
@@ -188,7 +257,7 @@ class CliffElt:
             if self.cctx != other.cctx:
                 raise ContextMismatch("elements of different Clifford contexts")
             return CliffElt(self.cctx, _operate(
-                _chevalley(self.cctx.quadratic), self.terms, other.terms))
+                self.cctx.field, _chevalley(self.cctx.quadratic), self.terms, other.terms))
         if isinstance(other, (Scalar, int)):
             s = self.cctx.ctx.coerce(other)
             return CliffElt(self.cctx, {b: c * s for b, c in self.terms.items()})
@@ -215,7 +284,7 @@ class CliffElt:
         """The anti-automorphism reversing generator order: each blade
         read backwards, as a word acting on the unit."""
         return CliffElt(self.cctx, _operate(
-            _chevalley(self.cctx.quadratic),
+            self.cctx.field, _chevalley(self.cctx.quadratic),
             {b[::-1]: c for b, c in self.terms.items()}, {(): self.cctx.field.one}))
 
     def __repr__(self):
@@ -303,7 +372,8 @@ class DualElt:
         if not isinstance(other, DualElt):
             return NotImplemented
         same_context(self.ctx, other.ctx)
-        return DualElt(self.ctx, _operate(None, self.terms, other.terms))
+        return DualElt(self.ctx, _operate(self.ctx.field, BilinearForm.zero(self.ctx).rows,
+                                          self.terms, other.terms))
 
     def __bool__(self):
         return bool(self.terms)
@@ -321,14 +391,16 @@ def quotient_map(cctx: CliffordContext, u: TensorElt) -> CliffElt:
     """The canonical algebra homomorphism from the tensor algebra onto
     the quotient: each word acts on the unit."""
     same_context(cctx.ctx, u.ctx)
-    return CliffElt(cctx, _operate(_chevalley(cctx.quadratic), u.terms,
+    return CliffElt(cctx, _operate(cctx.field, _chevalley(cctx.quadratic), u.terms,
                                    {(): cctx.field.one}))
 
 
 def contract(f: LinearForm, w: CliffElt) -> CliffElt:
-    """The descended antiderivation of a linear form on normal forms."""
+    """The descended antiderivation of a linear form on normal forms:
+    the word (1,) acting with f as its only row and no wedge part."""
     same_context(f.ctx, w.cctx.ctx)
-    return CliffElt(w.cctx, _contract_into({}, f.coeffs, w.terms))
+    return CliffElt(w.cctx, _operate(w.cctx.field, (f.coeffs,), {(1,): w.cctx.field.one},
+                                     w.terms, wedge=False))
 
 
 def contract_vec(F: BilinearForm, x: Vector, w: CliffElt) -> CliffElt:
@@ -359,8 +431,8 @@ def deform(F: BilinearForm, w: CliffElt, target: CliffordContext | None = None) 
     else:
         same_context(target.ctx, src.ctx)
         _check_shift(F, src.quadratic, target.quadratic)
-    return CliffElt(target, _operate(_chevalley(target.quadratic, F), w.terms,
-                                     {(): target.field.one}))
+    return CliffElt(target, _operate(target.field, _chevalley(target.quadratic, F),
+                                     w.terms, {(): target.field.one}))
 
 
 def deform_apply(F: BilinearForm, u: CliffElt, v: CliffElt) -> CliffElt:
@@ -369,7 +441,8 @@ def deform_apply(F: BilinearForm, u: CliffElt, v: CliffElt) -> CliffElt:
     contraction); evaluating at the unit recovers deform(F, u)."""
     same_context(F.ctx, v.cctx.ctx)
     _check_shift(F, u.cctx.quadratic, v.cctx.quadratic)
-    return CliffElt(v.cctx, _operate(_chevalley(v.cctx.quadratic, F), u.terms, v.terms))
+    return CliffElt(v.cctx, _operate(v.cctx.field, _chevalley(v.cctx.quadratic, F),
+                                     u.terms, v.terms))
 
 
 def twisted_mul(F: BilinearForm, u: CliffElt, v: CliffElt) -> CliffElt:
@@ -386,25 +459,19 @@ def twisted_mul(F: BilinearForm, u: CliffElt, v: CliffElt) -> CliffElt:
 def interior(ustar: DualElt, w: CliffElt) -> CliffElt:
     """The action of the exterior algebra of the dual: a wedge of linear
     forms acts as the composition of their contractions (leftmost form
-    outermost), extended linearly."""
+    outermost), extended linearly.  That is the word action with the
+    identity rows and no wedge part."""
     same_context(ustar.ctx, w.cctx.ctx)
-    out = CliffElt.zero(w.cctx)
-    for subset, c in ustar.terms.items():
-        acc = w
-        for idx in reversed(subset):
-            acc = contract(LinearForm.dual_basis(w.cctx.ctx, idx), acc)
-            if not acc:
-                break
-        out = out + c * acc
-    return out
+    return CliffElt(w.cctx, _operate(w.cctx.field, BilinearForm.identity(w.cctx.ctx).rows,
+                                     ustar.terms, w.terms, wedge=False))
 
 
 def exp_contract(astar: DualTwoForm, w: CliffElt) -> CliffElt:
-    """Exponential of the interior action of a dual two-form.
-
-    The series terminates because each application lowers blade size by
-    two.  Needs characteristic 0 for the 1/k! weights; in characteristic
-    p use deform with the corresponding alternating form instead."""
+    """Exponential of the interior action of a dual two-form: w acted
+    on by the exponential of the two-form in the exterior algebra of
+    the dual, whose series stops at half the dimension.  Needs
+    characteristic 0 for the 1/k! weights; in characteristic p use
+    deform with the corresponding alternating form instead."""
     same_context(astar.ctx, w.cctx.ctx)
     field = w.cctx.field
     if field.char != 0:
@@ -412,18 +479,12 @@ def exp_contract(astar: DualTwoForm, w: CliffElt) -> CliffElt:
             "exponential of a contraction needs characteristic 0; "
             "use deform with the alternating form instead")
     op = DualElt.from_two_form(astar)
-    total = w
-    cur = w
+    series = power = DualElt.unit(astar.ctx)
     k = 1
-    fact = field.one
-    while True:
-        cur = interior(op, cur)
-        if not cur:
-            break
-        fact = fact * k
-        total = total + (field.one / fact) * cur
+    while power := (field.one / field(k)) * (power * op):
+        series = series + power
         k += 1
-    return total
+    return interior(series, w)
 
 
 def _half_polar(cctx: CliffordContext) -> BilinearForm:

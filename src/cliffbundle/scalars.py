@@ -17,6 +17,18 @@ from .errors import FieldMismatch, ParseError
 # A scalar literal: an integer or a fraction of two integers.
 _LITERAL = re.compile("(-?[0-9]+)(?:/(-?[0-9]+))?")
 
+# Longest refused literal an error message repeats whole.
+_SHOWN = 40
+
+
+def _excerpt(text: str) -> str:
+    """A literal for an error message: quoted whole when short, else a
+    quoted prefix and the length."""
+    if len(text) <= _SHOWN:
+        return repr(text)
+    return f"{text[:_SHOWN // 2] + '…'!r} ({len(text)} chars)"
+
+
 # Deterministic Miller-Rabin witnesses for all 64-bit integers.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -89,18 +101,18 @@ class Field:
         """Parse "<int>" or "<int>/<int>", where an integer is ASCII
         digits after an optional minus sign (hyphen or U+2212)."""
         if not isinstance(text, str):
-            raise ParseError(f"scalar literal must be a string, got {text!r}")
+            raise ParseError(f"scalar literal must be a string, got {type(text).__name__}")
         match = _LITERAL.fullmatch(text.strip().replace("−", "-"))
         if match is None:
-            raise ParseError(f"bad scalar literal {text!r}")
+            raise ParseError(f"bad scalar literal {_excerpt(text)}")
         num, den = match.groups()
         try:
             value = Scalar(self, int(num))
             return value if den is None else value / Scalar(self, int(den))
         except ZeroDivisionError:
-            raise ParseError(f"zero denominator in {text!r}") from None
+            raise ParseError(f"zero denominator in {_excerpt(text)}") from None
         except ValueError:  # more digits than int() converts
-            raise ParseError(f"bad scalar literal {text!r}") from None
+            raise ParseError(f"bad scalar literal {_excerpt(text)}") from None
 
     def __repr__(self):
         return f"Field({self.spec})"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .errors import CapExceeded, FormError
+from .errors import CapExceeded, FormError, ParseError
 from .forms import AlgebraContext, BilinearForm, LinearForm, Vector, same_context
 from .scalars import Scalar
 
@@ -48,8 +48,8 @@ class TensorElt:
     def from_word(cls, ctx: AlgebraContext, word, coeff=1) -> "TensorElt":
         word = tuple(word)
         for i in word:
-            if not 1 <= i <= ctx.dim:
-                raise FormError(f"word index {i} out of range 1..{ctx.dim}")
+            if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= ctx.dim:
+                raise FormError(f"word index {i!r} out of range 1..{ctx.dim}")
         _check_word(ctx, word)
         return cls(ctx, {word: ctx.coerce(coeff)})
 
@@ -140,7 +140,11 @@ class TensorElt:
     def from_json(cls, ctx: AlgebraContext, data: dict) -> "TensorElt":
         out = cls.zero(ctx)
         for term in data["terms"]:
-            out = out + cls.from_word(ctx, term["word"], ctx.field.parse(term["coeff"]))
+            try:
+                word = cls.from_word(ctx, term["word"], ctx.field.parse(term["coeff"]))
+            except FormError as exc:
+                raise ParseError(str(exc)) from None
+            out = out + word
         return out
 
 
@@ -160,27 +164,21 @@ def left_mul(x: Vector, u: TensorElt) -> TensorElt:
     return TensorElt(u.ctx, out)
 
 
-def _contract_into(out: dict, values, terms: dict) -> dict:
-    """Add to out the contraction of a word -> coeff map by the linear
-    form with basis values values[i - 1]: the letter at position pos is
-    removed with weight (-1)^pos f(letter)."""
-    for word, c in terms.items():
+def contract(f: LinearForm, u: TensorElt) -> TensorElt:
+    """The antiderivation attached to a linear form: kills the unit,
+    satisfies i_f(x (x) u) = f(x) u - x (x) i_f(u), lowers grade by 1."""
+    same_context(f.ctx, u.ctx)
+    out = {}
+    for word, c in u.terms.items():
         for pos, idx in enumerate(word):
-            fv = values[idx - 1]
+            fv = f.coeffs[idx - 1]
             if not fv:
                 continue
             t = c * fv if pos % 2 == 0 else -(c * fv)
             rest = word[:pos] + word[pos + 1:]
             cur = out.get(rest)
             out[rest] = t if cur is None else cur + t
-    return out
-
-
-def contract(f: LinearForm, u: TensorElt) -> TensorElt:
-    """The antiderivation attached to a linear form: kills the unit,
-    satisfies i_f(x (x) u) = f(x) u - x (x) i_f(u), lowers grade by 1."""
-    same_context(f.ctx, u.ctx)
-    return TensorElt(u.ctx, _contract_into({}, f.coeffs, u.terms))
+    return TensorElt(u.ctx, out)
 
 
 def contract_vec(F: BilinearForm, x: Vector, u: TensorElt) -> TensorElt:

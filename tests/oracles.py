@@ -158,3 +158,31 @@ def word_sum(q, words):
         for w, c in normal_order(q, word, memo).items():
             total[w] = total.get(w, q.ctx.field.zero) + coeff * c
     return {w: c for w, c in total.items() if c}
+
+
+def deform_sum(F, q, terms):
+    """Deformation of a normal-form element {blade: coeff} into the
+    algebra of q: each blade deformed as a word by pair contractions,
+    then normal-ordered with the relations of q."""
+    return word_sum(q, [(w, c * d) for blade, c in terms.items()
+                        for w, d in deform_word_pairs(F, blade).terms.items()])
+
+
+def interior_sum(ustar_terms, w_terms, zero):
+    """Interior action on normal forms: e*_{s1} ^ ... ^ e*_{sk} contracts
+    e*_{sk} first; removing index j from position t of a blade carries
+    (-1)^t, and a missing index gives zero."""
+    total = {}
+    for subset, a in ustar_terms.items():
+        for blade, c in w_terms.items():
+            rest, sign = list(blade), 1
+            for j in reversed(subset):
+                if j not in rest:
+                    break
+                t = rest.index(j)
+                sign = -sign if t % 2 else sign
+                del rest[t]
+            else:
+                key = tuple(rest)
+                total[key] = total.get(key, zero) + (a * c if sign > 0 else -(a * c))
+    return {b: x for b, x in total.items() if x}

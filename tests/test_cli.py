@@ -172,13 +172,16 @@ def test_bad_shape_exits_two(monkeypatch, capsys):
     (["product"], {"context": CTX, "u": {"terms": [{"blade": [True], "coeff": "1"}]},
                    "v": {"terms": []}}),
     (["check", "scalars.field-axioms", "--samples", "-3"], None),
-], ids=["blade-bool", "samples-negative"])
+    (["product"], {"context": CTX, "u": {"terms": [{"blade": [1], "coeff": "9" * 5000}]},
+                   "v": {"terms": []}}),
+], ids=["blade-bool", "samples-negative", "coeff-long"])
 def test_bad_request_shape_exits_two(argv, payload, monkeypatch, capsys):
     text = "" if payload is None else json.dumps(payload)
     code, out, err = run_cli(argv, text, monkeypatch, capsys)
     assert code == 2
     assert not out
     assert len(err.strip().splitlines()) == 1
+    assert len(err) < 200
 
 
 def test_domain_error_exits_one(monkeypatch, capsys):

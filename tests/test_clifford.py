@@ -20,7 +20,7 @@ from cliffbundle.sampling import (rand_alternating, rand_bilinear, rand_cliff,
                                   rand_quadratic, rand_scalar, rand_tensor,
                                   rand_vector)
 
-from oracles import quantize_perm_sum, word_sum
+from oracles import deform_sum, interior_sum, quantize_perm_sum, word_sum
 
 FIELDS = (RATIONALS, Field(2), Field(7))
 
@@ -62,6 +62,86 @@ def test_product_matches_relation_oracle():
             assert u.reverse().terms == word_sum(q, [(b[::-1], c) for b, c in u.terms.items()])
             t = rand_tensor(rng, ctx, max_grade=6, terms=4)
             assert quotient_map(cctx, t).terms == word_sum(q, t.terms.items())
+
+
+# Coprime and negative denominators: the common denominator of a form
+# exceeds 1, so the integer kernel weights words of different lengths
+# by different powers of it.
+Q_COEFFS = (Fraction(1, 7), Fraction(-5, 11), Fraction(3, 13), 2, -1)
+
+
+def _coeff(rng, field):
+    if field.char == 0:
+        return field(rng.choice(Q_COEFFS))
+    return field(rng.randrange(1, field.char))
+
+
+def _blade_terms(rng, field, n, count=None):
+    """All blades (count None) or count random blades, with coefficients."""
+    blades = [b for k in range(n + 1) for b in combinations(range(1, n + 1), k)]
+    return {b: _coeff(rng, field) for b in (blades if count is None
+                                            else rng.sample(blades, count))}
+
+
+def _pairs(a, b):
+    return [(x + y, c * d) for x, c in a.items() for y, d in b.items()]
+
+
+@pytest.mark.parametrize("field", (Field(2), Field(3), Field(7), RATIONALS),
+                         ids=lambda f: f.spec)
+def test_kernel_matches_oracles(field):
+    """Every operation on the kernel against the relation and pair
+    expansion oracles; dense at n = 4, sparse with mixed grades above."""
+    rng = random.Random(37)
+    for n, count in ((4, None), (5, 5), (6, 4)):
+        ctx = AlgebraContext(n, field)
+        q = QuadraticForm.make(ctx, [_coeff(rng, field) for _ in range(n)],
+                               [[_coeff(rng, field) for _ in range(n - 1 - i)]
+                                for i in range(n - 1)])
+        F = BilinearForm.make(ctx, [[_coeff(rng, field) for _ in range(n)] for _ in range(n)])
+        cctx = CliffordContext(q)
+        shifted = cctx.shift(F)
+        qs = shifted.quadratic
+        u, v = (CliffElt(cctx, _blade_terms(rng, field, n, count)) for _ in range(2))
+        w = CliffElt(shifted, _blade_terms(rng, field, n, count))
+        assert (u * v).terms == word_sum(q, _pairs(u.terms, v.terms))
+        assert u.reverse().terms == word_sum(q, [(b[::-1], c) for b, c in u.terms.items()])
+        words = {tuple(rng.randint(1, n) for _ in range(rng.randint(0, 7))): _coeff(rng, field)
+                 for _ in range(6)}
+        assert quotient_map(cctx, TensorElt(ctx, words)).terms == word_sum(q, words.items())
+        assert deform(F, w, target=cctx).terms == deform_sum(F, q, w.terms)
+        # deform_apply(F, w, v) = D_F(w * D_-F(v)) and u twisted v =
+        # D_F(D_-F(u) * D_-F(v)), the products taken in the shifted algebra
+        back_u, back_v = deform_sum(-F, qs, u.terms), deform_sum(-F, qs, v.terms)
+        assert deform_apply(F, w, v).terms \
+            == deform_sum(F, q, word_sum(qs, _pairs(w.terms, back_v)))
+        assert twisted_mul(F, u, v).terms \
+            == deform_sum(F, q, word_sum(qs, _pairs(back_u, back_v)))
+        f, g = (DualElt(ctx, _blade_terms(rng, field, n, count or 6)) for _ in range(2))
+        assert interior(f, u).terms == interior_sum(f.terms, u.terms, field.zero)
+        assert (f * g).terms == word_sum(QuadraticForm.zero(ctx), _pairs(f.terms, g.terms))
+        if field.char == 0:
+            upper = [[_coeff(rng, field) for _ in range(n)] for _ in range(n)]
+            a = BilinearForm.make(ctx, [[upper[i][j] if i < j else -upper[j][i] if i > j else 0
+                                         for j in range(n)] for i in range(n)])
+            assert exp_contract(dual_two_form(a), u).terms == deform_sum(a, q, u.terms)
+
+
+@pytest.mark.parametrize("field", (Field(2), Field(3), Field(7), RATIONALS),
+                         ids=lambda f: f.spec)
+def test_kernel_cancels_to_zero(field):
+    """Terms that cancel inside one kernel call leave no zero entries:
+    an isotropic vector squares to 0, a linear form wedges itself to 0."""
+    rng = random.Random(41)
+    ctx = AlgebraContext(4, field)
+    a, b, q1, q2 = (_coeff(rng, field) for _ in range(4))
+    polar = -(q1 * a * a + q2 * b * b) / (a * b)
+    upper = [[polar, _coeff(rng, field), 0], [_coeff(rng, field), 0], [_coeff(rng, field)]]
+    cctx = CliffordContext(QuadraticForm.make(ctx, [q1, q2, 1, _coeff(rng, field)], upper))
+    x = CliffElt(cctx, {(1,): a, (2,): b})
+    assert (x * x).terms == word_sum(cctx.quadratic, _pairs(x.terms, x.terms)) == {}
+    f = DualElt(ctx, {(1,): a, (2,): b, (4,): q1})
+    assert (f * f).terms == {}
 
 
 def test_vector_squares():

@@ -1,0 +1,48 @@
+"""Property tests over random fields, dimensions and sparse elements:
+the deformation by -F inverts the deformation by F, and products agree
+with the relation oracle."""
+
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from cliffbundle import (AlgebraContext, BilinearForm, CliffElt,  # noqa: E402
+                         CliffordContext, Field, QuadraticForm, deform)
+
+from oracles import word_sum  # noqa: E402
+
+FIELDS = (Field(0), Field(2), Field(3), Field(7))
+RATIONAL = st.fractions(min_value=-20, max_value=20, max_denominator=13)
+
+
+@st.composite
+def algebras(draw):
+    """(Clifford context, bilinear form, three sparse elements)."""
+    field = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(1, 5))
+    ctx = AlgebraContext(n, field)
+    coeff = (RATIONAL if field.char == 0 else
+             st.integers(0, field.char - 1).map(Fraction))
+
+    def scalars(k):
+        return draw(st.lists(coeff, min_size=k, max_size=k))
+
+    q = QuadraticForm.make(ctx, scalars(n), [scalars(n - 1 - i) for i in range(n - 1)])
+    F = BilinearForm.make(ctx, [scalars(n) for _ in range(n)])
+    blades = st.lists(st.integers(1, n), max_size=n, unique=True).map(lambda b: tuple(sorted(b)))
+    elts = [draw(st.dictionaries(blades, coeff, max_size=4)) for _ in range(3)]
+    return CliffordContext(q), F, [{b: ctx.coerce(c) for b, c in e.items()} for e in elts]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(algebras())
+def test_deform_inverse_and_product(data):
+    cctx, F, (u_terms, v_terms, w_terms) = data
+    w = CliffElt(cctx.shift(F), w_terms)
+    assert deform(-F, deform(F, w)) == w
+    u, v = CliffElt(cctx, u_terms), CliffElt(cctx, v_terms)
+    pairs = [(a + b, c * d) for a, c in u.terms.items() for b, d in v.terms.items()]
+    assert (u * v).terms == word_sum(cctx.quadratic, pairs)

@@ -5,9 +5,9 @@ import random
 import pytest
 
 from cliffbundle import (AlgebraContext, CapExceeded, Field, FormError,
-                         LinearForm, RATIONALS, TensorElt, Vector, contract,
-                         contract_vec, divided_power, left_mul, pfaffian,
-                         tensor_deform, tensor_deform_apply)
+                         LinearForm, ParseError, RATIONALS, TensorElt, Vector,
+                         contract, contract_vec, divided_power, left_mul,
+                         pfaffian, tensor_deform, tensor_deform_apply)
 from cliffbundle.sampling import (rand_alternating, rand_bilinear,
                                   rand_linear_form, rand_tensor)
 
@@ -148,6 +148,14 @@ def test_word_validation():
         TensorElt.from_word(ctx, (0,))
     with pytest.raises(FormError):
         TensorElt.from_word(ctx, (3,))
+
+
+def test_word_rejects_bool_index():
+    ctx = AlgebraContext(2, RATIONALS)
+    with pytest.raises(FormError):
+        TensorElt.from_word(ctx, (True, 2))
+    with pytest.raises(ParseError):
+        TensorElt.from_json(ctx, {"terms": [{"word": [True, 2], "coeff": "1"}]})
 
 
 def test_involutions():
