@@ -3,14 +3,16 @@
 Every subcommand reads one JSON request (from --input or standard
 input), writes one JSON response to standard output with a top-level
 "schema" key, and exits 0 on success, 1 on a domain error (with a
-structured error response), or 2 on malformed input.  Identical request
-and seed produce byte-identical output.
+structured error response), 2 on malformed input, or 141 (128 + SIGPIPE)
+when the reader closes standard output before the response is written.
+Identical request and seed produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .checks import list_checks, run_check
@@ -21,6 +23,7 @@ from .forms import BilinearForm, DualTwoForm, pfaffian, quad_of_bilinear
 from .repcheck import rho_matrix
 
 SCHEMA = "cliff-bundle/1"
+EXIT_BROKEN_PIPE = 141
 
 
 def _read_payload(args) -> dict:
@@ -39,6 +42,7 @@ def _emit(payload: dict):
     body["schema"] = SCHEMA
     sys.stdout.write(json.dumps(body, sort_keys=True, indent=2))
     sys.stdout.write("\n")
+    sys.stdout.flush()
 
 
 def _parsed(thunk):
@@ -173,6 +177,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _respond(args)
+    except BrokenPipeError:
+        # the reader has gone (`cliffbundle ... | head -1`): point stdout
+        # at devnull so the flush at interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+
+
+def _respond(args) -> int:
     try:
         payload = args.handler(args)
     except AlgebraError as exc:

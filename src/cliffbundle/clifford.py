@@ -22,6 +22,10 @@ Each operation is then one sum of word actions:
     DualElt f * g           f . g    B = 0, the wedge
     interior(f, w)          f . w    B = identity, no wedge part
 
+and the representation matrices of repcheck are columns of such sums:
+rho_matrix(F, u) has column S = u . e_S (B = F), twist_matrix(A) has
+column S = e_S . 1 (B = A).
+
 Twisted products, the reversal, the contraction by a linear form, the
 exponential of a dual two-form's interior action, and the symbol and
 quantization maps are built from these.
@@ -42,13 +46,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import CharacteristicError, ContextMismatch, FormError, ParseError
 from .forms import (AlgebraContext, BilinearForm, DualTwoForm, Field, LinearForm,
                     QuadraticForm, Vector, quad_of_bilinear, same_context,
                     triangular_bilinear)
-from .scalars import Scalar
+from .scalars import Scalar, excerpt, scaled_ints
 from .tensor import TensorElt
 
 
@@ -113,12 +116,6 @@ def _blade(m: int) -> tuple:
     return tuple(out)
 
 
-def _ints(values) -> tuple:
-    """Rationals or residues as integers over one common denominator."""
-    den = lcm(*(c.denominator for c in values))
-    return [c.numerator * (den // c.denominator) for c in values], den
-
-
 def _act(bit: int, scale: int, row, p: int, terms: dict) -> dict:
     """scale (e_i ^ w) + contraction of w by row, on a mask -> int map;
     bit is 1 << (i - 1) and row lists (bit, value) for the nonzero
@@ -143,26 +140,30 @@ def _act(bit: int, scale: int, row, p: int, terms: dict) -> dict:
     return {k: c for k, c in out.items() if c}
 
 
-def _operate(field: Field, rows, u_terms: dict, v_terms: dict, wedge: bool = True) -> dict:
-    """The sum over the words S of u of u_S (e_S . v), where e_i acts by
-    e_i ^ w (unless wedge is off) plus the contraction by rows[i - 1].
-    Each e_S . v is e_first . (e_rest . v), memoized per suffix, so the
-    keys of u may be any words.
-
-    Scalars are read at entry and built at exit; in between, blades are
-    bitmasks and coefficients ints.  Over Q everything is scaled to
-    integers: with d the common denominator of the rows, e_i acts by
-    d e_i ^ + contraction by d B(e_i, .), which is d times its action,
-    so u_S is weighted by d^(m - |S|), m the longest word of u, and the
-    sum is divided once by d^m and the denominators of u and v."""
-    p = field.char
-    flat, d = _ints([c.value for row in rows for c in row])
+def _actions(rows, wedge: bool = True) -> tuple:
+    """The kernel's integer set-up for the generator action attached to
+    rows (the rows of B): (acts, scale, d), with d the common
+    denominator of the rows, acts[i - 1] the bit of e_i and the
+    (bit, value) pairs of the nonzero entries of d B(e_i, .), and scale
+    the wedge weight d (0 when wedge is off).  Each act is then d times
+    the action of e_i."""
+    flat, d = scaled_ints([c.value for row in rows for c in row])
     n = len(rows[0])
     acts = [(1 << r, [(1 << j, f) for j, f in enumerate(flat[r * n:(r + 1) * n]) if f])
             for r in range(len(rows))]
-    scale = d if wedge else 0
-    vnum, dv = _ints([c.value for c in v_terms.values()])
-    memo = {(): {_mask(b): c for b, c in zip(v_terms, vnum)}}
+    return acts, (d if wedge else 0), d
+
+
+def _word_sum(actions: tuple, p: int, u_terms: dict, v: dict) -> tuple:
+    """The sum over the words S of u of u_S (e_S . v), on a mask -> int
+    map v: (map, den).  Each e_S . v is e_first . (e_rest . v), memoized
+    per suffix, so the keys of u may be any words.  Over Q the result is
+    the map divided by den: u is scaled to integers by its common
+    denominator, u_S is weighted by d^(m - |S|), m the longest word of
+    u, and den is that denominator times d^m.  Over GF(p) the map is
+    unreduced and den is 1."""
+    acts, scale, d = actions
+    memo = {(): v}
 
     def on_v(word):
         got = memo.get(word)
@@ -171,7 +172,7 @@ def _operate(field: Field, rows, u_terms: dict, v_terms: dict, wedge: bool = Tru
             got = memo[word] = _act(bit, scale, row, p, on_v(word[1:]))
         return got
 
-    unum, du = _ints([c.value for c in u_terms.values()])
+    unum, du = scaled_ints([c.value for c in u_terms.values()])
     top = max(map(len, u_terms), default=0)
     out = {}
     get = out.get
@@ -180,9 +181,23 @@ def _operate(field: Field, rows, u_terms: dict, v_terms: dict, wedge: bool = Tru
             c *= d ** (top - len(word))
         for k, x in on_v(word).items():
             out[k] = get(k, 0) + c * x
+    return out, du * d ** top
+
+
+def _operate(field: Field, rows, u_terms: dict, v_terms: dict, wedge: bool = True) -> dict:
+    """The sum over the words S of u of u_S (e_S . v), where e_i acts by
+    e_i ^ w (unless wedge is off) plus the contraction by rows[i - 1].
+
+    Scalars are read at entry and built at exit; in between, blades are
+    bitmasks and coefficients ints.  Over Q, v is scaled to integers by
+    its common denominator, which joins the one final division."""
+    p = field.char
+    vnum, dv = scaled_ints([c.value for c in v_terms.values()])
+    out, den = _word_sum(_actions(rows, wedge), p, u_terms,
+                         {_mask(b): c for b, c in zip(v_terms, vnum)})
     if p:
         return {_blade(k): Scalar(field, x) for k, x in out.items() if x % p}
-    den = du * dv * d ** top
+    den *= dv
     return {_blade(k): Scalar(field, Fraction(x, den)) for k, x in out.items() if x}
 
 
@@ -306,9 +321,9 @@ class CliffElt:
             blade = tuple(term["blade"])
             if any(isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= cctx.dim
                    for i in blade):
-                raise ParseError(f"blade index out of range: {list(blade)}")
+                raise ParseError(f"blade index out of range: {excerpt(list(blade))}")
             if any(blade[t] >= blade[t + 1] for t in range(len(blade) - 1)):
-                raise ParseError(f"blade must be strictly increasing: {list(blade)}")
+                raise ParseError(f"blade must be strictly increasing: {excerpt(list(blade))}")
             c = cctx.field.parse(term["coeff"])
             cur = out.get(blade)
             out[blade] = c if cur is None else cur + c

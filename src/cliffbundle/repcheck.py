@@ -4,20 +4,28 @@ and a heuristic invariant-subspace probe.
 The exterior algebra has the subset basis; a subset S of {1..n} gets the
 column/row index sum of 2^(i-1) over i in S (bitmask order), so matrices
 are reproducible bit for bit.
+
+The matrices are built straight from the Clifford kernel of clifford.py,
+whose blades are those same bitmasks: column S of rho_matrix(F, u) is
+u acting on e_S through the rows of F, and column S of twist_matrix(A)
+is the word e_S acting on the unit through A, one generator action on
+the column of S without its lowest index.  The probe and the
+restriction run on raw values, residues mod p or rationals, through
+the raw core of linalg; Scalars appear only in EndoMatrix entries, in
+ProbeReport bases and in the matrices restrict_matrices returns.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .clifford import CliffElt, CliffordContext, deform, deform_apply
+from .clifford import CliffElt, CliffordContext, _act, _actions, _word_sum
 from .errors import CapExceeded, FormError
 from .forms import AlgebraContext, BilinearForm, quad_of_bilinear, same_context
-from .scalars import Scalar
+from .scalars import Scalar, scaled_ints
 
 _REP_DIM_LIMIT = 12
 
@@ -94,50 +102,77 @@ class EndoMatrix:
         return {"matrix": [[str(v) for v in row] for row in self.entries]}
 
 
+def _endo(ctx: AlgebraContext, cols, dens) -> EndoMatrix:
+    """The matrix whose column c is the mask -> int map cols[c] divided
+    by dens[c]; over GF(p) the values are residues up to reduction and
+    dens is not read."""
+    field = ctx.field
+    p = field.char
+    zero = field.zero
+    rows = [[zero] * len(cols) for _ in cols]
+    for c, col in enumerate(cols):
+        for r, x in col.items():
+            if x % p if p else x:
+                rows[r][c] = Scalar(field, x if p else Fraction(x, dens[c]))
+    return EndoMatrix(ctx, tuple(map(tuple, rows)))
+
+
+def _rep_guard(n: int):
+    if n > _REP_DIM_LIMIT:
+        raise CapExceeded(f"representation dimension 2^{n} exceeds the guard")
+
+
 def rho_matrix(F: BilinearForm, u: CliffElt) -> EndoMatrix:
     """Matrix of the operator deformation of u on the exterior algebra.
 
     u must live over the quadratic form of F itself (x -> F(x, x)); the
     map is an algebra homomorphism, and its first column (image of the
-    unit) is the coefficient vector of deform(F, u).
+    unit) is the coefficient vector of deform(F, u).  Column S is
+    deform_apply(F, u, e_S): u acting on e_S through the form F, the
+    Chevalley form of the exterior algebra plus F.
     """
     ctx = F.ctx
     same_context(ctx, u.cctx.ctx)
     if u.cctx.quadratic != quad_of_bilinear(F):
         raise FormError("element must live over the quadratic form of F")
-    n = ctx.dim
-    if n > _REP_DIM_LIMIT:
-        raise CapExceeded(f"representation dimension 2^{n} exceeds the guard")
-    ext = CliffordContext.exterior(ctx)
-    size = 1 << n
-    cols = []
-    for ci in range(size):
-        w = CliffElt.blade(ext, index_subset(ci))
-        cols.append(cliff_to_vec(deform_apply(F, u, w)))
-    rows = tuple(tuple(cols[c][r] for c in range(size)) for r in range(size))
-    return EndoMatrix(ctx, rows)
+    _rep_guard(ctx.dim)
+    actions = _actions(F.rows)
+    p = ctx.field.char
+    cols, dens = zip(*(_word_sum(actions, p, u.terms, {s: 1}) for s in range(1 << ctx.dim)))
+    return _endo(ctx, cols, dens)
 
 
 def generator_matrices(F: BilinearForm):
-    """Representation matrices of the n generators e_1 .. e_n."""
-    cctx = CliffordContext(quad_of_bilinear(F))
-    return [rho_matrix(F, CliffElt.blade(cctx, (i,))) for i in range(1, F.ctx.dim + 1)]
+    """Representation matrices of the n generators e_1 .. e_n: one
+    generator action per basis blade."""
+    ctx = F.ctx
+    size = 1 << ctx.dim
+    _rep_guard(ctx.dim)
+    acts, scale, d = _actions(F.rows)
+    p = ctx.field.char
+    return [_endo(ctx, [_act(bit, scale, row, p, {s: 1}) for s in range(size)], [d] * size)
+            for bit, row in acts]
 
 
 def twist_matrix(A: BilinearForm) -> EndoMatrix:
     """Matrix of the deformation by an alternating form on the exterior
     algebra (an automorphism of the underlying space: the quadratic part
-    of an alternating form vanishes)."""
+    of an alternating form vanishes).  Column S is deform(A, e_S): the
+    word e_S acting on the unit through A, built as
+    e_min(S) . column(S without min(S)); over Q each generator action
+    is d times the true one, so column S is divided by d^|S|."""
     if not A.is_alternating():
         raise FormError("twist matrix needs an alternating form")
-    ext = CliffordContext.exterior(A.ctx)
-    size = 1 << A.ctx.dim
-    cols = []
-    for ci in range(size):
-        w = CliffElt.blade(ext, index_subset(ci))
-        cols.append(cliff_to_vec(deform(A, w, target=ext)))
-    rows = tuple(tuple(cols[c][r] for c in range(size)) for r in range(size))
-    return EndoMatrix(A.ctx, rows)
+    ctx = A.ctx
+    n = ctx.dim
+    acts, scale, d = _actions(A.rows)
+    p = ctx.field.char
+    cols = [{0: 1}]
+    for s in range(1, 1 << n):
+        first = s & -s
+        bit, row = acts[first.bit_length() - 1]
+        cols.append(_act(bit, scale, row, p, cols[s ^ first]))
+    return _endo(ctx, cols, [d ** s.bit_count() for s in range(1 << n)])
 
 
 @dataclass
@@ -235,39 +270,46 @@ def _rows_of(m):
     return [list(r) for r in m]
 
 
+def _values(rows):
+    return [[x.value for x in row] for row in rows]
+
+
 def restrict_matrices(mats, basis):
     """Restrict matrices to the span of the given vectors (a basis of an
     invariant subspace); raises if the span is not invariant.  Returns
     plain d x d matrices in the given basis."""
-    rows_list = [_rows_of(m) for m in mats]
-    n = len(basis[0])
-    d = len(basis)
-    bcols = [[basis[i][r] for i in range(d)] for r in range(n)]
+    if not basis:
+        raise FormError("cannot restrict to an empty basis")
+    field = basis[0][0].field
+    p = field.char
+    bcols = linalg.transpose(_values(basis))
     out = []
-    for m in rows_list:
-        mb = linalg.mat_mul(m, bcols)
-        x = linalg.solve_matrix(bcols, mb)
+    for m in mats:
+        x = linalg.solve_matrix_raw(bcols, linalg.mat_mul_raw(_values(_rows_of(m)), bcols, p), p)
         if x is None:
             raise FormError("span is not invariant under the given matrices")
-        out.append(x)
+        out.append([[Scalar(field, v) for v in row] for row in x])
     return out
 
 
-def _min_poly(rows, field):
+def _lift(x, p: int):
+    """A raw value reduced mod p over GF(p), unchanged over Q."""
+    return x % p if p else x
+
+
+def _min_poly(rows, p: int):
     """Monic minimal polynomial of a square matrix, ascending coeffs."""
     n = len(rows)
-    power = linalg.identity(field, n)
+    power = [[int(r == c) for c in range(n)] for r in range(n)]
     flats = []
     while True:
         flat = [v for row in power for v in row]
-        k = len(flats)
         if flats:
-            cols = [[flats[j][t] for j in range(k)] for t in range(len(flat))]
-            a = linalg.solve(cols, flat)
+            a = linalg.solve_raw(linalg.transpose(flats), flat, p)
             if a is not None:
-                return [-v for v in a] + [field.one]
+                return [_lift(-v, p) for v in a] + [1]
         flats.append(flat)
-        power = linalg.mat_mul(power, rows)
+        power = linalg.mat_mul_raw(power, rows, p)
 
 
 def _int_divisors(m: int):
@@ -282,70 +324,59 @@ def _int_divisors(m: int):
     return sorted(set(out))
 
 
-def _poly_eval(coeffs, x: Scalar) -> Scalar:
-    acc = x.field.zero
+def _poly_eval(coeffs, x, p: int):
+    acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
-    return acc
+    return _lift(acc, p)
 
 
-def _poly_roots(coeffs, field):
+def _poly_roots(coeffs, p: int):
     """Roots in the field of a polynomial with ascending coefficients.
     Over the rationals: complete via the rational root bound.  Over
     GF(p): brute force for small p."""
-    if field.char:
-        if field.char > 512:
+    if p:
+        if p > 512:
             return []
-        return [field(r) for r in range(field.char)
-                if not _poly_eval(coeffs, field(r))]
+        return [r for r in range(p) if not _poly_eval(coeffs, r, p)]
     roots = []
     work = list(coeffs)
     while len(work) > 1 and not work[0]:
-        roots.append(field.zero)
+        roots.append(0)
         work = work[1:]
     if len(work) <= 1:
         return sorted(set(roots), key=str)
-    denom_lcm = 1
-    for c in work:
-        denom_lcm = denom_lcm * c.value.denominator // math.gcd(denom_lcm, c.value.denominator)
-    ints = [int(c.value * denom_lcm) for c in work]
+    ints, _ = scaled_ints(work)
     a0, lead = ints[0], ints[-1]
     if abs(a0) > 10 ** 12 or abs(lead) > 10 ** 12:
-        candidates = [Fraction(p, q) for p in range(-8, 9) for q in range(1, 5)]
+        candidates = [Fraction(a, b) for a in range(-8, 9) for b in range(1, 5)]
     else:
         candidates = []
-        for p in _int_divisors(a0):
-            for q in _int_divisors(lead):
-                candidates.append(Fraction(p, q))
-                candidates.append(Fraction(-p, q))
+        for a in _int_divisors(a0):
+            for b in _int_divisors(lead):
+                candidates.append(Fraction(a, b))
+                candidates.append(Fraction(-a, b))
     seen = set()
     for cand in candidates:
         if cand in seen:
             continue
         seen.add(cand)
-        x = field(cand)
-        if not _poly_eval(coeffs, x):
-            roots.append(x)
+        if not _poly_eval(coeffs, cand, 0):
+            roots.append(cand)
     return sorted(set(roots), key=str)
 
 
-def _intersect(ubasis, wbasis, field):
+def _intersect(ubasis, wbasis, p: int):
     """Basis of the intersection of two row spans."""
-    n = len(ubasis[0])
-    du, dw = len(ubasis), len(wbasis)
-    rows = []
-    for t in range(n):
-        rows.append([ubasis[i][t] for i in range(du)] +
-                    [-wbasis[j][t] for j in range(dw)])
+    du = len(ubasis)
+    ucols = linalg.transpose(ubasis)
+    rows = linalg.transpose(ubasis + [[_lift(-x, p) for x in w] for w in wbasis])
     vecs = []
-    for sol in linalg.nullspace(rows):
-        vec = [field.zero] * n
-        for i in range(du):
-            if sol[i]:
-                vec = [a + sol[i] * b for a, b in zip(vec, ubasis[i])]
+    for sol in linalg.nullspace_raw(rows, p):
+        vec = linalg.mat_vec_raw(ucols, sol[:du], p)
         if any(vec):
             vecs.append(vec)
-    return linalg.row_space_basis(vecs) if vecs else []
+    return linalg.row_space_raw(vecs, p) if vecs else []
 
 
 def invariant_probe(mats, seed: int) -> ProbeReport:
@@ -359,6 +390,9 @@ def invariant_probe(mats, seed: int) -> ProbeReport:
     always tried.  Records every proper nonzero common invariant
     subspace found, plus pairwise sums and intersections.
 
+    Works on raw values (residues, or rationals) throughout; the
+    reported bases are built as Scalars at the end.
+
     Semi-decision: finding subspaces certifies reducibility; finding
     none proves nothing.
     """
@@ -369,23 +403,27 @@ def invariant_probe(mats, seed: int) -> ProbeReport:
     if any(len(m) != n or any(len(r) != n for r in m) for m in rows_list):
         raise FormError("all matrices must share one square dimension")
     field = rows_list[0][0][0].field
+    p = field.char
+    raw = [_values(m) for m in rows_list]
+    raw_t = [linalg.transpose(m) for m in raw]
     rng = random.Random(seed)
     found = {}
 
+    def combine(acc, c, m):
+        return [[_lift(a + c * b, p) for a, b in zip(ra, rb)] for ra, rb in zip(acc, m)]
+
     def rand_vec():
         while True:
-            v = [field(rng.randint(-3, 3)) for _ in range(n)]
+            v = [_lift(rng.randint(-3, 3), p) for _ in range(n)]
             if any(v):
                 return v
 
     def close_under(vectors):
-        basis = linalg.row_space_basis(vectors)
+        basis = linalg.row_space_raw(vectors, p)
         while basis:
-            imgs = []
-            for m in rows_list:
-                for v in basis:
-                    imgs.append(linalg.mat_vec(m, v))
-            bigger = linalg.row_space_basis(basis + imgs)
+            # row v of basis @ m^T is m v
+            imgs = [img for mt in raw_t for img in linalg.mat_mul_raw(basis, mt, p)]
+            bigger = linalg.row_space_raw(basis + imgs, p)
             if len(bigger) == len(basis):
                 break
             basis = bigger
@@ -394,19 +432,18 @@ def invariant_probe(mats, seed: int) -> ProbeReport:
     def record(vectors, close=True):
         if not vectors:
             return
-        basis = close_under(vectors) if close else linalg.row_space_basis(vectors)
+        basis = close_under(vectors) if close else linalg.row_space_raw(vectors, p)
         if 0 < len(basis) < n:
-            key = tuple(tuple(str(v) for v in row) for row in basis)
+            key = tuple(tuple(map(str, row)) for row in basis)
             found.setdefault(key, basis)
 
     def rand_algebra_elt():
-        acc = linalg.zeros(field, n, n)
+        acc = [[0] * n for _ in range(n)]
         for _ in range(rng.randint(1, 3)):
-            prod = rng.choice(rows_list)
+            prod = rng.choice(raw)
             for _ in range(rng.randint(0, 2)):
-                prod = linalg.mat_mul(prod, rng.choice(rows_list))
-            c = field(rng.choice((-2, -1, 1, 2)))
-            acc = [[a + c * b for a, b in zip(ra, rb)] for ra, rb in zip(acc, prod)]
+                prod = linalg.mat_mul_raw(prod, rng.choice(raw), p)
+            acc = combine(acc, _lift(rng.choice((-2, -1, 1, 2)), p), prod)
         return acc
 
     # cyclic closures of random vectors, and random spans (these catch
@@ -418,15 +455,15 @@ def invariant_probe(mats, seed: int) -> ProbeReport:
 
     # kernels of the given matrices, then kernels and images of random
     # algebra elements (random ones are usually invertible)
-    for m in rows_list:
-        record(linalg.nullspace(m))
+    for m in raw:
+        record(linalg.nullspace_raw(m, p))
     for _ in range(8):
         y = rand_algebra_elt()
-        ker = linalg.nullspace(y)
+        ker = linalg.nullspace_raw(y, p)
         if ker:
             record(ker)
             record([ker[0]])
-        img = linalg.row_space_basis(linalg.transpose(y))
+        img = linalg.row_space_raw(linalg.transpose(y), p)
         if len(img) < n:
             record(img)
 
@@ -435,28 +472,27 @@ def invariant_probe(mats, seed: int) -> ProbeReport:
     # for large matrices: the solve is n^2 unknowns)
     if n <= 12:
         eqs = []
-        for m in rows_list:
+        for m in raw:
             for r in range(n):
                 for c in range(n):
-                    row = [field.zero] * (n * n)
+                    row = [0] * (n * n)
                     for s in range(n):
-                        row[r * n + s] = row[r * n + s] + m[s][c]
-                        row[s * n + c] = row[s * n + c] - m[r][s]
+                        row[r * n + s] += m[s][c]
+                        row[s * n + c] -= m[r][s]
                     eqs.append(row)
-        comm = linalg.nullspace(eqs)
+        comm = linalg.nullspace_raw(eqs, p)
         if len(comm) > 1:
             basis_mats = [[sol[r * n:(r + 1) * n] for r in range(n)] for sol in comm]
             for _ in range(min(8, 2 * len(basis_mats))):
-                y = linalg.zeros(field, n, n)
+                y = [[0] * n for _ in range(n)]
                 for bm in basis_mats:
-                    c = field(rng.randint(-2, 2))
+                    c = _lift(rng.randint(-2, 2), p)
                     if c:
-                        y = [[a + c * b for a, b in zip(ra, rb)] for ra, rb in zip(y, bm)]
-                mp = _min_poly(y, field)
-                for mu in _poly_roots(mp, field):
-                    shifted = [[y[r][c] - (mu if r == c else field.zero)
-                                for c in range(n)] for r in range(n)]
-                    eig = linalg.nullspace(shifted)
+                        y = combine(y, c, bm)
+                for mu in _poly_roots(_min_poly(y, p), p):
+                    shifted = [[_lift(y[r][c] - mu, p) if r == c else y[r][c] for c in range(n)]
+                               for r in range(n)]
+                    eig = linalg.nullspace_raw(shifted, p)
                     if eig:
                         record(eig)
 
@@ -467,10 +503,10 @@ def invariant_probe(mats, seed: int) -> ProbeReport:
             if len(found) > 80:
                 break
             record(bases_now[i] + bases_now[j], close=False)
-            record(_intersect(bases_now[i], bases_now[j], field), close=False)
+            record(_intersect(bases_now[i], bases_now[j], p), close=False)
 
-    ordered = sorted(found.values(), key=lambda b: (len(b), [[str(v) for v in r] for r in b]))
+    ordered = [found[key] for key in sorted(found, key=lambda key: (len(key), key))]
     return ProbeReport(
         seed=seed,
         dims=tuple(len(b) for b in ordered),
-        bases=tuple(tuple(tuple(r) for r in b) for b in ordered))
+        bases=tuple(tuple(tuple(Scalar(field, v) for v in r) for r in b) for b in ordered))

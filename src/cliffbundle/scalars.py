@@ -11,22 +11,36 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import FieldMismatch, ParseError
 
 # A scalar literal: an integer or a fraction of two integers.
 _LITERAL = re.compile("(-?[0-9]+)(?:/(-?[0-9]+))?")
 
-# Longest refused literal an error message repeats whole.
+# Longest refused value an error message repeats whole.
 _SHOWN = 40
 
 
-def _excerpt(text: str) -> str:
-    """A literal for an error message: quoted whole when short, else a
-    quoted prefix and the length."""
+def excerpt(value) -> str:
+    """A refused value for an error message: whole when short, else a
+    prefix and the length.  A string is quoted, anything else shown by
+    its repr."""
+    if isinstance(value, str):
+        if len(value) <= _SHOWN:
+            return repr(value)
+        return f"{value[:_SHOWN // 2] + '…'!r} ({len(value)} chars)"
+    text = repr(value)
     if len(text) <= _SHOWN:
-        return repr(text)
-    return f"{text[:_SHOWN // 2] + '…'!r} ({len(text)} chars)"
+        return text
+    return f"{text[:_SHOWN // 2]}… ({len(text)} chars)"
+
+
+def scaled_ints(values) -> tuple:
+    """Rationals or residues (ints or Fractions) as integers over one
+    common denominator: (integers, denominator)."""
+    den = lcm(*(c.denominator for c in values))
+    return [c.numerator * (den // c.denominator) for c in values], den
 
 
 # Deterministic Miller-Rabin witnesses for all 64-bit integers.
@@ -104,15 +118,15 @@ class Field:
             raise ParseError(f"scalar literal must be a string, got {type(text).__name__}")
         match = _LITERAL.fullmatch(text.strip().replace("−", "-"))
         if match is None:
-            raise ParseError(f"bad scalar literal {_excerpt(text)}")
+            raise ParseError(f"bad scalar literal {excerpt(text)}")
         num, den = match.groups()
         try:
             value = Scalar(self, int(num))
             return value if den is None else value / Scalar(self, int(den))
         except ZeroDivisionError:
-            raise ParseError(f"zero denominator in {_excerpt(text)}") from None
+            raise ParseError(f"zero denominator in {excerpt(text)}") from None
         except ValueError:  # more digits than int() converts
-            raise ParseError(f"bad scalar literal {_excerpt(text)}") from None
+            raise ParseError(f"bad scalar literal {excerpt(text)}") from None
 
     def __repr__(self):
         return f"Field({self.spec})"

@@ -13,7 +13,7 @@ from itertools import combinations
 
 from .errors import CapExceeded, FormError, ParseError
 from .forms import AlgebraContext, BilinearForm, LinearForm, Vector, same_context
-from .scalars import Scalar
+from .scalars import Scalar, excerpt
 
 
 def _check_word(ctx: AlgebraContext, word):
@@ -49,7 +49,7 @@ class TensorElt:
         word = tuple(word)
         for i in word:
             if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= ctx.dim:
-                raise FormError(f"word index {i!r} out of range 1..{ctx.dim}")
+                raise FormError(f"word index {excerpt(i)} out of range 1..{ctx.dim}")
         _check_word(ctx, word)
         return cls(ctx, {word: ctx.coerce(coeff)})
 

@@ -4,9 +4,12 @@ Everything here is written from the combinatorial definitions, on
 purpose sharing no code with the package: matching sums for the
 Pfaffian, the pair-contraction expansion for the deformation of a word,
 permutation sums for quantization and determinants, and bubble-sorting
-words with the defining relations for Clifford products.  Slow is fine.
+words with the defining relations for Clifford products; and textbook
+Gauss-Jordan elimination and matrix products on plain Fractions or
+residues.  Slow is fine.
 """
 
+from fractions import Fraction
 from itertools import combinations, permutations
 
 from cliffbundle import CliffElt, TensorElt
@@ -120,6 +123,44 @@ def det_perm_sum(rows):
             coeff = coeff * rows[i][perm[i]]
         total = total + perm_sign(perm) * coeff
     return total
+
+
+def rref_oracle(rows, p):
+    """Reduced row echelon form of a matrix of plain numbers, by
+    Gauss-Jordan elimination: over Q (p = 0) on Fractions, over GF(p)
+    on residues with Fermat inverses x^(p-2).  Returns (rows, pivot
+    columns)."""
+    if p:
+        m = [[x % p for x in row] for row in rows]
+    else:
+        m = [[Fraction(x) for x in row] for row in rows]
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        found = [i for i in range(r, len(m)) if m[i][c]]
+        if not found:
+            continue
+        m[r], m[found[0]] = m[found[0]], m[r]
+        inv = pow(m[r][c], p - 2, p) if p else 1 / m[r][c]
+        m[r] = [x * inv % p if p else x * inv for x in m[r]]
+        for i in range(len(m)):
+            f = m[i][c]
+            if i != r and f:
+                m[i] = [(x - f * y) % p if p else x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
+def matmul_oracle(a, b, p):
+    """Product of matrices of plain numbers by the textbook triple sum."""
+    out = []
+    for row in a:
+        out.append([])
+        for j in range(len(b[0])):
+            total = sum(Fraction(row[k]) * b[k][j] for k in range(len(b)))
+            out[-1].append(total % p if p else total)
+    return out
 
 
 def normal_order(q, word, memo=None):

@@ -174,7 +174,9 @@ def test_bad_shape_exits_two(monkeypatch, capsys):
     (["check", "scalars.field-axioms", "--samples", "-3"], None),
     (["product"], {"context": CTX, "u": {"terms": [{"blade": [1], "coeff": "9" * 5000}]},
                    "v": {"terms": []}}),
-], ids=["blade-bool", "samples-negative", "coeff-long"])
+    (["product"], {"context": CTX, "u": {"terms": [{"blade": [1] + [3] * 3000, "coeff": "1"}]},
+                   "v": {"terms": []}}),
+], ids=["blade-bool", "samples-negative", "coeff-long", "blade-long"])
 def test_bad_request_shape_exits_two(argv, payload, monkeypatch, capsys):
     text = "" if payload is None else json.dumps(payload)
     code, out, err = run_cli(argv, text, monkeypatch, capsys)
@@ -250,6 +252,29 @@ sys.exit(target())
 """
 
 
+def _package_env():
+    package_root = os.path.dirname(os.path.dirname(cliffbundle.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_closed_stdout_exits_141():
+    """`cliffbundle check --list | head -1`: the reader is gone before the
+    response is written.  No traceback, and not exit 1 (a domain error)."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "cliffbundle", "check", "--list"],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              timeout=120, env=_package_env())
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
+
+
 def assert_lists_suites(proc):
     assert proc.returncode == 0
     assert "scalars.field-axioms" in proc.stdout
@@ -263,10 +288,7 @@ def test_console_script_installed():
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
     with open(pyproject, "rb") as fh:
         target = tomllib.load(fh)["project"]["scripts"]["cliffbundle"]
-    package_root = os.path.dirname(os.path.dirname(cliffbundle.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [package_root, env.get("PYTHONPATH")]))
+    env = _package_env()
     for argv in ([sys.executable, "-c", ENTRY_POINT_WRAPPER, target],
                  [sys.executable, "-m", "cliffbundle", "check", "--list"]):
         proc = subprocess.run(argv, capture_output=True, text=True,

@@ -1,18 +1,23 @@
 """Representation matrices, twist equivalence, restriction, and the
 invariant-subspace probe."""
 
+import hashlib
+import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from cliffbundle import (AlgebraContext, BilinearForm, CapExceeded, CliffElt,
                          CliffordContext, EndoMatrix, Field, FormError,
-                         RATIONALS, check_equivalence, cliff_to_vec,
-                         generator_matrices, index_subset, invariant_probe,
+                         RATIONALS, check_equivalence, cliff_to_vec, deform,
+                         deform_apply, generator_matrices, index_subset, invariant_probe,
                          quad_of_bilinear, restrict_matrices, rho_matrix,
                          subset_index, twist_matrix, vec_to_cliff)
 from cliffbundle import linalg
 from cliffbundle.sampling import rand_alternating, rand_bilinear, rand_cliff
+
+from oracles import deform_sum, word_sum
 
 
 def _mat(m):
@@ -242,3 +247,136 @@ def test_endo_matrix_json():
     ctx = AlgebraContext(1, Field(3))
     m = EndoMatrix.identity(ctx)
     assert m.to_json() == {"matrix": [["1", "0"], ["0", "1"]]}
+
+
+def test_restrict_rejects_empty_basis():
+    F = RATIONALS
+    with pytest.raises(FormError, match="empty basis"):
+        restrict_matrices([[[F(1), F(0)], [F(0), F(1)]]], [])
+
+
+# ------------------------------------------------ matrix builders, pinned
+
+PIN_FIELDS = [RATIONALS, Field(2), Field(3), Field(7)]
+PIN_VALUES = [Fraction(1, 7), Fraction(-5, 11), Fraction(3, 13), 2, -1, 0]
+
+
+def _pin_inputs(field, n, seed):
+    """A form F, an element u over Q_F, and an alternating form A, with
+    entries drawn from PIN_VALUES (rationals) or all residues."""
+    rng = random.Random(f"pin/{field.spec}/{n}/{seed}")
+    ctx = AlgebraContext(n, field)
+
+    def value():
+        return rng.choice(PIN_VALUES) if field.char == 0 else rng.randrange(field.char)
+
+    F = BilinearForm.make(ctx, [[value() for _ in range(n)] for _ in range(n)])
+    upper = [[value() for _ in range(n)] for _ in range(n)]
+    A = BilinearForm.make(ctx, [[upper[i][j] if i < j else -upper[j][i] if i > j else 0
+                                 for j in range(n)] for i in range(n)])
+    blades = {index_subset(rng.randrange(1 << n)) for _ in range(4)}
+    u = CliffElt(CliffordContext(quad_of_bilinear(F)),
+                 {b: field(value() or 1) for b in sorted(blades)})
+    return ctx, F, u, A
+
+
+def _column(m, c):
+    return [row[c] for row in m.entries]
+
+
+@pytest.mark.parametrize("field", PIN_FIELDS, ids=lambda f: f.spec)
+def test_builders_match_column_definitions(field):
+    for n in range(1, 6):
+        ctx, F, u, A = _pin_inputs(field, n, 0)
+        ext = CliffordContext.exterior(ctx)
+        rho, twist = rho_matrix(F, u), twist_matrix(A)
+        for c in range(1 << n):
+            e_s = CliffElt.blade(ext, index_subset(c))
+            assert _column(rho, c) == cliff_to_vec(deform_apply(F, u, e_s))
+            assert _column(twist, c) == cliff_to_vec(deform(A, e_s, target=ext))
+        qf = CliffordContext(quad_of_bilinear(F))
+        assert generator_matrices(F) == [rho_matrix(F, CliffElt.blade(qf, (i,)))
+                                         for i in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("field", PIN_FIELDS, ids=lambda f: f.spec)
+def test_builders_match_oracles(field):
+    # the independent oracles: deformation by pair contractions, and
+    # the operator form as deform(F, u * deform(-F, e_S))
+    for n in range(1, 4):
+        ctx, F, u, A = _pin_inputs(field, n, 1)
+        ext = CliffordContext.exterior(ctx)
+        zero_q = ext.quadratic
+        qf = quad_of_bilinear(F)
+        rho, twist = rho_matrix(F, u), twist_matrix(A)
+        for c in range(1 << n):
+            blade = index_subset(c)
+            col = deform_sum(A, zero_q, {blade: field.one})
+            assert _column(twist, c) == cliff_to_vec(CliffElt(ext, col))
+            back = deform_sum(-F, qf, {blade: field.one})
+            prod = word_sum(qf, [(a + b, x * y) for a, x in u.terms.items()
+                                 for b, y in back.items()])
+            col = deform_sum(F, zero_q, prod)
+            assert _column(rho, c) == cliff_to_vec(CliffElt(ext, col))
+
+
+def _digest(data) -> str:
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+
+
+# SHA-256 of the builders' JSON for _pin_inputs(field, n, 2), n = 1..5,
+# recorded from the per-column construction (one deform_apply or deform
+# call per column, Scalar elimination in the probe)
+BUILDER_DIGESTS = {
+    "Q": "6e7dec83f7945bc365a946d49c9da4579e07622c0b39c1539a95aff8d6f96c66",
+    "Fp:2": "8c8a0f57667a16479ad0a3904890eac49a79ae2b18fa3292283aa37ea13d79fb",
+    "Fp:3": "5dfe3f489cd77d7e66b0566a19ee2050385b5a8abc01d3e179b535db91286cb8",
+    "Fp:7": "194b4a2f23015fbd9f27ba766e04a3653f70dfec7520e56b3491b5b72d1ebcbc",
+}
+
+
+def _builder_json(field):
+    out = []
+    for n in range(1, 6):
+        _, F, u, A = _pin_inputs(field, n, 2)
+        out.append([rho_matrix(F, u).to_json(), twist_matrix(A).to_json(),
+                    [m.to_json() for m in generator_matrices(F)]])
+    return out
+
+
+@pytest.mark.parametrize("field", PIN_FIELDS, ids=lambda f: f.spec)
+def test_builder_digests(field):
+    assert _digest(_builder_json(field)) == BUILDER_DIGESTS[field.spec]
+
+
+def _probe_json(case):
+    spec, seed = case.split("/")
+    field = Field.from_spec(spec)
+    _, F, _, _ = _pin_inputs(field, 3, int(seed))
+    rows = [list(r) for r in F.rows]
+    for j in range(3):
+        rows[0][j] = rows[j][0] = field.zero
+    mats = generator_matrices(BilinearForm.make(F.ctx, rows))
+    report = invariant_probe(mats, int(seed))
+    restricted = [[[[str(v) for v in row] for row in m]
+                   for m in restrict_matrices(mats, [list(v) for v in basis])]
+                  for basis in report.bases]
+    return [report.to_json(), restricted]
+
+
+# SHA-256 of invariant_probe(generator_matrices(F), seed).to_json(), with
+# e_1 pushed into the radical of F as in rep.invariant-lattice, and of
+# the restrictions to what it reports; recorded as above
+PROBE_DIGESTS = {
+    "Q/0": "d1e05747967f47049d1c69e9d53ea67eb67e45c97cf825957f09442292a8b4a3",
+    "Q/1": "767deefb8977c0d1c8240acb20330b6fecd7e337e2799807cd28b02b378a96d1",
+    "Q/3": "aeff0b8aad00b4783fbb7f132a29eb495e847ebf4d19525ba30f87ef248ec313",
+    "Fp:7/0": "f2c468a8192dec57e00b8ba261b273a6a876f99dd633aa3213607a9894f36f32",
+    "Fp:7/1": "ce74c3878cbcfb065054190afc951a549d072b6ccf444aabbbef05aa9ad5c2d6",
+    "Fp:7/3": "548e7013030cc3a92efeae1f53376cd2e2c0b6164a115492e82068902c33bbc5",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PROBE_DIGESTS))
+def test_probe_digests(case):
+    assert _digest(_probe_json(case)) == PROBE_DIGESTS[case]

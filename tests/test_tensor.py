@@ -158,6 +158,13 @@ def test_word_rejects_bool_index():
         TensorElt.from_json(ctx, {"terms": [{"word": [True, 2], "coeff": "1"}]})
 
 
+def test_word_error_quotes_long_index_briefly():
+    ctx = AlgebraContext(2, RATIONALS)
+    with pytest.raises(FormError, match="5000 chars") as info:
+        TensorElt.from_word(ctx, ["x" * 5000])
+    assert len(str(info.value)) < 200
+
+
 def test_involutions():
     rng = random.Random(18)
     ctx = AlgebraContext(4, RATIONALS)
