@@ -28,18 +28,25 @@ column S = e_S . 1 (B = A).
 
 Twisted products, the reversal, the contraction by a linear form, the
 exponential of a dual two-form's interior action, and the symbol and
-quantization maps are built from these.
+quantization maps are built from these.  The tensor algebra (tensor.py)
+runs the same sums with words as keys, e_i (x) in place of e_i ^: that
+is Bourbaki's deformation of T(V), the construction the quotient
+inherits.
 
-The kernel works on plain integers.  Inside it a blade is an int
-bitmask (bit i - 1 for e_i, as in the bitmap representation of Dorst,
-Fontijne and Mann), so e_i ^ and the contraction by e_i* carry the sign
-(-1)^k, k the number of set bits below bit i - 1.  Over GF(p) the
-coefficients are residues, reduced mod p once per generator action.
-Over Q the computation is fraction-free: with d the common denominator
-of B, e_i acts by the integer operator d e_i ^ + contraction by
-d B(e_i, .), u and v are scaled to integers by their common
-denominators, and the sum is divided once at the end.  Scalars are
-read when a call enters the kernel and built when it leaves.
+The kernel works on plain integers, and the key type is its one
+parameter.  A blade is an int bitmask (bit i - 1 for e_i, as in the
+bitmap representation of Dorst, Fontijne and Mann), so e_i ^ and the
+contraction by e_i* carry the sign (-1)^k, k the number of set bits
+below bit i - 1.  A word is a tuple of letters: e_i (x) prepends the
+letter i, and the contraction removes the letter at position t with
+the sign (-1)^t.  Over GF(p) the coefficients are residues, reduced
+mod p once per generator action.  Over Q the computation is
+fraction-free: with d the common denominator of B, e_i acts by the
+integer operator d e_i ^ + contraction by d B(e_i, .), u and v are
+scaled to integers by their common denominators, and the sum is
+divided once at the end.  Forms enter as the raw values of their
+Scalars, and Scalars are read when a call enters the kernel and built
+when it leaves.
 """
 
 from __future__ import annotations
@@ -49,10 +56,8 @@ from fractions import Fraction
 
 from .errors import CharacteristicError, ContextMismatch, FormError, ParseError
 from .forms import (AlgebraContext, BilinearForm, DualTwoForm, Field, LinearForm,
-                    QuadraticForm, Vector, quad_of_bilinear, same_context,
-                    triangular_bilinear)
-from .scalars import Scalar, excerpt, scaled_ints
-from .tensor import TensorElt
+                    QuadraticForm, Vector, quad_of_bilinear, same_context)
+from .scalars import Scalar, excerpt, raw_rows, scaled_ints
 
 
 @dataclass(frozen=True)
@@ -116,6 +121,13 @@ def _blade(m: int) -> tuple:
     return tuple(out)
 
 
+def _reduced(out: dict, p: int) -> dict:
+    """out without its zero values, reduced mod p when p > 0."""
+    if p:
+        return {k: r for k, c in out.items() if (r := c % p)}
+    return {k: c for k, c in out.items() if c}
+
+
 def _act(bit: int, scale: int, row, p: int, terms: dict) -> dict:
     """scale (e_i ^ w) + contraction of w by row, on a mask -> int map;
     bit is 1 << (i - 1) and row lists (bit, value) for the nonzero
@@ -135,41 +147,60 @@ def _act(bit: int, scale: int, row, p: int, terms: dict) -> dict:
                 k = m ^ b
                 t = f * c
                 out[k] = get(k, 0) + (-t if (m & low).bit_count() & 1 else t)
-    if p:
-        return {k: r for k, c in out.items() if (r := c % p)}
-    return {k: c for k, c in out.items() if c}
+    return _reduced(out, p)
+
+
+def _act_word(bit: int, scale: int, row, p: int, terms: dict) -> dict:
+    """The same action on a word -> int map: scale (e_i w) prepends the
+    letter i, and the contraction removes the letter at position t
+    (from 0) with the sign (-1)^t."""
+    letter = (bit.bit_length(),)
+    values = {b.bit_length(): f for b, f in row}
+    out = {letter + w: scale * c for w, c in terms.items()} if scale else {}
+    get = out.get
+    for w, c in terms.items():
+        for t, a in enumerate(w):
+            f = values.get(a)
+            if f:
+                k = w[:t] + w[t + 1:]
+                x = f * c
+                out[k] = get(k, 0) + (-x if t & 1 else x)
+    return _reduced(out, p)
 
 
 def _actions(rows, wedge: bool = True) -> tuple:
     """The kernel's integer set-up for the generator action attached to
-    rows (the rows of B): (acts, scale, d), with d the common
-    denominator of the rows, acts[i - 1] the bit of e_i and the
-    (bit, value) pairs of the nonzero entries of d B(e_i, .), and scale
-    the wedge weight d (0 when wedge is off).  Each act is then d times
-    the action of e_i."""
-    flat, d = scaled_ints([c.value for row in rows for c in row])
+    raw rows (the rows of B, rationals or residues): (acts, scale, d),
+    with d the common denominator of the rows, acts[i - 1] the bit of
+    e_i and the (bit, value) pairs of the nonzero entries of
+    d B(e_i, .), and scale the wedge weight d (0 when wedge is off).
+    Each act is then d times the action of e_i."""
+    flat, d = scaled_ints([c for row in rows for c in row])
     n = len(rows[0])
     acts = [(1 << r, [(1 << j, f) for j, f in enumerate(flat[r * n:(r + 1) * n]) if f])
             for r in range(len(rows))]
     return acts, (d if wedge else 0), d
 
 
-def _word_sum(actions: tuple, p: int, u_terms: dict, v: dict) -> tuple:
-    """The sum over the words S of u of u_S (e_S . v), on a mask -> int
-    map v: (map, den).  Each e_S . v is e_first . (e_rest . v), memoized
-    per suffix, so the keys of u may be any words.  Over Q the result is
-    the map divided by den: u is scaled to integers by its common
-    denominator, u_S is weighted by d^(m - |S|), m the longest word of
-    u, and den is that denominator times d^m.  Over GF(p) the map is
-    unreduced and den is 1."""
+def _word_sum(act, actions: tuple, p: int, u_terms: dict, v: dict) -> tuple:
+    """The sum over the words S of u of u_S (e_S . v): (map, den).  act
+    is the generator action on the keys of v, _act on bitmasks or
+    _act_word on words; v maps them to raw values.  Each e_S . v is
+    e_first . (e_rest . v), memoized per suffix, so the keys of u may be
+    any words.  Over Q the result is the map divided by den: u and v
+    are scaled to integers by their common denominators, u_S is
+    weighted by d^(m - |S|), m the longest word of u, and den is those
+    denominators times d^m.  Over GF(p) the map is unreduced and den
+    is 1."""
     acts, scale, d = actions
-    memo = {(): v}
+    vnum, dv = scaled_ints(list(v.values()))
+    memo = {(): dict(zip(v, vnum))}
 
     def on_v(word):
         got = memo.get(word)
         if got is None:
             bit, row = acts[word[0] - 1]
-            got = memo[word] = _act(bit, scale, row, p, on_v(word[1:]))
+            got = memo[word] = act(bit, scale, row, p, on_v(word[1:]))
         return got
 
     unum, du = scaled_ints([c.value for c in u_terms.values()])
@@ -181,31 +212,40 @@ def _word_sum(actions: tuple, p: int, u_terms: dict, v: dict) -> tuple:
             c *= d ** (top - len(word))
         for k, x in on_v(word).items():
             out[k] = get(k, 0) + c * x
-    return out, du * d ** top
+    return out, du * dv * d ** top
+
+
+def _apply(act, field: Field, rows, u_terms: dict, v_terms: dict, wedge: bool = True) -> dict:
+    """The sum over the words S of u of u_S (e_S . v), where e_i acts by
+    e_i ^ w (unless wedge is off) plus the contraction by rows[i - 1],
+    on the keys of act.  Scalars are read at entry and built at exit;
+    in between, coefficients are ints."""
+    p = field.char
+    out, den = _word_sum(act, _actions(rows, wedge), p, u_terms,
+                         {k: c.value for k, c in v_terms.items()})
+    if p:
+        return {k: Scalar(field, x) for k, x in out.items() if x % p}
+    return {k: Scalar(field, Fraction(x, den)) for k, x in out.items() if x}
 
 
 def _operate(field: Field, rows, u_terms: dict, v_terms: dict, wedge: bool = True) -> dict:
-    """The sum over the words S of u of u_S (e_S . v), where e_i acts by
-    e_i ^ w (unless wedge is off) plus the contraction by rows[i - 1].
-
-    Scalars are read at entry and built at exit; in between, blades are
-    bitmasks and coefficients ints.  Over Q, v is scaled to integers by
-    its common denominator, which joins the one final division."""
-    p = field.char
-    vnum, dv = scaled_ints([c.value for c in v_terms.values()])
-    out, den = _word_sum(_actions(rows, wedge), p, u_terms,
-                         {_mask(b): c for b, c in zip(v_terms, vnum)})
-    if p:
-        return {_blade(k): Scalar(field, x) for k, x in out.items() if x % p}
-    den *= dv
-    return {_blade(k): Scalar(field, Fraction(x, den)) for k, x in out.items() if x}
+    """_apply on blades, which are bitmasks inside the kernel."""
+    out = _apply(_act, field, rows, u_terms, {_mask(b): c for b, c in v_terms.items()}, wedge)
+    return {_blade(k): c for k, c in out.items()}
 
 
-def _chevalley(q: QuadraticForm, F: BilinearForm | None = None) -> tuple:
-    """Rows of G_q (plus F): G_q is the lower-triangular form with
-    G_q(x, x) = q(x), whose action gives normal-ordered coordinates."""
-    G = triangular_bilinear(q).transpose()
-    return (G if F is None else G + F).rows
+def _chevalley(q: QuadraticForm, F: BilinearForm | None = None) -> list:
+    """Raw rows of G_q (plus F), reduced mod p: G_q is the
+    lower-triangular form with G_q(x, x) = q(x), Q(e_i) on the diagonal
+    and the polar values below it, whose action gives normal-ordered
+    coordinates."""
+    n = q.ctx.dim
+    p = q.ctx.field.char
+    rows = [[q.diag[i].value if j == i else q.upper[j][i - j - 1].value if j < i else 0
+             for j in range(n)] for i in range(n)]
+    if F is not None:
+        rows = [[a + f.value for a, f in zip(ra, rf)] for ra, rf in zip(rows, F.rows)]
+    return [[x % p for x in row] for row in rows] if p else rows
 
 
 class CliffElt:
@@ -387,8 +427,8 @@ class DualElt:
         if not isinstance(other, DualElt):
             return NotImplemented
         same_context(self.ctx, other.ctx)
-        return DualElt(self.ctx, _operate(self.ctx.field, BilinearForm.zero(self.ctx).rows,
-                                          self.terms, other.terms))
+        n = self.ctx.dim
+        return DualElt(self.ctx, _operate(self.ctx.field, [[0] * n] * n, self.terms, other.terms))
 
     def __bool__(self):
         return bool(self.terms)
@@ -414,8 +454,8 @@ def contract(f: LinearForm, w: CliffElt) -> CliffElt:
     """The descended antiderivation of a linear form on normal forms:
     the word (1,) acting with f as its only row and no wedge part."""
     same_context(f.ctx, w.cctx.ctx)
-    return CliffElt(w.cctx, _operate(w.cctx.field, (f.coeffs,), {(1,): w.cctx.field.one},
-                                     w.terms, wedge=False))
+    return CliffElt(w.cctx, _operate(w.cctx.field, raw_rows((f.coeffs,)),
+                                     {(1,): w.cctx.field.one}, w.terms, wedge=False))
 
 
 def contract_vec(F: BilinearForm, x: Vector, w: CliffElt) -> CliffElt:
@@ -423,8 +463,16 @@ def contract_vec(F: BilinearForm, x: Vector, w: CliffElt) -> CliffElt:
     return contract(F.partial_left(x), w)
 
 
-def _check_shift(F: BilinearForm, source_q: QuadraticForm, target_q: QuadraticForm):
-    if source_q != target_q + quad_of_bilinear(F):
+def _check_shift(rows, source_q: QuadraticForm, target_q: QuadraticForm):
+    """source_q must be x -> B(x, x) for B the raw rows of G_target + F:
+    Q(e_i) is B_ii and the polar value at (e_i, e_j) is B_ij + B_ji."""
+    p = source_q.ctx.field.char
+    n = len(rows)
+    quad = [rows[i][i] for i in range(n)] + [
+        rows[i][j] + rows[j][i] for i in range(n) for j in range(i + 1, n)]
+    values = [c.value for c in source_q.diag] + [c.value for row in source_q.upper for c in row]
+    if source_q.ctx != target_q.ctx or any(
+            (a - b) % p if p else a != b for a, b in zip(values, quad)):
         raise FormError(
             "quadratic forms do not match: source must equal target plus the "
             "quadratic part of the deforming form")
@@ -443,11 +491,12 @@ def deform(F: BilinearForm, w: CliffElt, target: CliffordContext | None = None) 
     same_context(F.ctx, src.ctx)
     if target is None:
         target = CliffordContext(src.quadratic - quad_of_bilinear(F))
+        rows = _chevalley(target.quadratic, F)
     else:
         same_context(target.ctx, src.ctx)
-        _check_shift(F, src.quadratic, target.quadratic)
-    return CliffElt(target, _operate(target.field, _chevalley(target.quadratic, F),
-                                     w.terms, {(): target.field.one}))
+        rows = _chevalley(target.quadratic, F)
+        _check_shift(rows, src.quadratic, target.quadratic)
+    return CliffElt(target, _operate(target.field, rows, w.terms, {(): target.field.one}))
 
 
 def deform_apply(F: BilinearForm, u: CliffElt, v: CliffElt) -> CliffElt:
@@ -455,9 +504,9 @@ def deform_apply(F: BilinearForm, u: CliffElt, v: CliffElt) -> CliffElt:
     the algebra of Q through products of (left multiplication plus
     contraction); evaluating at the unit recovers deform(F, u)."""
     same_context(F.ctx, v.cctx.ctx)
-    _check_shift(F, u.cctx.quadratic, v.cctx.quadratic)
-    return CliffElt(v.cctx, _operate(v.cctx.field, _chevalley(v.cctx.quadratic, F),
-                                     u.terms, v.terms))
+    rows = _chevalley(v.cctx.quadratic, F)
+    _check_shift(rows, u.cctx.quadratic, v.cctx.quadratic)
+    return CliffElt(v.cctx, _operate(v.cctx.field, rows, u.terms, v.terms))
 
 
 def twisted_mul(F: BilinearForm, u: CliffElt, v: CliffElt) -> CliffElt:
@@ -477,8 +526,9 @@ def interior(ustar: DualElt, w: CliffElt) -> CliffElt:
     outermost), extended linearly.  That is the word action with the
     identity rows and no wedge part."""
     same_context(ustar.ctx, w.cctx.ctx)
-    return CliffElt(w.cctx, _operate(w.cctx.field, BilinearForm.identity(w.cctx.ctx).rows,
-                                     ustar.terms, w.terms, wedge=False))
+    n = w.cctx.dim
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    return CliffElt(w.cctx, _operate(w.cctx.field, identity, ustar.terms, w.terms, wedge=False))
 
 
 def exp_contract(astar: DualTwoForm, w: CliffElt) -> CliffElt:

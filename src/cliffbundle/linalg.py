@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, prod
 
-from .scalars import Field, Scalar, scaled_ints
+from .scalars import Field, Scalar, raw_rows, scaled_ints
 
 
 def zeros(field: Field, rows: int, cols: int):
@@ -208,10 +208,6 @@ def row_space_raw(vectors, p: int):
 # ---------------------------------------------------------------- Scalar entries
 
 
-def _values(a):
-    return [[x.value for x in row] for row in a]
-
-
 def _scalars(field: Field, a):
     zero = field.zero
     return [[Scalar(field, x) if x else zero for x in row] for row in a]
@@ -219,12 +215,12 @@ def _scalars(field: Field, a):
 
 def mat_mul(a, b):
     field = a[0][0].field
-    return _scalars(field, mat_mul_raw(_values(a), _values(b), field.char))
+    return _scalars(field, mat_mul_raw(raw_rows(a), raw_rows(b), field.char))
 
 
 def mat_vec(a, v):
     field = a[0][0].field
-    return _scalars(field, [mat_vec_raw(_values(a), [x.value for x in v], field.char)])[0]
+    return _scalars(field, [mat_vec_raw(raw_rows(a), [x.value for x in v], field.char)])[0]
 
 
 def rref(a):
@@ -232,26 +228,26 @@ def rref(a):
     if not a or not a[0]:
         return [list(row) for row in a], []
     field = a[0][0].field
-    red, pivots = rref_raw(_values(a), field.char)
+    red, pivots = rref_raw(raw_rows(a), field.char)
     return _scalars(field, red), pivots
 
 
 def det(a) -> Scalar:
     field = a[0][0].field
-    return Scalar(field, det_raw(_values(a), field.char))
+    return Scalar(field, det_raw(raw_rows(a), field.char))
 
 
 def nullspace(a):
     """Basis of {v : a v = 0}, each vector a list of Scalar."""
     field = a[0][0].field
-    return _scalars(field, nullspace_raw(_values(a), field.char))
+    return _scalars(field, nullspace_raw(raw_rows(a), field.char))
 
 
 def solve_matrix(a, b):
     """Solve a @ X = b exactly.  a is m x n, b is m x k; returns the
     n x k solution with free variables zero, or None if inconsistent."""
     field = a[0][0].field
-    x = solve_matrix_raw(_values(a), _values(b), field.char)
+    x = solve_matrix_raw(raw_rows(a), raw_rows(b), field.char)
     return None if x is None else _scalars(field, x)
 
 

@@ -25,7 +25,7 @@ from . import linalg
 from .clifford import CliffElt, CliffordContext, _act, _actions, _word_sum
 from .errors import CapExceeded, FormError
 from .forms import AlgebraContext, BilinearForm, quad_of_bilinear, same_context
-from .scalars import Scalar, scaled_ints
+from .scalars import Scalar, raw_rows, scaled_ints
 
 _REP_DIM_LIMIT = 12
 
@@ -136,9 +136,10 @@ def rho_matrix(F: BilinearForm, u: CliffElt) -> EndoMatrix:
     if u.cctx.quadratic != quad_of_bilinear(F):
         raise FormError("element must live over the quadratic form of F")
     _rep_guard(ctx.dim)
-    actions = _actions(F.rows)
+    actions = _actions(raw_rows(F.rows))
     p = ctx.field.char
-    cols, dens = zip(*(_word_sum(actions, p, u.terms, {s: 1}) for s in range(1 << ctx.dim)))
+    cols, dens = zip(*(_word_sum(_act, actions, p, u.terms, {s: 1})
+                       for s in range(1 << ctx.dim)))
     return _endo(ctx, cols, dens)
 
 
@@ -148,7 +149,7 @@ def generator_matrices(F: BilinearForm):
     ctx = F.ctx
     size = 1 << ctx.dim
     _rep_guard(ctx.dim)
-    acts, scale, d = _actions(F.rows)
+    acts, scale, d = _actions(raw_rows(F.rows))
     p = ctx.field.char
     return [_endo(ctx, [_act(bit, scale, row, p, {s: 1}) for s in range(size)], [d] * size)
             for bit, row in acts]
@@ -165,7 +166,8 @@ def twist_matrix(A: BilinearForm) -> EndoMatrix:
         raise FormError("twist matrix needs an alternating form")
     ctx = A.ctx
     n = ctx.dim
-    acts, scale, d = _actions(A.rows)
+    _rep_guard(n)
+    acts, scale, d = _actions(raw_rows(A.rows))
     p = ctx.field.char
     cols = [{0: 1}]
     for s in range(1, 1 << n):
@@ -270,10 +272,6 @@ def _rows_of(m):
     return [list(r) for r in m]
 
 
-def _values(rows):
-    return [[x.value for x in row] for row in rows]
-
-
 def restrict_matrices(mats, basis):
     """Restrict matrices to the span of the given vectors (a basis of an
     invariant subspace); raises if the span is not invariant.  Returns
@@ -282,10 +280,10 @@ def restrict_matrices(mats, basis):
         raise FormError("cannot restrict to an empty basis")
     field = basis[0][0].field
     p = field.char
-    bcols = linalg.transpose(_values(basis))
+    bcols = linalg.transpose(raw_rows(basis))
     out = []
     for m in mats:
-        x = linalg.solve_matrix_raw(bcols, linalg.mat_mul_raw(_values(_rows_of(m)), bcols, p), p)
+        x = linalg.solve_matrix_raw(bcols, linalg.mat_mul_raw(raw_rows(_rows_of(m)), bcols, p), p)
         if x is None:
             raise FormError("span is not invariant under the given matrices")
         out.append([[Scalar(field, v) for v in row] for row in x])
@@ -404,7 +402,7 @@ def invariant_probe(mats, seed: int) -> ProbeReport:
         raise FormError("all matrices must share one square dimension")
     field = rows_list[0][0][0].field
     p = field.char
-    raw = [_values(m) for m in rows_list]
+    raw = [raw_rows(m) for m in rows_list]
     raw_t = [linalg.transpose(m) for m in raw]
     rng = random.Random(seed)
     found = {}

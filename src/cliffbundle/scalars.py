@@ -39,8 +39,15 @@ def excerpt(value) -> str:
 def scaled_ints(values) -> tuple:
     """Rationals or residues (ints or Fractions) as integers over one
     common denominator: (integers, denominator)."""
-    den = lcm(*(c.denominator for c in values))
+    den = lcm(*[c.denominator for c in values])
+    if den == 1:
+        return [c.numerator for c in values], 1
     return [c.numerator * (den // c.denominator) for c in values], den
+
+
+def raw_rows(rows) -> list:
+    """The raw values (Fractions, or residues) of a matrix of Scalars."""
+    return [[x.value for x in row] for row in rows]
 
 
 # Deterministic Miller-Rabin witnesses for all 64-bit integers.

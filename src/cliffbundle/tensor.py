@@ -5,21 +5,25 @@ provides left multiplication by vectors, contraction by linear forms
 (the grade-lowering antiderivation), the deformation operators attached
 to a bilinear form, their divided-power pieces, and the grade involution
 and reversal (anti-)automorphisms.
+
+The deformations run on the integer kernel of clifford.py with words
+as its keys: the letter i acts by e_i (x) plus the contraction by
+F(e_i, .), which removes the letter at position t with the sign
+(-1)^t.  deform is u acting on the unit, deform_apply is u acting on v,
+and a divided power is a grade part of deform.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-
+from .clifford import _act_word, _apply
 from .errors import CapExceeded, FormError, ParseError
 from .forms import AlgebraContext, BilinearForm, LinearForm, Vector, same_context
-from .scalars import Scalar, excerpt
+from .scalars import Scalar, excerpt, raw_rows
 
 
-def _check_word(ctx: AlgebraContext, word):
-    if len(word) > ctx.grade_cap:
-        raise CapExceeded(
-            f"word of length {len(word)} exceeds the grade cap {ctx.grade_cap}")
+def _check_grade(ctx: AlgebraContext, length: int):
+    if length > ctx.grade_cap:
+        raise CapExceeded(f"word of length {length} exceeds the grade cap {ctx.grade_cap}")
 
 
 class TensorElt:
@@ -50,7 +54,7 @@ class TensorElt:
         for i in word:
             if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= ctx.dim:
                 raise FormError(f"word index {excerpt(i)} out of range 1..{ctx.dim}")
-        _check_word(ctx, word)
+        _check_grade(ctx, len(word))
         return cls(ctx, {word: ctx.coerce(coeff)})
 
     @classmethod
@@ -86,7 +90,7 @@ class TensorElt:
             for wa, ca in self.terms.items():
                 for wb, cb in other.terms.items():
                     word = wa + wb
-                    _check_word(self.ctx, word)
+                    _check_grade(self.ctx, len(word))
                     c = ca * cb
                     cur = out.get(word)
                     out[word] = c if cur is None else cur + c
@@ -157,7 +161,7 @@ def left_mul(x: Vector, u: TensorElt) -> TensorElt:
             continue
         for word, c in u.terms.items():
             nw = (i + 1,) + word
-            _check_word(u.ctx, nw)
+            _check_grade(u.ctx, len(nw))
             t = xc * c
             cur = out.get(nw)
             out[nw] = t if cur is None else cur + t
@@ -187,110 +191,45 @@ def contract_vec(F: BilinearForm, x: Vector, u: TensorElt) -> TensorElt:
 
 
 def deform_apply(F: BilinearForm, u: TensorElt, v: TensorElt) -> TensorElt:
-    """The deformation operator of F evaluated at u, applied to v.
-
-    On a vector it is left multiplication plus contraction; on longer
-    words it is the corresponding operator product.
-    """
+    """The deformation operator of F evaluated at u, applied to v: u
+    acting on v, where a letter i acts by left multiplication by e_i
+    plus the contraction by F(e_i, .)."""
     same_context(F.ctx, u.ctx)
     same_context(F.ctx, v.ctx)
-    out = TensorElt.zero(v.ctx)
-    for word, c in u.terms.items():
-        acc = v
-        for idx in reversed(word):
-            x = Vector.basis(u.ctx, idx)
-            acc = left_mul(x, acc) + contract(F.row_form(idx), acc)
-        out = out + c * acc
-    return out
+    if u.max_grade() and v.terms:  # the longest word built: u's longest word on v's
+        _check_grade(v.ctx, u.max_grade() + v.max_grade())
+    return TensorElt(v.ctx, _apply(_act_word, v.ctx.field, raw_rows(F.rows), u.terms, v.terms))
 
 
 def deform(F: BilinearForm, u: TensorElt) -> TensorElt:
-    """Deformation of u by F: evaluate the deformation operator at the
-    unit.  Parity-preserving linear bijection; inverse is deform(-F, .).
-
-    Computed by the word recursion
-        deform(x (x) w) = x (x) deform(w) + contraction_x(deform(w)),
-    with results cached per word inside one call.
-    """
-    same_context(F.ctx, u.ctx)
-    cache = {(): TensorElt.unit(u.ctx)}
-
-    def lam(word):
-        got = cache.get(word)
-        if got is not None:
-            return got
-        tail = lam(word[1:])
-        idx = word[0]
-        res = left_mul(Vector.basis(u.ctx, idx), tail) + contract(F.row_form(idx), tail)
-        cache[word] = res
-        return res
-
-    out = TensorElt.zero(u.ctx)
-    for word, c in u.terms.items():
-        out = out + c * lam(word)
-    return out
-
-
-def _matchings(positions):
-    """All ways to split the sorted positions into ordered pairs, each
-    pair (i, j) with i < j, pairs listed by increasing first element."""
-    if not positions:
-        yield ()
-        return
-    i0 = positions[0]
-    for t in range(1, len(positions)):
-        j = positions[t]
-        rest = positions[1:t] + positions[t + 1:]
-        for tail in _matchings(rest):
-            yield ((i0, j),) + tail
-
-
-def _inversions(seq) -> int:
-    inv = 0
-    for a in range(len(seq)):
-        for b in range(a + 1, len(seq)):
-            if seq[a] > seq[b]:
-                inv += 1
-    return inv
+    """Deformation of u by F: u acting on the unit, that is the word
+    recursion deform(x (x) w) = x (x) deform(w) + contraction_x(deform(w)).
+    Parity-preserving linear bijection; inverse is deform(-F, .)."""
+    return deform_apply(F, u, TensorElt.unit(u.ctx))
 
 
 def divided_power(F: BilinearForm, k: int, u: TensorElt) -> TensorElt:
     """The piece of the deformation with exactly k contraction factors.
 
-    For a word x_1 ... x_p, sums over all choices of k disjoint position
-    pairs (i, j), i < j: the product of the F values on the pairs, times
-    the sign of the permutation (i_1, j_1, ..., i_k, j_k, rest ascending),
-    times the word on the remaining positions.  Defined in every
-    characteristic; the k-th power of the k=1 piece equals k! times it.
+    A word of length p deforms into words of length p - 2j, j the number
+    of contractions, so this is the grade p - 2k part of the deformation
+    of the grade-p part of u, summed over p.  For a word it is the sum
+    over the choices of k disjoint position pairs (i, j), i < j, of the
+    product of the F values on the pairs, times the sign of the
+    permutation (i_1, j_1, ..., i_k, j_k, rest ascending), times the
+    word on the remaining positions.  Defined in every characteristic;
+    the k-th power of the k=1 piece equals k! times it.
     """
     if k < 0:
         raise FormError("divided power index must be >= 0")
     same_context(F.ctx, u.ctx)
     if k == 0:
         return TensorElt(u.ctx, dict(u.terms))
-    zero = u.ctx.field.zero
+    rows = raw_rows(F.rows)
+    unit = {(): u.ctx.field.one}
     out = {}
-    for word, c in u.terms.items():
-        p = len(word)
-        if p < 2 * k:
-            continue
-        for chosen in combinations(range(p), 2 * k):
-            for pairs in _matchings(chosen):
-                coeff = c
-                for (a, b) in pairs:
-                    fv = F.at(word[a], word[b])
-                    if not fv:
-                        coeff = zero
-                        break
-                    coeff = coeff * fv
-                if not coeff:
-                    continue
-                chosen_set = set(chosen)
-                remaining = tuple(q for q in range(p) if q not in chosen_set)
-                seq = tuple(q for pair in pairs for q in pair) + remaining
-                if _inversions(seq) % 2:
-                    coeff = -coeff
-                rest_word = tuple(word[q] for q in remaining)
-                cur = out.get(rest_word)
-                out[rest_word] = coeff if cur is None else cur + coeff
+    for grade in {len(w) for w in u.terms if len(w) >= 2 * k}:
+        part = {w: c for w, c in u.terms.items() if len(w) == grade}
+        out.update((w, c) for w, c in _apply(_act_word, u.ctx.field, rows, part, unit).items()
+                   if len(w) == grade - 2 * k)
     return TensorElt(u.ctx, out)

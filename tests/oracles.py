@@ -2,17 +2,19 @@
 
 Everything here is written from the combinatorial definitions, on
 purpose sharing no code with the package: matching sums for the
-Pfaffian, the pair-contraction expansion for the deformation of a word,
-permutation sums for quantization and determinants, and bubble-sorting
-words with the defining relations for Clifford products; and textbook
+Pfaffian, the pair-contraction expansion for the deformation operator
+on words (on raw values, signs by counting inversions), permutation
+sums for quantization and determinants, and bubble-sorting words with
+the defining relations for Clifford products; and textbook
 Gauss-Jordan elimination and matrix products on plain Fractions or
 residues.  Slow is fine.
 """
 
+import functools
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import permutations
 
-from cliffbundle import CliffElt, TensorElt
+from cliffbundle import CliffElt
 
 
 def perm_sign(seq) -> int:
@@ -65,33 +67,71 @@ def pfaffian_matchings(a):
     return total
 
 
+def inversions(seq) -> int:
+    """Number of pairs out of order in seq."""
+    return sum(1 for a in range(len(seq)) for b in range(a + 1, len(seq)) if seq[a] > seq[b])
+
+
+@functools.lru_cache(maxsize=None)
+def pair_shapes(left, length):
+    """Every set of disjoint position pairs (i, j), i < j < length, whose
+    left position i is below left, as (pairs, remaining positions,
+    sign); the sign is that of the arrangement
+    (i1, j1, ..., ik, jk, remaining ascending), by counting inversions."""
+    out = []
+
+    def grow(start, pairs, used):
+        rest = [pos for pos in range(length) if pos not in used]
+        arrangement = [pos for pair in pairs for pos in pair] + rest
+        out.append((tuple(pairs), tuple(rest), -1 if inversions(arrangement) % 2 else 1))
+        for i in range(start, left):
+            if i in used:
+                continue
+            for j in range(i + 1, length):
+                if j not in used:
+                    grow(i + 1, pairs + [(i, j)], used | {i, j})
+
+    grow(0, [], frozenset())
+    return tuple(out)
+
+
+def pair_sum(F, p, u, v, k=None):
+    """The deformation operator of F at u applied to v, on raw values:
+    F is a matrix of Fractions (p = 0) or of residues mod p, row i - 1
+    holding F(e_i, .), and u, v map words (tuples over 1..n) to such
+    values.  For each word x of u and y of v it sums over the sets of
+    disjoint position pairs (i, j), i < j, of the word xy whose left
+    position lies in x: the paired letters are removed and the
+    coefficient is multiplied by F(letter i, letter j) per pair and by
+    the sign of pair_shapes.  With k given, only sets of exactly k pairs
+    count: the divided power.  Returns {word: value}, zeros dropped."""
+    out = {}
+    for x, a in u.items():
+        for y, b in v.items():
+            word = x + y
+            for pairs, rest, sign in pair_shapes(len(x), len(word)):
+                if k is not None and len(pairs) != k:
+                    continue
+                coeff = sign * a * b
+                for i, j in pairs:
+                    coeff *= F[word[i] - 1][word[j] - 1]
+                key = tuple(word[pos] for pos in rest)
+                out[key] = out.get(key, 0) + coeff
+    if p:
+        return {w: c % p for w, c in out.items() if c % p}
+    return {w: c for w, c in out.items() if c}
+
+
+def raw_terms(elt):
+    """The raw values of an element's terms."""
+    return {key: c.value for key, c in elt.terms.items()}
+
+
 def deform_word_pairs(F, word):
     """Deformation of a basis word by summing over sets of disjoint
-    position pairs: each choice of k pairs (p < q) removes those letters,
-    multiplies by prod F(x_p, x_q), and carries the sign of the
-    permutation rearranging the positions into
-    (p1, q1, ..., pk, qk, rest ascending)."""
-    ctx = F.ctx
-    field = ctx.field
-    p = len(word)
-    out = TensorElt.zero(ctx)
-    for k in range(p // 2 + 1):
-        for chosen in combinations(range(p), 2 * k):
-            for pairing in all_pairings(chosen):
-                pairs = [tuple(sorted(pr)) for pr in pairing]
-                coeff = field.one
-                for a, b in pairs:
-                    coeff = coeff * F.at(word[a], word[b])
-                if not coeff:
-                    continue
-                used = {pos for pr in pairs for pos in pr}
-                rest = [pos for pos in range(p) if pos not in used]
-                arrangement = [pos for pr in pairs for pos in pr] + rest
-                sgn = perm_sign(arrangement)
-                rest_word = tuple(word[pos] for pos in rest)
-                out = out + TensorElt.from_word(ctx, rest_word,
-                                                coeff if sgn > 0 else -coeff)
-    return out
+    position pairs, on the raw values of the form F: {word: value}."""
+    values = [[c.value for c in row] for row in F.rows]
+    return pair_sum(values, F.ctx.field.char, {tuple(word): 1}, {(): 1})
 
 
 def quantize_perm_sum(cctx, vectors):
@@ -206,7 +246,7 @@ def deform_sum(F, q, terms):
     algebra of q: each blade deformed as a word by pair contractions,
     then normal-ordered with the relations of q."""
     return word_sum(q, [(w, c * d) for blade, c in terms.items()
-                        for w, d in deform_word_pairs(F, blade).terms.items()])
+                        for w, d in deform_word_pairs(F, blade).items()])
 
 
 def interior_sum(ustar_terms, w_terms, zero):

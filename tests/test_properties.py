@@ -1,6 +1,7 @@
 """Property tests over random fields, dimensions and sparse elements:
-the deformation by -F inverts the deformation by F, and products agree
-with the relation oracle."""
+the deformation by -F inverts the deformation by F, in the Clifford and
+the tensor algebra, products agree with the relation oracle, and the
+divided powers add up to the tensor deformation."""
 
 from fractions import Fraction
 
@@ -10,12 +11,17 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from cliffbundle import (AlgebraContext, BilinearForm, CliffElt,  # noqa: E402
-                         CliffordContext, Field, QuadraticForm, deform)
+                         CliffordContext, Field, QuadraticForm, TensorElt,
+                         deform, divided_power, tensor_deform)
 
 from oracles import word_sum  # noqa: E402
 
 FIELDS = (Field(0), Field(2), Field(3), Field(7))
 RATIONAL = st.fractions(min_value=-20, max_value=20, max_denominator=13)
+
+
+def _coefficients(field):
+    return RATIONAL if field.char == 0 else st.integers(0, field.char - 1).map(Fraction)
 
 
 @st.composite
@@ -24,8 +30,7 @@ def algebras(draw):
     field = draw(st.sampled_from(FIELDS))
     n = draw(st.integers(1, 5))
     ctx = AlgebraContext(n, field)
-    coeff = (RATIONAL if field.char == 0 else
-             st.integers(0, field.char - 1).map(Fraction))
+    coeff = _coefficients(field)
 
     def scalars(k):
         return draw(st.lists(coeff, min_size=k, max_size=k))
@@ -46,3 +51,28 @@ def test_deform_inverse_and_product(data):
     u, v = CliffElt(cctx, u_terms), CliffElt(cctx, v_terms)
     pairs = [(a + b, c * d) for a, c in u.terms.items() for b, d in v.terms.items()]
     assert (u * v).terms == word_sum(cctx.quadratic, pairs)
+
+
+@st.composite
+def tensors(draw):
+    """(bilinear form, sparse tensor with words up to length 6)."""
+    field = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(1, 4))
+    ctx = AlgebraContext(n, field)
+    coeff = _coefficients(field)
+    F = BilinearForm.make(ctx, [draw(st.lists(coeff, min_size=n, max_size=n)) for _ in range(n)])
+    words = st.lists(st.integers(1, n), max_size=6).map(tuple)
+    u = draw(st.dictionaries(words, coeff, max_size=4))
+    return F, TensorElt(ctx, {w: ctx.coerce(c) for w, c in u.items()})
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(tensors())
+def test_tensor_deform_inverse_and_divided_powers(data):
+    F, u = data
+    deformed = tensor_deform(F, u)
+    assert tensor_deform(-F, deformed) == u
+    total = TensorElt.zero(u.ctx)
+    for k in range(u.max_grade() // 2 + 1):
+        total = total + divided_power(F, k, u)
+    assert total == deformed

@@ -88,6 +88,12 @@ def test_rho_dimension_guard():
         rho_matrix(F, CliffElt.unit(cctx))
 
 
+def test_twist_dimension_guard():
+    ctx = AlgebraContext(13, RATIONALS)
+    with pytest.raises(CapExceeded):
+        twist_matrix(rand_alternating(random.Random(13), ctx))
+
+
 def test_rho_rejects_wrong_form():
     ctx = AlgebraContext(2, RATIONALS)
     F = BilinearForm.identity(ctx)

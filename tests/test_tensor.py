@@ -1,19 +1,24 @@
 """Tensor-algebra operators: contractions, deformations, divided powers."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from cliffbundle import (AlgebraContext, CapExceeded, Field, FormError,
-                         LinearForm, ParseError, RATIONALS, TensorElt, Vector,
-                         contract, contract_vec, divided_power, left_mul,
-                         pfaffian, tensor_deform, tensor_deform_apply)
+from cliffbundle import (AlgebraContext, BilinearForm, CapExceeded, Field,
+                         FormError, LinearForm, ParseError, RATIONALS,
+                         TensorElt, Vector, contract, contract_vec,
+                         divided_power, left_mul, pfaffian, tensor_deform,
+                         tensor_deform_apply)
 from cliffbundle.sampling import (rand_alternating, rand_bilinear,
                                   rand_linear_form, rand_tensor)
 
-from oracles import deform_word_pairs
+from oracles import deform_word_pairs, pair_sum, raw_terms
 
 FIELDS = (RATIONALS, Field(2), Field(7))
+# rationals with distinct denominators, so that a lost weight or
+# denominator in the fraction-free kernel changes the result
+Q_COEFFS = (Fraction(1, 7), Fraction(-5, 11), Fraction(3, 13), Fraction(2), Fraction(-1))
 
 
 def test_contraction_explicit_signs():
@@ -67,7 +72,7 @@ def test_deform_matches_pair_expansion():
             for length in range(5):
                 for _ in range(8):
                     word = tuple(rng.randint(1, 3) for _ in range(length))
-                    assert tensor_deform(F, TensorElt.from_word(ctx, word)) \
+                    assert raw_terms(tensor_deform(F, TensorElt.from_word(ctx, word))) \
                         == deform_word_pairs(F, word)
 
 
@@ -119,6 +124,65 @@ def test_divided_power_binomial():
                 binom = binom * (k + l - i + 1) // i
             assert divided_power(F, k, divided_power(F, l, u)) \
                 == field(binom) * divided_power(F, k + l, u)
+
+
+def _raw_cases(seed, u_len, v_len):
+    """(context, form, raw form, raw u, raw v): a form with a few zero
+    entries and multi-term u, v whose words have mixed lengths up to
+    u_len and v_len, over Q (coefficients from Q_COEFFS), GF(2), GF(3)
+    and GF(7)."""
+    rng = random.Random(seed)
+    for field in (RATIONALS, Field(2), Field(3), Field(7)):
+        p = field.char
+
+        def coeff():
+            return rng.choice(Q_COEFFS) if p == 0 else rng.randrange(1, p)
+
+        for n in (1, 2, 3):
+            ctx = AlgebraContext(n, field)
+            for _ in range(8):
+                raw = [[coeff() if rng.random() < 0.8 else 0 for _ in range(n)]
+                       for _ in range(n)]
+
+                def elt(top):
+                    return {tuple(rng.randint(1, n) for _ in range(rng.randint(0, top))): coeff()
+                            for _ in range(3)}
+
+                yield ctx, BilinearForm.make(ctx, raw), raw, elt(u_len), elt(v_len)
+
+
+def _tensor(ctx, raw):
+    return TensorElt(ctx, {w: ctx.coerce(c) for w, c in raw.items()})
+
+
+def test_deform_apply_matches_pair_sum():
+    for ctx, F, raw, u, v in _raw_cases(30, 4, 3):
+        got = tensor_deform_apply(F, _tensor(ctx, u), _tensor(ctx, v))
+        assert raw_terms(got) == pair_sum(raw, ctx.field.char, u, v)
+
+
+def test_divided_power_matches_pair_sum():
+    for ctx, F, raw, u, _ in _raw_cases(31, 5, 0):
+        for k in range(4):
+            got = divided_power(F, k, _tensor(ctx, u))
+            assert raw_terms(got) == pair_sum(raw, ctx.field.char, u, {(): 1}, k)
+
+
+def test_deformations_grade_cap():
+    # words built directly, past the check in from_word
+    ctx = AlgebraContext(2, Field(7))
+    F = BilinearForm.make(ctx, [[0, 1], [0, 0]])
+
+    def word(length):
+        return TensorElt(ctx, {tuple(1 + i % 2 for i in range(length)): ctx.field.one})
+
+    with pytest.raises(CapExceeded):
+        tensor_deform(F, word(17))
+    with pytest.raises(CapExceeded):
+        tensor_deform_apply(F, word(9), word(8))
+    assert tensor_deform(F, word(16)).grade_part(16) == word(16)
+    assert tensor_deform_apply(F, word(8), word(8)).grade_part(16) == word(16)
+    assert divided_power(F, 1, word(17)).max_grade() == 15
 
 
 def test_deform_apply_word_by_word():
