@@ -27,6 +27,10 @@ from .repcheck import (EndoMatrix, EquivalenceReport, ProbeReport,
                        check_equivalence, cliff_to_vec, generator_matrices,
                        index_subset, invariant_probe, restrict_matrices,
                        rho_matrix, subset_index, twist_matrix, vec_to_cliff)
+# Every module but suites loads with the package, sampling included:
+# bench/tracer.py wraps their entry points once `import cliffbundle.cli`
+# has returned, so a module loaded later would go untraced.
+from . import sampling  # noqa: F401
 from .scalars import GF2, RATIONALS, Field, Scalar, is_prime
 from .tensor import (TensorElt, contract, contract_vec, deform as tensor_deform,
                      deform_apply as tensor_deform_apply, divided_power,

@@ -55,10 +55,9 @@ def _parsed(thunk):
 
 
 def _context(payload) -> CliffordContext:
-    try:
-        return CliffordContext.from_json(payload["context"])
-    except KeyError:
-        raise ParseError("request needs a 'context' object") from None
+    if "context" not in payload:
+        raise ParseError("request needs a 'context' object")
+    return CliffordContext.from_json(payload["context"])
 
 
 def _cmd_product(args):
@@ -192,7 +191,10 @@ def _respond(args) -> int:
     except AlgebraError as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
         return 1
-    except (ParseError, ValueError, KeyError, TypeError, OSError) as exc:
+    except KeyError as exc:
+        print(f"cliffbundle: malformed input: missing key {exc}", file=sys.stderr)
+        return 2
+    except (ParseError, ValueError, TypeError, OSError) as exc:
         print(f"cliffbundle: malformed input: {exc}", file=sys.stderr)
         return 2
     _emit(payload)

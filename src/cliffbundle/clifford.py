@@ -51,16 +51,16 @@ when it leaves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CharacteristicError, ContextMismatch, FormError, ParseError
 from .forms import (AlgebraContext, BilinearForm, DualTwoForm, Field, LinearForm,
                     QuadraticForm, Vector, quad_of_bilinear, same_context)
+from .records import record
 from .scalars import Scalar, excerpt, raw_rows, scaled_ints
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CliffordContext:
     """The algebra over a fixed quadratic form."""
 
@@ -99,8 +99,7 @@ class CliffordContext:
 
     @classmethod
     def from_json(cls, data: dict) -> "CliffordContext":
-        ctx = AlgebraContext(int(data["dim"]), Field.from_spec(data["field"]))
-        return cls(QuadraticForm.from_json(ctx, data["quadratic"]))
+        return cls(QuadraticForm.from_json(AlgebraContext.from_json(data), data["quadratic"]))
 
 
 def _mask(blade) -> int:

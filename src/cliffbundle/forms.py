@@ -12,14 +12,14 @@ and blade conventions of the element modules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 from . import linalg
-from .errors import CharacteristicError, ContextMismatch, FieldMismatch, FormError
-from .scalars import Field, Scalar
+from .errors import (CharacteristicError, ContextMismatch, FieldMismatch, FormError,
+                     ParseError)
+from .records import record
+from .scalars import Field, Scalar, excerpt
 
 
-@dataclass(frozen=True)
+@record(frozen=True, compare=("dim", "field"))
 class AlgebraContext:
     """A based vector space: dimension plus coefficient field.
 
@@ -29,11 +29,19 @@ class AlgebraContext:
 
     dim: int
     field: Field
-    grade_cap: int = dc_field(default=16, compare=False)
+    grade_cap: int = 16
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("context dimension must be >= 1")
+
+    @classmethod
+    def from_json(cls, data: dict) -> "AlgebraContext":
+        """The context of a JSON object's "dim", a JSON integer, and "field"."""
+        dim = data["dim"]
+        if isinstance(dim, bool) or not isinstance(dim, int):
+            raise ParseError(f"dim must be an integer, got {excerpt(dim)}")
+        return cls(dim, Field.from_spec(data["field"]))
 
     def coerce(self, value) -> Scalar:
         if isinstance(value, Scalar):
@@ -52,7 +60,7 @@ def same_context(a: AlgebraContext, b: AlgebraContext):
         raise ContextMismatch(f"contexts differ: {a} vs {b}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Vector:
     ctx: AlgebraContext
     coeffs: tuple
@@ -97,7 +105,7 @@ class Vector:
         return not any(self.coeffs)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LinearForm:
     """An element of the dual space, stored by its values on the basis."""
 
@@ -127,7 +135,7 @@ class LinearForm:
         return acc
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BilinearForm:
     ctx: AlgebraContext
     rows: tuple  # n x n tuple of tuples of Scalar, rows[i][j] = F(e_{i+1}, e_{j+1})
@@ -226,12 +234,12 @@ class BilinearForm:
     @classmethod
     def from_json(cls, data: dict, ctx: AlgebraContext | None = None) -> "BilinearForm":
         if ctx is None:
-            ctx = AlgebraContext(int(data["dim"]), Field.from_spec(data["field"]))
+            ctx = AlgebraContext.from_json(data)
         fld = ctx.field
         return cls.make(ctx, [[fld.parse(v) for v in row] for row in data["entries"]])
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class QuadraticForm:
     """Q stored as (diagonal values, strictly-upper polar entries).
 
@@ -319,7 +327,7 @@ class QuadraticForm:
                         [[fld.parse(v) for v in row] for row in data["polar_upper"]])
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DualTwoForm:
     """An exterior square of the dual space: coefficients of e_i* ^ e_j*.
 
@@ -367,7 +375,7 @@ class DualTwoForm:
     @classmethod
     def from_json(cls, data: dict, ctx: AlgebraContext | None = None) -> "DualTwoForm":
         if ctx is None:
-            ctx = AlgebraContext(int(data["dim"]), Field.from_spec(data["field"]))
+            ctx = AlgebraContext.from_json(data)
         fld = ctx.field
         return cls.make(ctx, [[fld.parse(v) for v in row] for row in data["coeffs"]])
 

@@ -18,13 +18,13 @@ ProbeReport bases and in the matrices restrict_matrices returns.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
 from .clifford import CliffElt, CliffordContext, _act, _actions, _word_sum
 from .errors import CapExceeded, FormError
 from .forms import AlgebraContext, BilinearForm, quad_of_bilinear, same_context
+from .records import record
 from .scalars import Scalar, raw_rows, scaled_ints
 
 _REP_DIM_LIMIT = 12
@@ -63,7 +63,7 @@ def vec_to_cliff(cctx: CliffordContext, vec) -> CliffElt:
     return CliffElt(cctx, terms)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EndoMatrix:
     """A 2^n x 2^n matrix acting on the exterior algebra in the subset
     basis (bitmask order)."""
@@ -177,7 +177,7 @@ def twist_matrix(A: BilinearForm) -> EndoMatrix:
     return _endo(ctx, cols, [d ** s.bit_count() for s in range(1 << n)])
 
 
-@dataclass
+@record()
 class EquivalenceReport:
     identity: str
     samples: int
@@ -240,7 +240,7 @@ def check_equivalence(F: BilinearForm, A: BilinearForm, samples, seed: int = 0) 
         samples=total, failures=failures, seed=seed)
 
 
-@dataclass
+@record()
 class ProbeReport:
     """Result of the invariant-subspace probe.
 

@@ -9,11 +9,11 @@ fields.  No floating point appears anywhere.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from .errors import FieldMismatch, ParseError
+from .records import record
 
 # A scalar literal: an integer or a fraction of two integers.
 _LITERAL = re.compile("(-?[0-9]+)(?:/(-?[0-9]+))?")
@@ -77,7 +77,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Field:
     """The rationals (char == 0) or the prime field GF(char)."""
 
@@ -94,6 +94,8 @@ class Field:
 
     @classmethod
     def from_spec(cls, text: str) -> "Field":
+        if not isinstance(text, str):
+            raise ParseError(f"field spec must be a string, got {excerpt(text)}")
         text = text.strip()
         if text == "Q":
             return cls(0)
@@ -101,11 +103,11 @@ class Field:
             try:
                 p = int(text[3:])
             except ValueError:
-                raise ParseError(f"bad field spec {text!r}") from None
+                raise ParseError(f"bad field spec {excerpt(text)}") from None
             if not is_prime(p):
-                raise ParseError(f"modulus {p} is not prime")
+                raise ParseError(f"modulus {excerpt(p)} is not prime")
             return cls(p)
-        raise ParseError(f"bad field spec {text!r}")
+        raise ParseError(f"bad field spec {excerpt(text)}")
 
     def __call__(self, value) -> "Scalar":
         return Scalar(self, value)

@@ -156,6 +156,26 @@ def test_missing_key_exits_two(monkeypatch, capsys):
     code, out, err = run_cli(["product"], json.dumps({"context": CTX}),
                              monkeypatch, capsys)
     assert code == 2
+    assert err == "cliffbundle: malformed input: missing key 'u'\n"
+
+
+def _without(data: dict, key: str) -> dict:
+    return {k: v for k, v in data.items() if k != key}
+
+
+@pytest.mark.parametrize("payload,message", [
+    ({"u": {"terms": []}, "v": {"terms": []}}, "request needs a 'context' object"),
+    ({"context": dict(CTX, quadratic=_without(CTX["quadratic"], "polar_upper")),
+      "u": {"terms": []}, "v": {"terms": []}}, "missing key 'polar_upper'"),
+    ({"context": _without(CTX, "dim"), "u": {"terms": []}, "v": {"terms": []}},
+     "missing key 'dim'"),
+    ({"context": CTX, "u": {}, "v": {"terms": []}}, "missing key 'terms'"),
+], ids=["context", "polar_upper", "dim", "terms"])
+def test_missing_key_is_named(payload, message, monkeypatch, capsys):
+    code, out, err = run_cli(["product"], json.dumps(payload), monkeypatch, capsys)
+    assert code == 2
+    assert not out
+    assert err == f"cliffbundle: malformed input: {message}\n"
 
 
 def test_bad_shape_exits_two(monkeypatch, capsys):
@@ -176,7 +196,15 @@ def test_bad_shape_exits_two(monkeypatch, capsys):
                    "v": {"terms": []}}),
     (["product"], {"context": CTX, "u": {"terms": [{"blade": [1] + [3] * 3000, "coeff": "1"}]},
                    "v": {"terms": []}}),
-], ids=["blade-bool", "samples-negative", "coeff-long", "blade-long"])
+    (["product"], {"context": dict(CTX, field=["Q"] * 500), "u": {"terms": []},
+                   "v": {"terms": []}}),
+    (["product"], {"context": dict(CTX, field="F" * 5000), "u": {"terms": []},
+                   "v": {"terms": []}}),
+    (["product"], {"context": dict(CTX, field="Fp:" + "9" * 3000), "u": {"terms": []},
+                   "v": {"terms": []}}),
+    (["pfaffian"], {"matrix": {"dim": "2", "field": "Q", "entries": [["0", "1"], ["-1", "0"]]}}),
+], ids=["blade-bool", "samples-negative", "coeff-long", "blade-long", "field-list",
+        "field-long", "modulus-long", "dim-string"])
 def test_bad_request_shape_exits_two(argv, payload, monkeypatch, capsys):
     text = "" if payload is None else json.dumps(payload)
     code, out, err = run_cli(argv, text, monkeypatch, capsys)
@@ -184,6 +212,22 @@ def test_bad_request_shape_exits_two(argv, payload, monkeypatch, capsys):
     assert not out
     assert len(err.strip().splitlines()) == 1
     assert len(err) < 200
+
+
+def test_field_number_is_refused(monkeypatch, capsys):
+    payload = {"context": dict(CTX, field=7), "u": {"terms": []}, "v": {"terms": []}}
+    code, out, err = run_cli(["product"], json.dumps(payload), monkeypatch, capsys)
+    assert code == 2
+    assert err == "cliffbundle: malformed input: field spec must be a string, got 7\n"
+
+
+@pytest.mark.parametrize("dim", [2.5, True, "2"])
+def test_dim_must_be_a_json_integer(dim, monkeypatch, capsys):
+    payload = {"context": dict(CTX, dim=dim), "u": {"terms": []}, "v": {"terms": []}}
+    code, out, err = run_cli(["product"], json.dumps(payload), monkeypatch, capsys)
+    assert code == 2
+    assert not out
+    assert err.startswith("cliffbundle: malformed input: dim must be an integer, got ")
 
 
 def test_domain_error_exits_one(monkeypatch, capsys):
@@ -303,3 +347,33 @@ def test_console_script_on_path():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "scalars.field-axioms" in proc.stdout
+
+
+# the modules bench/tracer.py wraps once `import cliffbundle.cli` returns
+TRACED_MODULES = ["cli", "scalars", "forms", "linalg", "tensor", "clifford",
+                  "repcheck", "checks", "sampling"]
+
+STARTUP_PROBE = """\
+import json, sys
+import cliffbundle.cli
+loaded = sorted(sys.modules)
+from cliffbundle.checks import list_checks
+print(json.dumps({"loaded": loaded, "checks": len(list_checks()),
+                  "suites": "cliffbundle.suites" in sys.modules}))
+"""
+
+
+def test_cli_import_starts_lean():
+    """`import cliffbundle.cli` in a fresh interpreter loads every module
+    the tracer wraps, but neither `dataclasses` nor the suite bodies,
+    which the registry loads on first use."""
+    proc = subprocess.run([sys.executable, "-S", "-c", STARTUP_PROBE], capture_output=True,
+                          text=True, timeout=120, env=_package_env())
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    loaded = set(report["loaded"])
+    assert {f"cliffbundle.{m}" for m in TRACED_MODULES} <= loaded
+    assert "dataclasses" not in loaded
+    assert "cliffbundle.suites" not in loaded
+    assert report["checks"] == 46
+    assert report["suites"]

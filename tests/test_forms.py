@@ -6,10 +6,12 @@ import random
 import pytest
 
 from cliffbundle import (AlgebraContext, BilinearForm, CharacteristicError,
-                         Field, FormError, QuadraticForm, RATIONALS, Vector,
-                         alt_of_dual, dual_two_form, pfaffian, polar_form,
-                         quad_of_bilinear, right_radical, split_sym_alt,
-                         triangular_bilinear)
+                         CheckResult, CliffordContext, ContextMismatch,
+                         EndoMatrix, EquivalenceReport, Field, FormError,
+                         LinearForm, ParseError, ProbeReport, QuadraticForm,
+                         RATIONALS, Vector, alt_of_dual, dual_two_form,
+                         pfaffian, polar_form, quad_of_bilinear, right_radical,
+                         split_sym_alt, triangular_bilinear)
 from cliffbundle import linalg
 from cliffbundle.sampling import (rand_alternating, rand_bilinear,
                                   rand_quadratic, rand_vector)
@@ -194,3 +196,89 @@ def test_vector_and_form_context_guards():
     q3 = QuadraticForm.zero(ctx3)
     with pytest.raises(Exception):
         q3(x4)
+
+
+def test_context_mismatch_names_both_contexts():
+    with pytest.raises(ContextMismatch) as info:
+        Vector.basis(AlgebraContext(2, RATIONALS), 1) + Vector.basis(AlgebraContext(3, Field(7)), 1)
+    assert str(info.value) == (
+        "contexts differ: AlgebraContext(dim=2, field=Field(Q), grade_cap=16) "
+        "vs AlgebraContext(dim=3, field=Field(Fp:7), grade_cap=16)")
+
+
+def test_context_equality_ignores_grade_cap():
+    a = AlgebraContext(3, RATIONALS)
+    b = AlgebraContext(3, Field(0), grade_cap=4)
+    assert a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    assert a != AlgebraContext(3, Field(7)) and a != AlgebraContext(2, RATIONALS)
+    assert AlgebraContext(dim=3, field=RATIONALS).grade_cap == 16
+    assert repr(b) == "AlgebraContext(dim=3, field=Field(Q), grade_cap=4)"
+
+
+def test_records_compare_fields_within_one_class():
+    ctx = AlgebraContext(2, Field(7))
+    coeffs = ctx.coerce_all([1, 3])
+    assert Vector(ctx, coeffs) == Vector.make(ctx, [8, 10])
+    assert hash(Vector(ctx, coeffs)) == hash(Vector.make(ctx, [8, 10]))
+    assert Vector(ctx, coeffs) != LinearForm(ctx, coeffs)
+    assert Vector(ctx, coeffs) != Vector.make(ctx, [1, 4])
+    q = QuadraticForm.make(ctx, [1, 2], [[3]])
+    assert CliffordContext(q) == CliffordContext(QuadraticForm.make(ctx, [8, 2], [[10]]))
+    assert CliffordContext(q) != CliffordContext.exterior(ctx)
+
+
+def test_frozen_records_refuse_assignment():
+    ctx = AlgebraContext(2, RATIONALS)
+    q = QuadraticForm.zero(ctx)
+    for obj, name in ((ctx, "dim"), (ctx, "grade_cap"), (RATIONALS, "char"), (q, "diag"),
+                      (CliffordContext(q), "quadratic"), (EndoMatrix.identity(ctx), "entries")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert ctx.dim == 2 and RATIONALS.char == 0
+
+
+def test_record_constructor_arguments():
+    with pytest.raises(TypeError):
+        AlgebraContext(2)
+    with pytest.raises(TypeError):
+        AlgebraContext(2, RATIONALS, 16, 0)
+    with pytest.raises(TypeError):
+        AlgebraContext(2, RATIONALS, dim=3)
+    with pytest.raises(TypeError):
+        AlgebraContext(2, RATIONALS, cap=3)
+    with pytest.raises(ValueError):
+        AlgebraContext(0, RATIONALS)
+    with pytest.raises(ValueError):
+        Field(4)
+
+
+def test_reports_are_unhashable_values():
+    reports = [EquivalenceReport(identity="x", samples=1, failures=[], seed=0),
+               ProbeReport(seed=0, dims=(), bases=()),
+               CheckResult("c", 0, 1, 1, 0, [])]
+    for report in reports:
+        with pytest.raises(TypeError):
+            hash(report)
+    assert reports[2] == CheckResult("c", 0, 1, 1, 0, [])
+    assert reports[2] != CheckResult("c", 1, 1, 1, 0, [])
+    reports[2].failures = ["late"]
+    assert reports[2].failures == ["late"]
+    assert repr(reports[1]) == "ProbeReport(seed=0, dims=(), bases=())"
+    assert ProbeReport.certifies_irreducibility is False
+
+
+@pytest.mark.parametrize("dim", [2.5, True, "2", None, [2]])
+def test_context_json_needs_integer_dim(dim):
+    with pytest.raises(ParseError):
+        AlgebraContext.from_json({"dim": dim, "field": "Q"})
+
+
+def test_context_json_reads_dim_and_field():
+    assert AlgebraContext.from_json({"dim": 3, "field": "Fp:7"}) == AlgebraContext(3, Field(7))
+    for data in ({"dim": 2.0, "field": "Q", "entries": [["1", "0"], ["0", "1"]]},
+                 {"dim": 2, "field": 7, "entries": [["1", "0"], ["0", "1"]]}):
+        with pytest.raises(ParseError):
+            BilinearForm.from_json(data)
