@@ -14,7 +14,7 @@ import random
 
 from .errors import ParseError
 from .records import record
-from .scalars import Field
+from .scalars import Field, excerpt
 
 
 class Tally:
@@ -79,7 +79,7 @@ def run_check(check_id: str, seed: int = 0, samples: int | None = None,
     try:
         fn, ddim, dfield, dsamples = _registry()[check_id]
     except KeyError:
-        raise ParseError(f"unknown check id {check_id!r}; see the check list") from None
+        raise ParseError(f"unknown check id {excerpt(check_id)}; see the check list") from None
     if field is None:
         field = Field.from_spec(dfield)
     elif isinstance(field, str):

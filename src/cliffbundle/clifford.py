@@ -13,10 +13,11 @@ Clifford algebra of x -> B(x, x).  With the lower-triangular form G_Q
 (diagonal Q(e_i), below it the polar values) the increasing product
 e_S acts on the unit as e_S . 1 = e_S, so an element's coordinates are
 those of its image in the exterior algebra, in every characteristic.
-Each operation is then one sum of word actions:
+Each operation is then one sum of word actions, or for deform the
+product of pair contractions that w . 1 reduces to (see deform):
 
     u * v                   u . v    B = G_Q
-    deform(F, w)            w . 1    B = G_Q + F, Q of the target
+    deform(F, w)            prod over i < j of (1 + F_ij i_j i_i) w
     deform_apply(F, u, v)   u . v    B = G_Q + F, Q of v
     quotient_map(u)         u . 1    B = G_Q, the keys of u are words
     DualElt f * g           f . g    B = 0, the wedge
@@ -57,7 +58,7 @@ from .errors import CharacteristicError, ContextMismatch, FormError, ParseError
 from .forms import (AlgebraContext, BilinearForm, DualTwoForm, Field, LinearForm,
                     QuadraticForm, Vector, quad_of_bilinear, same_context)
 from .records import record
-from .scalars import Scalar, excerpt, raw_rows, scaled_ints
+from .scalars import Scalar, excerpt, raw_rows, scaled_ints, shaped
 
 
 @record(frozen=True)
@@ -233,6 +234,40 @@ def _operate(field: Field, rows, u_terms: dict, v_terms: dict, wedge: bool = Tru
     return {_blade(k): c for k, c in out.items()}
 
 
+def _contract_pairs(field: Field, rows, w_terms: dict) -> dict:
+    """exp(sum over i < j of B_ij i_j i_i) w, B the raw rows: one pass
+    per nonzero strict-upper entry, each adding B_ij c at m without
+    bits i and j for every term c at a mask m holding both, with the
+    sign (-1)^k, k the set bits of m strictly between them.  Over Q it
+    is fraction-free: with d the common denominator of those entries,
+    w_M is weighted by d^((T - |M|) / 2), T the top grade of w of the
+    parity of |M|, and the result at K is divided once by den(w) times
+    d^((T - |K|) / 2)."""
+    p = field.char
+    n = len(rows)
+    ij = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    upper, d = scaled_ints([rows[i][j] for i, j in ij])
+    num, dw = scaled_ints([c.value for c in w_terms.values()])
+    top = [max((len(b) for b in w_terms if len(b) & 1 == r), default=r) for r in (0, 1)]
+
+    def weight(g):
+        return d ** ((top[g & 1] - g) >> 1)
+
+    out = {_mask(b): c * weight(len(b)) for b, c in zip(w_terms, num)}
+    get = out.get
+    for (i, j), f in zip(ij, upper):
+        if f:
+            both, between = (1 << i) | (1 << j), (1 << j) - (2 << i)
+            for m, c in [(m, c) for m, c in out.items() if m & both == both]:
+                k = m ^ both
+                t = f * c
+                out[k] = get(k, 0) + (-t if (m & between).bit_count() & 1 else t)
+    if p:
+        return {_blade(k): Scalar(field, r) for k, x in out.items() if (r := x % p)}
+    return {_blade(k): Scalar(field, Fraction(x, dw * weight(k.bit_count())))
+            for k, x in out.items() if x}
+
+
 def _chevalley(q: QuadraticForm, F: BilinearForm | None = None) -> list:
     """Raw rows of G_q (plus F), reduced mod p: G_q is the
     lower-triangular form with G_q(x, x) = q(x), Q(e_i) on the diagonal
@@ -356,8 +391,8 @@ class CliffElt:
     @classmethod
     def from_json(cls, cctx: CliffordContext, data: dict) -> "CliffElt":
         out = {}
-        for term in data["terms"]:
-            blade = tuple(term["blade"])
+        for term in shaped(shaped(data, dict, "element")["terms"], list, "terms"):
+            blade = tuple(shaped(shaped(term, dict, "terms entry")["blade"], list, "blade"))
             if any(isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= cctx.dim
                    for i in blade):
                 raise ParseError(f"blade index out of range: {excerpt(list(blade))}")
@@ -483,8 +518,17 @@ def deform(F: BilinearForm, w: CliffElt, target: CliffordContext | None = None) 
     Maps the algebra of Q' = Q + (x -> F(x,x)) linearly onto the algebra
     of Q; fixes the unit and the vectors; composing deformations adds
     their forms, so deform(-F, .) is the inverse.  It is w acting on the
-    unit through the form G_Q + F:
+    unit through the form B = G_Q + F:
     deform(x w) = x deform(w) + contraction_x(deform(w)).
+
+    On an increasing blade that action only contracts a letter by a
+    letter to its right, so only the B_ij with i < j act, and those are
+    F's: the coordinates depend on F's strict upper part alone.  In the
+    paper's terms F = G_{Q_F} + C with C alternating, C_ij = F_ij for
+    i < j, and by additivity lambda_F = lambda_C o lambda_{G_{Q_F}};
+    the second factor is the identity on normal-ordered coordinates and
+    the first is the exponential of the contraction by C, the product
+    over i < j of the commuting, square-zero (1 + F_ij i_j i_i).
     """
     src = w.cctx
     same_context(F.ctx, src.ctx)
@@ -495,7 +539,7 @@ def deform(F: BilinearForm, w: CliffElt, target: CliffordContext | None = None) 
         same_context(target.ctx, src.ctx)
         rows = _chevalley(target.quadratic, F)
         _check_shift(rows, src.quadratic, target.quadratic)
-    return CliffElt(target, _operate(target.field, rows, w.terms, {(): target.field.one}))
+    return CliffElt(target, _contract_pairs(target.field, rows, w.terms))
 
 
 def deform_apply(F: BilinearForm, u: CliffElt, v: CliffElt) -> CliffElt:

@@ -16,7 +16,7 @@ from . import linalg
 from .errors import (CharacteristicError, ContextMismatch, FieldMismatch, FormError,
                      ParseError)
 from .records import record
-from .scalars import Field, Scalar, excerpt
+from .scalars import Field, Scalar, excerpt, shaped
 
 
 @record(frozen=True, compare=("dim", "field"))
@@ -38,7 +38,7 @@ class AlgebraContext:
     @classmethod
     def from_json(cls, data: dict) -> "AlgebraContext":
         """The context of a JSON object's "dim", a JSON integer, and "field"."""
-        dim = data["dim"]
+        dim = shaped(data, dict, "context")["dim"]
         if isinstance(dim, bool) or not isinstance(dim, int):
             raise ParseError(f"dim must be an integer, got {excerpt(dim)}")
         return cls(dim, Field.from_spec(data["field"]))
@@ -233,10 +233,10 @@ class BilinearForm:
 
     @classmethod
     def from_json(cls, data: dict, ctx: AlgebraContext | None = None) -> "BilinearForm":
+        shaped(data, dict, "form")
         if ctx is None:
             ctx = AlgebraContext.from_json(data)
-        fld = ctx.field
-        return cls.make(ctx, [[fld.parse(v) for v in row] for row in data["entries"]])
+        return cls.make(ctx, _json_rows(ctx.field, data, "entries"))
 
 
 @record(frozen=True)
@@ -321,10 +321,9 @@ class QuadraticForm:
 
     @classmethod
     def from_json(cls, ctx: AlgebraContext, data: dict) -> "QuadraticForm":
-        fld = ctx.field
-        return cls.make(ctx,
-                        [fld.parse(v) for v in data["diag"]],
-                        [[fld.parse(v) for v in row] for row in data["polar_upper"]])
+        shaped(data, dict, "quadratic")
+        return cls.make(ctx, [ctx.field.parse(v) for v in shaped(data["diag"], list, "diag")],
+                        _json_rows(ctx.field, data, "polar_upper"))
 
 
 @record(frozen=True)
@@ -374,10 +373,16 @@ class DualTwoForm:
 
     @classmethod
     def from_json(cls, data: dict, ctx: AlgebraContext | None = None) -> "DualTwoForm":
+        shaped(data, dict, "two_form")
         if ctx is None:
             ctx = AlgebraContext.from_json(data)
-        fld = ctx.field
-        return cls.make(ctx, [[fld.parse(v) for v in row] for row in data["coeffs"]])
+        return cls.make(ctx, _json_rows(ctx.field, data, "coeffs"))
+
+
+def _json_rows(field: Field, data: dict, key: str) -> list:
+    """The array of arrays of scalar literals at data[key], parsed."""
+    return [[field.parse(v) for v in shaped(row, list, f"{key} row")]
+            for row in shaped(data[key], list, key)]
 
 
 def polar_form(q: QuadraticForm) -> BilinearForm:

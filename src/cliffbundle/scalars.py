@@ -36,6 +36,15 @@ def excerpt(value) -> str:
     return f"{text[:_SHOWN // 2]}… ({len(text)} chars)"
 
 
+def shaped(value, kind, name: str):
+    """value, if it is a JSON object (kind dict) or array (kind list);
+    else ParseError naming it.  Arrays may also be tuples."""
+    if not isinstance(value, (tuple, list) if kind is list else kind):
+        noun = "an object" if kind is dict else "an array"
+        raise ParseError(f"{name} must be {noun}, got {excerpt(value)}")
+    return value
+
+
 def scaled_ints(values) -> tuple:
     """Rationals or residues (ints or Fractions) as integers over one
     common denominator: (integers, denominator)."""

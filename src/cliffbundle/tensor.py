@@ -18,7 +18,7 @@ from __future__ import annotations
 from .clifford import _act_word, _apply
 from .errors import CapExceeded, FormError, ParseError
 from .forms import AlgebraContext, BilinearForm, LinearForm, Vector, same_context
-from .scalars import Scalar, excerpt, raw_rows
+from .scalars import Scalar, excerpt, raw_rows, shaped
 
 
 def _check_grade(ctx: AlgebraContext, length: int):
@@ -143,9 +143,11 @@ class TensorElt:
     @classmethod
     def from_json(cls, ctx: AlgebraContext, data: dict) -> "TensorElt":
         out = cls.zero(ctx)
-        for term in data["terms"]:
+        for term in shaped(shaped(data, dict, "element")["terms"], list, "terms"):
+            shaped(term, dict, "terms entry")
             try:
-                word = cls.from_word(ctx, term["word"], ctx.field.parse(term["coeff"]))
+                word = cls.from_word(ctx, shaped(term["word"], list, "word"),
+                                     ctx.field.parse(term["coeff"]))
             except FormError as exc:
                 raise ParseError(str(exc)) from None
             out = out + word

@@ -188,6 +188,25 @@ def test_bad_shape_exits_two(monkeypatch, capsys):
     assert code == 2
 
 
+# Values of the wrong JSON type: (request, the message naming the key).
+BAD_SHAPES = {
+    "diag-string": ((["product"], {"context": dict(CTX, quadratic={"diag": "11",
+                                                                    "polar_upper": [["0"]]}),
+                                   "u": {"terms": []}, "v": {"terms": []}}),
+                    "diag must be an array, got '11'"),
+    "entries-strings": ((["pfaffian"], {"matrix": {"dim": 2, "field": "Q",
+                                                   "entries": ["12", "34"]}}),
+                        "entries row must be an array, got '12'"),
+    "context-list": ((["product"], {"context": [], "u": {"terms": []}, "v": {"terms": []}}),
+                     "context must be an object, got []"),
+    "term-number": ((["product"], {"context": CTX, "u": {"terms": [5]}, "v": {"terms": []}}),
+                    "terms entry must be an object, got 5"),
+    "terms-object": ((["product"], {"context": CTX, "u": {"terms": {"a": 1}},
+                                    "v": {"terms": []}}),
+                     "terms must be an array, got {'a': 1}"),
+}
+
+
 @pytest.mark.parametrize("argv,payload", [
     (["product"], {"context": CTX, "u": {"terms": [{"blade": [True], "coeff": "1"}]},
                    "v": {"terms": []}}),
@@ -203,8 +222,10 @@ def test_bad_shape_exits_two(monkeypatch, capsys):
     (["product"], {"context": dict(CTX, field="Fp:" + "9" * 3000), "u": {"terms": []},
                    "v": {"terms": []}}),
     (["pfaffian"], {"matrix": {"dim": "2", "field": "Q", "entries": [["0", "1"], ["-1", "0"]]}}),
+    (["check", "x" * 5000], None),
+    *(case for case, _ in BAD_SHAPES.values()),
 ], ids=["blade-bool", "samples-negative", "coeff-long", "blade-long", "field-list",
-        "field-long", "modulus-long", "dim-string"])
+        "field-long", "modulus-long", "dim-string", "check-id-long", *BAD_SHAPES])
 def test_bad_request_shape_exits_two(argv, payload, monkeypatch, capsys):
     text = "" if payload is None else json.dumps(payload)
     code, out, err = run_cli(argv, text, monkeypatch, capsys)
@@ -212,6 +233,15 @@ def test_bad_request_shape_exits_two(argv, payload, monkeypatch, capsys):
     assert not out
     assert len(err.strip().splitlines()) == 1
     assert len(err) < 200
+
+
+@pytest.mark.parametrize("case,message", BAD_SHAPES.values(), ids=list(BAD_SHAPES))
+def test_bad_shape_names_the_key(case, message, monkeypatch, capsys):
+    """A string where an array belongs is not read letter by letter,
+    and a value that is not an object is refused by name."""
+    argv, payload = case
+    code, out, err = run_cli(argv, json.dumps(payload), monkeypatch, capsys)
+    assert (code, out, err) == (2, "", f"cliffbundle: malformed input: {message}\n")
 
 
 def test_field_number_is_refused(monkeypatch, capsys):

@@ -127,6 +127,46 @@ def test_kernel_matches_oracles(field):
             assert exp_contract(dual_two_form(a), u).terms == deform_sum(a, q, u.terms)
 
 
+def _half_polar_form(cctx):
+    n, half = cctx.dim, cctx.field.one / cctx.field(2)
+    return BilinearForm.make(cctx.ctx, [[half * cctx.quadratic.polar(i, j)
+                                         for j in range(1, n + 1)] for i in range(1, n + 1)])
+
+
+@pytest.mark.parametrize("field", (Field(2), Field(3), Field(7), RATIONALS),
+                         ids=lambda f: f.spec)
+def test_deform_family_matches_pair_oracle(field):
+    """deform with and without a target, symbol, quantize and
+    twisted_mul against the sum over pair matchings: dense elements up
+    to n = 6, up to six random blades up to n = 9, and w = 0, w = 1."""
+    rng = random.Random(43)
+    for n, count in [(n, None) for n in range(1, 7)] + [(n, 6) for n in range(1, 10)]:
+        ctx = AlgebraContext(n, field)
+        q = QuadraticForm.make(ctx, [_coeff(rng, field) for _ in range(n)],
+                               [[_coeff(rng, field) for _ in range(n - 1 - i)]
+                                for i in range(n - 1)])
+        F = BilinearForm.make(ctx, [[_coeff(rng, field) for _ in range(n)] for _ in range(n)])
+        cctx = CliffordContext(q)
+        shifted = cctx.shift(F)
+        count = count and min(count, 2 ** n)
+        for terms in (_blade_terms(rng, field, n, count), {}, {(): field.one}):
+            w = CliffElt(shifted, terms)
+            expected = deform_sum(F, q, w.terms)
+            assert deform(F, w, target=cctx).terms == expected
+            out = deform(F, w)
+            assert out.cctx == cctx and out.terms == expected
+        u, v = (CliffElt(cctx, _blade_terms(rng, field, n, count)) for _ in range(2))
+        qs = shifted.quadratic
+        back_u, back_v = deform_sum(-F, qs, u.terms), deform_sum(-F, qs, v.terms)
+        assert twisted_mul(F, u, v).terms \
+            == deform_sum(F, q, word_sum(qs, _pairs(back_u, back_v)))
+        if field.char != 2:
+            half, ext = _half_polar_form(cctx), CliffordContext.exterior(ctx)
+            assert symbol(u).terms == deform_sum(half, ext.quadratic, u.terms)
+            e = CliffElt(ext, _blade_terms(rng, field, n, count))
+            assert quantize(cctx, e).terms == deform_sum(-half, q, e.terms)
+
+
 @pytest.mark.parametrize("field", (Field(2), Field(3), Field(7), RATIONALS),
                          ids=lambda f: f.spec)
 def test_kernel_cancels_to_zero(field):

@@ -1,7 +1,8 @@
 """Property tests over random fields, dimensions and sparse elements:
 the deformation by -F inverts the deformation by F, in the Clifford and
-the tensor algebra, products agree with the relation oracle, and the
-divided powers add up to the tensor deformation."""
+the tensor algebra, products agree with the relation oracle, the
+deformation reads only the strict upper part of F, and the divided
+powers add up to the tensor deformation."""
 
 from fractions import Fraction
 
@@ -51,6 +52,20 @@ def test_deform_inverse_and_product(data):
     u, v = CliffElt(cctx, u_terms), CliffElt(cctx, v_terms)
     pairs = [(a + b, c * d) for a, c in u.terms.items() for b, d in v.terms.items()]
     assert (u * v).terms == word_sum(cctx.quadratic, pairs)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(algebras(), st.data())
+def test_deform_reads_only_the_strict_upper_part(data, extra):
+    """With L lower triangular, diagonal included, deform by F + L and
+    by F give the same coordinates: only F_ij with i < j act on
+    increasing blades."""
+    cctx, F, (w_terms, _, _) = data
+    n, coeff = cctx.dim, _coefficients(cctx.field)
+    L = BilinearForm.make(cctx.ctx, [[extra.draw(coeff) if j <= i else 0 for j in range(n)]
+                                     for i in range(n)])
+    w, w_lower = CliffElt(cctx.shift(F), w_terms), CliffElt(cctx.shift(F + L), w_terms)
+    assert deform(F + L, w_lower, target=cctx).terms == deform(F, w, target=cctx).terms
 
 
 @st.composite
