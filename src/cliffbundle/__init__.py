@@ -12,9 +12,9 @@ arithmetic is exact.
 """
 
 from .checks import CheckResult, list_checks, run_check
-from .clifford import (CliffElt, CliffordContext, DualElt, deform,
-                       deform_apply, exp_contract, interior, quantize,
-                       quotient_map, symbol, twisted_mul)
+from .clifford import (CliffElt, CliffordContext, deform, deform_apply,
+                       exp_contract, index_subset, interior, quantize,
+                       quotient_map, subset_index, symbol, twisted_mul)
 from .clifford import contract as clifford_contract
 from .clifford import contract_vec as clifford_contract_vec
 from .errors import (AlgebraError, CapExceeded, CharacteristicError,
@@ -25,8 +25,8 @@ from .forms import (AlgebraContext, BilinearForm, DualTwoForm, LinearForm,
                     split_sym_alt, triangular_bilinear)
 from .repcheck import (EndoMatrix, EquivalenceReport, ProbeReport,
                        check_equivalence, cliff_to_vec, generator_matrices,
-                       index_subset, invariant_probe, restrict_matrices,
-                       rho_matrix, subset_index, twist_matrix, vec_to_cliff)
+                       invariant_probe, restrict_matrices, rho_matrix,
+                       twist_matrix, vec_to_cliff)
 # Every module but suites loads with the package, sampling included:
 # bench/tracer.py wraps their entry points once `import cliffbundle.cli`
 # has returned, so a module loaded later would go untraced.
@@ -41,7 +41,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraContext", "AlgebraError", "BilinearForm", "CapExceeded",
     "CharacteristicError", "CheckResult", "CliffElt", "CliffordContext",
-    "ContextMismatch", "DualElt", "DualTwoForm", "EndoMatrix",
+    "ContextMismatch", "DualTwoForm", "EndoMatrix",
     "EquivalenceReport", "Field", "FieldMismatch", "FormError", "GF2",
     "LinearForm", "ParseError", "ProbeReport", "QuadraticForm", "RATIONALS",
     "Scalar", "TensorElt", "Vector", "alt_of_dual", "check_equivalence",

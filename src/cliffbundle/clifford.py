@@ -20,13 +20,15 @@ product of pair contractions that w . 1 reduces to (see deform):
     deform(F, w)            prod over i < j of (1 + F_ij i_j i_i) w
     deform_apply(F, u, v)   u . v    B = G_Q + F, Q of v
     quotient_map(u)         u . 1    B = G_Q, the keys of u are words
-    DualElt f * g           f . g    B = 0, the wedge
+    f * g, Q = 0            f . g    B = 0, the wedge
     interior(f, w)          f . w    B = identity, no wedge part
 
 and the representation matrices of repcheck are columns of such sums:
 rho_matrix(F, u) has column S = u . e_S (B = F), twist_matrix(A) has
 column S = e_S . 1 (B = A).
 
+The exterior algebra (Q = 0) is also that of the dual space: in
+interior(f, w), f is an exterior element with e_i read as e_i*.
 Twisted products, the reversal, the contraction by a linear form, the
 exponential of a dual two-form's interior action, and the symbol and
 quantization maps are built from these.  The tensor algebra (tensor.py)
@@ -86,6 +88,9 @@ class CliffordContext:
     def is_exterior(self) -> bool:
         return self.quadratic.is_zero()
 
+    def coerce(self, value) -> Scalar:
+        return self.ctx.coerce(value)
+
     def shift(self, F: BilinearForm) -> "CliffordContext":
         """The context whose quadratic form is Q + (x -> F(x, x))."""
         same_context(self.ctx, F.ctx)
@@ -103,14 +108,17 @@ class CliffordContext:
         return cls(QuadraticForm.from_json(AlgebraContext.from_json(data), data["quadratic"]))
 
 
-def _mask(blade) -> int:
+def subset_index(blade) -> int:
+    """Bitmask index of a strictly increasing subset, S -> sum 2^(i-1):
+    the kernel's key for a blade, and its row and column in repcheck."""
     m = 0
     for i in blade:
         m |= 1 << (i - 1)
     return m
 
 
-def _blade(m: int) -> tuple:
+def index_subset(m: int) -> tuple:
+    """The blade of a bitmask index, the inverse of subset_index."""
     out = []
     i = 1
     while m:
@@ -158,7 +166,7 @@ def _act_word(bit: int, scale: int, row, p: int, terms: dict) -> dict:
     values = {b.bit_length(): f for b, f in row}
     out = {letter + w: scale * c for w, c in terms.items()} if scale else {}
     get = out.get
-    for w, c in terms.items():
+    for w, c in terms.items() if values else ():
         for t, a in enumerate(w):
             f = values.get(a)
             if f:
@@ -182,7 +190,7 @@ def _actions(rows, wedge: bool = True) -> tuple:
     return acts, (d if wedge else 0), d
 
 
-def _word_sum(act, actions: tuple, p: int, u_terms: dict, v: dict) -> tuple:
+def _word_sum(act, actions: tuple, p: int, u_terms: dict, v: dict, pairs=None) -> tuple:
     """The sum over the words S of u of u_S (e_S . v): (map, den).  act
     is the generator action on the keys of v, _act on bitmasks or
     _act_word on words; v maps them to raw values.  Each e_S . v is
@@ -191,7 +199,9 @@ def _word_sum(act, actions: tuple, p: int, u_terms: dict, v: dict) -> tuple:
     are scaled to integers by their common denominators, u_S is
     weighted by d^(m - |S|), m the longest word of u, and den is those
     denominators times d^m.  Over GF(p) the map is unreduced and den
-    is 1."""
+    is 1.  With pairs given (words as keys, v the unit), each e_S . 1
+    drops its terms with more than pairs contractions, the keys shorter
+    than |S| - 2 pairs, since later letters only add contractions."""
     acts, scale, d = actions
     vnum, dv = scaled_ints(list(v.values()))
     memo = {(): dict(zip(v, vnum))}
@@ -200,7 +210,10 @@ def _word_sum(act, actions: tuple, p: int, u_terms: dict, v: dict) -> tuple:
         got = memo.get(word)
         if got is None:
             bit, row = acts[word[0] - 1]
-            got = memo[word] = act(bit, scale, row, p, on_v(word[1:]))
+            got = act(bit, scale, row, p, on_v(word[1:]))
+            if pairs is not None and (least := len(word) - 2 * pairs) > 0:
+                got = {k: c for k, c in got.items() if len(k) >= least}
+            memo[word] = got
         return got
 
     unum, du = scaled_ints([c.value for c in u_terms.values()])
@@ -215,14 +228,15 @@ def _word_sum(act, actions: tuple, p: int, u_terms: dict, v: dict) -> tuple:
     return out, du * dv * d ** top
 
 
-def _apply(act, field: Field, rows, u_terms: dict, v_terms: dict, wedge: bool = True) -> dict:
+def _apply(act, field: Field, rows, u_terms: dict, v_terms: dict, wedge: bool = True,
+           pairs=None) -> dict:
     """The sum over the words S of u of u_S (e_S . v), where e_i acts by
     e_i ^ w (unless wedge is off) plus the contraction by rows[i - 1],
-    on the keys of act.  Scalars are read at entry and built at exit;
-    in between, coefficients are ints."""
+    on the keys of act; pairs as in _word_sum.  Scalars are read at
+    entry and built at exit; in between, coefficients are ints."""
     p = field.char
     out, den = _word_sum(act, _actions(rows, wedge), p, u_terms,
-                         {k: c.value for k, c in v_terms.items()})
+                         {k: c.value for k, c in v_terms.items()}, pairs)
     if p:
         return {k: Scalar(field, x) for k, x in out.items() if x % p}
     return {k: Scalar(field, Fraction(x, den)) for k, x in out.items() if x}
@@ -230,8 +244,9 @@ def _apply(act, field: Field, rows, u_terms: dict, v_terms: dict, wedge: bool = 
 
 def _operate(field: Field, rows, u_terms: dict, v_terms: dict, wedge: bool = True) -> dict:
     """_apply on blades, which are bitmasks inside the kernel."""
-    out = _apply(_act, field, rows, u_terms, {_mask(b): c for b, c in v_terms.items()}, wedge)
-    return {_blade(k): c for k, c in out.items()}
+    out = _apply(_act, field, rows, u_terms, {subset_index(b): c for b, c in v_terms.items()},
+                 wedge)
+    return {index_subset(k): c for k, c in out.items()}
 
 
 def _contract_pairs(field: Field, rows, w_terms: dict) -> dict:
@@ -253,7 +268,7 @@ def _contract_pairs(field: Field, rows, w_terms: dict) -> dict:
     def weight(g):
         return d ** ((top[g & 1] - g) >> 1)
 
-    out = {_mask(b): c * weight(len(b)) for b, c in zip(w_terms, num)}
+    out = {subset_index(b): c * weight(len(b)) for b, c in zip(w_terms, num)}
     get = out.get
     for (i, j), f in zip(ij, upper):
         if f:
@@ -263,8 +278,8 @@ def _contract_pairs(field: Field, rows, w_terms: dict) -> dict:
                 t = f * c
                 out[k] = get(k, 0) + (-t if (m & between).bit_count() & 1 else t)
     if p:
-        return {_blade(k): Scalar(field, r) for k, x in out.items() if (r := x % p)}
-    return {_blade(k): Scalar(field, Fraction(x, dw * weight(k.bit_count())))
+        return {index_subset(k): Scalar(field, r) for k, x in out.items() if (r := x % p)}
+    return {index_subset(k): Scalar(field, Fraction(x, dw * weight(k.bit_count())))
             for k, x in out.items() if x}
 
 
@@ -282,27 +297,98 @@ def _chevalley(q: QuadraticForm, F: BilinearForm | None = None) -> list:
     return [[x % p for x in row] for row in rows] if p else rows
 
 
-class CliffElt:
-    """A normal-form element: finite map from increasing blades to scalars."""
+class _Sparse:
+    """A finite map from keys to nonzero Scalars over one context: the
+    arithmetic CliffElt (blades) and TensorElt (words) share.  Each
+    class names the context slot (cctx, ctx), refuses an operand of
+    another context in _same, and sets how __repr__ shows a key in
+    _key_text (opening, separator, closing)."""
 
-    __slots__ = ("cctx", "terms")
+    __slots__ = ("_home", "terms")
 
-    def __init__(self, cctx: CliffordContext, terms=None):
-        self.cctx = cctx
-        clean = {}
-        if terms:
-            for blade, coeff in terms.items():
-                if coeff:
-                    clean[blade] = coeff
-        self.terms = clean
-
-    @classmethod
-    def zero(cls, cctx: CliffordContext) -> "CliffElt":
-        return cls(cctx)
+    def __init__(self, home, terms=None):
+        self._home = home
+        self.terms = {k: c for k, c in terms.items() if c} if terms else {}
 
     @classmethod
-    def unit(cls, cctx: CliffordContext) -> "CliffElt":
-        return cls(cctx, {(): cctx.field.one})
+    def zero(cls, home):
+        return cls(home)
+
+    @classmethod
+    def unit(cls, home):
+        return cls(home, {(): home.field.one})
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._home == other._home and self.terms == other.terms
+
+    def __add__(self, other):
+        self._same(other)
+        out = dict(self.terms)
+        for key, coeff in other.terms.items():
+            cur = out.get(key)
+            out[key] = coeff if cur is None else cur + coeff
+        return type(self)(self._home, out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return type(self)(self._home, {k: -c for k, c in self.terms.items()})
+
+    def __mul__(self, other):
+        """Multiplication by a scalar; each class adds its own product."""
+        if isinstance(other, (Scalar, int)):
+            s = self._home.coerce(other)
+            return type(self)(self._home, {k: c * s for k, c in self.terms.items()})
+        return NotImplemented
+
+    def __rmul__(self, other):
+        if isinstance(other, (Scalar, int)):
+            return self * other
+        return NotImplemented
+
+    def coeff(self, key) -> Scalar:
+        return self.terms.get(tuple(key), self._home.field.zero)
+
+    def grade_part(self, p: int):
+        return type(self)(self._home, {k: c for k, c in self.terms.items() if len(k) == p})
+
+    def grade_involution(self):
+        """Sign (-1)^p on each grade-p key.  It descends from the tensor
+        algebra to each Clifford algebra because the defining ideal is
+        generated by even elements."""
+        return type(self)(self._home, {
+            k: (c if len(k) % 2 == 0 else -c) for k, c in self.terms.items()})
+
+    def _sorted_keys(self) -> list:
+        """The keys by grade, then lexicographically: the order of
+        __repr__ and to_json."""
+        return sorted(self.terms, key=lambda t: (len(t), t))
+
+    def __repr__(self):
+        left, sep, right = self._key_text
+        bits = [f"{self.terms[k]}*{left}{sep.join(map(str, k))}{right}"
+                for k in self._sorted_keys()]
+        return f"{type(self).__name__}({' + '.join(bits) or 0})"
+
+
+class CliffElt(_Sparse):
+    """A normal-form element: finite map from increasing blades to
+    scalars.  Over the exterior context it is also an element of the
+    exterior algebra of the dual, the argument of interior."""
+
+    __slots__ = ()
+    cctx = _Sparse._home
+    _key_text = ("{", ",", "}")
+
+    def _same(self, other: "CliffElt"):
+        if self.cctx != other.cctx:
+            raise ContextMismatch("elements of different Clifford contexts")
 
     @classmethod
     def blade(cls, cctx: CliffordContext, indices, coeff=1) -> "CliffElt":
@@ -318,56 +404,12 @@ class CliffElt:
         same_context(cctx.ctx, x.ctx)
         return cls(cctx, {(i + 1,): c for i, c in enumerate(x.coeffs) if c})
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, CliffElt):
-            return NotImplemented
-        return self.cctx == other.cctx and self.terms == other.terms
-
-    def __add__(self, other: "CliffElt") -> "CliffElt":
-        if self.cctx != other.cctx:
-            raise ContextMismatch("elements of different Clifford contexts")
-        out = dict(self.terms)
-        for blade, coeff in other.terms.items():
-            cur = out.get(blade)
-            out[blade] = coeff if cur is None else cur + coeff
-        return CliffElt(self.cctx, out)
-
-    def __sub__(self, other: "CliffElt") -> "CliffElt":
-        return self + (-other)
-
-    def __neg__(self) -> "CliffElt":
-        return CliffElt(self.cctx, {b: -c for b, c in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, CliffElt):
-            if self.cctx != other.cctx:
-                raise ContextMismatch("elements of different Clifford contexts")
+            self._same(other)
             return CliffElt(self.cctx, _operate(
                 self.cctx.field, _chevalley(self.cctx.quadratic), self.terms, other.terms))
-        if isinstance(other, (Scalar, int)):
-            s = self.cctx.ctx.coerce(other)
-            return CliffElt(self.cctx, {b: c * s for b, c in self.terms.items()})
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (Scalar, int)):
-            return self * other
-        return NotImplemented
-
-    def coeff(self, blade) -> Scalar:
-        return self.terms.get(tuple(blade), self.cctx.field.zero)
-
-    def grade_part(self, p: int) -> "CliffElt":
-        return CliffElt(self.cctx, {b: c for b, c in self.terms.items() if len(b) == p})
-
-    def grade_involution(self) -> "CliffElt":
-        """Sign (-1)^p per blade cardinality; descends from the tensor
-        algebra because the defining ideal is generated by even elements."""
-        return CliffElt(self.cctx, {
-            b: (c if len(b) % 2 == 0 else -c) for b, c in self.terms.items()})
+        return super().__mul__(other)
 
     def reverse(self) -> "CliffElt":
         """The anti-automorphism reversing generator order: each blade
@@ -376,17 +418,9 @@ class CliffElt:
             self.cctx.field, _chevalley(self.cctx.quadratic),
             {b[::-1]: c for b, c in self.terms.items()}, {(): self.cctx.field.one}))
 
-    def __repr__(self):
-        if not self.terms:
-            return "CliffElt(0)"
-        bits = []
-        for b in sorted(self.terms, key=lambda t: (len(t), t)):
-            bits.append(f"{self.terms[b]}*{{{','.join(map(str, b))}}}")
-        return "CliffElt(" + " + ".join(bits) + ")"
-
     def to_json(self) -> dict:
-        blades = sorted(self.terms, key=lambda t: (len(t), t))
-        return {"terms": [{"blade": list(b), "coeff": str(self.terms[b])} for b in blades]}
+        return {"terms": [{"blade": list(b), "coeff": str(self.terms[b])}
+                          for b in self._sorted_keys()]}
 
     @classmethod
     def from_json(cls, cctx: CliffordContext, data: dict) -> "CliffElt":
@@ -402,78 +436,6 @@ class CliffElt:
             cur = out.get(blade)
             out[blade] = c if cur is None else cur + c
         return cls(cctx, out)
-
-
-class DualElt:
-    """An element of the exterior algebra of the dual space."""
-
-    __slots__ = ("ctx", "terms")
-
-    def __init__(self, ctx: AlgebraContext, terms=None):
-        self.ctx = ctx
-        clean = {}
-        if terms:
-            for subset, coeff in terms.items():
-                if coeff:
-                    clean[subset] = coeff
-        self.terms = clean
-
-    @classmethod
-    def unit(cls, ctx: AlgebraContext) -> "DualElt":
-        return cls(ctx, {(): ctx.field.one})
-
-    @classmethod
-    def from_linear(cls, f: LinearForm) -> "DualElt":
-        return cls(f.ctx, {(i + 1,): c for i, c in enumerate(f.coeffs) if c})
-
-    @classmethod
-    def from_two_form(cls, astar: DualTwoForm) -> "DualElt":
-        terms = {}
-        n = astar.ctx.dim
-        for i in range(1, n):
-            for j in range(i + 1, n + 1):
-                c = astar.at(i, j)
-                if c:
-                    terms[(i, j)] = c
-        return cls(astar.ctx, terms)
-
-    def __add__(self, other: "DualElt") -> "DualElt":
-        same_context(self.ctx, other.ctx)
-        out = dict(self.terms)
-        for s, c in other.terms.items():
-            cur = out.get(s)
-            out[s] = c if cur is None else cur + c
-        return DualElt(self.ctx, out)
-
-    def __neg__(self) -> "DualElt":
-        return DualElt(self.ctx, {s: -c for s, c in self.terms.items()})
-
-    def __rmul__(self, other):
-        if isinstance(other, (Scalar, int)):
-            s = self.ctx.coerce(other)
-            return DualElt(self.ctx, {b: s * c for b, c in self.terms.items()})
-        return NotImplemented
-
-    def __mul__(self, other):
-        """Wedge product."""
-        if isinstance(other, (Scalar, int)):
-            return self.__rmul__(other)
-        if not isinstance(other, DualElt):
-            return NotImplemented
-        same_context(self.ctx, other.ctx)
-        n = self.ctx.dim
-        return DualElt(self.ctx, _operate(self.ctx.field, [[0] * n] * n, self.terms, other.terms))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, DualElt):
-            return NotImplemented
-        return self.ctx == other.ctx and self.terms == other.terms
-
-    def __repr__(self):
-        return f"DualElt({self.terms})"
 
 
 def quotient_map(cctx: CliffordContext, u: TensorElt) -> CliffElt:
@@ -563,12 +525,15 @@ def twisted_mul(F: BilinearForm, u: CliffElt, v: CliffElt) -> CliffElt:
     return deform_apply(F, deform(-F, u, target=u.cctx.shift(F)), v)
 
 
-def interior(ustar: DualElt, w: CliffElt) -> CliffElt:
-    """The action of the exterior algebra of the dual: a wedge of linear
-    forms acts as the composition of their contractions (leftmost form
-    outermost), extended linearly.  That is the word action with the
-    identity rows and no wedge part."""
-    same_context(ustar.ctx, w.cctx.ctx)
+def interior(ustar: CliffElt, w: CliffElt) -> CliffElt:
+    """The action of the exterior algebra of the dual, given as an
+    exterior-algebra element over the same space (e_i standing for
+    e_i*): a wedge of linear forms acts as the composition of their
+    contractions (leftmost form outermost), extended linearly.  That is
+    the word action with the identity rows and no wedge part."""
+    if not ustar.cctx.is_exterior():
+        raise FormError("interior expects an exterior-algebra element")
+    same_context(ustar.cctx.ctx, w.cctx.ctx)
     n = w.cctx.dim
     identity = [[int(i == j) for j in range(n)] for i in range(n)]
     return CliffElt(w.cctx, _operate(w.cctx.field, identity, ustar.terms, w.terms, wedge=False))
@@ -586,13 +551,15 @@ def exp_contract(astar: DualTwoForm, w: CliffElt) -> CliffElt:
         raise CharacteristicError(
             "exponential of a contraction needs characteristic 0; "
             "use deform with the alternating form instead")
-    op = DualElt.from_two_form(astar)
-    series = power = DualElt.unit(astar.ctx)
+    n = astar.ctx.dim
+    wedge = [[0] * n] * n  # B = 0: the product of the exterior algebra
+    op = {(i, j): c for i in range(1, n) for j in range(i + 1, n + 1) if (c := astar.at(i, j))}
+    series = power = {(): field.one}
     k = 1
-    while power := (field.one / field(k)) * (power * op):
-        series = series + power
+    while power := {b: c / k for b, c in _operate(field, wedge, power, op).items()}:
+        series.update(power)  # the k-th power has grade 2k, so no key repeats
         k += 1
-    return interior(series, w)
+    return interior(CliffElt(CliffordContext.exterior(astar.ctx), series), w)
 
 
 def _half_polar(cctx: CliffordContext) -> BilinearForm:

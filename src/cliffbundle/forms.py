@@ -119,10 +119,6 @@ class LinearForm:
             raise FormError(f"linear form needs {ctx.dim} coefficients")
         return cls(ctx, coeffs)
 
-    @classmethod
-    def dual_basis(cls, ctx: AlgebraContext, i: int) -> "LinearForm":
-        return cls(ctx, tuple(ctx.field(1 if j == i - 1 else 0) for j in range(ctx.dim)))
-
     def at(self, i: int) -> Scalar:
         return self.coeffs[i - 1]
 
@@ -172,10 +168,6 @@ class BilinearForm:
                 if yj and row[j]:
                     acc = acc + xi * row[j] * yj
         return acc
-
-    def row_form(self, i: int) -> LinearForm:
-        """The linear form F(e_i, .) -- row i, 1-based."""
-        return LinearForm(self.ctx, self.rows[i - 1])
 
     def partial_left(self, x: Vector) -> LinearForm:
         """The linear form F(x, .)."""

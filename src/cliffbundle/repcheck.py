@@ -21,29 +21,14 @@ import random
 from fractions import Fraction
 
 from . import linalg
-from .clifford import CliffElt, CliffordContext, _act, _actions, _word_sum
+from .clifford import (CliffElt, CliffordContext, _act, _actions, _word_sum,
+                       index_subset, subset_index)
 from .errors import CapExceeded, FormError
 from .forms import AlgebraContext, BilinearForm, quad_of_bilinear, same_context
 from .records import record
 from .scalars import Scalar, raw_rows, scaled_ints
 
 _REP_DIM_LIMIT = 12
-
-
-def subset_index(blade) -> int:
-    """Bitmask index of a strictly increasing subset, S -> sum 2^(i-1)."""
-    return sum(1 << (i - 1) for i in blade)
-
-
-def index_subset(k: int) -> tuple:
-    out = []
-    i = 1
-    while k:
-        if k & 1:
-            out.append(i)
-        k >>= 1
-        i += 1
-    return tuple(out)
 
 
 def cliff_to_vec(w: CliffElt):

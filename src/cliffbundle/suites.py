@@ -13,7 +13,7 @@ from itertools import permutations
 
 from . import linalg
 from .checks import check
-from .clifford import (CliffElt, CliffordContext, DualElt, contract as cl_contract,
+from .clifford import (CliffElt, CliffordContext, contract as cl_contract,
                        contract_vec as cl_contract_vec, deform, deform_apply,
                        exp_contract, interior, quantize, quotient_map, symbol,
                        twisted_mul)
@@ -601,22 +601,25 @@ def _twist_vec(rng, samples, field, dim, t):
 @check("interior.action")
 def _interior_action(rng, samples, field, dim, t):
     ctx = AlgebraContext(dim, field)
+    ext = CliffordContext.exterior(ctx)
     for _ in range(samples):
         bad, need = _collect()
         cctx = CliffordContext(rand_quadratic(rng, ctx))
         w = rand_cliff(rng, cctx)
         f = rand_linear_form(rng, ctx)
         g = rand_linear_form(rng, ctx)
-        fe = DualElt.from_linear(f)
-        ge = DualElt.from_linear(g)
+        fe = CliffElt.from_vector(ext, Vector(ctx, f.coeffs))
+        ge = CliffElt.from_vector(ext, Vector(ctx, g.coeffs))
         need(interior(fe * ge, w) == interior(fe, interior(ge, w)),
              "wedge does not act as composed contractions")
         astar = rand_dual_two_form(rng, ctx)
         a = alt_of_dual(astar)
         x = rand_vector(rng, ctx)
         xe = CliffElt.from_vector(cctx, x)
-        lhs = interior(DualElt.from_two_form(astar), xe * w)
-        rhs = xe * interior(DualElt.from_two_form(astar), w) + cl_contract_vec(a, x, w)
+        two = CliffElt(ext, {(i, j): astar.at(i, j)
+                             for i in range(1, dim) for j in range(i + 1, dim + 1)})
+        lhs = interior(two, xe * w)
+        rhs = xe * interior(two, w) + cl_contract_vec(a, x, w)
         need(lhs == rhs, "two-form interior does not satisfy the product rule")
         t.sample(bad)
 

@@ -6,19 +6,22 @@ provides left multiplication by vectors, contraction by linear forms
 to a bilinear form, their divided-power pieces, and the grade involution
 and reversal (anti-)automorphisms.
 
-The deformations run on the integer kernel of clifford.py with words
-as its keys: the letter i acts by e_i (x) plus the contraction by
+The operators run on the integer kernel of clifford.py with words as
+its keys: the letter i acts by e_i (x) plus the contraction by
 F(e_i, .), which removes the letter at position t with the sign
-(-1)^t.  deform is u acting on the unit, deform_apply is u acting on v,
-and a divided power is a grade part of deform.
+(-1)^t.  left_mul is x acting with F = 0, contract is the letter 1
+acting with f as the only row of F and no e_i (x) part, deform is u
+acting on the unit, deform_apply is u acting on v, and a divided power
+is a grade part of deform.  The elements share their sparse arithmetic
+with CliffElt.
 """
 
 from __future__ import annotations
 
-from .clifford import _act_word, _apply
+from .clifford import _Sparse, _act_word, _apply
 from .errors import CapExceeded, FormError, ParseError
 from .forms import AlgebraContext, BilinearForm, LinearForm, Vector, same_context
-from .scalars import Scalar, excerpt, raw_rows, shaped
+from .scalars import excerpt, raw_rows, shaped
 
 
 def _check_grade(ctx: AlgebraContext, length: int):
@@ -26,66 +29,38 @@ def _check_grade(ctx: AlgebraContext, length: int):
         raise CapExceeded(f"word of length {length} exceeds the grade cap {ctx.grade_cap}")
 
 
-class TensorElt:
+def _checked_word(ctx: AlgebraContext, word) -> tuple:
+    """word as a tuple, if its letters are in 1..n and its length is
+    within the grade cap."""
+    word = tuple(word)
+    for i in word:
+        if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= ctx.dim:
+            raise FormError(f"word index {excerpt(i)} out of range 1..{ctx.dim}")
+    _check_grade(ctx, len(word))
+    return word
+
+
+class TensorElt(_Sparse):
     """A sparse element of the tensor algebra: finite map word -> scalar."""
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ()
+    ctx = _Sparse._home
+    _key_text = ("[", ", ", "]")
 
-    def __init__(self, ctx: AlgebraContext, terms=None):
-        self.ctx = ctx
-        clean = {}
-        if terms:
-            for word, coeff in terms.items():
-                if coeff:
-                    clean[word] = coeff
-        self.terms = clean
-
-    @classmethod
-    def zero(cls, ctx: AlgebraContext) -> "TensorElt":
-        return cls(ctx)
-
-    @classmethod
-    def unit(cls, ctx: AlgebraContext) -> "TensorElt":
-        return cls(ctx, {(): ctx.field.one})
+    def _same(self, other: "TensorElt"):
+        same_context(self.ctx, other.ctx)
 
     @classmethod
     def from_word(cls, ctx: AlgebraContext, word, coeff=1) -> "TensorElt":
-        word = tuple(word)
-        for i in word:
-            if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= ctx.dim:
-                raise FormError(f"word index {excerpt(i)} out of range 1..{ctx.dim}")
-        _check_grade(ctx, len(word))
-        return cls(ctx, {word: ctx.coerce(coeff)})
+        return cls(ctx, {_checked_word(ctx, word): ctx.coerce(coeff)})
 
     @classmethod
     def from_vector(cls, x: Vector) -> "TensorElt":
         return cls(x.ctx, {(i + 1,): c for i, c in enumerate(x.coeffs) if c})
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElt):
-            return NotImplemented
-        return self.ctx == other.ctx and self.terms == other.terms
-
-    def __add__(self, other: "TensorElt") -> "TensorElt":
-        same_context(self.ctx, other.ctx)
-        out = dict(self.terms)
-        for word, coeff in other.terms.items():
-            cur = out.get(word)
-            out[word] = coeff if cur is None else cur + coeff
-        return TensorElt(self.ctx, out)
-
-    def __sub__(self, other: "TensorElt") -> "TensorElt":
-        return self + (-other)
-
-    def __neg__(self) -> "TensorElt":
-        return TensorElt(self.ctx, {w: -c for w, c in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, TensorElt):
-            same_context(self.ctx, other.ctx)
+            self._same(other)
             out = {}
             for wa, ca in self.terms.items():
                 for wb, cb in other.terms.items():
@@ -95,29 +70,10 @@ class TensorElt:
                     cur = out.get(word)
                     out[word] = c if cur is None else cur + c
             return TensorElt(self.ctx, out)
-        if isinstance(other, (Scalar, int)):
-            s = self.ctx.coerce(other)
-            return TensorElt(self.ctx, {w: c * s for w, c in self.terms.items()})
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (Scalar, int)):
-            return self * other
-        return NotImplemented
-
-    def coeff(self, word) -> Scalar:
-        return self.terms.get(tuple(word), self.ctx.field.zero)
-
-    def grade_part(self, p: int) -> "TensorElt":
-        return TensorElt(self.ctx, {w: c for w, c in self.terms.items() if len(w) == p})
+        return super().__mul__(other)
 
     def max_grade(self) -> int:
         return max((len(w) for w in self.terms), default=0)
-
-    def grade_involution(self) -> "TensorElt":
-        """Sign (-1)^p on each grade-p component."""
-        return TensorElt(self.ctx, {
-            w: (c if len(w) % 2 == 0 else -c) for w, c in self.terms.items()})
 
     def reverse(self) -> "TensorElt":
         """Word reversal, the involutive anti-automorphism."""
@@ -128,63 +84,45 @@ class TensorElt:
             out[rw] = c if cur is None else cur + c
         return TensorElt(self.ctx, out)
 
-    def __repr__(self):
-        if not self.terms:
-            return "TensorElt(0)"
-        bits = []
-        for w in sorted(self.terms, key=lambda t: (len(t), t)):
-            bits.append(f"{self.terms[w]}*{list(w)}")
-        return "TensorElt(" + " + ".join(bits) + ")"
-
     def to_json(self) -> dict:
-        words = sorted(self.terms, key=lambda t: (len(t), t))
-        return {"terms": [{"word": list(w), "coeff": str(self.terms[w])} for w in words]}
+        return {"terms": [{"word": list(w), "coeff": str(self.terms[w])}
+                          for w in self._sorted_keys()]}
 
     @classmethod
     def from_json(cls, ctx: AlgebraContext, data: dict) -> "TensorElt":
-        out = cls.zero(ctx)
+        out = {}
         for term in shaped(shaped(data, dict, "element")["terms"], list, "terms"):
             shaped(term, dict, "terms entry")
+            word = shaped(term["word"], list, "word")
+            c = ctx.field.parse(term["coeff"])
             try:
-                word = cls.from_word(ctx, shaped(term["word"], list, "word"),
-                                     ctx.field.parse(term["coeff"]))
+                word = _checked_word(ctx, word)
             except FormError as exc:
                 raise ParseError(str(exc)) from None
-            out = out + word
-        return out
+            cur = out.get(word)
+            out[word] = c if cur is None else cur + c
+        return cls(ctx, out)
 
 
 def left_mul(x: Vector, u: TensorElt) -> TensorElt:
-    """Left multiplication by a vector: u -> x (x) u."""
+    """Left multiplication by a vector, u -> x (x) u: the word action of
+    the one-letter words of x with zero rows."""
     same_context(x.ctx, u.ctx)
-    out = {}
-    for i, xc in enumerate(x.coeffs):
-        if not xc:
-            continue
-        for word, c in u.terms.items():
-            nw = (i + 1,) + word
-            _check_grade(u.ctx, len(nw))
-            t = xc * c
-            cur = out.get(nw)
-            out[nw] = t if cur is None else cur + t
-    return TensorElt(u.ctx, out)
+    letters = {(i + 1,): c for i, c in enumerate(x.coeffs) if c}
+    if letters and u.terms:
+        _check_grade(u.ctx, u.max_grade() + 1)
+    n = u.ctx.dim
+    return TensorElt(u.ctx, _apply(_act_word, u.ctx.field, [[0] * n] * n, letters, u.terms))
 
 
 def contract(f: LinearForm, u: TensorElt) -> TensorElt:
     """The antiderivation attached to a linear form: kills the unit,
-    satisfies i_f(x (x) u) = f(x) u - x (x) i_f(u), lowers grade by 1."""
+    satisfies i_f(x (x) u) = f(x) u - x (x) i_f(u), lowers grade by 1.
+    That is the word (1,) acting with f as its only row and no wedge
+    part."""
     same_context(f.ctx, u.ctx)
-    out = {}
-    for word, c in u.terms.items():
-        for pos, idx in enumerate(word):
-            fv = f.coeffs[idx - 1]
-            if not fv:
-                continue
-            t = c * fv if pos % 2 == 0 else -(c * fv)
-            rest = word[:pos] + word[pos + 1:]
-            cur = out.get(rest)
-            out[rest] = t if cur is None else cur + t
-    return TensorElt(u.ctx, out)
+    return TensorElt(u.ctx, _apply(_act_word, u.ctx.field, raw_rows((f.coeffs,)),
+                                   {(1,): u.ctx.field.one}, u.terms, wedge=False))
 
 
 def contract_vec(F: BilinearForm, x: Vector, u: TensorElt) -> TensorElt:
@@ -232,6 +170,7 @@ def divided_power(F: BilinearForm, k: int, u: TensorElt) -> TensorElt:
     out = {}
     for grade in {len(w) for w in u.terms if len(w) >= 2 * k}:
         part = {w: c for w, c in u.terms.items() if len(w) == grade}
-        out.update((w, c) for w, c in _apply(_act_word, u.ctx.field, rows, part, unit).items()
+        out.update((w, c) for w, c in _apply(_act_word, u.ctx.field, rows, part, unit,
+                                             pairs=k).items()
                    if len(w) == grade - 2 * k)
     return TensorElt(u.ctx, out)

@@ -3,7 +3,8 @@
 Everything here is written from the combinatorial definitions, on
 purpose sharing no code with the package: matching sums for the
 Pfaffian, the pair-contraction expansion for the deformation operator
-on words (on raw values, signs by counting inversions), permutation
+on words (on raw values, signs by counting inversions), letter-by-letter
+loops for the tensor contraction and left multiplication, permutation
 sums for quantization and determinants, and bubble-sorting words with
 the defining relations for Clifford products; and textbook
 Gauss-Jordan elimination and matrix products on plain Fractions or
@@ -117,9 +118,36 @@ def pair_sum(F, p, u, v, k=None):
                     coeff *= F[word[i] - 1][word[j] - 1]
                 key = tuple(word[pos] for pos in rest)
                 out[key] = out.get(key, 0) + coeff
+    return _nonzero(out, p)
+
+
+def _nonzero(out, p):
+    """out reduced mod p when p > 0, zeros dropped."""
     if p:
         return {w: c % p for w, c in out.items() if c % p}
     return {w: c for w, c in out.items() if c}
+
+
+def contract_loop(f, u, p):
+    """The contraction of the words of u by the linear form with values
+    f (f[i - 1] at e_i), on raw values: the letter at position t is
+    removed, weighted by f of it and the sign (-1)^t."""
+    out = {}
+    for word, c in u.items():
+        for t, letter in enumerate(word):
+            rest = word[:t] + word[t + 1:]
+            out[rest] = out.get(rest, 0) + (-1) ** t * f[letter - 1] * c
+    return _nonzero(out, p)
+
+
+def left_mul_loop(x, u, p):
+    """x (x) u on raw values: the letter i prepended to every word of u,
+    weighted by x[i - 1]."""
+    out = {}
+    for i, a in enumerate(x, start=1):
+        for word, c in u.items():
+            out[(i,) + word] = out.get((i,) + word, 0) + a * c
+    return _nonzero(out, p)
 
 
 def raw_terms(elt):

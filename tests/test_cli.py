@@ -407,3 +407,28 @@ def test_cli_import_starts_lean():
     assert "cliffbundle.suites" not in loaded
     assert report["checks"] == 46
     assert report["suites"]
+
+
+TRACER_INSTALL = """\
+import sys
+sys.path.insert(0, "bench")
+import tracer
+tracer.Tracer().install()
+"""
+
+
+def test_tracer_installs():
+    """bench/tracer.py wraps methods found in a class's own body:
+    CliffElt.__mul__, and from_json and to_json of both element classes.
+    One inherited from their shared base would make install raise
+    KeyError."""
+    proc = subprocess.run([sys.executable, "-c", TRACER_INSTALL], capture_output=True,
+                          text=True, timeout=120, env=_package_env(),
+                          cwd=Path(__file__).resolve().parent.parent)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_public_names_resolve():
+    names = cliffbundle.__all__
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(cliffbundle, name)] == []

@@ -9,12 +9,12 @@ from itertools import combinations
 import pytest
 
 from cliffbundle import (AlgebraContext, BilinearForm, CharacteristicError,
-                         CliffElt, CliffordContext, DualElt, Field, FormError,
-                         QuadraticForm, RATIONALS, TensorElt,
-                         clifford_contract, clifford_contract_vec, contract,
-                         deform, deform_apply, dual_two_form, exp_contract,
-                         interior, quantize, quotient_map, symbol,
-                         twisted_mul)
+                         CliffElt, CliffordContext, ContextMismatch,
+                         DualTwoForm, Field, FormError, QuadraticForm,
+                         RATIONALS, TensorElt, Vector, clifford_contract,
+                         clifford_contract_vec, contract, deform,
+                         deform_apply, dual_two_form, exp_contract, interior,
+                         quantize, quotient_map, symbol, twisted_mul)
 from cliffbundle.sampling import (rand_alternating, rand_bilinear, rand_cliff,
                                   rand_dual_two_form, rand_linear_form,
                                   rand_quadratic, rand_scalar, rand_tensor,
@@ -117,7 +117,8 @@ def test_kernel_matches_oracles(field):
             == deform_sum(F, q, word_sum(qs, _pairs(w.terms, back_v)))
         assert twisted_mul(F, u, v).terms \
             == deform_sum(F, q, word_sum(qs, _pairs(back_u, back_v)))
-        f, g = (DualElt(ctx, _blade_terms(rng, field, n, count or 6)) for _ in range(2))
+        ext = CliffordContext.exterior(ctx)
+        f, g = (CliffElt(ext, _blade_terms(rng, field, n, count or 6)) for _ in range(2))
         assert interior(f, u).terms == interior_sum(f.terms, u.terms, field.zero)
         assert (f * g).terms == word_sum(QuadraticForm.zero(ctx), _pairs(f.terms, g.terms))
         if field.char == 0:
@@ -180,7 +181,7 @@ def test_kernel_cancels_to_zero(field):
     cctx = CliffordContext(QuadraticForm.make(ctx, [q1, q2, 1, _coeff(rng, field)], upper))
     x = CliffElt(cctx, {(1,): a, (2,): b})
     assert (x * x).terms == word_sum(cctx.quadratic, _pairs(x.terms, x.terms)) == {}
-    f = DualElt(ctx, {(1,): a, (2,): b, (4,): q1})
+    f = CliffElt(CliffordContext.exterior(ctx), {(1,): a, (2,): b, (4,): q1})
     assert (f * f).terms == {}
 
 
@@ -313,10 +314,15 @@ def test_twisted_product_associative():
             == twisted_mul(F, u, twisted_mul(F, v, w))
 
 
+def _dual(f):
+    """A linear form as a grade-1 element of the exterior algebra."""
+    return CliffElt.from_vector(CliffordContext.exterior(f.ctx), Vector(f.ctx, f.coeffs))
+
+
 def test_dual_wedge_antisymmetry():
     ctx = AlgebraContext(3, RATIONALS)
-    f = DualElt.from_linear(rand_linear_form(random.Random(1), ctx))
-    g = DualElt.from_linear(rand_linear_form(random.Random(2), ctx))
+    f = _dual(rand_linear_form(random.Random(1), ctx))
+    g = _dual(rand_linear_form(random.Random(2), ctx))
     assert f * g == -(g * f)
     assert not (f * f)
 
@@ -327,9 +333,39 @@ def test_interior_composes():
     for _ in range(20):
         cctx = CliffordContext(rand_quadratic(rng, ctx))
         w = rand_cliff(rng, cctx)
-        f = DualElt.from_linear(rand_linear_form(rng, ctx))
-        g = DualElt.from_linear(rand_linear_form(rng, ctx))
+        f = _dual(rand_linear_form(rng, ctx))
+        g = _dual(rand_linear_form(rng, ctx))
         assert interior(f * g, w) == interior(f, interior(g, w))
+
+
+@pytest.mark.parametrize("field", (Field(2), Field(3), Field(7), RATIONALS),
+                         ids=lambda f: f.spec)
+def test_interior_takes_exterior_elements(field):
+    """interior reads an exterior-algebra element as one of the dual:
+    the unit acts as the identity, zero and anything on zero give zero,
+    a one-form acts as its contraction, and an element of another
+    algebra or dimension is refused."""
+    rng = random.Random(26)
+    ctx = AlgebraContext(4, field)
+    ext = CliffordContext.exterior(ctx)
+    cctx = CliffordContext(rand_quadratic(rng, ctx))
+    w = rand_cliff(rng, cctx)
+    f = rand_linear_form(rng, ctx)
+    two = CliffElt(ext, _blade_terms(rng, field, 4, 5))
+    assert interior(CliffElt.unit(ext), w) == w
+    assert interior(CliffElt.zero(ext), w) == CliffElt.zero(cctx)
+    assert interior(two, CliffElt.zero(cctx)) == CliffElt.zero(cctx)
+    assert interior(_dual(f), w) == clifford_contract(f, w)
+    assert interior(two, w).terms == interior_sum(two.terms, w.terms, field.zero)
+    assert not cctx.is_exterior()
+    with pytest.raises(FormError, match="exterior-algebra element"):
+        interior(w, w)
+    with pytest.raises(ContextMismatch):
+        interior(CliffElt.unit(CliffordContext.exterior(AlgebraContext(3, field))), w)
+    if field.char == 0:
+        assert exp_contract(DualTwoForm.zero(ctx), w) == w
+        assert exp_contract(dual_two_form(rand_alternating(rng, ctx)), CliffElt.zero(cctx)) \
+            == CliffElt.zero(cctx)
 
 
 def test_exp_contract_is_deformation():

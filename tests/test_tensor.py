@@ -13,7 +13,7 @@ from cliffbundle import (AlgebraContext, BilinearForm, CapExceeded, Field,
 from cliffbundle.sampling import (rand_alternating, rand_bilinear,
                                   rand_linear_form, rand_tensor)
 
-from oracles import deform_word_pairs, pair_sum, raw_terms
+from oracles import contract_loop, deform_word_pairs, left_mul_loop, pair_sum, raw_terms
 
 FIELDS = (RATIONALS, Field(2), Field(7))
 # rationals with distinct denominators, so that a lost weight or
@@ -162,10 +162,52 @@ def test_deform_apply_matches_pair_sum():
 
 
 def test_divided_power_matches_pair_sum():
-    for ctx, F, raw, u, _ in _raw_cases(31, 5, 0):
-        for k in range(4):
+    for ctx, F, raw, u, _ in _raw_cases(31, 8, 0):
+        for k in range(5):
             got = divided_power(F, k, _tensor(ctx, u))
             assert raw_terms(got) == pair_sum(raw, ctx.field.char, u, {(): 1}, k)
+
+
+@pytest.mark.parametrize("field", (RATIONALS, Field(2), Field(3), Field(7)),
+                         ids=lambda f: f.spec)
+def test_contract_and_left_mul_match_loops(field):
+    """contract and left_mul, both word actions on the kernel, against
+    plain loops: random words with repeated letters, the unit and zero,
+    forms with zero entries, and x = 0."""
+    rng = random.Random(33)
+    p = field.char
+
+    def coeff():
+        return rng.choice(Q_COEFFS) if p == 0 else rng.randrange(1, p)
+
+    for n in (1, 2, 3, 5):
+        ctx = AlgebraContext(n, field)
+        for _ in range(10):
+            words = {tuple(rng.randint(1, n) for _ in range(rng.randint(0, 6))): coeff()
+                     for _ in range(4)}
+            f = [coeff() if rng.random() < 0.8 else 0 for _ in range(n)]
+            for raw in (words, {(): 1}, {}):
+                u = _tensor(ctx, raw)
+                assert raw_terms(contract(LinearForm.make(ctx, f), u)) \
+                    == contract_loop(f, raw, p)
+                for x in (f, [0] * n):
+                    assert raw_terms(left_mul(Vector.make(ctx, x), u)) \
+                        == left_mul_loop(x, raw, p)
+
+
+def test_left_mul_grade_cap():
+    """left_mul refuses only a nonzero x on a nonzero u whose longest
+    word is at the cap."""
+    ctx = AlgebraContext(2, Field(3), grade_cap=4)
+    one = ctx.field.one
+    x = Vector.basis(ctx, 1)
+    below = TensorElt(ctx, {(1, 2, 1): one, (2,): one})
+    assert left_mul(x, below) == TensorElt(ctx, {(1, 1, 2, 1): one, (1, 2): one})
+    at_cap = TensorElt(ctx, {(1, 2, 1, 2): one, (2,): one})
+    with pytest.raises(CapExceeded, match="length 5"):
+        left_mul(x, at_cap)
+    assert not left_mul(Vector.zero(ctx), at_cap)
+    assert not left_mul(x, TensorElt.zero(ctx))
 
 
 def test_deformations_grade_cap():
@@ -195,7 +237,8 @@ def test_deform_apply_word_by_word():
         v = rand_tensor(rng, ctx)
         x = TensorElt.from_word(ctx, (2,))
         got = tensor_deform_apply(F, x, v)
-        expected = left_mul(Vector.basis(ctx, 2), v) + contract(F.row_form(2), v)
+        e2 = Vector.basis(ctx, 2)
+        expected = left_mul(e2, v) + contract(F.partial_left(e2), v)
         assert got == expected
 
 
@@ -250,6 +293,27 @@ def test_contract_vec_uses_rows():
     direct = contract_vec(F, x, u)
     via_form = contract(F.partial_left(x), u)
     assert direct == via_form
+
+
+def test_tensor_json_parse_sums_in_one_map(monkeypatch):
+    """Parsing sums repeated words and cancels opposite ones, and hands
+    TensorElt one map for the whole request: the entries its
+    constructor receives grow with the terms, not with their square."""
+    ctx = AlgebraContext(6, RATIONALS)
+    words = [[a, b, c] for a in range(1, 7) for b in range(1, 7) for c in range(1, 7)]
+    terms = [{"word": w, "coeff": k} for k in ("1", "2") for w in words]
+    terms += [{"word": [2], "coeff": "1/3"}, {"word": [2], "coeff": "-1/3"}]
+    sizes = []
+    init = TensorElt.__init__
+
+    def counting(self, ctx, terms=None):
+        sizes.append(len(terms or {}))
+        init(self, ctx, terms)
+
+    monkeypatch.setattr(TensorElt, "__init__", counting)
+    u = TensorElt.from_json(ctx, {"terms": terms})
+    assert u.terms == {tuple(w): ctx.field(3) for w in words}
+    assert sum(sizes) <= len(terms)
 
 
 def test_tensor_json_round_trip():
