@@ -1,18 +1,21 @@
 """Named identity suites, addressable by stable string identifiers.
 
 The registry maps each id to a suite and its default dimension, field
-and sample count.  The suites themselves live in suites.py, which the
-registry loads on first use, so a request that runs no suite does not
-compile them.  One sample tallies as one attempt, so passed + failed ==
-samples.  The CLI exposes the registry through the `check` subcommand;
-the test suite drives the same functions.
+and sample count, and for a suite whose cost grows steeply with the
+dimension, the largest dimension it runs at; a larger one is refused
+with CapExceeded before any sample runs.  The suites themselves live
+in suites.py, which the registry loads on first use, so a request that
+runs no suite does not compile them.  One sample tallies as one
+attempt, so passed + failed == samples.  The CLI exposes the registry
+through the `check` subcommand; the test suite drives the same
+functions.
 """
 
 from __future__ import annotations
 
 import random
 
-from .errors import ParseError
+from .errors import CapExceeded, ParseError
 from .records import record
 from .scalars import Field, excerpt
 
@@ -57,9 +60,10 @@ class CheckResult:
 _REGISTRY = {}
 
 
-def check(check_id: str, dim: int = 4, field: str = "Q", samples: int = 25):
+def check(check_id: str, dim: int = 4, field: str = "Q", samples: int = 25,
+          max_dim: int | None = None):
     def deco(fn):
-        _REGISTRY[check_id] = (fn, dim, field, samples)
+        _REGISTRY[check_id] = (fn, dim, field, samples, max_dim)
         return fn
     return deco
 
@@ -77,7 +81,7 @@ def list_checks():
 def run_check(check_id: str, seed: int = 0, samples: int | None = None,
               field: Field | str | None = None, dim: int | None = None) -> CheckResult:
     try:
-        fn, ddim, dfield, dsamples = _registry()[check_id]
+        fn, ddim, dfield, dsamples, max_dim = _registry()[check_id]
     except KeyError:
         raise ParseError(f"unknown check id {excerpt(check_id)}; see the check list") from None
     if field is None:
@@ -85,6 +89,8 @@ def run_check(check_id: str, seed: int = 0, samples: int | None = None,
     elif isinstance(field, str):
         field = Field.from_spec(field)
     dim = ddim if dim is None else dim
+    if max_dim is not None and dim > max_dim:
+        raise CapExceeded(f"check {check_id} runs at dim <= {max_dim}, got {dim}")
     samples = dsamples if samples is None else samples
     if samples < 0:
         raise ParseError(f"samples must be >= 0, got {samples}")

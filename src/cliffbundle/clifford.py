@@ -14,14 +14,16 @@ Clifford algebra of x -> B(x, x).  With the lower-triangular form G_Q
 e_S acts on the unit as e_S . 1 = e_S, so an element's coordinates are
 those of its image in the exterior algebra, in every characteristic.
 Each operation is then one sum of word actions, or for deform the
-product of pair contractions that w . 1 reduces to (see deform):
+product of pair contractions that w . 1 reduces to (see deform), or
+for interior one submask sum (see _contract_by):
 
     u * v                   u . v    B = G_Q
     deform(F, w)            prod over i < j of (1 + F_ij i_j i_i) w
     deform_apply(F, u, v)   u . v    B = G_Q + F, Q of v
     quotient_map(u)         u . 1    B = G_Q, the keys of u are words
     f * g, Q = 0            f . g    B = 0, the wedge
-    interior(f, w)          f . w    B = identity, no wedge part
+    interior(f, w)          sum over S inside M of f_S w_M (-1)^|M & L_S|
+                            at M - S, L_S the bits below those of S
 
 and the representation matrices of repcheck are columns of such sums:
 rho_matrix(F, u) has column S = u . e_S (B = F), twist_matrix(A) has
@@ -49,12 +51,14 @@ integer operator d e_i ^ + contraction by d B(e_i, .), u and v are
 scaled to integers by their common denominators, and the sum is
 divided once at the end.  Forms enter as the raw values of their
 Scalars, and Scalars are read when a call enters the kernel and built
-when it leaves.
+when it leaves; blades become masks there and masks blades again
+through one table (see _table).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 from .errors import CharacteristicError, ContextMismatch, FormError, ParseError
 from .forms import (AlgebraContext, BilinearForm, DualTwoForm, Field, LinearForm,
@@ -108,9 +112,36 @@ class CliffordContext:
         return cls(QuadraticForm.from_json(AlgebraContext.from_json(data), data["quadratic"]))
 
 
+# The blade table: the blades of the masks below 2^k, by mask, and the
+# masks of those blades, by blade, for the largest k asked for so far,
+# at most _TABLE_BITS.  A larger k rebinds the pair whole; a published
+# pair is never changed, so a reader needs no lock.
+_TABLE_BITS = 12
+_TABLE = ((),), {(): 0}
+
+
+def _table(bits: int) -> tuple:
+    """The blade table covering the masks below 2^bits, bits <= _TABLE_BITS."""
+    global _TABLE
+    blades = _TABLE[0]
+    if len(blades) >> bits:
+        return _TABLE
+    for i in range(len(blades).bit_length(), bits + 1):
+        blades += tuple(b + (i,) for b in blades)
+    _TABLE = blades, {b: m for m, b in enumerate(blades)}
+    return _TABLE
+
+
 def subset_index(blade) -> int:
     """Bitmask index of a strictly increasing subset, S -> sum 2^(i-1):
-    the kernel's key for a blade, and its row and column in repcheck."""
+    the kernel's key for a blade, and its row and column in repcheck.
+    A blade of the table is looked up; any other iterable of indices
+    (a list, a tuple past the table, a non-increasing tuple) is summed
+    bit by bit."""
+    if type(blade) is tuple:
+        m = _TABLE[1].get(blade)
+        if m is not None:
+            return m
     m = 0
     for i in blade:
         m |= 1 << (i - 1)
@@ -118,15 +149,38 @@ def subset_index(blade) -> int:
 
 
 def index_subset(m: int) -> tuple:
-    """The blade of a bitmask index, the inverse of subset_index."""
-    out = []
-    i = 1
-    while m:
-        if m & 1:
-            out.append(i)
-        m >>= 1
-        i += 1
-    return tuple(out)
+    """The blade of a bitmask index, the inverse of subset_index: read
+    from the blade table, _TABLE_BITS bits at a time."""
+    blades = _TABLE[0]
+    if 0 <= m < len(blades):
+        return blades[m]
+    if m < 0:
+        raise ValueError(f"a bitmask index is nonnegative, got {m}")
+    if m >> _TABLE_BITS:
+        high = index_subset(m >> _TABLE_BITS)
+        return (index_subset(m & ((1 << _TABLE_BITS) - 1))
+                + tuple(i + _TABLE_BITS for i in high))
+    return _table(m.bit_length())[0][m]
+
+
+def _below(s: int) -> int:
+    """L_S, the XOR over the bits b of the mask s of the bits below b:
+    contracting a blade M by e*_S carries the sign (-1)^|M & L_S|."""
+    low = 0
+    while s:
+        b = s & -s
+        low ^= b - 1
+        s ^= b
+    return low
+
+
+def _scalars(field: Field, keys, values, den: int) -> dict:
+    """The kernel's exit: the nonzero raw values as Scalars at their
+    keys; over GF(p) reduced mod p, over Q divided by den."""
+    p = field.char
+    if p:
+        return {k: Scalar(field, r) for k, x in zip(keys, values) if (r := x % p)}
+    return {k: Scalar(field, Fraction(x, den)) for k, x in zip(keys, values) if x}
 
 
 def _reduced(out: dict, p: int) -> dict:
@@ -199,25 +253,30 @@ def _word_sum(act, actions: tuple, p: int, u_terms: dict, v: dict, pairs=None) -
     are scaled to integers by their common denominators, u_S is
     weighted by d^(m - |S|), m the longest word of u, and den is those
     denominators times d^m.  Over GF(p) the map is unreduced and den
-    is 1.  With pairs given (words as keys, v the unit), each e_S . 1
-    drops its terms with more than pairs contractions, the keys shorter
-    than |S| - 2 pairs, since later letters only add contractions."""
+    is 1.  With pairs given (words as keys, v the unit, every word of u
+    of length m), each e_S . 1 keeps only the terms that can end with
+    exactly pairs contractions: a key of length l has (|S| - l) / 2 of
+    them, later letters only add contractions, and the m - |S| letters
+    still to act add at most one each, so |S| - 2 pairs <= l <=
+    2 (m - pairs) - |S|."""
     acts, scale, d = actions
     vnum, dv = scaled_ints(list(v.values()))
     memo = {(): dict(zip(v, vnum))}
+    unum, du = scaled_ints([c.value for c in u_terms.values()])
+    top = max(map(len, u_terms), default=0)
 
     def on_v(word):
         got = memo.get(word)
         if got is None:
             bit, row = acts[word[0] - 1]
             got = act(bit, scale, row, p, on_v(word[1:]))
-            if pairs is not None and (least := len(word) - 2 * pairs) > 0:
-                got = {k: c for k, c in got.items() if len(k) >= least}
+            if pairs is not None:
+                least, most = len(word) - 2 * pairs, 2 * (top - pairs) - len(word)
+                if least > 0 or most < len(word):
+                    got = {k: c for k, c in got.items() if least <= len(k) <= most}
             memo[word] = got
         return got
 
-    unum, du = scaled_ints([c.value for c in u_terms.values()])
-    top = max(map(len, u_terms), default=0)
     out = {}
     get = out.get
     for word, c in zip(u_terms, unum):
@@ -228,25 +287,22 @@ def _word_sum(act, actions: tuple, p: int, u_terms: dict, v: dict, pairs=None) -
     return out, du * dv * d ** top
 
 
-def _apply(act, field: Field, rows, u_terms: dict, v_terms: dict, wedge: bool = True,
+def _apply(field: Field, rows, u_terms: dict, v_terms: dict, wedge: bool = True,
            pairs=None) -> dict:
-    """The sum over the words S of u of u_S (e_S . v), where e_i acts by
-    e_i ^ w (unless wedge is off) plus the contraction by rows[i - 1],
-    on the keys of act; pairs as in _word_sum.  Scalars are read at
-    entry and built at exit; in between, coefficients are ints."""
-    p = field.char
-    out, den = _word_sum(act, _actions(rows, wedge), p, u_terms,
+    """The sum over the words S of u of u_S (e_S . v) on words, where
+    e_i acts by e_i (x) w (unless wedge is off) plus the contraction by
+    rows[i - 1]; pairs as in _word_sum.  Scalars are read at entry and
+    built at exit; in between, coefficients are ints."""
+    out, den = _word_sum(_act_word, _actions(rows, wedge), field.char, u_terms,
                          {k: c.value for k, c in v_terms.items()}, pairs)
-    if p:
-        return {k: Scalar(field, x) for k, x in out.items() if x % p}
-    return {k: Scalar(field, Fraction(x, den)) for k, x in out.items() if x}
+    return _scalars(field, out, out.values(), den)
 
 
 def _operate(field: Field, rows, u_terms: dict, v_terms: dict, wedge: bool = True) -> dict:
-    """_apply on blades, which are bitmasks inside the kernel."""
-    out = _apply(_act, field, rows, u_terms, {subset_index(b): c for b, c in v_terms.items()},
-                 wedge)
-    return {index_subset(k): c for k, c in out.items()}
+    """The same sum on blades, which are bitmasks inside the kernel."""
+    out, den = _word_sum(_act, _actions(rows, wedge), field.char, u_terms,
+                         {subset_index(b): c.value for b, c in v_terms.items()})
+    return _scalars(field, map(index_subset, out), out.values(), den)
 
 
 def _contract_pairs(field: Field, rows, w_terms: dict) -> dict:
@@ -525,18 +581,51 @@ def twisted_mul(F: BilinearForm, u: CliffElt, v: CliffElt) -> CliffElt:
     return deform_apply(F, deform(-F, u, target=u.cctx.shift(F)), v)
 
 
+def _contract_by(u: dict, du: int, w: CliffElt) -> CliffElt:
+    """w acted on by a raw element u of the exterior algebra of the
+    dual, mapping S to (u_S, L_S), u_S an integer over du: the sum over
+    the masks M of w and S of u with S inside M of u_S w_M
+    (-1)^|M & L_S| at M ^ S.  The S of a term M run over the submasks
+    of M, at most 3^n lookups for a dense w, or over the terms of u
+    when u has fewer.  Over Q divided once by du and den(w)."""
+    num, dw = scaled_ints([c.value for c in w.terms.values()])
+    out = {}
+    get = out.get
+    lookup = u.get
+    for m, c in zip(map(subset_index, w.terms), num):
+        if len(u) >> m.bit_count():
+            subs = [m]
+            s = m
+            while s:
+                s = (s - 1) & m
+                subs.append(s)
+        else:
+            subs = u
+        for s in subs:
+            hit = lookup(s)
+            if hit and s & m == s:
+                a, low = hit
+                k = m ^ s
+                x = a * c
+                out[k] = get(k, 0) + (-x if (m & low).bit_count() & 1 else x)
+    return CliffElt(w.cctx, _scalars(w.cctx.field, map(index_subset, out), out.values(),
+                                     du * dw))
+
+
 def interior(ustar: CliffElt, w: CliffElt) -> CliffElt:
     """The action of the exterior algebra of the dual, given as an
     exterior-algebra element over the same space (e_i standing for
     e_i*): a wedge of linear forms acts as the composition of their
-    contractions (leftmost form outermost), extended linearly.  That is
-    the word action with the identity rows and no wedge part."""
+    contractions (leftmost form outermost), extended linearly.  On a
+    blade, e*_S removes S from M with the sign (-1)^|M & L_S| (see
+    _contract_by): e*_s for the largest s of S acts first and passes
+    the set bits of M below s, and so on down S."""
     if not ustar.cctx.is_exterior():
         raise FormError("interior expects an exterior-algebra element")
     same_context(ustar.cctx.ctx, w.cctx.ctx)
-    n = w.cctx.dim
-    identity = [[int(i == j) for j in range(n)] for i in range(n)]
-    return CliffElt(w.cctx, _operate(w.cctx.field, identity, ustar.terms, w.terms, wedge=False))
+    num, den = scaled_ints([c.value for c in ustar.terms.values()])
+    return _contract_by({s: (a, _below(s)) for s, a in zip(map(subset_index, ustar.terms), num)},
+                        den, w)
 
 
 def exp_contract(astar: DualTwoForm, w: CliffElt) -> CliffElt:
@@ -544,22 +633,41 @@ def exp_contract(astar: DualTwoForm, w: CliffElt) -> CliffElt:
     on by the exponential of the two-form in the exterior algebra of
     the dual, whose series stops at half the dimension.  Needs
     characteristic 0 for the 1/k! weights; in characteristic p use
-    deform with the corresponding alternating form instead."""
+    deform with the corresponding alternating form instead.
+
+    The series is fraction-free on bitmasks.  With d the common
+    denominator of the two-form, A = d a* has integer coefficients, and
+    each power A^k is A^(k-1) wedged by the pairs {i, j} of A that miss
+    its mask M, at M | {i, j} with the sign (-1)^|M & L_{i,j}|, the
+    bits of M between i and j; only the pairs inside the indices of w
+    are kept, since no other term of the series contracts w.  With
+    top = n // 2, past which the powers vanish, the series is the sum
+    of d^(top-k) top!/k! A^k over d^top top!, which contracts w in one
+    submask sum."""
     same_context(astar.ctx, w.cctx.ctx)
-    field = w.cctx.field
-    if field.char != 0:
+    if w.cctx.field.char != 0:
         raise CharacteristicError(
             "exponential of a contraction needs characteristic 0; "
             "use deform with the alternating form instead")
     n = astar.ctx.dim
-    wedge = [[0] * n] * n  # B = 0: the product of the exterior algebra
-    op = {(i, j): c for i in range(1, n) for j in range(i + 1, n + 1) if (c := astar.at(i, j))}
-    series = power = {(): field.one}
-    k = 1
-    while power := {b: c / k for b, c in _operate(field, wedge, power, op).items()}:
-        series.update(power)  # the k-th power has grade 2k, so no key repeats
-        k += 1
-    return interior(CliffElt(CliffordContext.exterior(astar.ctx), series), w)
+    support = subset_index({i for blade in w.terms for i in blade})
+    ij = [(i, j) for i in range(n) for j in range(i + 1, n) if support >> i & support >> j & 1]
+    values, d = scaled_ints([astar.at(i + 1, j + 1).value for i, j in ij])
+    pairs = [((1 << i) | (1 << j), (1 << j) - (2 << i), a) for (i, j), a in zip(ij, values) if a]
+    top = n // 2
+    u, power = {}, {0: 1}
+    for k in range(top + 1):
+        weight = d ** (top - k) * factorial(top) // factorial(k)
+        u.update((m, (c * weight, _below(m))) for m, c in power.items())
+        wedged = {}
+        get = wedged.get
+        for m, c in power.items():
+            for s, between, a in pairs:
+                if not m & s:
+                    x = a * c
+                    wedged[m | s] = get(m | s, 0) + (-x if (m & between).bit_count() & 1 else x)
+        power = {m: c for m, c in wedged.items() if c}
+    return _contract_by(u, d ** top * factorial(top), w)
 
 
 def _half_polar(cctx: CliffordContext) -> BilinearForm:

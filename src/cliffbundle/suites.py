@@ -743,7 +743,7 @@ def _char2_suite(rng, samples, field, dim, t):
 # ---------------------------------------------------------------- repcheck
 
 
-@check("rho.homomorphism", samples=10)
+@check("rho.homomorphism", samples=10, max_dim=8)
 def _rho_hom(rng, samples, field, dim, t):
     ctx = AlgebraContext(dim, field)
     for _ in range(samples):
@@ -757,7 +757,7 @@ def _rho_hom(rng, samples, field, dim, t):
         t.sample(bad)
 
 
-@check("rho.unit-column", samples=10)
+@check("rho.unit-column", samples=10, max_dim=8)
 def _rho_unit(rng, samples, field, dim, t):
     ctx = AlgebraContext(dim, field)
     for _ in range(samples):
@@ -771,7 +771,7 @@ def _rho_unit(rng, samples, field, dim, t):
         t.sample(bad)
 
 
-@check("rho.square", samples=10)
+@check("rho.square", samples=10, max_dim=8)
 def _rho_square(rng, samples, field, dim, t):
     ctx = AlgebraContext(dim, field)
     for _ in range(samples):
@@ -789,7 +789,7 @@ def _rho_square(rng, samples, field, dim, t):
         t.sample(bad)
 
 
-@check("rep.equivalence", samples=10)
+@check("rep.equivalence", samples=10, max_dim=8)
 def _rep_equiv(rng, samples, field, dim, t):
     ctx = AlgebraContext(dim, field)
     for _ in range(samples):
@@ -809,7 +809,7 @@ def _span_contains(basis, vecs):
     return before == after
 
 
-@check("rep.invariant-lattice", dim=3, samples=3)
+@check("rep.invariant-lattice", dim=3, samples=3, max_dim=5)
 def _rep_lattice(rng, samples, field, dim, t):
     ctx = AlgebraContext(dim, field)
     for _ in range(samples):

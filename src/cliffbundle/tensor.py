@@ -18,7 +18,7 @@ with CliffElt.
 
 from __future__ import annotations
 
-from .clifford import _Sparse, _act_word, _apply
+from .clifford import _Sparse, _apply
 from .errors import CapExceeded, FormError, ParseError
 from .forms import AlgebraContext, BilinearForm, LinearForm, Vector, same_context
 from .scalars import excerpt, raw_rows, shaped
@@ -112,7 +112,7 @@ def left_mul(x: Vector, u: TensorElt) -> TensorElt:
     if letters and u.terms:
         _check_grade(u.ctx, u.max_grade() + 1)
     n = u.ctx.dim
-    return TensorElt(u.ctx, _apply(_act_word, u.ctx.field, [[0] * n] * n, letters, u.terms))
+    return TensorElt(u.ctx, _apply(u.ctx.field, [[0] * n] * n, letters, u.terms))
 
 
 def contract(f: LinearForm, u: TensorElt) -> TensorElt:
@@ -121,7 +121,7 @@ def contract(f: LinearForm, u: TensorElt) -> TensorElt:
     That is the word (1,) acting with f as its only row and no wedge
     part."""
     same_context(f.ctx, u.ctx)
-    return TensorElt(u.ctx, _apply(_act_word, u.ctx.field, raw_rows((f.coeffs,)),
+    return TensorElt(u.ctx, _apply(u.ctx.field, raw_rows((f.coeffs,)),
                                    {(1,): u.ctx.field.one}, u.terms, wedge=False))
 
 
@@ -138,7 +138,7 @@ def deform_apply(F: BilinearForm, u: TensorElt, v: TensorElt) -> TensorElt:
     same_context(F.ctx, v.ctx)
     if u.max_grade() and v.terms:  # the longest word built: u's longest word on v's
         _check_grade(v.ctx, u.max_grade() + v.max_grade())
-    return TensorElt(v.ctx, _apply(_act_word, v.ctx.field, raw_rows(F.rows), u.terms, v.terms))
+    return TensorElt(v.ctx, _apply(v.ctx.field, raw_rows(F.rows), u.terms, v.terms))
 
 
 def deform(F: BilinearForm, u: TensorElt) -> TensorElt:
@@ -170,7 +170,6 @@ def divided_power(F: BilinearForm, k: int, u: TensorElt) -> TensorElt:
     out = {}
     for grade in {len(w) for w in u.terms if len(w) >= 2 * k}:
         part = {w: c for w, c in u.terms.items() if len(w) == grade}
-        out.update((w, c) for w, c in _apply(_act_word, u.ctx.field, rows, part, unit,
-                                             pairs=k).items()
-                   if len(w) == grade - 2 * k)
+        # _apply keeps only the terms with exactly k contractions
+        out.update(_apply(u.ctx.field, rows, part, unit, pairs=k))
     return TensorElt(u.ctx, out)

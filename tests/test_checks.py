@@ -1,9 +1,12 @@
 """The identity-suite registry: every suite runs clean, results are
 deterministic, and bad identifiers are rejected."""
 
+import json
+
 import pytest
 
-from cliffbundle import CharacteristicError, ParseError, list_checks, run_check
+from cliffbundle import (CapExceeded, CharacteristicError, ParseError, checks, cli,
+                         list_checks, run_check)
 
 # heavier suites get fewer samples to keep the run quick
 _SAMPLES = {
@@ -77,3 +80,42 @@ def test_registry_contents_stable():
     assert "char2.bl-suite" in ids
     assert "rep.invariant-lattice" in ids
     assert ids == sorted(ids)
+
+
+# the suites whose cost grows about 8x per dimension, and their caps
+_CAPS = {
+    "rho.homomorphism": 8,
+    "rho.unit-column": 8,
+    "rho.square": 8,
+    "rep.equivalence": 8,
+    "rep.invariant-lattice": 5,
+}
+
+
+def test_registry_caps_hold_their_defaults():
+    list_checks()
+    caps = {cid: entry[4] for cid, entry in checks._REGISTRY.items() if entry[4] is not None}
+    assert caps == _CAPS
+    for cid, (_, dim, _, _, max_dim) in checks._REGISTRY.items():
+        assert max_dim is None or dim <= max_dim, cid
+
+
+def test_capped_suite_refuses_before_any_sample(monkeypatch, capsys):
+    """A dim over the cap is refused with CapExceeded, and the CLI exits
+    1 with a structured error; the suite bodies here only record their
+    dim, so the refused cases cost nothing."""
+    list_checks()
+    ran = []
+    for cid, cap in _CAPS.items():
+        _, dim, field, samples, max_dim = checks._REGISTRY[cid]
+        monkeypatch.setitem(checks._REGISTRY, cid, (
+            lambda rng, samples, field, dim, t: ran.append(dim), dim, field, samples, max_dim))
+        with pytest.raises(CapExceeded, match=f"dim <= {cap}, got {cap + 1}"):
+            run_check(cid, dim=cap + 1)
+        assert cli.main(["check", cid, "--dim", str(cap + 1)]) == 1
+        out, err = capsys.readouterr()
+        assert json.loads(out)["error"]["type"] == "CapExceeded" and not err
+        assert not ran
+        run_check(cid, dim=cap, samples=0)
+        assert ran == [cap]
+        ran.clear()

@@ -128,6 +128,32 @@ def test_kernel_matches_oracles(field):
             assert exp_contract(dual_two_form(a), u).terms == deform_sum(a, q, u.terms)
 
 
+@pytest.mark.parametrize("field", (Field(2), Field(3), Field(7), RATIONALS),
+                         ids=lambda f: f.spec)
+def test_contraction_sums_at_benchmark_sizes(field):
+    """interior and exp_contract against their oracles at the sizes the
+    dense benchmark runs: a dense dual element on a dense w at n = 7,
+    and over Q the exponential of a dense two-form, whose series runs
+    to its fourth power, on 20 random blades and the top one at n = 8."""
+    rng = random.Random(43)
+    ctx = AlgebraContext(7, field)
+    cctx = CliffordContext(rand_quadratic(rng, ctx))
+    f = CliffElt(CliffordContext.exterior(ctx), _blade_terms(rng, field, 7))
+    w = CliffElt(cctx, _blade_terms(rng, field, 7))
+    assert interior(f, w).terms == interior_sum(f.terms, w.terms, field.zero)
+    if field.char == 0:
+        n = 8
+        ctx = AlgebraContext(n, field)
+        q = rand_quadratic(rng, ctx)
+        upper = [[_coeff(rng, field) for _ in range(n)] for _ in range(n)]
+        a = BilinearForm.make(ctx, [[upper[i][j] if i < j else -upper[j][i] if i > j else 0
+                                     for j in range(n)] for i in range(n)])
+        terms = _blade_terms(rng, field, n, 20)
+        terms[tuple(range(1, n + 1))] = _coeff(rng, field)
+        u = CliffElt(CliffordContext(q), terms)
+        assert exp_contract(dual_two_form(a), u).terms == deform_sum(a, q, u.terms)
+
+
 def _half_polar_form(cctx):
     n, half = cctx.dim, cctx.field.one / cctx.field(2)
     return BilinearForm.make(cctx.ctx, [[half * cctx.quadratic.polar(i, j)

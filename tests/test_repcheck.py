@@ -30,8 +30,21 @@ def test_subset_indexing():
     assert subset_index((2,)) == 2
     assert subset_index((1, 2)) == 3
     assert subset_index((1, 3)) == 5
-    for k in range(16):
-        assert subset_index(index_subset(k)) == k
+    # any iterable of indices is summed bit by bit, as before the table
+    assert subset_index((3, 1, 3)) == 5
+    assert subset_index([2, 3]) == 6
+    assert subset_index(iter((1, 4))) == 9
+    assert subset_index(tuple(range(1, 15))) == (1 << 14) - 1
+    for n in range(11):
+        for k in range(1 << n):
+            blade = index_subset(k)
+            assert list(blade) == sorted(set(blade)) and subset_index(blade) == k
+    # masks past the table's bits
+    assert index_subset((1 << 40) | (1 << 12) | 5) == (1, 3, 13, 41)
+    assert subset_index((1, 3, 13, 41)) == (1 << 40) | (1 << 12) | 5
+    for m in (-1, -6):
+        with pytest.raises(ValueError):
+            index_subset(m)
 
 
 def test_rho_one_dimensional():
