@@ -52,12 +52,13 @@ scaled to integers by their common denominators, and the sum is
 divided once at the end.  Forms enter as the raw values of their
 Scalars, and Scalars are read when a call enters the kernel and built
 when it leaves; blades become masks there and masks blades again
-through one table (see _table).
+(see index_subset).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from .errors import CharacteristicError, ContextMismatch, FormError, ParseError
@@ -112,55 +113,30 @@ class CliffordContext:
         return cls(QuadraticForm.from_json(AlgebraContext.from_json(data), data["quadratic"]))
 
 
-# The blade table: the blades of the masks below 2^k, by mask, and the
-# masks of those blades, by blade, for the largest k asked for so far,
-# at most _TABLE_BITS.  A larger k rebinds the pair whole; a published
-# pair is never changed, so a reader needs no lock.
-_TABLE_BITS = 12
-_TABLE = ((),), {(): 0}
-
-
-def _table(bits: int) -> tuple:
-    """The blade table covering the masks below 2^bits, bits <= _TABLE_BITS."""
-    global _TABLE
-    blades = _TABLE[0]
-    if len(blades) >> bits:
-        return _TABLE
-    for i in range(len(blades).bit_length(), bits + 1):
-        blades += tuple(b + (i,) for b in blades)
-    _TABLE = blades, {b: m for m, b in enumerate(blades)}
-    return _TABLE
-
-
 def subset_index(blade) -> int:
     """Bitmask index of a strictly increasing subset, S -> sum 2^(i-1):
-    the kernel's key for a blade, and its row and column in repcheck.
-    A blade of the table is looked up; any other iterable of indices
-    (a list, a tuple past the table, a non-increasing tuple) is summed
-    bit by bit."""
-    if type(blade) is tuple:
-        m = _TABLE[1].get(blade)
-        if m is not None:
-            return m
+    the kernel's key for a blade, and its row and column in repcheck."""
     m = 0
     for i in blade:
         m |= 1 << (i - 1)
     return m
 
 
+@lru_cache(maxsize=1 << 12)
 def index_subset(m: int) -> tuple:
-    """The blade of a bitmask index, the inverse of subset_index: read
-    from the blade table, _TABLE_BITS bits at a time."""
-    blades = _TABLE[0]
-    if 0 <= m < len(blades):
-        return blades[m]
+    """The blade of a bitmask index, the inverse of subset_index.  The
+    kernel turns every output mask into a blade here, so the blades of
+    the last 2^12 masks asked for are kept."""
     if m < 0:
         raise ValueError(f"a bitmask index is nonnegative, got {m}")
-    if m >> _TABLE_BITS:
-        high = index_subset(m >> _TABLE_BITS)
-        return (index_subset(m & ((1 << _TABLE_BITS) - 1))
-                + tuple(i + _TABLE_BITS for i in high))
-    return _table(m.bit_length())[0][m]
+    out = []
+    i = 1
+    while m:
+        if m & 1:
+            out.append(i)
+        m >>= 1
+        i += 1
+    return tuple(out)
 
 
 def _below(s: int) -> int:
@@ -253,30 +229,25 @@ def _word_sum(act, actions: tuple, p: int, u_terms: dict, v: dict, pairs=None) -
     are scaled to integers by their common denominators, u_S is
     weighted by d^(m - |S|), m the longest word of u, and den is those
     denominators times d^m.  Over GF(p) the map is unreduced and den
-    is 1.  With pairs given (words as keys, v the unit, every word of u
-    of length m), each e_S . 1 keeps only the terms that can end with
-    exactly pairs contractions: a key of length l has (|S| - l) / 2 of
-    them, later letters only add contractions, and the m - |S| letters
-    still to act add at most one each, so |S| - 2 pairs <= l <=
-    2 (m - pairs) - |S|."""
+    is 1.  With pairs given (words as keys, v the unit), each e_S . 1
+    drops its terms with more than pairs contractions, the keys shorter
+    than |S| - 2 pairs, since later letters only add contractions."""
     acts, scale, d = actions
     vnum, dv = scaled_ints(list(v.values()))
     memo = {(): dict(zip(v, vnum))}
-    unum, du = scaled_ints([c.value for c in u_terms.values()])
-    top = max(map(len, u_terms), default=0)
 
     def on_v(word):
         got = memo.get(word)
         if got is None:
             bit, row = acts[word[0] - 1]
             got = act(bit, scale, row, p, on_v(word[1:]))
-            if pairs is not None:
-                least, most = len(word) - 2 * pairs, 2 * (top - pairs) - len(word)
-                if least > 0 or most < len(word):
-                    got = {k: c for k, c in got.items() if least <= len(k) <= most}
+            if pairs is not None and (least := len(word) - 2 * pairs) > 0:
+                got = {k: c for k, c in got.items() if len(k) >= least}
             memo[word] = got
         return got
 
+    unum, du = scaled_ints([c.value for c in u_terms.values()])
+    top = max(map(len, u_terms), default=0)
     out = {}
     get = out.get
     for word, c in zip(u_terms, unum):
@@ -583,15 +554,16 @@ def twisted_mul(F: BilinearForm, u: CliffElt, v: CliffElt) -> CliffElt:
 
 def _contract_by(u: dict, du: int, w: CliffElt) -> CliffElt:
     """w acted on by a raw element u of the exterior algebra of the
-    dual, mapping S to (u_S, L_S), u_S an integer over du: the sum over
-    the masks M of w and S of u with S inside M of u_S w_M
-    (-1)^|M & L_S| at M ^ S.  The S of a term M run over the submasks
-    of M, at most 3^n lookups for a dense w, or over the terms of u
-    when u has fewer.  Over Q divided once by du and den(w)."""
+    dual, mapping a mask S to an integer u_S over du: the sum over the
+    masks M of w and S of u with S inside M of u_S w_M (-1)^|M & L_S|
+    at M ^ S, L_S the XOR over the bits b of S of the bits below b.
+    The S of a term M run over the submasks of M, at most 3^n lookups
+    for a dense w, or over the terms of u when u has fewer.  Over Q
+    divided once by du and den(w)."""
     num, dw = scaled_ints([c.value for c in w.terms.values()])
+    lookup = {s: (a, _below(s)) for s, a in u.items()}.get
     out = {}
     get = out.get
-    lookup = u.get
     for m, c in zip(map(subset_index, w.terms), num):
         if len(u) >> m.bit_count():
             subs = [m]
@@ -624,8 +596,7 @@ def interior(ustar: CliffElt, w: CliffElt) -> CliffElt:
         raise FormError("interior expects an exterior-algebra element")
     same_context(ustar.cctx.ctx, w.cctx.ctx)
     num, den = scaled_ints([c.value for c in ustar.terms.values()])
-    return _contract_by({s: (a, _below(s)) for s, a in zip(map(subset_index, ustar.terms), num)},
-                        den, w)
+    return _contract_by(dict(zip(map(subset_index, ustar.terms), num)), den, w)
 
 
 def exp_contract(astar: DualTwoForm, w: CliffElt) -> CliffElt:
@@ -658,7 +629,7 @@ def exp_contract(astar: DualTwoForm, w: CliffElt) -> CliffElt:
     u, power = {}, {0: 1}
     for k in range(top + 1):
         weight = d ** (top - k) * factorial(top) // factorial(k)
-        u.update((m, (c * weight, _below(m))) for m, c in power.items())
+        u.update((m, c * weight) for m, c in power.items())
         wedged = {}
         get = wedged.get
         for m, c in power.items():

@@ -170,6 +170,6 @@ def divided_power(F: BilinearForm, k: int, u: TensorElt) -> TensorElt:
     out = {}
     for grade in {len(w) for w in u.terms if len(w) >= 2 * k}:
         part = {w: c for w, c in u.terms.items() if len(w) == grade}
-        # _apply keeps only the terms with exactly k contractions
-        out.update(_apply(u.ctx.field, rows, part, unit, pairs=k))
+        out.update((w, c) for w, c in _apply(u.ctx.field, rows, part, unit, pairs=k).items()
+                   if len(w) == grade - 2 * k)
     return TensorElt(u.ctx, out)

@@ -30,7 +30,7 @@ def test_subset_indexing():
     assert subset_index((2,)) == 2
     assert subset_index((1, 2)) == 3
     assert subset_index((1, 3)) == 5
-    # any iterable of indices is summed bit by bit, as before the table
+    # any iterable of indices is summed bit by bit
     assert subset_index((3, 1, 3)) == 5
     assert subset_index([2, 3]) == 6
     assert subset_index(iter((1, 4))) == 9
@@ -39,12 +39,14 @@ def test_subset_indexing():
         for k in range(1 << n):
             blade = index_subset(k)
             assert list(blade) == sorted(set(blade)) and subset_index(blade) == k
-    # masks past the table's bits
+    # masks past 2^12, the most the memo keeps
     assert index_subset((1 << 40) | (1 << 12) | 5) == (1, 3, 13, 41)
     assert subset_index((1, 3, 13, 41)) == (1 << 40) | (1 << 12) | 5
     for m in (-1, -6):
         with pytest.raises(ValueError):
             index_subset(m)
+    with pytest.raises(TypeError):
+        subset_index((1.0, 2.0))
 
 
 def test_rho_one_dimensional():
