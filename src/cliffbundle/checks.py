@@ -2,9 +2,12 @@
 
 The registry maps each id to a suite and its default dimension, field
 and sample count, and for a suite whose cost grows steeply with the
-dimension, the largest dimension it runs at; a larger one is refused
-with CapExceeded before any sample runs.  The suites themselves live
-in suites.py, which the registry loads on first use, so a request that
+dimension (about 8x per dimension), the largest dimension it runs at.
+A request over the cost guard is refused with CapExceeded before any
+sample runs: a dimension over that largest one, more than _TOP_SAMPLES
+samples' worth of work at it (samples x 8^(dim - max_dim)), or more
+than _MAX_SAMPLES samples of any suite.  The suites themselves live in
+suites.py, which the registry loads on first use, so a request that
 runs no suite does not compile them.  One sample tallies as one
 attempt, so passed + failed == samples.  The CLI exposes the registry
 through the `check` subcommand; the test suite drives the same
@@ -59,6 +62,14 @@ class CheckResult:
 
 _REGISTRY = {}
 
+# The sample guard.  One sample of a capped suite at its largest dim
+# takes about 1.5 CPU-s (rho.homomorphism at dim 8) to 6 CPU-s
+# (rep.invariant-lattice at dim 5), and each dim below it costs about
+# 8x less; one sample of any other suite takes at most about 2 ms at
+# dim 4.
+_TOP_SAMPLES = 10
+_MAX_SAMPLES = 10_000
+
 
 def check(check_id: str, dim: int = 4, field: str = "Q", samples: int = 25,
           max_dim: int | None = None):
@@ -94,6 +105,12 @@ def run_check(check_id: str, seed: int = 0, samples: int | None = None,
     samples = dsamples if samples is None else samples
     if samples < 0:
         raise ParseError(f"samples must be >= 0, got {samples}")
+    most = _MAX_SAMPLES
+    if max_dim is not None:
+        most = min(most, _TOP_SAMPLES * 8 ** (max_dim - max(dim, 0)))
+    if samples > most:
+        raise CapExceeded(f"check {check_id} runs at most {most} samples at dim {dim}, "
+                          f"got {samples}")
     t = Tally()
     fn(random.Random(seed), samples, field, dim, t)
     return CheckResult(check_id, seed, samples, t.attempts - t.failed, t.failed, t.failures)

@@ -61,7 +61,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .errors import CharacteristicError, ContextMismatch, FormError, ParseError
+from .errors import (CapExceeded, CharacteristicError, ContextMismatch, FormError,
+                     ParseError)
 from .forms import (AlgebraContext, BilinearForm, DualTwoForm, Field, LinearForm,
                     QuadraticForm, Vector, quad_of_bilinear, same_context)
 from .records import record
@@ -599,6 +600,11 @@ def interior(ustar: CliffElt, w: CliffElt) -> CliffElt:
     return _contract_by(dict(zip(map(subset_index, ustar.terms), num)), den, w)
 
 
+# The largest exp_contract work estimate that runs (see exp_contract);
+# a dense two-form on e_1...e_17 is 18 million and takes about 1.6 CPU-s.
+_EXP_GUARD = 1 << 25
+
+
 def exp_contract(astar: DualTwoForm, w: CliffElt) -> CliffElt:
     """Exponential of the interior action of a dual two-form: w acted
     on by the exponential of the two-form in the exterior algebra of
@@ -614,7 +620,13 @@ def exp_contract(astar: DualTwoForm, w: CliffElt) -> CliffElt:
     are kept, since no other term of the series contracts w.  With
     top = n // 2, past which the powers vanish, the series is the sum
     of d^(top-k) top!/k! A^k over d^top top!, which contracts w in one
-    submask sum."""
+    submask sum.
+
+    With s the indices of w that lie in a nonzero pair, the series has
+    at most 2^s terms, each wedged by every pair and looked up by every
+    term of w, so (pairs + terms of w) 2^s bounds the work; an input
+    over _EXP_GUARD is refused with CapExceeded before the series is
+    built."""
     same_context(astar.ctx, w.cctx.ctx)
     if w.cctx.field.char != 0:
         raise CharacteristicError(
@@ -625,6 +637,14 @@ def exp_contract(astar: DualTwoForm, w: CliffElt) -> CliffElt:
     ij = [(i, j) for i in range(n) for j in range(i + 1, n) if support >> i & support >> j & 1]
     values, d = scaled_ints([astar.at(i + 1, j + 1).value for i, j in ij])
     pairs = [((1 << i) | (1 << j), (1 << j) - (2 << i), a) for (i, j), a in zip(ij, values) if a]
+    covered = 0
+    for s, _, _ in pairs:
+        covered |= s
+    cost = (len(pairs) + len(w.terms)) << covered.bit_count()
+    if cost > _EXP_GUARD:
+        raise CapExceeded(
+            f"exp_contract work {cost} exceeds the guard {_EXP_GUARD}: {len(pairs)} pairs "
+            f"on {covered.bit_count()} indices of w, {len(w.terms)} terms")
     top = n // 2
     u, power = {}, {0: 1}
     for k in range(top + 1):

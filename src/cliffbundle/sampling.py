@@ -26,7 +26,7 @@ def rand_scalar(rng: random.Random, field: Field, span: int = 5, nonzero: bool =
     if nonzero and num == 0:
         num = rng.choice((-1, 1)) * rng.randint(1, span)
     den = rng.choice((1, 1, 1, 2, 3))
-    return field(Fraction(num, den))
+    return field(num if den == 1 else Fraction(num, den))
 
 
 def rand_vector(rng, ctx: AlgebraContext, nonzero: bool = False) -> Vector:

@@ -1,9 +1,12 @@
 """Exact scalar arithmetic: arbitrary-precision rationals and prime fields.
 
 A Field is either the rationals (characteristic 0) or GF(p) for a prime
-p.  Scalars are immutable, always stored canonically (reduced fractions
-with positive denominator; residues in [0, p)), and never mix across
-fields.  No floating point appears anywhere.
+p.  Scalars are immutable and never mix across fields.  Each is stored
+in one canonical form: over Q an int when it is integral and a reduced
+fractions.Fraction (positive denominator) otherwise, so integral values
+get int arithmetic; over GF(p) the residue in [0, p).  No floating
+point appears anywhere: a division or negative power over Q goes
+through Fraction, never through int / int.
 """
 
 from __future__ import annotations
@@ -55,7 +58,8 @@ def scaled_ints(values) -> tuple:
 
 
 def raw_rows(rows) -> list:
-    """The raw values (Fractions, or residues) of a matrix of Scalars."""
+    """The raw values (ints or Fractions over Q, residues over GF(p)) of
+    a matrix of Scalars."""
     return [[x.value for x in row] for row in rows]
 
 
@@ -153,32 +157,43 @@ class Field:
 class Scalar:
     """An immutable element of a Field.
 
-    Arithmetic only combines scalars of the same field; plain ints (and,
-    over the rationals, Fractions) are coerced on either side.
+    The value is canonical, so equal scalars have equal values, hashes
+    and strings: over the rationals a plain int when the denominator is
+    1 and a reduced Fraction (positive denominator) otherwise, over
+    GF(p) the residue in [0, p).  It is never a float: int / int is
+    one, so every division and negative power over Q goes through
+    Fraction.  Arithmetic only combines scalars of the same field; ints
+    (bools included) and, over the rationals, Fractions are coerced on
+    either side.
     """
 
     __slots__ = ("field", "value")
 
     def __init__(self, field: Field, value):
         p = field.char
-        if p == 0:
-            if not isinstance(value, Fraction):
-                value = Fraction(value)
-        else:
-            if isinstance(value, Fraction):
+        # exact type tests first: most values are ints, and an
+        # isinstance test against Fraction goes through ABCMeta
+        if type(value) is not int:
+            if p == 0:
+                if type(value) is not Fraction:
+                    value = Fraction(value)
+                if value.denominator == 1:
+                    value = value.numerator
+            elif isinstance(value, Fraction):
                 if value.denominator != 1:
                     raise TypeError("prime-field scalar needs an integer value")
                 value = value.numerator
-            value = value % p
+        if p:
+            value %= p
         self.field = field
         self.value = value
 
     def _lift(self, other):
-        if isinstance(other, Scalar):
-            if other.field != self.field:
-                raise FieldMismatch(
-                    f"cannot combine {self.field.spec} and {other.field.spec} scalars")
-            return other.value
+        if type(other) is Scalar:
+            if other.field is self.field or other.field == self.field:
+                return other.value
+            raise FieldMismatch(
+                f"cannot combine {self.field.spec} and {other.field.spec} scalars")
         if isinstance(other, int):
             return other
         if isinstance(other, Fraction) and self.field.char == 0:
@@ -219,7 +234,7 @@ class Scalar:
             return NotImplemented
         p = self.field.char
         if p == 0:
-            return Scalar(self.field, self.value / v)
+            return Scalar(self.field, Fraction(self.value, v))
         if v % p == 0:
             raise ZeroDivisionError("division by zero in GF(%d)" % p)
         return Scalar(self.field, self.value * pow(v, -1, p))
@@ -238,7 +253,7 @@ class Scalar:
             return NotImplemented
         p = self.field.char
         if p == 0:
-            return Scalar(self.field, self.value ** k)
+            return Scalar(self.field, (self.value if k >= 0 else Fraction(self.value)) ** k)
         if k < 0 and self.value == 0:
             raise ZeroDivisionError("inverse of zero in GF(%d)" % p)
         return Scalar(self.field, pow(self.value, k, p))
@@ -247,8 +262,9 @@ class Scalar:
         return Scalar(self.field, 1) / self
 
     def __eq__(self, other):
-        if isinstance(other, Scalar):
-            return self.field == other.field and self.value == other.value
+        if type(other) is Scalar:
+            return ((self.field is other.field or self.field == other.field)
+                    and self.value == other.value)
         return NotImplemented
 
     def __hash__(self):

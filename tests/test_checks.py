@@ -119,3 +119,36 @@ def test_capped_suite_refuses_before_any_sample(monkeypatch, capsys):
         run_check(cid, dim=cap, samples=0)
         assert ran == [cap]
         ran.clear()
+
+
+def test_sample_guard_refuses_before_any_sample(monkeypatch, capsys):
+    """More samples than the guard allows at a dim are refused with
+    CapExceeded; every registry default is allowed.  The suite bodies
+    here only record their sample count, so nothing heavy runs."""
+    list_checks()
+    ran = []
+    for cid, (_, dim, field, samples, max_dim) in list(checks._REGISTRY.items()):
+        monkeypatch.setitem(checks._REGISTRY, cid, (
+            lambda rng, samples, field, dim, t: ran.append(samples), dim, field, samples,
+            max_dim))
+    for cid in list_checks():
+        run_check(cid)
+    assert len(ran) == len(list_checks())
+    ran.clear()
+    # samples x 8^(dim - max_dim) <= 10 for the capped suites, and at
+    # most 10,000 samples for any
+    for cid, dim, most in [("rho.homomorphism", 8, 10), ("rho.homomorphism", 7, 80),
+                           ("rep.equivalence", 5, 5120), ("rho.square", 4, 10_000),
+                           ("rep.invariant-lattice", 5, 10), ("rep.invariant-lattice", 3, 640),
+                           ("bl.group-law", 4, 10_000), ("bl.group-law", 12, 10_000)]:
+        with pytest.raises(CapExceeded, match=f"at most {most} samples at dim {dim}, "
+                                              f"got {most + 1}$"):
+            run_check(cid, dim=dim, samples=most + 1)
+        assert not ran
+        run_check(cid, dim=dim, samples=most)
+        assert ran == [most]
+        ran.clear()
+    assert cli.main(["check", "rho.homomorphism", "--dim", "8", "--samples", "10000"]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)["error"]["type"] == "CapExceeded" and not err
+    assert not ran

@@ -8,8 +8,8 @@ from itertools import combinations
 
 import pytest
 
-from cliffbundle import (AlgebraContext, BilinearForm, CharacteristicError,
-                         CliffElt, CliffordContext, ContextMismatch,
+from cliffbundle import (AlgebraContext, BilinearForm, CapExceeded,
+                         CharacteristicError, CliffElt, CliffordContext, ContextMismatch,
                          DualTwoForm, Field, FormError, QuadraticForm,
                          RATIONALS, TensorElt, Vector, clifford_contract,
                          clifford_contract_vec, contract, deform,
@@ -403,6 +403,33 @@ def test_exp_contract_is_deformation():
         astar = dual_two_form(a)
         w = rand_cliff(rng, cctx)
         assert exp_contract(astar, w) == deform(a, w, target=cctx)
+
+
+def test_exp_contract_refuses_work_over_the_guard():
+    """A dense two-form on e_1...e_18 (about 3 CPU-s) is refused before
+    the series is built; what counts is w's support inside the form's
+    nonzero pairs, not the dimension."""
+    def ones(n, pairs=None):
+        ctx = AlgebraContext(n, RATIONALS)
+        rows = [[int(pairs is None or (i, j) in pairs) for j in range(i + 1, n)]
+                for i in range(n - 1)]
+        return DualTwoForm.make(ctx, rows), CliffordContext(QuadraticForm.zero(ctx))
+
+    astar, cctx = ones(18)
+    with pytest.raises(CapExceeded, match="153 pairs on 18 indices of w, 1 terms"):
+        exp_contract(astar, CliffElt.blade(cctx, range(1, 19)))
+    astar, cctx = ones(40)
+    assert exp_contract(astar, CliffElt.blade(cctx, (3, 17, 40)))
+    astar, cctx = ones(40, pairs={(0, 1), (5, 9)})
+    assert exp_contract(astar, CliffElt.blade(cctx, range(1, 41)))
+    # dense inputs at the benchmark's largest n
+    rng = random.Random(5)
+    ctx = AlgebraContext(8, RATIONALS)
+    cctx = CliffordContext(rand_quadratic(rng, ctx))
+    w = CliffElt(cctx, {b: rand_scalar(rng, RATIONALS, nonzero=True)
+                        for k in range(9) for b in combinations(range(1, 9), k)})
+    assert len(w.terms) == 256
+    assert exp_contract(ones(8)[0], w)
 
 
 def test_exp_contract_needs_char_zero():

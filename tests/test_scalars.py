@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from cliffbundle import Field, FieldMismatch, ParseError, RATIONALS, is_prime
+import cliffbundle as cb
+from cliffbundle import Field, FieldMismatch, ParseError, RATIONALS, is_prime, linalg
 
 
 def test_rational_arithmetic():
@@ -104,3 +105,80 @@ def test_scalar_hash_consistency():
     assert hash(F.parse("2/4")) == hash(F.parse("1/2"))
     d = {F.parse("1/2"): "a"}
     assert d[F.parse("2/4")] == "a"
+
+
+def _canonical(x) -> bool:
+    """x.value is the field's one form of it: over Q an int exactly when
+    integral and a Fraction otherwise, over GF(p) the residue."""
+    v = x.value
+    if x.field.char:
+        return type(v) is int and 0 <= v < x.field.char
+    return type(v) is int or (type(v) is Fraction and v.denominator != 1)
+
+
+def test_rational_values_are_canonical():
+    F = RATIONALS
+    values = [F(0), F(3), F(-4), F(True), F(Fraction(4, 2)), F(Fraction(-1, 3)),
+              F(Fraction(3, 2)), F.parse("6/3"), F.parse("-5/2"), F.parse("−8")]
+    results = list(values)
+    for a in values:
+        results += [-a, a ** 2, a ** 0]
+        if a:
+            results += [a.inverse(), a ** -1, a ** -2, 1 / a, True / a]
+        for b in values:
+            results += [a + b, a - b, a * b, a + 2, 2 - a, a * Fraction(2, 3)]
+            if b:
+                results += [a / b, a / 2, a / Fraction(1, 2)]
+    assert all(_canonical(x) for x in results), [x for x in results if not _canonical(x)]
+    assert type((F(3) / F(2) * F(2)).value) is int
+    assert (F(1) / F(3)).value == Fraction(1, 3) and (F(3) ** -2).value == Fraction(1, 9)
+
+    # kernel and linear-algebra outputs
+    ctx = cb.AlgebraContext(3, F)
+    half = Fraction(1, 2)
+    q = cb.QuadraticForm.make(ctx, [2, half, -1], [[1, 0], [half]])
+    cctx = cb.CliffordContext(q)
+    u = cb.CliffElt(cctx, {(): F(1), (1,): F(half), (1, 2): F(2), (1, 2, 3): F(-3)})
+    f = cb.BilinearForm.make(ctx, [[1, half, 0], [2, 0, Fraction(1, 3)], [0, -1, 4]])
+    astar = cb.DualTwoForm.make(ctx, [[half, 2], [-1]])
+    s = cb.symbol(u)
+    elts = [u * u, cb.deform(f, u), s, cb.quantize(cctx, s), cb.twisted_mul(f, u, u),
+            cb.exp_contract(astar, s), cb.interior(s, s)]
+    outs = [c for e in elts for c in e.terms.values()]
+    m = [list(row) for row in f.rows]
+    outs += [linalg.det(m), cb.pfaffian(cb.BilinearForm.make(
+        cb.AlgebraContext(2, F), [[0, Fraction(3, 1)], [-3, 0]]))]
+    outs += [x for row in linalg.rref(m)[0] for x in row]
+    outs += [x for row in cb.rho_matrix(f, cb.CliffElt(
+        cb.CliffordContext(cb.quad_of_bilinear(f)), {(1,): F(half), (2, 3): F(1)})).entries
+        for x in row]
+    assert outs and all(_canonical(x) for x in outs)
+    assert any(type(x.value) is int for x in outs)
+    assert any(type(x.value) is Fraction for x in outs)
+
+
+def test_equal_rationals_share_value_hash_and_text():
+    a, b = RATIONALS(Fraction(4, 2)), RATIONALS(2)
+    assert a == b and hash(a) == hash(b) and str(a) == str(b) == "2"
+    assert repr(a) == repr(b) == "Scalar(Q, 2)"
+    assert a.value == 2 and type(a.value) is int
+    assert {a: 1}[b] == 1
+
+
+def test_int_and_bool_operands_coerce():
+    F7 = Field(7)
+    for F in (RATIONALS, F7):
+        three = F(3)
+        assert three + True == F(4) == True + three
+        assert three - True == F(2) and True - three == F(-2)
+        assert three * True == three == True * three
+        assert three * 2 == F(6) == 2 * three
+        assert three / True == three and True / F(2) == F(1) / F(2)
+        assert F(True) == F(1) and F(False) == F(0)
+        assert all(_canonical(x) for x in (three + True, True / F(2), F(True)))
+
+
+def test_prime_field_refuses_a_fraction():
+    with pytest.raises(TypeError, match="prime-field scalar needs an integer value"):
+        Field(7)(Fraction(1, 2))
+    assert Field(7)(Fraction(8, 2)) == Field(7)(4)
