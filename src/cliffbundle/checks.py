@@ -1,17 +1,24 @@
 """Named identity suites, addressable by stable string identifiers.
 
-The registry maps each id to a suite and its default dimension, field
-and sample count, and for a suite whose cost grows steeply with the
-dimension (about 8x per dimension), the largest dimension it runs at.
-A request over the cost guard is refused with CapExceeded before any
-sample runs: a dimension over that largest one, more than _TOP_SAMPLES
-samples' worth of work at it (samples x 8^(dim - max_dim)), or more
-than _MAX_SAMPLES samples of any suite.  The suites themselves live in
-suites.py, which the registry loads on first use, so a request that
-runs no suite does not compile them.  One sample tallies as one
-attempt, so passed + failed == samples.  The CLI exposes the registry
-through the `check` subcommand; the test suite drives the same
-functions.
+The registry maps each id to the body of one sample and the suite's
+default dimension, field and sample count, and for a suite whose cost
+grows steeply with the dimension (about 8x per dimension), the largest
+dimension it runs at.  A request over the cost guard is refused with
+CapExceeded before any sample runs: a dimension over that largest one,
+more than _TOP_SAMPLES samples' worth of work at it (samples x
+8^(dim - max_dim)), or more than _MAX_SAMPLES samples of any suite.
+
+run_check holds the only sample loop.  It seeds one random.Random and
+builds one AlgebraContext (so a dim below 1 is refused with its
+ValueError), then calls body(rng, ctx, need, i) once per sample i with
+a fresh need(ok, message).  A sample fails when any of its needs
+fails; it counts as one attempt however many failed, or if the body
+returned early, so passed + failed == samples.  A failed sample's
+messages are joined with "; ", and the first _MAX_FAILURES failed
+samples are kept.  The bodies live in suites.py, which the registry
+loads on first use, so a request that runs no suite does not compile
+them.  The CLI exposes the registry through the `check` subcommand;
+the test suite drives the same functions.
 """
 
 from __future__ import annotations
@@ -19,25 +26,9 @@ from __future__ import annotations
 import random
 
 from .errors import CapExceeded, ParseError
+from .forms import AlgebraContext
 from .records import record
 from .scalars import Field, excerpt
-
-
-class Tally:
-    """One attempt per sample; failures keep a capped message list."""
-
-    def __init__(self, cap: int = 8):
-        self.attempts = 0
-        self.failed = 0
-        self.failures = []
-        self.cap = cap
-
-    def sample(self, bad: list):
-        self.attempts += 1
-        if bad:
-            self.failed += 1
-            if len(self.failures) < self.cap:
-                self.failures.append("; ".join(bad))
 
 
 @record()
@@ -69,10 +60,13 @@ _REGISTRY = {}
 # dim 4.
 _TOP_SAMPLES = 10
 _MAX_SAMPLES = 10_000
+_MAX_FAILURES = 8
 
 
 def check(check_id: str, dim: int = 4, field: str = "Q", samples: int = 25,
           max_dim: int | None = None):
+    """Register a suite: the decorated function is the body of one
+    sample, body(rng, ctx, need, i)."""
     def deco(fn):
         _REGISTRY[check_id] = (fn, dim, field, samples, max_dim)
         return fn
@@ -111,6 +105,20 @@ def run_check(check_id: str, seed: int = 0, samples: int | None = None,
     if samples > most:
         raise CapExceeded(f"check {check_id} runs at most {most} samples at dim {dim}, "
                           f"got {samples}")
-    t = Tally()
-    fn(random.Random(seed), samples, field, dim, t)
-    return CheckResult(check_id, seed, samples, t.attempts - t.failed, t.failed, t.failures)
+    rng = random.Random(seed)
+    ctx = AlgebraContext(dim, field)
+    failed, failures = 0, []
+    for i in range(samples):
+        bad = []
+
+        def need(ok: bool, msg: str) -> bool:
+            if not ok:
+                bad.append(msg)
+            return ok
+
+        fn(rng, ctx, need, i)
+        if bad:
+            failed += 1
+            if len(failures) < _MAX_FAILURES:
+                failures.append("; ".join(bad))
+    return CheckResult(check_id, seed, samples, samples - failed, failed, failures)

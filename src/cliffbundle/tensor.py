@@ -9,11 +9,11 @@ and reversal (anti-)automorphisms.
 The operators run on the integer kernel of clifford.py with words as
 its keys: the letter i acts by e_i (x) plus the contraction by
 F(e_i, .), which removes the letter at position t with the sign
-(-1)^t.  left_mul is x acting with F = 0, contract is the letter 1
-acting with f as the only row of F and no e_i (x) part, deform is u
-acting on the unit, deform_apply is u acting on v, and a divided power
-is a grade part of deform.  The elements share their sparse arithmetic
-with CliffElt.
+(-1)^t.  contract is the letter 1 acting with f as the only row of F
+and no e_i (x) part, deform is u acting on the unit, deform_apply is u
+acting on v, and a divided power is a grade part of deform; left_mul
+is the tensor product with x's one-letter words.  The elements share
+their sparse arithmetic with CliffElt.
 """
 
 from __future__ import annotations
@@ -105,14 +105,9 @@ class TensorElt(_Sparse):
 
 
 def left_mul(x: Vector, u: TensorElt) -> TensorElt:
-    """Left multiplication by a vector, u -> x (x) u: the word action of
-    the one-letter words of x with zero rows."""
-    same_context(x.ctx, u.ctx)
-    letters = {(i + 1,): c for i, c in enumerate(x.coeffs) if c}
-    if letters and u.terms:
-        _check_grade(u.ctx, u.max_grade() + 1)
-    n = u.ctx.dim
-    return TensorElt(u.ctx, _apply(u.ctx.field, [[0] * n] * n, letters, u.terms))
+    """Left multiplication by a vector, u -> x (x) u: the tensor product
+    of x's one-letter words with u."""
+    return TensorElt.from_vector(x) * u
 
 
 def contract(f: LinearForm, u: TensorElt) -> TensorElt:

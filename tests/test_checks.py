@@ -72,6 +72,8 @@ def test_dim_override():
 def test_char_zero_only_suite_rejects_prime_field():
     with pytest.raises(CharacteristicError):
         run_check("tensor.deform-exp", field="Fp:5", samples=1)
+    # the refusal comes from the first sample, so no sample is no refusal
+    assert run_check("tensor.deform-exp", field="Fp:5", samples=0).to_json()["samples"] == 0
 
 
 def test_registry_contents_stable():
@@ -102,38 +104,39 @@ def test_registry_caps_hold_their_defaults():
 
 def test_capped_suite_refuses_before_any_sample(monkeypatch, capsys):
     """A dim over the cap is refused with CapExceeded, and the CLI exits
-    1 with a structured error; the suite bodies here only record their
+    1 with a structured error; the sample bodies here only record their
     dim, so the refused cases cost nothing."""
     list_checks()
     ran = []
     for cid, cap in _CAPS.items():
         _, dim, field, samples, max_dim = checks._REGISTRY[cid]
         monkeypatch.setitem(checks._REGISTRY, cid, (
-            lambda rng, samples, field, dim, t: ran.append(dim), dim, field, samples, max_dim))
+            lambda rng, ctx, need, i: ran.append(ctx.dim), dim, field, samples, max_dim))
         with pytest.raises(CapExceeded, match=f"dim <= {cap}, got {cap + 1}"):
             run_check(cid, dim=cap + 1)
         assert cli.main(["check", cid, "--dim", str(cap + 1)]) == 1
         out, err = capsys.readouterr()
         assert json.loads(out)["error"]["type"] == "CapExceeded" and not err
         assert not ran
-        run_check(cid, dim=cap, samples=0)
+        run_check(cid, dim=cap, samples=1)
         assert ran == [cap]
         ran.clear()
 
 
 def test_sample_guard_refuses_before_any_sample(monkeypatch, capsys):
     """More samples than the guard allows at a dim are refused with
-    CapExceeded; every registry default is allowed.  The suite bodies
-    here only record their sample count, so nothing heavy runs."""
+    CapExceeded; every registry default is allowed.  The sample bodies
+    here only record their sample index, so nothing heavy runs."""
     list_checks()
     ran = []
+    defaults = []
     for cid, (_, dim, field, samples, max_dim) in list(checks._REGISTRY.items()):
         monkeypatch.setitem(checks._REGISTRY, cid, (
-            lambda rng, samples, field, dim, t: ran.append(samples), dim, field, samples,
-            max_dim))
+            lambda rng, ctx, need, i: ran.append(i), dim, field, samples, max_dim))
     for cid in list_checks():
         run_check(cid)
-    assert len(ran) == len(list_checks())
+        defaults += range(checks._REGISTRY[cid][3])
+    assert ran == defaults
     ran.clear()
     # samples x 8^(dim - max_dim) <= 10 for the capped suites, and at
     # most 10,000 samples for any
@@ -146,9 +149,69 @@ def test_sample_guard_refuses_before_any_sample(monkeypatch, capsys):
             run_check(cid, dim=dim, samples=most + 1)
         assert not ran
         run_check(cid, dim=dim, samples=most)
-        assert ran == [most]
+        assert ran == list(range(most))
         ran.clear()
     assert cli.main(["check", "rho.homomorphism", "--dim", "8", "--samples", "10000"]) == 1
     out, err = capsys.readouterr()
     assert json.loads(out)["error"]["type"] == "CapExceeded" and not err
     assert not ran
+
+
+def _run_body(monkeypatch, body, samples):
+    """run_check of a suite registered (for this test only) as body."""
+    list_checks()
+    monkeypatch.setitem(checks._REGISTRY, "test.body", (body, 2, "Q", 25, None))
+    return run_check("test.body", seed=1, samples=samples)
+
+
+def test_failed_samples_are_counted_once(monkeypatch):
+    """A sample with failed needs is one failure, however many failed."""
+    def body(rng, ctx, need, i):
+        need(i not in (3, 5, 11), "first")
+        need(i != 5, "second")
+
+    res = _run_body(monkeypatch, body, 20)
+    assert (res.passed, res.failed) == (17, 3)
+    assert res.passed + res.failed == res.samples
+    assert res.failures == ["first", "first; second", "first"]
+
+
+def test_failure_messages_join_and_cap(monkeypatch):
+    """Each failed sample's messages are joined with "; ", in order, and
+    only the first 8 failed samples are kept."""
+    def body(rng, ctx, need, i):
+        need(False, f"a{i}")
+        need(True, "never")
+        need(False, f"b{i}")
+
+    res = _run_body(monkeypatch, body, 12)
+    assert (res.passed, res.failed) == (0, 12)
+    assert res.failures == [f"a{i}; b{i}" for i in range(8)]
+
+
+def test_early_return_is_one_attempt(monkeypatch):
+    """A body that returns after a failed need counts as one failed
+    sample, and a fresh need starts the next sample clean."""
+    seen = []
+
+    def body(rng, ctx, need, i):
+        seen.append((i, ctx.dim, ctx.field.spec))
+        if not need(i != 2, f"early {i}"):
+            return
+        need(True, "late")
+
+    res = _run_body(monkeypatch, body, 5)
+    assert (res.passed, res.failed, res.failures) == (4, 1, ["early 2"])
+    assert [i for i, _, _ in seen] == list(range(5))
+    assert {(d, f) for _, d, f in seen} == {(2, "Q")}
+
+
+def test_every_suite_refuses_dim_zero(capsys):
+    """A dim below 1 is refused by every suite, before any sample, with
+    the ValueError of its context; the CLI exits 2."""
+    for cid in list_checks():
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            run_check(cid, dim=0)
+    assert cli.main(["check", "scalars.fermat", "--dim", "0"]) == 2
+    assert cli.main(["check", "forms.pfaffian-det", "--dim", "-1"]) == 2
+    capsys.readouterr()

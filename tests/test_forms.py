@@ -118,6 +118,43 @@ def test_pfaffian_squares_to_det():
                 assert pfaffian(a) * pfaffian(a) == linalg.det(a.matrix())
 
 
+@pytest.mark.parametrize("field", [RATIONALS, Field(2), Field(3), Field(7)],
+                         ids=lambda f: f.spec)
+def test_pfaffian_pivots_and_degenerate_forms(field):
+    """Forms with a_12 = 0 (a pivot swap) and forms with zeroed rows
+    (a zero Pfaffian, or a zero row 0 partway through) against the
+    perfect-matching sum."""
+    rng = random.Random(47)
+    for n in (2, 4, 6, 8):
+        ctx = AlgebraContext(n, field)
+        for trial in range(12):
+            rows = [list(r) for r in rand_alternating(rng, ctx).rows]
+            zeroed = [0] if trial % 3 == 0 else rng.sample(range(n), trial % 3)
+            for z in zeroed:
+                for t in range(n):
+                    rows[z][t] = rows[t][z] = field.zero
+            if trial % 3 == 0 and n > 2:  # row 1 keeps only its last entry
+                rows[0][n - 1], rows[n - 1][0] = field.one, -field.one
+            a = BilinearForm.make(ctx, rows)
+            assert pfaffian(a) == pfaffian_matchings(a)
+
+
+@pytest.mark.parametrize("field", [RATIONALS, Field(7)], ids=lambda f: f.spec)
+def test_pfaffian_dense_at_n_40(field):
+    """Elimination is O(n^3): a dense n = 40 form takes well under a
+    CPU-second."""
+    rng = random.Random(53)
+    n = 40
+    rows = [[field.zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = field(rng.choice([k for k in range(-9, 10) if k % 7]))
+            rows[i][j], rows[j][i] = v, -v
+    a = BilinearForm.make(AlgebraContext(n, field), rows)
+    pf = pfaffian(a)
+    assert pf and pf * pf == linalg.det(a.matrix())
+
+
 def test_det_against_leibniz_sum():
     rng = random.Random(43)
     ctx = AlgebraContext(4, RATIONALS)
