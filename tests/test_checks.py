@@ -73,7 +73,7 @@ def test_char_zero_only_suite_rejects_prime_field():
     with pytest.raises(CharacteristicError):
         run_check("tensor.deform-exp", field="Fp:5", samples=1)
     # the refusal comes from the first sample, so no sample is no refusal
-    assert run_check("tensor.deform-exp", field="Fp:5", samples=0).to_json()["samples"] == 0
+    assert run_check("tensor.deform-exp", field="Fp:5", samples=0).samples == 0
 
 
 def test_registry_contents_stable():
@@ -212,6 +212,6 @@ def test_every_suite_refuses_dim_zero(capsys):
     for cid in list_checks():
         with pytest.raises(ValueError, match="dimension must be >= 1"):
             run_check(cid, dim=0)
-    assert cli.main(["check", "scalars.fermat", "--dim", "0"]) == 2
-    assert cli.main(["check", "forms.pfaffian-det", "--dim", "-1"]) == 2
-    capsys.readouterr()
+    for cid, dim in [("scalars.fermat", "0"), ("forms.pfaffian-det", "-1")]:
+        assert cli.main(["check", cid, "--dim", dim]) == 2
+        assert "dimension must be >= 1" in capsys.readouterr().err
