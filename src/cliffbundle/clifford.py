@@ -225,36 +225,44 @@ def _word_sum(act, actions: tuple, p: int, u_terms: dict, v: dict, pairs=None) -
     """The sum over the words S of u of u_S (e_S . v): (map, den).  act
     is the generator action on the keys of v, _act on bitmasks or
     _act_word on words; v maps them to raw values.  Each e_S . v is
-    e_first . (e_rest . v), memoized per suffix, so the keys of u may be
-    any words.  Over Q the result is the map divided by den: u and v
-    are scaled to integers by their common denominators, u_S is
-    weighted by d^(m - |S|), m the longest word of u, and den is those
-    denominators times d^m.  Over GF(p) the map is unreduced and den
-    is 1.  With pairs given (words as keys, v the unit), each e_S . 1
-    drops its terms with more than pairs contractions, the keys shorter
-    than |S| - 2 pairs, since later letters only add contractions."""
+    e_first . (e_rest . v), so the words are visited sorted by their
+    reversal, and of the suffix maps of the word in hand only those
+    the next word shares are kept (at most the longest word + 1 maps):
+    a suffix shared by several words is acted out once, and the keys
+    of u may be any words.  Over
+    Q the result is the map divided by den: u and v are scaled to
+    integers by their common denominators, u_S is weighted by
+    d^(m - |S|), m the longest word of u, and den is those denominators
+    times d^m.  Over GF(p) the map is unreduced and den is 1.  With
+    pairs given (words as keys, v the unit), each e_S . 1 drops its
+    terms with more than pairs contractions, the keys shorter than
+    |S| - 2 pairs, since later letters only add contractions."""
     acts, scale, d = actions
     vnum, dv = scaled_ints(list(v.values()))
-    memo = {(): dict(zip(v, vnum))}
-
-    def on_v(word):
-        got = memo.get(word)
-        if got is None:
-            bit, row = acts[word[0] - 1]
-            got = act(bit, scale, row, p, on_v(word[1:]))
-            if pairs is not None and (least := len(word) - 2 * pairs) > 0:
-                got = {k: c for k, c in got.items() if len(k) >= least}
-            memo[word] = got
-        return got
-
     unum, du = scaled_ints([c.value for c in u_terms.values()])
     top = max(map(len, u_terms), default=0)
+    words = sorted(zip((w[::-1] for w in u_terms), unum))
+    chain = [dict(zip(v, vnum))]
     out = {}
     get = out.get
-    for word, c in zip(u_terms, unum):
+    for i, (rev, c) in enumerate(words):
+        share = 0
+        for a, b in zip(rev, words[i + 1][0] if i + 1 < len(words) else ()):
+            if a != b:
+                break
+            share += 1
+        got = chain[-1]
+        for j in range(len(chain) - 1, len(rev)):
+            bit, row = acts[rev[j] - 1]
+            got = act(bit, scale, row, p, got)
+            if pairs is not None and (least := j + 1 - 2 * pairs) > 0:
+                got = {k: x for k, x in got.items() if len(k) >= least}
+            if j < share:
+                chain.append(got)
+        del chain[share + 1:]
         if d != 1:
-            c *= d ** (top - len(word))
-        for k, x in on_v(word).items():
+            c *= d ** (top - len(rev))
+        for k, x in got.items():
             out[k] = get(k, 0) + c * x
     return out, du * dv * d ** top
 

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cached_property
+from math import gcd
 
 from . import linalg
 from .clifford import (CliffElt, CliffordContext, _act, _actions, _word_sum,
@@ -51,55 +53,116 @@ def vec_to_cliff(cctx: CliffordContext, vec) -> CliffElt:
 @record(frozen=True)
 class EndoMatrix:
     """A 2^n x 2^n matrix acting on the exterior algebra in the subset
-    basis (bitmask order)."""
+    basis (bitmask order), held as the kernel makes it: cols[c] lists
+    the (row, x) pairs of the nonzero entries of column c by row, and
+    every entry is x / den.  Over GF(p) x is a residue and den is 1;
+    over Q den > 0 and the gcd of den and every x is 1, so equal
+    matrices have equal fields.  The Scalars of entries are built on
+    first use, once per matrix."""
 
     ctx: AlgebraContext
-    entries: tuple
+    cols: tuple
+    den: int
 
     def __post_init__(self):
-        size = 1 << self.ctx.dim
-        if len(self.entries) != size or any(len(r) != size for r in self.entries):
-            raise FormError(f"endomorphism matrix must be {size}x{size}")
+        if len(self.cols) != self.size:
+            raise FormError(f"endomorphism matrix must have {self.size} columns")
 
     @classmethod
     def from_rows(cls, ctx: AlgebraContext, rows) -> "EndoMatrix":
-        return cls(ctx, tuple(tuple(ctx.coerce(v) for v in row) for row in rows))
+        n = ctx.dim
+        size = 1 << n
+        if len(rows) != size or any(len(row) != size for row in rows):
+            raise FormError(f"endomorphism matrix must be {size}x{size}")
+        vals = {(c << n) | r: x for r, row in enumerate(rows)
+                for c, v in enumerate(row) if (x := ctx.coerce(v).value)}
+        nums, den = scaled_ints(list(vals.values()))
+        return _endo(ctx, dict(zip(vals, nums)), den)
 
     @classmethod
     def identity(cls, ctx: AlgebraContext) -> "EndoMatrix":
-        return cls.from_rows(ctx, linalg.identity(ctx.field, 1 << ctx.dim))
+        return _endo(ctx, _unit_map(ctx.dim), 1)
 
     @property
     def size(self) -> int:
         return 1 << self.ctx.dim
 
+    @cached_property
+    def entries(self) -> tuple:
+        """The rows as tuples of Scalars."""
+        field = self.ctx.field
+        den = self.den
+        rows = [[field.zero] * self.size for _ in self.cols]
+        for c, col in enumerate(self.cols):
+            for r, x in col:
+                rows[r][c] = Scalar(field, x if den == 1 else Fraction(x, den))
+        return tuple(map(tuple, rows))
+
     def rows(self):
         return [list(r) for r in self.entries]
 
+    def _raw_rows(self) -> list:
+        """The dense rows of raw values: residues, or ints and Fractions."""
+        den = self.den
+        rows = [[0] * self.size for _ in self.cols]
+        for c, col in enumerate(self.cols):
+            for r, x in col:
+                rows[r][c] = x if den == 1 else Fraction(x, den)
+        return rows
+
     def __mul__(self, other: "EndoMatrix") -> "EndoMatrix":
+        """Column c of the product is the sum over the entries y at row
+        r of other's column c of y times self's column r."""
         if not isinstance(other, EndoMatrix):
             return NotImplemented
         same_context(self.ctx, other.ctx)
-        return EndoMatrix(self.ctx, tuple(
-            tuple(r) for r in linalg.mat_mul(self.rows(), other.rows())))
+        n = self.ctx.dim
+        cols = self.cols
+        out = {}
+        get = out.get
+        for c, col in enumerate(other.cols):
+            base = c << n
+            for r, y in col:
+                for k, x in cols[r]:
+                    k |= base
+                    out[k] = get(k, 0) + x * y
+        return _endo(self.ctx, out, self.den * other.den)
 
     def to_json(self) -> dict:
         return {"matrix": [[str(v) for v in row] for row in self.entries]}
 
 
-def _endo(ctx: AlgebraContext, cols, dens) -> EndoMatrix:
-    """The matrix whose column c is the mask -> int map cols[c] divided
-    by dens[c]; over GF(p) the values are residues up to reduction and
-    dens is not read."""
-    field = ctx.field
-    p = field.char
-    zero = field.zero
-    rows = [[zero] * len(cols) for _ in cols]
-    for c, col in enumerate(cols):
-        for r, x in col.items():
-            if x % p if p else x:
-                rows[r][c] = Scalar(field, x if p else Fraction(x, dens[c]))
-    return EndoMatrix(ctx, tuple(map(tuple, rows)))
+def _unit_map(n: int) -> dict:
+    """The identity matrix as a map from (column << n) | row to 1."""
+    return dict.fromkeys(((s << n) | s for s in range(1 << n)), 1)
+
+
+def _endo(ctx: AlgebraContext, terms: dict, den: int) -> EndoMatrix:
+    """The matrix whose entry at row r of column c is
+    terms[(c << n) | r] / den, den > 0; over GF(p) the values are
+    residues up to reduction and den is not read."""
+    n = ctx.dim
+    p = ctx.field.char
+    if p:
+        terms = {k: r for k, x in terms.items() if (r := x % p)}
+        den = 1
+    else:
+        g = den
+        for x in terms.values():
+            if g == 1:
+                break
+            g = gcd(g, x)
+        if g != 1:
+            terms = {k: x // g for k, x in terms.items()}
+            den //= g
+    cols = [[] for _ in range(1 << n)]
+    low = (1 << n) - 1
+    for k, x in terms.items():
+        if x:
+            cols[k >> n].append((k & low, x))
+    for col in cols:
+        col.sort()
+    return EndoMatrix(ctx, tuple(map(tuple, cols)), den)
 
 
 def _rep_guard(n: int):
@@ -114,30 +177,29 @@ def rho_matrix(F: BilinearForm, u: CliffElt) -> EndoMatrix:
     map is an algebra homomorphism, and its first column (image of the
     unit) is the coefficient vector of deform(F, u).  Column S is
     deform_apply(F, u, e_S): u acting on e_S through the form F, the
-    Chevalley form of the exterior algebra plus F.
+    Chevalley form of the exterior algebra plus F.  Every column comes
+    from one walk of u's words over the identity matrix, keyed
+    (column << n) | row: the kernel reads only the low n bits of a key.
     """
     ctx = F.ctx
     same_context(ctx, u.cctx.ctx)
     if u.cctx.quadratic != quad_of_bilinear(F):
         raise FormError("element must live over the quadratic form of F")
     _rep_guard(ctx.dim)
-    actions = _actions(raw_rows(F.rows))
-    p = ctx.field.char
-    cols, dens = zip(*(_word_sum(_act, actions, p, u.terms, {s: 1})
-                       for s in range(1 << ctx.dim)))
-    return _endo(ctx, cols, dens)
+    out, den = _word_sum(_act, _actions(raw_rows(F.rows)), ctx.field.char, u.terms,
+                         _unit_map(ctx.dim))
+    return _endo(ctx, out, den)
 
 
 def generator_matrices(F: BilinearForm):
     """Representation matrices of the n generators e_1 .. e_n: one
-    generator action per basis blade."""
+    generator action each on the identity matrix."""
     ctx = F.ctx
-    size = 1 << ctx.dim
     _rep_guard(ctx.dim)
     acts, scale, d = _actions(raw_rows(F.rows))
     p = ctx.field.char
-    return [_endo(ctx, [_act(bit, scale, row, p, {s: 1}) for s in range(size)], [d] * size)
-            for bit, row in acts]
+    unit = _unit_map(ctx.dim)
+    return [_endo(ctx, _act(bit, scale, row, p, unit), d) for bit, row in acts]
 
 
 def twist_matrix(A: BilinearForm) -> EndoMatrix:
@@ -146,7 +208,8 @@ def twist_matrix(A: BilinearForm) -> EndoMatrix:
     of an alternating form vanishes).  Column S is deform(A, e_S): the
     word e_S acting on the unit through A, built as
     e_min(S) . column(S without min(S)); over Q each generator action
-    is d times the true one, so column S is divided by d^|S|."""
+    is d times the true one, so column S is d^(n - |S|) times the true
+    one over d^n."""
     if not A.is_alternating():
         raise FormError("twist matrix needs an alternating form")
     ctx = A.ctx
@@ -159,7 +222,8 @@ def twist_matrix(A: BilinearForm) -> EndoMatrix:
         first = s & -s
         bit, row = acts[first.bit_length() - 1]
         cols.append(_act(bit, scale, row, p, cols[s ^ first]))
-    return _endo(ctx, cols, [d ** s.bit_count() for s in range(1 << n)])
+    return _endo(ctx, {(s << n) | r: x * d ** (n - s.bit_count())
+                       for s, col in enumerate(cols) for r, x in col.items()}, d ** n)
 
 
 @record()
@@ -205,20 +269,14 @@ def check_equivalence(F: BilinearForm, A: BilinearForm, samples, seed: int = 0) 
         lhs = rho_matrix(Fp, a) * M
         rhs = M * rho_matrix(F, a)
         if lhs != rhs:
-            size = lhs.size
-            spot = None
-            for r in range(size):
-                for c in range(size):
-                    if lhs.entries[r][c] != rhs.entries[r][c]:
-                        spot = (r, c)
-                        break
-                if spot:
-                    break
+            a, b = lhs.entries, rhs.entries
+            r, c = next((r, c) for r, (ra, rb) in enumerate(zip(a, b))
+                        for c, (x, y) in enumerate(zip(ra, rb)) if x != y)
             failures.append({
                 "sample": i,
-                "entry": list(spot),
-                "lhs": str(lhs.entries[spot[0]][spot[1]]),
-                "rhs": str(rhs.entries[spot[0]][spot[1]]),
+                "entry": [r, c],
+                "lhs": str(a[r][c]),
+                "rhs": str(b[r][c]),
             })
     return EquivalenceReport(
         identity="rho[F+A](a) * twist(A) == twist(A) * rho[F](a)",
@@ -251,10 +309,11 @@ class ProbeReport:
         }
 
 
-def _rows_of(m):
+def _raw_of(m) -> list:
+    """The dense raw rows of an EndoMatrix or of a matrix of Scalars."""
     if isinstance(m, EndoMatrix):
-        return m.rows()
-    return [list(r) for r in m]
+        return m._raw_rows()
+    return raw_rows(m)
 
 
 def restrict_matrices(mats, basis):
@@ -268,7 +327,7 @@ def restrict_matrices(mats, basis):
     bcols = linalg.transpose(raw_rows(basis))
     out = []
     for m in mats:
-        x = linalg.solve_matrix_raw(bcols, linalg.mat_mul_raw(raw_rows(_rows_of(m)), bcols, p), p)
+        x = linalg.solve_matrix_raw(bcols, linalg.mat_mul_raw(_raw_of(m), bcols, p), p)
         if x is None:
             raise FormError("span is not invariant under the given matrices")
         out.append([[Scalar(field, v) for v in row] for row in x])
@@ -381,13 +440,13 @@ def invariant_probe(mats, seed: int) -> ProbeReport:
     """
     if not mats:
         raise FormError("invariant probe needs at least one matrix")
-    rows_list = [_rows_of(m) for m in mats]
-    n = len(rows_list[0])
-    if any(len(m) != n or any(len(r) != n for r in m) for m in rows_list):
-        raise FormError("all matrices must share one square dimension")
-    field = rows_list[0][0][0].field
+    first = mats[0]
+    field = first.ctx.field if isinstance(first, EndoMatrix) else first[0][0].field
     p = field.char
-    raw = [raw_rows(m) for m in rows_list]
+    raw = [_raw_of(m) for m in mats]
+    n = len(raw[0])
+    if any(len(m) != n or any(len(r) != n for r in m) for m in raw):
+        raise FormError("all matrices must share one square dimension")
     raw_t = [linalg.transpose(m) for m in raw]
     rng = random.Random(seed)
     found = {}
@@ -403,7 +462,7 @@ def invariant_probe(mats, seed: int) -> ProbeReport:
 
     def close_under(vectors):
         basis = linalg.row_space_raw(vectors, p)
-        while basis:
+        while 0 < len(basis) < n:
             # row v of basis @ m^T is m v
             imgs = [img for mt in raw_t for img in linalg.mat_mul_raw(basis, mt, p)]
             bigger = linalg.row_space_raw(basis + imgs, p)
