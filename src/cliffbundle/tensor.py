@@ -106,8 +106,9 @@ class TensorElt(_Sparse):
 
 def left_mul(x: Vector, u: TensorElt) -> TensorElt:
     """Left multiplication by a vector, u -> x (x) u: the tensor product
-    of x's one-letter words with u."""
-    return TensorElt.from_vector(x) * u
+    of x's one-letter words with u, over u's context and grade cap."""
+    same_context(x.ctx, u.ctx)
+    return TensorElt(u.ctx, {(i + 1,): c for i, c in enumerate(x.coeffs) if c}) * u
 
 
 def contract(f: LinearForm, u: TensorElt) -> TensorElt:

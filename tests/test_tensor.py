@@ -210,6 +210,17 @@ def test_left_mul_grade_cap():
     assert not left_mul(x, TensorElt.zero(ctx))
 
 
+def test_left_mul_takes_the_grade_cap_of_u():
+    """Contexts that differ only in grade_cap compare equal; the words
+    of x are built over u's context, so u's cap refuses the product."""
+    capped = AlgebraContext(2, Field(3), grade_cap=2)
+    u = TensorElt.from_word(capped, (1, 2))
+    x = Vector.make(AlgebraContext(2, Field(3)), [1, 1])
+    with pytest.raises(CapExceeded, match="length 3 exceeds the grade cap 2"):
+        left_mul(x, u)
+    assert left_mul(x, TensorElt.from_word(capped, (2,))).ctx.grade_cap == 2
+
+
 def test_deformations_grade_cap():
     # words built directly, past the check in from_word
     ctx = AlgebraContext(2, Field(7))
