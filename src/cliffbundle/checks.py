@@ -1,12 +1,14 @@
 """Named identity suites, addressable by stable string identifiers.
 
 The registry maps each id to the body of one sample and the suite's
-default dimension, field and sample count, and for a suite whose cost
-grows steeply with the dimension (about 8x per dimension), the largest
-dimension it runs at.  A request over the cost guard is refused with
-CapExceeded before any sample runs: a dimension over that largest one,
-more than _TOP_SAMPLES samples' worth of work at it (samples x
-8^(dim - max_dim)), or more than _MAX_SAMPLES samples of any suite.
+default dimension, field and sample count, and the largest dimension
+it runs at: the largest dimension up to 12 at which one sample takes
+at most about 1.5 CPU-s, or None for a suite whose cost does not
+depend on the dimension (scalars.* and forms.pfaffian-det).  A request
+over the cost guard is refused with CapExceeded before any sample
+runs: a dimension over that largest one, more than _TOP_SAMPLES
+samples' worth of work at it (samples x 8^(dim - max_dim)), or more
+than _MAX_SAMPLES samples of any suite.
 
 run_check holds the only sample loop.  It seeds one random.Random and
 builds one AlgebraContext (so a dim below 1 is refused with its
@@ -53,20 +55,20 @@ class CheckResult:
 
 _REGISTRY = {}
 
-# The sample guard.  One sample of a capped suite at its largest dim
-# takes about 1.5 CPU-s (rho.homomorphism at dim 8) to 6 CPU-s
-# (rep.invariant-lattice at dim 5), and each dim below it costs about
-# 8x less; one sample of any other suite takes at most about 2 ms at
-# dim 4.
+# The sample guard.  One sample of a suite at its largest dim takes
+# from about 0.01 CPU-s (most suites at dim 12) through 0.7 CPU-s
+# (rho.homomorphism at dim 8) and 3 CPU-s (twist.associativity at
+# dim 12, so it stops at 11) to 6.5 CPU-s (rep.invariant-lattice at
+# dim 5), and the steepest suites cost about 8x less per dim below it.
 _TOP_SAMPLES = 10
 _MAX_SAMPLES = 10_000
 _MAX_FAILURES = 8
 
 
 def check(check_id: str, dim: int = 4, field: str = "Q", samples: int = 25,
-          max_dim: int | None = None):
+          max_dim: int | None = 12):
     """Register a suite: the decorated function is the body of one
-    sample, body(rng, ctx, need, i)."""
+    sample, body(rng, ctx, need, i), and runs at dim <= max_dim."""
     def deco(fn):
         _REGISTRY[check_id] = (fn, dim, field, samples, max_dim)
         return fn

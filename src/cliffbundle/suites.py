@@ -38,7 +38,7 @@ from .tensor import (TensorElt, contract, deform as t_deform,
 # ---------------------------------------------------------------- scalars
 
 
-@check("scalars.field-axioms")
+@check("scalars.field-axioms", max_dim=None)
 def _scalars_axioms(rng, ctx, need, i):
     a = rand_scalar(rng, ctx.field)
     b = rand_scalar(rng, ctx.field)
@@ -51,13 +51,13 @@ def _scalars_axioms(rng, ctx, need, i):
     need(nz * nz.inverse() == ctx.field.one, f"inverse {nz}")
 
 
-@check("scalars.parse-print")
+@check("scalars.parse-print", max_dim=None)
 def _scalars_parse(rng, ctx, need, i):
     a = rand_scalar(rng, ctx.field, span=40)
     need(ctx.field.parse(str(a)) == a, f"round trip {a}")
 
 
-@check("scalars.fermat", field="Fp:7")
+@check("scalars.fermat", field="Fp:7", max_dim=None)
 def _scalars_fermat(rng, ctx, need, i):
     fld = ctx.field if ctx.field.char else Field(7)
     a = rand_scalar(rng, fld)
@@ -94,7 +94,7 @@ def _forms_char2(rng, ctx, need, i):
             need(q(x) == f(x, x), f"mismatch at vector bits {bits}")
 
 
-@check("forms.pfaffian-det")
+@check("forms.pfaffian-det", max_dim=None)
 def _forms_pf(rng, ctx, need, i):
     n = (2, 4, 6)[i % 3]
     a = rand_alternating(rng, AlgebraContext(n, ctx.field))
@@ -421,7 +421,7 @@ def _bL_comp(rng, ctx, need, i):
     need(lhs == rhs, "operator composition law failed on radical arguments")
 
 
-@check("twist.associativity")
+@check("twist.associativity", max_dim=11)
 def _twist_assoc(rng, ctx, need, i):
     cctx = CliffordContext(rand_quadratic(rng, ctx))
     F = rand_bilinear(rng, ctx)

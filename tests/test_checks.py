@@ -84,22 +84,28 @@ def test_registry_contents_stable():
     assert ids == sorted(ids)
 
 
-# the suites whose cost grows about 8x per dimension, and their caps
+# the suites whose cost does not depend on the dimension, and the caps
+# other than the default 12 of every other suite
+_DIM_FREE = {"scalars.field-axioms", "scalars.parse-print", "scalars.fermat",
+             "forms.pfaffian-det"}
 _CAPS = {
     "rho.homomorphism": 8,
     "rho.unit-column": 8,
     "rho.square": 8,
     "rep.equivalence": 8,
     "rep.invariant-lattice": 5,
+    "twist.associativity": 11,
 }
 
 
 def test_registry_caps_hold_their_defaults():
+    """Every suite is capped, or listed as dim-independent."""
     list_checks()
-    caps = {cid: entry[4] for cid, entry in checks._REGISTRY.items() if entry[4] is not None}
-    assert caps == _CAPS
     for cid, (_, dim, _, _, max_dim) in checks._REGISTRY.items():
-        assert max_dim is None or dim <= max_dim, cid
+        if cid in _DIM_FREE:
+            assert max_dim is None, cid
+        else:
+            assert max_dim == _CAPS.get(cid, 12) and dim <= max_dim, cid
 
 
 def test_capped_suite_refuses_before_any_sample(monkeypatch, capsys):
@@ -108,7 +114,10 @@ def test_capped_suite_refuses_before_any_sample(monkeypatch, capsys):
     dim, so the refused cases cost nothing."""
     list_checks()
     ran = []
-    for cid, cap in _CAPS.items():
+    for cid in list_checks():
+        if cid in _DIM_FREE:
+            continue
+        cap = _CAPS.get(cid, 12)
         _, dim, field, samples, max_dim = checks._REGISTRY[cid]
         monkeypatch.setitem(checks._REGISTRY, cid, (
             lambda rng, ctx, need, i: ran.append(ctx.dim), dim, field, samples, max_dim))
@@ -143,7 +152,8 @@ def test_sample_guard_refuses_before_any_sample(monkeypatch, capsys):
     for cid, dim, most in [("rho.homomorphism", 8, 10), ("rho.homomorphism", 7, 80),
                            ("rep.equivalence", 5, 5120), ("rho.square", 4, 10_000),
                            ("rep.invariant-lattice", 5, 10), ("rep.invariant-lattice", 3, 640),
-                           ("bl.group-law", 4, 10_000), ("bl.group-law", 12, 10_000)]:
+                           ("bl.group-law", 4, 10_000), ("bl.group-law", 12, 10),
+                           ("scalars.fermat", 30, 10_000)]:
         with pytest.raises(CapExceeded, match=f"at most {most} samples at dim {dim}, "
                                               f"got {most + 1}$"):
             run_check(cid, dim=dim, samples=most + 1)
