@@ -225,11 +225,10 @@ def _word_sum(act, actions: tuple, p: int, u_terms: dict, v: dict, pairs=None) -
     """The sum over the words S of u of u_S (e_S . v): (map, den).  act
     is the generator action on the keys of v, _act on bitmasks or
     _act_word on words; v maps them to raw values.  Each e_S . v is
-    e_first . (e_rest . v), so the words are visited sorted by their
-    reversal, and of the suffix maps of the word in hand only those
-    the next word shares are kept (at most the longest word + 1 maps):
-    a suffix shared by several words is acted out once, and the keys
-    of u may be any words.  Over
+    e_first . (e_rest . v): the words are visited sorted by their
+    reversal, keeping of the suffix maps of the word in hand only those
+    the next word shares (at most the longest word + 1 maps), so each
+    suffix is acted out once and the keys of u may be any words.  Over
     Q the result is the map divided by den: u and v are scaled to
     integers by their common denominators, u_S is weighted by
     d^(m - |S|), m the longest word of u, and den is those denominators

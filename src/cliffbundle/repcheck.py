@@ -5,14 +5,19 @@ The exterior algebra has the subset basis; a subset S of {1..n} gets the
 column/row index sum of 2^(i-1) over i in S (bitmask order), so matrices
 are reproducible bit for bit.
 
-The matrices are built straight from the Clifford kernel of clifford.py,
-whose blades are those same bitmasks: column S of rho_matrix(F, u) is
-u acting on e_S through the rows of F, and column S of twist_matrix(A)
-is the word e_S acting on the unit through A, one generator action on
-the column of S without its lowest index.  The probe and the
-restriction run on raw values, residues mod p or rationals, through
-the raw core of linalg; Scalars appear only in EndoMatrix entries, in
-ProbeReport bases and in the matrices restrict_matrices returns.
+The matrices come straight from the Clifford kernel of clifford.py,
+whose blades are those same bitmasks, and an EndoMatrix keeps them as
+the kernel makes them: sparse integer columns over one denominator.
+rho_matrix(F, u) is one walk of u's words over the identity matrix,
+column S being u acting on e_S through the rows of F; the generator
+matrices are one generator action each on it; column S of
+twist_matrix(A) is the word e_S acting on the unit through A, one
+generator action on the column of S without its lowest index; and a
+product combines columns.  The probe and the restriction run on raw
+values, residues mod p or rationals, through the raw core of linalg.
+Scalars appear only in EndoMatrix.entries and rows() (built once per
+matrix), in ProbeReport bases and in the matrices restrict_matrices
+returns, and strings only in to_json.
 """
 
 from __future__ import annotations
@@ -64,18 +69,13 @@ class EndoMatrix:
     cols: tuple
     den: int
 
-    def __post_init__(self):
-        if len(self.cols) != self.size:
-            raise FormError(f"endomorphism matrix must have {self.size} columns")
-
     @classmethod
     def from_rows(cls, ctx: AlgebraContext, rows) -> "EndoMatrix":
-        n = ctx.dim
-        size = 1 << n
+        n, size = ctx.dim, 1 << ctx.dim
         if len(rows) != size or any(len(row) != size for row in rows):
             raise FormError(f"endomorphism matrix must be {size}x{size}")
-        vals = {(c << n) | r: x for r, row in enumerate(rows)
-                for c, v in enumerate(row) if (x := ctx.coerce(v).value)}
+        vals = {(c << n) | r: ctx.coerce(v).value for r, row in enumerate(rows)
+                for c, v in enumerate(row)}
         nums, den = scaled_ints(list(vals.values()))
         return _endo(ctx, dict(zip(vals, nums)), den)
 
@@ -90,13 +90,9 @@ class EndoMatrix:
     @cached_property
     def entries(self) -> tuple:
         """The rows as tuples of Scalars."""
-        field = self.ctx.field
-        den = self.den
-        rows = [[field.zero] * self.size for _ in self.cols]
-        for c, col in enumerate(self.cols):
-            for r, x in col:
-                rows[r][c] = Scalar(field, x if den == 1 else Fraction(x, den))
-        return tuple(map(tuple, rows))
+        field, zero = self.ctx.field, self.ctx.field.zero
+        return tuple(tuple(Scalar(field, x) if x else zero for x in row)
+                     for row in self._raw_rows())
 
     def rows(self):
         return [list(r) for r in self.entries]
@@ -111,13 +107,11 @@ class EndoMatrix:
         return rows
 
     def __mul__(self, other: "EndoMatrix") -> "EndoMatrix":
-        """Column c of the product is the sum over the entries y at row
-        r of other's column c of y times self's column r."""
+        """Column c is the sum over other's entries y at (r, c) of y times column r."""
         if not isinstance(other, EndoMatrix):
             return NotImplemented
         same_context(self.ctx, other.ctx)
-        n = self.ctx.dim
-        cols = self.cols
+        n, cols = self.ctx.dim, self.cols
         out = {}
         get = out.get
         for c, col in enumerate(other.cols):
@@ -144,17 +138,11 @@ def _endo(ctx: AlgebraContext, terms: dict, den: int) -> EndoMatrix:
     n = ctx.dim
     p = ctx.field.char
     if p:
-        terms = {k: r for k, x in terms.items() if (r := x % p)}
+        terms = {k: x % p for k, x in terms.items()}
         den = 1
-    else:
-        g = den
-        for x in terms.values():
-            if g == 1:
-                break
-            g = gcd(g, x)
-        if g != 1:
-            terms = {k: x // g for k, x in terms.items()}
-            den //= g
+    elif (g := gcd(den, *terms.values())) != 1:
+        terms = {k: x // g for k, x in terms.items()}
+        den //= g
     cols = [[] for _ in range(1 << n)]
     low = (1 << n) - 1
     for k, x in terms.items():
@@ -197,9 +185,8 @@ def generator_matrices(F: BilinearForm):
     ctx = F.ctx
     _rep_guard(ctx.dim)
     acts, scale, d = _actions(raw_rows(F.rows))
-    p = ctx.field.char
     unit = _unit_map(ctx.dim)
-    return [_endo(ctx, _act(bit, scale, row, p, unit), d) for bit, row in acts]
+    return [_endo(ctx, _act(bit, scale, row, ctx.field.char, unit), d) for bit, row in acts]
 
 
 def twist_matrix(A: BilinearForm) -> EndoMatrix:
@@ -272,12 +259,8 @@ def check_equivalence(F: BilinearForm, A: BilinearForm, samples, seed: int = 0) 
             a, b = lhs.entries, rhs.entries
             r, c = next((r, c) for r, (ra, rb) in enumerate(zip(a, b))
                         for c, (x, y) in enumerate(zip(ra, rb)) if x != y)
-            failures.append({
-                "sample": i,
-                "entry": [r, c],
-                "lhs": str(a[r][c]),
-                "rhs": str(b[r][c]),
-            })
+            failures.append({"sample": i, "entry": [r, c],
+                             "lhs": str(a[r][c]), "rhs": str(b[r][c])})
     return EquivalenceReport(
         identity="rho[F+A](a) * twist(A) == twist(A) * rho[F](a)",
         samples=total, failures=failures, seed=seed)

@@ -1,9 +1,12 @@
 """Representation matrices, twist equivalence, restriction, and the
 invariant-subspace probe."""
 
+import gc
 import hashlib
 import json
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -15,9 +18,9 @@ from cliffbundle import (AlgebraContext, BilinearForm, CapExceeded, CliffElt,
                          quad_of_bilinear, restrict_matrices, rho_matrix,
                          subset_index, twist_matrix, vec_to_cliff)
 from cliffbundle import linalg
-from cliffbundle.sampling import rand_alternating, rand_bilinear, rand_cliff
+from cliffbundle.sampling import rand_alternating, rand_bilinear, rand_cliff, rand_quadratic
 
-from oracles import deform_sum, word_sum
+from oracles import deform_sum, matmul_oracle, pair_sum, perm_sign, word_sum
 
 
 def _mat(m):
@@ -171,6 +174,25 @@ def test_check_equivalence_small_instance():
     a = CliffElt.blade(cctx, (1, 2))
     report = check_equivalence(F, A, [a])
     assert report.all_passed()
+
+
+def test_check_equivalence_reports_first_differing_entry(monkeypatch):
+    """With a twist matrix that does not intertwine, a failed sample
+    names the first differing entry in row-major order."""
+    from cliffbundle import repcheck
+    ctx = AlgebraContext(2, RATIONALS)
+    F = BilinearForm.identity(ctx)
+    A = BilinearForm.make(ctx, [[0, Fraction(1, 3)], [Fraction(-1, 3), 0]])
+    cctx = CliffordContext(quad_of_bilinear(F))
+    a = CliffElt.blade(cctx, (1,))
+    wrong = rho_matrix(F, CliffElt.blade(cctx, (2,)))
+    monkeypatch.setattr(repcheck, "twist_matrix", lambda A: wrong)
+    report = check_equivalence(F, A, [CliffElt.unit(cctx), a])
+    lhs, rhs = (rho_matrix(F + A, a) * wrong).entries, (wrong * rho_matrix(F, a)).entries
+    r, c = next((r, c) for r in range(4) for c in range(4) if lhs[r][c] != rhs[r][c])
+    assert report.failures == [{"sample": 1, "entry": [r, c],
+                                "lhs": str(lhs[r][c]), "rhs": str(rhs[r][c])}]
+    assert report.samples == 2 and report.passed == 1
 
 
 def test_check_equivalence_needs_alternating():
@@ -401,3 +423,102 @@ PROBE_DIGESTS = {
 @pytest.mark.parametrize("case", sorted(PROBE_DIGESTS))
 def test_probe_digests(case):
     assert _digest(_probe_json(case)) == PROBE_DIGESTS[case]
+
+
+# ------------------------------------------------ sparse columns, oracles
+
+ORACLE_FIELDS = [RATIONALS, Field(2), Field(7)]
+
+
+def _raw_form(F):
+    return [[x.value for x in row] for row in F.rows]
+
+
+def _to_exterior(words, p):
+    """Words pushed to the exterior algebra: each sorted with the sign
+    of the sorting permutation, those with a repeated letter dropped."""
+    out = {}
+    for w, c in words.items():
+        if len(set(w)) == len(w):
+            key = tuple(sorted(w))
+            out[key] = out.get(key, 0) + perm_sign(w) * c
+    return {k: c % p if p else c for k, c in out.items() if (c % p if p else c)}
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda f: f.spec)
+def test_rho_columns_match_pair_sum(field):
+    """Column S of rho_matrix(F, u) is the tensor deformation operator
+    of F at u applied to the word S, pushed to the exterior algebra."""
+    p = field.char
+    for n in range(1, 5):
+        ctx, F, u, _ = _pin_inputs(field, n, 3)
+        raw_u = {b: c.value for b, c in u.terms.items()}
+        m = rho_matrix(F, u)
+        for c in range(1 << n):
+            col = _to_exterior(pair_sum(_raw_form(F), p, raw_u, {index_subset(c): 1}), p)
+            assert {index_subset(r): x.value for r, x in enumerate(_column(m, c)) if x} == col
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda f: f.spec)
+def test_endo_products_match_matmul_oracle(field):
+    p = field.char
+    for n in range(1, 5):
+        _, F, u, A = _pin_inputs(field, n, 4)
+        mats = [rho_matrix(F, u), twist_matrix(A), *generator_matrices(F),
+                rho_matrix(F, CliffElt.zero(u.cctx))]
+        for a in mats:
+            for b in mats[:3]:
+                raw = [[[x.value for x in row] for row in m.entries] for m in (a, b)]
+                want = matmul_oracle(*raw, p)
+                assert [[x.value for x in row] for row in (a * b).entries] == want
+
+
+@pytest.mark.parametrize("field", PIN_FIELDS, ids=lambda f: f.spec)
+def test_endo_matrix_views_agree_with_from_rows(field):
+    """entries, rows(), ==, hash and to_json of a built matrix agree
+    with the same matrix read back from its rows, or from the rows
+    scaled by a unit and back; one changed entry makes it unequal."""
+    for n in range(1, 4):
+        ctx, F, u, A = _pin_inputs(field, n, 5)
+        for m in (rho_matrix(F, u), twist_matrix(A), rho_matrix(F, CliffElt.zero(u.cctx)),
+                  EndoMatrix.identity(ctx)):
+            back = EndoMatrix.from_rows(ctx, m.rows())
+            assert back == m and hash(back) == hash(m)
+            assert back.entries == m.entries and back.rows() == m.rows()
+            assert back.to_json() == m.to_json()
+            assert (back.cols, back.den) == (m.cols, m.den)
+            rows = m.rows()
+            rows[0][-1] = rows[0][-1] + field.one
+            assert EndoMatrix.from_rows(ctx, rows) != m
+        plain = [[Fraction(r - c, 3) if field.char == 0 else (r * c) % field.char
+                  for c in range(1 << n)] for r in range(1 << n)]
+        m = EndoMatrix.from_rows(ctx, plain)
+        assert m.rows() == [[field(x) for x in row] for row in plain]
+        assert m.den == (3 if field.char == 0 else 1)
+        if field.char:
+            assert all(0 < x < field.char for col in m.cols for _, x in col)
+    with pytest.raises(FormError):
+        EndoMatrix.from_rows(AlgebraContext(1, RATIONALS), [[1, 0], [0]])
+
+
+def test_dense_product_memory():
+    """A dense n = 8 product over GF(7) keeps one chain of suffix maps:
+    its traced peak stays under 1 MiB, and with gc off what is still
+    allocated after the call is within twice the result's own size, so
+    no reference cycle outlives it."""
+    rng = random.Random(8)
+    ctx = AlgebraContext(8, Field(7))
+    cctx = CliffordContext(rand_quadratic(rng, ctx))
+    u, v = ((CliffElt(cctx, {index_subset(m): ctx.field(rng.randrange(1, 7))
+                             for m in range(1 << 8)})) for _ in range(2))
+    gc.disable()
+    try:
+        tracemalloc.start()
+        w = u * v
+        after, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+    finally:
+        gc.enable()
+    own = sys.getsizeof(w.terms) + sum(map(sys.getsizeof, w.terms.values()))
+    assert peak < 1 << 20
+    assert after <= 2 * own
