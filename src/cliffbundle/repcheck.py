@@ -137,20 +137,15 @@ def _endo(ctx: AlgebraContext, terms: dict, den: int) -> EndoMatrix:
     residues up to reduction and den is not read."""
     n = ctx.dim
     p = ctx.field.char
-    if p:
-        terms = {k: x % p for k, x in terms.items()}
-        den = 1
-    elif (g := gcd(den, *terms.values())) != 1:
-        terms = {k: x // g for k, x in terms.items()}
-        den //= g
+    g = den if p else gcd(den, *terms.values())
     cols = [[] for _ in range(1 << n)]
     low = (1 << n) - 1
     for k, x in terms.items():
-        if x:
+        if x := x % p if p else x if g == 1 else x // g:
             cols[k >> n].append((k & low, x))
     for col in cols:
         col.sort()
-    return EndoMatrix(ctx, tuple(map(tuple, cols)), den)
+    return EndoMatrix(ctx, tuple(map(tuple, cols)), den // g)
 
 
 def _rep_guard(n: int):
