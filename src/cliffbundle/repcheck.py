@@ -251,11 +251,11 @@ def check_equivalence(F: BilinearForm, A: BilinearForm, samples, seed: int = 0) 
         lhs = rho_matrix(Fp, a) * M
         rhs = M * rho_matrix(F, a)
         if lhs != rhs:
-            a, b = lhs.entries, rhs.entries
-            r, c = next((r, c) for r, (ra, rb) in enumerate(zip(a, b))
-                        for c, (x, y) in enumerate(zip(ra, rb)) if x != y)
+            left, right = lhs.entries, rhs.entries
+            r, c = next((r, c) for r, (rl, rr) in enumerate(zip(left, right))
+                        for c, (x, y) in enumerate(zip(rl, rr)) if x != y)
             failures.append({"sample": i, "entry": [r, c],
-                             "lhs": str(a[r][c]), "rhs": str(b[r][c])})
+                             "lhs": str(left[r][c]), "rhs": str(right[r][c])})
     return EquivalenceReport(
         identity="rho[F+A](a) * twist(A) == twist(A) * rho[F](a)",
         samples=total, failures=failures, seed=seed)

@@ -25,12 +25,12 @@ from .forms import (AlgebraContext, BilinearForm, QuadraticForm, Vector,
                     alt_of_dual, dual_two_form, pfaffian, polar_form,
                     quad_of_bilinear, right_radical, split_sym_alt,
                     triangular_bilinear)
-from .repcheck import (_endo, _unit_map, check_equivalence, cliff_to_vec,
-                       generator_matrices, invariant_probe, rho_matrix, twist_matrix)
+from .repcheck import (check_equivalence, cliff_to_vec, generator_matrices,
+                       invariant_probe, rho_matrix, twist_matrix)
 from .sampling import (rand_alternating, rand_bilinear, rand_blade, rand_cliff,
                        rand_dual_two_form, rand_linear_form, rand_quadratic,
                        rand_scalar, rand_symmetric, rand_tensor, rand_vector)
-from .scalars import Field, scaled_ints
+from .scalars import Field
 from .tensor import (TensorElt, contract, deform as t_deform,
                      deform_apply as t_deform_apply, divided_power, left_mul)
 
@@ -599,8 +599,7 @@ def _rho_square(rng, ctx, need, i):
     cctx = CliffordContext(quad_of_bilinear(F))
     x = rand_vector(rng, ctx)
     m = rho_matrix(F, CliffElt.from_vector(cctx, x))
-    (qx,), den = scaled_ints([cctx.quadratic(x).value])
-    expected = _endo(ctx, {k: qx for k in _unit_map(ctx.dim)}, den)
+    expected = rho_matrix(F, CliffElt.unit(cctx) * cctx.quadratic(x))
     need(m * m == expected, "square of a vector matrix is not Q_F(x) I")
 
 
