@@ -475,9 +475,10 @@ def test_endo_products_match_matmul_oracle(field):
 
 @pytest.mark.parametrize("field", PIN_FIELDS, ids=lambda f: f.spec)
 def test_endo_matrix_views_agree_with_from_rows(field):
-    """entries, rows(), ==, hash and to_json of a built matrix agree
-    with the same matrix read back from its rows, or from the rows
-    scaled by a unit and back; one changed entry makes it unequal."""
+    """entries, rows(), ==, hash, to_json and the fields of a built
+    matrix agree with the same matrix read back from its rows, and one
+    changed entry makes it unequal; rows of plain numbers are stored
+    over their common denominator, or as residues."""
     for n in range(1, 4):
         ctx, F, u, A = _pin_inputs(field, n, 5)
         for m in (rho_matrix(F, u), twist_matrix(A), rho_matrix(F, CliffElt.zero(u.cctx)),
