@@ -159,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
         "quantization map from the exterior algebra (char != 2)")
     add("twist", _cmd_twist, "product twisted by a bilinear form")
     add("exp-contract", _cmd_exp_contract,
-        "exponential of the contraction by a dual two-form (char 0)")
+        "gauge transformation: exponential of the contraction by a dual two-form")
     add("rho", _cmd_rho,
         "matrix of an element acting on the exterior algebra through the "
         "deformation attached to F")

@@ -13,12 +13,14 @@ Clifford algebra of x -> B(x, x).  With the lower-triangular form G_Q
 (diagonal Q(e_i), below it the polar values) the increasing product
 e_S acts on the unit as e_S . 1 = e_S, so an element's coordinates are
 those of its image in the exterior algebra, in every characteristic.
-Each operation is then one sum of word actions, or for deform the
-product of pair contractions that w . 1 reduces to (see deform), or
-for interior one submask sum (see _contract_by):
+Each operation is then one sum of word actions, or for deform and
+exp_contract the product of pair contractions that w . 1 reduces to
+(see deform), or for interior one submask sum (see _contract_by):
 
     u * v                   u . v    B = G_Q
     deform(F, w)            prod over i < j of (1 + F_ij i_j i_i) w
+    exp_contract(a*, w)     the same product, F_ij = -c_ij the entries
+                            of a* = sum over i < j of c_ij e*_i ^ e*_j
     deform_apply(F, u, v)   u . v    B = G_Q + F, Q of v
     quotient_map(u)         u . 1    B = G_Q, the keys of u are words
     f * g, Q = 0            f . g    B = 0, the wedge
@@ -31,12 +33,11 @@ column S = e_S . 1 (B = A).
 
 The exterior algebra (Q = 0) is also that of the dual space: in
 interior(f, w), f is an exterior element with e_i read as e_i*.
-Twisted products, the reversal, the contraction by a linear form, the
-exponential of a dual two-form's interior action, and the symbol and
-quantization maps are built from these.  The tensor algebra (tensor.py)
-runs the same sums with words as keys, e_i (x) in place of e_i ^: that
-is Bourbaki's deformation of T(V), the construction the quotient
-inherits.
+Twisted products, the reversal, the contraction by a linear form and
+the symbol and quantization maps are built from these.  The tensor
+algebra (tensor.py) runs the same sums with words as keys, e_i (x) in
+place of e_i ^: that is Bourbaki's deformation of T(V), the
+construction the quotient inherits.
 
 The kernel works on plain integers, and the key type is its one
 parameter.  A blade is an int bitmask (bit i - 1 for e_i, as in the
@@ -59,7 +60,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 
 from .errors import (CapExceeded, CharacteristicError, ContextMismatch, FormError,
                      ParseError)
@@ -608,64 +608,44 @@ def interior(ustar: CliffElt, w: CliffElt) -> CliffElt:
 
 
 # The largest exp_contract work estimate that runs (see exp_contract);
-# a dense two-form on e_1...e_17 is 18 million and takes about 1.6 CPU-s.
+# a dense two-form on e_1...e_17 is 18 million and takes about 0.9 CPU-s
+# (Python 3.11, Intel Xeon); on e_1...e_18 it is 40 million, refused.
 _EXP_GUARD = 1 << 25
 
 
 def exp_contract(astar: DualTwoForm, w: CliffElt) -> CliffElt:
     """Exponential of the interior action of a dual two-form: w acted
-    on by the exponential of the two-form in the exterior algebra of
-    the dual, whose series stops at half the dimension.  Needs
-    characteristic 0 for the 1/k! weights; in characteristic p use
-    deform with the corresponding alternating form instead.
+    on by the exponential of a* in the exterior algebra of the dual.
+    With A_ij = -c_ij for i < j (the alternating form of alt_of_dual),
+    the term c_ij e*_i ^ e*_j acts as A_ij i_j i_i.  These commute and
+    square to zero, so the exponential is the product over i < j of
+    (1 + A_ij i_j i_i), the pair contraction of deform: no 1/k! is
+    needed and it is defined over every field.  Only the pairs inside
+    the indices of w enter, since no other factor moves w.
 
-    The series is fraction-free on bitmasks.  With d the common
-    denominator of the two-form, A = d a* has integer coefficients, and
-    each power A^k is A^(k-1) wedged by the pairs {i, j} of A that miss
-    its mask M, at M | {i, j} with the sign (-1)^|M & L_{i,j}|, the
-    bits of M between i and j; only the pairs inside the indices of w
-    are kept, since no other term of the series contracts w.  With
-    top = n // 2, past which the powers vanish, the series is the sum
-    of d^(top-k) top!/k! A^k over d^top top!, which contracts w in one
-    submask sum.
-
-    With s the indices of w that lie in a nonzero pair, the series has
-    at most 2^s terms, each wedged by every pair and looked up by every
-    term of w, so (pairs + terms of w) 2^s bounds the work; an input
-    over _EXP_GUARD is refused with CapExceeded before the series is
-    built."""
+    With s the indices of w that lie in a nonzero pair, each pair is
+    one pass over the running terms, at most 2^s of them per term of w.
+    The estimate (pairs + terms of w) 2^s is checked first, and an
+    input over _EXP_GUARD is refused with CapExceeded before any work;
+    it bounds the passes for one term of w, and undercounts a w of many
+    terms by up to a factor of the smaller of pairs and terms."""
     same_context(astar.ctx, w.cctx.ctx)
-    if w.cctx.field.char != 0:
-        raise CharacteristicError(
-            "exponential of a contraction needs characteristic 0; "
-            "use deform with the alternating form instead")
     n = astar.ctx.dim
     support = subset_index({i for blade in w.terms for i in blade})
-    ij = [(i, j) for i in range(n) for j in range(i + 1, n) if support >> i & support >> j & 1]
-    values, d = scaled_ints([astar.at(i + 1, j + 1).value for i, j in ij])
-    pairs = [((1 << i) | (1 << j), (1 << j) - (2 << i), a) for (i, j), a in zip(ij, values) if a]
-    covered = 0
-    for s, _, _ in pairs:
-        covered |= s
-    cost = (len(pairs) + len(w.terms)) << covered.bit_count()
+    rows = [[0] * n for _ in range(n)]
+    pairs = covered = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            if support >> i & support >> j & 1 and (c := astar.at(i + 1, j + 1)):
+                rows[i][j] = -c.value
+                pairs += 1
+                covered |= (1 << i) | (1 << j)
+    cost = (pairs + len(w.terms)) << covered.bit_count()
     if cost > _EXP_GUARD:
         raise CapExceeded(
-            f"exp_contract work {cost} exceeds the guard {_EXP_GUARD}: {len(pairs)} pairs "
+            f"exp_contract work {cost} exceeds the guard {_EXP_GUARD}: {pairs} pairs "
             f"on {covered.bit_count()} indices of w, {len(w.terms)} terms")
-    top = n // 2
-    u, power = {}, {0: 1}
-    for k in range(top + 1):
-        weight = d ** (top - k) * factorial(top) // factorial(k)
-        u.update((m, c * weight) for m, c in power.items())
-        wedged = {}
-        get = wedged.get
-        for m, c in power.items():
-            for s, between, a in pairs:
-                if not m & s:
-                    x = a * c
-                    wedged[m | s] = get(m | s, 0) + (-x if (m & between).bit_count() & 1 else x)
-        power = {m: c for m, c in wedged.items() if c}
-    return _contract_by(u, d ** top * factorial(top), w)
+    return CliffElt(w.cctx, _contract_pairs(w.cctx.field, rows, w.terms))
 
 
 def _half_polar(cctx: CliffordContext) -> BilinearForm:

@@ -480,12 +480,23 @@ def _interior_action(rng, ctx, need, i):
 
 @check("gauge.exp-identity")
 def _gauge_exp(rng, ctx, need, i):
+    if ctx.field.char:
+        raise CharacteristicError("the exponential series needs characteristic 0")
     cctx = CliffordContext(rand_quadratic(rng, ctx))
     astar = rand_dual_two_form(rng, ctx)
     a = alt_of_dual(astar)
     w = rand_cliff(rng, cctx)
-    need(exp_contract(astar, w) == deform(a, w, target=cctx),
-         "exponential of the contraction differs from the deformation")
+    two = CliffElt(CliffordContext.exterior(ctx), {
+        (i, j): astar.at(i, j) for i in range(1, ctx.dim) for j in range(i + 1, ctx.dim + 1)})
+    total = term = w
+    k = 1
+    while term := (ctx.field.one / ctx.field(k)) * interior(two, term):
+        total = total + term
+        k += 1
+    need(exp_contract(astar, w) == total,
+         "exponential of the contraction differs from its series")
+    need(total == deform(a, w, target=cctx),
+         "exponential series differs from the deformation")
 
 
 @check("gauge.conjugation")

@@ -121,6 +121,26 @@ def test_exp_contract_roundtrip_parse(monkeypatch, capsys):
                    {"blade": [1, 2], "coeff": "1"}]
 
 
+def test_exp_contract_over_prime_field_is_deform(monkeypatch, capsys):
+    """Over GF(7) exp-contract answers, with the reply of deform by the
+    alternating form of the two-form: entry (i, j) is -c_ij for i < j."""
+    ctx = {"dim": 3, "field": "Fp:7",
+           "quadratic": {"diag": ["1", "3", "0"], "polar_upper": [["2", "5"], ["6"]]}}
+    element = {"terms": [{"blade": [], "coeff": "2"}, {"blade": [1, 2], "coeff": "3"},
+                         {"blade": [1, 2, 3], "coeff": "4"}]}
+    two_form = {"dim": 3, "field": "Fp:7", "coeffs": [["2", "5"], ["3"]]}
+    form = {"dim": 3, "field": "Fp:7",
+            "entries": [["0", "-2", "-5"], ["2", "0", "-3"], ["5", "3", "0"]]}
+    code, out, _ = run_cli(["exp-contract"], json.dumps(
+        {"context": ctx, "two_form": two_form, "element": element}), monkeypatch, capsys)
+    assert code == 0
+    got = json.loads(out)["element"]["terms"]
+    assert got != element["terms"]
+    deformed = run_cli(["deform"], json.dumps(
+        {"context": ctx, "form": form, "element": element}), monkeypatch, capsys)
+    assert deformed == (0, out, "")
+
+
 def test_check_subcommand(monkeypatch, capsys):
     code, out, _ = run_cli(["check", "bl.group-law", "--seed", "42",
                             "--samples", "50"], "", monkeypatch, capsys)
