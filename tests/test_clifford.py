@@ -415,9 +415,9 @@ def test_exp_contract_is_deformation():
 
 
 def test_exp_contract_refuses_work_over_the_guard():
-    """A dense two-form on e_1...e_18 is refused before any work (e_1...e_17
-    runs, in about 1.7 CPU-s); what counts is w's support inside the
-    form's nonzero pairs, not the dimension."""
+    """A dense two-form on e_1...e_18 is refused before any work
+    (e_1...e_17 runs, in about 0.9 CPU-s); what counts is w's support
+    inside the form's nonzero pairs, not the dimension."""
     def ones(n, pairs=None):
         ctx = AlgebraContext(n, RATIONALS)
         rows = [[int(pairs is None or (i, j) in pairs) for j in range(i + 1, n)]
