@@ -15,7 +15,7 @@ e_S acts on the unit as e_S . 1 = e_S, so an element's coordinates are
 those of its image in the exterior algebra, in every characteristic.
 Each operation is then one sum of word actions, or for deform and
 exp_contract the product of pair contractions that w . 1 reduces to
-(see deform), or for interior one submask sum (see _contract_by):
+(see deform):
 
     u * v                   u . v    B = G_Q
     deform(F, w)            prod over i < j of (1 + F_ij i_j i_i) w
@@ -24,8 +24,7 @@ exp_contract the product of pair contractions that w . 1 reduces to
     deform_apply(F, u, v)   u . v    B = G_Q + F, Q of v
     quotient_map(u)         u . 1    B = G_Q, the keys of u are words
     f * g, Q = 0            f . g    B = 0, the wedge
-    interior(f, w)          sum over S inside M of f_S w_M (-1)^|M & L_S|
-                            at M - S, L_S the bits below those of S
+    interior(f, w)          f . w    B = I, no wedge part
 
 and the representation matrices of repcheck are columns of such sums:
 rho_matrix(F, u) has column S = u . e_S (B = F), twist_matrix(A) has
@@ -138,17 +137,6 @@ def index_subset(m: int) -> tuple:
         m >>= 1
         i += 1
     return tuple(out)
-
-
-def _below(s: int) -> int:
-    """L_S, the XOR over the bits b of the mask s of the bits below b:
-    contracting a blade M by e*_S carries the sign (-1)^|M & L_S|."""
-    low = 0
-    while s:
-        b = s & -s
-        low ^= b - 1
-        s ^= b
-    return low
 
 
 def _scalars(field: Field, keys, values, den: int) -> dict:
@@ -560,51 +548,20 @@ def twisted_mul(F: BilinearForm, u: CliffElt, v: CliffElt) -> CliffElt:
     return deform_apply(F, deform(-F, u, target=u.cctx.shift(F)), v)
 
 
-def _contract_by(u: dict, du: int, w: CliffElt) -> CliffElt:
-    """w acted on by a raw element u of the exterior algebra of the
-    dual, mapping a mask S to an integer u_S over du: the sum over the
-    masks M of w and S of u with S inside M of u_S w_M (-1)^|M & L_S|
-    at M ^ S, L_S the XOR over the bits b of S of the bits below b.
-    The S of a term M run over the submasks of M, at most 3^n lookups
-    for a dense w, or over the terms of u when u has fewer.  Over Q
-    divided once by du and den(w)."""
-    num, dw = scaled_ints([c.value for c in w.terms.values()])
-    lookup = {s: (a, _below(s)) for s, a in u.items()}.get
-    out = {}
-    get = out.get
-    for m, c in zip(map(subset_index, w.terms), num):
-        if len(u) >> m.bit_count():
-            subs = [m]
-            s = m
-            while s:
-                s = (s - 1) & m
-                subs.append(s)
-        else:
-            subs = u
-        for s in subs:
-            hit = lookup(s)
-            if hit and s & m == s:
-                a, low = hit
-                k = m ^ s
-                x = a * c
-                out[k] = get(k, 0) + (-x if (m & low).bit_count() & 1 else x)
-    return CliffElt(w.cctx, _scalars(w.cctx.field, map(index_subset, out), out.values(),
-                                     du * dw))
-
-
 def interior(ustar: CliffElt, w: CliffElt) -> CliffElt:
     """The action of the exterior algebra of the dual, given as an
     exterior-algebra element over the same space (e_i standing for
     e_i*): a wedge of linear forms acts as the composition of their
-    contractions (leftmost form outermost), extended linearly.  On a
-    blade, e*_S removes S from M with the sign (-1)^|M & L_S| (see
-    _contract_by): e*_s for the largest s of S acts first and passes
-    the set bits of M below s, and so on down S."""
+    contractions (leftmost form outermost), extended linearly.  That is
+    the generator action with identity rows and no wedge part: the
+    blade S = (s1 < ... < sk) acts as the word, i_s1 ... i_sk, so i_sk
+    acts first."""
     if not ustar.cctx.is_exterior():
         raise FormError("interior expects an exterior-algebra element")
     same_context(ustar.cctx.ctx, w.cctx.ctx)
-    num, den = scaled_ints([c.value for c in ustar.terms.values()])
-    return _contract_by(dict(zip(map(subset_index, ustar.terms), num)), den, w)
+    n = w.cctx.dim
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    return CliffElt(w.cctx, _operate(w.cctx.field, rows, ustar.terms, w.terms, wedge=False))
 
 
 # The largest exp_contract work estimate that runs (see exp_contract);
