@@ -554,7 +554,7 @@ def interior(ustar: CliffElt, w: CliffElt) -> CliffElt:
     e_i*): a wedge of linear forms acts as the composition of their
     contractions (leftmost form outermost), extended linearly.  That is
     the generator action with identity rows and no wedge part: the
-    blade S = (s1 < ... < sk) acts as the word, i_s1 ... i_sk, so i_sk
+    blade S = (s1 < ... < sk) acts as the word i_s1 ... i_sk, so i_sk
     acts first."""
     if not ustar.cctx.is_exterior():
         raise FormError("interior expects an exterior-algebra element")
@@ -581,11 +581,11 @@ def exp_contract(astar: DualTwoForm, w: CliffElt) -> CliffElt:
     the indices of w enter, since no other factor moves w.
 
     With s the indices of w that lie in a nonzero pair, each pair is
-    one pass over the running terms, at most 2^s of them per term of w.
-    The estimate (pairs + terms of w) 2^s is checked first, and an
-    input over _EXP_GUARD is refused with CapExceeded before any work;
-    it bounds the passes for one term of w, and undercounts a w of many
-    terms by up to a factor of the smaller of pairs and terms."""
+    one pass over the running terms: at most 2^s of them per term of w,
+    and at most 2^|support of w| in all, since each is a blade inside
+    w's indices.  The estimate pairs min(terms of w 2^s, 2^|support|)
+    bounds those passes; it is checked first, and an input over
+    _EXP_GUARD is refused with CapExceeded before any work."""
     same_context(astar.ctx, w.cctx.ctx)
     n = astar.ctx.dim
     support = subset_index({i for blade in w.terms for i in blade})
@@ -597,7 +597,7 @@ def exp_contract(astar: DualTwoForm, w: CliffElt) -> CliffElt:
                 rows[i][j] = -c.value
                 pairs += 1
                 covered |= (1 << i) | (1 << j)
-    cost = (pairs + len(w.terms)) << covered.bit_count()
+    cost = pairs * min(len(w.terms) << covered.bit_count(), 1 << support.bit_count())
     if cost > _EXP_GUARD:
         raise CapExceeded(
             f"exp_contract work {cost} exceeds the guard {_EXP_GUARD}: {pairs} pairs "

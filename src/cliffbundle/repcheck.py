@@ -48,6 +48,11 @@ def cliff_to_vec(w: CliffElt):
 
 
 def vec_to_cliff(cctx: CliffordContext, vec) -> CliffElt:
+    """The element of a coefficient column of length 2^n: the inverse
+    of cliff_to_vec."""
+    if len(vec) != 1 << cctx.dim:
+        raise FormError(f"a coefficient column at dim {cctx.dim} has length "
+                        f"{1 << cctx.dim}, got {len(vec)}")
     terms = {}
     for k, c in enumerate(vec):
         if c:
@@ -300,12 +305,17 @@ def restrict_matrices(mats, basis):
     plain d x d matrices in the given basis."""
     if not basis:
         raise FormError("cannot restrict to an empty basis")
+    raw = [_raw_of(m) for m in mats]
+    n = len(basis[0])
+    if not n or any(len(v) != n for v in basis) or any(
+            len(m) != n or any(len(r) != n for r in m) for m in raw):
+        raise FormError("the matrices must be square of the basis vectors' length")
     field = basis[0][0].field
     p = field.char
     bcols = linalg.transpose(raw_rows(basis))
     out = []
-    for m in mats:
-        x = linalg.solve_matrix_raw(bcols, linalg.mat_mul_raw(_raw_of(m), bcols, p), p)
+    for m in raw:
+        x = linalg.solve_matrix_raw(bcols, linalg.mat_mul_raw(m, bcols, p), p)
         if x is None:
             raise FormError("span is not invariant under the given matrices")
         out.append([[Scalar(field, v) for v in row] for row in x])

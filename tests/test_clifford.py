@@ -441,6 +441,21 @@ def test_exp_contract_refuses_work_over_the_guard():
     assert exp_contract(ones(8)[0], w)
 
 
+def test_exp_contract_guard_counts_every_term():
+    """Each nonzero pair is one pass over all running terms, so a w of
+    many terms is refused although each term alone is small: the 45
+    pairs on e_1...e_10 against 2000 blades holding e_1...e_10, each
+    pass over up to 2000 * 2^10 terms (about 12 CPU-s if it ran)."""
+    ctx = AlgebraContext(22, RATIONALS)
+    astar = DualTwoForm.make(ctx, [[int(j < 10) for j in range(i + 1, 22)] for i in range(21)])
+    cctx = CliffordContext(QuadraticForm.zero(ctx))
+    w = CliffElt(cctx, {tuple(range(1, 11)) + tuple(11 + i for i in range(12) if m >> i & 1):
+                        RATIONALS(1) for m in range(2000)})
+    with pytest.raises(CapExceeded, match=r"work 92160000 .* 45 pairs on 10 indices of w, "
+                                          r"2000 terms"):
+        exp_contract(astar, w)
+
+
 def test_symbol_quantize_round_trip():
     rng = random.Random(24)
     for field in (RATIONALS, Field(7)):

@@ -298,6 +298,34 @@ def test_restrict_rejects_empty_basis():
         restrict_matrices([[[F(1), F(0)], [F(0), F(1)]]], [])
 
 
+def test_restrict_rejects_vectors_of_another_length():
+    """A basis vector shorter than the matrices' size is refused, not
+    cut down to it: [1, 0] would pass as the invariant span of
+    [1, 0, 0, 0], which is not invariant here."""
+    F = RATIONALS
+    m = EndoMatrix.from_rows(AlgebraContext(2, F),
+                             [[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 1, 0], [0, 0, 0, 1]])
+    with pytest.raises(FormError, match="not invariant"):
+        restrict_matrices([m], [[F(1), F(0), F(0), F(0)]])
+    for basis in ([[F(1), F(0)]], [[F(1), F(0), F(0), F(0), F(0)]],
+                  [[F(1), F(0), F(0), F(0)], [F(0), F(1)]]):
+        with pytest.raises(FormError, match="square of the basis vectors' length"):
+            restrict_matrices([m], basis)
+    with pytest.raises(FormError, match="square"):
+        restrict_matrices([[[F(1), F(0)]]], [[F(1), F(0)]])
+
+
+def test_vec_to_cliff_rejects_other_lengths():
+    """A coefficient column has exactly 2^n entries: a fifth entry at
+    dim 2 would be the blade {3}, outside the space."""
+    F = RATIONALS
+    cctx = CliffordContext.exterior(AlgebraContext(2, F))
+    for vec in ([F(1)] * 5, [F(1)] * 3, []):
+        with pytest.raises(FormError, match="has length 4"):
+            vec_to_cliff(cctx, vec)
+    assert vec_to_cliff(cctx, [F(0), F(0), F(0), F(2)]) == CliffElt.blade(cctx, (1, 2), 2)
+
+
 # ------------------------------------------------ matrix builders, pinned
 
 PIN_FIELDS = [RATIONALS, Field(2), Field(3), Field(7)]
