@@ -9,7 +9,10 @@ a dense tuple of Scalar rows and rho_matrix walked one column at a
 time.  The GF(p) suite, draw and CLI digests were recomputed when
 exp_contract became the pair product in every characteristic: there
 exp-contract and gauge.conjugation answer instead of refusing, and
-gauge.exp-identity refuses before its first draw.  A change to the
+gauge.exp-identity refuses before its first draw.  The wide dense
+digests (60-digit rationals, residues mod 2^61 - 1) were computed on
+the dictionary generator action, one dict update per term per row
+entry.  A change to the
 scalar layer, the kernels, the suites or the CLI must leave every
 output byte for byte as it was.  A change that means to alter an
 output updates the digest and says why.
@@ -27,9 +30,9 @@ import pytest
 
 from cliffbundle import (AlgebraContext, BilinearForm, CliffElt, CliffordContext,
                          EndoMatrix, Field, QuadraticForm, TensorElt, check_equivalence, checks, deform_apply,
-                         generator_matrices, index_subset, list_checks, quad_of_bilinear,
-                         restrict_matrices, rho_matrix, run_check, tensor_deform_apply,
-                         twist_matrix)
+                         generator_matrices, index_subset, interior, list_checks,
+                         quad_of_bilinear, restrict_matrices, rho_matrix, run_check,
+                         tensor_deform_apply, twist_matrix, twisted_mul)
 from cliffbundle.cli import main
 
 
@@ -274,3 +277,61 @@ DENSE_DIGESTS = {
 @pytest.mark.parametrize("spec", list(DENSE_DIGESTS))
 def test_dense_digests(spec):
     assert _digest(_dense_json(spec)) == DENSE_DIGESTS[spec]
+
+
+# ------------------------------------------------ dense kernels, wide values
+
+# 2^61 - 1: residues far wider than a machine word
+MERSENNE_61 = f"Fp:{(1 << 61) - 1}"
+
+
+def _wide_value(rng, field, dens):
+    """A nonzero value: over Q a 60-digit numerator over one of dens, so
+    the kernel's common denominators and integers are wide."""
+    if field.char:
+        return rng.randrange(1, field.char)
+    return Fraction(rng.getrandbits(200) - (1 << 199) or 1, rng.choice(dens))
+
+
+def _wide_json(spec):
+    """Dense twisted_mul at n = 5 and 6, dense interior at n = 6 and a
+    dense product at n = 7 (every blade drawn), with wide values: 60-digit
+    rationals over Q, residues mod 2^61 - 1 over GF(2^61 - 1)."""
+    field = Field.from_spec(spec)
+    rng = random.Random(f"wide/{spec}")
+    dens = [rng.getrandbits(200) | 1 for _ in range(3)]
+
+    def value():
+        return _wide_value(rng, field, dens)
+
+    def algebra(n):
+        ctx = AlgebraContext(n, field)
+        q = QuadraticForm.make(ctx, [value() for _ in range(n)],
+                               [[value() for _ in range(n - 1 - i)] for i in range(n - 1)])
+        return ctx, CliffordContext(q)
+
+    def dense(home, n):
+        return CliffElt(home, {index_subset(m): field(value()) for m in range(1 << n)})
+
+    out = []
+    for n in (5, 6):
+        ctx, cctx = algebra(n)
+        F = BilinearForm.make(ctx, [[value() for _ in range(n)] for _ in range(n)])
+        out.append(twisted_mul(F, dense(cctx, n), dense(cctx, n)).to_json())
+    ctx, cctx = algebra(6)
+    out.append(interior(dense(CliffordContext.exterior(ctx), 6), dense(cctx, 6)).to_json())
+    ctx, cctx = algebra(7)
+    out.append((dense(cctx, 7) * dense(cctx, 7)).to_json())
+    return out
+
+
+WIDE_DIGESTS = {
+    "Q": "1324a7b45823fd9d5048a52e4e94c3737bf247d265f0a51ba10baaa18ea2f3ba",
+    MERSENNE_61: "38772dd0c05278f7889a2a7127efd97309b5b3a3d6259ae16b5ff488c8dce59b",
+    "Fp:2": "18e72112fb8698d1bc34926bb18fc7da19dd0e6207bdf1d2ff42c2c909ee7f1f",
+}
+
+
+@pytest.mark.parametrize("spec", list(WIDE_DIGESTS))
+def test_wide_dense_digests(spec):
+    assert _digest(_wide_json(spec)) == WIDE_DIGESTS[spec]
