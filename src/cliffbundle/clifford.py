@@ -209,49 +209,151 @@ def _actions(rows, wedge: bool = True) -> tuple:
     return acts, (d if wedge else 0), d
 
 
+def _suffix_walk(words, start, step):
+    """Each word S of words, (word, c) pairs, with e_S . start: yields
+    (c, |S|, e_S . start), where step(x, letter, t) is e_letter . x for
+    the letter at position t from the end of S.  Each e_S . x is
+    e_first . (e_rest . x): the words are visited sorted by their
+    reversal, and the results along the word in hand are kept, one per
+    suffix, until a word that does not share it comes (at most the
+    longest word + 1 results), so each suffix is acted out once and
+    the words may be any words."""
+    letters, chain = [], [start]
+    for rev, c in sorted((w[::-1], c) for w, c in words):
+        k = 0
+        for a, b in zip(letters, rev):
+            if a != b:
+                break
+            k += 1
+        del letters[k:], chain[k + 1:]
+        got = chain[-1]
+        for t in range(k, len(rev)):
+            got = step(got, rev[t], t)
+            letters.append(rev[t])
+            chain.append(got)
+        yield c, len(rev), got
+
+
 def _word_sum(act, actions: tuple, p: int, u_terms: dict, v: dict, pairs=None) -> tuple:
     """The sum over the words S of u of u_S (e_S . v): (map, den).  act
     is the generator action on the keys of v, _act on bitmasks or
-    _act_word on words; v maps them to raw values.  Each e_S . v is
-    e_first . (e_rest . v): the words are visited sorted by their
-    reversal, keeping of the suffix maps of the word in hand only those
-    the next word shares (at most the longest word + 1 maps), so each
-    suffix is acted out once and the keys of u may be any words.  Over
-    Q the result is the map divided by den: u and v are scaled to
-    integers by their common denominators, u_S is weighted by
-    d^(m - |S|), m the longest word of u, and den is those denominators
-    times d^m.  Over GF(p) the map is unreduced and den is 1.  With
-    pairs given (words as keys, v the unit), each e_S . 1 drops its
-    terms with more than pairs contractions, the keys shorter than
-    |S| - 2 pairs, since later letters only add contractions."""
+    _act_word on words; v maps them to raw values; the words are walked
+    by _suffix_walk.  Over Q the result is the map divided by den: u
+    and v are scaled to integers by their common denominators, u_S is
+    weighted by d^(m - |S|), m the longest word of u, and den is those
+    denominators times d^m.  Over GF(p) the map is unreduced and den is
+    1.  With pairs given (words as keys, v the unit), each e_S . 1
+    drops its terms with more than pairs contractions, the keys shorter
+    than |S| - 2 pairs, since later letters only add contractions."""
     acts, scale, d = actions
     vnum, dv = scaled_ints(list(v.values()))
     unum, du = scaled_ints([c.value for c in u_terms.values()])
     top = max(map(len, u_terms), default=0)
-    words = sorted(zip((w[::-1] for w in u_terms), unum))
-    chain = [dict(zip(v, vnum))]
+
+    def step(got, letter, t):
+        bit, row = acts[letter - 1]
+        got = act(bit, scale, row, p, got)
+        if pairs is not None and (least := t + 1 - 2 * pairs) > 0:
+            got = {k: x for k, x in got.items() if len(k) >= least}
+        return got
+
     out = {}
     get = out.get
-    for i, (rev, c) in enumerate(words):
-        share = 0
-        for a, b in zip(rev, words[i + 1][0] if i + 1 < len(words) else ()):
-            if a != b:
-                break
-            share += 1
-        got = chain[-1]
-        for j in range(len(chain) - 1, len(rev)):
-            bit, row = acts[rev[j] - 1]
-            got = act(bit, scale, row, p, got)
-            if pairs is not None and (least := j + 1 - 2 * pairs) > 0:
-                got = {k: x for k, x in got.items() if len(k) >= least}
-            if j < share:
-                chain.append(got)
-        del chain[share + 1:]
+    for c, length, got in _suffix_walk(zip(u_terms, unum), dict(zip(v, vnum)), step):
         if d != 1:
-            c *= d ** (top - len(rev))
+            c *= d ** (top - length)
         for k, x in got.items():
             out[k] = get(k, 0) + c * x
     return out, du * dv * d ** top
+
+
+def _packed_sum(actions: tuple, n: int, u_terms: dict, v: dict) -> tuple:
+    """_word_sum on bitmask keys below 2^n, each coefficient map held as
+    two nonnegative big integers (P, N), its positive and negative
+    parts, with the value at mask m in bits [m W, (m + 1) W): (values,
+    den), values[m] the unreduced value at m for every m < 2^n.  The
+    action of e_i moves the slots without bit i - 1 up by 2^(i-1) W
+    (times the wedge weight) and, for each entry f of its row at bit
+    j - 1, the slots with that bit down by 2^(j-1) W (times |f|); a
+    slot whose set bits below the moved one are odd in number, or a
+    negative f, swaps P and N.  Every slot of every P and N, the sum's
+    included, is at most (sum over S of |u_S d^(m - |S|)|) R^m max|v|,
+    R the largest d + sum of |row entries| over the rows, so a W above
+    that bound keeps each slot out of its neighbours, in every field
+    and at any coefficient size.  The parity masks are built by
+    doubling for the call alone."""
+    acts, scale, d = actions
+    vnum, dv = scaled_ints(list(v.values()))
+    unum, du = scaled_ints([c.value for c in u_terms.values()])
+    top = max(map(len, u_terms))
+    coeffs = [c * d ** (top - len(w)) for w, c in zip(u_terms, unum)]
+    reach = max(d + sum(abs(f) for _, f in row) for _, row in acts)
+    bound = sum(map(abs, coeffs)) * reach ** top * max(map(abs, vnum))
+    width = bound.bit_length() // 8 + 1
+    W = 8 * width
+    slots = 1 << n
+
+    def spread(block, period):
+        while period < slots:
+            block |= block << (period * W)
+            period <<= 1
+        return block
+
+    # even[r] / odd[r]: the slots without bit r whose set bits below r
+    # are even / odd in number; parity grows the pattern one bit at a time
+    even, odd = [], []
+    parity = (1 << W) - 1
+    for r in range(n):
+        full = (1 << (W << r)) - 1
+        even.append(spread(parity, 2 << r))
+        odd.append(spread(full ^ parity, 2 << r))
+        parity |= (full ^ parity) << (W << r)
+    moves = [(W << r, even[r], odd[r], [(W << (b.bit_length() - 1), even[b.bit_length() - 1],
+                                         odd[b.bit_length() - 1], abs(f), f < 0)
+                                        for b, f in row])
+             for r, (_, row) in enumerate(acts)]
+
+    def step(pair, letter, t):
+        P, N = pair
+        up, e, o, row = moves[letter - 1]
+        if scale:
+            outP, outN = ((P & e) | (N & o)) << up, ((N & e) | (P & o)) << up
+            if scale != 1:
+                outP, outN = outP * scale, outN * scale
+        else:
+            outP = outN = 0
+        for down, e, o, f, negative in row:
+            Pj, Nj = P >> down, N >> down
+            pos, neg = (Pj & e) | (Nj & o), (Nj & e) | (Pj & o)
+            if negative:
+                pos, neg = neg, pos
+            if f != 1:
+                pos, neg = pos * f, neg * f
+            outP += pos
+            outN += neg
+        return outP, outN
+
+    def pack(pairs):
+        buf = bytearray(width << n)
+        for m, x in pairs:
+            buf[m * width:(m + 1) * width] = x.to_bytes(width, "little")
+        return int.from_bytes(buf, "little")
+
+    start = (pack((m, x) for m, x in zip(v, vnum) if x > 0),
+             pack((m, -x) for m, x in zip(v, vnum) if x < 0))
+    sumP = sumN = 0
+    for c, _, (P, N) in _suffix_walk(zip(u_terms, coeffs), start, step):
+        if c < 0:
+            P, N, c = N, P, -c
+        sumP += c * P
+        sumN += c * N
+    size = width << n
+    plus = memoryview(sumP.to_bytes(size, "little"))
+    minus = memoryview(sumN.to_bytes(size, "little"))
+    read = int.from_bytes
+    values = [read(plus[k:k + width], "little") - read(minus[k:k + width], "little")
+              for k in range(0, size, width)]
+    return values, du * dv * d ** top
 
 
 def _apply(field: Field, rows, u_terms: dict, v_terms: dict, wedge: bool = True,
@@ -266,9 +368,15 @@ def _apply(field: Field, rows, u_terms: dict, v_terms: dict, wedge: bool = True,
 
 
 def _operate(field: Field, rows, u_terms: dict, v_terms: dict, wedge: bool = True) -> dict:
-    """The same sum on blades, which are bitmasks inside the kernel."""
-    out, den = _word_sum(_act, _actions(rows, wedge), field.char, u_terms,
-                         {subset_index(b): c.value for b, c in v_terms.items()})
+    """The same sum on blades, which are bitmasks inside the kernel: on
+    packed integers (_packed_sum) when 4 min(|u|, |v|) >= 2^n, where
+    the 2^n slots are mostly filled, else on dicts (_word_sum)."""
+    n = len(rows[0])
+    v = {subset_index(b): c.value for b, c in v_terms.items()}
+    if 4 * min(len(u_terms), len(v)) >= 1 << n:
+        values, den = _packed_sum(_actions(rows, wedge), n, u_terms, v)
+        return _scalars(field, map(index_subset, range(1 << n)), values, den)
+    out, den = _word_sum(_act, _actions(rows, wedge), field.char, u_terms, v)
     return _scalars(field, map(index_subset, out), out.values(), den)
 
 
