@@ -27,11 +27,14 @@ EXIT_BROKEN_PIPE = 141
 
 
 def _read_payload(args) -> dict:
-    if args.input:
-        with open(args.input, encoding="utf-8") as fh:
-            data = json.load(fh)
-    else:
-        data = json.load(sys.stdin)
+    try:
+        if args.input:
+            with open(args.input, encoding="utf-8") as fh:
+                data = json.load(fh)
+        else:
+            data = json.load(sys.stdin)
+    except RecursionError:
+        raise ParseError("request nests arrays or objects too deeply") from None
     if not isinstance(data, dict):
         raise ParseError("request must be a JSON object")
     return data

@@ -30,7 +30,8 @@ class CharacteristicError(AlgebraError):
 
 class CapExceeded(AlgebraError):
     """A size guard was exceeded (tensor grade cap, representation
-    dimension bound)."""
+    dimension bound, a value with more digits than Python converts to
+    text)."""
 
 
 class ParseError(ValueError):

@@ -12,10 +12,11 @@ through Fraction, never through int / int.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import lcm
 
-from .errors import FieldMismatch, ParseError
+from .errors import CapExceeded, FieldMismatch, ParseError
 from .records import record
 
 # A scalar literal: an integer or a fraction of two integers.
@@ -274,7 +275,12 @@ class Scalar:
         return self.value != 0
 
     def __str__(self):
-        return str(self.value)
+        try:
+            return str(self.value)
+        except ValueError:  # more digits than int -> str converts
+            raise CapExceeded(
+                f"a value has more digits than the limit ({sys.get_int_max_str_digits()} "
+                "digits) for integer string conversion") from None
 
     def __repr__(self):
         return f"Scalar({self.field.spec}, {self.value})"

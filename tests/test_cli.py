@@ -172,6 +172,56 @@ def test_malformed_json_exits_two(monkeypatch, capsys):
     assert "malformed" in err
 
 
+@pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000,
+                                  '{"u": ' * 100_000 + "1" + "}" * 100_000],
+                         ids=["arrays", "objects"])
+def test_deeply_nested_json_exits_two(text, monkeypatch, capsys):
+    """JSON nested past the decoder's recursion limit is malformed input,
+    refused on one line, not a RecursionError traceback."""
+    code, out, err = run_cli(["product"], text, monkeypatch, capsys)
+    assert code == 2
+    assert not out
+    assert err == "cliffbundle: malformed input: request nests arrays or objects too deeply\n"
+
+
+# Python's limit on int <-> str conversion (0 where there is none)
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+# 3,000 digits parse under the default limit of 4,300; a product of two
+# has 6,000
+WIDE = "7" * 3000
+
+
+def _scalar_product(a: str, b: str) -> str:
+    return json.dumps({"context": CTX, "u": {"terms": [{"blade": [], "coeff": a}]},
+                       "v": {"terms": [{"blade": [], "coeff": b}]}})
+
+
+@pytest.mark.skipif(DIGIT_LIMIT != 4300, reason="needs Python's default digit limit")
+def test_answer_too_long_to_print_is_refused(monkeypatch, capsys):
+    """A well-formed request whose answer has more digits than Python
+    converts to text is a domain refusal (exit 1, CapExceeded naming
+    the limit), not malformed input."""
+    code, out, err = run_cli(["product"], _scalar_product(WIDE, WIDE), monkeypatch, capsys)
+    assert code == 1
+    assert not err
+    error = json.loads(out)["error"]
+    assert error["type"] == "CapExceeded"
+    assert "(4300 digits)" in error["message"]
+
+
+@pytest.mark.skipif(DIGIT_LIMIT != 4300, reason="needs Python's default digit limit")
+def test_digit_limit_stays_on_input(monkeypatch, capsys):
+    """The refused product's factors parse and print on their own, and
+    a literal one digit over the limit is still malformed input."""
+    code, out, _ = run_cli(["product"], _scalar_product(WIDE, "1"), monkeypatch, capsys)
+    assert code == 0
+    assert json.loads(out)["product"] == {"terms": [{"blade": [], "coeff": WIDE}]}
+    code, out, err = run_cli(["product"], _scalar_product("7" * 4301, "1"), monkeypatch, capsys)
+    assert code == 2
+    assert not out
+    assert err.startswith("cliffbundle: malformed input: bad scalar literal")
+
+
 def test_missing_key_exits_two(monkeypatch, capsys):
     code, out, err = run_cli(["product"], json.dumps({"context": CTX}),
                              monkeypatch, capsys)
