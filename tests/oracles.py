@@ -121,6 +121,17 @@ def pair_sum(F, p, u, v, k=None):
     return _nonzero(out, p)
 
 
+def to_exterior(words, p):
+    """Words pushed to the exterior algebra: each sorted with the sign
+    of the sorting permutation, those with a repeated letter dropped."""
+    out = {}
+    for w, c in words.items():
+        if len(set(w)) == len(w):
+            key = tuple(sorted(w))
+            out[key] = out.get(key, 0) + perm_sign(w) * c
+    return {k: c % p if p else c for k, c in out.items() if (c % p if p else c)}
+
+
 def _nonzero(out, p):
     """out reduced mod p when p > 0, zeros dropped."""
     if p:

@@ -19,7 +19,10 @@ from cliffbundle.sampling import (rand_alternating, rand_bilinear, rand_cliff,
                                   rand_linear_form, rand_quadratic, rand_scalar,
                                   rand_tensor, rand_vector)
 
-from oracles import deform_sum, interior_sum, quantize_perm_sum, word_sum
+from cliffbundle.clifford import (_act, _actions, _operate, _packed_sum, _scalars,
+                                  _word_sum, index_subset, subset_index)
+from oracles import (deform_sum, interior_sum, pair_sum, quantize_perm_sum, to_exterior,
+                     word_sum)
 
 FIELDS = (RATIONALS, Field(2), Field(7))
 
@@ -219,6 +222,90 @@ def test_kernel_cancels_to_zero(field):
     assert (x * x).terms == word_sum(cctx.quadratic, _pairs(x.terms, x.terms)) == {}
     f = CliffElt(CliffordContext.exterior(ctx), {(1,): a, (2,): b, (4,): q1})
     assert (f * f).terms == {}
+
+
+# ------------------------------------------------ packed and dict word sums
+
+PACKED_FIELDS = (RATIONALS, Field(2), Field(3), Field(7), Field((1 << 61) - 1))
+
+
+def _both_sums(field, rows, u, v, wedge):
+    """_packed_sum and _word_sum of the same call, each as the map
+    _operate would return; u and v map blades to Scalars."""
+    n = len(rows[0])
+    actions = _actions(rows, wedge)
+    masks = {subset_index(b): c.value for b, c in v.items()}
+    values, den = _packed_sum(actions, n, u, masks)
+    out, den_dict = _word_sum(_act, actions, field.char, u, masks)
+    return (_scalars(field, map(index_subset, range(1 << n)), values, den),
+            _scalars(field, map(index_subset, out), out.values(), den_dict))
+
+
+def _oracle(field, rows, u, v, wedge):
+    """The word sum by an oracle: with the wedge part, the tensor
+    deformation operator of rows at u applied to v pushed to the
+    exterior algebra; without it and identity rows, the interior sum."""
+    p = field.char
+    if wedge:
+        raw = {b: c.value for b, c in u.items()}
+        return {b: field(x) for b, x in to_exterior(
+            pair_sum(rows, p, raw, {b: c.value for b, c in v.items()}), p).items()}
+    return interior_sum(u, v, field.zero)
+
+
+@pytest.mark.parametrize("field", PACKED_FIELDS, ids=lambda f: f.spec)
+def test_packed_sum_matches_dict_sum(field):
+    """Both word sums give the same map on the same input, on either
+    side of _operate's rule (dense and sparse operands), with the wedge
+    part on (random rows) and off (random rows, identity rows as in
+    interior, one row as in contract); at n <= 5, so does an oracle."""
+    rng = random.Random(f"packed/{field.spec}")
+
+    def rand_rows(n, count):
+        return [[_coeff(rng, field).value if rng.random() < 0.7 else 0 for _ in range(n)]
+                for _ in range(count)]
+
+    sides = set()
+    for n in range(1, 7):
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        for count in (None, 3):
+            u, v = (_blade_terms(rng, field, n, None if count is None else min(count, 1 << n))
+                    for _ in range(2))
+            sides.add(4 * min(len(u), len(v)) >= 1 << n)
+            for rows, wedge in ((rand_rows(n, n), True), (rand_rows(n, n), False),
+                                (identity, False)):
+                packed, dicted = _both_sums(field, rows, u, v, wedge)
+                assert packed == dicted
+                assert _operate(field, rows, u, v, wedge) == packed
+                if n <= 5 and (count or n <= 3) and (wedge or rows is identity):
+                    assert packed == _oracle(field, rows, u, v, wedge)
+            packed, dicted = _both_sums(field, rand_rows(n, 1), {(1,): field.one}, v, False)
+            assert packed == dicted
+    assert sides == {True, False}
+
+
+def test_packed_sum_on_wide_rationals():
+    """Coefficients with 1,000-digit numerators and denominators make the
+    slots thousands of bits wide: dense u and v at n = 4 under small
+    rows, and at n = 3 under rows as wide, so the rows' common
+    denominator weights the shorter words; both sums and the oracle
+    agree."""
+    rng = random.Random("packed/wide")
+    dens = [rng.randrange(10 ** 999, 10 ** 1000) for _ in range(2)]
+
+    def wide():
+        return Fraction(rng.randrange(10 ** 999, 10 ** 1000) * rng.choice((1, -1)),
+                        rng.choice(dens))
+
+    def dense(n):
+        return {index_subset(m): RATIONALS(wide()) for m in range(1 << n)}
+
+    for n, rows in ((4, [[rng.choice(Q_COEFFS) for _ in range(4)] for _ in range(4)]),
+                    (3, [[wide() for _ in range(3)] for _ in range(3)])):
+        u, v = dense(n), dense(n)
+        packed, dicted = _both_sums(RATIONALS, rows, u, v, True)
+        assert packed == dicted == _oracle(RATIONALS, rows, u, v, True)
+        assert max(abs(c.value.denominator) for c in packed.values()) > 10 ** 999
 
 
 def test_vector_squares():

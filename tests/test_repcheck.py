@@ -20,7 +20,7 @@ from cliffbundle import (AlgebraContext, BilinearForm, CapExceeded, CliffElt,
 from cliffbundle import linalg
 from cliffbundle.sampling import rand_alternating, rand_bilinear, rand_cliff, rand_quadratic
 
-from oracles import deform_sum, matmul_oracle, pair_sum, perm_sign, word_sum
+from oracles import deform_sum, matmul_oracle, pair_sum, to_exterior, word_sum
 
 
 def _mat(m):
@@ -462,17 +462,6 @@ def _raw_form(F):
     return [[x.value for x in row] for row in F.rows]
 
 
-def _to_exterior(words, p):
-    """Words pushed to the exterior algebra: each sorted with the sign
-    of the sorting permutation, those with a repeated letter dropped."""
-    out = {}
-    for w, c in words.items():
-        if len(set(w)) == len(w):
-            key = tuple(sorted(w))
-            out[key] = out.get(key, 0) + perm_sign(w) * c
-    return {k: c % p if p else c for k, c in out.items() if (c % p if p else c)}
-
-
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda f: f.spec)
 def test_rho_columns_match_pair_sum(field):
     """Column S of rho_matrix(F, u) is the tensor deformation operator
@@ -483,7 +472,7 @@ def test_rho_columns_match_pair_sum(field):
         raw_u = {b: c.value for b, c in u.terms.items()}
         m = rho_matrix(F, u)
         for c in range(1 << n):
-            col = _to_exterior(pair_sum(_raw_form(F), p, raw_u, {index_subset(c): 1}), p)
+            col = to_exterior(pair_sum(_raw_form(F), p, raw_u, {index_subset(c): 1}), p)
             assert {index_subset(r): x.value for r, x in enumerate(_column(m, c)) if x} == col
 
 
@@ -551,3 +540,21 @@ def test_dense_product_memory():
     own = sys.getsizeof(w.terms) + sum(map(sys.getsizeof, w.terms.values()))
     assert peak < 1 << 20
     assert after <= 2 * own
+
+
+def test_dense_product_memory_at_n10():
+    """A dense n = 10 product over GF(7) runs on packed slots: at most
+    the longest word + 1 packed pairs and the call's parity masks are
+    alive at once, so its traced peak stays under 2 MiB."""
+    rng = random.Random(10)
+    ctx = AlgebraContext(10, Field(7))
+    cctx = CliffordContext(rand_quadratic(rng, ctx))
+    u, v = ((CliffElt(cctx, {index_subset(m): ctx.field(rng.randrange(1, 7))
+                             for m in range(1 << 10)})) for _ in range(2))
+    tracemalloc.start()
+    try:
+        u * v
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
