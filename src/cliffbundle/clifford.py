@@ -53,6 +53,23 @@ divided once at the end.  Forms enter as the raw values of their
 Scalars, and Scalars are read when a call enters the kernel and built
 when it leaves; blades become masks there and masks blades again
 (see index_subset).
+
+The sums of the table's u . v rows have two carriers.  A call whose
+operands fill the 2^n blade slots, 4 min(|u|, |v|) >= 2^n (dense
+products, deform_apply, twisted_mul, interior), runs on packed
+integers (_packed_sum): a coefficient map is two nonnegative ints P
+and N, its positive and negative parts, the value at mask m in bits
+[m W, (m + 1) W).  e_i ^ is a masked left shift by 2^(i-1) W of the
+slots without bit i - 1, the contraction by e_j* a masked right shift
+by 2^(j-1) W of the slots with bit j - 1, and a slot with an odd number
+of set bits below the moved one swaps P and N: O(n) big-integer
+operations per action in place of one dict update per term and row
+entry.  W is fixed before the sum from
+(sum over S of |u_S| d^(m - |S|)) R^m max|v|, R the largest d plus
+sum of |entries| of a row, which bounds every slot, so no slot carries
+into its neighbour in any field or at any coefficient size; over GF(p)
+the slots are reduced only at the exit.  Sparse calls, word keys, the
+walk of repcheck.rho_matrix and the pair contractions stay on dicts.
 """
 
 from __future__ import annotations
@@ -299,23 +316,21 @@ def _packed_sum(actions: tuple, n: int, u_terms: dict, v: dict) -> tuple:
             period <<= 1
         return block
 
-    # even[r] / odd[r]: the slots without bit r whose set bits below r
-    # are even / odd in number; parity grows the pattern one bit at a time
-    even, odd = [], []
+    # masks[r]: the shift of bit r and the slots without bit r whose set
+    # bits below r are even / odd in number; parity, that pattern on the
+    # first 2^r slots, grows one bit at a time
+    masks = []
     parity = (1 << W) - 1
     for r in range(n):
         full = (1 << (W << r)) - 1
-        even.append(spread(parity, 2 << r))
-        odd.append(spread(full ^ parity, 2 << r))
+        masks.append((W << r, spread(parity, 2 << r), spread(full ^ parity, 2 << r)))
         parity |= (full ^ parity) << (W << r)
-    moves = [(W << r, even[r], odd[r], [(W << (b.bit_length() - 1), even[b.bit_length() - 1],
-                                         odd[b.bit_length() - 1], abs(f), f < 0)
-                                        for b, f in row])
+    moves = [(masks[r], [(*masks[b.bit_length() - 1], abs(f), f < 0) for b, f in row])
              for r, (_, row) in enumerate(acts)]
 
     def step(pair, letter, t):
         P, N = pair
-        up, e, o, row = moves[letter - 1]
+        (up, e, o), row = moves[letter - 1]
         if scale:
             outP, outN = ((P & e) | (N & o)) << up, ((N & e) | (P & o)) << up
             if scale != 1:
