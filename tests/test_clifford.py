@@ -271,7 +271,7 @@ def test_packed_sum_matches_dict_sum(field):
         for count in (None, 3):
             u, v = (_blade_terms(rng, field, n, None if count is None else min(count, 1 << n))
                     for _ in range(2))
-            sides.add(4 * min(len(u), len(v)) >= 1 << n)
+            sides.add(2 * min(len(u), len(v)) >= 1 << n)
             for rows, wedge in ((rand_rows(n, n), True), (rand_rows(n, n), False),
                                 (identity, False)):
                 packed, dicted = _both_sums(field, rows, u, v, wedge)
