@@ -277,6 +277,7 @@ def test_packed_sum_matches_dict_sum(field):
                 packed, dicted = _both_sums(field, rows, u, v, wedge)
                 assert packed == dicted
                 assert _operate(field, rows, u, v, wedge) == packed
+                # the pair-sum oracle takes seconds on dense operands above n = 3
                 if n <= 5 and (count or n <= 3) and (wedge or rows is identity):
                     assert packed == _oracle(field, rows, u, v, wedge)
             packed, dicted = _both_sums(field, rand_rows(n, 1), {(1,): field.one}, v, False)
