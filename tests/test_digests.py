@@ -12,7 +12,9 @@ exp-contract and gauge.conjugation answer instead of refusing, and
 gauge.exp-identity refuses before its first draw.  The wide dense
 digests (60-digit rationals, residues mod 2^61 - 1) were computed on
 the dictionary generator action, one dict update per term per row
-entry.  A change to the
+entry, and the pair-contraction digests (dense deform, symbol,
+quantize and exp_contract) on the dictionary pair passes, one pass
+over the running terms per pair.  A change to the
 scalar layer, the kernels, the suites or the CLI must leave every
 output byte for byte as it was.  A change that means to alter an
 output updates the digest and says why.
@@ -29,10 +31,11 @@ from types import SimpleNamespace
 import pytest
 
 from cliffbundle import (AlgebraContext, BilinearForm, CliffElt, CliffordContext,
-                         EndoMatrix, Field, QuadraticForm, TensorElt, check_equivalence, checks, deform_apply,
+                         DualTwoForm, EndoMatrix, Field, QuadraticForm, TensorElt,
+                         check_equivalence, checks, deform, deform_apply, exp_contract,
                          generator_matrices, index_subset, interior, list_checks,
-                         quad_of_bilinear, restrict_matrices, rho_matrix, run_check,
-                         tensor_deform_apply, twist_matrix, twisted_mul)
+                         quad_of_bilinear, quantize, restrict_matrices, rho_matrix,
+                         run_check, symbol, tensor_deform_apply, twist_matrix, twisted_mul)
 from cliffbundle.cli import main
 
 
@@ -335,3 +338,52 @@ WIDE_DIGESTS = {
 @pytest.mark.parametrize("spec", list(WIDE_DIGESTS))
 def test_wide_dense_digests(spec):
     assert _digest(_wide_json(spec)) == WIDE_DIGESTS[spec]
+
+
+# ------------------------------------------------ pair contractions
+
+def _pairs_json(spec):
+    """Dense deform, symbol, quantize and exp_contract at n = 7 and 8
+    (every blade drawn), and deform and exp_contract on exactly
+    2^(n - 1) and on 2^(n - 1) - 1 blades, the two sides of the dense
+    rule; over Q with 60-digit rationals."""
+    field = Field.from_spec(spec)
+    rng = random.Random(f"pairs/{spec}")
+    dens = [rng.getrandbits(200) | 1 for _ in range(3)]
+
+    def value():
+        return _wide_value(rng, field, dens)
+
+    def elt(home, masks):
+        return CliffElt(home, {index_subset(m): field(value()) for m in masks})
+
+    out = []
+    for n in (7, 8):
+        ctx = AlgebraContext(n, field)
+        cctx = CliffordContext(QuadraticForm.make(
+            ctx, [value() for _ in range(n)],
+            [[value() for _ in range(n - 1 - i)] for i in range(n - 1)]))
+        F = BilinearForm.make(ctx, [[value() for _ in range(n)] for _ in range(n)])
+        astar = DualTwoForm.make(ctx, [[value() for _ in range(n - 1 - i)]
+                                       for i in range(n - 1)])
+        dense = elt(cctx, range(1 << n))
+        out.append([deform(F, dense).to_json(), symbol(dense).to_json(),
+                    quantize(cctx, elt(CliffordContext.exterior(ctx), range(1 << n))).to_json(),
+                    exp_contract(astar, dense).to_json()])
+        for size in (1 << (n - 1), (1 << (n - 1)) - 1):
+            w = elt(cctx, sorted(rng.sample(range(1 << n), size)))
+            out.append([deform(F, w).to_json(), exp_contract(astar, w).to_json()])
+    return out
+
+
+PAIR_DIGESTS = {
+    "Q": "89533efbb57dc31d2bc17095289e42812aca4ae2d0ce0597b9d9cf5c70fd36c3",
+    "Fp:3": "881955d3eb2cde38e7fba1a6bcc7eed9a621f19bd5612fcccffb2c324abea9a2",
+    "Fp:7": "b62d4b4d790e44e4b1416093c171a2d9673222e736e38ae7a5c16192264d8313",
+    MERSENNE_61: "591a1088425351ebefbfc05b987a51a9e63fdfa971ddd967af31a10e8c991050",
+}
+
+
+@pytest.mark.parametrize("spec", list(PAIR_DIGESTS))
+def test_pair_contraction_digests(spec):
+    assert _digest(_pairs_json(spec)) == PAIR_DIGESTS[spec]
