@@ -283,7 +283,7 @@ class Scalar:
                 "digits) for integer string conversion") from None
 
     def __repr__(self):
-        return f"Scalar({self.field.spec}, {self.value})"
+        return f"Scalar({self.field.spec}, {self})"
 
 
 RATIONALS = Field(0)

@@ -1,12 +1,14 @@
 """Field and scalar arithmetic."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 import cliffbundle as cb
-from cliffbundle import Field, FieldMismatch, ParseError, RATIONALS, is_prime, linalg
+from cliffbundle import (CapExceeded, Field, FieldMismatch, ParseError, RATIONALS, is_prime,
+                         linalg)
 
 
 def test_rational_arithmetic():
@@ -155,6 +157,21 @@ def test_rational_values_are_canonical():
     assert outs and all(_canonical(x) for x in outs)
     assert any(type(x.value) is int for x in outs)
     assert any(type(x.value) is Fraction for x in outs)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no digit limit for int -> str")
+def test_text_past_the_digit_limit_is_refused():
+    """str and repr of a value with more digits than int -> str converts
+    raise the same CapExceeded, and so does repr of an element."""
+    big = RATIONALS(10 ** (sys.get_int_max_str_digits() + 1))
+    for x in (big, big / RATIONALS(3)):
+        for text in (str, repr):
+            with pytest.raises(CapExceeded, match="digit"):
+                text(x)
+    e = cb.CliffElt(cb.CliffordContext.exterior(cb.AlgebraContext(1, RATIONALS)), {(1,): big})
+    with pytest.raises(CapExceeded):
+        repr(e)
 
 
 def test_equal_rationals_share_value_hash_and_text():
