@@ -18,7 +18,9 @@ exp_contract the product of pair contractions that w . 1 reduces to
 (see deform):
 
     u * v                   u . v    B = G_Q
-    deform(F, w)            prod over i < j of (1 + F_ij i_j i_i) w
+    deform(F, w)            prod over i < j of (1 + F_ij i_j i_i) w,
+                            = prod over i of (1 + i_{g_i} i_i) w with
+                            g_i = sum over j > i of F_ij e*_j
     exp_contract(a*, w)     the same product, F_ij = -c_ij the entries
                             of a* = sum over i < j of c_ij e*_i ^ e*_j
     deform_apply(F, u, v)   u . v    B = G_Q + F, Q of v
@@ -51,26 +53,33 @@ integer operator d e_i ^ + contraction by d B(e_i, .), u and v are
 scaled to integers by their common denominators, and the sum is
 divided once at the end.  Forms enter as the raw values of their
 Scalars, and Scalars are read when a call enters the kernel and built
-when it leaves; blades become masks there and masks blades again
-(see index_subset).
+when it leaves, straight from canonical values (scalars.canonical) into
+an element that takes the map as it is (_Sparse._of); blades become
+masks there and masks blades again (see index_subset).
 
-The sums of the table's u . v rows have two carriers.  A call whose
-operands each fill at least half the 2^n blade slots,
-2 min(|u|, |v|) >= 2^n (dense products, deform_apply, twisted_mul,
-interior), runs on packed
-integers (_packed_sum): a coefficient map is two nonnegative ints P
-and N, its positive and negative parts, the value at mask m in bits
-[m W, (m + 1) W).  e_i ^ is a masked left shift by 2^(i-1) W of the
-slots without bit i - 1, the contraction by e_j* a masked right shift
-by 2^(j-1) W of the slots with bit j - 1, and a slot with an odd number
-of set bits below the moved one swaps P and N: O(n) big-integer
-operations per action in place of one dict update per term and row
-entry.  W is fixed before the sum from
-(sum over S of |u_S| d^(m - |S|)) R^m max|v|, R the largest d plus
-sum of |entries| of a row, which bounds every slot, so no slot carries
-into its neighbour in any field or at any coefficient size; over GF(p)
-the slots are reduced only at the exit.  Sparse calls, word keys, the
-walk of repcheck.rho_matrix and the pair contractions stay on dicts.
+The sums and the pair products have two carriers.  A call whose
+operands each fill at least half the 2^n blade slots, 2 min(|u|, |v|)
+>= 2^n for a sum (dense products, deform_apply, twisted_mul, interior)
+and 2 |w| >= 2^n for a pair product (dense deform, symbol, quantize,
+exp_contract), runs on packed integers (_carrier): a coefficient map
+is two nonnegative ints P and N, its positive and negative parts, the
+value at mask m in bits [m W, (m + 1) W).  e_i ^ is a masked left
+shift by 2^(i-1) W of the slots without bit i - 1, the contraction by
+e_j* a masked right shift by 2^(j-1) W of the slots with bit j - 1
+(_contract), and a slot with an odd number of set bits below the moved
+one swaps P and N: O(n) big-integer operations per action in place of
+one dict update per term and row entry.  _packed_sum acts by e_i as
+that shift plus the contraction by its row; _packed_pairs makes pass i
+one contraction by e_i* and one by g_i, n + (nonzero pairs) in all, in
+place of one dict pass per pair over every term.  W is fixed before the
+first action from a
+bound on every slot, (sum over S of |u_S| d^(m - |S|)) R^m max|v| for
+a sum, R the largest d plus sum of |entries| of a row, and for a pair
+product (sum of |w_M| weighted) times (sum over k <= T / 2 of e_k(r)),
+r_i the sum of |F_ij| over j > i: no slot carries into its neighbour in
+any field or at any coefficient size; over GF(p) the slots are reduced
+only at the exit.  Sparse calls, word keys and the walk of
+repcheck.rho_matrix stay on dicts.
 """
 
 from __future__ import annotations
@@ -83,7 +92,7 @@ from .errors import (CapExceeded, CharacteristicError, ContextMismatch, FormErro
 from .forms import (AlgebraContext, BilinearForm, DualTwoForm, Field, LinearForm,
                     QuadraticForm, Vector, quad_of_bilinear, same_context)
 from .records import record
-from .scalars import Scalar, excerpt, raw_rows, scaled_ints, shaped
+from .scalars import Scalar, canonical, excerpt, raw_rows, scaled_ints, shaped
 
 
 @record(frozen=True)
@@ -157,13 +166,28 @@ def index_subset(m: int) -> tuple:
     return tuple(out)
 
 
+def _rational(x: int, den: int):
+    """x / den in Scalar's canonical form over Q."""
+    if den == 1:
+        return x
+    q = Fraction(x, den)
+    return q.numerator if q.denominator == 1 else q
+
+
 def _scalars(field: Field, keys, values, den: int) -> dict:
     """The kernel's exit: the nonzero raw values as Scalars at their
-    keys; over GF(p) reduced mod p, over Q divided by den."""
+    keys; over GF(p) reduced mod p, over Q divided by den.  The values
+    are canonical there, so the Scalars are built without tests."""
     p = field.char
     if p:
-        return {k: Scalar(field, r) for k, x in zip(keys, values) if (r := x % p)}
-    return {k: Scalar(field, Fraction(x, den)) for k, x in zip(keys, values) if x}
+        return {k: canonical(field, r) for k, x in zip(keys, values) if (r := x % p)}
+    return {k: canonical(field, _rational(x, den)) for k, x in zip(keys, values) if x}
+
+
+def _ints(p: int, values: list) -> tuple:
+    """The kernel's entry: values over one common denominator (see
+    scaled_ints); residues over GF(p) are integers already."""
+    return (values, 1) if p else scaled_ints(values)
 
 
 def _reduced(out: dict, p: int) -> dict:
@@ -264,8 +288,8 @@ def _word_sum(act, actions: tuple, p: int, u_terms: dict, v: dict, pairs=None) -
     drops its terms with more than pairs contractions, the keys shorter
     than |S| - 2 pairs, since later letters only add contractions."""
     acts, scale, d = actions
-    vnum, dv = scaled_ints(list(v.values()))
-    unum, du = scaled_ints([c.value for c in u_terms.values()])
+    vnum, dv = _ints(p, list(v.values()))
+    unum, du = _ints(p, [c.value for c in u_terms.values()])
     top = max(map(len, u_terms), default=0)
 
     def step(got, letter, t):
@@ -285,31 +309,15 @@ def _word_sum(act, actions: tuple, p: int, u_terms: dict, v: dict, pairs=None) -
     return out, du * dv * d ** top
 
 
-def _packed_sum(actions: tuple, n: int, u_terms: dict, v: dict) -> tuple:
-    """_word_sum on bitmask keys below 2^n, each coefficient map held as
-    two nonnegative big integers (P, N), its positive and negative
-    parts, with the value at mask m in bits [m W, (m + 1) W): (values,
-    den), values[m] the unreduced value at m for every m < 2^n.  The
-    action of e_i moves the slots without bit i - 1 up by 2^(i-1) W
-    (times the wedge weight) and, for each entry f of its row at bit
-    j - 1, the slots with that bit down by 2^(j-1) W (times |f|); a
-    slot whose set bits below the moved one are odd in number, or a
-    negative f, swaps P and N.  Every slot of every P and N, the sum's
-    included, is at most (sum over S of |u_S d^(m - |S|)|) R^m max|v|,
-    R the largest d + sum of |row entries| over the rows, so a W above
-    that bound keeps each slot out of its neighbours, in every field
-    and at any coefficient size.  The parity masks are built by
-    doubling for the call alone."""
-    acts, scale, d = actions
-    vnum, dv = scaled_ints(list(v.values()))
-    unum, du = scaled_ints([c.value for c in u_terms.values()])
-    top = max(map(len, u_terms))
-    coeffs = [c * d ** (top - len(w)) for w, c in zip(u_terms, unum)]
-    reach = max(d + sum(abs(f) for _, f in row) for _, row in acts)
-    bound = sum(map(abs, coeffs)) * reach ** top * max(map(abs, vnum))
+def _carrier(n: int, bound: int) -> tuple:
+    """The packed carrier of slots at most bound: (width, masks), slot m
+    in bits [m W, (m + 1) W), W = 8 width the least multiple of 8 above
+    the bits of bound (so every slot is below 2^(W - 1)), and for each
+    bit r, masks[r] = (2^r W the shift of bit r, the slots without bit r
+    whose set bits below r are even, those whose set bits below r are
+    odd), built by doubling for the one call."""
     width = bound.bit_length() // 8 + 1
-    W = 8 * width
-    slots = 1 << n
+    W, slots = 8 * width, 1 << n
 
     def spread(block, period):
         while period < slots:
@@ -317,59 +325,98 @@ def _packed_sum(actions: tuple, n: int, u_terms: dict, v: dict) -> tuple:
             period <<= 1
         return block
 
-    # masks[r]: the shift of bit r and the slots without bit r whose set
-    # bits below r are even / odd in number; parity, that pattern on the
-    # first 2^r slots, grows one bit at a time
+    # parity, the even pattern on the first 2^r slots, grows one bit at a time
     masks = []
     parity = (1 << W) - 1
     for r in range(n):
         full = (1 << (W << r)) - 1
         masks.append((W << r, spread(parity, 2 << r), spread(full ^ parity, 2 << r)))
         parity |= (full ^ parity) << (W << r)
-    moves = [(masks[r], [(*masks[b.bit_length() - 1], abs(f), f < 0) for b, f in row])
+    return width, masks
+
+
+def _pack(items, n: int, width: int) -> tuple:
+    """The packed pair (P, N) of (mask, int) items: their positive and
+    negative parts, the value at m in bytes [m width, (m + 1) width)."""
+    zero = bytes(width)
+    P, N = [zero] * (1 << n), [zero] * (1 << n)
+    for m, x in items:
+        if x > 0:
+            P[m] = x.to_bytes(width, "little")
+        elif x:
+            N[m] = (-x).to_bytes(width, "little")
+    return int.from_bytes(b"".join(P), "little"), int.from_bytes(b"".join(N), "little")
+
+
+def _unpack(P: int, N: int, n: int, width: int) -> list:
+    """The value P - N at every mask below 2^n.  Each slot of P and N is
+    below half = 2^(W - 1) (see _carrier), so P + half - N, half added
+    to every slot, leaves each slot its value plus half, no borrow."""
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes(half.to_bytes(width, "little") * (1 << n), "little")
+    buf = memoryview((P + bias - N).to_bytes(width << n, "little"))
+    read = int.from_bytes
+    return [read(buf[k:k + width], "little") - half for k in range(0, width << n, width)]
+
+
+def _contract(P: int, N: int, row, outP: int = 0, outN: int = 0) -> tuple:
+    """(outP, outN) plus the contraction of the packed pair (P, N) by the
+    linear form sum of f e_{r+1}* over row, (masks of bit r, f) pairs:
+    the slots with bit r move down to m without it, times |f|, and a slot
+    with an odd number of set bits below r, or a negative f, swaps P
+    and N."""
+    for (down, even, odd), f in row:
+        Pr, Nr = P >> down, N >> down
+        pos, neg = (Pr & even) | (Nr & odd), (Nr & even) | (Pr & odd)
+        if f < 0:
+            pos, neg, f = neg, pos, -f
+        if f != 1:
+            pos, neg = pos * f, neg * f
+        outP += pos
+        outN += neg
+    return outP, outN
+
+
+def _packed_sum(actions: tuple, p: int, n: int, u_terms: dict, v: dict) -> tuple:
+    """_word_sum on bitmask keys below 2^n, each coefficient map held as
+    a packed pair (P, N) of nonnegative big integers, its positive and
+    negative parts, with the value at mask m in bits [m W, (m + 1) W):
+    (values, den), values[m] the unreduced value at m for every
+    m < 2^n.  The action of e_i moves the slots without bit i - 1 up by
+    2^(i-1) W (times the wedge weight), a slot whose set bits below it
+    are odd in number swapping P and N, and adds the contraction by its
+    row (_contract).  Every slot of every P and N, the sum's included,
+    is at most (sum over S of |u_S d^(m - |S|)|) R^m max|v|, R the
+    largest d + sum of |row entries| over the rows, so a W above that
+    bound keeps each slot out of its neighbours, in every field and at
+    any coefficient size."""
+    acts, scale, d = actions
+    vnum, dv = _ints(p, list(v.values()))
+    unum, du = _ints(p, [c.value for c in u_terms.values()])
+    top = max(map(len, u_terms))
+    coeffs = [c * d ** (top - len(w)) for w, c in zip(u_terms, unum)]
+    reach = max(d + sum(abs(f) for _, f in row) for _, row in acts)
+    width, masks = _carrier(n, sum(map(abs, coeffs)) * reach ** top * max(map(abs, vnum)))
+    moves = [(masks[r], [(masks[b.bit_length() - 1], f) for b, f in row])
              for r, (_, row) in enumerate(acts)]
 
     def step(pair, letter, t):
         P, N = pair
         (up, e, o), row = moves[letter - 1]
+        outP = outN = 0
         if scale:
             outP, outN = ((P & e) | (N & o)) << up, ((N & e) | (P & o)) << up
             if scale != 1:
                 outP, outN = outP * scale, outN * scale
-        else:
-            outP = outN = 0
-        for down, e, o, f, negative in row:
-            Pj, Nj = P >> down, N >> down
-            pos, neg = (Pj & e) | (Nj & o), (Nj & e) | (Pj & o)
-            if negative:
-                pos, neg = neg, pos
-            if f != 1:
-                pos, neg = pos * f, neg * f
-            outP += pos
-            outN += neg
-        return outP, outN
+        return _contract(P, N, row, outP, outN)
 
-    def pack(pairs):
-        buf = bytearray(width << n)
-        for m, x in pairs:
-            buf[m * width:(m + 1) * width] = x.to_bytes(width, "little")
-        return int.from_bytes(buf, "little")
-
-    start = (pack((m, x) for m, x in zip(v, vnum) if x > 0),
-             pack((m, -x) for m, x in zip(v, vnum) if x < 0))
     sumP = sumN = 0
-    for c, _, (P, N) in _suffix_walk(zip(u_terms, coeffs), start, step):
+    for c, _, (P, N) in _suffix_walk(zip(u_terms, coeffs), _pack(zip(v, vnum), n, width), step):
         if c < 0:
             P, N, c = N, P, -c
         sumP += c * P
         sumN += c * N
-    size = width << n
-    plus = memoryview(sumP.to_bytes(size, "little"))
-    minus = memoryview(sumN.to_bytes(size, "little"))
-    read = int.from_bytes
-    values = [read(plus[k:k + width], "little") - read(minus[k:k + width], "little")
-              for k in range(0, size, width)]
-    return values, du * dv * d ** top
+    return _unpack(sumP, sumN, n, width), du * dv * d ** top
 
 
 def _apply(field: Field, rows, u_terms: dict, v_terms: dict, wedge: bool = True,
@@ -394,44 +441,91 @@ def _operate(field: Field, rows, u_terms: dict, v_terms: dict, wedge: bool = Tru
     actions = _actions(rows, wedge)
     v = {subset_index(b): c.value for b, c in v_terms.items()}
     if 2 * min(len(u_terms), len(v)) >= 1 << n:
-        values, den = _packed_sum(actions, n, u_terms, v)
+        values, den = _packed_sum(actions, field.char, n, u_terms, v)
         return _scalars(field, map(index_subset, range(1 << n)), values, den)
     out, den = _word_sum(_act, actions, field.char, u_terms, v)
     return _scalars(field, map(index_subset, out), out.values(), den)
 
 
-def _contract_pairs(field: Field, rows, w_terms: dict) -> dict:
-    """exp(sum over i < j of B_ij i_j i_i) w, B the raw rows: one pass
-    per nonzero strict-upper entry, each adding B_ij c at m without
-    bits i and j for every term c at a mask m holding both, with the
-    sign (-1)^k, k the set bits of m strictly between them.  Over Q it
-    is fraction-free: with d the common denominator of those entries,
-    w_M is weighted by d^((T - |M|) / 2), T the top grade of w of the
-    parity of |M|, and the result at K is divided once by den(w) times
-    d^((T - |K|) / 2)."""
-    p = field.char
-    n = len(rows)
-    ij = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    upper, d = scaled_ints([rows[i][j] for i, j in ij])
-    num, dw = scaled_ints([c.value for c in w_terms.values()])
-    top = [max((len(b) for b in w_terms if len(b) & 1 == r), default=r) for r in (0, 1)]
-
-    def weight(g):
-        return d ** ((top[g & 1] - g) >> 1)
-
-    out = {subset_index(b): c * weight(len(b)) for b, c in zip(w_terms, num)}
+def _pair_passes(g: list, terms: dict) -> dict:
+    """prod over i < j of (1 + f_ij i_j i_i) on a mask -> int map, g[i]
+    the (j, f_ij) with f_ij nonzero: one pass per pair, each adding f c
+    at m without bits i and j for every term c at a mask m holding both,
+    with the sign (-1)^k, k the set bits of m strictly between them."""
+    out = dict(terms)
     get = out.get
-    for (i, j), f in zip(ij, upper):
-        if f:
+    for i, row in enumerate(g):
+        for j, f in row:
             both, between = (1 << i) | (1 << j), (1 << j) - (2 << i)
             for m, c in [(m, c) for m, c in out.items() if m & both == both]:
                 k = m ^ both
                 t = f * c
                 out[k] = get(k, 0) + (-t if (m & between).bit_count() & 1 else t)
+    return out
+
+
+def _packed_pairs(g: list, n: int, terms: dict) -> list:
+    """The same product on the packed carrier (see _carrier): values[m]
+    for every m < 2^n.  As i_i^2 = 0, the factors of one i multiply to
+    1 + i_{g_i} i_i, g_i the form sum over j > i of f_ij e_j*, so pass i
+    adds the contraction by g_i of the contraction by e_i* of all slots:
+    n contractions plus one per pair in place of one pass per pair over
+    every term.  A term of grade at most T is moved by at most T / 2
+    passes, each times at most r_i = sum over j of |f_ij|, so no slot
+    exceeds
+    (sum of |terms|) (sum over k <= T / 2 of e_k(r)), e_k the elementary
+    symmetric sums, and W is fixed above that before the first pass."""
+    half = max(m.bit_count() for m in terms) >> 1
+    e = [1] + [0] * half
+    for row in g:
+        r = sum(abs(f) for _, f in row)
+        for k in range(half, 0, -1):
+            e[k] += e[k - 1] * r
+    width, masks = _carrier(n, sum(map(abs, terms.values())) * sum(e))
+    P, N = _pack(terms.items(), n, width)
+    for i, row in enumerate(g):
+        if row:  # out += i_{g_i} i_i out
+            below = _contract(P, N, [(masks[i], 1)])
+            P, N = _contract(*below, [(masks[j], f) for j, f in row], P, N)
+    return _unpack(P, N, n, width)
+
+
+def _contract_pairs(field: Field, rows, w_terms: dict) -> dict:
+    """exp(sum over i < j of B_ij i_j i_i) w, B the raw rows, on the
+    packed carrier (_packed_pairs) when 2 |w| >= 2^n, as _operate
+    decides, else on dicts (_pair_passes).  Over GF(p) the entries are
+    taken as residues of absolute value at most p / 2, which keeps the
+    slots narrow.
+    Over Q it is fraction-free: with d the common denominator of those
+    entries, w_M is weighted by d^((T - |M|) / 2), T the top grade of w
+    of the parity of |M|, and the result at K is divided once by den(w)
+    times d^((T - |K|) / 2)."""
+    p = field.char
+    n = len(rows)
+    ij = [(i, j) for i in range(n) for j in range(i + 1, n)]
     if p:
-        return {index_subset(k): Scalar(field, r) for k, x in out.items() if (r := x % p)}
-    return {index_subset(k): Scalar(field, Fraction(x, dw * weight(k.bit_count())))
-            for k, x in out.items() if x}
+        upper, d = [(rows[i][j] + p // 2) % p - p // 2 for i, j in ij], 1
+    else:
+        upper, d = scaled_ints([rows[i][j] for i, j in ij])
+    num, dw = _ints(p, [c.value for c in w_terms.values()])
+    g = [[] for _ in range(n)]
+    for (i, j), f in zip(ij, upper):
+        if f:
+            g[i].append((j, f))
+    weights = [1] * (n + 1)
+    if d != 1:
+        grades = set(map(len, w_terms))
+        top = [max((k for k in grades if k & 1 == r), default=r) for r in (0, 1)]
+        weights = [d ** (max(top[k & 1] - k, 0) >> 1) for k in range(n + 1)]
+    terms = {subset_index(b): c * weights[len(b)] for b, c in zip(w_terms, num)}
+    if 2 * len(terms) >= 1 << n:
+        out = zip(map(index_subset, range(1 << n)), _packed_pairs(g, n, terms))
+    else:
+        out = _pair_passes(g, terms)
+        out = zip(map(index_subset, out), out.values())
+    if p:
+        return {b: canonical(field, r) for b, x in out if (r := x % p)}
+    return {b: canonical(field, _rational(x, dw * weights[len(b)])) for b, x in out if x}
 
 
 def _chevalley(q: QuadraticForm, F: BilinearForm | None = None) -> list:
@@ -460,6 +554,15 @@ class _Sparse:
     def __init__(self, home, terms=None):
         self._home = home
         self.terms = {k: c for k, c in terms.items() if c} if terms else {}
+
+    @classmethod
+    def _of(cls, home, terms: dict):
+        """The element of terms, a map the kernel built: its values are
+        nonzero already, so it is taken as it is."""
+        self = object.__new__(cls)
+        self._home = home
+        self.terms = terms
+        return self
 
     @classmethod
     def zero(cls, home):
@@ -558,14 +661,14 @@ class CliffElt(_Sparse):
     def __mul__(self, other):
         if isinstance(other, CliffElt):
             self._same(other)
-            return CliffElt(self.cctx, _operate(
+            return CliffElt._of(self.cctx, _operate(
                 self.cctx.field, _chevalley(self.cctx.quadratic), self.terms, other.terms))
         return super().__mul__(other)
 
     def reverse(self) -> "CliffElt":
         """The anti-automorphism reversing generator order: each blade
         read backwards, as a word acting on the unit."""
-        return CliffElt(self.cctx, _operate(
+        return CliffElt._of(self.cctx, _operate(
             self.cctx.field, _chevalley(self.cctx.quadratic),
             {b[::-1]: c for b, c in self.terms.items()}, {(): self.cctx.field.one}))
 
@@ -593,7 +696,7 @@ def quotient_map(cctx: CliffordContext, u: TensorElt) -> CliffElt:
     """The canonical algebra homomorphism from the tensor algebra onto
     the quotient: each word acts on the unit."""
     same_context(cctx.ctx, u.ctx)
-    return CliffElt(cctx, _operate(cctx.field, _chevalley(cctx.quadratic), u.terms,
+    return CliffElt._of(cctx, _operate(cctx.field, _chevalley(cctx.quadratic), u.terms,
                                    {(): cctx.field.one}))
 
 
@@ -601,7 +704,7 @@ def contract(f: LinearForm, w: CliffElt) -> CliffElt:
     """The descended antiderivation of a linear form on normal forms:
     the word (1,) acting with f as its only row and no wedge part."""
     same_context(f.ctx, w.cctx.ctx)
-    return CliffElt(w.cctx, _operate(w.cctx.field, raw_rows((f.coeffs,)),
+    return CliffElt._of(w.cctx, _operate(w.cctx.field, raw_rows((f.coeffs,)),
                                      {(1,): w.cctx.field.one}, w.terms, wedge=False))
 
 
@@ -652,7 +755,7 @@ def deform(F: BilinearForm, w: CliffElt, target: CliffordContext | None = None) 
         same_context(target.ctx, src.ctx)
         rows = _chevalley(target.quadratic, F)
         _check_shift(rows, src.quadratic, target.quadratic)
-    return CliffElt(target, _contract_pairs(target.field, rows, w.terms))
+    return CliffElt._of(target, _contract_pairs(target.field, rows, w.terms))
 
 
 def deform_apply(F: BilinearForm, u: CliffElt, v: CliffElt) -> CliffElt:
@@ -662,7 +765,7 @@ def deform_apply(F: BilinearForm, u: CliffElt, v: CliffElt) -> CliffElt:
     same_context(F.ctx, v.cctx.ctx)
     rows = _chevalley(v.cctx.quadratic, F)
     _check_shift(rows, u.cctx.quadratic, v.cctx.quadratic)
-    return CliffElt(v.cctx, _operate(v.cctx.field, rows, u.terms, v.terms))
+    return CliffElt._of(v.cctx, _operate(v.cctx.field, rows, u.terms, v.terms))
 
 
 def twisted_mul(F: BilinearForm, u: CliffElt, v: CliffElt) -> CliffElt:
@@ -689,7 +792,7 @@ def interior(ustar: CliffElt, w: CliffElt) -> CliffElt:
     same_context(ustar.cctx.ctx, w.cctx.ctx)
     n = w.cctx.dim
     rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    return CliffElt(w.cctx, _operate(w.cctx.field, rows, ustar.terms, w.terms, wedge=False))
+    return CliffElt._of(w.cctx, _operate(w.cctx.field, rows, ustar.terms, w.terms, wedge=False))
 
 
 # The largest exp_contract work estimate that runs (see exp_contract);
@@ -730,7 +833,7 @@ def exp_contract(astar: DualTwoForm, w: CliffElt) -> CliffElt:
         raise CapExceeded(
             f"exp_contract work {cost} exceeds the guard {_EXP_GUARD}: {pairs} pairs "
             f"on {covered.bit_count()} indices of w, {len(w.terms)} terms")
-    return CliffElt(w.cctx, _contract_pairs(w.cctx.field, rows, w.terms))
+    return CliffElt._of(w.cctx, _contract_pairs(w.cctx.field, rows, w.terms))
 
 
 def _half_polar(cctx: CliffordContext) -> BilinearForm:

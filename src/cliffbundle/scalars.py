@@ -286,5 +286,17 @@ class Scalar:
         return f"Scalar({self.field.spec}, {self})"
 
 
+_new = object.__new__
+
+
+def canonical(field: Field, value) -> Scalar:
+    """The Scalar of a value already in canonical form (see Scalar),
+    built without __init__'s tests: the kernels' exit."""
+    s = _new(Scalar)
+    s.field = field
+    s.value = value
+    return s
+
+
 RATIONALS = Field(0)
 GF2 = Field(2)

@@ -117,7 +117,7 @@ def contract(f: LinearForm, u: TensorElt) -> TensorElt:
     That is the word (1,) acting with f as its only row and no wedge
     part."""
     same_context(f.ctx, u.ctx)
-    return TensorElt(u.ctx, _apply(u.ctx.field, raw_rows((f.coeffs,)),
+    return TensorElt._of(u.ctx, _apply(u.ctx.field, raw_rows((f.coeffs,)),
                                    {(1,): u.ctx.field.one}, u.terms, wedge=False))
 
 
@@ -134,7 +134,7 @@ def deform_apply(F: BilinearForm, u: TensorElt, v: TensorElt) -> TensorElt:
     same_context(F.ctx, v.ctx)
     if u.max_grade() and v.terms:  # the longest word built: u's longest word on v's
         _check_grade(v.ctx, u.max_grade() + v.max_grade())
-    return TensorElt(v.ctx, _apply(v.ctx.field, raw_rows(F.rows), u.terms, v.terms))
+    return TensorElt._of(v.ctx, _apply(v.ctx.field, raw_rows(F.rows), u.terms, v.terms))
 
 
 def deform(F: BilinearForm, u: TensorElt) -> TensorElt:

@@ -19,8 +19,9 @@ from cliffbundle.sampling import (rand_alternating, rand_bilinear, rand_cliff,
                                   rand_linear_form, rand_quadratic, rand_scalar,
                                   rand_tensor, rand_vector)
 
-from cliffbundle.clifford import (_act, _actions, _operate, _packed_sum, _scalars,
-                                  _word_sum, index_subset, subset_index)
+from cliffbundle import clifford
+from cliffbundle.clifford import (_act, _actions, _contract_pairs, _operate, _packed_sum,
+                                  _scalars, _word_sum, index_subset, subset_index)
 from oracles import (deform_sum, interior_sum, pair_sum, quantize_perm_sum, to_exterior,
                      word_sum)
 
@@ -235,7 +236,7 @@ def _both_sums(field, rows, u, v, wedge):
     n = len(rows[0])
     actions = _actions(rows, wedge)
     masks = {subset_index(b): c.value for b, c in v.items()}
-    values, den = _packed_sum(actions, n, u, masks)
+    values, den = _packed_sum(actions, field.char, n, u, masks)
     out, den_dict = _word_sum(_act, actions, field.char, u, masks)
     return (_scalars(field, map(index_subset, range(1 << n)), values, den),
             _scalars(field, map(index_subset, out), out.values(), den_dict))
@@ -307,6 +308,83 @@ def test_packed_sum_on_wide_rationals():
         packed, dicted = _both_sums(RATIONALS, rows, u, v, True)
         assert packed == dicted == _oracle(RATIONALS, rows, u, v, True)
         assert max(abs(c.value.denominator) for c in packed.values()) > 10 ** 999
+
+
+# ------------------------------------------------ packed and dict pair passes
+
+def _pairs_both_ways(monkeypatch, field, rows, w):
+    """_contract_pairs of one input on both carriers: as its rule sends
+    it, and again with each pair pass standing in for the other."""
+    chosen = _contract_pairs(field, rows, w)
+    packed, passes = clifford._packed_pairs, clifford._pair_passes
+    with monkeypatch.context() as m:
+        m.setattr(clifford, "_packed_pairs",
+                  lambda g, n, terms: [passes(g, terms).get(k, 0) for k in range(1 << n)])
+        m.setattr(clifford, "_pair_passes",
+                  lambda g, terms: dict(enumerate(packed(g, len(g), terms))))
+        other = _contract_pairs(field, rows, w)
+    return chosen, other
+
+
+@pytest.mark.parametrize("field", PACKED_FIELDS, ids=lambda f: f.spec)
+def test_packed_pairs_match_pair_passes(field, monkeypatch):
+    """Both pair passes give the same map on the same input: w dense,
+    of exactly 2^(n-1) blades (the edge of the rule), of one blade fewer
+    and of three, under random rows and under rows with a zero strict
+    upper part; at n <= 5, so does the pair-matching oracle.  Then
+    exp_contract on both carriers, dense and sparse."""
+    rng = random.Random(f"pairs/{field.spec}")
+    sides = set()
+    for n in range(1, 9):
+        ctx = AlgebraContext(n, field)
+        upper = [[_coeff(rng, field).value if i < j and rng.random() < 0.7 else 0
+                  for j in range(n)] for i in range(n)]
+        lower = [[_coeff(rng, field).value if i >= j else 0 for j in range(n)]
+                 for i in range(n)]
+        for rows in (upper, lower):
+            F = BilinearForm.make(ctx, rows)
+            for count in {None, 1 << (n - 1), (1 << (n - 1)) - 1, min(3, 1 << n)} - {0}:
+                w = _blade_terms(rng, field, n, count)
+                sides.add(2 * len(w) >= 1 << n)
+                chosen, other = _pairs_both_ways(monkeypatch, field, rows, w)
+                assert chosen == other
+                if n <= 5:
+                    assert chosen == deform_sum(F, QuadraticForm.zero(ctx), w)
+                if rows is lower:
+                    assert chosen == w
+        cctx = CliffordContext(rand_quadratic(rng, ctx))
+        astar = DualTwoForm.make(ctx, [[_coeff(rng, field) for _ in range(n - 1 - i)]
+                                       for i in range(n - 1)])
+        for count in (None, min(3, 1 << n)):
+            w = CliffElt(cctx, _blade_terms(rng, field, n, count))
+            chosen = exp_contract(astar, w)
+            with monkeypatch.context() as m:
+                m.setattr(clifford, "_contract_pairs",
+                          lambda f, rows, terms: _pairs_both_ways(monkeypatch, f, rows, terms)[1])
+                assert exp_contract(astar, w) == chosen
+    assert sides == {True, False}
+
+
+def test_packed_pairs_on_wide_rationals(monkeypatch):
+    """1,000-digit numerators and denominators in w and in the rows make
+    the slots and the grade weights thousands of bits wide: both pair
+    passes and the oracle agree, dense and on 2^(n-1) blades."""
+    rng = random.Random("pairs/wide")
+    dens = [rng.randrange(10 ** 999, 10 ** 1000) for _ in range(2)]
+
+    def wide():
+        return Fraction(rng.randrange(10 ** 999, 10 ** 1000) * rng.choice((1, -1)),
+                        rng.choice(dens))
+
+    for n in (4, 5):
+        ctx = AlgebraContext(n, RATIONALS)
+        rows = [[wide() for _ in range(n)] for _ in range(n)]
+        F = BilinearForm.make(ctx, rows)
+        for count in (None, 1 << (n - 1)):
+            w = {b: RATIONALS(wide()) for b in _blade_terms(rng, RATIONALS, n, count)}
+            chosen, other = _pairs_both_ways(monkeypatch, RATIONALS, rows, w)
+            assert chosen == other == deform_sum(F, QuadraticForm.zero(ctx), w)
+            assert max(c.value.denominator for c in chosen.values()) > 10 ** 2000
 
 
 def test_vector_squares():

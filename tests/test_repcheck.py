@@ -558,3 +558,21 @@ def test_dense_product_memory_at_n10():
     finally:
         tracemalloc.stop()
     assert peak < 2 << 20
+
+
+def test_dense_deform_memory_at_n10():
+    """A dense n = 10 deform over GF(7) runs its pair passes on packed
+    slots: the running pair, one lowered pair and the call's parity
+    masks are alive at once, so its traced peak stays under 1 MiB."""
+    rng = random.Random(10)
+    ctx = AlgebraContext(10, Field(7))
+    cctx = CliffordContext(rand_quadratic(rng, ctx))
+    F = rand_bilinear(rng, ctx)
+    w = CliffElt(cctx, {index_subset(m): ctx.field(rng.randrange(1, 7)) for m in range(1 << 10)})
+    tracemalloc.start()
+    try:
+        deform(F, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

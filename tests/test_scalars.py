@@ -159,6 +159,36 @@ def test_rational_values_are_canonical():
     assert any(type(x.value) is Fraction for x in outs)
 
 
+@pytest.mark.parametrize("field", (RATIONALS, Field(7)), ids=lambda f: f.spec)
+def test_kernel_outputs_are_canonical_on_both_carriers(field):
+    """The kernels build their Scalars without __init__'s tests, from
+    values that must already be canonical: so they are, dense (packed
+    carrier) and sparse (dicts), each equal to the Scalar built anew."""
+    rng = random.Random(f"exit/{field.spec}")
+
+    def value():
+        if field.char:
+            return rng.randrange(1, field.char)
+        return Fraction(rng.randrange(-9, 10) or 1, rng.choice((1, 2, 3)))
+
+    n = 5
+    ctx = cb.AlgebraContext(n, field)
+    cctx = cb.CliffordContext(cb.QuadraticForm.make(
+        ctx, [value() for _ in range(n)], [[value() for _ in range(n - 1 - i)]
+                                           for i in range(n - 1)]))
+    f = cb.BilinearForm.make(ctx, [[value() for _ in range(n)] for _ in range(n)])
+    astar = cb.DualTwoForm.make(ctx, [[value() for _ in range(n - 1 - i)] for i in range(n - 1)])
+    outs = []
+    for count in (1 << n, 3):
+        u = cb.CliffElt(cctx, {cb.index_subset(m): field(value())
+                               for m in rng.sample(range(1 << n), count)})
+        elts = [u * u, cb.deform(f, u), cb.twisted_mul(f, u, u), cb.exp_contract(astar, u)]
+        if field.char != 2:
+            elts.append(cb.symbol(u))
+        outs += [c for e in elts for c in e.terms.values()]
+    assert outs and all(_canonical(x) and x and x == field(x.value) for x in outs)
+
+
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                     reason="this Python has no digit limit for int -> str")
 def test_text_past_the_digit_limit_is_refused():
