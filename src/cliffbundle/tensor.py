@@ -118,7 +118,7 @@ def contract(f: LinearForm, u: TensorElt) -> TensorElt:
     part."""
     same_context(f.ctx, u.ctx)
     return TensorElt._of(u.ctx, _apply(u.ctx.field, raw_rows((f.coeffs,)),
-                                   {(1,): u.ctx.field.one}, u.terms, wedge=False))
+                                       {(1,): u.ctx.field.one}, u.terms, wedge=False))
 
 
 def contract_vec(F: BilinearForm, x: Vector, u: TensorElt) -> TensorElt:

@@ -317,9 +317,13 @@ def _pairs_both_ways(monkeypatch, field, rows, w):
     it, and again with each pair pass standing in for the other."""
     chosen = _contract_pairs(field, rows, w)
     packed, passes = clifford._packed_pairs, clifford._pair_passes
+
+    def dict_as_packed(g, n, terms):
+        out = passes(g, terms)
+        return [out.get(k, 0) for k in range(1 << n)]
+
     with monkeypatch.context() as m:
-        m.setattr(clifford, "_packed_pairs",
-                  lambda g, n, terms: [passes(g, terms).get(k, 0) for k in range(1 << n)])
+        m.setattr(clifford, "_packed_pairs", dict_as_packed)
         m.setattr(clifford, "_pair_passes",
                   lambda g, terms: dict(enumerate(packed(g, len(g), terms))))
         other = _contract_pairs(field, rows, w)
@@ -582,7 +586,7 @@ def test_exp_contract_is_deformation():
 
 def test_exp_contract_refuses_work_over_the_guard():
     """A dense two-form on e_1...e_18 is refused before any work
-    (e_1...e_17 runs, in about 0.9 CPU-s); what counts is w's support
+    (e_1...e_17 runs, in about 0.7 CPU-s); what counts is w's support
     inside the form's nonzero pairs, not the dimension."""
     def ones(n, pairs=None):
         ctx = AlgebraContext(n, RATIONALS)
