@@ -15,12 +15,11 @@ import json
 import os
 import sys
 
-from .checks import list_checks, run_check
+from . import checks, repcheck
 from .clifford import (CliffElt, CliffordContext, deform, exp_contract,
                        quantize, symbol, twisted_mul)
 from .errors import AlgebraError, ParseError
 from .forms import BilinearForm, DualTwoForm, pfaffian, quad_of_bilinear
-from .repcheck import rho_matrix
 
 SCHEMA = "cliff-bundle/1"
 EXIT_BROKEN_PIPE = 141
@@ -124,16 +123,16 @@ def _cmd_rho(args):
     F = _parsed(lambda: BilinearForm.from_json(payload["form"]))
     cctx = CliffordContext(quad_of_bilinear(F))
     elt = _parsed(lambda: CliffElt.from_json(cctx, payload["element"]))
-    return rho_matrix(F, elt).to_json()
+    return repcheck.rho_matrix(F, elt).to_json()
 
 
 def _cmd_check(args):
     if args.list:
-        return {"checks": list_checks()}
+        return {"checks": checks.list_checks()}
     if not args.id:
         raise ParseError("check needs an identifier (or --list)")
-    result = run_check(args.id, seed=args.seed, samples=args.samples,
-                       field=args.field, dim=args.dim)
+    result = checks.run_check(args.id, seed=args.seed, samples=args.samples,
+                              field=args.field, dim=args.dim)
     return result.to_json()
 
 

@@ -60,7 +60,7 @@ masks there and masks blades again (see index_subset).
 The sums and the pair products have two carriers.  A call whose
 operands each fill at least half the 2^n blade slots, 2 min(|u|, |v|)
 >= 2^n for a sum (dense products, deform_apply, twisted_mul, interior)
-and 2 |w| >= 2^n for a pair product (dense deform, symbol, quantize,
+and 2 |w| >= 2^max(n, 7) for a pair product (deform, symbol, quantize,
 exp_contract), runs on packed integers (_carrier): a coefficient map
 is two nonnegative ints P and N, its positive and negative parts, the
 value at mask m in bits [m W, (m + 1) W).  e_i ^ is a masked left
@@ -492,10 +492,15 @@ def _packed_pairs(g: list, n: int, terms: dict) -> list:
 
 def _contract_pairs(field: Field, rows, w_terms: dict) -> dict:
     """exp(sum over i < j of B_ij i_j i_i) w, B the raw rows, on the
-    packed carrier (_packed_pairs) when 2 |w| >= 2^n, as _operate
-    decides, else on dicts (_pair_passes).  Over GF(p) the entries are
-    taken as residues of absolute value at most p / 2, which keeps the
-    slots narrow.
+    packed carrier (_packed_pairs) when 2 |w| >= 2^max(n, 7), else on
+    dicts (_pair_passes).  A dict pass is cheaper than a generator
+    action, so the pair product packs later than _operate.  Timed on
+    the same input, the dicts are faster up to n = 5 even for a dense w
+    (40-80% of the packed time), the carriers meet at n = 6 with half
+    to three quarters of the slots filled, and packing wins for a full
+    w at n = 6 and for half the slots or more from n = 7 on.
+    Over GF(p) the entries are taken as residues of absolute value at
+    most p / 2, which keeps the slots narrow.
     Over Q it is fraction-free: with d the common denominator of those
     entries, w_M is weighted by d^((T - |M|) / 2), T the top grade of w
     of the parity of |M|, and the result at K is divided once by den(w)
@@ -518,7 +523,7 @@ def _contract_pairs(field: Field, rows, w_terms: dict) -> dict:
         top = [max((k for k in grades if k & 1 == r), default=r) for r in (0, 1)]
         weights = [d ** (max(top[k & 1] - k, 0) >> 1) for k in range(n + 1)]
     terms = {subset_index(b): c * weights[len(b)] for b, c in zip(w_terms, num)}
-    if 2 * len(terms) >= 1 << n:
+    if 2 * len(terms) >= 1 << max(n, 7):
         out = zip(map(index_subset, range(1 << n)), _packed_pairs(g, n, terms))
     else:
         out = _pair_passes(g, terms)

@@ -1,5 +1,6 @@
 """The JSON command-line interface: payloads, exit codes, determinism."""
 
+import importlib
 import io
 import json
 import os
@@ -464,9 +465,10 @@ print(json.dumps({"loaded": loaded, "checks": len(list_checks()),
 
 
 def test_cli_import_starts_lean():
-    """`import cliffbundle.cli` in a fresh interpreter loads every module
-    the tracer wraps, but neither `dataclasses` nor the suite bodies,
-    which the registry loads on first use."""
+    """`import cliffbundle.cli` in a fresh interpreter puts every module
+    the tracer wraps into sys.modules (linalg, tensor, repcheck, checks
+    and sampling unexecuted until first use), but neither `dataclasses`
+    nor the suite bodies, which the registry loads on first use."""
     proc = subprocess.run([sys.executable, "-S", "-c", STARTUP_PROBE], capture_output=True,
                           text=True, timeout=120, env=_package_env())
     assert proc.returncode == 0, proc.stderr
@@ -477,6 +479,44 @@ def test_cli_import_starts_lean():
     assert "cliffbundle.suites" not in loaded
     assert report["checks"] == 46
     assert report["suites"]
+
+
+# the modules the package registers unexecuted, to run on first use
+LAZY_MODULES = ["linalg", "tensor", "repcheck", "checks", "sampling"]
+
+REQUEST_PROBE = """\
+import io, json, sys, types
+from cliffbundle.cli import main
+sys.stdin = io.StringIO(sys.argv[2])
+code = main(json.loads(sys.argv[1]))
+ran = [m for m in %r if type(sys.modules["cliffbundle." + m]) is types.ModuleType]
+print(json.dumps({"code": code, "ran": ran}), file=sys.stderr)
+""" % LAZY_MODULES
+
+
+def _lazy_modules_run(argv, payload=None):
+    """Exit code of one request through cli.main in a fresh interpreter,
+    and which of LAZY_MODULES have run their bodies by its end."""
+    proc = subprocess.run([sys.executable, "-c", REQUEST_PROBE, json.dumps(argv),
+                           json.dumps(payload or {})], capture_output=True, text=True,
+                          timeout=120, env=_package_env())
+    report = json.loads(proc.stderr.splitlines()[-1])
+    return report["code"], set(report["ran"])
+
+
+def test_requests_run_only_the_modules_they_use():
+    """A product request leaves all five lazy modules unexecuted; rho
+    runs repcheck but not checks, and `check --list` runs checks and the
+    modules its suites import names from."""
+    product = {"context": CTX, "u": {"terms": [{"blade": [1], "coeff": "1"}]},
+               "v": {"terms": [{"blade": [1, 2], "coeff": "1/2"}]}}
+    assert _lazy_modules_run(["product"], product) == (0, set())
+    rho = {"form": {"dim": 2, "field": "Q", "entries": [["1", "2"], ["0", "1"]]},
+           "element": {"terms": [{"blade": [1], "coeff": "1"}]}}
+    code, ran = _lazy_modules_run(["rho"], rho)
+    assert code == 0 and "repcheck" in ran and "checks" not in ran
+    code, ran = _lazy_modules_run(["check", "--list"])
+    assert code == 0 and {"checks", "repcheck", "sampling", "tensor"} <= ran
 
 
 TRACER_INSTALL = """\
@@ -498,7 +538,40 @@ def test_tracer_installs():
     assert proc.returncode == 0, proc.stderr
 
 
+# each public name's home module, "public=attribute" where they differ
+PUBLIC_HOMES = {
+    "checks": "CheckResult list_checks run_check",
+    "clifford": "CliffElt CliffordContext deform deform_apply exp_contract index_subset "
+                "interior quantize quotient_map subset_index symbol twisted_mul "
+                "clifford_contract=contract clifford_contract_vec=contract_vec",
+    "errors": "AlgebraError CapExceeded CharacteristicError ContextMismatch FieldMismatch "
+              "FormError ParseError",
+    "forms": "AlgebraContext BilinearForm DualTwoForm LinearForm QuadraticForm Vector "
+             "alt_of_dual dual_two_form pfaffian polar_form quad_of_bilinear right_radical "
+             "split_sym_alt triangular_bilinear",
+    "repcheck": "EndoMatrix EquivalenceReport ProbeReport check_equivalence cliff_to_vec "
+                "generator_matrices invariant_probe restrict_matrices rho_matrix "
+                "twist_matrix vec_to_cliff",
+    "scalars": "GF2 RATIONALS Field Scalar is_prime",
+    "tensor": "TensorElt contract contract_vec divided_power left_mul "
+              "tensor_deform=deform tensor_deform_apply=deform_apply",
+}
+
+
 def test_public_names_resolve():
+    """Every name in __all__, eager or served on first use from a lazy
+    module, is the very object its home module defines, and dir()
+    lists it."""
     names = cliffbundle.__all__
     assert len(names) == len(set(names))
     assert [name for name in names if not hasattr(cliffbundle, name)] == []
+    homes = {}
+    for module, entries in PUBLIC_HOMES.items():
+        for entry in entries.split():
+            public, _, attr = entry.partition("=")
+            homes[public] = (module, attr or public)
+    assert sorted(homes) == sorted(names)
+    for public, (module, attr) in homes.items():
+        home = importlib.import_module(f"cliffbundle.{module}")
+        assert getattr(cliffbundle, public) is getattr(home, attr), public
+    assert set(names) <= set(dir(cliffbundle))
