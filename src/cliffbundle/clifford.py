@@ -28,9 +28,9 @@ exp_contract the product of pair contractions that w . 1 reduces to
     f * g, Q = 0            f . g    B = 0, the wedge
     interior(f, w)          f . w    B = I, no wedge part
 
-and the representation matrices of repcheck are columns of such sums:
-rho_matrix(F, u) has column S = u . e_S (B = F), twist_matrix(A) has
-column S = e_S . 1 (B = A).
+and the representation matrices of repcheck are columns of these:
+rho_matrix(F, u) has column S = u . e_S (B = F), and twist_matrix(A)
+column S = deform(A, e_S), the pair product on e_S.
 
 The exterior algebra (Q = 0) is also that of the dual space: in
 interior(f, w), f is an exterior element with e_i read as e_i*.
@@ -78,7 +78,7 @@ of |entries| of a row, and for a pair product (sum of |w_M| weighted)
 times (sum over k <= T / 2 of e_k(r)), r_i the sum of |F_ij| over
 j > i.  So no slot carries into its neighbour in any field or at any
 coefficient size; over GF(p) the slots are reduced only at the exit.
-Sparse calls, word keys and the walk of repcheck.rho_matrix stay on
+Sparse calls, word keys and the matrix builders of repcheck stay on
 dicts.
 """
 
@@ -90,7 +90,7 @@ from functools import lru_cache
 from .errors import (CapExceeded, CharacteristicError, ContextMismatch, FormError,
                      ParseError)
 from .forms import (AlgebraContext, BilinearForm, DualTwoForm, Field, LinearForm,
-                    QuadraticForm, Vector, quad_of_bilinear, same_context)
+                    QuadraticForm, Vector, polar_form, quad_of_bilinear, same_context)
 from .records import record
 from .scalars import Scalar, canonical, excerpt, raw_rows, scaled_ints, shaped
 
@@ -253,12 +253,11 @@ def _actions(rows, wedge: bool = True) -> tuple:
 
 def _suffix_walk(words, start, step):
     """Each word S of words, (word, c) pairs, with e_S . start: yields
-    (c, |S|, e_S . start), where step(x, letter, t) is e_letter . x for
-    the letter at position t from the end of S.  Each e_S . x is
-    e_first . (e_rest . x): the words are visited sorted by their
-    reversal, and the results along the word in hand are kept, one per
-    suffix, until a word that does not share it comes (at most the
-    longest word + 1 results), so each suffix is acted out once and
+    (c, |S|, e_S . start), where step(x, letter) is e_letter . x.  Each
+    e_S . x is e_first . (e_rest . x): the words are visited sorted by
+    their reversal, and the results along the word in hand are kept,
+    one per suffix, until a word that does not share it comes (at most
+    the longest word + 1 results), so each suffix is acted out once and
     the words may be any words."""
     letters, chain = [], [start]
     for rev, c in sorted((w[::-1], c) for w, c in words):
@@ -269,14 +268,14 @@ def _suffix_walk(words, start, step):
             k += 1
         del letters[k:], chain[k + 1:]
         got = chain[-1]
-        for t in range(k, len(rev)):
-            got = step(got, rev[t], t)
-            letters.append(rev[t])
+        for a in rev[k:]:
+            got = step(got, a)
+            letters.append(a)
             chain.append(got)
         yield c, len(rev), got
 
 
-def _word_sum(act, actions: tuple, p: int, u_terms: dict, v: dict, pairs=None) -> tuple:
+def _word_sum(act, actions: tuple, p: int, u_terms: dict, v: dict) -> tuple:
     """The sum over the words S of u of u_S (e_S . v): (map, den).  act
     is the generator action on the keys of v, _act on bitmasks or
     _act_word on words; v maps them to raw values; the words are walked
@@ -284,20 +283,15 @@ def _word_sum(act, actions: tuple, p: int, u_terms: dict, v: dict, pairs=None) -
     and v are scaled to integers by their common denominators, u_S is
     weighted by d^(m - |S|), m the longest word of u, and den is those
     denominators times d^m.  Over GF(p) the map is unreduced and den is
-    1.  With pairs given (words as keys, v the unit), each e_S . 1
-    drops its terms with more than pairs contractions, the keys shorter
-    than |S| - 2 pairs, since later letters only add contractions."""
+    1."""
     acts, scale, d = actions
     vnum, dv = _ints(p, list(v.values()))
     unum, du = _ints(p, [c.value for c in u_terms.values()])
     top = max(map(len, u_terms), default=0)
 
-    def step(got, letter, t):
+    def step(got, letter):
         bit, row = acts[letter - 1]
-        got = act(bit, scale, row, p, got)
-        if pairs is not None and (least := t + 1 - 2 * pairs) > 0:
-            got = {k: x for k, x in got.items() if len(k) >= least}
-        return got
+        return act(bit, scale, row, p, got)
 
     out = {}
     get = out.get
@@ -400,7 +394,7 @@ def _packed_sum(actions: tuple, p: int, n: int, u_terms: dict, v: dict) -> tuple
     moves = [(masks[r], [(masks[b.bit_length() - 1], f) for b, f in row])
              for r, (_, row) in enumerate(acts)]
 
-    def step(pair, letter, t):
+    def step(pair, letter):
         P, N = pair
         (up, e, o), row = moves[letter - 1]
         outP = outN = 0
@@ -419,14 +413,13 @@ def _packed_sum(actions: tuple, p: int, n: int, u_terms: dict, v: dict) -> tuple
     return _unpack(sumP, sumN, n, width), du * dv * d ** top
 
 
-def _apply(field: Field, rows, u_terms: dict, v_terms: dict, wedge: bool = True,
-           pairs=None) -> dict:
+def _apply(field: Field, rows, u_terms: dict, v_terms: dict, wedge: bool = True) -> dict:
     """The sum over the words S of u of u_S (e_S . v) on words, where
     e_i acts by e_i (x) w (unless wedge is off) plus the contraction by
-    rows[i - 1]; pairs as in _word_sum.  Scalars are read at entry and
-    built at exit; in between, coefficients are ints."""
+    rows[i - 1].  Scalars are read at entry and built at exit; in
+    between, coefficients are ints."""
     out, den = _word_sum(_act_word, _actions(rows, wedge), field.char, u_terms,
-                         {k: c.value for k, c in v_terms.items()}, pairs)
+                         {k: c.value for k, c in v_terms.items()})
     return _scalars(field, out, out.values(), den)
 
 
@@ -447,11 +440,32 @@ def _operate(field: Field, rows, u_terms: dict, v_terms: dict, wedge: bool = Tru
     return _scalars(field, map(index_subset, out), out.values(), den)
 
 
+def _pair_rows(p: int, rows) -> tuple:
+    """The pair product's integer set-up for raw rows B: (g, d), g[i]
+    the (j, f_ij) for j > i with f_ij = d B_ij nonzero.  Over GF(p) f_ij
+    is the residue of absolute value at most p / 2, which keeps packed
+    slots narrow, and d is 1; over Q d is the common denominator of the
+    strict-upper entries."""
+    n = len(rows)
+    ij = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if p:
+        upper, d = [(rows[i][j] + p // 2) % p - p // 2 for i, j in ij], 1
+    else:
+        upper, d = scaled_ints([rows[i][j] for i, j in ij])
+    g = [[] for _ in range(n)]
+    for (i, j), f in zip(ij, upper):
+        if f:
+            g[i].append((j, f))
+    return g, d
+
+
 def _pair_passes(g: list, terms: dict) -> dict:
     """prod over i < j of (1 + f_ij i_j i_i) on a mask -> int map, g[i]
     the (j, f_ij) with f_ij nonzero: one pass per pair, each adding f c
     at m without bits i and j for every term c at a mask m holding both,
-    with the sign (-1)^k, k the set bits of m strictly between them."""
+    with the sign (-1)^k, k the set bits of m strictly between them.
+    Only the bits below len(g) are read, so higher bits of a key ride
+    along unchanged."""
     out = dict(terms)
     get = out.get
     for i, row in enumerate(g):
@@ -499,24 +513,14 @@ def _contract_pairs(field: Field, rows, w_terms: dict) -> dict:
     (40-80% of the packed time), the carriers meet at n = 6 with half
     to three quarters of the slots filled, and packing wins for a full
     w at n = 6 and for half the slots or more from n = 7 on.
-    Over GF(p) the entries are taken as residues of absolute value at
-    most p / 2, which keeps the slots narrow.
-    Over Q it is fraction-free: with d the common denominator of those
-    entries, w_M is weighted by d^((T - |M|) / 2), T the top grade of w
-    of the parity of |M|, and the result at K is divided once by den(w)
-    times d^((T - |K|) / 2)."""
+    The pairs come from _pair_rows.  Over Q it is fraction-free: with d
+    its common denominator, w_M is weighted by d^((T - |M|) / 2), T the
+    top grade of w of the parity of |M|, and the result at K is divided
+    once by den(w) times d^((T - |K|) / 2)."""
     p = field.char
     n = len(rows)
-    ij = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    if p:
-        upper, d = [(rows[i][j] + p // 2) % p - p // 2 for i, j in ij], 1
-    else:
-        upper, d = scaled_ints([rows[i][j] for i, j in ij])
+    g, d = _pair_rows(p, rows)
     num, dw = _ints(p, [c.value for c in w_terms.values()])
-    g = [[] for _ in range(n)]
-    for (i, j), f in zip(ij, upper):
-        if f:
-            g[i].append((j, f))
     weights = [1] * (n + 1)
     if d != 1:
         grades = set(map(len, w_terms))
@@ -847,12 +851,7 @@ def _half_polar(cctx: CliffordContext) -> BilinearForm:
     if cctx.field.char == 2:
         raise CharacteristicError(
             "symbol/quantization need 1/2, undefined in characteristic 2")
-    half = cctx.field.one / cctx.field(2)
-    n = cctx.dim
-    q = cctx.quadratic
-    rows = tuple(
-        tuple(half * q.polar(i, j) for j in range(1, n + 1)) for i in range(1, n + 1))
-    return BilinearForm(cctx.ctx, rows)
+    return cctx.field.one / cctx.field(2) * polar_form(cctx.quadratic)
 
 
 def symbol(w: CliffElt) -> CliffElt:

@@ -9,11 +9,11 @@ The matrices come straight from the Clifford kernel of clifford.py,
 whose blades are those same bitmasks, and an EndoMatrix keeps them as
 the kernel makes them: sparse integer columns over one denominator.
 rho_matrix(F, u) is one walk of u's words over the identity matrix,
-column S being u acting on e_S through the rows of F; the generator
-matrices are one generator action each on it; column S of
-twist_matrix(A) is the word e_S acting on the unit through A, one
-generator action on the column of S without its lowest index; and a
-product combines columns.  The probe and the restriction run on raw
+column S being u acting on e_S through the rows of F, and the
+generator matrices are the rho_matrix of each e_i; twist_matrix(A) is
+one run of deform's pair passes over the same identity, column S being
+the product over i < j of (1 + A_ij i_j i_i) on e_S; and a product
+combines columns.  The probe and the restriction run on raw
 values, residues mod p or rationals, through the raw core of linalg.
 Scalars appear only in EndoMatrix.entries and rows() (built once per
 matrix), in ProbeReport bases and in the matrices restrict_matrices
@@ -28,8 +28,8 @@ from functools import cached_property
 from math import gcd
 
 from . import linalg
-from .clifford import (CliffElt, CliffordContext, _act, _actions, _word_sum,
-                       index_subset, subset_index)
+from .clifford import (CliffElt, CliffordContext, _act, _actions, _pair_passes,
+                       _pair_rows, _word_sum, index_subset, subset_index)
 from .errors import CapExceeded, FormError
 from .forms import AlgebraContext, BilinearForm, quad_of_bilinear, same_context
 from .records import record
@@ -180,37 +180,33 @@ def rho_matrix(F: BilinearForm, u: CliffElt) -> EndoMatrix:
 
 
 def generator_matrices(F: BilinearForm):
-    """Representation matrices of the n generators e_1 .. e_n: one
-    generator action each on the identity matrix."""
-    ctx = F.ctx
-    _rep_guard(ctx.dim)
-    acts, scale, d = _actions(raw_rows(F.rows))
-    unit = _unit_map(ctx.dim)
-    return [_endo(ctx, _act(bit, scale, row, ctx.field.char, unit), d) for bit, row in acts]
+    """Representation matrices of the n generators e_1 .. e_n: the
+    rho_matrix of each."""
+    qf = CliffordContext(quad_of_bilinear(F))
+    return [rho_matrix(F, CliffElt.blade(qf, (i,))) for i in range(1, F.ctx.dim + 1)]
 
 
 def twist_matrix(A: BilinearForm) -> EndoMatrix:
     """Matrix of the deformation by an alternating form on the exterior
     algebra (an automorphism of the underlying space: the quadratic part
-    of an alternating form vanishes).  Column S is deform(A, e_S): the
-    word e_S acting on the unit through A, built as
-    e_min(S) . column(S without min(S)); over Q each generator action
-    is d times the true one, so column S is d^(n - |S|) times the true
-    one over d^n."""
+    of an alternating form vanishes).  Column S is deform(A, e_S), the
+    product over i < j of (1 + A_ij i_j i_i) on e_S: one run of the pair
+    passes over the identity matrix keyed (column << n) | row, whose
+    passes read only the low n bits of a key.  Over Q each pass is d
+    times the true one, so the entry at (S, K), reached by
+    (|S| - |K|) / 2 of them, is scaled by d^(n // 2 - (|S| - |K|) / 2)
+    and put over d^(n // 2)."""
     if not A.is_alternating():
         raise FormError("twist matrix needs an alternating form")
     ctx = A.ctx
     n = ctx.dim
     _rep_guard(n)
-    acts, scale, d = _actions(raw_rows(A.rows))
-    p = ctx.field.char
-    cols = [{0: 1}]
-    for s in range(1, 1 << n):
-        first = s & -s
-        bit, row = acts[first.bit_length() - 1]
-        cols.append(_act(bit, scale, row, p, cols[s ^ first]))
-    return _endo(ctx, {(s << n) | r: x * d ** (n - s.bit_count())
-                       for s, col in enumerate(cols) for r, x in col.items()}, d ** n)
+    g, d = _pair_rows(ctx.field.char, raw_rows(A.rows))
+    out = _pair_passes(g, _unit_map(n))
+    if d != 1:  # (|S| - |K|) / 2 = |S| - (|S| + |K|) / 2
+        out = {k: x * d ** (n // 2 + k.bit_count() // 2 - (k >> n).bit_count())
+               for k, x in out.items()}
+    return _endo(ctx, out, d ** (n // 2))
 
 
 @record()

@@ -643,9 +643,7 @@ def _rep_lattice(rng, ctx, need, i):
     mats_u = generator_matrices(F)
     mats_t = generator_matrices(F + A)
     M = twist_matrix(A).rows()
-    Minv = linalg.solve_matrix(M, linalg.identity(ctx.field, len(M)))
-    if not need(Minv is not None, "twist matrix is singular"):
-        return
+    Minv = twist_matrix(-A).rows()
     sub_seed = rng.randrange(1 << 30)
     rep_u = invariant_probe(mats_u, sub_seed)
     rep_t = invariant_probe(mats_t, sub_seed + 1)

@@ -148,8 +148,8 @@ def divided_power(F: BilinearForm, k: int, u: TensorElt) -> TensorElt:
     """The piece of the deformation with exactly k contraction factors.
 
     A word of length p deforms into words of length p - 2j, j the number
-    of contractions, so this is the grade p - 2k part of the deformation
-    of the grade-p part of u, summed over p.  For a word it is the sum
+    of contractions, so this is the grade p - 2k part of the whole
+    deformation of the grade-p part of u, summed over p.  For a word it is the sum
     over the choices of k disjoint position pairs (i, j), i < j, of the
     product of the F values on the pairs, times the sign of the
     permutation (i_1, j_1, ..., i_k, j_k, rest ascending), times the
@@ -166,6 +166,6 @@ def divided_power(F: BilinearForm, k: int, u: TensorElt) -> TensorElt:
     out = {}
     for grade in {len(w) for w in u.terms if len(w) >= 2 * k}:
         part = {w: c for w, c in u.terms.items() if len(w) == grade}
-        out.update((w, c) for w, c in _apply(u.ctx.field, rows, part, unit, pairs=k).items()
+        out.update((w, c) for w, c in _apply(u.ctx.field, rows, part, unit).items()
                    if len(w) == grade - 2 * k)
     return TensorElt(u.ctx, out)
