@@ -424,13 +424,13 @@ def invariant_probe(mats, seed: int) -> ProbeReport:
     """
     if not mats:
         raise FormError("invariant probe needs at least one matrix")
+    raw = [_raw_of(m) for m in mats]
+    n = len(raw[0])
+    if not n or any(len(m) != n or any(len(r) != n for r in m) for m in raw):
+        raise FormError("all matrices must share one nonempty square dimension")
     first = mats[0]
     field = first.ctx.field if isinstance(first, EndoMatrix) else first[0][0].field
     p = field.char
-    raw = [_raw_of(m) for m in mats]
-    n = len(raw[0])
-    if any(len(m) != n or any(len(r) != n for r in m) for m in raw):
-        raise FormError("all matrices must share one square dimension")
     raw_t = [linalg.transpose(m) for m in raw]
     rng = random.Random(seed)
     found = {}
@@ -455,7 +455,7 @@ def invariant_probe(mats, seed: int) -> ProbeReport:
             basis = bigger
         return basis
 
-    def record(vectors, close=True):
+    def keep(vectors, close=True):
         if not vectors:
             return
         basis = close_under(vectors) if close else linalg.row_space_raw(vectors, p)
@@ -475,23 +475,23 @@ def invariant_probe(mats, seed: int) -> ProbeReport:
     # cyclic closures of random vectors, and random spans (these catch
     # small algebras; for rich algebras the closures fill up and drop out)
     for _ in range(6):
-        record([rand_vec()])
+        keep([rand_vec()])
     for k in range(2, n):
-        record([rand_vec() for _ in range(k)])
+        keep([rand_vec() for _ in range(k)])
 
     # kernels of the given matrices, then kernels and images of random
     # algebra elements (random ones are usually invertible)
     for m in raw:
-        record(linalg.nullspace_raw(m, p))
+        keep(linalg.nullspace_raw(m, p))
     for _ in range(8):
         y = rand_algebra_elt()
         ker = linalg.nullspace_raw(y, p)
         if ker:
-            record(ker)
-            record([ker[0]])
+            keep(ker)
+            keep([ker[0]])
         img = linalg.row_space_raw(linalg.transpose(y), p)
         if len(img) < n:
-            record(img)
+            keep(img)
 
     # commutant eigenspaces: solve Y M_i = M_i Y exactly, then split
     # along rational eigenvalues of random commutant elements (skipped
@@ -520,7 +520,7 @@ def invariant_probe(mats, seed: int) -> ProbeReport:
                                for r in range(n)]
                     eig = linalg.nullspace_raw(shifted, p)
                     if eig:
-                        record(eig)
+                        keep(eig)
 
     # combine what was found: pairwise sums and intersections
     bases_now = list(found.values())
@@ -528,8 +528,8 @@ def invariant_probe(mats, seed: int) -> ProbeReport:
         for j in range(i + 1, len(bases_now)):
             if len(found) > 80:
                 break
-            record(bases_now[i] + bases_now[j], close=False)
-            record(_intersect(bases_now[i], bases_now[j], p), close=False)
+            keep(bases_now[i] + bases_now[j], close=False)
+            keep(_intersect(bases_now[i], bases_now[j], p), close=False)
 
     ordered = [found[key] for key in sorted(found, key=lambda key: (len(key), key))]
     return ProbeReport(

@@ -64,11 +64,18 @@ def raw_rows(rows) -> list:
     return [[x.value for x in row] for row in rows]
 
 
-# Deterministic Miller-Rabin witnesses for all 64-bit integers.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin witnesses that decide primality below _MR_BOUND, the
+# least strong pseudoprime to all of them (Sorenson and Webster, Math.
+# Comp. 86, 2017); without 41 the least is 318665857834031151167461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
+    """Whether n is prime, decided exactly for n below _MR_BOUND; at or
+    above it ValueError."""
+    if n >= _MR_BOUND:
+        raise ValueError(f"primality is decided only below {_MR_BOUND}, got {excerpt(n)}")
     if n < 2:
         return False
     for q in _MR_BASES:
@@ -118,6 +125,9 @@ class Field:
                 p = int(text[3:])
             except ValueError:
                 raise ParseError(f"bad field spec {excerpt(text)}") from None
+            if p >= _MR_BOUND:
+                raise ParseError(f"modulus {excerpt(p)} is not below {_MR_BOUND}, "
+                                 "the bound of the primality test")
             if not is_prime(p):
                 raise ParseError(f"modulus {excerpt(p)} is not prime")
             return cls(p)

@@ -292,11 +292,14 @@ BAD_SHAPES = {
                    "v": {"terms": []}}),
     (["product"], {"context": dict(CTX, field="Fp:" + "9" * 3000), "u": {"terms": []},
                    "v": {"terms": []}}),
+    # 399165290221 * 798330580441, a strong pseudoprime to bases 2..37
+    (["product"], {"context": dict(CTX, field="Fp:318665857834031151167461"),
+                   "u": {"terms": []}, "v": {"terms": []}}),
     (["pfaffian"], {"matrix": {"dim": "2", "field": "Q", "entries": [["0", "1"], ["-1", "0"]]}}),
     (["check", "x" * 5000], None),
     *(case for case, _ in BAD_SHAPES.values()),
 ], ids=["blade-bool", "samples-negative", "coeff-long", "blade-long", "field-list",
-        "field-long", "modulus-long", "dim-string", "check-id-long", *BAD_SHAPES])
+        "field-long", "modulus-long", "modulus-pseudoprime", "dim-string", "check-id-long", *BAD_SHAPES])
 def test_bad_request_shape_exits_two(argv, payload, monkeypatch, capsys):
     text = "" if payload is None else json.dumps(payload)
     code, out, err = run_cli(argv, text, monkeypatch, capsys)

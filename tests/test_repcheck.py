@@ -286,6 +286,12 @@ def test_probe_needs_matrices():
         invariant_probe([], seed=0)
 
 
+@pytest.mark.parametrize("mats", [[[]], [[[]]]], ids=["no-rows", "no-columns"])
+def test_probe_refuses_empty_matrix(mats):
+    with pytest.raises(FormError):
+        invariant_probe(mats, seed=0)
+
+
 def test_endo_matrix_json():
     ctx = AlgebraContext(1, Field(3))
     m = EndoMatrix.identity(ctx)
@@ -389,6 +395,21 @@ def test_builders_match_oracles(field):
                                  for b, y in back.items()])
             col = deform_sum(F, zero_q, prod)
             assert _column(rho, c) == cliff_to_vec(CliffElt(ext, col))
+
+
+@pytest.mark.parametrize("field", PIN_FIELDS, ids=lambda f: f.spec)
+def test_twist_group_law(field):
+    """twist(-A) is the inverse of twist(A): deformations compose by
+    adding their forms."""
+    rng = random.Random(f"group/{field.spec}")
+    values = [Fraction(a, b) for a in range(-3, 4) for b in (1, 2, 3)]
+    for n in range(1, 7):
+        ctx = AlgebraContext(n, field)
+        upper = [[rng.choice(values) if field.char == 0 else rng.randrange(field.char)
+                  for _ in range(n)] for _ in range(n)]
+        A = BilinearForm.make(ctx, [[upper[i][j] if i < j else -upper[j][i] if i > j else 0
+                                     for j in range(n)] for i in range(n)])
+        assert twist_matrix(A) * twist_matrix(-A) == EndoMatrix.identity(ctx)
 
 
 def _digest(data) -> str:

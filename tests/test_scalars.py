@@ -97,6 +97,30 @@ def test_is_prime():
     assert not any(is_prime(c) for c in (0, 1, 4, 561, 1105, 2 ** 61 - 3))
 
 
+def test_is_prime_rejects_strong_pseudoprime():
+    # the least strong pseudoprime to bases 2..37 (Sorenson and Webster)
+    assert 399165290221 * 798330580441 == 318665857834031151167461
+    assert not is_prime(318665857834031151167461)
+    with pytest.raises(ValueError):
+        Field(318665857834031151167461)
+
+
+def test_modulus_at_the_primality_bound_is_refused():
+    bound = 3317044064679887385961981
+    with pytest.raises(ValueError, match=str(bound)):
+        is_prime(bound)
+    with pytest.raises(ValueError, match=str(bound)):
+        Field(bound)
+    with pytest.raises(ParseError, match=str(bound)):
+        Field.from_spec(f"Fp:{bound}")
+
+
+def test_large_prime_modulus_is_accepted():
+    p = 2 ** 61 - 1
+    assert Field.from_spec(f"Fp:{p}") == Field(p)
+    assert Field(p)(p + 5) == Field(p)(5)
+
+
 def test_field_spec_round_trip():
     for spec in ("Q", "Fp:2", "Fp:101"):
         assert Field.from_spec(spec).spec == spec
