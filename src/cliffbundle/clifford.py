@@ -54,8 +54,16 @@ scaled to integers by their common denominators, and the sum is
 divided once at the end.  Forms enter as the raw values of their
 Scalars, and Scalars are read when a call enters the kernel and built
 when it leaves, straight from canonical values (scalars.canonical) into
-an element that takes the map as it is (_Sparse._of); blades become
-masks there and masks blades again (see index_subset).
+an element that takes the map as it is (_Sparse._of).  Both crossings
+are table lookups that map, zip and dict run in C: a blade becomes its
+mask through _masks(n) and a mask its blade through _blades(n), the
+2^n blades in mask order, kept up to n = 12 (above, a dense exit
+builds the table for its call and a sparse call converts key by key),
+and over GF(p), when p is below half the number of values, a residue
+becomes its Scalar from the field's p Scalars, built once for the call
+(else, and over Q, each Scalar is built).  The blades
+of u are walked as masks in numeric order (_mask_walk), words by
+their reversal (_suffix_walk).
 
 The sums and the pair products have two carriers.  A call whose
 operands each fill at least half the 2^n blade slots, 2 min(|u|, |v|)
@@ -78,14 +86,19 @@ of |entries| of a row, and for a pair product (sum of |w_M| weighted)
 times (sum over k <= T / 2 of e_k(r)), r_i the sum of |F_ij| over
 j > i.  So no slot carries into its neighbour in any field or at any
 coefficient size; over GF(p) the slots are reduced only at the exit.
-Sparse calls, word keys and the matrix builders of repcheck stay on
+The exit reads the slots in C: the bytes of P and N strided into the
+64-bit limbs of an array (_split), then P - N slot by slot.  Sparse
+calls, word keys and the matrix builders of repcheck stay on
 dicts.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress, repeat
+from operator import attrgetter, lshift, or_, sub
 
 from .errors import (CapExceeded, CharacteristicError, ContextMismatch, FormError,
                      ParseError)
@@ -149,11 +162,10 @@ def subset_index(blade) -> int:
     return m
 
 
-@lru_cache(maxsize=1 << 12)
 def index_subset(m: int) -> tuple:
-    """The blade of a bitmask index, the inverse of subset_index.  The
-    kernel turns every output mask into a blade here, so the blades of
-    the last 2^12 masks asked for are kept."""
+    """The blade of a bitmask index, the inverse of subset_index, read
+    bit by bit.  The kernel reads blades from its tables (_blades) up to
+    n = _TABLE_DIM and calls this per key only for sparse results above."""
     if m < 0:
         raise ValueError(f"a bitmask index is nonnegative, got {m}")
     out = []
@@ -166,22 +178,89 @@ def index_subset(m: int) -> tuple:
     return tuple(out)
 
 
+# The largest n whose blade tables are kept: 2^12 blades.  Above it a
+# dense exit builds its table once per call, and sparse entries and
+# exits convert key by key, so no sparse call builds a table.
+_TABLE_DIM = 12
+
+
+@lru_cache(maxsize=None)
+def _kept_blades(n: int) -> tuple:
+    """_blades(n) for n <= _TABLE_DIM, grown from the kept table of n - 1."""
+    if not n:
+        return ((),)
+    low = _kept_blades(n - 1)
+    return low + tuple([b + (n,) for b in low])
+
+
+def _blades(n: int):
+    """Every blade on e_1 .. e_n in mask order, the blade of mask m at
+    index m, built by doubling: the blades on e_1 .. e_(n-1), then each
+    of them with n appended.  Kept for n <= _TABLE_DIM; above that,
+    grown from the kept table for each call."""
+    if n <= _TABLE_DIM:
+        return _kept_blades(n)
+    out = list(_kept_blades(_TABLE_DIM))
+    for i in range(_TABLE_DIM + 1, n + 1):
+        out += [b + (i,) for b in out]
+    return out
+
+
+@lru_cache(maxsize=None)
+def _masks(n: int) -> dict:
+    """The inverse of _blades(n), blade -> mask, for n <= _TABLE_DIM."""
+    return dict(zip(_kept_blades(n), range(1 << n)))
+
+
+def _masks_of(n: int, blades):
+    """The masks of blades on e_1 .. e_n, read from _masks(n) up to
+    _TABLE_DIM, else one at a time (subset_index)."""
+    return map(_masks(n).__getitem__, blades) if n <= _TABLE_DIM else map(subset_index, blades)
+
+
+def _blades_of(n: int, masks):
+    """The blades of masks below 2^n, the inverse of _masks_of."""
+    return map(_blades(n).__getitem__, masks) if n <= _TABLE_DIM else map(index_subset, masks)
+
+
+_value = attrgetter("value")
+
+
+def _raw(terms: dict) -> dict:
+    """The kernel's entry for word-keyed Scalars: word -> raw value."""
+    return dict(zip(terms, map(_value, terms.values())))
+
+
+def _entry(n: int, terms: dict) -> dict:
+    """The kernel's entry for blade-keyed Scalars: mask -> raw value."""
+    return dict(zip(_masks_of(n, terms), map(_value, terms.values())))
+
+
 def _rational(x: int, den: int):
-    """x / den in Scalar's canonical form over Q."""
+    """x / den in Scalar's canonical form over Q: an int when den
+    divides x, else the reduced Fraction."""
     if den == 1:
         return x
-    q = Fraction(x, den)
-    return q.numerator if q.denominator == 1 else q
+    return Fraction(x, den) if x % den else x // den
 
 
-def _scalars(field: Field, keys, values, den: int) -> dict:
+def _scalars(field: Field, keys, values, dens) -> dict:
     """The kernel's exit: the nonzero raw values as Scalars at their
-    keys; over GF(p) reduced mod p, over Q divided by den.  The values
-    are canonical there, so the Scalars are built without tests."""
+    keys; over GF(p) reduced mod p, over Q the value at a key of grade
+    k divided by dens[k].  The values are canonical there, so the
+    Scalars are built without tests.  Over GF(p) with p below half the
+    number of values, the p Scalars of the field are built once and
+    shared (Scalars are immutable), each of the caller's field so that
+    later field checks stay identity tests."""
     p = field.char
-    if p:
-        return {k: canonical(field, r) for k, x in zip(keys, values) if (r := x % p)}
-    return {k: canonical(field, _rational(x, den)) for k, x in zip(keys, values) if x}
+    if not p:
+        return {k: canonical(field, _rational(x, dens[len(k)]))
+                for k, x in zip(keys, values) if x}
+    residues = list(map(p.__rmod__, values))
+    if 2 * p < len(residues):
+        table = [canonical(field, r) for r in range(p)]
+        return dict(compress(zip(keys, map(table.__getitem__, residues)), residues))
+    return {k: canonical(field, r) for k, r in zip(keys, residues) if r}
 
 
 def _ints(p: int, values: list) -> tuple:
@@ -275,19 +354,50 @@ def _suffix_walk(words, start, step):
         yield c, len(rev), got
 
 
-def _word_sum(act, actions: tuple, p: int, u_terms: dict, v: dict) -> tuple:
+def _mask_walk(items, start, step):
+    """_suffix_walk for blades held as masks, (mask, c) pairs: numeric
+    order is the order of the reversed blades, and the suffix a mask
+    shares with the one before it is its set bits above the highest bit
+    where the two differ; the bits from there down are acted out
+    highest first.  It yields the same (c, |S|, e_S . start) triples."""
+    chain, last = [start], 0
+    for m, c in sorted(items):
+        top = (m ^ last).bit_length()
+        del chain[(m >> top).bit_count() + 1:]
+        got = chain[-1]
+        rest = m & ((1 << top) - 1)
+        while rest:
+            letter = rest.bit_length()
+            got = step(got, letter)
+            chain.append(got)
+            rest ^= 1 << (letter - 1)
+        last = m
+        yield c, m.bit_count(), got
+
+
+def _walk(u: dict) -> tuple:
+    """The walk over the keys of u and their grade: _mask_walk and the
+    set bits for masks (u keyed by blades), _suffix_walk and the length
+    for words."""
+    if type(next(iter(u), None)) is int:
+        return _mask_walk, int.bit_count
+    return _suffix_walk, len
+
+
+def _word_sum(act, actions: tuple, p: int, u: dict, v: dict) -> tuple:
     """The sum over the words S of u of u_S (e_S . v): (map, den).  act
     is the generator action on the keys of v, _act on bitmasks or
-    _act_word on words; v maps them to raw values; the words are walked
-    by _suffix_walk.  Over Q the result is the map divided by den: u
-    and v are scaled to integers by their common denominators, u_S is
-    weighted by d^(m - |S|), m the longest word of u, and den is those
-    denominators times d^m.  Over GF(p) the map is unreduced and den is
-    1."""
+    _act_word on words; u and v map their keys to raw values, and u's
+    keys are walked by _walk.  Over Q the result is the map divided by
+    den: u and v are scaled to integers by their common denominators,
+    u_S is weighted by d^(m - |S|), m the longest word of u, and den is
+    those denominators times d^m.  Over GF(p) the map is unreduced and
+    den is 1."""
     acts, scale, d = actions
     vnum, dv = _ints(p, list(v.values()))
-    unum, du = _ints(p, [c.value for c in u_terms.values()])
-    top = max(map(len, u_terms), default=0)
+    unum, du = _ints(p, list(u.values()))
+    walk, grade = _walk(u)
+    top = max(map(grade, u), default=0)
 
     def step(got, letter):
         bit, row = acts[letter - 1]
@@ -295,7 +405,7 @@ def _word_sum(act, actions: tuple, p: int, u_terms: dict, v: dict) -> tuple:
 
     out = {}
     get = out.get
-    for c, length, got in _suffix_walk(zip(u_terms, unum), dict(zip(v, vnum)), step):
+    for c, length, got in walk(zip(u, unum), dict(zip(v, vnum)), step):
         if d != 1:
             c *= d ** (top - length)
         for k, x in got.items():
@@ -332,25 +442,46 @@ def _carrier(n: int, bound: int) -> tuple:
 def _pack(items, n: int, width: int) -> tuple:
     """The packed pair (P, N) of (mask, int) items: their positive and
     negative parts, the value at m in bytes [m width, (m + 1) width)."""
-    zero = bytes(width)
-    P, N = [zero] * (1 << n), [zero] * (1 << n)
+    P, N = [0] * (1 << n), [0] * (1 << n)
     for m, x in items:
         if x > 0:
-            P[m] = x.to_bytes(width, "little")
+            P[m] = x
         elif x:
-            N[m] = (-x).to_bytes(width, "little")
-    return int.from_bytes(b"".join(P), "little"), int.from_bytes(b"".join(N), "little")
+            N[m] = -x
+    return _join(P, n, width), _join(N, n, width)
+
+
+def _join(slots: list, n: int, width: int) -> int:
+    """The int whose slot m, bytes [m width, (m + 1) width), holds
+    slots[m], each nonnegative and below 2^(8 width)."""
+    return int.from_bytes(b"".join(map(int.to_bytes, slots, repeat(width), repeat("little"))),
+                          "little")
+
+
+def _split(X: int, n: int, width: int):
+    """The inverse of _join: the 2^n slots of X as ints, its bytes
+    strided into the 64-bit limbs of an array and each slot's limbs
+    joined."""
+    from array import array
+    size = -(-width // 8)
+    raw, stride = X.to_bytes(width << n, "little"), 8 * size
+    if width < stride:
+        buf = bytearray(stride << n)
+        for j in range(width):
+            buf[j::stride] = raw[j::width]
+        raw = buf
+    limbs = array("Q", raw)
+    if sys.byteorder == "big":
+        limbs.byteswap()
+    out = limbs[size - 1::size]
+    for k in range(size - 2, -1, -1):
+        out = map(or_, map(lshift, out, repeat(64)), limbs[k::size])
+    return out
 
 
 def _unpack(P: int, N: int, n: int, width: int) -> list:
-    """The value P - N at every mask below 2^n.  Each slot of P and N is
-    below half = 2^(W - 1) (see _carrier), so P + half - N, half added
-    to every slot, leaves each slot its value plus half, no borrow."""
-    half = 1 << (8 * width - 1)
-    bias = int.from_bytes(half.to_bytes(width, "little") * (1 << n), "little")
-    buf = memoryview((P + bias - N).to_bytes(width << n, "little"))
-    read = int.from_bytes
-    return [read(buf[k:k + width], "little") - half for k in range(0, width << n, width)]
+    """The value P - N at every mask below 2^n."""
+    return list(map(sub, _split(P, n, width), _split(N, n, width)))
 
 
 def _contract(P: int, N: int, row, outP: int = 0, outN: int = 0) -> tuple:
@@ -371,7 +502,7 @@ def _contract(P: int, N: int, row, outP: int = 0, outN: int = 0) -> tuple:
     return outP, outN
 
 
-def _packed_sum(actions: tuple, p: int, n: int, u_terms: dict, v: dict) -> tuple:
+def _packed_sum(actions: tuple, p: int, n: int, u: dict, v: dict) -> tuple:
     """_word_sum on bitmask keys below 2^n, each coefficient map held as
     a packed pair (P, N) of nonnegative big integers, its positive and
     negative parts, with the value at mask m in bits [m W, (m + 1) W):
@@ -386,9 +517,10 @@ def _packed_sum(actions: tuple, p: int, n: int, u_terms: dict, v: dict) -> tuple
     any coefficient size."""
     acts, scale, d = actions
     vnum, dv = _ints(p, list(v.values()))
-    unum, du = _ints(p, [c.value for c in u_terms.values()])
-    top = max(map(len, u_terms))
-    coeffs = [c * d ** (top - len(w)) for w, c in zip(u_terms, unum)]
+    unum, du = _ints(p, list(u.values()))
+    walk, grade = _walk(u)
+    top = max(map(grade, u))
+    coeffs = [c * d ** (top - k) for k, c in zip(map(grade, u), unum)]
     reach = max(d + sum(abs(f) for _, f in row) for _, row in acts)
     width, masks = _carrier(n, sum(map(abs, coeffs)) * reach ** top * max(map(abs, vnum)))
     moves = [(masks[r], [(masks[b.bit_length() - 1], f) for b, f in row])
@@ -405,7 +537,7 @@ def _packed_sum(actions: tuple, p: int, n: int, u_terms: dict, v: dict) -> tuple
         return _contract(P, N, row, outP, outN)
 
     sumP = sumN = 0
-    for c, _, (P, N) in _suffix_walk(zip(u_terms, coeffs), _pack(zip(v, vnum), n, width), step):
+    for c, _, (P, N) in walk(zip(u, coeffs), _pack(zip(v, vnum), n, width), step):
         if c < 0:
             P, N, c = N, P, -c
         sumP += c * P
@@ -418,26 +550,30 @@ def _apply(field: Field, rows, u_terms: dict, v_terms: dict, wedge: bool = True)
     e_i acts by e_i (x) w (unless wedge is off) plus the contraction by
     rows[i - 1].  Scalars are read at entry and built at exit; in
     between, coefficients are ints."""
-    out, den = _word_sum(_act_word, _actions(rows, wedge), field.char, u_terms,
-                         {k: c.value for k, c in v_terms.items()})
-    return _scalars(field, out, out.values(), den)
+    out, den = _word_sum(_act_word, _actions(rows, wedge), field.char, _raw(u_terms),
+                         _raw(v_terms))
+    return _scalars(field, out, out.values(), [den] * (1 + max(map(len, out), default=0)))
 
 
-def _operate(field: Field, rows, u_terms: dict, v_terms: dict, wedge: bool = True) -> dict:
-    """The same sum on blades, which are bitmasks inside the kernel: on
-    packed integers (_packed_sum) when 2 min(|u|, |v|) >= 2^n, so that
-    at least half the 2^n slots are filled from the start, else on
-    dicts (_word_sum).  Below that the packed sum's fixed set-up costs
-    more than it saves: at n = 4 with 4 to 6 terms a side it takes
-    about 2.5 times as long as the dicts, from 7 terms a side less."""
+def _operate(field: Field, rows, u_terms: dict, v_terms: dict, wedge: bool = True,
+             words: bool = False) -> dict:
+    """The same sum on blades, which are bitmasks inside the kernel, as
+    are u's keys unless words is set (reverse and quotient_map, whose u
+    is keyed by words): on packed integers (_packed_sum) when
+    2 min(|u|, |v|) >= 2^n, so that at least half the 2^n slots are
+    filled from the start, else on dicts (_word_sum).  Below that the
+    packed sum's fixed set-up costs more than it saves: at n = 4 with 4
+    to 6 terms a side it takes about 2.5 times as long as the dicts,
+    from 7 terms a side less."""
     n = len(rows[0])
     actions = _actions(rows, wedge)
-    v = {subset_index(b): c.value for b, c in v_terms.items()}
-    if 2 * min(len(u_terms), len(v)) >= 1 << n:
-        values, den = _packed_sum(actions, field.char, n, u_terms, v)
-        return _scalars(field, map(index_subset, range(1 << n)), values, den)
-    out, den = _word_sum(_act, actions, field.char, u_terms, v)
-    return _scalars(field, map(index_subset, out), out.values(), den)
+    u = _raw(u_terms) if words else _entry(n, u_terms)
+    v = _entry(n, v_terms)
+    if 2 * min(len(u), len(v)) >= 1 << n:
+        values, den = _packed_sum(actions, field.char, n, u, v)
+        return _scalars(field, _blades(n), values, [den] * (n + 1))
+    out, den = _word_sum(_act, actions, field.char, u, v)
+    return _scalars(field, _blades_of(n, out), out.values(), [den] * (n + 1))
 
 
 def _pair_rows(p: int, rows) -> tuple:
@@ -520,21 +656,20 @@ def _contract_pairs(field: Field, rows, w_terms: dict) -> dict:
     p = field.char
     n = len(rows)
     g, d = _pair_rows(p, rows)
-    num, dw = _ints(p, [c.value for c in w_terms.values()])
-    weights = [1] * (n + 1)
+    w = _entry(n, w_terms)
+    num, dw = _ints(p, list(w.values()))
+    dens = [dw] * (n + 1)
     if d != 1:
-        grades = set(map(len, w_terms))
+        grades = set(map(int.bit_count, w))
         top = [max((k for k in grades if k & 1 == r), default=r) for r in (0, 1)]
         weights = [d ** (max(top[k & 1] - k, 0) >> 1) for k in range(n + 1)]
-    terms = {subset_index(b): c * weights[len(b)] for b, c in zip(w_terms, num)}
+        num = [c * weights[m.bit_count()] for m, c in zip(w, num)]
+        dens = [dw * x for x in weights]
+    terms = dict(zip(w, num))
     if 2 * len(terms) >= 1 << max(n, 7):
-        out = zip(map(index_subset, range(1 << n)), _packed_pairs(g, n, terms))
-    else:
-        out = _pair_passes(g, terms)
-        out = zip(map(index_subset, out), out.values())
-    if p:
-        return {b: canonical(field, r) for b, x in out if (r := x % p)}
-    return {b: canonical(field, _rational(x, dw * weights[len(b)])) for b, x in out if x}
+        return _scalars(field, _blades(n), _packed_pairs(g, n, terms), dens)
+    out = _pair_passes(g, terms)
+    return _scalars(field, _blades_of(n, out), out.values(), dens)
 
 
 def _chevalley(q: QuadraticForm, F: BilinearForm | None = None) -> list:
@@ -679,7 +814,7 @@ class CliffElt(_Sparse):
         read backwards, as a word acting on the unit."""
         return CliffElt._of(self.cctx, _operate(
             self.cctx.field, _chevalley(self.cctx.quadratic),
-            {b[::-1]: c for b, c in self.terms.items()}, {(): self.cctx.field.one}))
+            {b[::-1]: c for b, c in self.terms.items()}, {(): self.cctx.field.one}, words=True))
 
     def to_json(self) -> dict:
         return {"terms": [{"blade": list(b), "coeff": str(self.terms[b])}
@@ -706,7 +841,7 @@ def quotient_map(cctx: CliffordContext, u: TensorElt) -> CliffElt:
     the quotient: each word acts on the unit."""
     same_context(cctx.ctx, u.ctx)
     return CliffElt._of(cctx, _operate(cctx.field, _chevalley(cctx.quadratic), u.terms,
-                                       {(): cctx.field.one}))
+                                       {(): cctx.field.one}, words=True))
 
 
 def contract(f: LinearForm, w: CliffElt) -> CliffElt:

@@ -25,11 +25,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from math import gcd
 
 from . import linalg
-from .clifford import (CliffElt, CliffordContext, _act, _actions, _pair_passes,
-                       _pair_rows, _word_sum, index_subset, subset_index)
+from .clifford import (CliffElt, CliffordContext, _act, _actions, _blades, _entry,
+                       _masks_of, _pair_passes, _pair_rows, _word_sum)
 from .errors import CapExceeded, FormError
 from .forms import AlgebraContext, BilinearForm, quad_of_bilinear, same_context
 from .records import record
@@ -42,8 +43,8 @@ def cliff_to_vec(w: CliffElt):
     """Coefficient column of an element in the subset basis."""
     n = w.cctx.dim
     vec = [w.cctx.field.zero] * (1 << n)
-    for blade, c in w.terms.items():
-        vec[subset_index(blade)] = c
+    for m, c in zip(_masks_of(n, w.terms), w.terms.values()):
+        vec[m] = c
     return vec
 
 
@@ -53,11 +54,7 @@ def vec_to_cliff(cctx: CliffordContext, vec) -> CliffElt:
     if len(vec) != 1 << cctx.dim:
         raise FormError(f"a coefficient column at dim {cctx.dim} has length "
                         f"{1 << cctx.dim}, got {len(vec)}")
-    terms = {}
-    for k, c in enumerate(vec):
-        if c:
-            terms[index_subset(k)] = c
-    return CliffElt(cctx, terms)
+    return CliffElt(cctx, dict(compress(zip(_blades(cctx.dim), vec), vec)))
 
 
 @record(frozen=True)
@@ -174,16 +171,24 @@ def rho_matrix(F: BilinearForm, u: CliffElt) -> EndoMatrix:
     if u.cctx.quadratic != quad_of_bilinear(F):
         raise FormError("element must live over the quadratic form of F")
     _rep_guard(ctx.dim)
-    out, den = _word_sum(_act, _actions(raw_rows(F.rows)), ctx.field.char, u.terms,
-                         _unit_map(ctx.dim))
+    return _rho(ctx, _actions(raw_rows(F.rows)), _entry(ctx.dim, u.terms))
+
+
+def _rho(ctx: AlgebraContext, actions: tuple, u: dict) -> EndoMatrix:
+    """rho_matrix of u, a mask -> raw value map, under the generator
+    actions of F (see clifford._actions), its checks passed."""
+    out, den = _word_sum(_act, actions, ctx.field.char, u, _unit_map(ctx.dim))
     return _endo(ctx, out, den)
 
 
 def generator_matrices(F: BilinearForm):
     """Representation matrices of the n generators e_1 .. e_n: the
-    rho_matrix of each."""
-    qf = CliffordContext(quad_of_bilinear(F))
-    return [rho_matrix(F, CliffElt.blade(qf, (i,))) for i in range(1, F.ctx.dim + 1)]
+    rho_matrix of each, which lives over the quadratic form of F, with
+    one set-up of F's actions for all of them."""
+    ctx = F.ctx
+    _rep_guard(ctx.dim)
+    actions = _actions(raw_rows(F.rows))
+    return [_rho(ctx, actions, {1 << i: 1}) for i in range(ctx.dim)]
 
 
 def twist_matrix(A: BilinearForm) -> EndoMatrix:

@@ -51,10 +51,12 @@ def shaped(value, kind, name: str):
 
 def scaled_ints(values) -> tuple:
     """Rationals or residues (ints or Fractions) as integers over one
-    common denominator: (integers, denominator)."""
-    den = lcm(*[c.denominator for c in values])
+    common denominator: (integers, denominator).  The denominator is the
+    lcm of the distinct denominators of the values that are not ints."""
+    dens = {c.denominator for c in values if type(c) is not int}
+    den = lcm(*dens)
     if den == 1:
-        return [c.numerator for c in values], 1
+        return ([c.numerator for c in values] if dens else list(values)), 1
     return [c.numerator * (den // c.denominator) for c in values], den
 
 

@@ -471,7 +471,8 @@ def test_cli_import_starts_lean():
     """`import cliffbundle.cli` in a fresh interpreter puts every module
     the tracer wraps into sys.modules (linalg, tensor, repcheck, checks
     and sampling unexecuted until first use), but neither `dataclasses`
-    nor the suite bodies, which the registry loads on first use."""
+    nor the suite bodies, which the registry loads on first use, nor
+    `array`, which only the packed carrier's unpacking imports."""
     proc = subprocess.run([sys.executable, "-S", "-c", STARTUP_PROBE], capture_output=True,
                           text=True, timeout=120, env=_package_env())
     assert proc.returncode == 0, proc.stderr
@@ -479,6 +480,7 @@ def test_cli_import_starts_lean():
     loaded = set(report["loaded"])
     assert {f"cliffbundle.{m}" for m in TRACED_MODULES} <= loaded
     assert "dataclasses" not in loaded
+    assert "array" not in loaded
     assert "cliffbundle.suites" not in loaded
     assert report["checks"] == 46
     assert report["suites"]

@@ -20,8 +20,9 @@ from cliffbundle.sampling import (rand_alternating, rand_bilinear, rand_cliff,
                                   rand_tensor, rand_vector)
 
 from cliffbundle import clifford
-from cliffbundle.clifford import (_act, _actions, _contract_pairs, _operate, _packed_sum,
-                                  _scalars, _word_sum, index_subset, subset_index)
+from cliffbundle.clifford import (_act, _actions, _blades, _blades_of, _contract_pairs, _entry,
+                                  _operate, _packed_sum, _scalars, _word_sum, index_subset,
+                                  subset_index)
 from oracles import (deform_sum, interior_sum, pair_sum, quantize_perm_sum, to_exterior,
                      word_sum)
 
@@ -235,11 +236,11 @@ def _both_sums(field, rows, u, v, wedge):
     _operate would return; u and v map blades to Scalars."""
     n = len(rows[0])
     actions = _actions(rows, wedge)
-    masks = {subset_index(b): c.value for b, c in v.items()}
-    values, den = _packed_sum(actions, field.char, n, u, masks)
-    out, den_dict = _word_sum(_act, actions, field.char, u, masks)
-    return (_scalars(field, map(index_subset, range(1 << n)), values, den),
-            _scalars(field, map(index_subset, out), out.values(), den_dict))
+    u, v = _entry(n, u), _entry(n, v)
+    values, den = _packed_sum(actions, field.char, n, u, v)
+    out, den_dict = _word_sum(_act, actions, field.char, u, v)
+    return (_scalars(field, _blades(n), values, [den] * (n + 1)),
+            _scalars(field, _blades_of(n, out), out.values(), [den_dict] * (n + 1)))
 
 
 def _oracle(field, rows, u, v, wedge):
@@ -389,6 +390,109 @@ def test_packed_pairs_on_wide_rationals(monkeypatch):
             chosen, other = _pairs_both_ways(monkeypatch, RATIONALS, rows, w)
             assert chosen == other == deform_sum(F, QuadraticForm.zero(ctx), w)
             assert max(c.value.denominator for c in chosen.values()) > 10 ** 2000
+
+
+# ------------------------------------------------ the kernel's entry and exit
+
+@pytest.mark.parametrize("n", (0, 1, 5, 8, 10))
+def test_pack_round_trip(n):
+    """_pack against the packed pair written out as sums of x 2^(m W),
+    and _unpack back, at every width from 1 to 17 bytes (one to three
+    64-bit limbs a slot): slots at the carrier's largest magnitude,
+    2^(W - 1) - 1 of either sign, zeros and random values."""
+    rng = random.Random(f"pack/{n}")
+    for width in range(1, 18):
+        W = 8 * width
+        edge = (1 << (W - 1)) - 1
+        values = [rng.choice((edge, -edge, 0, rng.randint(-edge, edge))) for _ in range(1 << n)]
+        values[0] = edge
+        values[-1] = -edge if n else edge
+        P, N = clifford._pack(enumerate(values), n, width)
+        assert P == sum(x << (m * W) for m, x in enumerate(values) if x > 0)
+        assert N == sum(-x << (m * W) for m, x in enumerate(values) if x < 0)
+        assert clifford._unpack(P, N, n, width) == values
+
+
+def test_blade_tables_match_bit_loops():
+    """_blades and _masks are index_subset and subset_index on every
+    mask up to n = 12, the largest kept table, and the table grown for
+    one call at n = 13 continues the kept one."""
+    for n in range(clifford._TABLE_DIM + 1):
+        blades = clifford._blades(n)
+        assert list(blades) == [index_subset(m) for m in range(1 << n)]
+        assert clifford._masks(n) == {b: subset_index(b) for b in blades}
+    assert clifford._blades(13) == [index_subset(m) for m in range(1 << 13)]
+
+
+def test_sparse_calls_above_the_tables_build_none(monkeypatch):
+    """Above n = 12 sparse entries and exits convert key by key: a
+    product, a deformation and exp_contract at n = 40 ask for no blade
+    table, and give what the defining rules do."""
+    kept = clifford._blades
+
+    def blades(n):
+        assert n <= clifford._TABLE_DIM, f"a blade table at n = {n}"
+        return kept(n)
+
+    monkeypatch.setattr(clifford, "_blades", blades)
+    ctx = AlgebraContext(40, RATIONALS)
+    cctx = CliffordContext(QuadraticForm.zero(ctx))
+    e = {i: CliffElt.blade(cctx, (i,)) for i in (3, 17, 40)}
+    assert e[40] * e[3] == -CliffElt.blade(cctx, (3, 40))
+    A = BilinearForm.make(ctx, [[int((i, j) == (2, 39)) - int((i, j) == (39, 2))
+                                 for j in range(40)] for i in range(40)])
+    w = CliffElt.blade(cctx, (3, 17, 40)) + e[17]
+    out = deform(A, w, target=cctx)
+    assert out != w and out.terms == deform_sum(A, cctx.quadratic, w.terms)
+    assert exp_contract(dual_two_form(A), w) == out
+
+
+def test_mask_walk_matches_suffix_walk():
+    """On blades the mask walk yields the suffix walk's triples in the
+    same order and acts out as many letters: random sparse and dense
+    sets of blades, with and without the empty blade."""
+    rng = random.Random("walks")
+    for n in range(9):
+        blades = clifford._blades(n)
+        for count in {1, 2, 3, 1 << max(n - 1, 0), (1 << n) - 1}:
+            chosen = rng.sample(range(1, 1 << n), min(count, (1 << n) - 1))
+            for masks in (chosen, chosen + [0]):
+                walks = []
+                for walk, items in ((clifford._mask_walk, [(m, m) for m in masks]),
+                                    (clifford._suffix_walk, [(blades[m], m) for m in masks])):
+                    steps = []
+
+                    def step(got, letter):
+                        steps.append(letter)
+                        return got + (letter,)
+
+                    walks.append((list(walk(items, (), step)), len(steps)))
+                assert walks[0] == walks[1]
+                assert sorted(m for m, _, _ in walks[0][0]) == sorted(masks)
+                assert all(got == blades[m][::-1] and k == len(blades[m])
+                           for m, k, got in walks[0][0])
+
+
+def test_exit_with_and_without_residue_table():
+    """The exit over GF(3) and GF(7), p below half the number of values,
+    takes its Scalars from one table of the field's p Scalars, and over
+    GF(2^61 - 1) builds each: either way they are the Scalars of the
+    nonzero residues, canonical and of the caller's field object, and
+    only the tabled ones are shared."""
+    rng = random.Random("exit")
+    keys = clifford._blades(5)
+    for p in (3, 7, (1 << 61) - 1):
+        field = Field(p)
+        values = [rng.choice((0, p, -p, 1 - p, rng.randrange(-10 * p, 10 * p))) for _ in keys]
+        out = _scalars(field, keys, values, None)
+        assert out == {k: field(x) for k, x in zip(keys, values) if x % p}
+        assert all(c.field is field and type(c.value) is int and 0 < c.value < p
+                   for c in out.values())
+        objects = len({id(c) for c in out.values()})
+        if 2 * p < len(keys):
+            assert objects == len({c.value for c in out.values()}) < len(out)
+        else:
+            assert objects == len(out)
 
 
 def test_vector_squares():

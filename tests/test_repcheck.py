@@ -104,6 +104,8 @@ def test_rho_dimension_guard():
     cctx = CliffordContext(quad_of_bilinear(F))
     with pytest.raises(CapExceeded):
         rho_matrix(F, CliffElt.unit(cctx))
+    with pytest.raises(CapExceeded):
+        generator_matrices(F)
 
 
 def test_twist_dimension_guard():
