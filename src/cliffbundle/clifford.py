@@ -61,9 +61,9 @@ mask through _masks(n) and a mask its blade through _blades(n), the
 builds the table for its call and a sparse call converts key by key),
 and over GF(p), when p is below half the number of values, a residue
 becomes its Scalar from the field's p Scalars, built once for the call
-(else, and over Q, each Scalar is built).  The blades
-of u are walked as masks in numeric order (_mask_walk), words by
-their reversal (_suffix_walk).
+(else, and over Q, each Scalar is built).  The blades of u are walked
+as masks in numeric order (_mask_walk), words by their reversal
+(_suffix_walk).
 
 The sums and the pair products have two carriers.  A call whose
 operands each fill at least half the 2^n blade slots, 2 min(|u|, |v|)
