@@ -19,8 +19,10 @@ returned early, so passed + failed == samples.  A failed sample's
 messages are joined with "; ", and the first _MAX_FAILURES failed
 samples are kept.  The bodies live in suites.py, which the registry
 loads on first use, so a request that runs no suite does not compile
-them.  The CLI exposes the registry through the `check` subcommand;
-the test suite drives the same functions.
+them, nor does one that run_check refuses for a negative sample count
+or a field spec that does not parse.  The CLI exposes the registry
+through the `check` subcommand; the test suite drives the same
+functions.
 """
 
 from __future__ import annotations
@@ -87,20 +89,21 @@ def list_checks():
 
 def run_check(check_id: str, seed: int = 0, samples: int | None = None,
               field: Field | str | None = None, dim: int | None = None) -> CheckResult:
+    # refused before the registry loads the suites
+    if samples is not None and samples < 0:
+        raise ParseError(f"samples must be >= 0, got {samples}")
+    if isinstance(field, str):
+        field = Field.from_spec(field)
     try:
         fn, ddim, dfield, dsamples, max_dim = _registry()[check_id]
     except KeyError:
         raise ParseError(f"unknown check id {excerpt(check_id)}; see the check list") from None
     if field is None:
         field = Field.from_spec(dfield)
-    elif isinstance(field, str):
-        field = Field.from_spec(field)
     dim = ddim if dim is None else dim
     if max_dim is not None and dim > max_dim:
         raise CapExceeded(f"check {check_id} runs at dim <= {max_dim}, got {dim}")
     samples = dsamples if samples is None else samples
-    if samples < 0:
-        raise ParseError(f"samples must be >= 0, got {samples}")
     most = _MAX_SAMPLES
     if max_dim is not None:
         most = min(most, _TOP_SAMPLES * 8 ** (max_dim - max(dim, 0)))

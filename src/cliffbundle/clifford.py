@@ -96,7 +96,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import compress, repeat
 from operator import attrgetter, lshift, or_, sub
 
@@ -212,10 +212,24 @@ def _masks(n: int) -> dict:
     return dict(zip(_kept_blades(n), range(1 << n)))
 
 
+def _checked_index(n: int, blade) -> int:
+    """subset_index of a blade on e_1 .. e_n, and for any other key the
+    KeyError that a lookup in _masks(n) raises."""
+    try:
+        if all(a < b for a, b in zip((0, *blade), (*blade, n + 1))):
+            return subset_index(blade)
+    except TypeError:
+        pass
+    raise KeyError(blade)
+
+
 def _masks_of(n: int, blades):
     """The masks of blades on e_1 .. e_n, read from _masks(n) up to
-    _TABLE_DIM, else one at a time (subset_index)."""
-    return map(_masks(n).__getitem__, blades) if n <= _TABLE_DIM else map(subset_index, blades)
+    _TABLE_DIM, else one at a time (_checked_index); a key that is not
+    such a blade raises KeyError."""
+    if n <= _TABLE_DIM:
+        return map(_masks(n).__getitem__, blades)
+    return map(partial(_checked_index, n), blades)
 
 
 def _blades_of(n: int, masks):
@@ -232,8 +246,13 @@ def _raw(terms: dict) -> dict:
 
 
 def _entry(n: int, terms: dict) -> dict:
-    """The kernel's entry for blade-keyed Scalars: mask -> raw value."""
-    return dict(zip(_masks_of(n, terms), map(_value, terms.values())))
+    """The kernel's entry for blade-keyed Scalars: mask -> raw value.  A
+    key that is not a blade on e_1 .. e_n raises FormError."""
+    try:
+        return dict(zip(_masks_of(n, terms), map(_value, terms.values())))
+    except KeyError as exc:
+        raise FormError(f"a term's key must be a blade on e_1..e_{n}, "
+                        f"got {excerpt(exc.args[0])}") from None
 
 
 def _rational(x: int, den: int):

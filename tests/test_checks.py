@@ -40,6 +40,15 @@ def test_unknown_id_rejected():
         run_check("no.such.suite")
 
 
+def test_cheap_refusals_come_before_the_id():
+    """A negative sample count and a field spec that does not parse are
+    refused before the registry is read, so before an unknown id."""
+    with pytest.raises(ParseError, match="samples must be >= 0, got -3"):
+        run_check("no.such.suite", samples=-3)
+    with pytest.raises(ValueError, match="not prime"):
+        run_check("no.such.suite", field="Fp:4")
+
+
 def test_result_json_shape():
     res = run_check("forms.polar-quadratic", seed=5, samples=3)
     data = res.to_json()

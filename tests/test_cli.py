@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import cliffbundle
-from cliffbundle.cli import main
+from cliffbundle.cli import build_parser, main
 
 CTX = {
     "dim": 2,
@@ -164,6 +164,96 @@ def test_check_unknown_id_exits_two(monkeypatch, capsys):
     assert code == 2
     assert not out
     assert "unknown check" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    ([], "expected a command (product, deform, pfaffian, symbol, quantize, twist, "
+         "exp-contract, rho, check)"),
+    (["prodct"], "expected a command (product, deform, pfaffian, symbol, quantize, twist, "
+                 "exp-contract, rho, check), got 'prodct'"),
+    (["--bogus"], "unknown option '--bogus'"),
+    (["product", "--bogus"], "unknown option '--bogus'"),
+    (["product", "extra"], "unexpected argument 'extra' to product"),
+    (["product", "--input"], "--input needs a value PATH"),
+    (["check", "--samples", "abc"], "--samples takes an integer M, got 'abc'"),
+    (["check", "--dim=2.5", "bl.group-law"], "--dim takes an integer N, got '2.5'"),
+    (["check", "a", "b"], "unexpected argument 'b' to check"),
+    (["check", "--s", "3"], "unknown option '--s'; it could be --seed, --samples"),
+    (["check", "--list=yes"], "--list takes no value, got '--list=yes'"),
+    (["check", "-3"], "unknown option '-3'"),
+], ids=["empty", "unknown-command", "top-option", "unknown-option", "second-argument",
+        "missing-path", "non-integer", "non-integer-inline", "second-id", "ambiguous-prefix",
+        "flag-value", "short-option"])
+def test_usage_errors_exit_two_with_one_line(argv, message, monkeypatch, capsys):
+    """A command line that does not parse is malformed input: exit 2 and
+    one stderr line, nothing on stdout, and no SystemExit."""
+    code, out, err = run_cli(argv, "", monkeypatch, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"cliffbundle: malformed input: {message}\n"
+
+
+COMMAND_NAMES = ["product", "deform", "pfaffian", "symbol", "quantize", "twist",
+                 "exp-contract", "rho", "check"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["--he"]])
+def test_top_level_help_lists_every_command(argv, monkeypatch, capsys):
+    code, out, err = run_cli(argv, "", monkeypatch, capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: cliffbundle COMMAND")
+    assert "JSON in / JSON out." in out
+    listed = [line.split()[0] for line in out.splitlines() if line.startswith("  ")]
+    assert listed == COMMAND_NAMES + ["-h,"]
+
+
+def test_command_help_lists_every_option(monkeypatch, capsys):
+    """`check --help` anywhere after the command, even after an id or
+    an option, prints the check options; a payload command lists
+    --input."""
+    for argv in (["check", "--help"], ["check", "bl.group-law", "--seed", "3", "-h"]):
+        code, out, err = run_cli(argv, "", monkeypatch, capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == ("usage: cliffbundle check [ID] [--list] [--seed K] "
+                                       "[--samples M] [--field Q|Fp:<p>] [--dim N]")
+        assert "run a named identity suite" in out
+        listed = [line.split()[0] for line in out.splitlines() if line.startswith("  ")]
+        assert listed == ["ID", "--list", "--seed", "--samples", "--field", "--dim", "-h,"]
+    for name in COMMAND_NAMES[:-1]:
+        code, out, err = run_cli([name, "--help"], "", monkeypatch, capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == f"usage: cliffbundle {name} [--input PATH]"
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["check", "x.y"], {"id": "x.y", "list": False, "seed": 0, "samples": None,
+                        "field": None, "dim": None}),
+    (["check", "--seed=3", "--sam", "3", "x.y"], {"id": "x.y", "seed": 3, "samples": 3}),
+    (["check", "--field", "Fp:7", "--dim=5", "x.y", "--seed", "1", "--seed", "2"],
+     {"id": "x.y", "field": "Fp:7", "dim": 5, "seed": 2}),
+    (["check", "--samples", "-3", "x.y"], {"id": "x.y", "samples": -3}),
+    (["check", "--samples=-3"], {"id": None, "samples": -3}),
+    (["check", "--l"], {"id": None, "list": True}),
+    (["product"], {"input": None}),
+    (["rho", "--in", "req.json"], {"input": "req.json"}),
+    (["pfaffian", "--input=-"], {"input": "-"}),
+], ids=["defaults", "inline-and-prefix", "options-around-id", "negative-value",
+        "negative-inline", "flag-prefix", "stdin", "input-prefix", "input-inline"])
+def test_parser_reads_options(argv, expected):
+    """Options as `--opt value` or `--opt=value`, by unique prefix,
+    before or after the id, the last of a repeated one; a value that
+    starts with '-' is a value."""
+    args = build_parser().parse_args(argv)
+    assert {key: getattr(args, key) for key in expected} == expected
+
+
+def test_negative_sample_count_exits_two(monkeypatch, capsys):
+    """`--samples -3` reaches run_check, which refuses the count before
+    it looks up the id: an unknown id is reported as the sample count."""
+    for check_id in ("scalars.field-axioms", "bogus"):
+        code, out, err = run_cli(["check", check_id, "--samples", "-3"], "",
+                                 monkeypatch, capsys)
+        assert (code, out) == (2, "")
+        assert err == "cliffbundle: malformed input: samples must be >= 0, got -3\n"
 
 
 def test_malformed_json_exits_two(monkeypatch, capsys):
@@ -461,9 +551,12 @@ STARTUP_PROBE = """\
 import json, sys
 import cliffbundle.cli
 loaded = sorted(sys.modules)
+cliffbundle.cli.build_parser().parse_args(["check", "--samples", "3", "x.y"])
+cliffbundle.cli.build_parser().format_help("check")
 from cliffbundle.checks import list_checks
 print(json.dumps({"loaded": loaded, "checks": len(list_checks()),
-                  "suites": "cliffbundle.suites" in sys.modules}))
+                  "suites": "cliffbundle.suites" in sys.modules,
+                  "argv": sorted({"argparse", "gettext", "locale"} & set(sys.modules))}))
 """
 
 
@@ -472,7 +565,9 @@ def test_cli_import_starts_lean():
     the tracer wraps into sys.modules (linalg, tensor, repcheck, checks
     and sampling unexecuted until first use), but neither `dataclasses`
     nor the suite bodies, which the registry loads on first use, nor
-    `array`, which only the packed carrier's unpacking imports."""
+    `array`, which only the packed carrier's unpacking imports.  Neither
+    the import, nor parsing a command line and its help, nor loading the
+    suites brings in `argparse`, `gettext` or `locale`."""
     proc = subprocess.run([sys.executable, "-S", "-c", STARTUP_PROBE], capture_output=True,
                           text=True, timeout=120, env=_package_env())
     assert proc.returncode == 0, proc.stderr
@@ -484,6 +579,7 @@ def test_cli_import_starts_lean():
     assert "cliffbundle.suites" not in loaded
     assert report["checks"] == 46
     assert report["suites"]
+    assert report["argv"] == []
 
 
 # the modules the package registers unexecuted, to run on first use
@@ -491,17 +587,19 @@ LAZY_MODULES = ["linalg", "tensor", "repcheck", "checks", "sampling"]
 
 REQUEST_PROBE = """\
 import io, json, sys, types
-from cliffbundle.cli import main
+from cliffbundle.cli import build_parser, main
 sys.stdin = io.StringIO(sys.argv[2])
 code = main(json.loads(sys.argv[1]))
 ran = [m for m in %r if type(sys.modules["cliffbundle." + m]) is types.ModuleType]
+ran += ["suites"] if "cliffbundle.suites" in sys.modules else []
 print(json.dumps({"code": code, "ran": ran}), file=sys.stderr)
 """ % LAZY_MODULES
 
 
 def _lazy_modules_run(argv, payload=None):
     """Exit code of one request through cli.main in a fresh interpreter,
-    and which of LAZY_MODULES have run their bodies by its end."""
+    and which of LAZY_MODULES have run their bodies by its end, with
+    "suites" once the registry has loaded the suite bodies."""
     proc = subprocess.run([sys.executable, "-c", REQUEST_PROBE, json.dumps(argv),
                            json.dumps(payload or {})], capture_output=True, text=True,
                           timeout=120, env=_package_env())
@@ -521,7 +619,16 @@ def test_requests_run_only_the_modules_they_use():
     code, ran = _lazy_modules_run(["rho"], rho)
     assert code == 0 and "repcheck" in ran and "checks" not in ran
     code, ran = _lazy_modules_run(["check", "--list"])
-    assert code == 0 and {"checks", "repcheck", "sampling", "tensor"} <= ran
+    assert code == 0 and {"checks", "repcheck", "sampling", "tensor", "suites"} <= ran
+
+
+def test_cheap_refusals_load_no_suite():
+    """A negative sample count or a field spec that does not parse is
+    refused before the registry loads the suite bodies and the modules
+    they use."""
+    for argv in (["check", "scalars.field-axioms", "--samples", "-3"],
+                 ["check", "scalars.field-axioms", "--field", "Fp:4"]):
+        assert _lazy_modules_run(argv) == (2, {"checks"})
 
 
 TRACER_INSTALL = """\

@@ -3,6 +3,7 @@ maps between algebras, twisted products, gauge action, symbol and
 quantization."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -445,6 +446,25 @@ def test_sparse_calls_above_the_tables_build_none(monkeypatch):
     out = deform(A, w, target=cctx)
     assert out != w and out.terms == deform_sum(A, cctx.quadratic, w.terms)
     assert exp_contract(dual_two_form(A), w) == out
+
+
+@pytest.mark.parametrize("n", [3, clifford._TABLE_DIM + 1])
+def test_kernel_refuses_keys_that_are_not_blades(n):
+    """A term key that is not a blade on e_1 .. e_n (out of order,
+    repeated, out of range, not a tuple of ints) is refused with a
+    FormError that names it, whether the kernel reads masks from the
+    kept tables (n <= 12) or converts key by key (n = 13)."""
+    ctx = AlgebraContext(n, RATIONALS)
+    cctx = CliffordContext(QuadraticForm.zero(ctx))
+    one = CliffElt.blade(cctx, ())
+    A = BilinearForm.zero(ctx)
+    for key in [(2, 1), (3, 3), (n + 1,), (0,), (1.5,), "ab"]:
+        bad = CliffElt(cctx, {key: ctx.coerce(1)})
+        for call in (lambda: bad * one, lambda: one * bad, lambda: deform(A, bad)):
+            with pytest.raises(FormError, match=f"got {re.escape(repr(key))}$"):
+                call()
+    good = CliffElt(cctx, {(1, 3): ctx.coerce(2)})
+    assert good * one == CliffElt.blade(cctx, (1, 3), 2)
 
 
 def test_mask_walk_matches_suffix_walk():
