@@ -148,8 +148,8 @@ _INPUT = {"input": ("PATH", str, None, "read the JSON request from PATH instead 
 
 # The command line, one row a subcommand: its handler, its help, its
 # positional argument (name and help, or None) and its options,
-# --name -> (metavar, converter, default, help).  An option with no
-# converter is a flag, False unless given.
+# --name -> (metavar, converter, default, help).  A flag has no metavar
+# and no converter, and is False unless given.
 COMMANDS = {
     "product": (_cmd_product, "multiply two elements of one Clifford algebra",
                 None, _INPUT),
