@@ -2,8 +2,9 @@
 
 Every subcommand reads one JSON request (from --input or standard
 input), writes one JSON response to standard output with a top-level
-"schema" key, and exits 0 on success, 1 on a domain error (with a
-structured error response), 2 on malformed input, or 141 (128 + SIGPIPE)
+"schema" key, and exits 0 on success, 1 on a domain error while the
+request is computed (with a structured error response), 2 on malformed
+input or any error while the request is read, or 141 (128 + SIGPIPE)
 when the reader closes standard output before the response is written.
 Identical request and seed produce byte-identical output.  The command
 line is read against one table, COMMANDS: a command line that does not
@@ -51,93 +52,75 @@ def _emit(payload: dict):
     sys.stdout.flush()
 
 
-def _parsed(thunk):
-    """Run a parsing step; shape and validation failures are malformed
-    input (exit 2), never domain errors."""
-    try:
-        return thunk()
-    except AlgebraError as exc:
-        raise ParseError(str(exc)) from None
-
-
 def _context(payload) -> CliffordContext:
     if "context" not in payload:
         raise ParseError("request needs a 'context' object")
     return CliffordContext.from_json(payload["context"])
 
 
-def _cmd_product(args):
-    payload = _read_payload(args)
-    cctx = _parsed(lambda: _context(payload))
-    u = _parsed(lambda: CliffElt.from_json(cctx, payload["u"]))
-    v = _parsed(lambda: CliffElt.from_json(cctx, payload["v"]))
-    return {"context": cctx.to_json(), "product": (u * v).to_json()}
+# Each handler reads its request (a payload command's JSON object, check's
+# options) and returns the computation as a closure (see _respond).
+
+def _cmd_product(payload):
+    cctx = _context(payload)
+    u = CliffElt.from_json(cctx, payload["u"])
+    v = CliffElt.from_json(cctx, payload["v"])
+    return lambda: {"context": cctx.to_json(), "product": (u * v).to_json()}
 
 
-def _cmd_deform(args):
-    payload = _read_payload(args)
-    target = _parsed(lambda: _context(payload))
-    F = _parsed(lambda: BilinearForm.from_json(payload["form"], target.ctx))
-    source = target.shift(F)
-    elt = _parsed(lambda: CliffElt.from_json(source, payload["element"]))
-    out = deform(F, elt, target=target)
-    return {"context": target.to_json(), "element": out.to_json()}
+def _cmd_deform(payload):
+    target = _context(payload)
+    F = BilinearForm.from_json(payload["form"], target.ctx)
+    elt = CliffElt.from_json(target.shift(F), payload["element"])
+    return lambda: {"context": target.to_json(),
+                    "element": deform(F, elt, target=target).to_json()}
 
 
-def _cmd_pfaffian(args):
-    payload = _read_payload(args)
-    a = _parsed(lambda: BilinearForm.from_json(payload["matrix"]))
-    return {"pfaffian": str(pfaffian(a))}
+def _cmd_pfaffian(payload):
+    a = BilinearForm.from_json(payload["matrix"])
+    return lambda: {"pfaffian": str(pfaffian(a))}
 
 
-def _cmd_symbol(args):
-    payload = _read_payload(args)
-    cctx = _parsed(lambda: _context(payload))
-    elt = _parsed(lambda: CliffElt.from_json(cctx, payload["element"]))
-    return {"context": cctx.to_json(), "element": symbol(elt).to_json()}
+def _cmd_symbol(payload):
+    cctx = _context(payload)
+    elt = CliffElt.from_json(cctx, payload["element"])
+    return lambda: {"context": cctx.to_json(), "element": symbol(elt).to_json()}
 
 
-def _cmd_quantize(args):
-    payload = _read_payload(args)
-    cctx = _parsed(lambda: _context(payload))
-    ext = CliffordContext.exterior(cctx.ctx)
-    elt = _parsed(lambda: CliffElt.from_json(ext, payload["element"]))
-    return {"context": cctx.to_json(), "element": quantize(cctx, elt).to_json()}
+def _cmd_quantize(payload):
+    cctx = _context(payload)
+    elt = CliffElt.from_json(CliffordContext.exterior(cctx.ctx), payload["element"])
+    return lambda: {"context": cctx.to_json(), "element": quantize(cctx, elt).to_json()}
 
 
-def _cmd_twist(args):
-    payload = _read_payload(args)
-    cctx = _parsed(lambda: _context(payload))
-    F = _parsed(lambda: BilinearForm.from_json(payload["form"], cctx.ctx))
-    u = _parsed(lambda: CliffElt.from_json(cctx, payload["u"]))
-    v = _parsed(lambda: CliffElt.from_json(cctx, payload["v"]))
-    return {"context": cctx.to_json(), "product": twisted_mul(F, u, v).to_json()}
+def _cmd_twist(payload):
+    cctx = _context(payload)
+    F = BilinearForm.from_json(payload["form"], cctx.ctx)
+    u = CliffElt.from_json(cctx, payload["u"])
+    v = CliffElt.from_json(cctx, payload["v"])
+    return lambda: {"context": cctx.to_json(), "product": twisted_mul(F, u, v).to_json()}
 
 
-def _cmd_exp_contract(args):
-    payload = _read_payload(args)
-    cctx = _parsed(lambda: _context(payload))
-    astar = _parsed(lambda: DualTwoForm.from_json(payload["two_form"], cctx.ctx))
-    elt = _parsed(lambda: CliffElt.from_json(cctx, payload["element"]))
-    return {"context": cctx.to_json(), "element": exp_contract(astar, elt).to_json()}
+def _cmd_exp_contract(payload):
+    cctx = _context(payload)
+    astar = DualTwoForm.from_json(payload["two_form"], cctx.ctx)
+    elt = CliffElt.from_json(cctx, payload["element"])
+    return lambda: {"context": cctx.to_json(), "element": exp_contract(astar, elt).to_json()}
 
 
-def _cmd_rho(args):
-    payload = _read_payload(args)
-    F = _parsed(lambda: BilinearForm.from_json(payload["form"]))
-    cctx = CliffordContext(quad_of_bilinear(F))
-    elt = _parsed(lambda: CliffElt.from_json(cctx, payload["element"]))
-    return repcheck.rho_matrix(F, elt).to_json()
+def _cmd_rho(payload):
+    F = BilinearForm.from_json(payload["form"])
+    elt = CliffElt.from_json(CliffordContext(quad_of_bilinear(F)), payload["element"])
+    return lambda: repcheck.rho_matrix(F, elt).to_json()
 
 
 def _cmd_check(args):
     if args.list:
-        return {"checks": checks.list_checks()}
+        return lambda: {"checks": checks.list_checks()}
     if not args.id:
         raise ParseError("check needs an identifier (or --list)")
-    result = checks.run_check(args.id, seed=args.seed, samples=args.samples,
-                              field=args.field, dim=args.dim)
-    return result.to_json()
+    return lambda: checks.run_check(args.id, seed=args.seed, samples=args.samples,
+                                    field=args.field, dim=args.dim).to_json()
 
 
 DESCRIPTION = ("Exact Clifford-algebra computations over Q and GF(p), "
@@ -287,8 +270,15 @@ def _malformed(message) -> int:
 
 
 def _respond(args) -> int:
+    """Read the request, then compute: an AlgebraError while reading is
+    malformed input (exit 2), one while computing a domain error (exit 1)."""
     try:
-        payload = args.handler(args)
+        try:
+            # the payload commands have --input; check reads only its options
+            compute = args.handler(_read_payload(args) if "input" in vars(args) else args)
+        except AlgebraError as exc:
+            raise ParseError(str(exc)) from None
+        payload = compute()
     except AlgebraError as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
         return 1

@@ -225,11 +225,8 @@ def _checked_index(n: int, blade) -> int:
 
 def _masks_of(n: int, blades):
     """The masks of blades on e_1 .. e_n, read from _masks(n) up to
-    _TABLE_DIM, else one at a time (_checked_index); a key that is not
-    such a blade raises KeyError."""
-    if n <= _TABLE_DIM:
-        return map(_masks(n).__getitem__, blades)
-    return map(partial(_checked_index, n), blades)
+    _TABLE_DIM, else one at a time (subset_index)."""
+    return map(_masks(n).__getitem__ if n <= _TABLE_DIM else subset_index, blades)
 
 
 def _blades_of(n: int, masks):
@@ -246,13 +243,9 @@ def _raw(terms: dict) -> dict:
 
 
 def _entry(n: int, terms: dict) -> dict:
-    """The kernel's entry for blade-keyed Scalars: mask -> raw value.  A
-    key that is not a blade on e_1 .. e_n raises FormError."""
-    try:
-        return dict(zip(_masks_of(n, terms), map(_value, terms.values())))
-    except KeyError as exc:
-        raise FormError(f"a term's key must be a blade on e_1..e_{n}, "
-                        f"got {excerpt(exc.args[0])}") from None
+    """The kernel's entry for blade-keyed Scalars: mask -> raw value.
+    The keys are blades, as CliffElt's constructor checks."""
+    return dict(zip(_masks_of(n, terms), map(_value, terms.values())))
 
 
 def _rational(x: int, den: int):
@@ -708,32 +701,34 @@ def _chevalley(q: QuadraticForm, F: BilinearForm | None = None) -> list:
 class _Sparse:
     """A finite map from keys to nonzero Scalars over one context: the
     arithmetic CliffElt (blades) and TensorElt (words) share.  Each
-    class names the context slot (cctx, ctx), refuses an operand of
-    another context in _same, and sets how __repr__ shows a key in
-    _key_text (opening, separator, closing)."""
+    class checks its keys in its constructor, names the context slot
+    (cctx, ctx), refuses an operand of another context in _same, and
+    sets how __repr__ shows a key in _key_text (opening, separator,
+    closing)."""
 
     __slots__ = ("_home", "terms")
 
-    def __init__(self, home, terms=None):
-        self._home = home
-        self.terms = {k: c for k, c in terms.items() if c} if terms else {}
-
     @classmethod
     def _of(cls, home, terms: dict):
-        """The element of terms, a map the kernel built: its values are
-        nonzero already, so it is taken as it is."""
+        """The element of terms, a map the kernel or a builder of valid
+        keys made: its values are nonzero already, so it is taken as is."""
         self = object.__new__(cls)
         self._home = home
         self.terms = terms
         return self
 
+    def _nonzero(self, terms: dict):
+        """The element of terms over this context, whose keys come from
+        checked elements: only the zero values are dropped."""
+        return self._of(self._home, {k: c for k, c in terms.items() if c})
+
     @classmethod
     def zero(cls, home):
-        return cls(home)
+        return cls._of(home, {})
 
     @classmethod
     def unit(cls, home):
-        return cls(home, {(): home.field.one})
+        return cls._of(home, {(): home.field.one})
 
     def __bool__(self):
         return bool(self.terms)
@@ -749,19 +744,19 @@ class _Sparse:
         for key, coeff in other.terms.items():
             cur = out.get(key)
             out[key] = coeff if cur is None else cur + coeff
-        return type(self)(self._home, out)
+        return self._nonzero(out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return type(self)(self._home, {k: -c for k, c in self.terms.items()})
+        return self._nonzero({k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
         """Multiplication by a scalar; each class adds its own product."""
         if isinstance(other, (Scalar, int)):
             s = self._home.coerce(other)
-            return type(self)(self._home, {k: c * s for k, c in self.terms.items()})
+            return self._nonzero({k: c * s for k, c in self.terms.items()})
         return NotImplemented
 
     def __rmul__(self, other):
@@ -773,14 +768,13 @@ class _Sparse:
         return self.terms.get(tuple(key), self._home.field.zero)
 
     def grade_part(self, p: int):
-        return type(self)(self._home, {k: c for k, c in self.terms.items() if len(k) == p})
+        return self._nonzero({k: c for k, c in self.terms.items() if len(k) == p})
 
     def grade_involution(self):
         """Sign (-1)^p on each grade-p key.  It descends from the tensor
         algebra to each Clifford algebra because the defining ideal is
         generated by even elements."""
-        return type(self)(self._home, {
-            k: (c if len(k) % 2 == 0 else -c) for k, c in self.terms.items()})
+        return self._nonzero({k: (c if len(k) % 2 == 0 else -c) for k, c in self.terms.items()})
 
     def _sorted_keys(self) -> list:
         """The keys by grade, then lexicographically: the order of
@@ -807,19 +801,31 @@ class CliffElt(_Sparse):
         if self.cctx != other.cctx:
             raise ContextMismatch("elements of different Clifford contexts")
 
+    def __init__(self, cctx: CliffordContext, terms=None):
+        """A key that is not a blade on e_1 .. e_n raises FormError, zero
+        or not, and one equal to a blade is stored as it: (True,) as (1,).
+        Up to _TABLE_DIM it is looked up in _masks(n), above tested alone."""
+        n = cctx.dim
+        terms = terms or {}
+        if n <= _TABLE_DIM:
+            mask, blade = _masks(n).__getitem__, _kept_blades(n).__getitem__
+        else:
+            mask, blade = partial(_checked_index, n), index_subset
+        try:
+            self.terms = {blade(m): c for m, c in zip(map(mask, terms), terms.values()) if c}
+        except KeyError as exc:
+            raise FormError(f"a term's key must be a blade on e_1..e_{n}, "
+                            f"got {excerpt(exc.args[0])}") from None
+        self._home = cctx
+
     @classmethod
     def blade(cls, cctx: CliffordContext, indices, coeff=1) -> "CliffElt":
-        blade = tuple(indices)
-        if any(not 1 <= i <= cctx.dim for i in blade):
-            raise FormError(f"blade index out of range 1..{cctx.dim}: {blade}")
-        if any(blade[t] >= blade[t + 1] for t in range(len(blade) - 1)):
-            raise FormError(f"blade must be strictly increasing: {blade}")
-        return cls(cctx, {blade: cctx.ctx.coerce(coeff)})
+        return cls(cctx, {tuple(indices): cctx.ctx.coerce(coeff)})
 
     @classmethod
     def from_vector(cls, cctx: CliffordContext, x: Vector) -> "CliffElt":
         same_context(cctx.ctx, x.ctx)
-        return cls(cctx, {(i + 1,): c for i, c in enumerate(x.coeffs) if c})
+        return cls._of(cctx, {(i + 1,): c for i, c in enumerate(x.coeffs) if c})
 
     def __mul__(self, other):
         if isinstance(other, CliffElt):

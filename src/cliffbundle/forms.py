@@ -19,17 +19,12 @@ from .records import record
 from .scalars import Field, Scalar, excerpt, shaped
 
 
-@record(frozen=True, compare=("dim", "field"))
+@record(frozen=True)
 class AlgebraContext:
-    """A based vector space: dimension plus coefficient field.
-
-    grade_cap bounds tensor word lengths (a guard against runaway
-    products, not part of the mathematical identity of the context).
-    """
+    """A based vector space: dimension plus coefficient field."""
 
     dim: int
     field: Field
-    grade_cap: int = 16
 
     def __post_init__(self):
         if self.dim < 1:
@@ -101,9 +96,6 @@ class Vector:
         s = self.ctx.coerce(s)
         return Vector(self.ctx, tuple(s * a for a in self.coeffs))
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
 
 @record(frozen=True)
 class LinearForm:
@@ -150,7 +142,8 @@ class BilinearForm:
 
     @classmethod
     def identity(cls, ctx: AlgebraContext) -> "BilinearForm":
-        return cls.make(ctx, linalg.identity(ctx.field, ctx.dim))
+        n, one, zero = ctx.dim, ctx.field.one, ctx.field.zero
+        return cls(ctx, tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
 
     def at(self, i: int, j: int) -> Scalar:
         """F(e_i, e_j), 1-based."""

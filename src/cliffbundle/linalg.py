@@ -30,14 +30,6 @@ def zeros(field: Field, rows: int, cols: int):
     return [[z for _ in range(cols)] for _ in range(rows)]
 
 
-def identity(field: Field, n: int):
-    m = zeros(field, n, n)
-    one = field.one
-    for i in range(n):
-        m[i][i] = one
-    return m
-
-
 def transpose(a):
     return [list(col) for col in zip(*a)]
 

@@ -19,16 +19,15 @@ def _frozen_delattr(self, name):
     raise AttributeError(f"cannot delete field {name!r}")
 
 
-def record(frozen: bool = False, compare: tuple = ()):
+def record(frozen: bool = False):
     """Class decorator for a record of the fields the class annotates,
     in order; a class attribute of the same name is the field's default.
 
     ``__init__`` takes the fields positionally or by keyword, then calls
     ``__post_init__`` if the class has one.  ``__eq__`` compares the
-    ``compare`` fields (all fields by default) of two instances of one
-    class, and ``__repr__`` shows every field.  A frozen record refuses
-    assignment and deletion and hashes the compared fields; any other
-    record is unhashable.
+    fields of two instances of one class, and ``__repr__`` shows every
+    field.  A frozen record refuses assignment and deletion and hashes
+    its fields; any other record is unhashable.
     """
 
     def deco(cls):
@@ -36,7 +35,7 @@ def record(frozen: bool = False, compare: tuple = ()):
         defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
         count = len(names)
         post = getattr(cls, "__post_init__", None)
-        key = attrgetter(*(compare or names))
+        key = attrgetter(*names)
         setter = object.__setattr__
 
         def bind(args, kwargs):

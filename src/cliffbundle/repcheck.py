@@ -31,10 +31,10 @@ from math import gcd
 from . import linalg
 from .clifford import (CliffElt, CliffordContext, _act, _actions, _blades, _entry,
                        _masks_of, _pair_passes, _pair_rows, _word_sum)
-from .errors import CapExceeded, FormError
+from .errors import CapExceeded, FieldMismatch, FormError
 from .forms import AlgebraContext, BilinearForm, quad_of_bilinear, same_context
 from .records import record
-from .scalars import Scalar, raw_rows, scaled_ints
+from .scalars import Field, Scalar, raw_rows, scaled_ints
 
 _REP_DIM_LIMIT = 12
 
@@ -300,6 +300,16 @@ def _raw_of(m) -> list:
     return raw_rows(m)
 
 
+def _common_field(mats) -> Field:
+    """The field of every matrix, an EndoMatrix's ctx.field or a Scalar
+    matrix's first entry's; FieldMismatch unless they are one."""
+    fields = [m.ctx.field if isinstance(m, EndoMatrix) else m[0][0].field for m in mats]
+    for f in fields:
+        if f != fields[0]:
+            raise FieldMismatch(f"cannot combine {fields[0].spec} and {f.spec} matrices")
+    return fields[0]
+
+
 def restrict_matrices(mats, basis):
     """Restrict matrices to the span of the given vectors (a basis of an
     invariant subspace); raises if the span is not invariant.  Returns
@@ -311,7 +321,7 @@ def restrict_matrices(mats, basis):
     if not n or any(len(v) != n for v in basis) or any(
             len(m) != n or any(len(r) != n for r in m) for m in raw):
         raise FormError("the matrices must be square of the basis vectors' length")
-    field = basis[0][0].field
+    field = _common_field([*mats, basis])
     p = field.char
     bcols = linalg.transpose(raw_rows(basis))
     out = []
@@ -433,8 +443,7 @@ def invariant_probe(mats, seed: int) -> ProbeReport:
     n = len(raw[0])
     if not n or any(len(m) != n or any(len(r) != n for r in m) for m in raw):
         raise FormError("all matrices must share one nonempty square dimension")
-    first = mats[0]
-    field = first.ctx.field if isinstance(first, EndoMatrix) else first[0][0].field
+    field = _common_field(mats)
     p = field.char
     raw_t = [linalg.transpose(m) for m in raw]
     rng = random.Random(seed)

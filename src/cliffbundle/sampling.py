@@ -29,11 +29,8 @@ def rand_scalar(rng: random.Random, field: Field, span: int = 5, nonzero: bool =
     return field(num if den == 1 else Fraction(num, den))
 
 
-def rand_vector(rng, ctx: AlgebraContext, nonzero: bool = False) -> Vector:
-    while True:
-        v = Vector(ctx, tuple(rand_scalar(rng, ctx.field) for _ in range(ctx.dim)))
-        if not nonzero or not v.is_zero():
-            return v
+def rand_vector(rng, ctx: AlgebraContext) -> Vector:
+    return Vector(ctx, tuple(rand_scalar(rng, ctx.field) for _ in range(ctx.dim)))
 
 
 def rand_linear_form(rng, ctx: AlgebraContext) -> LinearForm:
@@ -94,15 +91,14 @@ def rand_tensor(rng, ctx: AlgebraContext, max_grade: int = 4, terms: int = 3) ->
     return out
 
 
-def rand_blade(rng, ctx: AlgebraContext, max_grade: int | None = None) -> tuple:
-    cap = ctx.dim if max_grade is None else min(max_grade, ctx.dim)
-    size = rng.randint(0, cap)
+def rand_blade(rng, ctx: AlgebraContext) -> tuple:
+    size = rng.randint(0, ctx.dim)
     return tuple(sorted(rng.sample(range(1, ctx.dim + 1), size)))
 
 
-def rand_cliff(rng, cctx: CliffordContext, terms: int = 3, max_grade: int | None = None) -> CliffElt:
+def rand_cliff(rng, cctx: CliffordContext, terms: int = 3) -> CliffElt:
     out = CliffElt.zero(cctx)
     for _ in range(terms):
-        blade = rand_blade(rng, cctx.ctx, max_grade)
+        blade = rand_blade(rng, cctx.ctx)
         out = out + CliffElt.blade(cctx, blade, rand_scalar(rng, cctx.field))
     return out

@@ -24,19 +24,21 @@ from .forms import AlgebraContext, BilinearForm, LinearForm, Vector, same_contex
 from .scalars import excerpt, raw_rows, shaped
 
 
-def _check_grade(ctx: AlgebraContext, length: int):
-    if length > ctx.grade_cap:
-        raise CapExceeded(f"word of length {length} exceeds the grade cap {ctx.grade_cap}")
+# the longest word an operation may build, a guard against runaway products
+_GRADE_CAP = 16
+
+
+def _check_grade(length: int):
+    if length > _GRADE_CAP:
+        raise CapExceeded(f"word of length {length} exceeds the grade cap {_GRADE_CAP}")
 
 
 def _checked_word(ctx: AlgebraContext, word) -> tuple:
-    """word as a tuple, if its letters are in 1..n and its length is
-    within the grade cap."""
+    """word as a tuple, if its letters are in 1..n."""
     word = tuple(word)
     for i in word:
         if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= ctx.dim:
             raise FormError(f"word index {excerpt(i)} out of range 1..{ctx.dim}")
-    _check_grade(ctx, len(word))
     return word
 
 
@@ -47,16 +49,26 @@ class TensorElt(_Sparse):
     ctx = _Sparse._home
     _key_text = ("[", ", ", "]")
 
+    def __init__(self, ctx: AlgebraContext, terms=None):
+        """A word with a letter outside 1..n raises FormError, zero or not."""
+        terms = terms or {}
+        for word in terms:
+            _checked_word(ctx, word)
+        self._home = ctx
+        self.terms = {k: c for k, c in terms.items() if c}
+
     def _same(self, other: "TensorElt"):
         same_context(self.ctx, other.ctx)
 
     @classmethod
     def from_word(cls, ctx: AlgebraContext, word, coeff=1) -> "TensorElt":
-        return cls(ctx, {_checked_word(ctx, word): ctx.coerce(coeff)})
+        word = _checked_word(ctx, word)
+        _check_grade(len(word))
+        return cls(ctx, {word: ctx.coerce(coeff)})
 
     @classmethod
     def from_vector(cls, x: Vector) -> "TensorElt":
-        return cls(x.ctx, {(i + 1,): c for i, c in enumerate(x.coeffs) if c})
+        return cls._of(x.ctx, {(i + 1,): c for i, c in enumerate(x.coeffs) if c})
 
     def __mul__(self, other):
         if isinstance(other, TensorElt):
@@ -65,11 +77,11 @@ class TensorElt(_Sparse):
             for wa, ca in self.terms.items():
                 for wb, cb in other.terms.items():
                     word = wa + wb
-                    _check_grade(self.ctx, len(word))
+                    _check_grade(len(word))
                     c = ca * cb
                     cur = out.get(word)
                     out[word] = c if cur is None else cur + c
-            return TensorElt(self.ctx, out)
+            return self._nonzero(out)
         return super().__mul__(other)
 
     def max_grade(self) -> int:
@@ -82,7 +94,7 @@ class TensorElt(_Sparse):
             rw = w[::-1]
             cur = out.get(rw)
             out[rw] = c if cur is None else cur + c
-        return TensorElt(self.ctx, out)
+        return self._nonzero(out)
 
     def to_json(self) -> dict:
         return {"terms": [{"word": list(w), "coeff": str(self.terms[w])}
@@ -99,6 +111,7 @@ class TensorElt(_Sparse):
                 word = _checked_word(ctx, word)
             except FormError as exc:
                 raise ParseError(str(exc)) from None
+            _check_grade(len(word))
             cur = out.get(word)
             out[word] = c if cur is None else cur + c
         return cls(ctx, out)
@@ -106,9 +119,9 @@ class TensorElt(_Sparse):
 
 def left_mul(x: Vector, u: TensorElt) -> TensorElt:
     """Left multiplication by a vector, u -> x (x) u: the tensor product
-    of x's one-letter words with u, over u's context and grade cap."""
+    of x's one-letter words with u."""
     same_context(x.ctx, u.ctx)
-    return TensorElt(u.ctx, {(i + 1,): c for i, c in enumerate(x.coeffs) if c}) * u
+    return TensorElt.from_vector(x) * u
 
 
 def contract(f: LinearForm, u: TensorElt) -> TensorElt:
@@ -133,7 +146,7 @@ def deform_apply(F: BilinearForm, u: TensorElt, v: TensorElt) -> TensorElt:
     same_context(F.ctx, u.ctx)
     same_context(F.ctx, v.ctx)
     if u.max_grade() and v.terms:  # the longest word built: u's longest word on v's
-        _check_grade(v.ctx, u.max_grade() + v.max_grade())
+        _check_grade(u.max_grade() + v.max_grade())
     return TensorElt._of(v.ctx, _apply(v.ctx.field, raw_rows(F.rows), u.terms, v.terms))
 
 
@@ -160,7 +173,7 @@ def divided_power(F: BilinearForm, k: int, u: TensorElt) -> TensorElt:
         raise FormError("divided power index must be >= 0")
     same_context(F.ctx, u.ctx)
     if k == 0:
-        return TensorElt(u.ctx, dict(u.terms))
+        return u._nonzero(u.terms)
     rows = raw_rows(F.rows)
     unit = {(): u.ctx.field.one}
     out = {}
@@ -168,4 +181,4 @@ def divided_power(F: BilinearForm, k: int, u: TensorElt) -> TensorElt:
         part = {w: c for w, c in u.terms.items() if len(w) == grade}
         out.update((w, c) for w, c in _apply(u.ctx.field, rows, part, unit).items()
                    if len(w) == grade - 2 * k)
-    return TensorElt(u.ctx, out)
+    return u._nonzero(out)

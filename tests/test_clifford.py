@@ -451,20 +451,43 @@ def test_sparse_calls_above_the_tables_build_none(monkeypatch):
 @pytest.mark.parametrize("n", [3, clifford._TABLE_DIM + 1])
 def test_kernel_refuses_keys_that_are_not_blades(n):
     """A term key that is not a blade on e_1 .. e_n (out of order,
-    repeated, out of range, not a tuple of ints) is refused with a
-    FormError that names it, whether the kernel reads masks from the
-    kept tables (n <= 12) or converts key by key (n = 13)."""
+    repeated, out of range, not a tuple of ints) never reaches the
+    kernel: building the element raises a FormError that names it,
+    with a zero coefficient too and through CliffElt.blade, whether the
+    key is looked up in the kept tables (n <= 12) or tested key by key
+    (n = 13).  A key equal to a blade is stored as the blade itself."""
     ctx = AlgebraContext(n, RATIONALS)
     cctx = CliffordContext(QuadraticForm.zero(ctx))
     one = CliffElt.blade(cctx, ())
-    A = BilinearForm.zero(ctx)
     for key in [(2, 1), (3, 3), (n + 1,), (0,), (1.5,), "ab"]:
-        bad = CliffElt(cctx, {key: ctx.coerce(1)})
-        for call in (lambda: bad * one, lambda: one * bad, lambda: deform(A, bad)):
+        for coeff in (1, 0):
             with pytest.raises(FormError, match=f"got {re.escape(repr(key))}$"):
-                call()
+                CliffElt(cctx, {key: ctx.coerce(coeff)})
+        if isinstance(key, tuple):
+            with pytest.raises(FormError, match=f"got {re.escape(repr(key))}$"):
+                CliffElt.blade(cctx, key)
     good = CliffElt(cctx, {(1, 3): ctx.coerce(2)})
     assert good * one == CliffElt.blade(cctx, (1, 3), 2)
+    for elt in (CliffElt.blade(cctx, (True, 2)), CliffElt(cctx, {(True, 2): ctx.coerce(1)})):
+        assert [type(i) for k in elt.terms for i in k] == [int, int]
+        assert elt.to_json() == {"terms": [{"blade": [1, 2], "coeff": "1"}]}
+
+
+@pytest.mark.parametrize("n", [3, clifford._TABLE_DIM + 1])
+def test_built_elements_round_trip_through_json(n):
+    """Every element that can be built survives to_json -> from_json,
+    keys equal to a blade (a bool or int subclass as an index) included."""
+    ctx = AlgebraContext(n, Field(7))
+    cctx = CliffordContext(QuadraticForm.zero(ctx))
+    c = ctx.coerce(3)
+    for terms in ({(True,): c}, {(True, 2): c, (): c}, {(1, 2, 3): c, (2,): c},
+                  {tuple(range(1, n + 1)): c}):
+        elt = CliffElt(cctx, terms)
+        assert CliffElt.from_json(cctx, elt.to_json()) == elt
+    rng = random.Random(24)
+    for _ in range(20):
+        elt = rand_cliff(rng, cctx)
+        assert CliffElt.from_json(cctx, elt.to_json()) == elt
 
 
 def test_mask_walk_matches_suffix_walk():

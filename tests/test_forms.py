@@ -239,18 +239,8 @@ def test_context_mismatch_names_both_contexts():
     with pytest.raises(ContextMismatch) as info:
         Vector.basis(AlgebraContext(2, RATIONALS), 1) + Vector.basis(AlgebraContext(3, Field(7)), 1)
     assert str(info.value) == (
-        "contexts differ: AlgebraContext(dim=2, field=Field(Q), grade_cap=16) "
-        "vs AlgebraContext(dim=3, field=Field(Fp:7), grade_cap=16)")
-
-
-def test_context_equality_ignores_grade_cap():
-    a = AlgebraContext(3, RATIONALS)
-    b = AlgebraContext(3, Field(0), grade_cap=4)
-    assert a == b and hash(a) == hash(b)
-    assert {a: 1}[b] == 1
-    assert a != AlgebraContext(3, Field(7)) and a != AlgebraContext(2, RATIONALS)
-    assert AlgebraContext(dim=3, field=RATIONALS).grade_cap == 16
-    assert repr(b) == "AlgebraContext(dim=3, field=Field(Q), grade_cap=4)"
+        "contexts differ: AlgebraContext(dim=2, field=Field(Q)) "
+        "vs AlgebraContext(dim=3, field=Field(Fp:7))")
 
 
 def test_records_compare_fields_within_one_class():

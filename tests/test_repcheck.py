@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from cliffbundle import (AlgebraContext, BilinearForm, CapExceeded, CliffElt,
-                         CliffordContext, EndoMatrix, Field, FormError,
+                         CliffordContext, EndoMatrix, Field, FieldMismatch, FormError,
                          RATIONALS, check_equivalence, cliff_to_vec, deform,
                          deform_apply, generator_matrices, index_subset, invariant_probe,
                          quad_of_bilinear, restrict_matrices, rho_matrix,
@@ -213,6 +213,19 @@ def test_vec_cliff_round_trip():
         assert vec_to_cliff(cctx, cliff_to_vec(w)) == w
 
 
+def test_cliff_to_vec_never_raises_key_error():
+    """cliff_to_vec reads the masks of an element's keys unchecked: a
+    key that is not a blade is refused when the element is built, and
+    one equal to a blade is stored as it."""
+    cctx = CliffordContext.exterior(AlgebraContext(3, RATIONALS))
+    c = cctx.coerce(2)
+    for key in [(2, 1), (3, 3), (4,), (0,), (1.5,), "ab"]:
+        with pytest.raises(FormError, match="must be a blade on e_1..e_3"):
+            cliff_to_vec(CliffElt(cctx, {key: c}))
+    assert cliff_to_vec(CliffElt(cctx, {(True, 3): c})) == [c if m == 5 else cctx.coerce(0)
+                                                          for m in range(8)]
+
+
 def test_restrict_matrices():
     # block matrix with invariant span of the first two coordinates
     F = RATIONALS
@@ -281,6 +294,31 @@ def test_probe_respects_invariance():
     for sub, basis in zip(data["subspaces"], report.bases):
         assert sub["dim"] == len(basis)
         assert sub["basis"]
+
+
+def test_restrict_refuses_mixed_fields():
+    """Matrices and a basis over different fields are refused before
+    any work, not mixed inside the linear algebra."""
+    F = generator_matrices(BilinearForm.make(AlgebraContext(2, RATIONALS), [[1, 2], [0, 1]]))
+    gf7 = Field(7)
+    basis = [[gf7(1), gf7(0), gf7(0), gf7(0)]]
+    with pytest.raises(FieldMismatch, match="Q and Fp:7"):
+        restrict_matrices(F, basis)
+    Q = RATIONALS
+    with pytest.raises(FieldMismatch, match="Q and Fp:7"):
+        restrict_matrices([[[Q(1), Q(0)], [Q(0), Q(1)]], [[gf7(1), gf7(0)], [gf7(0), gf7(1)]]],
+                          [[Q(1), Q(0)]])
+
+
+def test_probe_refuses_mixed_fields():
+    """A probe over matrices of two fields is refused, not computed mod p."""
+    Q, gf7 = RATIONALS, Field(7)
+    mats = [[[Q(0), Q(1)], [Q(0), Q(0)]], [[gf7(1), gf7(0)], [gf7(0), gf7(2)]]]
+    with pytest.raises(FieldMismatch, match="Q and Fp:7"):
+        invariant_probe(mats, seed=1)
+    endo = EndoMatrix.identity(AlgebraContext(1, gf7))
+    with pytest.raises(FieldMismatch, match="Fp:7 and Q"):
+        invariant_probe([endo, mats[0]], seed=1)
 
 
 def test_probe_needs_matrices():

@@ -10,6 +10,7 @@ from cliffbundle import (AlgebraContext, BilinearForm, CapExceeded, Field,
                          TensorElt, Vector, contract, contract_vec,
                          divided_power, left_mul, pfaffian, tensor_deform,
                          tensor_deform_apply)
+from cliffbundle import tensor
 from cliffbundle.sampling import (rand_alternating, rand_bilinear,
                                   rand_linear_form, rand_tensor)
 
@@ -198,27 +199,17 @@ def test_contract_and_left_mul_match_loops(field):
 def test_left_mul_grade_cap():
     """left_mul refuses only a nonzero x on a nonzero u whose longest
     word is at the cap."""
-    ctx = AlgebraContext(2, Field(3), grade_cap=4)
+    ctx = AlgebraContext(2, Field(3))
     one = ctx.field.one
     x = Vector.basis(ctx, 1)
-    below = TensorElt(ctx, {(1, 2, 1): one, (2,): one})
-    assert left_mul(x, below) == TensorElt(ctx, {(1, 1, 2, 1): one, (1, 2): one})
-    at_cap = TensorElt(ctx, {(1, 2, 1, 2): one, (2,): one})
-    with pytest.raises(CapExceeded, match="length 5"):
+    cap = tensor._GRADE_CAP
+    below = TensorElt(ctx, {(2,) * (cap - 1): one, (2,): one})
+    assert left_mul(x, below) == TensorElt(ctx, {(1,) + (2,) * (cap - 1): one, (1, 2): one})
+    at_cap = TensorElt(ctx, {(1, 2) * (cap // 2): one, (2,): one})
+    with pytest.raises(CapExceeded, match=f"length {cap + 1} exceeds the grade cap {cap}$"):
         left_mul(x, at_cap)
     assert not left_mul(Vector.zero(ctx), at_cap)
     assert not left_mul(x, TensorElt.zero(ctx))
-
-
-def test_left_mul_takes_the_grade_cap_of_u():
-    """Contexts that differ only in grade_cap compare equal; the words
-    of x are built over u's context, so u's cap refuses the product."""
-    capped = AlgebraContext(2, Field(3), grade_cap=2)
-    u = TensorElt.from_word(capped, (1, 2))
-    x = Vector.make(AlgebraContext(2, Field(3)), [1, 1])
-    with pytest.raises(CapExceeded, match="length 3 exceeds the grade cap 2"):
-        left_mul(x, u)
-    assert left_mul(x, TensorElt.from_word(capped, (2,))).ctx.grade_cap == 2
 
 
 def test_deformations_grade_cap():
@@ -254,10 +245,32 @@ def test_deform_apply_word_by_word():
 
 
 def test_grade_cap_enforced():
-    ctx = AlgebraContext(2, RATIONALS, grade_cap=3)
-    u = TensorElt.from_word(ctx, (1, 2, 1))
-    with pytest.raises(CapExceeded):
+    """The cap is one constant: from_word takes a word of its length,
+    and a product longer than it is refused."""
+    ctx = AlgebraContext(2, RATIONALS)
+    cap = tensor._GRADE_CAP
+    u = TensorElt.from_word(ctx, (1, 2) * (cap // 2))
+    assert (u * TensorElt.unit(ctx)) == u
+    with pytest.raises(CapExceeded, match=f"length {cap + 1} exceeds the grade cap {cap}$"):
+        TensorElt.from_word(ctx, (1,) * (cap + 1))
+    with pytest.raises(CapExceeded, match=f"length {2 * cap} exceeds"):
         u * u
+
+
+def test_constructor_refuses_letters_outside_the_space():
+    """A word with a letter outside 1..n is refused when the element is
+    built, zero coefficient or not, so to_json never emits a word that
+    from_json refuses; a word longer than the cap is built freely."""
+    ctx = AlgebraContext(2, Field(5))
+    c = ctx.coerce(2)
+    for word, letter in (((0, 5), "0"), ((1, 3), "3"), ((True, 2), "True"), ((1.0,), "1.0")):
+        for coeff in (c, ctx.coerce(0)):
+            with pytest.raises(FormError, match=f"word index {letter} out of range 1..2"):
+                TensorElt(ctx, {word: coeff})
+    for u in (TensorElt(ctx, {(2, 1): c, (): c}), TensorElt(ctx, {(1, 2) * 10: c})):
+        assert TensorElt(ctx, u.terms) == u
+    assert TensorElt.from_json(ctx, TensorElt(ctx, {(2, 1): c}).to_json()) \
+        == TensorElt(ctx, {(2, 1): c})
 
 
 def test_word_validation():
