@@ -917,12 +917,12 @@ def deform(F: BilinearForm, w: CliffElt, target: CliffordContext | None = None) 
     """
     src = w.cctx
     same_context(F.ctx, src.ctx)
-    if target is None:
+    given = target is not None
+    if not given:
         target = CliffordContext(src.quadratic - quad_of_bilinear(F))
-        rows = _chevalley(target.quadratic, F)
-    else:
-        same_context(target.ctx, src.ctx)
-        rows = _chevalley(target.quadratic, F)
+    same_context(target.ctx, src.ctx)
+    rows = _chevalley(target.quadratic, F)
+    if given:
         _check_shift(rows, src.quadratic, target.quadratic)
     return CliffElt._of(target, _contract_pairs(target.field, rows, w.terms))
 

@@ -25,11 +25,6 @@ from math import gcd, prod
 from .scalars import Field, Scalar, raw_rows, scaled_ints
 
 
-def zeros(field: Field, rows: int, cols: int):
-    z = field.zero
-    return [[z for _ in range(cols)] for _ in range(rows)]
-
-
 def transpose(a):
     return [list(col) for col in zip(*a)]
 

@@ -374,8 +374,12 @@ def _poly_eval(coeffs, x, p: int):
 
 def _poly_roots(coeffs, p: int):
     """Roots in the field of a polynomial with ascending coefficients.
-    Over the rationals: complete via the rational root bound.  Over
-    GF(p): brute force for small p."""
+    Over the rationals, with the zero roots split off and the rest
+    scaled to integers: every root, by the rational root theorem, while
+    the constant and leading coefficients are at most 10^12 in size;
+    above that only the candidates a/b with |a| <= 8 and 1 <= b <= 4 are
+    tried, so roots can be missed.  Over GF(p): brute force for
+    p <= 512, none above."""
     if p:
         if p > 512:
             return []

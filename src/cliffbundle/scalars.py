@@ -21,6 +21,7 @@ from .records import record
 
 # A scalar literal: an integer or a fraction of two integers.
 _LITERAL = re.compile("(-?[0-9]+)(?:/(-?[0-9]+))?")
+_MODULUS = re.compile("Fp:([0-9]+)")
 
 # Longest refused value an error message repeats whole.
 _SHOWN = 40
@@ -122,18 +123,19 @@ class Field:
         text = text.strip()
         if text == "Q":
             return cls(0)
-        if text.startswith("Fp:"):
-            try:
-                p = int(text[3:])
-            except ValueError:
-                raise ParseError(f"bad field spec {excerpt(text)}") from None
-            if p >= _MR_BOUND:
-                raise ParseError(f"modulus {excerpt(p)} is not below {_MR_BOUND}, "
-                                 "the bound of the primality test")
-            if not is_prime(p):
-                raise ParseError(f"modulus {excerpt(p)} is not prime")
-            return cls(p)
-        raise ParseError(f"bad field spec {excerpt(text)}")
+        match = _MODULUS.fullmatch(text)
+        if match is None:
+            raise ParseError(f"bad field spec {excerpt(text)}")
+        try:
+            p = int(match[1])
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"bad field spec {excerpt(text)}") from None
+        if p >= _MR_BOUND:
+            raise ParseError(f"modulus {excerpt(p)} is not below {_MR_BOUND}, "
+                             "the bound of the primality test")
+        if not is_prime(p):
+            raise ParseError(f"modulus {excerpt(p)} is not prime")
+        return cls(p)
 
     def __call__(self, value) -> "Scalar":
         return Scalar(self, value)

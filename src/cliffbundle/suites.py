@@ -20,13 +20,13 @@ from .clifford import (CliffElt, CliffordContext, contract as cl_contract,
                        contract_vec as cl_contract_vec, deform, deform_apply,
                        exp_contract, interior, quantize, quotient_map, symbol,
                        twisted_mul)
-from .errors import CharacteristicError
+from .errors import CharacteristicError, FormError
 from .forms import (AlgebraContext, BilinearForm, QuadraticForm, Vector,
                     alt_of_dual, dual_two_form, pfaffian, polar_form,
                     quad_of_bilinear, right_radical, split_sym_alt,
                     triangular_bilinear)
 from .repcheck import (check_equivalence, cliff_to_vec, generator_matrices,
-                       invariant_probe, rho_matrix, twist_matrix)
+                       invariant_probe, restrict_matrices, rho_matrix, twist_matrix)
 from .sampling import (rand_alternating, rand_bilinear, rand_blade, rand_cliff,
                        rand_dual_two_form, rand_linear_form, rand_quadratic,
                        rand_scalar, rand_symmetric, rand_tensor, rand_vector)
@@ -186,13 +186,15 @@ def _zero_columns(rng, G):
     return BilinearForm.make(G.ctx, rows)
 
 
+def _radical_vector(rng, ctx, rad):
+    """A random combination of the radical basis rad."""
+    return sum((rand_scalar(rng, ctx.field) * r for r in rad), Vector.zero(ctx))
+
+
 def _radical_word(rng, ctx, rad, max_factors=2):
     w = TensorElt.unit(ctx)
     for _ in range(rng.randint(0, max_factors)):
-        vec = Vector.zero(ctx)
-        for r in rad:
-            vec = vec + rand_scalar(rng, ctx.field) * r
-        w = w * TensorElt.from_vector(vec)
+        w = w * TensorElt.from_vector(_radical_vector(rng, ctx, rad))
     return w
 
 
@@ -412,10 +414,7 @@ def _bL_comp(rng, ctx, need, i):
     v = rand_cliff(rng, mid, terms=2)
     w = CliffElt.unit(base)
     for _ in range(rng.randint(0, 2)):
-        vec = Vector.zero(ctx)
-        for r in rad:
-            vec = vec + rand_scalar(rng, ctx.field) * r
-        w = w * CliffElt.from_vector(base, vec)
+        w = w * CliffElt.from_vector(base, _radical_vector(rng, ctx, rad))
     lhs = deform_apply(F, deform_apply(G, u, v), w)
     rhs = deform_apply(F + G, u, deform_apply(F, v, w))
     need(lhs == rhs, "operator composition law failed on radical arguments")
@@ -456,6 +455,13 @@ def _twist_vec(rng, ctx, need, i):
          "vector twisted product != x v + contraction")
 
 
+def _exterior_two_form(astar):
+    """astar as an element of the exterior algebra of its space."""
+    n = astar.ctx.dim
+    return CliffElt(CliffordContext.exterior(astar.ctx), {
+        (i, j): astar.at(i, j) for i in range(1, n) for j in range(i + 1, n + 1)})
+
+
 @check("interior.action")
 def _interior_action(rng, ctx, need, i):
     ext = CliffordContext.exterior(ctx)
@@ -471,8 +477,7 @@ def _interior_action(rng, ctx, need, i):
     a = alt_of_dual(astar)
     x = rand_vector(rng, ctx)
     xe = CliffElt.from_vector(cctx, x)
-    two = CliffElt(ext, {(i, j): astar.at(i, j)
-                         for i in range(1, ctx.dim) for j in range(i + 1, ctx.dim + 1)})
+    two = _exterior_two_form(astar)
     lhs = interior(two, xe * w)
     rhs = xe * interior(two, w) + cl_contract_vec(a, x, w)
     need(lhs == rhs, "two-form interior does not satisfy the product rule")
@@ -486,8 +491,7 @@ def _gauge_exp(rng, ctx, need, i):
     astar = rand_dual_two_form(rng, ctx)
     a = alt_of_dual(astar)
     w = rand_cliff(rng, cctx)
-    two = CliffElt(CliffordContext.exterior(ctx), {
-        (i, j): astar.at(i, j) for i in range(1, ctx.dim) for j in range(i + 1, ctx.dim + 1)})
+    two = _exterior_two_form(astar)
     total = term = w
     k = 1
     while term := (ctx.field.one / ctx.field(k)) * interior(two, term):
@@ -624,12 +628,6 @@ def _rep_equiv(rng, ctx, need, i):
     need(rep.all_passed(), f"equivalence failed: {rep.failures[:1]}")
 
 
-def _span_contains(basis, vecs):
-    before = len(linalg.row_space_basis(basis))
-    after = len(linalg.row_space_basis(basis + vecs))
-    return before == after
-
-
 @check("rep.invariant-lattice", dim=3, samples=3, max_dim=5)
 def _rep_lattice(rng, ctx, need, i):
     F = rand_symmetric(rng, ctx)
@@ -648,15 +646,12 @@ def _rep_lattice(rng, ctx, need, i):
     rep_u = invariant_probe(mats_u, sub_seed)
     rep_t = invariant_probe(mats_t, sub_seed + 1)
     need(bool(rep_u.bases), "probe found nothing for the untwisted matrices")
-    mats_t_rows = [m.rows() for m in mats_t]
-    mats_u_rows = [m.rows() for m in mats_u]
-    for basis in rep_u.bases:
-        mapped = [linalg.mat_vec(M, list(v)) for v in basis]
-        images = [linalg.mat_vec(m, v) for m in mats_t_rows for v in mapped]
-        need(_span_contains(mapped, images),
-             "mapped subspace not invariant for the twisted matrices")
-    for basis in rep_t.bases:
-        mapped = [linalg.mat_vec(Minv, list(v)) for v in basis]
-        images = [linalg.mat_vec(m, v) for m in mats_u_rows for v in mapped]
-        need(_span_contains(mapped, images),
-             "pulled-back subspace not invariant for the untwisted matrices")
+    for bases, T, mats, msg in (
+            (rep_u.bases, M, mats_t, "mapped subspace not invariant for the twisted matrices"),
+            (rep_t.bases, Minv, mats_u,
+             "pulled-back subspace not invariant for the untwisted matrices")):
+        for basis in bases:
+            try:
+                restrict_matrices(mats, [linalg.mat_vec(T, list(v)) for v in basis])
+            except FormError:
+                need(False, msg)

@@ -33,9 +33,10 @@ def _check_grade(length: int):
         raise CapExceeded(f"word of length {length} exceeds the grade cap {_GRADE_CAP}")
 
 
-def _checked_word(ctx: AlgebraContext, word) -> tuple:
-    """word as a tuple, if its letters are in 1..n."""
-    word = tuple(word)
+def _checked_word(ctx: AlgebraContext, word: tuple) -> tuple:
+    """word, if it is a tuple of letters in 1..n."""
+    if not isinstance(word, tuple):
+        raise FormError(f"word {excerpt(word)} is not a tuple of letters in 1..{ctx.dim}")
     for i in word:
         if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= ctx.dim:
             raise FormError(f"word index {excerpt(i)} out of range 1..{ctx.dim}")
@@ -50,7 +51,8 @@ class TensorElt(_Sparse):
     _key_text = ("[", ", ", "]")
 
     def __init__(self, ctx: AlgebraContext, terms=None):
-        """A word with a letter outside 1..n raises FormError, zero or not."""
+        """A key that is not a tuple of letters in 1..n raises FormError,
+        zero or not."""
         terms = terms or {}
         for word in terms:
             _checked_word(ctx, word)
@@ -62,7 +64,7 @@ class TensorElt(_Sparse):
 
     @classmethod
     def from_word(cls, ctx: AlgebraContext, word, coeff=1) -> "TensorElt":
-        word = _checked_word(ctx, word)
+        word = _checked_word(ctx, tuple(word))
         _check_grade(len(word))
         return cls(ctx, {word: ctx.coerce(coeff)})
 
@@ -108,7 +110,7 @@ class TensorElt(_Sparse):
             word = shaped(term["word"], list, "word")
             c = ctx.field.parse(term["coeff"])
             try:
-                word = _checked_word(ctx, word)
+                word = _checked_word(ctx, tuple(word))
             except FormError as exc:
                 raise ParseError(str(exc)) from None
             _check_grade(len(word))

@@ -225,6 +225,20 @@ def test_early_return_is_one_attempt(monkeypatch):
     assert {(d, f) for _, d, f in seen} == {(2, "Q")}
 
 
+def test_lattice_suite_fails_without_the_twist(monkeypatch):
+    """With the identity in place of the twist matrix, the probe's
+    subspaces are not carried between the twisted and untwisted
+    generator matrices, and every sample says so both ways."""
+    from cliffbundle import suites
+    from cliffbundle.repcheck import EndoMatrix
+    monkeypatch.setattr(suites, "twist_matrix", lambda A: EndoMatrix.identity(A.ctx))
+    res = run_check("rep.invariant-lattice", seed=3)
+    assert (res.passed, res.failed) == (0, 3)
+    for failure in res.failures:
+        assert "mapped subspace not invariant for the twisted matrices" in failure
+        assert "pulled-back subspace not invariant for the untwisted matrices" in failure
+
+
 def test_every_suite_refuses_dim_zero(capsys):
     """A dim below 1 is refused by every suite, before any sample, with
     the ValueError of its context; the CLI exits 2."""

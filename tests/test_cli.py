@@ -388,8 +388,13 @@ BAD_SHAPES = {
     (["pfaffian"], {"matrix": {"dim": "2", "field": "Q", "entries": [["0", "1"], ["-1", "0"]]}}),
     (["check", "x" * 5000], None),
     *(case for case, _ in BAD_SHAPES.values()),
+    # a modulus is ASCII digits only, and more of them than int() reads is refused too
+    *((["product"], {"context": dict(CTX, field=spec), "u": {"terms": []}, "v": {"terms": []}})
+      for spec in ("Fp:1_3", "Fp:\u0667", "Fp:+7", "Fp: 7", "Fp:" + "7" * 5000)),
 ], ids=["blade-bool", "samples-negative", "coeff-long", "blade-long", "field-list",
-        "field-long", "modulus-long", "modulus-pseudoprime", "dim-string", "check-id-long", *BAD_SHAPES])
+        "field-long", "modulus-long", "modulus-pseudoprime", "dim-string", "check-id-long",
+        *BAD_SHAPES, "modulus-underscore", "modulus-arabic-indic", "modulus-plus",
+        "modulus-space", "modulus-digits-5000"])
 def test_bad_request_shape_exits_two(argv, payload, monkeypatch, capsys):
     text = "" if payload is None else json.dumps(payload)
     code, out, err = run_cli(argv, text, monkeypatch, capsys)

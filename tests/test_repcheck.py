@@ -268,7 +268,7 @@ def test_probe_finds_nothing_for_full_algebra():
     mats = []
     for i in range(3):
         for j in range(3):
-            m = linalg.zeros(F, 3, 3)
+            m = [[F.zero] * 3 for _ in range(3)]
             m[i][j] = F.one
             mats.append(m)
     report = invariant_probe(mats, seed=2)

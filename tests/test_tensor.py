@@ -258,14 +258,20 @@ def test_grade_cap_enforced():
 
 
 def test_constructor_refuses_letters_outside_the_space():
-    """A word with a letter outside 1..n is refused when the element is
-    built, zero coefficient or not, so to_json never emits a word that
-    from_json refuses; a word longer than the cap is built freely."""
+    """A key that is not a tuple of letters in 1..n is refused when the
+    element is built, zero coefficient or not, so to_json never emits a
+    word that from_json refuses; a word longer than the cap is built
+    freely."""
     ctx = AlgebraContext(2, Field(5))
     c = ctx.coerce(2)
-    for word, letter in (((0, 5), "0"), ((1, 3), "3"), ((True, 2), "True"), ((1.0,), "1.0")):
+    for word, message in (((0, 5), "word index 0 out of range"),
+                          ((1, 3), "word index 3 out of range"),
+                          ((True, 2), "word index True out of range"),
+                          ((1.0,), "word index 1.0 out of range"),
+                          (5, "word 5 is not a tuple of letters"),
+                          (frozenset({1}), r"word frozenset\(\{1\}\) is not a tuple of letters")):
         for coeff in (c, ctx.coerce(0)):
-            with pytest.raises(FormError, match=f"word index {letter} out of range 1..2"):
+            with pytest.raises(FormError, match=f"^{message} .*1..2$"):
                 TensorElt(ctx, {word: coeff})
     for u in (TensorElt(ctx, {(2, 1): c, (): c}), TensorElt(ctx, {(1, 2) * 10: c})):
         assert TensorElt(ctx, u.terms) == u
