@@ -918,9 +918,10 @@ def deform(F: BilinearForm, w: CliffElt, target: CliffordContext | None = None) 
     src = w.cctx
     same_context(F.ctx, src.ctx)
     given = target is not None
-    if not given:
+    if given:
+        same_context(target.ctx, src.ctx)
+    else:
         target = CliffordContext(src.quadratic - quad_of_bilinear(F))
-    same_context(target.ctx, src.ctx)
     rows = _chevalley(target.quadratic, F)
     if given:
         _check_shift(rows, src.quadratic, target.quadratic)
