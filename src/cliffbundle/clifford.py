@@ -51,10 +51,11 @@ mod p once per generator action.  Over Q the computation is
 fraction-free: with d the common denominator of B, e_i acts by the
 integer operator d e_i ^ + contraction by d B(e_i, .), u and v are
 scaled to integers by their common denominators, and the sum is
-divided once at the end.  Forms enter as the raw values of their
-Scalars, and Scalars are read when a call enters the kernel and built
-when it leaves, straight from canonical values (scalars.canonical) into
-an element that takes the map as it is (_Sparse._of).  Both crossings
+divided once at the end.  Forms enter as their integer data (see
+forms; G_Q is a quadratic form's own), so the set-up builds no Scalar.
+An element's Scalars are read when a call enters the kernel and built
+when it leaves, straight from canonical values into an element that
+takes the map as it is (_Sparse._of).  Both crossings
 are table lookups that map, zip and dict run in C: a blade becomes its
 mask through _masks(n) and a mask its blade through _blades(n), the
 2^n blades in mask order, kept up to n = 12 (above, a dense exit
@@ -98,6 +99,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import compress, repeat
+from math import gcd
 from operator import attrgetter, lshift, or_, sub
 
 from .errors import (CapExceeded, CharacteristicError, ContextMismatch, FormError,
@@ -105,7 +107,7 @@ from .errors import (CapExceeded, CharacteristicError, ContextMismatch, FormErro
 from .forms import (AlgebraContext, BilinearForm, DualTwoForm, Field, LinearForm,
                     QuadraticForm, Vector, polar_form, quad_of_bilinear, same_context)
 from .records import record
-from .scalars import Scalar, canonical, excerpt, raw_rows, scaled_ints, shaped
+from .scalars import Scalar, canonical, excerpt, scaled_ints, shaped
 
 
 @record(frozen=True)
@@ -235,6 +237,7 @@ def _blades_of(n: int, masks):
 
 
 _value = attrgetter("value")
+_new = object.__new__
 
 
 def _raw(terms: dict) -> dict:
@@ -248,26 +251,23 @@ def _entry(n: int, terms: dict) -> dict:
     return dict(zip(_masks_of(n, terms), map(_value, terms.values())))
 
 
-def _rational(x: int, den: int):
-    """x / den in Scalar's canonical form over Q: an int when den
-    divides x, else the reduced Fraction."""
-    if den == 1:
-        return x
-    return Fraction(x, den) if x % den else x // den
-
-
 def _scalars(field: Field, keys, values, dens) -> dict:
     """The kernel's exit: the nonzero raw values as Scalars at their
     keys; over GF(p) reduced mod p, over Q the value at a key of grade
     k divided by dens[k].  The values are canonical there, so the
-    Scalars are built without tests.  Over GF(p) with p below half the
-    number of values, the p Scalars of the field are built once and
-    shared (Scalars are immutable), each of the caller's field so that
-    later field checks stay identity tests."""
+    Scalars are built without tests, over Q in this loop.  Over GF(p)
+    with p below half the number of values, the p Scalars of the field
+    are built once and shared (Scalars are immutable), each of the
+    caller's field so that later field checks stay identity tests."""
     p = field.char
     if not p:
-        return {k: canonical(field, _rational(x, dens[len(k)]))
-                for k, x in zip(keys, values) if x}
+        out = {}
+        for k, x in zip(keys, values):
+            if x:
+                s, d = _new(Scalar), dens[len(k)]
+                s.field, s.value = field, x if d == 1 else x // d if x % d == 0 else Fraction(x, d)
+                out[k] = s
+        return out
     residues = list(map(p.__rmod__, values))
     if 2 * p < len(residues):
         table = [canonical(field, r) for r in range(p)]
@@ -328,17 +328,16 @@ def _act_word(bit: int, scale: int, row, p: int, terms: dict) -> dict:
     return _reduced(out, p)
 
 
-def _actions(rows, wedge: bool = True) -> tuple:
+def _actions(n: int, rows: tuple, wedge: bool = True) -> tuple:
     """The kernel's integer set-up for the generator action attached to
-    raw rows (the rows of B, rationals or residues): (acts, scale, d),
-    with d the common denominator of the rows, acts[i - 1] the bit of
-    e_i and the (bit, value) pairs of the nonzero entries of
-    d B(e_i, .), and scale the wedge weight d (0 when wedge is off).
-    Each act is then d times the action of e_i."""
-    flat, d = scaled_ints([c for row in rows for c in row])
-    n = len(rows[0])
-    acts = [(1 << r, [(1 << j, f) for j, f in enumerate(flat[r * n:(r + 1) * n]) if f])
-            for r in range(len(rows))]
+    rows = (nums, d), the entries of B as a form holds them (see forms):
+    row-major n at a time, each nums[k] / d.  It is (acts, scale, d),
+    acts[i - 1] the bit of e_i and the (bit, value) pairs of the nonzero
+    entries of d B(e_i, .), and scale the wedge weight d (0 when wedge
+    is off).  Each act is then d times the action of e_i."""
+    nums, d = rows
+    acts = [(1 << r, [(1 << j, f) for j, f in enumerate(nums[r * n:(r + 1) * n]) if f])
+            for r in range(len(nums) // n)]
     return acts, (d if wedge else 0), d
 
 
@@ -557,18 +556,19 @@ def _packed_sum(actions: tuple, p: int, n: int, u: dict, v: dict) -> tuple:
     return _unpack(sumP, sumN, n, width), du * dv * d ** top
 
 
-def _apply(field: Field, rows, u_terms: dict, v_terms: dict, wedge: bool = True) -> dict:
+def _apply(field: Field, n: int, rows: tuple, u_terms: dict, v_terms: dict,
+           wedge: bool = True) -> dict:
     """The sum over the words S of u of u_S (e_S . v) on words, where
     e_i acts by e_i (x) w (unless wedge is off) plus the contraction by
-    rows[i - 1].  Scalars are read at entry and built at exit; in
-    between, coefficients are ints."""
-    out, den = _word_sum(_act_word, _actions(rows, wedge), field.char, _raw(u_terms),
+    row i of rows (see _actions).  Scalars are read at entry and built
+    at exit; in between, coefficients are ints."""
+    out, den = _word_sum(_act_word, _actions(n, rows, wedge), field.char, _raw(u_terms),
                          _raw(v_terms))
     return _scalars(field, out, out.values(), [den] * (1 + max(map(len, out), default=0)))
 
 
-def _operate(field: Field, rows, u_terms: dict, v_terms: dict, wedge: bool = True,
-             words: bool = False) -> dict:
+def _operate(field: Field, n: int, rows: tuple, u_terms: dict, v_terms: dict,
+             wedge: bool = True, words: bool = False) -> dict:
     """The same sum on blades, which are bitmasks inside the kernel, as
     are u's keys unless words is set (reverse and quotient_map, whose u
     is keyed by words): on packed integers (_packed_sum) when
@@ -577,8 +577,7 @@ def _operate(field: Field, rows, u_terms: dict, v_terms: dict, wedge: bool = Tru
     packed sum's fixed set-up costs more than it saves: at n = 4 with 4
     to 6 terms a side it takes about 2.5 times as long as the dicts,
     from 7 terms a side less."""
-    n = len(rows[0])
-    actions = _actions(rows, wedge)
+    actions = _actions(n, rows, wedge)
     u = _raw(u_terms) if words else _entry(n, u_terms)
     v = _entry(n, v_terms)
     if 2 * min(len(u), len(v)) >= 1 << n:
@@ -588,23 +587,20 @@ def _operate(field: Field, rows, u_terms: dict, v_terms: dict, wedge: bool = Tru
     return _scalars(field, _blades_of(n, out), out.values(), [den] * (n + 1))
 
 
-def _pair_rows(p: int, rows) -> tuple:
-    """The pair product's integer set-up for raw rows B: (g, d), g[i]
-    the (j, f_ij) for j > i with f_ij = d B_ij nonzero.  Over GF(p) f_ij
-    is the residue of absolute value at most p / 2, which keeps packed
-    slots narrow, and d is 1; over Q d is the common denominator of the
-    strict-upper entries."""
-    n = len(rows)
-    ij = [(i, j) for i in range(n) for j in range(i + 1, n)]
+def _pair_rows(p: int, n: int, rows: tuple) -> tuple:
+    """The pair product's integer set-up for the rows of B (see
+    _actions): (g, d), g[i] the (j, f_ij) for j > i with f_ij = d B_ij
+    nonzero.  Over GF(p) f_ij is the residue of absolute value at most
+    p / 2, which keeps packed slots narrow, and d is 1; over Q d is the
+    common denominator of the strict-upper entries."""
+    nums, d = rows
+    upper = [nums[i * n + j] for i in range(n) for j in range(i + 1, n)]
     if p:
-        upper, d = [(rows[i][j] + p // 2) % p - p // 2 for i, j in ij], 1
-    else:
-        upper, d = scaled_ints([rows[i][j] for i, j in ij])
-    g = [[] for _ in range(n)]
-    for (i, j), f in zip(ij, upper):
-        if f:
-            g[i].append((j, f))
-    return g, d
+        upper = [(x + p // 2) % p - p // 2 for x in upper]
+    elif (c := gcd(d, *upper)) != 1:
+        upper, d = [x // c for x in upper], d // c
+    f = iter(upper)
+    return [[(j, x) for j in range(i + 1, n) if (x := next(f))] for i in range(n)], d
 
 
 def _pair_passes(g: list, terms: dict) -> dict:
@@ -652,22 +648,21 @@ def _packed_pairs(g: list, n: int, terms: dict) -> list:
     return _unpack(P, N, n, width)
 
 
-def _contract_pairs(field: Field, rows, w_terms: dict) -> dict:
-    """exp(sum over i < j of B_ij i_j i_i) w, B the raw rows, on the
-    packed carrier (_packed_pairs) when 2 |w| >= 2^max(n, 7), else on
-    dicts (_pair_passes).  A dict pass is cheaper than a generator
-    action, so the pair product packs later than _operate.  Timed on
-    the same input, the dicts are faster up to n = 5 even for a dense w
-    (40-80% of the packed time), the carriers meet at n = 6 with half
-    to three quarters of the slots filled, and packing wins for a full
-    w at n = 6 and for half the slots or more from n = 7 on.
-    The pairs come from _pair_rows.  Over Q it is fraction-free: with d
-    its common denominator, w_M is weighted by d^((T - |M|) / 2), T the
-    top grade of w of the parity of |M|, and the result at K is divided
-    once by den(w) times d^((T - |K|) / 2)."""
+def _contract_pairs(field: Field, n: int, rows: tuple, w_terms: dict) -> dict:
+    """exp(sum over i < j of B_ij i_j i_i) w, B of the rows (see
+    _actions), on the packed carrier (_packed_pairs) when
+    2 |w| >= 2^max(n, 7), else on dicts (_pair_passes).  A dict pass is
+    cheaper than a generator action, so the pair product packs later
+    than _operate.  Timed on the same input, the dicts are faster up to
+    n = 5 even for a dense w (40-80% of the packed time), the carriers
+    meet at n = 6 with half to three quarters of the slots filled, and
+    packing wins for a full w at n = 6 and for half the slots or more
+    from n = 7 on.  The pairs come from _pair_rows.  Over Q it is
+    fraction-free: with d its common denominator, w_M is weighted by
+    d^((T - |M|) / 2), T the top grade of w of the parity of |M|, and
+    the result at K is divided once by den(w) times d^((T - |K|) / 2)."""
     p = field.char
-    n = len(rows)
-    g, d = _pair_rows(p, rows)
+    g, d = _pair_rows(p, n, rows)
     w = _entry(n, w_terms)
     num, dw = _ints(p, list(w.values()))
     dens = [dw] * (n + 1)
@@ -684,18 +679,13 @@ def _contract_pairs(field: Field, rows, w_terms: dict) -> dict:
     return _scalars(field, _blades_of(n, out), out.values(), dens)
 
 
-def _chevalley(q: QuadraticForm, F: BilinearForm | None = None) -> list:
-    """Raw rows of G_q (plus F), reduced mod p: G_q is the
-    lower-triangular form with G_q(x, x) = q(x), Q(e_i) on the diagonal
-    and the polar values below it, whose action gives normal-ordered
-    coordinates."""
-    n = q.ctx.dim
-    p = q.ctx.field.char
-    rows = [[q.diag[i].value if j == i else q.upper[j][i - j - 1].value if j < i else 0
-             for j in range(n)] for i in range(n)]
-    if F is not None:
-        rows = [[a + f.value for a, f in zip(ra, rf)] for ra, rf in zip(rows, F.rows)]
-    return [[x % p for x in row] for row in rows] if p else rows
+def _chevalley(q: QuadraticForm, F: BilinearForm | None = None) -> tuple:
+    """The rows (see _actions) of G_q, plus F: G_q, the lower-triangular
+    form whose action gives normal-ordered coordinates, is q's data."""
+    if F is None:
+        return q.nums, q.den
+    B = BilinearForm(q.ctx, q.nums, q.den) + F
+    return B.nums, B.den
 
 
 class _Sparse:
@@ -820,7 +810,9 @@ class CliffElt(_Sparse):
 
     @classmethod
     def blade(cls, cctx: CliffordContext, indices, coeff=1) -> "CliffElt":
-        return cls(cctx, {tuple(indices): cctx.ctx.coerce(coeff)})
+        # a key that is not iterable goes to the constructor, which refuses it
+        key = tuple(indices) if hasattr(indices, "__iter__") else indices
+        return cls(cctx, {key: cctx.ctx.coerce(coeff)})
 
     @classmethod
     def from_vector(cls, cctx: CliffordContext, x: Vector) -> "CliffElt":
@@ -830,15 +822,16 @@ class CliffElt(_Sparse):
     def __mul__(self, other):
         if isinstance(other, CliffElt):
             self._same(other)
-            return CliffElt._of(self.cctx, _operate(
-                self.cctx.field, _chevalley(self.cctx.quadratic), self.terms, other.terms))
+            return CliffElt._of(self.cctx, _operate(self.cctx.field, self.cctx.dim,
+                                                    _chevalley(self.cctx.quadratic),
+                                                    self.terms, other.terms))
         return super().__mul__(other)
 
     def reverse(self) -> "CliffElt":
         """The anti-automorphism reversing generator order: each blade
         read backwards, as a word acting on the unit."""
         return CliffElt._of(self.cctx, _operate(
-            self.cctx.field, _chevalley(self.cctx.quadratic),
+            self.cctx.field, self.cctx.dim, _chevalley(self.cctx.quadratic),
             {b[::-1]: c for b, c in self.terms.items()}, {(): self.cctx.field.one}, words=True))
 
     def to_json(self) -> dict:
@@ -865,16 +858,16 @@ def quotient_map(cctx: CliffordContext, u: TensorElt) -> CliffElt:
     """The canonical algebra homomorphism from the tensor algebra onto
     the quotient: each word acts on the unit."""
     same_context(cctx.ctx, u.ctx)
-    return CliffElt._of(cctx, _operate(cctx.field, _chevalley(cctx.quadratic), u.terms,
-                                       {(): cctx.field.one}, words=True))
+    return CliffElt._of(cctx, _operate(cctx.field, cctx.dim, _chevalley(cctx.quadratic),
+                                       u.terms, {(): cctx.field.one}, words=True))
 
 
 def contract(f: LinearForm, w: CliffElt) -> CliffElt:
     """The descended antiderivation of a linear form on normal forms:
     the word (1,) acting with f as its only row and no wedge part."""
     same_context(f.ctx, w.cctx.ctx)
-    return CliffElt._of(w.cctx, _operate(w.cctx.field, raw_rows((f.coeffs,)),
-                                         {(1,): w.cctx.field.one}, w.terms, wedge=False))
+    return CliffElt._of(w.cctx, _operate(w.cctx.field, f.ctx.dim, _ints(f.ctx.field.char, list(
+        map(_value, f.coeffs))), {(1,): w.cctx.field.one}, w.terms, wedge=False))
 
 
 def contract_vec(F: BilinearForm, x: Vector, w: CliffElt) -> CliffElt:
@@ -882,16 +875,10 @@ def contract_vec(F: BilinearForm, x: Vector, w: CliffElt) -> CliffElt:
     return contract(F.partial_left(x), w)
 
 
-def _check_shift(rows, source_q: QuadraticForm, target_q: QuadraticForm):
-    """source_q must be x -> B(x, x) for B the raw rows of G_target + F:
-    Q(e_i) is B_ii and the polar value at (e_i, e_j) is B_ij + B_ji."""
-    p = source_q.ctx.field.char
-    n = len(rows)
-    quad = [rows[i][i] for i in range(n)] + [
-        rows[i][j] + rows[j][i] for i in range(n) for j in range(i + 1, n)]
-    values = [c.value for c in source_q.diag] + [c.value for row in source_q.upper for c in row]
-    if source_q.ctx != target_q.ctx or any(
-            (a - b) % p if p else a != b for a, b in zip(values, quad)):
+def _check_shift(F: BilinearForm, source_q: QuadraticForm, target_q: QuadraticForm):
+    """source_q must be target_q + (x -> F(x, x)); the data are
+    canonical, so that is equality of the records."""
+    if source_q.ctx != target_q.ctx or source_q != target_q + quad_of_bilinear(F):
         raise FormError(
             "quadratic forms do not match: source must equal target plus the "
             "quadratic part of the deforming form")
@@ -917,15 +904,12 @@ def deform(F: BilinearForm, w: CliffElt, target: CliffordContext | None = None) 
     """
     src = w.cctx
     same_context(F.ctx, src.ctx)
-    given = target is not None
-    if given:
-        same_context(target.ctx, src.ctx)
-    else:
+    if target is None:
         target = CliffordContext(src.quadratic - quad_of_bilinear(F))
-    rows = _chevalley(target.quadratic, F)
-    if given:
-        _check_shift(rows, src.quadratic, target.quadratic)
-    return CliffElt._of(target, _contract_pairs(target.field, rows, w.terms))
+    else:
+        same_context(target.ctx, src.ctx)
+        _check_shift(F, src.quadratic, target.quadratic)
+    return CliffElt._of(target, _contract_pairs(target.field, src.dim, (F.nums, F.den), w.terms))
 
 
 def deform_apply(F: BilinearForm, u: CliffElt, v: CliffElt) -> CliffElt:
@@ -933,9 +917,9 @@ def deform_apply(F: BilinearForm, u: CliffElt, v: CliffElt) -> CliffElt:
     the algebra of Q through products of (left multiplication plus
     contraction); evaluating at the unit recovers deform(F, u)."""
     same_context(F.ctx, v.cctx.ctx)
-    rows = _chevalley(v.cctx.quadratic, F)
-    _check_shift(rows, u.cctx.quadratic, v.cctx.quadratic)
-    return CliffElt._of(v.cctx, _operate(v.cctx.field, rows, u.terms, v.terms))
+    _check_shift(F, u.cctx.quadratic, v.cctx.quadratic)
+    return CliffElt._of(v.cctx, _operate(v.cctx.field, v.cctx.dim, _chevalley(v.cctx.quadratic, F),
+                                         u.terms, v.terms))
 
 
 def twisted_mul(F: BilinearForm, u: CliffElt, v: CliffElt) -> CliffElt:
@@ -960,9 +944,8 @@ def interior(ustar: CliffElt, w: CliffElt) -> CliffElt:
     if not ustar.cctx.is_exterior():
         raise FormError("interior expects an exterior-algebra element")
     same_context(ustar.cctx.ctx, w.cctx.ctx)
-    n = w.cctx.dim
-    rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    return CliffElt._of(w.cctx, _operate(w.cctx.field, rows, ustar.terms, w.terms, wedge=False))
+    return CliffElt._of(w.cctx, _operate(w.cctx.field, w.cctx.dim, (
+        BilinearForm.identity(w.cctx.ctx).nums, 1), ustar.terms, w.terms, wedge=False))
 
 
 # The largest exp_contract work estimate that runs (see exp_contract);
@@ -992,12 +975,12 @@ def exp_contract(astar: DualTwoForm, w: CliffElt) -> CliffElt:
     same_context(astar.ctx, w.cctx.ctx)
     n = astar.ctx.dim
     support = subset_index({i for blade in w.terms for i in blade})
-    rows = [[0] * n for _ in range(n)]
+    rows = [0] * (n * n)
     pairs = covered = 0
     for i in range(n):
         for j in range(i + 1, n):
-            if support >> i & support >> j & 1 and (c := astar.at(i + 1, j + 1)):
-                rows[i][j] = -c.value
+            if (x := astar.nums[i * n + j]) and support >> i & support >> j & 1:
+                rows[i * n + j] = -x
                 pairs += 1
                 covered |= (1 << i) | (1 << j)
     cost = pairs * min(len(w.terms) << covered.bit_count(), 1 << support.bit_count())
@@ -1005,14 +988,14 @@ def exp_contract(astar: DualTwoForm, w: CliffElt) -> CliffElt:
         raise CapExceeded(
             f"exp_contract work {cost} exceeds the guard {_EXP_GUARD}: {pairs} pairs "
             f"on {covered.bit_count()} indices of w, {len(w.terms)} terms")
-    return CliffElt._of(w.cctx, _contract_pairs(w.cctx.field, rows, w.terms))
+    return CliffElt._of(w.cctx, _contract_pairs(w.cctx.field, n, (rows, astar.den), w.terms))
 
 
 def _half_polar(cctx: CliffordContext) -> BilinearForm:
     if cctx.field.char == 2:
         raise CharacteristicError(
             "symbol/quantization need 1/2, undefined in characteristic 2")
-    return cctx.field.one / cctx.field(2) * polar_form(cctx.quadratic)
+    return polar_form(cctx.quadratic)._scaled(1, 2)
 
 
 def symbol(w: CliffElt) -> CliffElt:

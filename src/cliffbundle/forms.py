@@ -2,9 +2,17 @@
 
 An AlgebraContext fixes the dimension n and the field; everything else
 (vectors, linear/bilinear/quadratic forms, exterior-square coefficients)
-is built against it.  Quadratic forms are stored as the diagonal values
-Q(e_i) plus the strictly-upper polar entries -- the minimal data that
-determines Q in every characteristic, including 2.
+is built against it.
+
+The form records (BilinearForm, QuadraticForm, DualTwoForm) hold
+canonical integer data: the n x n entries as ints nums over one int
+den.  Over GF(p) the nums are residues in [0, p) and den is 1; over Q
+den > 0 and the gcd of den and every num is 1.  So equal forms have
+equal data, and equality and hashing compare the data.  The form
+operations and the kernel's set-up in clifford.py are int list work on
+it.  The Scalar views (rows, diag, upper, coeffs, and at, polar and
+value_at, which read them) are built once per form, on first read, and
+kept on the instance; make and from_json keep the Scalars they read.
 
 Basis indices are 1-based throughout the public API, matching the word
 and blade conventions of the element modules.
@@ -12,11 +20,15 @@ and blade conventions of the element modules.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
+from operator import add, sub
+
 from . import linalg
 from .errors import (CharacteristicError, ContextMismatch, FieldMismatch, FormError,
                      ParseError)
 from .records import record
-from .scalars import Field, Scalar, excerpt, shaped
+from .scalars import Field, Scalar, excerpt, scaled_ints, shaped
 
 
 @record(frozen=True)
@@ -123,88 +135,146 @@ class LinearForm:
         return acc
 
 
+class _view:
+    """A Scalar view of a form's data: built by the method it wraps on
+    first read, then kept on the instance, where it shadows this, with
+    object.__setattr__ (past the frozen record's refusal, not __dict__)."""
+
+    def __init__(self, build):
+        self.build, self.name = build, build.__name__
+
+    def __get__(self, form, owner=None):
+        if form is None:
+            return self
+        value = self.build(form)
+        object.__setattr__(form, self.name, value)
+        return value
+
+
+def _canonical(field: Field, nums, den: int = 1) -> tuple:
+    """(nums, den), entries nums[k] / den, made canonical: residues mod p
+    and den 1 over GF(p); over Q den > 0 and gcd(den, *nums) = 1."""
+    if field.char:
+        return tuple([x % field.char for x in nums]), 1
+    g = gcd(den, *nums)
+    if g != 1:
+        return tuple([x // g for x in nums]), den // g
+    return tuple(nums), den
+
+
+def _transposed(nums: tuple, n: int) -> tuple:
+    """The n x n row-major entries transposed: the columns in turn."""
+    return tuple([x for i in range(n) for x in nums[i::n]])
+
+
+class _Form:
+    """What the form records share: n x n entries, row-major, entry
+    (e_{i+1}, e_{j+1}) being nums[i n + j] / den, their linear
+    arithmetic, and rows, the Scalar view of them."""
+
+    @classmethod
+    def zero(cls, ctx: AlgebraContext):
+        return cls(ctx, (0,) * ctx.dim ** 2, 1)
+
+    @classmethod
+    def _made(cls, ctx: AlgebraContext, rows: tuple):
+        """The form of its entries, Scalars of ctx's field, kept as rows."""
+        values = [c.value for r in rows for c in r]
+        nums, den = (values, 1) if ctx.field.char else scaled_ints(values)
+        form = cls(ctx, tuple(nums), den)
+        object.__setattr__(form, "rows", rows)
+        return form
+
+    @_view
+    def rows(self) -> tuple:
+        """The entries as an n x n tuple of tuples of Scalar."""
+        n, field, den = self.ctx.dim, self.ctx.field, self.den
+        values = (list(map(field, self.nums)) if den == 1 else
+                  [field(Fraction(x, den)) for x in self.nums])
+        return tuple(tuple(values[i * n:(i + 1) * n]) for i in range(n))
+
+    def _pairing(self, x: Vector, y: Vector) -> Scalar:
+        """The bilinear form of the entries at (x, y)."""
+        same_context(self.ctx, x.ctx)
+        same_context(self.ctx, y.ctx)
+        return sum((a * c * b for a, row in zip(x.coeffs, self.rows) if a
+                    for b, c in zip(y.coeffs, row) if b and c), self.ctx.field.zero)
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        same_context(self.ctx, other.ctx)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        return type(self)(self.ctx, *_canonical(self.ctx.field, [
+            x * a + y * b for x, y in zip(self.nums, other.nums)], den))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._scaled(-1, 1)
+
+    def __rmul__(self, s):
+        v = s if type(s) is int else self.ctx.coerce(s).value
+        return self._scaled(v.numerator, v.denominator)
+
+    def _scaled(self, a: int, b: int):
+        """(a / b) times the form, b a unit of the field."""
+        p = self.ctx.field.char
+        if p:
+            a, b = a * pow(b, -1, p), 1
+        return type(self)(self.ctx, *_canonical(self.ctx.field, [a * x for x in self.nums],
+                                                 self.den * b))
+
+    def is_zero(self) -> bool:
+        return not any(self.nums)
+
+
 @record(frozen=True)
-class BilinearForm:
+class BilinearForm(_Form):
+    """F by its entries F(e_i, e_j) (see _Form)."""
+
     ctx: AlgebraContext
-    rows: tuple  # n x n tuple of tuples of Scalar, rows[i][j] = F(e_{i+1}, e_{j+1})
+    nums: tuple
+    den: int
 
     @classmethod
     def make(cls, ctx: AlgebraContext, entries) -> "BilinearForm":
         rows = tuple(ctx.coerce_all(r) for r in entries)
         if len(rows) != ctx.dim or any(len(r) != ctx.dim for r in rows):
             raise FormError(f"bilinear form needs a {ctx.dim}x{ctx.dim} matrix")
-        return cls(ctx, rows)
-
-    @classmethod
-    def zero(cls, ctx: AlgebraContext) -> "BilinearForm":
-        z = ctx.field.zero
-        return cls(ctx, tuple(tuple(z for _ in range(ctx.dim)) for _ in range(ctx.dim)))
+        return cls._made(ctx, rows)
 
     @classmethod
     def identity(cls, ctx: AlgebraContext) -> "BilinearForm":
-        n, one, zero = ctx.dim, ctx.field.one, ctx.field.zero
-        return cls(ctx, tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
+        n = ctx.dim
+        return cls(ctx, tuple([int(i == j) for i in range(n) for j in range(n)]), 1)
 
     def at(self, i: int, j: int) -> Scalar:
         """F(e_i, e_j), 1-based."""
         return self.rows[i - 1][j - 1]
 
     def __call__(self, x: Vector, y: Vector) -> Scalar:
-        same_context(self.ctx, x.ctx)
-        same_context(self.ctx, y.ctx)
-        acc = self.ctx.field.zero
-        for i, xi in enumerate(x.coeffs):
-            if not xi:
-                continue
-            row = self.rows[i]
-            for j, yj in enumerate(y.coeffs):
-                if yj and row[j]:
-                    acc = acc + xi * row[j] * yj
-        return acc
+        return self._pairing(x, y)
 
     def partial_left(self, x: Vector) -> LinearForm:
         """The linear form F(x, .)."""
         same_context(self.ctx, x.ctx)
-        n = self.ctx.dim
-        coeffs = []
-        for j in range(n):
-            acc = self.ctx.field.zero
-            for i in range(n):
-                if x.coeffs[i] and self.rows[i][j]:
-                    acc = acc + x.coeffs[i] * self.rows[i][j]
-            coeffs.append(acc)
-        return LinearForm(self.ctx, tuple(coeffs))
-
-    def __add__(self, other: "BilinearForm") -> "BilinearForm":
-        same_context(self.ctx, other.ctx)
-        return BilinearForm(self.ctx, tuple(
-            tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)))
-
-    def __sub__(self, other: "BilinearForm") -> "BilinearForm":
-        return self + (-other)
-
-    def __neg__(self) -> "BilinearForm":
-        return BilinearForm(self.ctx, tuple(tuple(-a for a in r) for r in self.rows))
-
-    def __rmul__(self, s) -> "BilinearForm":
-        s = self.ctx.coerce(s)
-        return BilinearForm(self.ctx, tuple(tuple(s * a for a in r) for r in self.rows))
+        zero = self.ctx.field.zero
+        return LinearForm(self.ctx, tuple(sum((a * c for a, c in zip(x.coeffs, col) if a and c),
+                                              zero) for col in zip(*self.rows)))
 
     def transpose(self) -> "BilinearForm":
-        return BilinearForm(self.ctx, tuple(zip(*self.rows)))
+        return BilinearForm(self.ctx, _transposed(self.nums, self.ctx.dim), self.den)
 
     def is_symmetric(self) -> bool:
-        n = self.ctx.dim
-        return all(self.rows[i][j] == self.rows[j][i] for i in range(n) for j in range(i + 1, n))
+        return self.nums == _transposed(self.nums, self.ctx.dim)
 
     def is_alternating(self) -> bool:
         # zero diagonal plus antisymmetry; over GF(2) the two conditions
         # together still say exactly F(x, x) = 0 for all x
-        n = self.ctx.dim
-        if any(self.rows[i][i] for i in range(n)):
-            return False
-        return all(self.rows[i][j] == -self.rows[j][i]
-                   for i in range(n) for j in range(i + 1, n))
+        return not any(self.nums[::self.ctx.dim + 1]) and (self + self.transpose()).is_zero()
 
     def matrix(self):
         return [list(r) for r in self.rows]
@@ -225,16 +295,18 @@ class BilinearForm:
 
 
 @record(frozen=True)
-class QuadraticForm:
-    """Q stored as (diagonal values, strictly-upper polar entries).
-
-    upper is a ragged tuple: row i (0-based, i < n-1) holds the polar
-    values at (e_{i+1}, e_j) for j = i+2 .. n, 1-based.
-    """
+class QuadraticForm(_Form):
+    """Q by the entries of its Chevalley form G_Q (see _Form), the form
+    the Clifford kernel acts by: Q(e_i) on the diagonal, the polar value
+    of (e_i, e_j), i < j, in row j and column i, zeros above, so that
+    G_Q(x, x) = Q(x); the minimal data of Q in every characteristic,
+    including 2.  The views diag (the Q(e_i)) and upper (ragged: row i,
+    0-based, holds the polar values at (e_{i+1}, e_j) for j = i+2 .. n)
+    are read from rows, the view of G_Q."""
 
     ctx: AlgebraContext
-    diag: tuple
-    upper: tuple
+    nums: tuple
+    den: int
 
     @classmethod
     def make(cls, ctx: AlgebraContext, diag, upper=None) -> "QuadraticForm":
@@ -247,11 +319,17 @@ class QuadraticForm:
         up = tuple(ctx.coerce_all(row) for row in upper)
         if len(up) != max(n - 1, 0) or any(len(row) != n - 1 - i for i, row in enumerate(up)):
             raise FormError("strict-upper polar data has the wrong shape")
-        return cls(ctx, d, up)
+        zero = ctx.field.zero
+        return cls._made(ctx, tuple(tuple(d[i] if j == i else up[j][i - j - 1] if j < i else zero
+                                          for j in range(n)) for i in range(n)))
 
-    @classmethod
-    def zero(cls, ctx: AlgebraContext) -> "QuadraticForm":
-        return cls.make(ctx, [0] * ctx.dim)
+    @_view
+    def diag(self) -> tuple:
+        return tuple(r[i] for i, r in enumerate(self.rows))
+
+    @_view
+    def upper(self) -> tuple:
+        return tuple(tuple(r[i] for r in self.rows[i + 1:]) for i in range(self.ctx.dim - 1))
 
     def value_at(self, i: int) -> Scalar:
         """Q(e_i), 1-based."""
@@ -261,42 +339,10 @@ class QuadraticForm:
         """The polar form at (e_i, e_j), 1-based; diagonal is 2 Q(e_i)."""
         if i == j:
             return self.diag[i - 1] + self.diag[i - 1]
-        if i > j:
-            i, j = j, i
-        return self.upper[i - 1][j - i - 1]
+        return self.rows[max(i, j) - 1][min(i, j) - 1]
 
     def __call__(self, x: Vector) -> Scalar:
-        same_context(self.ctx, x.ctx)
-        n = self.ctx.dim
-        acc = self.ctx.field.zero
-        for i in range(n):
-            a = x.coeffs[i]
-            if not a:
-                continue
-            acc = acc + a * a * self.diag[i]
-            for j in range(i + 1, n):
-                b = x.coeffs[j]
-                if b and self.upper[i][j - i - 1]:
-                    acc = acc + a * b * self.upper[i][j - i - 1]
-        return acc
-
-    def __add__(self, other: "QuadraticForm") -> "QuadraticForm":
-        same_context(self.ctx, other.ctx)
-        return QuadraticForm(
-            self.ctx,
-            tuple(a + b for a, b in zip(self.diag, other.diag)),
-            tuple(tuple(a + b for a, b in zip(ra, rb))
-                  for ra, rb in zip(self.upper, other.upper)))
-
-    def __sub__(self, other: "QuadraticForm") -> "QuadraticForm":
-        return self + (-other)
-
-    def __neg__(self) -> "QuadraticForm":
-        return QuadraticForm(self.ctx, tuple(-a for a in self.diag),
-                             tuple(tuple(-a for a in row) for row in self.upper))
-
-    def is_zero(self) -> bool:
-        return not (any(self.diag) or any(any(row) for row in self.upper))
+        return self._pairing(x, x)
 
     def to_json(self) -> dict:
         return {
@@ -312,15 +358,15 @@ class QuadraticForm:
 
 
 @record(frozen=True)
-class DualTwoForm:
-    """An exterior square of the dual space: coefficients of e_i* ^ e_j*.
-
-    coeffs is ragged like QuadraticForm.upper: row i holds c_{i+1, j}
-    for j = i+2 .. n.
-    """
+class DualTwoForm(_Form):
+    """An exterior square of the dual space by its coefficients (see
+    _Form): c_ij of e_i* ^ e_j* at (e_i, e_j) for i < j, zeros on and
+    below the diagonal.  The view coeffs is ragged like
+    QuadraticForm.upper: row i holds c_{i+1, j} for j = i+2 .. n."""
 
     ctx: AlgebraContext
-    coeffs: tuple
+    nums: tuple
+    den: int
 
     @classmethod
     def make(cls, ctx: AlgebraContext, coeffs) -> "DualTwoForm":
@@ -328,26 +374,19 @@ class DualTwoForm:
         rows = tuple(ctx.coerce_all(row) for row in coeffs)
         if len(rows) != max(n - 1, 0) or any(len(row) != n - 1 - i for i, row in enumerate(rows)):
             raise FormError("exterior-square data has the wrong shape")
-        return cls(ctx, rows)
+        zero = ctx.field.zero
+        return cls._made(ctx, tuple(tuple(rows[i][j - i - 1] if j > i else zero
+                                          for j in range(n)) for i in range(n)))
 
-    @classmethod
-    def zero(cls, ctx: AlgebraContext) -> "DualTwoForm":
-        return cls.make(ctx, [[0] * (ctx.dim - 1 - i) for i in range(ctx.dim - 1)])
+    @_view
+    def coeffs(self) -> tuple:
+        return tuple(r[i + 1:] for i, r in enumerate(self.rows[:-1]))
 
     def at(self, i: int, j: int) -> Scalar:
         """Coefficient of e_i* ^ e_j*, requires i < j (1-based)."""
         if not 1 <= i < j <= self.ctx.dim:
             raise FormError(f"need 1 <= i < j <= {self.ctx.dim}, got ({i}, {j})")
         return self.coeffs[i - 1][j - i - 1]
-
-    def __neg__(self) -> "DualTwoForm":
-        return DualTwoForm(self.ctx, tuple(tuple(-a for a in row) for row in self.coeffs))
-
-    def __add__(self, other: "DualTwoForm") -> "DualTwoForm":
-        same_context(self.ctx, other.ctx)
-        return DualTwoForm(self.ctx, tuple(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.coeffs, other.coeffs)))
 
     def to_json(self) -> dict:
         return {
@@ -371,50 +410,33 @@ def _json_rows(field: Field, data: dict, key: str) -> list:
 
 
 def polar_form(q: QuadraticForm) -> BilinearForm:
-    """The symmetric bilinear form x, y -> Q(x+y) - Q(x) - Q(y)."""
-    n = q.ctx.dim
-    return BilinearForm(q.ctx, tuple(
-        tuple(q.polar(i, j) for j in range(1, n + 1)) for i in range(1, n + 1)))
+    """The symmetric bilinear form x, y -> Q(x+y) - Q(x) - Q(y): G_Q + G_Q^T."""
+    n, g = q.ctx.dim, q.nums
+    return BilinearForm(q.ctx, *_canonical(q.ctx.field, list(map(add, g, _transposed(g, n))),
+                                           q.den))
 
 
 def quad_of_bilinear(f: BilinearForm) -> QuadraticForm:
-    """The quadratic form x -> F(x, x); its polar is F + F^T."""
-    n = f.ctx.dim
-    diag = tuple(f.rows[i][i] for i in range(n))
-    upper = tuple(
-        tuple(f.rows[i][j] + f.rows[j][i] for j in range(i + 1, n))
-        for i in range(n - 1))
-    return QuadraticForm(f.ctx, diag, upper)
+    """The quadratic form x -> F(x, x); its polar is F + F^T, so G_Q is
+    F's diagonal with F + F^T below it."""
+    n, a = f.ctx.dim, f.nums
+    return QuadraticForm(f.ctx, *_canonical(f.ctx.field, [
+        a[i * n + j] + a[j * n + i] if j < i else a[i * n + i] if j == i else 0
+        for i in range(n) for j in range(n)], f.den))
 
 
 def triangular_bilinear(q: QuadraticForm) -> BilinearForm:
     """Upper-triangular F with F(x, x) = Q(x) in every characteristic:
-    diagonal Q(e_i), above-diagonal the polar values, zero below."""
-    n = q.ctx.dim
-    zero = q.ctx.field.zero
-    rows = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            if j < i:
-                row.append(zero)
-            elif j == i:
-                row.append(q.value_at(i))
-            else:
-                row.append(q.polar(i, j))
-        rows.append(tuple(row))
-    return BilinearForm(q.ctx, tuple(rows))
+    diagonal Q(e_i), above-diagonal the polar values, zero below; G_Q^T."""
+    return BilinearForm(q.ctx, _transposed(q.nums, q.ctx.dim), q.den)
 
 
 def split_sym_alt(f: BilinearForm):
     """Split F = g + A with g symmetric and A alternating (char != 2)."""
     if f.ctx.field.char == 2:
         raise CharacteristicError("symmetric/alternating split needs 1/2, undefined in char 2")
-    half = f.ctx.field(1) / f.ctx.field(2)
     ft = f.transpose()
-    g = half * (f + ft)
-    a = half * (f - ft)
-    return g, a
+    return (f + ft)._scaled(1, 2), (f - ft)._scaled(1, 2)
 
 
 def pfaffian(a: BilinearForm) -> Scalar:
@@ -463,18 +485,12 @@ def dual_two_form(a: BilinearForm) -> DualTwoForm:
     if not a.is_alternating():
         raise FormError("exterior-square coefficients need an alternating form")
     n = a.ctx.dim
-    return DualTwoForm(a.ctx, tuple(
-        tuple(-a.rows[i][j] for j in range(i + 1, n)) for i in range(n - 1)))
+    return DualTwoForm(a.ctx, *_canonical(a.ctx.field, [
+        -x if k % n > k // n else 0 for k, x in enumerate(a.nums)], a.den))
 
 
 def alt_of_dual(astar: DualTwoForm) -> BilinearForm:
-    """Inverse of dual_two_form."""
-    n = astar.ctx.dim
-    zero = astar.ctx.field.zero
-    rows = [[zero] * n for _ in range(n)]
-    for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            c = astar.at(i, j)
-            rows[i - 1][j - 1] = -c
-            rows[j - 1][i - 1] = c
-    return BilinearForm(astar.ctx, tuple(tuple(r) for r in rows))
+    """Inverse of dual_two_form: C^T - C, C the coefficients' entries."""
+    c = astar.nums
+    return BilinearForm(astar.ctx, *_canonical(astar.ctx.field, list(map(
+        sub, _transposed(c, astar.ctx.dim), c)), astar.den))

@@ -171,7 +171,7 @@ def rho_matrix(F: BilinearForm, u: CliffElt) -> EndoMatrix:
     if u.cctx.quadratic != quad_of_bilinear(F):
         raise FormError("element must live over the quadratic form of F")
     _rep_guard(ctx.dim)
-    return _rho(ctx, _actions(raw_rows(F.rows)), _entry(ctx.dim, u.terms))
+    return _rho(ctx, _actions(ctx.dim, (F.nums, F.den)), _entry(ctx.dim, u.terms))
 
 
 def _rho(ctx: AlgebraContext, actions: tuple, u: dict) -> EndoMatrix:
@@ -187,7 +187,7 @@ def generator_matrices(F: BilinearForm):
     one set-up of F's actions for all of them."""
     ctx = F.ctx
     _rep_guard(ctx.dim)
-    actions = _actions(raw_rows(F.rows))
+    actions = _actions(ctx.dim, (F.nums, F.den))
     return [_rho(ctx, actions, {1 << i: 1}) for i in range(ctx.dim)]
 
 
@@ -206,7 +206,7 @@ def twist_matrix(A: BilinearForm) -> EndoMatrix:
     ctx = A.ctx
     n = ctx.dim
     _rep_guard(n)
-    g, d = _pair_rows(ctx.field.char, raw_rows(A.rows))
+    g, d = _pair_rows(ctx.field.char, n, (A.nums, A.den))
     out = _pair_passes(g, _unit_map(n))
     if d != 1:  # (|S| - |K|) / 2 = |S| - (|S| + |K|) / 2
         out = {k: x * d ** (n // 2 + k.bit_count() // 2 - (k >> n).bit_count())

@@ -38,9 +38,8 @@ def rand_linear_form(rng, ctx: AlgebraContext) -> LinearForm:
 
 
 def rand_bilinear(rng, ctx: AlgebraContext) -> BilinearForm:
-    return BilinearForm(ctx, tuple(
-        tuple(rand_scalar(rng, ctx.field) for _ in range(ctx.dim))
-        for _ in range(ctx.dim)))
+    return BilinearForm.make(ctx, [[rand_scalar(rng, ctx.field) for _ in range(ctx.dim)]
+                                   for _ in range(ctx.dim)])
 
 
 def rand_symmetric(rng, ctx: AlgebraContext) -> BilinearForm:
@@ -51,7 +50,7 @@ def rand_symmetric(rng, ctx: AlgebraContext) -> BilinearForm:
             v = rand_scalar(rng, ctx.field)
             m[i][j] = v
             m[j][i] = v
-    return BilinearForm(ctx, tuple(tuple(r) for r in m))
+    return BilinearForm.make(ctx, m)
 
 
 def rand_alternating(rng, ctx: AlgebraContext) -> BilinearForm:
@@ -62,7 +61,7 @@ def rand_alternating(rng, ctx: AlgebraContext) -> BilinearForm:
             v = rand_scalar(rng, ctx.field)
             m[i][j] = v
             m[j][i] = -v
-    return BilinearForm(ctx, tuple(tuple(r) for r in m))
+    return BilinearForm.make(ctx, m)
 
 
 def rand_quadratic(rng, ctx: AlgebraContext) -> QuadraticForm:

@@ -18,10 +18,10 @@ their sparse arithmetic with CliffElt.
 
 from __future__ import annotations
 
-from .clifford import _Sparse, _apply
+from .clifford import _Sparse, _apply, _ints
 from .errors import CapExceeded, FormError, ParseError
 from .forms import AlgebraContext, BilinearForm, LinearForm, Vector, same_context
-from .scalars import excerpt, raw_rows, shaped
+from .scalars import excerpt, shaped
 
 
 # the longest word an operation may build, a guard against runaway products
@@ -64,7 +64,8 @@ class TensorElt(_Sparse):
 
     @classmethod
     def from_word(cls, ctx: AlgebraContext, word, coeff=1) -> "TensorElt":
-        word = _checked_word(ctx, tuple(word))
+        # a word that is not iterable goes to _checked_word, which refuses it
+        word = _checked_word(ctx, tuple(word) if hasattr(word, "__iter__") else word)
         _check_grade(len(word))
         return cls(ctx, {word: ctx.coerce(coeff)})
 
@@ -132,8 +133,9 @@ def contract(f: LinearForm, u: TensorElt) -> TensorElt:
     That is the word (1,) acting with f as its only row and no wedge
     part."""
     same_context(f.ctx, u.ctx)
-    return TensorElt._of(u.ctx, _apply(u.ctx.field, raw_rows((f.coeffs,)),
-                                       {(1,): u.ctx.field.one}, u.terms, wedge=False))
+    field = u.ctx.field
+    return TensorElt._of(u.ctx, _apply(field, f.ctx.dim, _ints(field.char, [
+        c.value for c in f.coeffs]), {(1,): field.one}, u.terms, wedge=False))
 
 
 def contract_vec(F: BilinearForm, x: Vector, u: TensorElt) -> TensorElt:
@@ -149,7 +151,8 @@ def deform_apply(F: BilinearForm, u: TensorElt, v: TensorElt) -> TensorElt:
     same_context(F.ctx, v.ctx)
     if u.max_grade() and v.terms:  # the longest word built: u's longest word on v's
         _check_grade(u.max_grade() + v.max_grade())
-    return TensorElt._of(v.ctx, _apply(v.ctx.field, raw_rows(F.rows), u.terms, v.terms))
+    return TensorElt._of(v.ctx, _apply(v.ctx.field, v.ctx.dim, (F.nums, F.den), u.terms,
+                                       v.terms))
 
 
 def deform(F: BilinearForm, u: TensorElt) -> TensorElt:
@@ -176,11 +179,11 @@ def divided_power(F: BilinearForm, k: int, u: TensorElt) -> TensorElt:
     same_context(F.ctx, u.ctx)
     if k == 0:
         return u._nonzero(u.terms)
-    rows = raw_rows(F.rows)
+    rows = (F.nums, F.den)
     unit = {(): u.ctx.field.one}
     out = {}
     for grade in {len(w) for w in u.terms if len(w) >= 2 * k}:
         part = {w: c for w, c in u.terms.items() if len(w) == grade}
-        out.update((w, c) for w, c in _apply(u.ctx.field, rows, part, unit).items()
+        out.update((w, c) for w, c in _apply(u.ctx.field, u.ctx.dim, rows, part, unit).items()
                    if len(w) == grade - 2 * k)
     return u._nonzero(out)

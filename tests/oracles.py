@@ -306,3 +306,29 @@ def interior_sum(ustar_terms, w_terms, zero):
                 key = tuple(rest)
                 total[key] = total.get(key, zero) + (a * c if sign > 0 else -(a * c))
     return {b: x for b, x in total.items() if x}
+
+
+def chevalley_rows(p, diag, upper, f=None):
+    """The Chevalley form of the quadratic form with values diag at the
+    e_i and polar values upper (ragged, row i holding the pairs (i, j)
+    for j > i), plus the bilinear form f when given, as an n x n list of
+    lists: Q(e_i) on the diagonal, the polar value of (e_j, e_i) in row
+    i and column j < i, zero above.  Plain values in, Fractions out over
+    Q (p = 0), residues mod p otherwise; entry by entry from the
+    definition."""
+    n = len(diag)
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            if j == i:
+                x = Fraction(diag[i])
+            elif j < i:
+                x = Fraction(upper[j][i - j - 1])
+            else:
+                x = Fraction(0)
+            if f is not None:
+                x += Fraction(f[i][j])
+            row.append(x % p if p else x)
+        rows.append(row)
+    return rows

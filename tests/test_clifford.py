@@ -20,12 +20,14 @@ from cliffbundle.sampling import (rand_alternating, rand_bilinear, rand_cliff,
                                   rand_linear_form, rand_quadratic, rand_scalar,
                                   rand_tensor, rand_vector)
 
-from cliffbundle import clifford
+from cliffbundle import clifford, scalars
+from cliffbundle.forms import quad_of_bilinear
+from cliffbundle.scalars import Scalar, scaled_ints
 from cliffbundle.clifford import (_act, _actions, _blades, _blades_of, _contract_pairs, _entry,
                                   _operate, _packed_sum, _scalars, _word_sum, index_subset,
                                   subset_index)
-from oracles import (deform_sum, interior_sum, pair_sum, quantize_perm_sum, to_exterior,
-                     word_sum)
+from oracles import (chevalley_rows, deform_sum, interior_sum, pair_sum, quantize_perm_sum,
+                     to_exterior, word_sum)
 
 FIELDS = (RATIONALS, Field(2), Field(7))
 
@@ -227,16 +229,98 @@ def test_kernel_cancels_to_zero(field):
     assert (f * f).terms == {}
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.spec)
+def test_chevalley_rows_match_oracle(field):
+    """The kernel's rows of G_Q and of G_Q + F, (nums, den), are the
+    entries of the Chevalley form that the oracle builds from the plain
+    values the forms were made of, at n = 1 .. 6."""
+    rng = random.Random(f"chevalley/{field.spec}")
+    p = field.char
+    for n in range(1, 7):
+        ctx = AlgebraContext(n, field)
+        for _ in range(4):
+            diag = [_coeff(rng, field).value for _ in range(n)]
+            upper = [[_coeff(rng, field).value for _ in range(n - 1 - i)] for i in range(n - 1)]
+            f = [[_coeff(rng, field).value for _ in range(n)] for _ in range(n)]
+            q, F = QuadraticForm.make(ctx, diag, upper), BilinearForm.make(ctx, f)
+            for got, want in ((clifford._chevalley(q), chevalley_rows(p, diag, upper)),
+                              (clifford._chevalley(q, F), chevalley_rows(p, diag, upper, f))):
+                nums, den = got
+                assert [x % p if p else Fraction(x, den) for x in nums] \
+                    == [x for row in want for x in row]
+
+
+def _count_scalars(monkeypatch) -> list:
+    """Count every Scalar built from here on, by Scalar.__init__, by
+    scalars.canonical or by the kernel's exit (object.__new__ on Scalar):
+    a one-item list holding the count."""
+    count = [0]
+    init, canonical, new = Scalar.__init__, scalars.canonical, clifford._new
+
+    def counted_init(self, *args):
+        count[0] += 1
+        init(self, *args)
+
+    def counted_canonical(*args):
+        count[0] += 1
+        return canonical(*args)
+
+    def counted_new(cls):
+        count[0] += cls is Scalar
+        return new(cls)
+
+    monkeypatch.setattr(Scalar, "__init__", counted_init)
+    monkeypatch.setattr(scalars, "canonical", counted_canonical)
+    monkeypatch.setattr(clifford, "canonical", counted_canonical)
+    monkeypatch.setattr(clifford, "_new", counted_new)
+    return count
+
+
+def test_set_up_builds_no_scalars(monkeypatch):
+    """A cost guard on counts, which do not drift: a dense twisted_mul
+    and a symbol at n = 5 over Q build one Scalar per output term of
+    each kernel call (twisted_mul makes two: the deformed u and the
+    product) and none in their set-up, which is int work on the forms'
+    data.  The counted calls get forms reached by arithmetic and drawn
+    afresh, so no view of them is built yet and reading one would count
+    too."""
+    ctx = AlgebraContext(5, RATIONALS)
+
+    def draw():
+        rng = random.Random("set-up")
+        cctx = CliffordContext(quad_of_bilinear(-rand_bilinear(rng, ctx)))
+        F = -rand_bilinear(rng, ctx)
+        return (cctx, F, *(CliffElt(cctx, _blade_terms(rng, RATIONALS, 5)) for _ in range(3)))
+
+    cctx, F, u, v, w = draw()
+    back = deform(-F, u, target=cctx.shift(F))
+    product, image = twisted_mul(F, u, v), symbol(w)
+    assert len(u.terms) == len(v.terms) == len(w.terms) == 32
+    cctx, F, u, v, w = draw()
+    count = _count_scalars(monkeypatch)
+    assert twisted_mul(F, u, v) == product
+    assert count[0] == len(back.terms) + len(product.terms) > 32
+    count[0] = 0
+    assert symbol(w) == image
+    assert count[0] == len(image.terms) > 16
+
+
 # ------------------------------------------------ packed and dict word sums
 
 PACKED_FIELDS = (RATIONALS, Field(2), Field(3), Field(7), Field((1 << 61) - 1))
+
+
+def _kernel_rows(rows):
+    """The kernel's (nums, den) of raw rows: their entries row-major
+    over one common denominator."""
+    return scaled_ints([c for row in rows for c in row])
 
 
 def _both_sums(field, rows, u, v, wedge):
     """_packed_sum and _word_sum of the same call, each as the map
     _operate would return; u and v map blades to Scalars."""
     n = len(rows[0])
-    actions = _actions(rows, wedge)
+    actions = _actions(n, _kernel_rows(rows), wedge)
     u, v = _entry(n, u), _entry(n, v)
     values, den = _packed_sum(actions, field.char, n, u, v)
     out, den_dict = _word_sum(_act, actions, field.char, u, v)
@@ -279,7 +363,7 @@ def test_packed_sum_matches_dict_sum(field):
                                 (identity, False)):
                 packed, dicted = _both_sums(field, rows, u, v, wedge)
                 assert packed == dicted
-                assert _operate(field, rows, u, v, wedge) == packed
+                assert _operate(field, n, _kernel_rows(rows), u, v, wedge) == packed
                 # the pair-sum oracle takes seconds on dense operands above n = 3
                 if n <= 5 and (count or n <= 3) and (wedge or rows is identity):
                     assert packed == _oracle(field, rows, u, v, wedge)
@@ -314,10 +398,10 @@ def test_packed_sum_on_wide_rationals():
 
 # ------------------------------------------------ packed and dict pair passes
 
-def _pairs_both_ways(monkeypatch, field, rows, w):
+def _pairs_both_ways(monkeypatch, field, n, rows, w):
     """_contract_pairs of one input on both carriers: as its rule sends
     it, and again with each pair pass standing in for the other."""
-    chosen = _contract_pairs(field, rows, w)
+    chosen = _contract_pairs(field, n, rows, w)
     packed, passes = clifford._packed_pairs, clifford._pair_passes
 
     def dict_as_packed(g, n, terms):
@@ -328,7 +412,7 @@ def _pairs_both_ways(monkeypatch, field, rows, w):
         m.setattr(clifford, "_packed_pairs", dict_as_packed)
         m.setattr(clifford, "_pair_passes",
                   lambda g, terms: dict(enumerate(packed(g, len(g), terms))))
-        other = _contract_pairs(field, rows, w)
+        other = _contract_pairs(field, n, rows, w)
     return chosen, other
 
 
@@ -352,7 +436,7 @@ def test_packed_pairs_match_pair_passes(field, monkeypatch):
             for count in {None, 1 << (n - 1), (1 << (n - 1)) - 1, min(3, 1 << n)} - {0}:
                 w = _blade_terms(rng, field, n, count)
                 sides.add(2 * len(w) >= 1 << max(n, 7))
-                chosen, other = _pairs_both_ways(monkeypatch, field, rows, w)
+                chosen, other = _pairs_both_ways(monkeypatch, field, n, _kernel_rows(rows), w)
                 assert chosen == other
                 if n <= 5:
                     assert chosen == deform_sum(F, QuadraticForm.zero(ctx), w)
@@ -366,7 +450,8 @@ def test_packed_pairs_match_pair_passes(field, monkeypatch):
             chosen = exp_contract(astar, w)
             with monkeypatch.context() as m:
                 m.setattr(clifford, "_contract_pairs",
-                          lambda f, rows, terms: _pairs_both_ways(monkeypatch, f, rows, terms)[1])
+                          lambda f, n, rows, terms:
+                          _pairs_both_ways(monkeypatch, f, n, rows, terms)[1])
                 assert exp_contract(astar, w) == chosen
     assert sides == {True, False}
 
@@ -388,7 +473,7 @@ def test_packed_pairs_on_wide_rationals(monkeypatch):
         F = BilinearForm.make(ctx, rows)
         for count in (None, 1 << (n - 1)):
             w = {b: RATIONALS(wide()) for b in _blade_terms(rng, RATIONALS, n, count)}
-            chosen, other = _pairs_both_ways(monkeypatch, RATIONALS, rows, w)
+            chosen, other = _pairs_both_ways(monkeypatch, RATIONALS, n, _kernel_rows(rows), w)
             assert chosen == other == deform_sum(F, QuadraticForm.zero(ctx), w)
             assert max(c.value.denominator for c in chosen.values()) > 10 ** 2000
 
@@ -446,6 +531,14 @@ def test_sparse_calls_above_the_tables_build_none(monkeypatch):
     out = deform(A, w, target=cctx)
     assert out != w and out.terms == deform_sum(A, cctx.quadratic, w.terms)
     assert exp_contract(dual_two_form(A), w) == out
+
+
+def test_blade_of_a_non_iterable_is_refused():
+    """CliffElt.blade with an int for the indices raises the
+    constructor's FormError, not the TypeError of tuple()."""
+    cctx = CliffordContext.exterior(AlgebraContext(3, RATIONALS))
+    with pytest.raises(FormError, match=r"^a term's key must be a blade on e_1\.\.e_3, got 5$"):
+        CliffElt.blade(cctx, 5)
 
 
 @pytest.mark.parametrize("n", [3, clifford._TABLE_DIM + 1])

@@ -1,20 +1,24 @@
 """Bilinear, quadratic and alternating forms; Pfaffians; the dual-side
 two-form dictionary."""
 
+import json
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from cliffbundle import (AlgebraContext, BilinearForm, CharacteristicError,
-                         CheckResult, CliffordContext, ContextMismatch,
+                         CheckResult, CliffordContext, ContextMismatch, DualTwoForm,
                          EndoMatrix, EquivalenceReport, Field, FormError,
                          LinearForm, ParseError, ProbeReport, QuadraticForm,
                          RATIONALS, Vector, alt_of_dual, dual_two_form,
                          pfaffian, polar_form, quad_of_bilinear, right_radical,
                          split_sym_alt, triangular_bilinear)
 from cliffbundle import linalg
+from cliffbundle.clifford import _half_polar
 from cliffbundle.sampling import (rand_alternating, rand_bilinear,
-                                  rand_quadratic, rand_vector)
+                                  rand_quadratic, rand_scalar, rand_vector)
 
 from oracles import det_perm_sum, pfaffian_matchings
 
@@ -258,7 +262,9 @@ def test_records_compare_fields_within_one_class():
 def test_frozen_records_refuse_assignment():
     ctx = AlgebraContext(2, RATIONALS)
     q = QuadraticForm.zero(ctx)
-    for obj, name in ((ctx, "dim"), (ctx, "grade_cap"), (RATIONALS, "char"), (q, "diag"),
+    F = BilinearForm.zero(ctx)
+    for obj, name in ((ctx, "dim"), (RATIONALS, "char"), (q, "diag"), (q, "nums"), (q, "den"),
+                      (F, "nums"), (F, "den"), (F, "rows"),
                       (CliffordContext(q), "quadratic"), (EndoMatrix.identity(ctx), "entries")):
         with pytest.raises(AttributeError):
             setattr(obj, name, None)
@@ -309,3 +315,96 @@ def test_context_json_reads_dim_and_field():
                  {"dim": 2, "field": 7, "entries": [["1", "0"], ["0", "1"]]}):
         with pytest.raises(ParseError):
             BilinearForm.from_json(data)
+
+
+# ------------------------------------------------ the forms' integer data
+
+def _same_form(got, want):
+    """got (reached by integer arithmetic) and want (built from Scalars)
+    are one form: equal, hash equal, with canonical data and the same
+    JSON bytes."""
+    assert got == want and hash(got) == hash(want)
+    assert (got.nums, got.den) == (want.nums, want.den)
+    p = got.ctx.field.char
+    if p:
+        assert got.den == 1 and all(0 <= x < p for x in got.nums)
+    else:
+        assert got.den > 0 and gcd(got.den, *got.nums) == 1
+    assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.spec)
+def test_integer_data_matches_scalar_arithmetic(field):
+    """Every form operation on the integer data gives the form that make
+    and from_json build from the Scalar arithmetic of the operands'
+    views, at n = 1 .. 6: the shift of a Clifford context, -F, F + G,
+    F - G, scalar multiples, transposes, quad_of_bilinear, polar_form,
+    half the polar form, triangular_bilinear and the dual two-form."""
+    rng = random.Random(f"data/{field.spec}")
+    for n in range(1, 7):
+        ctx = AlgebraContext(n, field)
+        idx = range(1, n + 1)
+        for _ in range(4):
+            q, F, G = rand_quadratic(rng, ctx), rand_bilinear(rng, ctx), rand_bilinear(rng, ctx)
+            s = rand_scalar(rng, field)
+
+            def bilinear(entry):
+                return BilinearForm.make(ctx, [[entry(i, j) for j in idx] for i in idx])
+
+            def quadratic(value, polar):
+                return QuadraticForm.make(ctx, [value(i) for i in idx],
+                                          [[polar(i, j) for j in idx if j > i] for i in idx][:-1])
+
+            _same_form(CliffordContext(q).shift(F).quadratic,
+                       quadratic(lambda i: q.value_at(i) + F.at(i, i),
+                                 lambda i, j: q.polar(i, j) + F.at(i, j) + F.at(j, i)))
+            _same_form(-F, bilinear(lambda i, j: -F.at(i, j)))
+            _same_form(F + G, bilinear(lambda i, j: F.at(i, j) + G.at(i, j)))
+            _same_form(F - G, bilinear(lambda i, j: F.at(i, j) - G.at(i, j)))
+            _same_form(s * F, bilinear(lambda i, j: s * F.at(i, j)))
+            _same_form(F.transpose(), bilinear(lambda i, j: F.at(j, i)))
+            _same_form(quad_of_bilinear(F), quadratic(lambda i: F.at(i, i),
+                                                      lambda i, j: F.at(i, j) + F.at(j, i)))
+            _same_form(polar_form(q), bilinear(q.polar))
+            _same_form(triangular_bilinear(q),
+                       bilinear(lambda i, j: q.polar(i, j) if i < j else
+                                q.value_at(i) if i == j else field.zero))
+            if field.char != 2:
+                half = field.one / field(2)
+                _same_form(_half_polar(CliffordContext(q)),
+                           bilinear(lambda i, j: half * q.polar(i, j)))
+            A = rand_alternating(rng, ctx)
+            astar = dual_two_form(A)
+            _same_form(astar, DualTwoForm.make(ctx, [[-A.at(i, j) for j in idx if j > i]
+                                                     for i in idx][:-1]))
+            _same_form(alt_of_dual(astar), A)
+            for form in (F, -F, quad_of_bilinear(F), astar):
+                _same_form(type(form).from_json(*_json_args(form)), form)
+
+
+def _json_args(form):
+    """from_json's arguments that read back a form's to_json."""
+    if isinstance(form, QuadraticForm):
+        return form.ctx, json.loads(json.dumps(form.to_json()))
+    return (json.loads(json.dumps(form.to_json())),)
+
+
+def test_denominators_that_cancel_leave_canonical_data():
+    """Over Q the data keep no common factor of the denominator and the
+    numerators: sums, halves and polar values whose denominators cancel
+    give the data of the integral form, and equal forms from different
+    denominators have one hash."""
+    ctx = AlgebraContext(2, RATIONALS)
+    F = BilinearForm.make(ctx, [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 6), 1]])
+    G = BilinearForm.make(ctx, [[Fraction(1, 2), Fraction(-1, 3)], [Fraction(5, 6), 0]])
+    total = F + G
+    assert (total.nums, total.den) == ((1, 0, 1, 1), 1)
+    _same_form(total, BilinearForm.make(ctx, [[1, 0], [1, 1]]))
+    assert (F.nums, F.den) == ((3, 2, 1, 6), 6)
+    q = QuadraticForm.make(ctx, [Fraction(1, 2), Fraction(3, 2)], [[Fraction(5, 4)]])
+    assert (q.nums, q.den) == ((2, 0, 5, 6), 4)
+    _same_form(polar_form(q), BilinearForm.make(ctx, [[1, Fraction(5, 4)], [Fraction(5, 4), 3]]))
+    _same_form(Fraction(4, 5) * quad_of_bilinear(F), QuadraticForm.make(
+        ctx, [Fraction(2, 5), Fraction(4, 5)], [[Fraction(2, 5)]]))
+    _same_form(6 * F - 6 * F, BilinearForm.zero(ctx))
+    assert (BilinearForm.zero(ctx).nums, BilinearForm.zero(ctx).den) == ((0, 0, 0, 0), 1)

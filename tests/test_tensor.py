@@ -279,6 +279,13 @@ def test_constructor_refuses_letters_outside_the_space():
         == TensorElt(ctx, {(2, 1): c})
 
 
+def test_from_word_of_a_non_iterable_is_refused():
+    """TensorElt.from_word with an int for the word raises the
+    constructor's FormError, not the TypeError of tuple()."""
+    with pytest.raises(FormError, match=r"^word 5 is not a tuple of letters in 1\.\.3$"):
+        TensorElt.from_word(AlgebraContext(3, RATIONALS), 5)
+
+
 def test_word_validation():
     ctx = AlgebraContext(2, RATIONALS)
     with pytest.raises(FormError):
