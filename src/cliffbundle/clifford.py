@@ -49,22 +49,21 @@ letter i, and the contraction removes the letter at position t with
 the sign (-1)^t.  Over GF(p) the coefficients are residues, reduced
 mod p once per generator action.  Over Q the computation is
 fraction-free: with d the common denominator of B, e_i acts by the
-integer operator d e_i ^ + contraction by d B(e_i, .), u and v are
-scaled to integers by their common denominators, and the sum is
+integer operator d e_i ^ + contraction by d B(e_i, .), and the sum is
 divided once at the end.  Forms enter as their integer data (see
-forms; G_Q is a quadratic form's own), so the set-up builds no Scalar.
-An element's Scalars are read when a call enters the kernel and built
-when it leaves, straight from canonical values into an element that
-takes the map as it is (_Sparse._of).  Both crossings
-are table lookups that map, zip and dict run in C: a blade becomes its
-mask through _masks(n) and a mask its blade through _blades(n), the
-2^n blades in mask order, kept up to n = 12 (above, a dense exit
-builds the table for its call and a sparse call converts key by key),
-and over GF(p), when p is below half the number of values, a residue
-becomes its Scalar from the field's p Scalars, built once for the call
-(else, and over Q, each Scalar is built).  The blades of u are walked
-as masks in numeric order (_mask_walk), words by their reversal
-(_suffix_walk).
+forms; G_Q is a quadratic form's own), and so do elements, as
+(data, den): kernel keys (masks for CliffElt, words for TensorElt)
+mapped to nonzero ints over one int denominator, residues over den 1
+over GF(p), and over Q den > 0 with gcd(den, values) = 1.  The exit
+makes a result canonical in passes that map and dict run in C
+(_canonical): residues, or one gcd and one division; zeros dropped.
+Blades and Scalars appear only in an element's constructor,
+from_json, to_json, repr, coeff and read-only terms view, built on
+first read and kept.  There a blade becomes its mask through
+_masks(n) and a mask its blade through _blades(n), the 2^n blades in
+mask order, kept up to n = 12; above, key by key.  The blades of u are
+walked as masks in numeric order (_mask_walk), words by their
+reversal (_suffix_walk).
 
 The sums and the pair products have two carriers.  A call whose
 operands each fill at least half the 2^n blade slots, 2 min(|u|, |v|)
@@ -97,15 +96,17 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from itertools import compress, repeat
-from math import gcd
-from operator import attrgetter, lshift, or_, sub
+from math import gcd, lcm
+from operator import attrgetter, floordiv, lshift, mul, neg, or_, sub
+from types import MappingProxyType
 
 from .errors import (CapExceeded, CharacteristicError, ContextMismatch, FormError,
                      ParseError)
 from .forms import (AlgebraContext, BilinearForm, DualTwoForm, Field, LinearForm,
-                    QuadraticForm, Vector, polar_form, quad_of_bilinear, same_context)
+                    QuadraticForm, Vector, _quad_nums, polar_form, quad_of_bilinear,
+                    same_context)
 from .records import record
 from .scalars import Scalar, canonical, excerpt, scaled_ints, shaped
 
@@ -166,8 +167,8 @@ def subset_index(blade) -> int:
 
 def index_subset(m: int) -> tuple:
     """The blade of a bitmask index, the inverse of subset_index, read
-    bit by bit.  The kernel reads blades from its tables (_blades) up to
-    n = _TABLE_DIM and calls this per key only for sparse results above."""
+    bit by bit.  Elements read blades from the table _blades(n) up to
+    n = _TABLE_DIM and call this per key above."""
     if m < 0:
         raise ValueError(f"a bitmask index is nonnegative, got {m}")
     out = []
@@ -180,38 +181,26 @@ def index_subset(m: int) -> tuple:
     return tuple(out)
 
 
-# The largest n whose blade tables are kept: 2^12 blades.  Above it a
-# dense exit builds its table once per call, and sparse entries and
-# exits convert key by key, so no sparse call builds a table.
+# The largest n whose blade tables are kept: 2^12 blades.  Above it
+# blades and masks convert key by key, so no table is built there.
 _TABLE_DIM = 12
 
 
 @lru_cache(maxsize=None)
-def _kept_blades(n: int) -> tuple:
-    """_blades(n) for n <= _TABLE_DIM, grown from the kept table of n - 1."""
-    if not n:
-        return ((),)
-    low = _kept_blades(n - 1)
-    return low + tuple([b + (n,) for b in low])
-
-
-def _blades(n: int):
+def _blades(n: int) -> tuple:
     """Every blade on e_1 .. e_n in mask order, the blade of mask m at
     index m, built by doubling: the blades on e_1 .. e_(n-1), then each
-    of them with n appended.  Kept for n <= _TABLE_DIM; above that,
-    grown from the kept table for each call."""
-    if n <= _TABLE_DIM:
-        return _kept_blades(n)
-    out = list(_kept_blades(_TABLE_DIM))
-    for i in range(_TABLE_DIM + 1, n + 1):
-        out += [b + (i,) for b in out]
-    return out
+    of them with n appended.  Used for n <= _TABLE_DIM."""
+    if not n:
+        return ((),)
+    low = _blades(n - 1)
+    return low + tuple([b + (n,) for b in low])
 
 
 @lru_cache(maxsize=None)
 def _masks(n: int) -> dict:
     """The inverse of _blades(n), blade -> mask, for n <= _TABLE_DIM."""
-    return dict(zip(_kept_blades(n), range(1 << n)))
+    return dict(zip(_blades(n), range(1 << n)))
 
 
 def _checked_index(n: int, blade) -> int:
@@ -225,60 +214,42 @@ def _checked_index(n: int, blade) -> int:
     raise KeyError(blade)
 
 
-def _masks_of(n: int, blades):
-    """The masks of blades on e_1 .. e_n, read from _masks(n) up to
-    _TABLE_DIM, else one at a time (subset_index)."""
-    return map(_masks(n).__getitem__ if n <= _TABLE_DIM else subset_index, blades)
-
-
-def _blades_of(n: int, masks):
-    """The blades of masks below 2^n, the inverse of _masks_of."""
-    return map(_blades(n).__getitem__, masks) if n <= _TABLE_DIM else map(index_subset, masks)
+def _blade_masks(n: int, blades) -> list:
+    """The masks of blades on e_1 .. e_n, looked up in _masks(n) up to
+    _TABLE_DIM, else tested one at a time; a key that is not a blade
+    raises FormError, and one equal to a blade ((True,)) is taken as it."""
+    try:
+        return list(map(_masks(n).__getitem__ if n <= _TABLE_DIM else partial(_checked_index, n),
+                        blades))
+    except KeyError as exc:
+        raise FormError(f"a term's key must be a blade on e_1..e_{n}, "
+                        f"got {excerpt(exc.args[0])}") from None
 
 
 _value = attrgetter("value")
 _new = object.__new__
 
 
-def _raw(terms: dict) -> dict:
-    """The kernel's entry for word-keyed Scalars: word -> raw value."""
-    return dict(zip(terms, map(_value, terms.values())))
+def _data_of(p: int, keys, scalars) -> tuple:
+    """The canonical (data, den) of Scalars at kernel keys: the nonzero
+    values, over Q as integers over their denominators' lcm (scaled_ints)."""
+    nums = list(map(_value, scalars))
+    nums, den = (nums, 1) if p else scaled_ints(nums)
+    return dict(compress(zip(keys, nums), nums)), den
 
 
-def _entry(n: int, terms: dict) -> dict:
-    """The kernel's entry for blade-keyed Scalars: mask -> raw value.
-    The keys are blades, as CliffElt's constructor checks."""
-    return dict(zip(_masks_of(n, terms), map(_value, terms.values())))
-
-
-def _scalars(field: Field, keys, values, dens) -> dict:
-    """The kernel's exit: the nonzero raw values as Scalars at their
-    keys; over GF(p) reduced mod p, over Q the value at a key of grade
-    k divided by dens[k].  The values are canonical there, so the
-    Scalars are built without tests, over Q in this loop.  Over GF(p)
-    with p below half the number of values, the p Scalars of the field
-    are built once and shared (Scalars are immutable), each of the
-    caller's field so that later field checks stay identity tests."""
-    p = field.char
-    if not p:
-        out = {}
-        for k, x in zip(keys, values):
-            if x:
-                s, d = _new(Scalar), dens[len(k)]
-                s.field, s.value = field, x if d == 1 else x // d if x % d == 0 else Fraction(x, d)
-                out[k] = s
-        return out
-    residues = list(map(p.__rmod__, values))
-    if 2 * p < len(residues):
-        table = [canonical(field, r) for r in range(p)]
-        return dict(compress(zip(keys, map(table.__getitem__, residues)), residues))
-    return {k: canonical(field, r) for k, r in zip(keys, residues) if r}
-
-
-def _ints(p: int, values: list) -> tuple:
-    """The kernel's entry: values over one common denominator (see
-    scaled_ints); residues over GF(p) are integers already."""
-    return (values, 1) if p else scaled_ints(values)
+def _canonical(p: int, keys, values, den: int) -> tuple:
+    """The canonical (data, den) of raw ints at keys over den > 0: over
+    GF(p) the residues over 1, over Q the values and den divided by
+    their gcd; zeros dropped.  The kernel's exit, in passes run in C."""
+    if p:
+        values, den = list(map(p.__rmod__, values)), 1
+    else:
+        values = list(values)
+        g = gcd(den, *values)
+        if g != 1:
+            values, den = list(map(floordiv, values, repeat(g))), den // g
+    return dict(compress(zip(keys, values), values)), den
 
 
 def _reduced(out: dict, p: int) -> dict:
@@ -398,15 +369,11 @@ def _walk(u: dict) -> tuple:
 def _word_sum(act, actions: tuple, p: int, u: dict, v: dict) -> tuple:
     """The sum over the words S of u of u_S (e_S . v): (map, den).  act
     is the generator action on the keys of v, _act on bitmasks or
-    _act_word on words; u and v map their keys to raw values, and u's
-    keys are walked by _walk.  Over Q the result is the map divided by
-    den: u and v are scaled to integers by their common denominators,
+    _act_word on words; u and v map their keys to ints, and u's keys
+    are walked by _walk.  Over Q the result is the map divided by den:
     u_S is weighted by d^(m - |S|), m the longest word of u, and den is
-    those denominators times d^m.  Over GF(p) the map is unreduced and
-    den is 1."""
+    d^m.  Over GF(p) the map is unreduced and den is 1."""
     acts, scale, d = actions
-    vnum, dv = _ints(p, list(v.values()))
-    unum, du = _ints(p, list(u.values()))
     walk, grade = _walk(u)
     top = max(map(grade, u), default=0)
 
@@ -416,12 +383,12 @@ def _word_sum(act, actions: tuple, p: int, u: dict, v: dict) -> tuple:
 
     out = {}
     get = out.get
-    for c, length, got in walk(zip(u, unum), dict(zip(v, vnum)), step):
+    for c, length, got in walk(u.items(), v, step):
         if d != 1:
             c *= d ** (top - length)
         for k, x in got.items():
             out[k] = get(k, 0) + c * x
-    return out, du * dv * d ** top
+    return out, d ** top
 
 
 def _carrier(n: int, bound: int) -> tuple:
@@ -527,13 +494,11 @@ def _packed_sum(actions: tuple, p: int, n: int, u: dict, v: dict) -> tuple:
     bound keeps each slot out of its neighbours, in every field and at
     any coefficient size."""
     acts, scale, d = actions
-    vnum, dv = _ints(p, list(v.values()))
-    unum, du = _ints(p, list(u.values()))
     walk, grade = _walk(u)
     top = max(map(grade, u))
-    coeffs = [c * d ** (top - k) for k, c in zip(map(grade, u), unum)]
+    coeffs = [c * d ** (top - k) for k, c in zip(map(grade, u), u.values())]
     reach = max(d + sum(abs(f) for _, f in row) for _, row in acts)
-    width, masks = _carrier(n, sum(map(abs, coeffs)) * reach ** top * max(map(abs, vnum)))
+    width, masks = _carrier(n, sum(map(abs, coeffs)) * reach ** top * max(map(abs, v.values())))
     moves = [(masks[r], [(masks[b.bit_length() - 1], f) for b, f in row])
              for r, (_, row) in enumerate(acts)]
 
@@ -548,43 +513,34 @@ def _packed_sum(actions: tuple, p: int, n: int, u: dict, v: dict) -> tuple:
         return _contract(P, N, row, outP, outN)
 
     sumP = sumN = 0
-    for c, _, (P, N) in walk(zip(u, coeffs), _pack(zip(v, vnum), n, width), step):
+    for c, _, (P, N) in walk(zip(u, coeffs), _pack(v.items(), n, width), step):
         if c < 0:
             P, N, c = N, P, -c
         sumP += c * P
         sumN += c * N
-    return _unpack(sumP, sumN, n, width), du * dv * d ** top
+    return _unpack(sumP, sumN, n, width), d ** top
 
 
-def _apply(field: Field, n: int, rows: tuple, u_terms: dict, v_terms: dict,
-           wedge: bool = True) -> dict:
-    """The sum over the words S of u of u_S (e_S . v) on words, where
-    e_i acts by e_i (x) w (unless wedge is off) plus the contraction by
-    row i of rows (see _actions).  Scalars are read at entry and built
-    at exit; in between, coefficients are ints."""
-    out, den = _word_sum(_act_word, _actions(n, rows, wedge), field.char, _raw(u_terms),
-                         _raw(v_terms))
-    return _scalars(field, out, out.values(), [den] * (1 + max(map(len, out), default=0)))
-
-
-def _operate(field: Field, n: int, rows: tuple, u_terms: dict, v_terms: dict,
-             wedge: bool = True, words: bool = False) -> dict:
-    """The same sum on blades, which are bitmasks inside the kernel, as
-    are u's keys unless words is set (reverse and quotient_map, whose u
-    is keyed by words): on packed integers (_packed_sum) when
+def _operate(p: int, n: int, rows: tuple, u: tuple, v: tuple, wedge: bool = True) -> tuple:
+    """The sum over the words S of u of u_S (e_S . v), where e_i acts by
+    e_i ^ (or e_i (x) on words; not at all when wedge is off) plus the
+    contraction by row i of rows (see _actions): the canonical
+    (data, den) of the result.  u and v are (data, den) pairs; u's keys
+    are masks or words, and v's keys, masks or words, set the action.
+    On masks it runs on packed integers (_packed_sum) when
     2 min(|u|, |v|) >= 2^n, so that at least half the 2^n slots are
     filled from the start, else on dicts (_word_sum).  Below that the
     packed sum's fixed set-up costs more than it saves: at n = 4 with 4
     to 6 terms a side it takes about 2.5 times as long as the dicts,
     from 7 terms a side less."""
+    (u, du), (v, dv) = u, v
     actions = _actions(n, rows, wedge)
-    u = _raw(u_terms) if words else _entry(n, u_terms)
-    v = _entry(n, v_terms)
-    if 2 * min(len(u), len(v)) >= 1 << n:
-        values, den = _packed_sum(actions, field.char, n, u, v)
-        return _scalars(field, _blades(n), values, [den] * (n + 1))
-    out, den = _word_sum(_act, actions, field.char, u, v)
-    return _scalars(field, _blades_of(n, out), out.values(), [den] * (n + 1))
+    words = type(next(iter(v), None)) is tuple
+    if not words and 2 * min(len(u), len(v)) >= 1 << n:
+        values, den = _packed_sum(actions, p, n, u, v)
+        return _canonical(p, range(1 << n), values, du * dv * den)
+    out, den = _word_sum(_act_word if words else _act, actions, p, u, v)
+    return _canonical(p, out, out.values(), du * dv * den)
 
 
 def _pair_rows(p: int, n: int, rows: tuple) -> tuple:
@@ -648,35 +604,41 @@ def _packed_pairs(g: list, n: int, terms: dict) -> list:
     return _unpack(P, N, n, width)
 
 
-def _contract_pairs(field: Field, n: int, rows: tuple, w_terms: dict) -> dict:
+def _contract_pairs(p: int, n: int, rows: tuple, w: tuple) -> tuple:
     """exp(sum over i < j of B_ij i_j i_i) w, B of the rows (see
-    _actions), on the packed carrier (_packed_pairs) when
-    2 |w| >= 2^max(n, 7), else on dicts (_pair_passes).  A dict pass is
-    cheaper than a generator action, so the pair product packs later
-    than _operate.  Timed on the same input, the dicts are faster up to
-    n = 5 even for a dense w (40-80% of the packed time), the carriers
-    meet at n = 6 with half to three quarters of the slots filled, and
-    packing wins for a full w at n = 6 and for half the slots or more
-    from n = 7 on.  The pairs come from _pair_rows.  Over Q it is
-    fraction-free: with d its common denominator, w_M is weighted by
-    d^((T - |M|) / 2), T the top grade of w of the parity of |M|, and
-    the result at K is divided once by den(w) times d^((T - |K|) / 2)."""
-    p = field.char
+    _actions) and w a (data, den) pair keyed by masks, as the canonical
+    (data, den) of the result: on the packed carrier (_packed_pairs)
+    when 2 |w| >= 2^max(n, 7), else on dicts (_pair_passes).  A dict
+    pass is cheaper than a generator action, so the pair product packs
+    later than _operate.  Timed on the same input, the dicts are faster
+    up to n = 5 even for a dense w (40-80% of the packed time), the
+    carriers meet at n = 6 with half to three quarters of the slots
+    filled, and packing wins for a full w at n = 6 and for half the
+    slots or more from n = 7 on.  The pairs come from _pair_rows.  Over
+    Q it is fraction-free: with d its common denominator, w_M is
+    weighted by d^((T - |M|) / 2), T the top grade of w of the parity
+    of |M|, so the result at K is over den(w) d^((T - |K|) / 2); each
+    grade is lifted to the largest of these before the exit."""
     g, d = _pair_rows(p, n, rows)
-    w = _entry(n, w_terms)
-    num, dw = _ints(p, list(w.values()))
-    dens = [dw] * (n + 1)
+    terms, den = w
     if d != 1:
-        grades = set(map(int.bit_count, w))
+        grades = set(map(int.bit_count, terms))
         top = [max((k for k in grades if k & 1 == r), default=r) for r in (0, 1)]
-        weights = [d ** (max(top[k & 1] - k, 0) >> 1) for k in range(n + 1)]
-        num = [c * weights[m.bit_count()] for m, c in zip(w, num)]
-        dens = [dw * x for x in weights]
-    terms = dict(zip(w, num))
+        powers = [max(top[k & 1] - k, 0) >> 1 for k in range(n + 1)]
+        weights = [d ** x for x in powers]
+        terms = dict(zip(terms, map(mul, terms.values(),
+                                    map(weights.__getitem__, map(int.bit_count, terms)))))
     if 2 * len(terms) >= 1 << max(n, 7):
-        return _scalars(field, _blades(n), _packed_pairs(g, n, terms), dens)
-    out = _pair_passes(g, terms)
-    return _scalars(field, _blades_of(n, out), out.values(), dens)
+        keys, values = range(1 << n), _packed_pairs(g, n, terms)
+    else:
+        keys = _pair_passes(g, terms)
+        values = keys.values()
+    if d != 1:
+        most = max(powers)
+        lift = [d ** (most - x) for x in powers]
+        values = map(mul, values, map(lift.__getitem__, map(int.bit_count, keys)))
+        den *= d ** most
+    return _canonical(p, keys, values, den)
 
 
 def _chevalley(q: QuadraticForm, F: BilinearForm | None = None) -> tuple:
@@ -689,28 +651,27 @@ def _chevalley(q: QuadraticForm, F: BilinearForm | None = None) -> tuple:
 
 
 class _Sparse:
-    """A finite map from keys to nonzero Scalars over one context: the
-    arithmetic CliffElt (blades) and TensorElt (words) share.  Each
-    class checks its keys in its constructor, names the context slot
-    (cctx, ctx), refuses an operand of another context in _same, and
-    sets how __repr__ shows a key in _key_text (opening, separator,
-    closing)."""
+    """A finite linear combination over one context as the kernel takes
+    it, canonical (data, den) (see the module's notes), so equal
+    elements have equal data: the arithmetic CliffElt (masks) and
+    TensorElt (words) share.  Each class checks a key (its constructor,
+    _key), reads the public keys and their grade (_keys, _grade), names
+    the context slot (cctx, ctx) and the unit's key, refuses an operand
+    of another context (_same) and shows a key in _key_text."""
 
-    __slots__ = ("_home", "terms")
+    __slots__ = ("_home", "data", "den", "_terms")
 
     @classmethod
-    def _of(cls, home, terms: dict):
-        """The element of terms, a map the kernel or a builder of valid
-        keys made: its values are nonzero already, so it is taken as is."""
-        self = object.__new__(cls)
-        self._home = home
-        self.terms = terms
+    def _of(cls, home, data: dict, den: int = 1):
+        """The element of a canonical (data, den), taken as it is."""
+        self = _new(cls)
+        self._home, self.data, self.den = home, data, den
         return self
 
-    def _nonzero(self, terms: dict):
-        """The element of terms over this context, whose keys come from
-        checked elements: only the zero values are dropped."""
-        return self._of(self._home, {k: c for k, c in terms.items() if c})
+    @classmethod
+    def _made(cls, home, keys, values, den: int = 1):
+        """The element of raw int values at keys over den, made canonical."""
+        return cls._of(home, *_canonical(home.field.char, keys, values, den))
 
     @classmethod
     def zero(cls, home):
@@ -718,35 +679,51 @@ class _Sparse:
 
     @classmethod
     def unit(cls, home):
-        return cls._of(home, {(): home.field.one})
+        return cls._of(home, {cls._unit_key: 1})
+
+    @property
+    def terms(self) -> MappingProxyType:
+        """The element as a read-only map from its keys (blades, words)
+        to Scalars, built on first read and kept."""
+        try:
+            return self._terms
+        except AttributeError:  # x / den in lowest terms is canonical (see Scalar)
+            field, den = self._home.field, self.den
+            self._terms = MappingProxyType(dict(zip(self._keys(), [
+                canonical(field, x // den if x % den == 0 else Fraction(x, den))
+                for x in self.data.values()])))
+            return self._terms
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.data)
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self._home == other._home and self.terms == other.terms
+        return self._home == other._home and self.den == other.den and self.data == other.data
 
     def __add__(self, other):
         self._same(other)
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            cur = out.get(key)
-            out[key] = coeff if cur is None else cur + coeff
-        return self._nonzero(out)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        out = dict(self.data) if a == 1 else {k: c * a for k, c in self.data.items()}
+        get = out.get
+        for k, c in other.data.items():
+            out[k] = get(k, 0) + c * b
+        return self._made(self._home, out, out.values(), den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return self._nonzero({k: -c for k, c in self.terms.items()})
+        return self._made(self._home, self.data, map(neg, self.data.values()), self.den)
 
     def __mul__(self, other):
         """Multiplication by a scalar; each class adds its own product."""
         if isinstance(other, (Scalar, int)):
-            s = self._home.coerce(other)
-            return self._nonzero({k: c * s for k, c in self.terms.items()})
+            s = self._home.coerce(other).value
+            values = map(mul, self.data.values(), repeat(s.numerator))
+            return self._made(self._home, self.data, values, self.den * s.denominator)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -755,58 +732,65 @@ class _Sparse:
         return NotImplemented
 
     def coeff(self, key) -> Scalar:
-        return self.terms.get(tuple(key), self._home.field.zero)
+        """The coefficient of a key (a blade, a word); a key that is not
+        one raises the constructor's FormError."""
+        key = self._key(tuple(key) if hasattr(key, "__iter__") else key)
+        return self._home.field(Fraction(self.data.get(key, 0), self.den))
 
     def grade_part(self, p: int):
-        return self._nonzero({k: c for k, c in self.terms.items() if len(k) == p})
+        out = {k: c for k, c in self.data.items() if self._grade(k) == p}
+        return self._made(self._home, out, out.values(), self.den)
 
     def grade_involution(self):
         """Sign (-1)^p on each grade-p key.  It descends from the tensor
         algebra to each Clifford algebra because the defining ideal is
         generated by even elements."""
-        return self._nonzero({k: (c if len(k) % 2 == 0 else -c) for k, c in self.terms.items()})
+        return self._made(self._home, self.data, [
+            -c if self._grade(k) & 1 else c for k, c in self.data.items()], self.den)
 
-    def _sorted_keys(self) -> list:
-        """The keys by grade, then lexicographically: the order of
-        __repr__ and to_json."""
-        return sorted(self.terms, key=lambda t: (len(t), t))
+    def _sorted_terms(self) -> list:
+        """The (key, Scalar) pairs by grade, then lexicographically: the
+        order of __repr__ and to_json."""
+        return sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]))
 
     def __repr__(self):
         left, sep, right = self._key_text
-        bits = [f"{self.terms[k]}*{left}{sep.join(map(str, k))}{right}"
-                for k in self._sorted_keys()]
+        bits = [f"{c}*{left}{sep.join(map(str, k))}{right}" for k, c in self._sorted_terms()]
         return f"{type(self).__name__}({' + '.join(bits) or 0})"
 
 
 class CliffElt(_Sparse):
-    """A normal-form element: finite map from increasing blades to
-    scalars.  Over the exterior context it is also an element of the
-    exterior algebra of the dual, the argument of interior."""
+    """A normal-form element: a finite linear combination of increasing
+    blades, held by their masks (see _Sparse).  Over the exterior
+    context it is also an element of the exterior algebra of the dual,
+    the argument of interior."""
 
     __slots__ = ()
     cctx = _Sparse._home
     _key_text = ("{", ",", "}")
+    _unit_key = 0
+    _grade = staticmethod(int.bit_count)
 
     def _same(self, other: "CliffElt"):
         if self.cctx != other.cctx:
             raise ContextMismatch("elements of different Clifford contexts")
 
     def __init__(self, cctx: CliffordContext, terms=None):
-        """A key that is not a blade on e_1 .. e_n raises FormError, zero
-        or not, and one equal to a blade is stored as it: (True,) as (1,).
-        Up to _TABLE_DIM it is looked up in _masks(n), above tested alone."""
-        n = cctx.dim
+        """terms maps blades to Scalars of cctx's field.  A key that is
+        not a blade on e_1 .. e_n raises FormError, zero or not, and one
+        equal to a blade is taken as it: (True,) as (1,)."""
         terms = terms or {}
-        if n <= _TABLE_DIM:
-            mask, blade = _masks(n).__getitem__, _kept_blades(n).__getitem__
-        else:
-            mask, blade = partial(_checked_index, n), index_subset
-        try:
-            self.terms = {blade(m): c for m, c in zip(map(mask, terms), terms.values()) if c}
-        except KeyError as exc:
-            raise FormError(f"a term's key must be a blade on e_1..e_{n}, "
-                            f"got {excerpt(exc.args[0])}") from None
+        keys = _blade_masks(cctx.dim, terms)
         self._home = cctx
+        self.data, self.den = _data_of(cctx.field.char, keys, terms.values())
+
+    def _key(self, blade) -> int:
+        return _blade_masks(self.cctx.dim, (blade,))[0]
+
+    def _keys(self):
+        """The blades of the masks in data, from _blades(n) up to _TABLE_DIM."""
+        n = self.cctx.dim
+        return map(_blades(n).__getitem__ if n <= _TABLE_DIM else index_subset, self.data)
 
     @classmethod
     def blade(cls, cctx: CliffordContext, indices, coeff=1) -> "CliffElt":
@@ -817,26 +801,27 @@ class CliffElt(_Sparse):
     @classmethod
     def from_vector(cls, cctx: CliffordContext, x: Vector) -> "CliffElt":
         same_context(cctx.ctx, x.ctx)
-        return cls._of(cctx, {(i + 1,): c for i, c in enumerate(x.coeffs) if c})
+        return cls._of(cctx, *_data_of(cctx.field.char, [1 << i for i in range(cctx.dim)],
+                                       x.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, CliffElt):
             self._same(other)
-            return CliffElt._of(self.cctx, _operate(self.cctx.field, self.cctx.dim,
-                                                    _chevalley(self.cctx.quadratic),
-                                                    self.terms, other.terms))
+            cctx = self.cctx
+            return CliffElt._of(cctx, *_operate(cctx.field.char, cctx.dim, _chevalley(
+                cctx.quadratic), (self.data, self.den), (other.data, other.den)))
         return super().__mul__(other)
 
     def reverse(self) -> "CliffElt":
         """The anti-automorphism reversing generator order: each blade
         read backwards, as a word acting on the unit."""
-        return CliffElt._of(self.cctx, _operate(
-            self.cctx.field, self.cctx.dim, _chevalley(self.cctx.quadratic),
-            {b[::-1]: c for b, c in self.terms.items()}, {(): self.cctx.field.one}, words=True))
+        cctx = self.cctx
+        words = {b[::-1]: c for b, c in zip(self._keys(), self.data.values())}
+        return CliffElt._of(cctx, *_operate(cctx.field.char, cctx.dim, _chevalley(cctx.quadratic),
+                                            (words, self.den), ({0: 1}, 1)))
 
     def to_json(self) -> dict:
-        return {"terms": [{"blade": list(b), "coeff": str(self.terms[b])}
-                          for b in self._sorted_keys()]}
+        return {"terms": [{"blade": list(b), "coeff": str(c)} for b, c in self._sorted_terms()]}
 
     @classmethod
     def from_json(cls, cctx: CliffordContext, data: dict) -> "CliffElt":
@@ -858,16 +843,16 @@ def quotient_map(cctx: CliffordContext, u: TensorElt) -> CliffElt:
     """The canonical algebra homomorphism from the tensor algebra onto
     the quotient: each word acts on the unit."""
     same_context(cctx.ctx, u.ctx)
-    return CliffElt._of(cctx, _operate(cctx.field, cctx.dim, _chevalley(cctx.quadratic),
-                                       u.terms, {(): cctx.field.one}, words=True))
+    return CliffElt._of(cctx, *_operate(cctx.field.char, cctx.dim, _chevalley(cctx.quadratic),
+                                        (u.data, u.den), ({0: 1}, 1)))
 
 
 def contract(f: LinearForm, w: CliffElt) -> CliffElt:
     """The descended antiderivation of a linear form on normal forms:
     the word (1,) acting with f as its only row and no wedge part."""
     same_context(f.ctx, w.cctx.ctx)
-    return CliffElt._of(w.cctx, _operate(w.cctx.field, f.ctx.dim, _ints(f.ctx.field.char, list(
-        map(_value, f.coeffs))), {(1,): w.cctx.field.one}, w.terms, wedge=False))
+    return CliffElt._of(w.cctx, *_operate(w.cctx.field.char, f.ctx.dim, scaled_ints(list(
+        map(_value, f.coeffs))), ({1: 1}, 1), (w.data, w.den), wedge=False))
 
 
 def contract_vec(F: BilinearForm, x: Vector, w: CliffElt) -> CliffElt:
@@ -876,9 +861,12 @@ def contract_vec(F: BilinearForm, x: Vector, w: CliffElt) -> CliffElt:
 
 
 def _check_shift(F: BilinearForm, source_q: QuadraticForm, target_q: QuadraticForm):
-    """source_q must be target_q + (x -> F(x, x)); the data are
-    canonical, so that is equality of the records."""
-    if source_q.ctx != target_q.ctx or source_q != target_q + quad_of_bilinear(F):
+    """source_q must be target_q + (x -> F(x, x)): their G_Q entries,
+    cross-multiplied by the three denominators (1 over GF(p), mod p)."""
+    s, t, f, p = source_q.den, target_q.den, F.den, F.ctx.field.char
+    off = [x * t * f - y * s * f - z * s * t
+           for x, y, z in zip(source_q.nums, target_q.nums, _quad_nums(F))]
+    if source_q.ctx != target_q.ctx or any([x % p for x in off] if p else off):
         raise FormError(
             "quadratic forms do not match: source must equal target plus the "
             "quadratic part of the deforming form")
@@ -909,7 +897,8 @@ def deform(F: BilinearForm, w: CliffElt, target: CliffordContext | None = None) 
     else:
         same_context(target.ctx, src.ctx)
         _check_shift(F, src.quadratic, target.quadratic)
-    return CliffElt._of(target, _contract_pairs(target.field, src.dim, (F.nums, F.den), w.terms))
+    return CliffElt._of(target, *_contract_pairs(target.field.char, src.dim, (F.nums, F.den),
+                                                 (w.data, w.den)))
 
 
 def deform_apply(F: BilinearForm, u: CliffElt, v: CliffElt) -> CliffElt:
@@ -918,19 +907,23 @@ def deform_apply(F: BilinearForm, u: CliffElt, v: CliffElt) -> CliffElt:
     contraction); evaluating at the unit recovers deform(F, u)."""
     same_context(F.ctx, v.cctx.ctx)
     _check_shift(F, u.cctx.quadratic, v.cctx.quadratic)
-    return CliffElt._of(v.cctx, _operate(v.cctx.field, v.cctx.dim, _chevalley(v.cctx.quadratic, F),
-                                         u.terms, v.terms))
+    return CliffElt._of(v.cctx, *_operate(v.cctx.field.char, v.cctx.dim, _chevalley(
+        v.cctx.quadratic, F), (u.data, u.den), (v.data, v.den)))
 
 
 def twisted_mul(F: BilinearForm, u: CliffElt, v: CliffElt) -> CliffElt:
     """The product of the shifted algebra carried onto this one: deform
     both factors into the algebra of Q + Q_F, multiply there, come back.
     The deformation is a module map, so that is the deformed u acting
-    on v; for a vector u = x it is x v + contraction_x(v)."""
+    on v; for a vector u = x it is x v + contraction_x(v).  The deformed
+    u depends on F alone (see deform), so the shifted algebra is not built."""
     if u.cctx != v.cctx:
         raise ContextMismatch("twisted product needs elements of one context")
-    same_context(F.ctx, u.cctx.ctx)
-    return deform_apply(F, deform(-F, u, target=u.cctx.shift(F)), v)
+    cctx = u.cctx
+    same_context(F.ctx, cctx.ctx)
+    p, n = cctx.field.char, cctx.dim
+    return CliffElt._of(cctx, *_operate(p, n, _chevalley(cctx.quadratic, F), _contract_pairs(
+        p, n, (list(map(neg, F.nums)), F.den), (u.data, u.den)), (v.data, v.den)))
 
 
 def interior(ustar: CliffElt, w: CliffElt) -> CliffElt:
@@ -944,8 +937,8 @@ def interior(ustar: CliffElt, w: CliffElt) -> CliffElt:
     if not ustar.cctx.is_exterior():
         raise FormError("interior expects an exterior-algebra element")
     same_context(ustar.cctx.ctx, w.cctx.ctx)
-    return CliffElt._of(w.cctx, _operate(w.cctx.field, w.cctx.dim, (
-        BilinearForm.identity(w.cctx.ctx).nums, 1), ustar.terms, w.terms, wedge=False))
+    return CliffElt._of(w.cctx, *_operate(w.cctx.field.char, w.cctx.dim, (BilinearForm.identity(
+        w.cctx.ctx).nums, 1), (ustar.data, ustar.den), (w.data, w.den), wedge=False))
 
 
 # The largest exp_contract work estimate that runs (see exp_contract);
@@ -974,7 +967,7 @@ def exp_contract(astar: DualTwoForm, w: CliffElt) -> CliffElt:
     _EXP_GUARD is refused with CapExceeded before any work."""
     same_context(astar.ctx, w.cctx.ctx)
     n = astar.ctx.dim
-    support = subset_index({i for blade in w.terms for i in blade})
+    support = reduce(or_, w.data, 0)
     rows = [0] * (n * n)
     pairs = covered = 0
     for i in range(n):
@@ -983,12 +976,13 @@ def exp_contract(astar: DualTwoForm, w: CliffElt) -> CliffElt:
                 rows[i * n + j] = -x
                 pairs += 1
                 covered |= (1 << i) | (1 << j)
-    cost = pairs * min(len(w.terms) << covered.bit_count(), 1 << support.bit_count())
+    cost = pairs * min(len(w.data) << covered.bit_count(), 1 << support.bit_count())
     if cost > _EXP_GUARD:
         raise CapExceeded(
             f"exp_contract work {cost} exceeds the guard {_EXP_GUARD}: {pairs} pairs "
-            f"on {covered.bit_count()} indices of w, {len(w.terms)} terms")
-    return CliffElt._of(w.cctx, _contract_pairs(w.cctx.field, n, (rows, astar.den), w.terms))
+            f"on {covered.bit_count()} indices of w, {len(w.data)} terms")
+    return CliffElt._of(w.cctx, *_contract_pairs(w.cctx.field.char, n, (rows, astar.den),
+                                                 (w.data, w.den)))
 
 
 def _half_polar(cctx: CliffordContext) -> BilinearForm:

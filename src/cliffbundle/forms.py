@@ -416,13 +416,17 @@ def polar_form(q: QuadraticForm) -> BilinearForm:
                                            q.den))
 
 
-def quad_of_bilinear(f: BilinearForm) -> QuadraticForm:
-    """The quadratic form x -> F(x, x); its polar is F + F^T, so G_Q is
-    F's diagonal with F + F^T below it."""
+def _quad_nums(f: BilinearForm) -> list:
+    """The entries of G_Q, Q = (x -> F(x, x)), over f.den, not made
+    canonical: F's diagonal with F + F^T below it, Q's polar form."""
     n, a = f.ctx.dim, f.nums
-    return QuadraticForm(f.ctx, *_canonical(f.ctx.field, [
-        a[i * n + j] + a[j * n + i] if j < i else a[i * n + i] if j == i else 0
-        for i in range(n) for j in range(n)], f.den))
+    return [a[i * n + j] + a[j * n + i] if j < i else a[i * n + i] if j == i else 0
+            for i in range(n) for j in range(n)]
+
+
+def quad_of_bilinear(f: BilinearForm) -> QuadraticForm:
+    """The quadratic form x -> F(x, x) (see _quad_nums)."""
+    return QuadraticForm(f.ctx, *_canonical(f.ctx.field, _quad_nums(f), f.den))
 
 
 def triangular_bilinear(q: QuadraticForm) -> BilinearForm:

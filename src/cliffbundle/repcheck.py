@@ -25,12 +25,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
 from math import gcd
 
 from . import linalg
-from .clifford import (CliffElt, CliffordContext, _act, _actions, _blades, _entry,
-                       _masks_of, _pair_passes, _pair_rows, _word_sum)
+from .clifford import (CliffElt, CliffordContext, _act, _actions, _data_of, _pair_passes,
+                       _pair_rows, _word_sum)
 from .errors import CapExceeded, FieldMismatch, FormError
 from .forms import AlgebraContext, BilinearForm, quad_of_bilinear, same_context
 from .records import record
@@ -41,9 +40,8 @@ _REP_DIM_LIMIT = 12
 
 def cliff_to_vec(w: CliffElt):
     """Coefficient column of an element in the subset basis."""
-    n = w.cctx.dim
-    vec = [w.cctx.field.zero] * (1 << n)
-    for m, c in zip(_masks_of(n, w.terms), w.terms.values()):
+    vec = [w.cctx.field.zero] * (1 << w.cctx.dim)
+    for m, c in zip(w.data, w.terms.values()):
         vec[m] = c
     return vec
 
@@ -54,7 +52,7 @@ def vec_to_cliff(cctx: CliffordContext, vec) -> CliffElt:
     if len(vec) != 1 << cctx.dim:
         raise FormError(f"a coefficient column at dim {cctx.dim} has length "
                         f"{1 << cctx.dim}, got {len(vec)}")
-    return CliffElt(cctx, dict(compress(zip(_blades(cctx.dim), vec), vec)))
+    return CliffElt._of(cctx, *_data_of(cctx.field.char, range(len(vec)), vec))
 
 
 @record(frozen=True)
@@ -171,14 +169,14 @@ def rho_matrix(F: BilinearForm, u: CliffElt) -> EndoMatrix:
     if u.cctx.quadratic != quad_of_bilinear(F):
         raise FormError("element must live over the quadratic form of F")
     _rep_guard(ctx.dim)
-    return _rho(ctx, _actions(ctx.dim, (F.nums, F.den)), _entry(ctx.dim, u.terms))
+    return _rho(ctx, _actions(ctx.dim, (F.nums, F.den)), u.data, u.den)
 
 
-def _rho(ctx: AlgebraContext, actions: tuple, u: dict) -> EndoMatrix:
-    """rho_matrix of u, a mask -> raw value map, under the generator
+def _rho(ctx: AlgebraContext, actions: tuple, u: dict, den: int) -> EndoMatrix:
+    """rho_matrix of u / den, u a mask -> int map, under the generator
     actions of F (see clifford._actions), its checks passed."""
-    out, den = _word_sum(_act, actions, ctx.field.char, u, _unit_map(ctx.dim))
-    return _endo(ctx, out, den)
+    out, scale = _word_sum(_act, actions, ctx.field.char, u, _unit_map(ctx.dim))
+    return _endo(ctx, out, den * scale)
 
 
 def generator_matrices(F: BilinearForm):
@@ -188,7 +186,7 @@ def generator_matrices(F: BilinearForm):
     ctx = F.ctx
     _rep_guard(ctx.dim)
     actions = _actions(ctx.dim, (F.nums, F.den))
-    return [_rho(ctx, actions, {1 << i: 1}) for i in range(ctx.dim)]
+    return [_rho(ctx, actions, {1 << i: 1}, 1) for i in range(ctx.dim)]
 
 
 def twist_matrix(A: BilinearForm) -> EndoMatrix:

@@ -305,7 +305,7 @@ _new = object.__new__
 
 def canonical(field: Field, value) -> Scalar:
     """The Scalar of a value already in canonical form (see Scalar),
-    built without __init__'s tests: the kernels' exit."""
+    built without __init__'s tests: an element's terms view."""
     s = _new(Scalar)
     s.field = field
     s.value = value

@@ -18,10 +18,10 @@ their sparse arithmetic with CliffElt.
 
 from __future__ import annotations
 
-from .clifford import _Sparse, _apply, _ints
+from .clifford import _Sparse, _data_of, _operate
 from .errors import CapExceeded, FormError, ParseError
 from .forms import AlgebraContext, BilinearForm, LinearForm, Vector, same_context
-from .scalars import excerpt, shaped
+from .scalars import excerpt, scaled_ints, shaped
 
 
 # the longest word an operation may build, a guard against runaway products
@@ -44,23 +44,32 @@ def _checked_word(ctx: AlgebraContext, word: tuple) -> tuple:
 
 
 class TensorElt(_Sparse):
-    """A sparse element of the tensor algebra: finite map word -> scalar."""
+    """A sparse element of the tensor algebra: a finite linear
+    combination of words, held by them (see _Sparse)."""
 
     __slots__ = ()
     ctx = _Sparse._home
     _key_text = ("[", ", ", "]")
+    _unit_key = ()
+    _grade = staticmethod(len)
 
     def __init__(self, ctx: AlgebraContext, terms=None):
-        """A key that is not a tuple of letters in 1..n raises FormError,
-        zero or not."""
+        """terms maps words to Scalars of ctx's field.  A key that is not
+        a tuple of letters in 1..n raises FormError, zero or not."""
         terms = terms or {}
         for word in terms:
             _checked_word(ctx, word)
         self._home = ctx
-        self.terms = {k: c for k, c in terms.items() if c}
+        self.data, self.den = _data_of(ctx.field.char, terms, terms.values())
 
     def _same(self, other: "TensorElt"):
         same_context(self.ctx, other.ctx)
+
+    def _key(self, word) -> tuple:
+        return _checked_word(self.ctx, word)
+
+    def _keys(self):
+        return self.data
 
     @classmethod
     def from_word(cls, ctx: AlgebraContext, word, coeff=1) -> "TensorElt":
@@ -71,37 +80,31 @@ class TensorElt(_Sparse):
 
     @classmethod
     def from_vector(cls, x: Vector) -> "TensorElt":
-        return cls._of(x.ctx, {(i + 1,): c for i, c in enumerate(x.coeffs) if c})
+        return cls._of(x.ctx, *_data_of(x.ctx.field.char, [(i + 1,) for i in range(x.ctx.dim)],
+                                        x.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, TensorElt):
             self._same(other)
             out = {}
-            for wa, ca in self.terms.items():
-                for wb, cb in other.terms.items():
+            get = out.get
+            for wa, ca in self.data.items():
+                for wb, cb in other.data.items():
                     word = wa + wb
                     _check_grade(len(word))
-                    c = ca * cb
-                    cur = out.get(word)
-                    out[word] = c if cur is None else cur + c
-            return self._nonzero(out)
+                    out[word] = get(word, 0) + ca * cb
+            return self._made(self.ctx, out, out.values(), self.den * other.den)
         return super().__mul__(other)
 
     def max_grade(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
+        return max(map(len, self.data), default=0)
 
     def reverse(self) -> "TensorElt":
         """Word reversal, the involutive anti-automorphism."""
-        out = {}
-        for w, c in self.terms.items():
-            rw = w[::-1]
-            cur = out.get(rw)
-            out[rw] = c if cur is None else cur + c
-        return self._nonzero(out)
+        return self._of(self.ctx, {w[::-1]: c for w, c in self.data.items()}, self.den)
 
     def to_json(self) -> dict:
-        return {"terms": [{"word": list(w), "coeff": str(self.terms[w])}
-                          for w in self._sorted_keys()]}
+        return {"terms": [{"word": list(w), "coeff": str(c)} for w, c in self._sorted_terms()]}
 
     @classmethod
     def from_json(cls, ctx: AlgebraContext, data: dict) -> "TensorElt":
@@ -133,9 +136,8 @@ def contract(f: LinearForm, u: TensorElt) -> TensorElt:
     That is the word (1,) acting with f as its only row and no wedge
     part."""
     same_context(f.ctx, u.ctx)
-    field = u.ctx.field
-    return TensorElt._of(u.ctx, _apply(field, f.ctx.dim, _ints(field.char, [
-        c.value for c in f.coeffs]), {(1,): field.one}, u.terms, wedge=False))
+    return TensorElt._of(u.ctx, *_operate(u.ctx.field.char, f.ctx.dim, scaled_ints([
+        c.value for c in f.coeffs]), ({(1,): 1}, 1), (u.data, u.den), wedge=False))
 
 
 def contract_vec(F: BilinearForm, x: Vector, u: TensorElt) -> TensorElt:
@@ -149,10 +151,10 @@ def deform_apply(F: BilinearForm, u: TensorElt, v: TensorElt) -> TensorElt:
     plus the contraction by F(e_i, .)."""
     same_context(F.ctx, u.ctx)
     same_context(F.ctx, v.ctx)
-    if u.max_grade() and v.terms:  # the longest word built: u's longest word on v's
+    if u.max_grade() and v.data:  # the longest word built: u's longest word on v's
         _check_grade(u.max_grade() + v.max_grade())
-    return TensorElt._of(v.ctx, _apply(v.ctx.field, v.ctx.dim, (F.nums, F.den), u.terms,
-                                       v.terms))
+    return TensorElt._of(v.ctx, *_operate(v.ctx.field.char, v.ctx.dim, (F.nums, F.den),
+                                          (u.data, u.den), (v.data, v.den)))
 
 
 def deform(F: BilinearForm, u: TensorElt) -> TensorElt:
@@ -178,12 +180,11 @@ def divided_power(F: BilinearForm, k: int, u: TensorElt) -> TensorElt:
         raise FormError("divided power index must be >= 0")
     same_context(F.ctx, u.ctx)
     if k == 0:
-        return u._nonzero(u.terms)
-    rows = (F.nums, F.den)
-    unit = {(): u.ctx.field.one}
-    out = {}
-    for grade in {len(w) for w in u.terms if len(w) >= 2 * k}:
-        part = {w: c for w, c in u.terms.items() if len(w) == grade}
-        out.update((w, c) for w, c in _apply(u.ctx.field, u.ctx.dim, rows, part, unit).items()
-                   if len(w) == grade - 2 * k)
-    return u._nonzero(out)
+        return u
+    p, n, rows, unit = u.ctx.field.char, u.ctx.dim, (F.nums, F.den), ({(): 1}, 1)
+    out = TensorElt.zero(u.ctx)
+    for grade in {len(w) for w in u.data if len(w) >= 2 * k}:
+        part = {w: c for w, c in u.data.items() if len(w) == grade}
+        image = TensorElt._of(u.ctx, *_operate(p, n, rows, (part, u.den), unit))
+        out = out + image.grade_part(grade - 2 * k)
+    return out

@@ -6,6 +6,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -23,9 +24,8 @@ from cliffbundle.sampling import (rand_alternating, rand_bilinear, rand_cliff,
 from cliffbundle import clifford, scalars
 from cliffbundle.forms import quad_of_bilinear
 from cliffbundle.scalars import Scalar, scaled_ints
-from cliffbundle.clifford import (_act, _actions, _blades, _blades_of, _contract_pairs, _entry,
-                                  _operate, _packed_sum, _scalars, _word_sum, index_subset,
-                                  subset_index)
+from cliffbundle.clifford import (_act, _actions, _canonical, _contract_pairs, _data_of,
+                                  _operate, _packed_sum, _word_sum, index_subset, subset_index)
 from oracles import (chevalley_rows, deform_sum, interior_sum, pair_sum, quantize_perm_sum,
                      to_exterior, word_sum)
 
@@ -251,11 +251,11 @@ def test_chevalley_rows_match_oracle(field):
 
 
 def _count_scalars(monkeypatch) -> list:
-    """Count every Scalar built from here on, by Scalar.__init__, by
-    scalars.canonical or by the kernel's exit (object.__new__ on Scalar):
-    a one-item list holding the count."""
+    """Count every Scalar built from here on, by Scalar.__init__ or by
+    scalars.canonical (as scalars and clifford bind it): a one-item list
+    holding the count."""
     count = [0]
-    init, canonical, new = Scalar.__init__, scalars.canonical, clifford._new
+    init, canonical = Scalar.__init__, scalars.canonical
 
     def counted_init(self, *args):
         count[0] += 1
@@ -265,25 +265,19 @@ def _count_scalars(monkeypatch) -> list:
         count[0] += 1
         return canonical(*args)
 
-    def counted_new(cls):
-        count[0] += cls is Scalar
-        return new(cls)
-
     monkeypatch.setattr(Scalar, "__init__", counted_init)
     monkeypatch.setattr(scalars, "canonical", counted_canonical)
     monkeypatch.setattr(clifford, "canonical", counted_canonical)
-    monkeypatch.setattr(clifford, "_new", counted_new)
     return count
 
 
-def test_set_up_builds_no_scalars(monkeypatch):
-    """A cost guard on counts, which do not drift: a dense twisted_mul
-    and a symbol at n = 5 over Q build one Scalar per output term of
-    each kernel call (twisted_mul makes two: the deformed u and the
-    product) and none in their set-up, which is int work on the forms'
-    data.  The counted calls get forms reached by arithmetic and drawn
-    afresh, so no view of them is built yet and reading one would count
-    too."""
+def test_operations_build_no_scalars(monkeypatch):
+    """A cost guard on counts, which do not drift: a dense twisted_mul,
+    symbol and deform at n = 5 over Q build no Scalar at all, in their
+    set-up (int work on the forms' data) or in the kernel; the first read
+    of a result's terms builds one per term, and a second read none.
+    The counted calls get forms reached by arithmetic and drawn afresh,
+    so no view of them is built yet and reading one would count too."""
     ctx = AlgebraContext(5, RATIONALS)
 
     def draw():
@@ -293,16 +287,78 @@ def test_set_up_builds_no_scalars(monkeypatch):
         return (cctx, F, *(CliffElt(cctx, _blade_terms(rng, RATIONALS, 5)) for _ in range(3)))
 
     cctx, F, u, v, w = draw()
-    back = deform(-F, u, target=cctx.shift(F))
-    product, image = twisted_mul(F, u, v), symbol(w)
+    expected = twisted_mul(F, u, v), symbol(w), deform(F, w)
     assert len(u.terms) == len(v.terms) == len(w.terms) == 32
     cctx, F, u, v, w = draw()
     count = _count_scalars(monkeypatch)
-    assert twisted_mul(F, u, v) == product
-    assert count[0] == len(back.terms) + len(product.terms) > 32
-    count[0] = 0
-    assert symbol(w) == image
-    assert count[0] == len(image.terms) > 16
+    outputs = twisted_mul(F, u, v), symbol(w), deform(F, w)
+    assert count[0] == 0
+    assert outputs == expected
+    for out in outputs:
+        assert len(out.terms) > 16 and count[0] == len(out.terms)
+        assert out.terms is out.terms and count[0] == len(out.terms)
+        count[0] = 0
+
+
+def _canonical_data(elt) -> bool:
+    """Whether elt holds canonical data: nonzero int values, over GF(p)
+    residues over den 1, over Q over den > 0 with no common factor."""
+    p, values = elt._home.field.char, list(elt.data.values())
+    if not all(type(x) is int and x for x in values):
+        return False
+    if p:
+        return elt.den == 1 and all(0 < x < p for x in values)
+    return elt.den > 0 and gcd(elt.den, *values) == 1
+
+
+@pytest.mark.parametrize("field", (RATIONALS, Field(2), Field(7), Field((1 << 61) - 1)),
+                         ids=lambda f: f.spec)
+def test_elements_hold_canonical_data(field):
+    """Every element is canonical however it is built: the constructor,
+    from_json, the kernels, +, -, scalar multiples, grade parts (a
+    subset's gcd can exceed the whole's) and sums that cancel, Clifford
+    and tensor alike.  So equal elements reached two ways have equal
+    (data, den), and == agrees with == of the terms views."""
+    rng = random.Random(f"canonical/{field.spec}")
+    n = 4
+    ctx = AlgebraContext(n, field)
+    cctx = CliffordContext(rand_quadratic(rng, ctx))
+    F = rand_bilinear(rng, ctx)
+    u, v, w = (CliffElt(cctx, _blade_terms(rng, field, n, count)) for count in (None, 5, 3))
+    s, xv = _coeff(rng, field), rand_vector(rng, ctx)
+    x = CliffElt.from_vector(cctx, xv)
+    t, t2, t3 = (rand_tensor(rng, ctx, max_grade=4, terms=4) for _ in range(3))
+    ext = CliffordContext.exterior(ctx)
+    f = CliffElt(ext, _blade_terms(rng, field, n, 6))
+    astar = dual_two_form(rand_alternating(rng, ctx))
+    same = [(u + v, v + u), (u - u, CliffElt.zero(cctx)), (u * (v + w), u * v + u * w),
+            (s * (u + v), s * u + s * v), (-(-u), u), (CliffElt(cctx, u.terms), u),
+            (CliffElt.from_json(cctx, u.to_json()), u),
+            (sum((u.grade_part(k) for k in range(n + 1)), CliffElt.zero(cctx)), u),
+            (u.grade_involution().grade_involution(), u), (u.reverse().reverse(), u),
+            (deform(-F, deform(F, w)), w),
+            (twisted_mul(F, x, v), x * v + clifford_contract_vec(F, xv, v)),
+            (exp_contract(-astar, exp_contract(astar, w)), w), (interior(f, u), interior(f, u)),
+            (t * (t2 + t3), t * t2 + t * t3), (t - t, TensorElt.zero(ctx)),
+            (TensorElt.from_json(ctx, t.to_json()), t), (t.reverse().reverse(), t),
+            (TensorElt(ctx, t.terms), t), (s * t - t * s, TensorElt.zero(ctx))]
+    if field.char != 2:
+        same.append((quantize(cctx, symbol(u)), u))
+    if not field.char:
+        y = CliffElt(cctx, {(): field(Fraction(1, 2)), (1,): field(Fraction(1, 3))})
+        assert (y.data, y.den) == ({0: 3, 1: 2}, 6)
+        z = CliffElt.blade(cctx, (1,), Fraction(1, 3))
+        same += [(y.grade_part(1), z), (y - CliffElt.unit(cctx) * field(Fraction(1, 2)), z),
+                 (field(Fraction(3, 5)) * (y * 10), field(6) * y)]
+        assert (z.data, z.den) == ({1: 1}, 3)
+    for a, b in same:
+        assert _canonical_data(a) and _canonical_data(b)
+        assert a == b and (a.data, a.den) == (b.data, b.den) and a.terms == b.terms
+    elements = [e for pair in same for e in pair]
+    for a in elements:
+        for b in elements:
+            if type(a) is type(b) and a._home == b._home:
+                assert (a == b) == (a.terms == b.terms)
 
 
 # ------------------------------------------------ packed and dict word sums
@@ -316,16 +372,28 @@ def _kernel_rows(rows):
     return scaled_ints([c for row in rows for c in row])
 
 
+def _pair(field, terms):
+    """The kernel's (data, den) of a blade -> Scalar map."""
+    return _data_of(field.char, map(subset_index, terms), terms.values())
+
+
+def _terms(field, pair):
+    """The blade -> Scalar map of a (data, den) pair."""
+    data, den = pair
+    return {index_subset(m): field(Fraction(x, den)) for m, x in data.items()}
+
+
 def _both_sums(field, rows, u, v, wedge):
-    """_packed_sum and _word_sum of the same call, each as the map
-    _operate would return; u and v map blades to Scalars."""
-    n = len(rows[0])
+    """_packed_sum and _word_sum of the same call, each through the
+    exit _operate takes, as blade -> Scalar maps; u and v map blades
+    to Scalars."""
+    n, p = len(rows[0]), field.char
     actions = _actions(n, _kernel_rows(rows), wedge)
-    u, v = _entry(n, u), _entry(n, v)
-    values, den = _packed_sum(actions, field.char, n, u, v)
-    out, den_dict = _word_sum(_act, actions, field.char, u, v)
-    return (_scalars(field, _blades(n), values, [den] * (n + 1)),
-            _scalars(field, _blades_of(n, out), out.values(), [den_dict] * (n + 1)))
+    (u, du), (v, dv) = _pair(field, u), _pair(field, v)
+    values, den = _packed_sum(actions, p, n, u, v)
+    out, den_dict = _word_sum(_act, actions, p, u, v)
+    return (_terms(field, _canonical(p, range(1 << n), values, du * dv * den)),
+            _terms(field, _canonical(p, out, out.values(), du * dv * den_dict)))
 
 
 def _oracle(field, rows, u, v, wedge):
@@ -363,7 +431,8 @@ def test_packed_sum_matches_dict_sum(field):
                                 (identity, False)):
                 packed, dicted = _both_sums(field, rows, u, v, wedge)
                 assert packed == dicted
-                assert _operate(field, n, _kernel_rows(rows), u, v, wedge) == packed
+                assert _terms(field, _operate(field.char, n, _kernel_rows(rows), _pair(field, u),
+                                              _pair(field, v), wedge)) == packed
                 # the pair-sum oracle takes seconds on dense operands above n = 3
                 if n <= 5 and (count or n <= 3) and (wedge or rows is identity):
                     assert packed == _oracle(field, rows, u, v, wedge)
@@ -398,10 +467,11 @@ def test_packed_sum_on_wide_rationals():
 
 # ------------------------------------------------ packed and dict pair passes
 
-def _pairs_both_ways(monkeypatch, field, n, rows, w):
-    """_contract_pairs of one input on both carriers: as its rule sends
-    it, and again with each pair pass standing in for the other."""
-    chosen = _contract_pairs(field, n, rows, w)
+def _pairs_both_ways(monkeypatch, p, n, rows, w):
+    """_contract_pairs of one input, a (data, den) pair, on both
+    carriers: as its rule sends it, and again with each pair pass
+    standing in for the other."""
+    chosen = _contract_pairs(p, n, rows, w)
     packed, passes = clifford._packed_pairs, clifford._pair_passes
 
     def dict_as_packed(g, n, terms):
@@ -412,7 +482,7 @@ def _pairs_both_ways(monkeypatch, field, n, rows, w):
         m.setattr(clifford, "_packed_pairs", dict_as_packed)
         m.setattr(clifford, "_pair_passes",
                   lambda g, terms: dict(enumerate(packed(g, len(g), terms))))
-        other = _contract_pairs(field, n, rows, w)
+        other = _contract_pairs(p, n, rows, w)
     return chosen, other
 
 
@@ -436,12 +506,13 @@ def test_packed_pairs_match_pair_passes(field, monkeypatch):
             for count in {None, 1 << (n - 1), (1 << (n - 1)) - 1, min(3, 1 << n)} - {0}:
                 w = _blade_terms(rng, field, n, count)
                 sides.add(2 * len(w) >= 1 << max(n, 7))
-                chosen, other = _pairs_both_ways(monkeypatch, field, n, _kernel_rows(rows), w)
+                chosen, other = _pairs_both_ways(monkeypatch, field.char, n, _kernel_rows(rows),
+                                                 _pair(field, w))
                 assert chosen == other
                 if n <= 5:
-                    assert chosen == deform_sum(F, QuadraticForm.zero(ctx), w)
+                    assert _terms(field, chosen) == deform_sum(F, QuadraticForm.zero(ctx), w)
                 if rows is lower:
-                    assert chosen == w
+                    assert chosen == _pair(field, w)
         cctx = CliffordContext(rand_quadratic(rng, ctx))
         astar = DualTwoForm.make(ctx, [[_coeff(rng, field) for _ in range(n - 1 - i)]
                                        for i in range(n - 1)])
@@ -450,8 +521,7 @@ def test_packed_pairs_match_pair_passes(field, monkeypatch):
             chosen = exp_contract(astar, w)
             with monkeypatch.context() as m:
                 m.setattr(clifford, "_contract_pairs",
-                          lambda f, n, rows, terms:
-                          _pairs_both_ways(monkeypatch, f, n, rows, terms)[1])
+                          lambda p, n, rows, w: _pairs_both_ways(monkeypatch, p, n, rows, w)[1])
                 assert exp_contract(astar, w) == chosen
     assert sides == {True, False}
 
@@ -473,8 +543,11 @@ def test_packed_pairs_on_wide_rationals(monkeypatch):
         F = BilinearForm.make(ctx, rows)
         for count in (None, 1 << (n - 1)):
             w = {b: RATIONALS(wide()) for b in _blade_terms(rng, RATIONALS, n, count)}
-            chosen, other = _pairs_both_ways(monkeypatch, RATIONALS, n, _kernel_rows(rows), w)
-            assert chosen == other == deform_sum(F, QuadraticForm.zero(ctx), w)
+            chosen, other = _pairs_both_ways(monkeypatch, 0, n, _kernel_rows(rows),
+                                             _pair(RATIONALS, w))
+            assert chosen == other
+            chosen = _terms(RATIONALS, chosen)
+            assert chosen == deform_sum(F, QuadraticForm.zero(ctx), w)
             assert max(c.value.denominator for c in chosen.values()) > 10 ** 2000
 
 
@@ -501,19 +574,24 @@ def test_pack_round_trip(n):
 
 def test_blade_tables_match_bit_loops():
     """_blades and _masks are index_subset and subset_index on every
-    mask up to n = 12, the largest kept table, and the table grown for
-    one call at n = 13 continues the kept one."""
+    mask up to n = 12, the largest kept table, and at n = 13, past the
+    tables, a dense element's terms view and constructor convert every
+    key by the bit loops."""
     for n in range(clifford._TABLE_DIM + 1):
         blades = clifford._blades(n)
         assert list(blades) == [index_subset(m) for m in range(1 << n)]
         assert clifford._masks(n) == {b: subset_index(b) for b in blades}
-    assert clifford._blades(13) == [index_subset(m) for m in range(1 << 13)]
+    cctx = CliffordContext.exterior(AlgebraContext(13, RATIONALS))
+    dense = CliffElt._of(cctx, dict.fromkeys(range(1 << 13), 1))
+    assert list(dense.terms) == [index_subset(m) for m in range(1 << 13)]
+    assert CliffElt(cctx, dense.terms) == dense
 
 
 def test_sparse_calls_above_the_tables_build_none(monkeypatch):
-    """Above n = 12 sparse entries and exits convert key by key: a
-    product, a deformation and exp_contract at n = 40 ask for no blade
-    table, and give what the defining rules do."""
+    """Above n = 12 blades and masks convert key by key: a product, a
+    deformation and exp_contract at n = 40 and the terms of their
+    results ask for no blade table, and give what the defining rules
+    do."""
     kept = clifford._blades
 
     def blades(n):
@@ -539,6 +617,20 @@ def test_blade_of_a_non_iterable_is_refused():
     cctx = CliffordContext.exterior(AlgebraContext(3, RATIONALS))
     with pytest.raises(FormError, match=r"^a term's key must be a blade on e_1\.\.e_3, got 5$"):
         CliffElt.blade(cctx, 5)
+
+
+@pytest.mark.parametrize("key", [(2, 1), (1, 5)])
+def test_coeff_of_a_key_that_is_not_a_blade_is_refused(key):
+    """coeff refuses a key the constructor refuses, with its FormError,
+    where it answered 0: at n = 3 a blade out of order and one out of
+    range.  A blade, as a tuple or a list, reads its coefficient."""
+    cctx = CliffordContext.exterior(AlgebraContext(3, RATIONALS))
+    u = CliffElt(cctx, {(1, 2): cctx.coerce(3)})
+    with pytest.raises(FormError, match=r"^a term's key must be a blade on e_1\.\.e_3, "
+                                        f"got {re.escape(repr(key))}$"):
+        u.coeff(key)
+    assert u.coeff((1, 2)) == u.coeff([1, 2]) == cctx.coerce(3)
+    assert u.coeff((3,)) == u.coeff(()) == cctx.coerce(0)
 
 
 @pytest.mark.parametrize("n", [3, clifford._TABLE_DIM + 1])
@@ -609,26 +701,24 @@ def test_mask_walk_matches_suffix_walk():
                            for m, k, got in walks[0][0])
 
 
-def test_exit_with_and_without_residue_table():
-    """The exit over GF(3) and GF(7), p below half the number of values,
-    takes its Scalars from one table of the field's p Scalars, and over
-    GF(2^61 - 1) builds each: either way they are the Scalars of the
-    nonzero residues, canonical and of the caller's field object, and
-    only the tabled ones are shared."""
+def test_exit_over_prime_fields():
+    """The exit over GF(3), GF(7) and GF(2^61 - 1) keeps the nonzero
+    residues over den 1, in the order of the keys, and the terms view
+    of its element holds their Scalars: canonical, and of the caller's
+    field object."""
     rng = random.Random("exit")
-    keys = clifford._blades(5)
+    keys = range(1 << 5)
     for p in (3, 7, (1 << 61) - 1):
         field = Field(p)
         values = [rng.choice((0, p, -p, 1 - p, rng.randrange(-10 * p, 10 * p))) for _ in keys]
-        out = _scalars(field, keys, values, None)
-        assert out == {k: field(x) for k, x in zip(keys, values) if x % p}
+        data, den = _canonical(p, keys, values, 1)
+        assert den == 1 and data == {k: x % p for k, x in zip(keys, values) if x % p}
+        assert list(data) == [k for k, x in zip(keys, values) if x % p]
+        cctx = CliffordContext.exterior(AlgebraContext(5, field))
+        out = CliffElt._of(cctx, data).terms
+        assert out == {index_subset(k): field(x) for k, x in zip(keys, values) if x % p}
         assert all(c.field is field and type(c.value) is int and 0 < c.value < p
                    for c in out.values())
-        objects = len({id(c) for c in out.values()})
-        if 2 * p < len(keys):
-            assert objects == len({c.value for c in out.values()}) < len(out)
-        else:
-            assert objects == len(out)
 
 
 def test_vector_squares():

@@ -279,6 +279,18 @@ def test_constructor_refuses_letters_outside_the_space():
         == TensorElt(ctx, {(2, 1): c})
 
 
+def test_coeff_of_a_key_that_is_not_a_word_is_refused():
+    """coeff refuses a key the constructor refuses, with its FormError,
+    where it answered 0: at n = 3 the letter 9.  A word reads its
+    coefficient."""
+    ctx = AlgebraContext(3, RATIONALS)
+    u = TensorElt.from_word(ctx, (1, 2), 3)
+    with pytest.raises(FormError, match=r"^word index 9 out of range 1\.\.3$"):
+        u.coeff((9,))
+    assert u.coeff((1, 2)) == u.coeff([1, 2]) == ctx.coerce(3)
+    assert u.coeff((2, 1)) == ctx.coerce(0)
+
+
 def test_from_word_of_a_non_iterable_is_refused():
     """TensorElt.from_word with an int for the word raises the
     constructor's FormError, not the TypeError of tuple()."""
