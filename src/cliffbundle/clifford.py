@@ -70,26 +70,24 @@ operands each fill at least half the 2^n blade slots, 2 min(|u|, |v|)
 >= 2^n for a sum (dense products, deform_apply, twisted_mul, interior)
 and 2 |w| >= 2^max(n, 7) for a pair product (deform, symbol, quantize,
 exp_contract), runs on packed integers (_carrier): a coefficient map
-is two nonnegative ints P and N, its positive and negative parts, the
-value at mask m in bits [m W, (m + 1) W).  e_i ^ is a masked left
-shift by 2^(i-1) W of the slots without bit i - 1, the contraction by
-e_j* a masked right shift by 2^(j-1) W of the slots with bit j - 1
-(_contract), and a slot with an odd number of set bits below the moved
-one swaps P and N: O(n) big-integer operations per action in place of
-one dict update per term and row entry.  _packed_sum acts by e_i as
-that shift plus the contraction by its row; _packed_pairs makes pass i
-one contraction by e_i* and one by g_i, n + (nonzero pairs) in all, in
-place of one dict pass per pair over every term.  W is fixed before
-the first action from a bound on every slot: for a sum
-(sum over S of |u_S| d^(m - |S|)) R^m max|v|, R the largest d plus sum
-of |entries| of a row, and for a pair product (sum of |w_M| weighted)
-times (sum over k <= T / 2 of e_k(r)), r_i the sum of |F_ij| over
-j > i.  So no slot carries into its neighbour in any field or at any
-coefficient size; over GF(p) the slots are reduced only at the exit.
-The exit reads the slots in C: the bytes of P and N strided into the
-64-bit limbs of an array (_split), then P - N slot by slot.  Sparse
-calls, word keys and the matrix builders of repcheck stay on
-dicts.
+is one signed int X = sum of x_m 2^(m W), slot m in bits
+[m W, (m + 1) W).  A move reads X + H, H = 2^(W - 1) in every slot, so
+each slot is nonnegative and no mask borrows across slots.  e_i ^ is
+a masked left shift by 2^(i-1) W of the slots without bit i - 1, the
+contraction by e_j* a masked right shift by 2^(j-1) W of the slots
+with bit j - 1 (_contract); a slot with an odd number of set bits
+below the moved one is complemented by one XOR, and the same move on
+H, the bias's image, is taken off once per row.  That is O(n)
+big-integer operations per action in place of one dict update per
+term and row entry.  _packed_sum acts by e_i as that shift plus the
+contraction by its row; _packed_pairs makes pass i one contraction by
+e_i* and one by g_i, n + (nonzero pairs) in all.  W is fixed before
+the first action from a bound on every slot read (see _packed_sum,
+_packed_pairs), so |x_m| < 2^(W - 1) in any field and at any size;
+over GF(p) the slots are reduced only at the exit, which reads X + H
+in C (_unpack).  H and the masks of a carrier of at most 2^16 bits
+are kept (_kept).  Sparse calls, word keys and repcheck's matrix
+builders stay on dicts.
 """
 
 from __future__ import annotations
@@ -99,11 +97,11 @@ from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import compress, repeat
 from math import gcd, lcm
-from operator import attrgetter, floordiv, lshift, mul, neg, or_, sub
+from operator import add, attrgetter, floordiv, lshift, mul, neg, or_, sub
 from types import MappingProxyType
 
-from .errors import (CapExceeded, CharacteristicError, ContextMismatch, FormError,
-                     ParseError)
+from .errors import (CapExceeded, CharacteristicError, ContextMismatch, FieldMismatch,
+                     FormError, ParseError)
 from .forms import (AlgebraContext, BilinearForm, DualTwoForm, Field, LinearForm,
                     QuadraticForm, Vector, _quad_nums, polar_form, quad_of_bilinear,
                     same_context)
@@ -230,11 +228,21 @@ _value = attrgetter("value")
 _new = object.__new__
 
 
-def _data_of(p: int, keys, scalars) -> tuple:
-    """The canonical (data, den) of Scalars at kernel keys: the nonzero
-    values, over Q as integers over their denominators' lcm (scaled_ints)."""
+def _data_of(field: Field, keys, scalars) -> tuple:
+    """The canonical (data, den) of Scalars of field at kernel keys: the
+    nonzero values, over Q as integers over their denominators' lcm
+    (scaled_ints).  A value that is not a Scalar raises FormError, one
+    of another field FieldMismatch, both found in passes run in C: the
+    values' types, and their fields' identities against field's."""
+    if set(map(type, scalars)) - {Scalar}:
+        bad = excerpt(next(c for c in scalars if type(c) is not Scalar))
+        raise FormError(f"a term's coefficient must be a Scalar, got {bad}")
+    if set(map(id, map(attrgetter("field"), scalars))) - {id(field)}:
+        for c in scalars:
+            if c.field != field:
+                raise FieldMismatch(f"scalar over {c.field.spec} used in a {field.spec} context")
     nums = list(map(_value, scalars))
-    nums, den = (nums, 1) if p else scaled_ints(nums)
+    nums, den = (nums, 1) if field.char else scaled_ints(nums)
     return dict(compress(zip(keys, nums), nums)), den
 
 
@@ -391,14 +399,16 @@ def _word_sum(act, actions: tuple, p: int, u: dict, v: dict) -> tuple:
     return out, d ** top
 
 
-def _carrier(n: int, bound: int) -> tuple:
-    """The packed carrier of slots at most bound: (width, masks), slot m
-    in bits [m W, (m + 1) W), W = 8 width the least multiple of 8 above
-    the bits of bound (so every slot is below 2^(W - 1)), and for each
-    bit r, masks[r] = (2^r W the shift of bit r, the slots without bit r
-    whose set bits below r are even, those whose set bits below r are
-    odd), built by doubling for the one call."""
-    width = bound.bit_length() // 8 + 1
+# The largest carrier, in bits, whose constants are kept: 64 of them hold
+# at most 64 (2n + 1) 2^16 bits, about 14 MiB at n = 13.
+_KEEP_BITS = 1 << 16
+
+
+def _constants(n: int, width: int) -> tuple:
+    """The constants of the carrier of 2^n slots of W = 8 width bits:
+    (H, masks), H the bias 2^(W - 1) in every slot and, for each bit r,
+    masks[r] = (2^r W the shift of bit r, the slots without bit r, those
+    of them whose set bits below r are odd), built by doubling."""
     W, slots = 8 * width, 1 << n
 
     def spread(block, period):
@@ -412,37 +422,40 @@ def _carrier(n: int, bound: int) -> tuple:
     parity = (1 << W) - 1
     for r in range(n):
         full = (1 << (W << r)) - 1
-        masks.append((W << r, spread(parity, 2 << r), spread(full ^ parity, 2 << r)))
+        masks.append((W << r, spread(full, 2 << r), spread(full ^ parity, 2 << r)))
         parity |= (full ^ parity) << (W << r)
-    return width, masks
+    return spread(1 << (W - 1), 1), tuple(masks)
 
 
-def _pack(items, n: int, width: int) -> tuple:
-    """The packed pair (P, N) of (mask, int) items: their positive and
-    negative parts, the value at m in bytes [m width, (m + 1) width)."""
-    P, N = [0] * (1 << n), [0] * (1 << n)
-    for m, x in items:
-        if x > 0:
-            P[m] = x
-        elif x:
-            N[m] = -x
-    return _join(P, n, width), _join(N, n, width)
+_kept = lru_cache(maxsize=64)(_constants)
 
 
-def _join(slots: list, n: int, width: int) -> int:
-    """The int whose slot m, bytes [m width, (m + 1) width), holds
-    slots[m], each nonnegative and below 2^(8 width)."""
+def _carrier(n: int, bound: int) -> tuple:
+    """The packed carrier of slots of magnitude at most bound: (width,
+    H, masks) of _constants, W = 8 width the least multiple of 8 above
+    the bits of bound, so every slot is below 2^(W - 1) in magnitude.
+    The constants of a carrier of at most _KEEP_BITS bits are kept, and
+    a larger one's are built for its call, so no large call pins them."""
+    width = bound.bit_length() // 8 + 1
+    return (width, *(_kept if 8 * width << n <= _KEEP_BITS else _constants)(n, width))
+
+
+def _pack(values: dict, n: int, width: int, H: int) -> int:
+    """The packed map X = sum over m < 2^n of x_m 2^(m W) of a mask -> int
+    map, x_m = 0 at a mask it lacks: the bytes of X + H, x_m + 2^(W - 1)
+    in slot m, joined in one pass, less H."""
+    slots = map(add, map(values.get, range(1 << n), repeat(0)), repeat(1 << (8 * width - 1)))
     return int.from_bytes(b"".join(map(int.to_bytes, slots, repeat(width), repeat("little"))),
-                          "little")
+                          "little") - H
 
 
-def _split(X: int, n: int, width: int):
-    """The inverse of _join: the 2^n slots of X as ints, its bytes
-    strided into the 64-bit limbs of an array and each slot's limbs
-    joined."""
+def _unpack(X: int, n: int, width: int, H: int) -> list:
+    """The value x_m of the packed map X at every mask m < 2^n: the
+    bytes of X + H strided into the 64-bit limbs of an array, each
+    slot's limbs joined, less 2^(W - 1)."""
     from array import array
     size = -(-width // 8)
-    raw, stride = X.to_bytes(width << n, "little"), 8 * size
+    raw, stride = (X + H).to_bytes(width << n, "little"), 8 * size
     if width < stride:
         buf = bytearray(stride << n)
         for j in range(width):
@@ -454,71 +467,56 @@ def _split(X: int, n: int, width: int):
     out = limbs[size - 1::size]
     for k in range(size - 2, -1, -1):
         out = map(or_, map(lshift, out, repeat(64)), limbs[k::size])
+    return list(map(sub, out, repeat(1 << (8 * width - 1))))
+
+
+def _contract(Y: int, row, out: int = 0) -> int:
+    """out plus the contraction of the packed map X = Y - H by sum of
+    f e_{r+1}* over row, (masks of bit r, f) pairs, plus its image on H:
+    the slots with bit r move down to m without it, times f.  Each slot
+    of Y is x + 2^(W - 1), in [1, 2^W), so no mask borrows, and a slot
+    whose set bits below r are odd is complemented, to 2^(W - 1) - 1 - x."""
+    for (down, without, odd), f in row:
+        Z = ((Y >> down) & without) ^ odd
+        if f == 1:
+            out += Z
+        elif f == -1:
+            out -= Z
+        else:
+            out += Z * f
     return out
 
 
-def _unpack(P: int, N: int, n: int, width: int) -> list:
-    """The value P - N at every mask below 2^n."""
-    return list(map(sub, _split(P, n, width), _split(N, n, width)))
-
-
-def _contract(P: int, N: int, row, outP: int = 0, outN: int = 0) -> tuple:
-    """(outP, outN) plus the contraction of the packed pair (P, N) by the
-    linear form sum of f e_{r+1}* over row, (masks of bit r, f) pairs:
-    the slots with bit r move down to m without it, times |f|, and a slot
-    with an odd number of set bits below r, or a negative f, swaps P
-    and N."""
-    for (down, even, odd), f in row:
-        Pr, Nr = P >> down, N >> down
-        pos, neg = (Pr & even) | (Nr & odd), (Nr & even) | (Pr & odd)
-        if f < 0:
-            pos, neg, f = neg, pos, -f
-        if f != 1:
-            pos, neg = pos * f, neg * f
-        outP += pos
-        outN += neg
-    return outP, outN
-
-
 def _packed_sum(actions: tuple, p: int, n: int, u: dict, v: dict) -> tuple:
-    """_word_sum on bitmask keys below 2^n, each coefficient map held as
-    a packed pair (P, N) of nonnegative big integers, its positive and
-    negative parts, with the value at mask m in bits [m W, (m + 1) W):
-    (values, den), values[m] the unreduced value at m for every
-    m < 2^n.  The action of e_i moves the slots without bit i - 1 up by
-    2^(i-1) W (times the wedge weight), a slot whose set bits below it
-    are odd in number swapping P and N, and adds the contraction by its
-    row (_contract).  Every slot of every P and N, the sum's included,
-    is at most (sum over S of |u_S d^(m - |S|)|) R^m max|v|, R the
-    largest d + sum of |row entries| over the rows, so a W above that
-    bound keeps each slot out of its neighbours, in every field and at
-    any coefficient size."""
+    """_word_sum on bitmask keys below 2^n, each coefficient map one
+    packed int X (see _carrier): (values, den), values[m] the unreduced
+    value at m for every m < 2^n.  e_i moves the slots of X + H without
+    bit i - 1 up by 2^(i-1) W, complemented as in _contract, times the
+    wedge weight, adds the contraction by its row and takes off the
+    image of both, the same action on H, made once per call.  Every
+    slot of every map the walk reads and of the sum is at most
+    (sum over S of |u_S d^(m - |S|)|) R^m max|v| in magnitude, R the
+    largest d + sum of |row entries| over the rows, and W is above it."""
     acts, scale, d = actions
     walk, grade = _walk(u)
     top = max(map(grade, u))
     coeffs = [c * d ** (top - k) for k, c in zip(map(grade, u), u.values())]
     reach = max(d + sum(abs(f) for _, f in row) for _, row in acts)
-    width, masks = _carrier(n, sum(map(abs, coeffs)) * reach ** top * max(map(abs, v.values())))
+    width, H, masks = _carrier(n, sum(map(abs, coeffs)) * reach ** top * max(map(abs, v.values())))
     moves = [(masks[r], [(masks[b.bit_length() - 1], f) for b, f in row])
              for r, (_, row) in enumerate(acts)]
 
-    def step(pair, letter):
-        P, N = pair
-        (up, e, o), row = moves[letter - 1]
-        outP = outN = 0
-        if scale:
-            outP, outN = ((P & e) | (N & o)) << up, ((N & e) | (P & o)) << up
-            if scale != 1:
-                outP, outN = outP * scale, outN * scale
-        return _contract(P, N, row, outP, outN)
+    def act(Y, letter):
+        (up, without, odd), row = moves[letter - 1]
+        out = ((Y & without) ^ odd) << up if scale else 0
+        return _contract(Y, row, out * scale if scale > 1 else out)
 
-    sumP = sumN = 0
-    for c, _, (P, N) in walk(zip(u, coeffs), _pack(v.items(), n, width), step):
-        if c < 0:
-            P, N, c = N, P, -c
-        sumP += c * P
-        sumN += c * N
-    return _unpack(sumP, sumN, n, width), d ** top
+    images = [act(H, letter) for letter in range(1, len(moves) + 1)]
+    total = 0
+    for c, _, X in walk(zip(u, coeffs), _pack(v, n, width, H),
+                        lambda X, letter: act(X + H, letter) - images[letter - 1]):
+        total += c * X
+    return _unpack(total, n, width, H), d ** top
 
 
 def _operate(p: int, n: int, rows: tuple, u: tuple, v: tuple, wedge: bool = True) -> tuple:
@@ -595,13 +593,14 @@ def _packed_pairs(g: list, n: int, terms: dict) -> list:
         r = sum([abs(f) for _, f in row])
         for k in range(half, 0, -1):
             e[k] += e[k - 1] * r
-    width, masks = _carrier(n, sum(map(abs, terms.values())) * sum(e))
-    P, N = _pack(terms.items(), n, width)
+    width, H, masks = _carrier(n, sum(map(abs, terms.values())) * sum(e))
+    X = _pack(terms, n, width, H)
     for i, row in enumerate(g):
-        if row:  # out += i_{g_i} i_i out
-            below = _contract(P, N, [(masks[i], 1)])
-            P, N = _contract(*below, [(masks[j], f) for j, f in row], P, N)
-    return _unpack(P, N, n, width)
+        if row:  # X += i_{g_i} i_i X
+            first, row = [(masks[i], 1)], [(masks[j], f) for j, f in row]
+            below = _contract(X + H, first) - _contract(H, first)
+            X = _contract(below + H, row, X) - _contract(H, row)
+    return _unpack(X, n, width, H)
 
 
 def _contract_pairs(p: int, n: int, rows: tuple, w: tuple) -> tuple:
@@ -782,7 +781,7 @@ class CliffElt(_Sparse):
         terms = terms or {}
         keys = _blade_masks(cctx.dim, terms)
         self._home = cctx
-        self.data, self.den = _data_of(cctx.field.char, keys, terms.values())
+        self.data, self.den = _data_of(cctx.field, keys, terms.values())
 
     def _key(self, blade) -> int:
         return _blade_masks(self.cctx.dim, (blade,))[0]
@@ -801,7 +800,7 @@ class CliffElt(_Sparse):
     @classmethod
     def from_vector(cls, cctx: CliffordContext, x: Vector) -> "CliffElt":
         same_context(cctx.ctx, x.ctx)
-        return cls._of(cctx, *_data_of(cctx.field.char, [1 << i for i in range(cctx.dim)],
+        return cls._of(cctx, *_data_of(cctx.field, [1 << i for i in range(cctx.dim)],
                                        x.coeffs))
 
     def __mul__(self, other):
@@ -943,9 +942,9 @@ def interior(ustar: CliffElt, w: CliffElt) -> CliffElt:
 
 # The largest exp_contract work estimate that runs (see exp_contract);
 # a dense two-form on e_1...e_17 is 18 million, on the blade e_1...e_17
-# (dict passes) and on all 2^17 blades (packed) alike, and takes about
-# 0.6-0.8 and 1.1-1.3 CPU-s, the packed call at a 122 MiB peak RSS
-# (Python 3.11, Intel Xeon); on e_1...e_18 it is 40 million, refused.
+# (dict passes, 0.3-0.5 CPU-s) and on all 2^17 blades (packed, 0.4-0.5
+# CPU-s at a 75 MiB peak RSS) alike, Python 3.11 on an Intel Xeon; on
+# e_1...e_18 it is 40 million, refused.
 _EXP_GUARD = 1 << 25
 
 

@@ -52,7 +52,7 @@ def vec_to_cliff(cctx: CliffordContext, vec) -> CliffElt:
     if len(vec) != 1 << cctx.dim:
         raise FormError(f"a coefficient column at dim {cctx.dim} has length "
                         f"{1 << cctx.dim}, got {len(vec)}")
-    return CliffElt._of(cctx, *_data_of(cctx.field.char, range(len(vec)), vec))
+    return CliffElt._of(cctx, *_data_of(cctx.field, range(len(vec)), vec))
 
 
 @record(frozen=True)

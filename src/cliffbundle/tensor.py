@@ -60,7 +60,7 @@ class TensorElt(_Sparse):
         for word in terms:
             _checked_word(ctx, word)
         self._home = ctx
-        self.data, self.den = _data_of(ctx.field.char, terms, terms.values())
+        self.data, self.den = _data_of(ctx.field, terms, terms.values())
 
     def _same(self, other: "TensorElt"):
         same_context(self.ctx, other.ctx)
@@ -80,7 +80,7 @@ class TensorElt(_Sparse):
 
     @classmethod
     def from_vector(cls, x: Vector) -> "TensorElt":
-        return cls._of(x.ctx, *_data_of(x.ctx.field.char, [(i + 1,) for i in range(x.ctx.dim)],
+        return cls._of(x.ctx, *_data_of(x.ctx.field, [(i + 1,) for i in range(x.ctx.dim)],
                                         x.coeffs))
 
     def __mul__(self, other):

@@ -12,7 +12,7 @@ import pytest
 
 from cliffbundle import (AlgebraContext, BilinearForm, CapExceeded,
                          CharacteristicError, CliffElt, CliffordContext, ContextMismatch,
-                         DualTwoForm, Field, FormError, QuadraticForm,
+                         DualTwoForm, Field, FieldMismatch, FormError, QuadraticForm,
                          RATIONALS, TensorElt, Vector, clifford_contract,
                          clifford_contract_vec, contract, deform,
                          deform_apply, dual_two_form, exp_contract, interior,
@@ -374,7 +374,7 @@ def _kernel_rows(rows):
 
 def _pair(field, terms):
     """The kernel's (data, den) of a blade -> Scalar map."""
-    return _data_of(field.char, map(subset_index, terms), terms.values())
+    return _data_of(field, map(subset_index, terms), terms.values())
 
 
 def _terms(field, pair):
@@ -555,10 +555,10 @@ def test_packed_pairs_on_wide_rationals(monkeypatch):
 
 @pytest.mark.parametrize("n", (0, 1, 5, 8, 10))
 def test_pack_round_trip(n):
-    """_pack against the packed pair written out as sums of x 2^(m W),
-    and _unpack back, at every width from 1 to 17 bytes (one to three
-    64-bit limbs a slot): slots at the carrier's largest magnitude,
-    2^(W - 1) - 1 of either sign, zeros and random values."""
+    """_pack against the packed map written out as the signed sum of
+    x 2^(m W), and _unpack back, at every width from 1 to 17 bytes (one
+    to three 64-bit limbs a slot): slots at the carrier's largest
+    magnitude, 2^(W - 1) - 1 of either sign, zeros and random values."""
     rng = random.Random(f"pack/{n}")
     for width in range(1, 18):
         W = 8 * width
@@ -566,10 +566,83 @@ def test_pack_round_trip(n):
         values = [rng.choice((edge, -edge, 0, rng.randint(-edge, edge))) for _ in range(1 << n)]
         values[0] = edge
         values[-1] = -edge if n else edge
-        P, N = clifford._pack(enumerate(values), n, width)
-        assert P == sum(x << (m * W) for m, x in enumerate(values) if x > 0)
-        assert N == sum(-x << (m * W) for m, x in enumerate(values) if x < 0)
-        assert clifford._unpack(P, N, n, width) == values
+        H, _ = clifford._constants(n, width)
+        X = clifford._pack(dict(enumerate(values)), n, width, H)
+        assert X == sum(x << (m * W) for m, x in enumerate(values))
+        assert clifford._unpack(X, n, width, H) == values
+
+
+@pytest.mark.parametrize("width", (1, 8, 9, 17))
+def test_packed_moves_at_the_slot_edge(width):
+    """Every bit's wedge (a one-letter _packed_sum with zero rows, whose
+    carrier is exactly width bytes) and contraction (_contract less
+    its image on H) at n = 5, on slots of 2^(W - 1) - 1 of either sign, match the
+    slot-by-slot rules: the bias borrows from no neighbour."""
+    n, W = 5, 8 * width
+    edge = (1 << (W - 1)) - 1
+    rng = random.Random(f"edge/{width}")
+    values = {m: rng.choice((edge, -edge)) for m in range(1 << n)}
+    assert clifford._carrier(n, edge)[0] == width
+    H, masks = clifford._constants(n, width)
+    X = clifford._pack(values, n, width, H)
+    wedge_only = _actions(n, ([0] * n * n, 1))
+    for r in range(n):
+        bit = 1 << r
+
+        def sign(m):
+            return -1 if (m & (bit - 1)).bit_count() & 1 else 1
+
+        wedge = [sign(m ^ bit) * values[m ^ bit] if m & bit else 0 for m in range(1 << n)]
+        assert _packed_sum(wedge_only, 0, n, {bit: 1}, values) == (wedge, 1)
+        down = [0 if m & bit else sign(m) * values[m | bit] for m in range(1 << n)]
+        row = [(masks[r], 1)]
+        got = clifford._contract(X + H, row) - clifford._contract(H, row)
+        assert clifford._unpack(got, n, width, H) == down
+
+
+def test_carrier_constants_are_kept_up_to_the_limit():
+    """A carrier of at most _KEEP_BITS bits takes its constants from the
+    kept table, equal to a fresh build, in at most 64 entries; a dense
+    deform at n = 14 over GF(7), on carriers past the limit, leaves no
+    entry in it."""
+    kept = clifford._kept
+    assert kept.cache_info().maxsize == 64
+    kept.cache_clear()
+    ctx = AlgebraContext(14, Field(7))
+    rng = random.Random("kept")
+    w = CliffElt._of(CliffordContext.exterior(ctx),
+                     {m: rng.randrange(1, 7) for m in range(1 << 14)})
+    A = BilinearForm.make(ctx, [[rng.randrange(7) for _ in range(14)] for _ in range(14)])
+    assert deform(A, w) != w
+    assert kept.cache_info().currsize == 0
+    for n, bound in ((0, 1), (5, 1 << 40), (10, 1 << 62), (13, 100)):
+        width, H, masks = clifford._carrier(n, bound)
+        assert 8 * width << n <= clifford._KEEP_BITS
+        assert (H, masks) == clifford._constants(n, width)
+        assert clifford._carrier(n, bound)[2] is masks
+    assert kept.cache_info().currsize == 4
+    assert 8 * clifford._carrier(14, 1)[0] << 14 > clifford._KEEP_BITS
+    assert kept.cache_info().currsize == 4
+
+
+@pytest.mark.parametrize("kind", (CliffElt, TensorElt))
+def test_constructors_take_scalars_of_their_field(kind):
+    """CliffElt and TensorElt take Scalars of their context's field
+    only: one of GF(7) over Q, or a Q one (1/2) over GF(7), raises
+    FieldMismatch with the message of AlgebraContext.coerce, and a value
+    that is not a Scalar raises FormError naming it."""
+    def make(field, value):
+        ctx = AlgebraContext(2, field)
+        home = CliffordContext.exterior(ctx) if kind is CliffElt else ctx
+        return kind(home, {(1,): value})
+
+    with pytest.raises(FieldMismatch, match=r"^scalar over Fp:7 used in a Q context$"):
+        make(RATIONALS, Field(7)(10))
+    with pytest.raises(FieldMismatch, match=r"^scalar over Q used in a Fp:7 context$"):
+        make(Field(7), RATIONALS(Fraction(1, 2)))
+    with pytest.raises(FormError, match=r"^a term's coefficient must be a Scalar, got 3$"):
+        make(RATIONALS, 3)
+    assert make(Field(7), Field(7)(10)).data == {1 if kind is CliffElt else (1,): 3}
 
 
 def test_blade_tables_match_bit_loops():
