@@ -224,24 +224,25 @@ def _blade_masks(n: int, blades) -> list:
                         f"got {excerpt(exc.args[0])}") from None
 
 
-_value = attrgetter("value")
+_value, _field = attrgetter("value"), attrgetter("field")
 _new = object.__new__
 
 
 def _data_of(field: Field, keys, scalars) -> tuple:
     """The canonical (data, den) of Scalars of field at kernel keys: the
     nonzero values, over Q as integers over their denominators' lcm
-    (scaled_ints).  A value that is not a Scalar raises FormError, one
-    of another field FieldMismatch, both found in passes run in C: the
-    values' types, and their fields' identities against field's."""
-    if set(map(type, scalars)) - {Scalar}:
-        bad = excerpt(next(c for c in scalars if type(c) is not Scalar))
-        raise FormError(f"a term's coefficient must be a Scalar, got {bad}")
-    if set(map(id, map(attrgetter("field"), scalars))) - {id(field)}:
-        for c in scalars:
-            if c.field != field:
-                raise FieldMismatch(f"scalar over {c.field.spec} used in a {field.spec} context")
-    nums = list(map(_value, scalars))
+    (scaled_ints).  One C-level pass over the fields finds a value that
+    is not a Scalar (FormError) or of another field (FieldMismatch)."""
+    try:
+        nums = list(map(_value, scalars))
+        mixed = list(map(_field, scalars)).count(field) != len(nums)
+    except AttributeError:
+        mixed = True
+    for c in scalars if mixed else ():
+        if type(c) is not Scalar:
+            raise FormError(f"a term's coefficient must be a Scalar, got {excerpt(c)}")
+        if c.field != field:
+            raise FieldMismatch(f"scalar over {c.field.spec} used in a {field.spec} context")
     nums, den = (nums, 1) if field.char else scaled_ints(nums)
     return dict(compress(zip(keys, nums), nums)), den
 
