@@ -575,9 +575,9 @@ def test_pack_round_trip(n):
 @pytest.mark.parametrize("width", (1, 8, 9, 17))
 def test_packed_moves_at_the_slot_edge(width):
     """Every bit's wedge (a one-letter _packed_sum with zero rows, whose
-    carrier is exactly width bytes) and contraction (_contract less
-    its image on H) at n = 5, on slots of 2^(W - 1) - 1 of either sign, match the
-    slot-by-slot rules: the bias borrows from no neighbour."""
+    carrier is exactly width bytes) and contraction (_contract less its
+    image on H) at n = 5, on slots of 2^(W - 1) - 1 of either sign,
+    match the slot-by-slot rules: the bias borrows from no neighbour."""
     n, W = 5, 8 * width
     edge = (1 << (W - 1)) - 1
     rng = random.Random(f"edge/{width}")
