@@ -80,14 +80,18 @@ below the moved one is complemented by one XOR, and the same move on
 H, the bias's image, is taken off once per row.  That is O(n)
 big-integer operations per action in place of one dict update per
 term and row entry.  _packed_sum acts by e_i as that shift plus the
-contraction by its row; _packed_pairs makes pass i one contraction by
-e_i* and one by g_i, n + (nonzero pairs) in all.  W is fixed before
-the first action from a bound on every slot read (see _packed_sum,
-_packed_pairs), so |x_m| < 2^(W - 1) in any field and at any size;
-over GF(p) the slots are reduced only at the exit, which reads X + H
-in C (_unpack).  H and the masks of a carrier of at most 2^16 bits
-are kept (_kept).  Sparse calls, word keys and repcheck's matrix
-builders stay on dicts.
+contraction by its row, and splits each blade of u at letter
+k = n // 2 as e_S = e_T e_R: it acts out e_R . v once per high part R,
+gathers u_S (e_R . v) in 2^k accumulators, one per low part T, and
+finishes them by a Horner pass over e_k .. e_1, so a dense sum makes
+2^(n - k) + 2^k - 1 actions in place of 2^n.  _packed_pairs makes pass
+i one contraction by e_i* and one by g_i, n + (nonzero pairs) in all.
+W is fixed before the first action from a bound on every slot read
+(see _packed_sum, _packed_pairs), so |x_m| < 2^(W - 1) in any field
+and at any size; over GF(p) the slots are reduced only at the exit,
+which reads X + H in C (_unpack).  H and the masks of a carrier of at
+most 2^16 bits are kept (_kept).  Sparse calls, word keys and
+repcheck's matrix builders stay on dicts.
 """
 
 from __future__ import annotations
@@ -494,10 +498,25 @@ def _packed_sum(actions: tuple, p: int, n: int, u: dict, v: dict) -> tuple:
     value at m for every m < 2^n.  e_i moves the slots of X + H without
     bit i - 1 up by 2^(i-1) W, complemented as in _contract, times the
     wedge weight, adds the contraction by its row and takes off the
-    image of both, the same action on H, made once per call.  Every
-    slot of every map the walk reads and of the sum is at most
-    (sum over S of |u_S d^(m - |S|)|) R^m max|v| in magnitude, R the
-    largest d + sum of |row entries| over the rows, and W is above it."""
+    image of both, the same action on H, made once per call.
+
+    The sum is the baby-step/giant-step evaluation of Paterson and
+    Stockmeyer (1973).  Each blade S of u splits at letter k = n // 2
+    into its low part T (letters <= k) and high part R, and
+    e_S . v = e_T . (e_R . v), as T holds the smallest letters.  The
+    high parts are walked (_mask_walk), each e_R . v acted out once, and
+    Z[T] gathers u_S (e_R . v); a Horner pass over j = k .. 1 then adds
+    e_j . Z[t + 2^(j-1)] to Z[t] for t < 2^(j-1), freeing each consumed
+    Z, and the sum is Z[0]: 2^(n - k) + 2^k - 1 actions for a dense u in
+    place of 2^n, at most n - k + 1 maps on the walk's chain and 2^k
+    accumulators alive.  Word keys (quotient_map and reverse, packed only
+    at n <= 1) take k = 0, the plain walk.  Every map the call reads or
+    makes, on the walk, in a Z[T], in a Horner partial sum or the sum,
+    is a sum over some terms of u of u_S d^(m - |S|) (e_S' . v), S' a
+    part of S.  One action multiplies the largest slot by at most R, the
+    largest d + sum of |row entries| over the rows, and R >= 1, so every
+    slot is at most (sum over S of |u_S d^(m - |S|)|) R^m max|v| in
+    magnitude, and W is above it."""
     acts, scale, d = actions
     walk, grade = _walk(u)
     top = max(map(grade, u))
@@ -513,11 +532,28 @@ def _packed_sum(actions: tuple, p: int, n: int, u: dict, v: dict) -> tuple:
         return _contract(Y, row, out * scale if scale > 1 else out)
 
     images = [act(H, letter) for letter in range(1, len(moves) + 1)]
-    total = 0
-    for c, _, X in walk(zip(u, coeffs), _pack(v, n, width, H),
-                        lambda X, letter: act(X + H, letter) - images[letter - 1]):
-        total += c * X
-    return _unpack(total, n, width, H), d ** top
+
+    def step(X, letter):
+        return act(X + H, letter) - images[letter - 1]
+
+    k = n >> 1 if walk is _mask_walk else 0
+    low = (1 << k) - 1
+    groups = {}
+    for m, c in zip(u, coeffs):
+        high, t = (m & ~low, m & low) if k else (m, 0)
+        groups.setdefault(high, []).append((t, c))
+    Z = [0] * (1 << k)
+    for group, _, X in walk(groups.items(), _pack(v, n, width, H), step):
+        for t, c in group:
+            Z[t] += c * X
+    del groups, X
+    for j in range(k, 0, -1):
+        half = 1 << (j - 1)
+        for t in range(half):
+            if Z[t | half]:
+                Z[t] += step(Z[t | half], j)
+                Z[t | half] = 0
+    return _unpack(Z[0], n, width, H), d ** top
 
 
 def _operate(p: int, n: int, rows: tuple, u: tuple, v: tuple, wedge: bool = True) -> tuple:
@@ -528,10 +564,12 @@ def _operate(p: int, n: int, rows: tuple, u: tuple, v: tuple, wedge: bool = True
     are masks or words, and v's keys, masks or words, set the action.
     On masks it runs on packed integers (_packed_sum) when
     2 min(|u|, |v|) >= 2^n, so that at least half the 2^n slots are
-    filled from the start, else on dicts (_word_sum).  Below that the
-    packed sum's fixed set-up costs more than it saves: at n = 4 with 4
-    to 6 terms a side it takes about 2.5 times as long as the dicts,
-    from 7 terms a side less."""
+    filled from the start, else on dicts (_word_sum).  The rule follows
+    a measurement at n = 4, where the packed sum took about 2.5 times as
+    long as the dicts with 4 to 6 terms a side.  The split sum takes 1.2
+    to 1.6 times as long with 4 terms a side, 0.6 to 1.05 times with 5
+    to 7 and about half at the rule's edge, 8; at n = 5 about half with
+    6 terms a side.  So the rule packs later than the carriers cross."""
     (u, du), (v, dv) = u, v
     actions = _actions(n, rows, wedge)
     words = type(next(iter(v), None)) is tuple

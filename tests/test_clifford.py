@@ -441,6 +441,63 @@ def test_packed_sum_matches_dict_sum(field):
     assert sides == {True, False}
 
 
+def _split_shapes(rng, n):
+    """Masks of u that reach each part of the packed sum's split at
+    k = n // 2 (letters 1..k the low part T, the rest the high part R):
+    every blade; only letters <= k, so the walk acts out R = 0 alone;
+    only letters > k, so only the accumulator of T = 0 fills; one blade
+    per high part; and 2^(n - 1) blades, the edge of _operate's rule."""
+    k = n >> 1
+    low, masks = (1 << k) - 1, range(1 << n)
+    return {
+        "dense": list(masks),
+        "low": [m for m in masks if not m & ~low],
+        "high": [m for m in masks if not m & low],
+        "one per group": [r | rng.randrange(1 << k) for r in range(0, 1 << n, 1 << k)],
+        "edge": sorted(rng.sample(masks, 1 << (n - 1))),
+    }
+
+
+@pytest.mark.parametrize("field", PACKED_FIELDS, ids=lambda f: f.spec)
+def test_split_sum_matches_dict_sum(field):
+    """The packed sum, which walks the high parts of u's blades and
+    finishes with a Horner pass over letters k..1, against the dict sum
+    at n = 1..9, for every shape of _split_shapes, with the wedge part
+    under random rows (over Q with a common denominator d != 1, so the
+    grades are weighted apart) and, for the dense and edge shapes,
+    without it under identity rows as in interior; an edge call also
+    goes through _operate's rule.  Word-keyed u at n = 1 (k = 0, as
+    quotient_map and reverse reach it) agrees too."""
+    rng = random.Random(f"split/{field.spec}")
+    for n in range(1, 10):
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        rows = [[_coeff(rng, field).value if rng.random() < 0.7 else 0 for _ in range(n)]
+                for _ in range(n)]
+        v = _blade_terms(rng, field, n)
+        for shape, masks in _split_shapes(rng, n).items():
+            u = {index_subset(m): _coeff(rng, field) for m in masks}
+            cases = [(rows, True)]
+            if shape in ("dense", "edge"):
+                cases.append((identity, False))
+            for some, wedge in cases:
+                packed, dicted = _both_sums(field, some, u, v, wedge)
+                assert packed == dicted, (n, shape, wedge)
+                if shape == "edge":
+                    assert 2 * min(len(u), len(v)) == 1 << n
+                    assert _terms(field, _operate(field.char, n, _kernel_rows(some),
+                                                  _pair(field, u), _pair(field, v),
+                                                  wedge)) == packed
+    rows = _kernel_rows([[_coeff(rng, field).value]])
+    words, du = _data_of(field, [(1,) * k for k in range(4)],
+                         [_coeff(rng, field) for _ in range(4)])
+    actions, p = _actions(1, rows), field.char
+    values, den = _packed_sum(actions, p, 1, words, {0: 1})
+    out, den_dict = _word_sum(_act, actions, p, words, {0: 1})
+    assert (_canonical(p, range(2), values, du * den)
+            == _canonical(p, out, out.values(), du * den_dict)
+            == _operate(p, 1, rows, (words, du), ({0: 1}, 1)))
+
+
 def test_packed_sum_on_wide_rationals():
     """Coefficients with 1,000-digit numerators and denominators make the
     slots thousands of bits wide: dense u and v at n = 4 under small

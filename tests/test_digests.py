@@ -14,9 +14,11 @@ digests (60-digit rationals, residues mod 2^61 - 1) were computed on
 the dictionary generator action, one dict update per term per row
 entry, and the pair-contraction digests (dense deform, symbol,
 quantize and exp_contract) on the dictionary pair passes, one pass
-over the running terms per pair.  A change to the
-scalar layer, the kernels, the suites or the CLI must leave every
-output byte for byte as it was.  A change that means to alter an
+over the running terms per pair.  The split digests (dense products,
+deform_apply and twisted_mul at n = 9 and 10) were computed on the
+packed sum's unsplit walk, one generator action per blade of u.  A
+change to the scalar layer, the kernels, the suites or the CLI must
+leave every output byte for byte as it was.  A change that means to alter an
 output updates the digest and says why.
 """
 
@@ -280,6 +282,43 @@ DENSE_DIGESTS = {
 @pytest.mark.parametrize("spec", list(DENSE_DIGESTS))
 def test_dense_digests(spec):
     assert _digest(_dense_json(spec)) == DENSE_DIGESTS[spec]
+
+
+def _split_json(spec):
+    """Dense u * v, deform_apply and twisted_mul (every blade drawn, no
+    zero coefficient) at n = 9 and 10, where the packed sum splits each
+    blade at letter 4 and 5."""
+    field = Field.from_spec(spec)
+    out = []
+    for n in (9, 10):
+        rng = random.Random(f"split/{spec}/{n}")
+        ctx = AlgebraContext(n, field)
+        q = QuadraticForm.make(ctx, [_value(rng, field) for _ in range(n)],
+                               [[_value(rng, field) for _ in range(n - 1 - i)]
+                                for i in range(n - 1)])
+        F = _form(rng, ctx)
+        cctx = CliffordContext(q)
+
+        def dense(home):
+            return CliffElt(home, {index_subset(m): field(_value(rng, field) or 1)
+                                   for m in range(1 << n)})
+
+        u, v = dense(cctx), dense(cctx)
+        out.append([(u * v).to_json(), deform_apply(F, dense(cctx.shift(F)), v).to_json(),
+                    twisted_mul(F, dense(cctx), v).to_json()])
+    return out
+
+
+SPLIT_DIGESTS = {
+    "Q": "5d5ccd099410cc5fb0beceee0de072a0dce60d70807c2cc395ea9a2b242d287c",
+    "Fp:2": "a7e9e56a38241f4270937567a2beb63b16b80eb90e1f56c57d3feb4516266209",
+    "Fp:7": "28abb250cdf9b9e3848f116287a1920899d9138dc689816d90e9b7c1b9dd86e0",
+}
+
+
+@pytest.mark.parametrize("spec", list(SPLIT_DIGESTS))
+def test_split_sum_digests(spec):
+    assert _digest(_split_json(spec)) == SPLIT_DIGESTS[spec]
 
 
 # ------------------------------------------------ dense kernels, wide values

@@ -581,8 +581,9 @@ def test_endo_matrix_views_agree_with_from_rows(field):
 
 
 def test_dense_product_memory():
-    """A dense n = 8 product over GF(7) keeps one chain of suffix maps:
-    its traced peak stays under 1 MiB, and with gc off what is still
+    """A dense n = 8 product over GF(7) keeps the chain of its walk over
+    the high parts of u's blades and 2^k accumulators, k = 4 (see
+    clifford._packed_sum): its traced peak stays under 1 MiB, and with gc off what is still
     allocated after the call is within twice the result's own size, so
     no reference cycle outlives it.  A first call keeps its carrier's
     constants (clifford._kept), which the measured call then reuses."""
@@ -607,8 +608,9 @@ def test_dense_product_memory():
 
 def test_dense_product_memory_at_n10():
     """A dense n = 10 product over GF(7) runs on packed slots: at most
-    the longest word + 1 packed pairs and the call's parity masks are
-    alive at once, so its traced peak stays under 2 MiB."""
+    the chain of n - k + 1 packed maps, 2^k accumulators (k = 5) and the
+    call's parity masks are alive at once, so its traced peak stays
+    under 2 MiB."""
     rng = random.Random(10)
     ctx = AlgebraContext(10, Field(7))
     cctx = CliffordContext(rand_quadratic(rng, ctx))
@@ -621,6 +623,27 @@ def test_dense_product_memory_at_n10():
     finally:
         tracemalloc.stop()
     assert peak < 2 << 20
+
+
+def test_dense_product_memory_at_n12():
+    """A dense n = 12 product over GF(7) holds at most the chain of
+    n - k + 1 = 7 packed maps and 2^k = 64 accumulators at once (see
+    clifford._packed_sum), 71 maps of 4,096 slots: its traced peak
+    stays under 6 MiB (5.2 MiB measured; 2.6 MiB for the unsplit walk's
+    one chain, 25.7 MiB with k = 9)."""
+    rng = random.Random(12)
+    ctx = AlgebraContext(12, Field(7))
+    cctx = CliffordContext(rand_quadratic(rng, ctx))
+    u, v = ((CliffElt._of(cctx, {m: rng.randrange(1, 7) for m in range(1 << 12)}))
+            for _ in range(2))
+    u * v
+    tracemalloc.start()
+    try:
+        u * v
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 << 20
 
 
 def test_dense_deform_memory_at_n10():
