@@ -18,8 +18,8 @@ over the running terms per pair.  The split digests (dense products,
 deform_apply and twisted_mul at n = 9 and 10) were computed on the
 packed sum's unsplit walk, one generator action per blade of u.  A
 change to the scalar layer, the kernels, the suites or the CLI must
-leave every output byte for byte as it was.  A change that means to alter an
-output updates the digest and says why.
+leave every output byte for byte as it was.  A change that means to
+alter an output updates the digest and says why.
 """
 
 import hashlib

@@ -583,9 +583,9 @@ def test_endo_matrix_views_agree_with_from_rows(field):
 def test_dense_product_memory():
     """A dense n = 8 product over GF(7) keeps the chain of its walk over
     the high parts of u's blades and 2^k accumulators, k = 4 (see
-    clifford._packed_sum): its traced peak stays under 1 MiB, and with gc off what is still
-    allocated after the call is within twice the result's own size, so
-    no reference cycle outlives it.  A first call keeps its carrier's
+    clifford._packed_sum): its traced peak stays under 1 MiB, and with
+    gc off what is still allocated after the call is within twice the
+    result's own size, so no reference cycle outlives it.  A first call keeps its carrier's
     constants (clifford._kept), which the measured call then reuses."""
     rng = random.Random(8)
     ctx = AlgebraContext(8, Field(7))
