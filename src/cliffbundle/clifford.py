@@ -77,21 +77,22 @@ a masked left shift by 2^(i-1) W of the slots without bit i - 1, the
 contraction by e_j* a masked right shift by 2^(j-1) W of the slots
 with bit j - 1 (_contract); a slot with an odd number of set bits
 below the moved one is complemented by one XOR, and the same move on
-H, the bias's image, is taken off once per row.  That is O(n)
-big-integer operations per action in place of one dict update per
-term and row entry.  _packed_sum acts by e_i as that shift plus the
-contraction by its row, and splits each blade of u at letter
-k = n // 2 as e_S = e_T e_R: it acts out e_R . v once per high part R,
-gathers u_S (e_R . v) in 2^k accumulators, one per low part T, and
-finishes them by a Horner pass over e_k .. e_1, so a dense sum makes
-2^(n - k) + 2^k - 1 actions in place of 2^n.  _packed_pairs makes pass
-i one contraction by e_i* and one by g_i, n + (nonzero pairs) in all.
-W is fixed before the first action from a bound on every slot read
-(see _packed_sum, _packed_pairs), so |x_m| < 2^(W - 1) in any field
-and at any size; over GF(p) the slots are reduced only at the exit,
-which reads X + H in C (_unpack).  H and the masks of a carrier of at
-most 2^16 bits are kept (_kept).  Sparse calls, word keys and
-repcheck's matrix builders stay on dicts.
+H, the bias's image, is taken off; for a contraction that image is
+(H & without) ^ odd.  That is O(n) big-integer operations per action
+in place of one dict update per term and row entry.  _packed_sum acts
+by e_i as that shift plus the contraction by its row, and splits each
+blade of u at letter k = n // 2 as e_S = e_T e_R: it acts out e_R . v
+once per high part R, gathers u_S (e_R . v) in 2^k accumulators, one
+per low part T, and finishes them by a Horner pass over e_k .. e_1, so
+a dense sum makes 2^(n - k) + 2^k - 1 actions in place of 2^n.
+_packed_pairs makes pass i one contraction by e_i* and one by g_i,
+n + (nonzero pairs) in all.  W is fixed before the first action from
+a bound on every slot read, from sum |u_S| for a sum and max |w_M| for
+a pair product (see _packed_sum, _packed_pairs), so |x_m| < 2^(W - 1)
+in any field and at any size; over GF(p) the slots are reduced only
+at the exit, which reads X + H in C (_unpack).  H and the masks of a
+carrier of at most 2^16 bits are kept (_kept).  Sparse calls, word
+keys and repcheck's matrix builders stay on dicts.
 """
 
 from __future__ import annotations
@@ -621,24 +622,30 @@ def _packed_pairs(g: list, n: int, terms: dict) -> list:
     1 + i_{g_i} i_i, g_i the form sum over j > i of f_ij e_j*, so pass i
     adds the contraction by g_i of the contraction by e_i* of all slots:
     n contractions plus one per pair in place of one pass per pair over
-    every term.  A term of grade at most T is moved by at most T / 2
-    passes, each times at most r_i = sum over j of |f_ij|, so no slot
-    exceeds
-    (sum of |terms|) (sum over k <= T / 2 of e_k(r)), e_k the elementary
-    symmetric sums, and W is fixed above that before the first pass."""
+    every term.  Each takes off its move's image of H, (H & without) ^
+    odd whatever the form, as every slot of H is 2^(W - 1).  Every slot
+    read or made, in X, below or the result, is a signed sum of
+    f_P w_(K + P) over sets P of disjoint pairs outside some K, f_P the
+    product of their f_ij, each (K, P) once; the k <= T / 2 pairs of a
+    P have distinct first letters, T the top grade of terms, so no slot
+    exceeds max|terms| (sum over k <= T / 2 of e_k(r)), r_i = sum over
+    j of |f_ij| and e_k the elementary symmetric sums, and W is fixed
+    above that before the first pass."""
     half = max(map(int.bit_count, terms)) >> 1
     e = [1] + [0] * half
     for row in g:
         r = sum([abs(f) for _, f in row])
         for k in range(half, 0, -1):
             e[k] += e[k - 1] * r
-    width, H, masks = _carrier(n, sum(map(abs, terms.values())) * sum(e))
+    width, H, masks = _carrier(n, max(map(abs, terms.values())) * sum(e))
     X = _pack(terms, n, width, H)
     for i, row in enumerate(g):
-        if row:  # X += i_{g_i} i_i X
-            first, row = [(masks[i], 1)], [(masks[j], f) for j, f in row]
-            below = _contract(X + H, first) - _contract(H, first)
-            X = _contract(below + H, row, X) - _contract(H, row)
+        if row:  # X += i_{g_i} i_i X, below + H in Y
+            down, without, odd = masks[i]
+            Y = ((((X + H) >> down) & without) ^ odd) - ((H & without) ^ odd) + H
+            for j, f in row:
+                down, without, odd = masks[j]
+                X += ((((Y >> down) & without) ^ odd) - ((H & without) ^ odd)) * f
     return _unpack(X, n, width, H)
 
 
@@ -648,11 +655,11 @@ def _contract_pairs(p: int, n: int, rows: tuple, w: tuple) -> tuple:
     (data, den) of the result: on the packed carrier (_packed_pairs)
     when 2 |w| >= 2^max(n, 7), else on dicts (_pair_passes).  A dict
     pass is cheaper than a generator action, so the pair product packs
-    later than _operate.  Timed on the same input, the dicts are faster
-    up to n = 5 even for a dense w (40-80% of the packed time), the
-    carriers meet at n = 6 with half to three quarters of the slots
-    filled, and packing wins for a full w at n = 6 and for half the
-    slots or more from n = 7 on.  The pairs come from _pair_rows.  Over
+    later than _operate.  Timed on the same input, each carrier forced
+    through the exit, the packed pass takes 0.94-1.04 of the dicts'
+    time at n = 5 for a w on three quarters to all of the slots, and it
+    wins from half the slots at n = 6 (0.80) and from a quarter at
+    n = 7 (0.73-0.75).  The pairs come from _pair_rows.  Over
     Q it is fraction-free: with d its common denominator, w_M is
     weighted by d^((T - |M|) / 2), T the top grade of w of the parity
     of |M|, so the result at K is over den(w) d^((T - |K|) / 2); each
@@ -981,9 +988,10 @@ def interior(ustar: CliffElt, w: CliffElt) -> CliffElt:
 
 # The largest exp_contract work estimate that runs (see exp_contract);
 # a dense two-form on e_1...e_17 is 18 million, on the blade e_1...e_17
-# (dict passes, 0.3-0.5 CPU-s) and on all 2^17 blades (packed, 0.4-0.5
-# CPU-s at a 75 MiB peak RSS) alike, Python 3.11 on an Intel Xeon; on
-# e_1...e_18 it is 40 million, refused.
+# (dict passes, 0.3-0.5 CPU-s) and on all 2^17 blades over GF(7)
+# (packed, W = 48: 0.30-0.36 CPU-s, 71 MiB peak RSS, 42.3 MiB traced)
+# alike, Python 3.11 on an Intel Xeon; on e_1...e_18 it is 40 million,
+# refused.
 _EXP_GUARD = 1 << 25
 
 

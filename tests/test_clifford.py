@@ -608,6 +608,47 @@ def test_packed_pairs_on_wide_rationals(monkeypatch):
             assert max(c.value.denominator for c in chosen.values()) > 10 ** 2000
 
 
+# (n, c, f): the pairs (1, 2), (3, 4), ... of n letters, each with f,
+# on a dense w of the value c.  Nothing lies between a pair's letters,
+# so each contracts with the sign +, and the slot at the empty blade is
+# c (1 + f)^(n / 2), the pair product's bound exactly.  The values are
+# each field's own (over GF(p) 0 < c < p and |f| <= p / 2); one case
+# per field fills its largest slot past 2^(W - 2), and over GF(7) the
+# slot 384 at n = 6 is 2 bits past an 8-bit carrier, so a bound 2 bits
+# low would choose that carrier.
+PAIR_EDGES = {
+    7: [(2, 6, 3), (4, 6, 3), (6, 6, 3), (8, 6, 3), (4, 6, -3), (6, 5, -2)],
+    (1 << 61) - 1: [(2, (1 << 61) - 2, (1 << 58) - 1), (4, (1 << 61) - 2, (1 << 57) - 1),
+                    (4, (1 << 61) - 2, -(1 << 60) + 1)],
+    0: [(2, 3 << 10, 20), (4, 3 << 101, (1 << 20) - 1), (4, -(3 << 101), -(1 << 20) - 1)],
+}
+
+
+@pytest.mark.parametrize("p", PAIR_EDGES, ids=lambda p: Field(p).spec if p else "Q")
+def test_packed_pairs_at_the_slot_edge(p, monkeypatch):
+    """The packed pair product of aligned pairs on dense w (PAIR_EDGES)
+    matches the dict passes, and some case fills its largest slot past
+    half of 2^(W - 1) at the width the call chose: the bound max|w|
+    (sum of e_k(r)) is tight there, and a narrower W would overflow."""
+    real, widths = clifford._carrier, []
+
+    def carrier(n, bound):
+        widths.append(real(n, bound)[0])
+        return real(n, bound)
+
+    monkeypatch.setattr(clifford, "_carrier", carrier)
+    filled = []
+    for n, c, f in PAIR_EDGES[p]:
+        g = [[(i + 1, f)] if i % 2 == 0 else [] for i in range(n)]
+        terms = dict.fromkeys(range(1 << n), c)
+        values = clifford._packed_pairs(g, n, terms)
+        passes = clifford._pair_passes(g, terms)
+        assert values == [passes.get(m, 0) for m in range(1 << n)], (n, c, f)
+        assert max(map(abs, values)) == abs(c * (1 + f) ** (n >> 1)), (n, c, f)
+        filled.append(max(map(abs, values)) > 1 << (8 * widths[-1] - 2))
+    assert any(filled)
+
+
 # ------------------------------------------------ the kernel's entry and exit
 
 @pytest.mark.parametrize("n", (0, 1, 5, 8, 10))
@@ -634,7 +675,9 @@ def test_packed_moves_at_the_slot_edge(width):
     """Every bit's wedge (a one-letter _packed_sum with zero rows, whose
     carrier is exactly width bytes) and contraction (_contract less its
     image on H) at n = 5, on slots of 2^(W - 1) - 1 of either sign,
-    match the slot-by-slot rules: the bias borrows from no neighbour."""
+    match the slot-by-slot rules: the bias borrows from no neighbour.
+    The image of H is (H & without) ^ odd, which _packed_pairs takes
+    off without a contraction."""
     n, W = 5, 8 * width
     edge = (1 << (W - 1)) - 1
     rng = random.Random(f"edge/{width}")
@@ -653,6 +696,8 @@ def test_packed_moves_at_the_slot_edge(width):
         assert _packed_sum(wedge_only, 0, n, {bit: 1}, values) == (wedge, 1)
         down = [0 if m & bit else sign(m) * values[m | bit] for m in range(1 << n)]
         row = [(masks[r], 1)]
+        _, without, odd = masks[r]
+        assert (H & without) ^ odd == clifford._contract(H, row)
         got = clifford._contract(X + H, row) - clifford._contract(H, row)
         assert clifford._unpack(got, n, width, H) == down
 

@@ -17,7 +17,7 @@ from cliffbundle import (AlgebraContext, BilinearForm, CapExceeded, CliffElt,
                          deform_apply, generator_matrices, index_subset, invariant_probe,
                          quad_of_bilinear, restrict_matrices, rho_matrix,
                          subset_index, twist_matrix, vec_to_cliff)
-from cliffbundle import linalg
+from cliffbundle import clifford, linalg
 from cliffbundle.sampling import rand_alternating, rand_bilinear, rand_cliff, rand_quadratic
 
 from oracles import deform_sum, matmul_oracle, pair_sum, to_exterior, word_sum
@@ -662,3 +662,36 @@ def test_dense_deform_memory_at_n10():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_dense_deform_memory_at_n14(monkeypatch):
+    """A dense n = 14 deform over GF(7) sizes its carrier from max|w|:
+    W = 40 bits (56 from sum |w|), a traced peak under 5.2 MiB (4.22
+    MiB measured, 5.15 at W = 56).  When the pair passes end, only the
+    2n parity masks, H, the running map and the lowered one are alive,
+    at most 2n + 3 carriers of 2^n W bits (29.9 measured; the test
+    allows one more), so it keeps no list of the n images of H (43.8
+    carriers with one)."""
+    rng = random.Random(14)
+    n = 14
+    ctx = AlgebraContext(n, Field(7))
+    w = CliffElt._of(CliffordContext.exterior(ctx),
+                     {m: rng.randrange(1, 7) for m in range(1 << n)})
+    A = BilinearForm.make(ctx, [[rng.randrange(7) for _ in range(n)] for _ in range(n)])
+    unpack, seen = clifford._unpack, []
+
+    def unpack_seen(X, n, width, H):
+        seen.append((tracemalloc.get_traced_memory()[0], width))
+        return unpack(X, n, width, H)
+
+    monkeypatch.setattr(clifford, "_unpack", unpack_seen)
+    tracemalloc.start()
+    try:
+        deform(A, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    (alive, width), = seen
+    assert width == 5
+    assert peak < 5.2 * (1 << 20)
+    assert alive < (2 * n + 4) * width << n
