@@ -55,15 +55,14 @@ forms; G_Q is a quadratic form's own), and so do elements, as
 (data, den): kernel keys (masks for CliffElt, words for TensorElt)
 mapped to nonzero ints over one int denominator, residues over den 1
 over GF(p), and over Q den > 0 with gcd(den, values) = 1.  The exit
-makes a result canonical in passes that map and dict run in C
-(_canonical): residues, or one gcd and one division; zeros dropped.
-Blades and Scalars appear only in an element's constructor,
-from_json, to_json, repr, coeff and read-only terms view, built on
-first read and kept.  There a blade becomes its mask through
-_masks(n) and a mask its blade through _blades(n), the 2^n blades in
-mask order, kept up to n = 12; above, key by key.  The blades of u are
-walked as masks in numeric order (_mask_walk), words by their
-reversal (_suffix_walk).
+(_canonical) makes a result canonical by scalars.canonical_ints, as
+forms and repcheck do, and drops zeros.  Blades and Scalars appear
+only in an element's constructor, from_json, to_json, repr, coeff and
+read-only terms view (scalars.scalars_over, on first read and kept).
+There a blade becomes its mask through _masks(n) and a mask its blade
+through _blades(n), the 2^n blades in mask order, kept up to n = 12;
+above, key by key.  The blades of u are walked as masks in numeric
+order (_mask_walk), words by their reversal (_suffix_walk).
 
 The sums and the pair products have two carriers.  A call whose
 operands each fill at least half the 2^n blade slots, 2 min(|u|, |v|)
@@ -98,11 +97,10 @@ keys and repcheck's matrix builders stay on dicts.
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import compress, repeat
-from math import gcd, lcm
-from operator import add, attrgetter, floordiv, lshift, mul, neg, or_, sub
+from math import lcm
+from operator import add, attrgetter, lshift, mul, neg, or_, sub
 from types import MappingProxyType
 
 from .errors import (CapExceeded, CharacteristicError, ContextMismatch, FieldMismatch,
@@ -111,7 +109,7 @@ from .forms import (AlgebraContext, BilinearForm, DualTwoForm, Field, LinearForm
                     QuadraticForm, Vector, _quad_nums, polar_form, quad_of_bilinear,
                     same_context)
 from .records import record
-from .scalars import Scalar, canonical, excerpt, scaled_ints, shaped
+from .scalars import Scalar, canonical_ints, excerpt, scalars_over, scaled_ints, shaped
 
 
 @record(frozen=True)
@@ -253,16 +251,8 @@ def _data_of(field: Field, keys, scalars) -> tuple:
 
 
 def _canonical(p: int, keys, values, den: int) -> tuple:
-    """The canonical (data, den) of raw ints at keys over den > 0: over
-    GF(p) the residues over 1, over Q the values and den divided by
-    their gcd; zeros dropped.  The kernel's exit, in passes run in C."""
-    if p:
-        values, den = list(map(p.__rmod__, values)), 1
-    else:
-        values = list(values)
-        g = gcd(den, *values)
-        if g != 1:
-            values, den = list(map(floordiv, values, repeat(g))), den // g
+    """canonical_ints of raw ints at keys over den, zeros dropped: the kernel's exit."""
+    values, den = canonical_ints(p, values, den)
     return dict(compress(zip(keys, values), values)), den
 
 
@@ -591,8 +581,8 @@ def _pair_rows(p: int, n: int, rows: tuple) -> tuple:
     upper = [nums[i * n + j] for i in range(n) for j in range(i + 1, n)]
     if p:
         upper = [(x + p // 2) % p - p // 2 for x in upper]
-    elif (c := gcd(d, *upper)) != 1:
-        upper, d = [x // c for x in upper], d // c
+    else:
+        upper, d = canonical_ints(0, upper, d)
     f = iter(upper)
     return [[(j, x) for j in range(i + 1, n) if (x := next(f))] for i in range(n)], d
 
@@ -732,11 +722,9 @@ class _Sparse:
         to Scalars, built on first read and kept."""
         try:
             return self._terms
-        except AttributeError:  # x / den in lowest terms is canonical (see Scalar)
-            field, den = self._home.field, self.den
-            self._terms = MappingProxyType(dict(zip(self._keys(), [
-                canonical(field, x // den if x % den == 0 else Fraction(x, den))
-                for x in self.data.values()])))
+        except AttributeError:
+            self._terms = MappingProxyType(dict(zip(self._keys(), scalars_over(
+                self._home.field, self.data.values(), self.den))))
             return self._terms
 
     def __bool__(self):
@@ -780,7 +768,7 @@ class _Sparse:
         """The coefficient of a key (a blade, a word); a key that is not
         one raises the constructor's FormError."""
         key = self._key(tuple(key) if hasattr(key, "__iter__") else key)
-        return self._home.field(Fraction(self.data.get(key, 0), self.den))
+        return scalars_over(self._home.field, [self.data.get(key, 0)], self.den)[0]
 
     def grade_part(self, p: int):
         out = {k: c for k, c in self.data.items() if self._grade(k) == p}
@@ -1040,14 +1028,20 @@ def _half_polar(cctx: CliffordContext) -> BilinearForm:
 
 def symbol(w: CliffElt) -> CliffElt:
     """The symbol map: the deformation by half the polar form, landing
-    in the exterior algebra.  Inverse of quantize."""
-    return deform(_half_polar(w.cctx), w, target=CliffordContext.exterior(w.cctx.ctx))
+    in the exterior algebra (a shift that needs no check).  Inverse of
+    quantize."""
+    F = _half_polar(w.cctx)
+    return CliffElt._of(CliffordContext.exterior(w.cctx.ctx), *_contract_pairs(
+        w.cctx.field.char, w.cctx.dim, (F.nums, F.den), (w.data, w.den)))
 
 
 def quantize(cctx: CliffordContext, ext: CliffElt) -> CliffElt:
     """The quantization map: from the exterior algebra back into the
-    algebra of Q.  Inverse of symbol."""
+    algebra of Q, the deformation by minus half the polar form (negated
+    as twisted_mul negates F).  Inverse of symbol."""
     if not ext.cctx.is_exterior():
         raise FormError("quantize expects an exterior-algebra element")
     same_context(cctx.ctx, ext.cctx.ctx)
-    return deform(-_half_polar(cctx), ext, target=cctx)
+    F = _half_polar(cctx)
+    return CliffElt._of(cctx, *_contract_pairs(cctx.field.char, cctx.dim, (
+        list(map(neg, F.nums)), F.den), (ext.data, ext.den)))

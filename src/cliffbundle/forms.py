@@ -5,14 +5,14 @@ An AlgebraContext fixes the dimension n and the field; everything else
 is built against it.
 
 The form records (BilinearForm, QuadraticForm, DualTwoForm) hold
-canonical integer data: the n x n entries as ints nums over one int
-den.  Over GF(p) the nums are residues in [0, p) and den is 1; over Q
-den > 0 and the gcd of den and every num is 1.  So equal forms have
-equal data, and equality and hashing compare the data.  The form
-operations and the kernel's set-up in clifford.py are int list work on
-it.  The Scalar views (rows, diag, upper, coeffs, and at, polar and
-value_at, which read them) are built once per form, on first read, and
-kept on the instance; make and from_json keep the Scalars they read.
+canonical integer data (scalars.canonical_ints): the n x n entries as
+ints nums over one int den.  Over GF(p) the nums are residues in [0, p)
+and den is 1; over Q den > 0 and the gcd of den and every num is 1.  So
+equal forms have equal data, and equality and hashing compare the data.
+The form operations and the kernel's set-up in clifford.py are int list
+work on it.  The Scalar views (rows, diag, upper, coeffs, and at, polar
+and value_at, which read them) are cached properties, rows built by
+scalars.scalars_over; make and from_json keep the Scalars they read.
 
 Basis indices are 1-based throughout the public API, matching the word
 and blade conventions of the element modules.
@@ -20,15 +20,16 @@ and blade conventions of the element modules.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
+from functools import cached_property
+from math import lcm
 from operator import add, sub
 
 from . import linalg
 from .errors import (CharacteristicError, ContextMismatch, FieldMismatch, FormError,
                      ParseError)
 from .records import record
-from .scalars import Field, Scalar, excerpt, scaled_ints, shaped
+from .scalars import (Field, Scalar, canonical_ints, excerpt, scalars_over, scaled_ints,
+                      shaped)
 
 
 @record(frozen=True)
@@ -135,30 +136,9 @@ class LinearForm:
         return acc
 
 
-class _view:
-    """A Scalar view of a form's data: built by the method it wraps on
-    first read, then kept on the instance, where it shadows this, with
-    object.__setattr__ (past the frozen record's refusal, not __dict__)."""
-
-    def __init__(self, build):
-        self.build, self.name = build, build.__name__
-
-    def __get__(self, form, owner=None):
-        if form is None:
-            return self
-        value = self.build(form)
-        object.__setattr__(form, self.name, value)
-        return value
-
-
 def _canonical(field: Field, nums, den: int = 1) -> tuple:
-    """(nums, den), entries nums[k] / den, made canonical: residues mod p
-    and den 1 over GF(p); over Q den > 0 and gcd(den, *nums) = 1."""
-    if field.char:
-        return tuple([x % field.char for x in nums]), 1
-    g = gcd(den, *nums)
-    if g != 1:
-        return tuple([x // g for x in nums]), den // g
+    """canonical_ints of raw ints over den, nums a tuple for the record's hash."""
+    nums, den = canonical_ints(field.char, nums, den)
     return tuple(nums), den
 
 
@@ -185,12 +165,10 @@ class _Form:
         object.__setattr__(form, "rows", rows)
         return form
 
-    @_view
+    @cached_property
     def rows(self) -> tuple:
         """The entries as an n x n tuple of tuples of Scalar."""
-        n, field, den = self.ctx.dim, self.ctx.field, self.den
-        values = (list(map(field, self.nums)) if den == 1 else
-                  [field(Fraction(x, den)) for x in self.nums])
+        n, values = self.ctx.dim, scalars_over(self.ctx.field, self.nums, self.den)
         return tuple(tuple(values[i * n:(i + 1) * n]) for i in range(n))
 
     def _pairing(self, x: Vector, y: Vector) -> Scalar:
@@ -323,11 +301,11 @@ class QuadraticForm(_Form):
         return cls._made(ctx, tuple(tuple(d[i] if j == i else up[j][i - j - 1] if j < i else zero
                                           for j in range(n)) for i in range(n)))
 
-    @_view
+    @cached_property
     def diag(self) -> tuple:
         return tuple(r[i] for i, r in enumerate(self.rows))
 
-    @_view
+    @cached_property
     def upper(self) -> tuple:
         return tuple(tuple(r[i] for r in self.rows[i + 1:]) for i in range(self.ctx.dim - 1))
 
@@ -378,7 +356,7 @@ class DualTwoForm(_Form):
         return cls._made(ctx, tuple(tuple(rows[i][j - i - 1] if j > i else zero
                                           for j in range(n)) for i in range(n)))
 
-    @_view
+    @cached_property
     def coeffs(self) -> tuple:
         return tuple(r[i + 1:] for i, r in enumerate(self.rows[:-1]))
 

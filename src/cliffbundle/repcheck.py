@@ -25,7 +25,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
 
 from . import linalg
 from .clifford import (CliffElt, CliffordContext, _act, _actions, _data_of, _pair_passes,
@@ -33,7 +32,7 @@ from .clifford import (CliffElt, CliffordContext, _act, _actions, _data_of, _pai
 from .errors import CapExceeded, FieldMismatch, FormError
 from .forms import AlgebraContext, BilinearForm, quad_of_bilinear, same_context
 from .records import record
-from .scalars import Field, Scalar, raw_rows, scaled_ints
+from .scalars import Field, Scalar, canonical_ints, raw_rows, scalars_over, scaled_ints
 
 _REP_DIM_LIMIT = 12
 
@@ -89,10 +88,13 @@ class EndoMatrix:
 
     @cached_property
     def entries(self) -> tuple:
-        """The rows as tuples of Scalars."""
-        field, zero = self.ctx.field, self.ctx.field.zero
-        return tuple(tuple(Scalar(field, x) if x else zero for x in row)
-                     for row in self._raw_rows())
+        """The rows as tuples of Scalars (scalars_over)."""
+        zero, den = self.ctx.field.zero, self.den
+        rows = [[zero] * self.size for _ in self.cols]
+        for c, col in enumerate(self.cols):
+            for (r, _), s in zip(col, scalars_over(zero.field, [x for _, x in col], den)):
+                rows[r][c] = s
+        return tuple(map(tuple, rows))
 
     def rows(self):
         return [list(r) for r in self.entries]
@@ -133,19 +135,18 @@ def _unit_map(n: int) -> dict:
 
 def _endo(ctx: AlgebraContext, terms: dict, den: int) -> EndoMatrix:
     """The matrix whose entry at row r of column c is
-    terms[(c << n) | r] / den, den > 0; over GF(p) the values are
-    residues up to reduction and den is not read."""
+    terms[(c << n) | r] / den, den > 0, its entries made canonical by
+    canonical_ints (over GF(p) den is not read)."""
     n = ctx.dim
-    p = ctx.field.char
-    g = den if p else gcd(den, *terms.values())
+    values, den = canonical_ints(ctx.field.char, terms.values(), den)
     cols = [[] for _ in range(1 << n)]
     low = (1 << n) - 1
-    for k, x in terms.items():
-        if x := x % p if p else x if g == 1 else x // g:
+    for k, x in zip(terms, values):
+        if x:
             cols[k >> n].append((k & low, x))
     for col in cols:
         col.sort()
-    return EndoMatrix(ctx, tuple(map(tuple, cols)), den // g)
+    return EndoMatrix(ctx, tuple(map(tuple, cols)), den)
 
 
 def _rep_guard(n: int):

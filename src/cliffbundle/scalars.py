@@ -14,7 +14,8 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import index
 
 from .errors import CapExceeded, FieldMismatch, ParseError
 from .records import record
@@ -177,9 +178,11 @@ class Scalar:
     1 and a reduced Fraction (positive denominator) otherwise, over
     GF(p) the residue in [0, p).  It is never a float: int / int is
     one, so every division and negative power over Q goes through
-    Fraction.  Arithmetic only combines scalars of the same field; ints
-    (bools included) and, over the rationals, Fractions are coerced on
-    either side.
+    Fraction.  It is made from an int, an integral value (operator.index:
+    a bool) or a Fraction, integral over GF(p); anything else, a float or
+    text, raises TypeError.  Arithmetic only combines scalars of the same
+    field; ints (bools included) and, over the rationals, Fractions are
+    coerced on either side.
     """
 
     __slots__ = ("field", "value")
@@ -189,15 +192,18 @@ class Scalar:
         # exact type tests first: most values are ints, and an
         # isinstance test against Fraction goes through ABCMeta
         if type(value) is not int:
-            if p == 0:
-                if type(value) is not Fraction:
-                    value = Fraction(value)
+            if type(value) is Fraction or isinstance(value, Fraction):
                 if value.denominator == 1:
                     value = value.numerator
-            elif isinstance(value, Fraction):
-                if value.denominator != 1:
+                elif p:
                     raise TypeError("prime-field scalar needs an integer value")
-                value = value.numerator
+            else:
+                try:
+                    value = index(value)
+                except TypeError:
+                    hint = "; parse text with Field.parse" if isinstance(value, str) else ""
+                    raise TypeError(f"a scalar's value must be an int or a Fraction, got "
+                                    f"{type(value).__name__}{hint}") from None
         if p:
             value %= p
         self.field = field
@@ -305,11 +311,31 @@ _new = object.__new__
 
 def canonical(field: Field, value) -> Scalar:
     """The Scalar of a value already in canonical form (see Scalar),
-    built without __init__'s tests: an element's terms view."""
+    built without __init__'s tests (see scalars_over)."""
     s = _new(Scalar)
     s.field = field
     s.value = value
     return s
+
+
+def canonical_ints(p: int, values, den: int) -> tuple:
+    """The canonical (list, den) of raw ints over den > 0, the one rule
+    for forms, elements and matrices: over GF(p) the residues over 1,
+    over Q the values and den divided by their gcd; zeros kept."""
+    if p:
+        return [x % p for x in values], 1
+    values = list(values)
+    g = gcd(den, *values)
+    return (values, den) if g == 1 else ([x // g for x in values], den // g)
+
+
+def scalars_over(field: Field, nums, den: int) -> list:
+    """The Scalars x / den of canonical data, built by canonical: in
+    lowest terms x / den is an int when den divides x, else a reduced
+    Fraction.  Every Scalar view of a form, an element or a matrix."""
+    if den == 1:
+        return [canonical(field, x) for x in nums]
+    return [canonical(field, x // den if x % den == 0 else Fraction(x, den)) for x in nums]
 
 
 RATIONALS = Field(0)

@@ -252,8 +252,8 @@ def test_chevalley_rows_match_oracle(field):
 
 def _count_scalars(monkeypatch) -> list:
     """Count every Scalar built from here on, by Scalar.__init__ or by
-    scalars.canonical (as scalars and clifford bind it): a one-item list
-    holding the count."""
+    scalars.canonical, which every view reaches through scalars_over: a
+    one-item list holding the count."""
     count = [0]
     init, canonical = Scalar.__init__, scalars.canonical
 
@@ -267,7 +267,6 @@ def _count_scalars(monkeypatch) -> list:
 
     monkeypatch.setattr(Scalar, "__init__", counted_init)
     monkeypatch.setattr(scalars, "canonical", counted_canonical)
-    monkeypatch.setattr(clifford, "canonical", counted_canonical)
     return count
 
 
@@ -1139,6 +1138,30 @@ def test_symbol_quantize_round_trip():
             cctx = CliffordContext(rand_quadratic(rng, ctx))
             w = rand_cliff(rng, cctx)
             assert quantize(cctx, symbol(w)) == w
+
+
+def test_symbol_and_quantize_run_no_shift_check(monkeypatch):
+    """symbol and quantize hand half the polar form to the pair product
+    directly, since their shift holds by construction: with _check_shift
+    made to raise, both still equal deform by that form with the target
+    given, sparse (dict passes) and dense at n = 7 (packed carrier)."""
+    rng = random.Random(27)
+    cases = []
+    for field in (RATIONALS, Field(7)):
+        ctx = AlgebraContext(7, field)
+        cctx, ext = CliffordContext(rand_quadratic(rng, ctx)), CliffordContext.exterior(ctx)
+        half = _half_polar_form(cctx)
+        for count in (5, None):
+            w = CliffElt(cctx, _blade_terms(rng, field, 7, count))
+            e = CliffElt(ext, _blade_terms(rng, field, 7, count))
+            cases.append((cctx, w, e, deform(half, w, target=ext), deform(-half, e, target=cctx)))
+
+    def refuse(*args):
+        raise AssertionError("_check_shift ran")
+
+    monkeypatch.setattr(clifford, "_check_shift", refuse)
+    for cctx, w, e, sym, quant in cases:
+        assert symbol(w) == sym and quantize(cctx, e) == quant
 
 
 def test_symbol_rejects_char_two():

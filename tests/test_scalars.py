@@ -2,13 +2,18 @@
 
 import random
 import sys
+from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 import cliffbundle as cb
 from cliffbundle import (CapExceeded, Field, FieldMismatch, ParseError, RATIONALS, is_prime,
                          linalg)
+from cliffbundle.clifford import _canonical as element_data
+from cliffbundle.repcheck import _endo
+from cliffbundle.scalars import canonical_ints, scalars_over
 
 
 def test_rational_arithmetic():
@@ -253,3 +258,128 @@ def test_prime_field_refuses_a_fraction():
     with pytest.raises(TypeError, match="prime-field scalar needs an integer value"):
         Field(7)(Fraction(1, 2))
     assert Field(7)(Fraction(8, 2)) == Field(7)(4)
+
+
+@pytest.mark.parametrize("field", (RATIONALS, Field(7)), ids=lambda f: f.spec)
+def test_scalar_refuses_inexact_values(field):
+    """A float, a string, a Decimal or a complex is refused where the
+    Scalar is built, with TypeError naming its type, so none reaches an
+    element or a form: over GF(7) a float used to be stored as it was,
+    and the element's square held NotImplemented.  Text is pointed to
+    Field.parse.  Integral values still enter as ints."""
+    for value in (2.0, 0.1, "3", "1/2", Decimal(2), 2 + 0j):
+        name = type(value).__name__
+        with pytest.raises(TypeError, match=f"got {name}") as err:
+            field(value)
+        assert ("Field.parse" in str(err.value)) == (name == "str")
+    ctx = cb.AlgebraContext(2, field)
+    with pytest.raises(TypeError, match="got float"):
+        cb.CliffElt.blade(cb.CliffordContext.exterior(ctx), (1,), 2.0)
+    with pytest.raises(TypeError, match="got float"):
+        cb.QuadraticForm.make(ctx, [2.0, 1])
+
+    class Tagged(int):
+        pass
+
+    for value in (True, Tagged(3), Fraction(6, 2)):
+        x = field(value)
+        assert type(x.value) is int and x == field(int(value))
+
+
+_WIDE = (RATIONALS, Field(2), Field(7), Field(2 ** 61 - 1))
+
+
+def _raw(rng, field, count):
+    """count raw ints over a den: zeros, small and wide negatives and
+    multiples of den; over Q a den up to 10^30 and a common factor, so
+    that the gcd rule has work, over GF(p) den 1."""
+    if field.char:
+        factor, den = 1, 1
+    else:
+        factor = rng.choice((1, 2, 3, 10 ** 15))
+        den = rng.choice((1, 2, 6, 10 ** 30, rng.randrange(1, 10 ** 30)))
+    values = [rng.choice((0, 0, rng.randrange(-9, 10), rng.randrange(-10 ** 40, 10 ** 40),
+                          den, -2 * den)) for _ in range(count)]
+    return [x * factor for x in values], den * factor
+
+
+def _same(got, x, den) -> bool:
+    """Whether got is the Scalar x / den built anew, value type included."""
+    want = got.field(Fraction(x, den))
+    return got == want and type(got.value) is type(want.value)
+
+
+@pytest.mark.parametrize("field", _WIDE, ids=lambda f: f.spec)
+def test_canonical_ints_and_scalars_over_match_fractions(field):
+    """canonical_ints keeps the values x / den and makes them canonical
+    (residues over 1; over Q den > 0 and gcd(den, *nums) = 1), zeros in
+    place, and scalars_over builds the Scalars of the result: each the
+    Scalar of Fraction(x, den), an int when integral."""
+    rng = random.Random(f"canonical/{field.spec}")
+    p = field.char
+    cases = [_raw(rng, field, count) for count in (0, 1, 5, 40) for _ in range(10)]
+    cases += [([0, 0, 0], 1 if p else 6), ([-4, 8, 0], 1 if p else 12)]
+    for values, den in cases:
+        nums, d = canonical_ints(p, iter(values), den)
+        assert type(nums) is list and len(nums) == len(values)
+        if p:
+            assert d == 1 and nums == [field(x).value for x in values]
+        else:
+            assert d > 0 and gcd(d, *nums) == 1
+            assert [Fraction(x, d) for x in nums] == [Fraction(x, den) for x in values]
+        scalars = scalars_over(field, nums, d)
+        assert len(scalars) == len(values)
+        assert all(_same(s, x, den) for s, x in zip(scalars, values))
+        assert all(type(s.value) is int for s in scalars if s.value.denominator == 1)
+
+
+@pytest.mark.parametrize("field", _WIDE, ids=lambda f: f.spec)
+def test_every_view_is_the_scalars_of_its_data(field):
+    """The Scalar views of forms (rows, diag, upper, coeffs), elements
+    (terms, coeff) and matrices (EndoMatrix.entries), built from
+    canonical data never read before, each equal to the Scalar of
+    Fraction(x, den) entry by entry."""
+    rng = random.Random(f"views/{field.spec}")
+    n, p = 3, field.char
+    ctx = cb.AlgebraContext(n, field)
+    cctx = cb.CliffordContext.exterior(ctx)
+
+    def data(keep):
+        """Canonical form data, the raw entries zero where keep(i, j) fails."""
+        values, den = _raw(rng, field, n * n)
+        nums, den = canonical_ints(p, [x if keep(k // n, k % n) else 0
+                                       for k, x in enumerate(values)], den)
+        return tuple(nums), den
+
+    for _ in range(10):
+        nums, den = data(lambda i, j: True)
+        rows = cb.BilinearForm(ctx, nums, den).rows
+        assert all(_same(rows[i][j], nums[i * n + j], den) for i in range(n) for j in range(n))
+        nums, den = data(lambda i, j: j <= i)
+        q = cb.QuadraticForm(ctx, nums, den)
+        assert all(_same(q.diag[i], nums[i * n + i], den) for i in range(n))
+        assert all(_same(q.upper[i][k], nums[(i + 1 + k) * n + i], den)
+                   for i in range(n - 1) for k in range(n - 1 - i))
+        nums, den = data(lambda i, j: j > i)
+        a = cb.DualTwoForm(ctx, nums, den)
+        assert all(_same(a.coeffs[i][k], nums[i * n + i + 1 + k], den)
+                   for i in range(n - 1) for k in range(n - 1 - i))
+
+        values, den = _raw(rng, field, 1 << n)
+        u = cb.CliffElt._of(cctx, *element_data(p, range(1 << n), values, den))
+        assert all(_same(u.terms[cb.index_subset(m)], x, u.den) for m, x in u.data.items())
+        assert all(_same(u.coeff(cb.index_subset(m)), u.data.get(m, 0), u.den)
+                   for m in range(1 << n))
+        words = [(1, 1), (2,), (), (3, 1, 2)]
+        values, den = _raw(rng, field, len(words))
+        t = cb.TensorElt._of(ctx, *element_data(p, words, values, den))
+        assert all(_same(t.terms[w], x, t.den) for w, x in t.data.items())
+
+        values, den = _raw(rng, field, 1 << 2 * n)
+        m = _endo(ctx, dict(enumerate(values)), den)
+        dense = [[0] * (1 << n) for _ in range(1 << n)]
+        for c, col in enumerate(m.cols):
+            for r, x in col:
+                dense[r][c] = x
+        assert all(_same(s, x, m.den) for row, xs in zip(m.entries, dense)
+                   for s, x in zip(row, xs))
