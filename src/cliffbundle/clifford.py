@@ -54,11 +54,12 @@ divided once at the end.  Forms enter as their integer data (see
 forms; G_Q is a quadratic form's own), and so do elements, as
 (data, den): kernel keys (masks for CliffElt, words for TensorElt)
 mapped to nonzero ints over one int denominator, residues over den 1
-over GF(p), and over Q den > 0 with gcd(den, values) = 1.  The exit
-(_canonical) makes a result canonical by scalars.canonical_ints, as
-forms and repcheck do, and drops zeros.  Blades and Scalars appear
-only in an element's constructor, from_json, to_json, repr, coeff and
-read-only terms view (scalars.scalars_over, on first read and kept).
+over GF(p), and over Q den > 0 with gcd(den, values) = 1.  The entry
+(_data_of) reads Scalars by scalars.ints_of and the exit (_canonical)
+makes a result canonical by scalars.canonical_ints, as forms and
+repcheck do; both drop zeros.  Blades and Scalars appear only in an
+element's constructor, from_json, to_json, repr, coeff and read-only
+terms view (scalars.scalars_over, on first read and kept).
 There a blade becomes its mask through _masks(n) and a mask its blade
 through _blades(n), the 2^n blades in mask order, kept up to n = 12;
 above, key by key.  The blades of u are walked as masks in numeric
@@ -91,7 +92,8 @@ a pair product (see _packed_sum, _packed_pairs), so |x_m| < 2^(W - 1)
 in any field and at any size; over GF(p) the slots are reduced only
 at the exit, which reads X + H in C (_unpack).  H and the masks of a
 carrier of at most 2^16 bits are kept (_kept).  Sparse calls, word
-keys and repcheck's matrix builders stay on dicts.
+keys (all of u's, as in quotient_map and reverse) and repcheck's
+matrix builders stay on dicts.
 """
 
 from __future__ import annotations
@@ -100,16 +102,15 @@ import sys
 from functools import lru_cache, partial, reduce
 from itertools import compress, repeat
 from math import lcm
-from operator import add, attrgetter, lshift, mul, neg, or_, sub
+from operator import add, lshift, mul, neg, or_, sub
 from types import MappingProxyType
 
-from .errors import (CapExceeded, CharacteristicError, ContextMismatch, FieldMismatch,
-                     FormError, ParseError)
+from .errors import CapExceeded, CharacteristicError, ContextMismatch, FormError, ParseError
 from .forms import (AlgebraContext, BilinearForm, DualTwoForm, Field, LinearForm,
                     QuadraticForm, Vector, _quad_nums, polar_form, quad_of_bilinear,
                     same_context)
 from .records import record
-from .scalars import Scalar, canonical_ints, excerpt, scalars_over, scaled_ints, shaped
+from .scalars import Scalar, canonical_ints, excerpt, ints_of, scalars_over, shaped
 
 
 @record(frozen=True)
@@ -227,26 +228,12 @@ def _blade_masks(n: int, blades) -> list:
                         f"got {excerpt(exc.args[0])}") from None
 
 
-_value, _field = attrgetter("value"), attrgetter("field")
 _new = object.__new__
 
 
 def _data_of(field: Field, keys, scalars) -> tuple:
-    """The canonical (data, den) of Scalars of field at kernel keys: the
-    nonzero values, over Q as integers over their denominators' lcm
-    (scaled_ints).  One C-level pass over the fields finds a value that
-    is not a Scalar (FormError) or of another field (FieldMismatch)."""
-    try:
-        nums = list(map(_value, scalars))
-        mixed = list(map(_field, scalars)).count(field) != len(nums)
-    except AttributeError:
-        mixed = True
-    for c in scalars if mixed else ():
-        if type(c) is not Scalar:
-            raise FormError(f"a term's coefficient must be a Scalar, got {excerpt(c)}")
-        if c.field != field:
-            raise FieldMismatch(f"scalar over {c.field.spec} used in a {field.spec} context")
-    nums, den = (nums, 1) if field.char else scaled_ints(nums)
+    """The canonical (data, den) of Scalars of field at keys (ints_of), zeros dropped."""
+    nums, den = ints_of(field, scalars)
     return dict(compress(zip(keys, nums), nums)), den
 
 
@@ -361,24 +348,16 @@ def _mask_walk(items, start, step):
         yield c, m.bit_count(), got
 
 
-def _walk(u: dict) -> tuple:
-    """The walk over the keys of u and their grade: _mask_walk and the
-    set bits for masks (u keyed by blades), _suffix_walk and the length
-    for words."""
-    if type(next(iter(u), None)) is int:
-        return _mask_walk, int.bit_count
-    return _suffix_walk, len
-
-
 def _word_sum(act, actions: tuple, p: int, u: dict, v: dict) -> tuple:
     """The sum over the words S of u of u_S (e_S . v): (map, den).  act
     is the generator action on the keys of v, _act on bitmasks or
     _act_word on words; u and v map their keys to ints, and u's keys
-    are walked by _walk.  Over Q the result is the map divided by den:
-    u_S is weighted by d^(m - |S|), m the longest word of u, and den is
-    d^m.  Over GF(p) the map is unreduced and den is 1."""
+    are walked by _mask_walk or _suffix_walk.  Over Q the result is the
+    map divided by den: u_S is weighted by d^(m - |S|), m the longest
+    word of u, and den is d^m.  Over GF(p) the map is unreduced and den is 1."""
     acts, scale, d = actions
-    walk, grade = _walk(u)
+    walk, grade = ((_mask_walk, int.bit_count) if type(next(iter(u), None)) is int
+                   else (_suffix_walk, len))
     top = max(map(grade, u), default=0)
 
     def step(got, letter):
@@ -500,18 +479,16 @@ def _packed_sum(actions: tuple, p: int, n: int, u: dict, v: dict) -> tuple:
     e_j . Z[t + 2^(j-1)] to Z[t] for t < 2^(j-1), freeing each consumed
     Z, and the sum is Z[0]: 2^(n - k) + 2^k - 1 actions for a dense u in
     place of 2^n, at most n - k + 1 maps on the walk's chain and 2^k
-    accumulators alive.  Word keys (quotient_map and reverse, packed only
-    at n <= 1) take k = 0, the plain walk.  Every map the call reads or
-    makes, on the walk, in a Z[T], in a Horner partial sum or the sum,
-    is a sum over some terms of u of u_S d^(m - |S|) (e_S' . v), S' a
-    part of S.  One action multiplies the largest slot by at most R, the
-    largest d + sum of |row entries| over the rows, and R >= 1, so every
-    slot is at most (sum over S of |u_S d^(m - |S|)|) R^m max|v| in
-    magnitude, and W is above it."""
+    accumulators alive.  Every map the call reads or makes, on the walk,
+    in a Z[T], in a Horner partial sum or the sum, is a sum over some
+    terms of u of u_S d^(m - |S|) (e_S' . v), S' a part of S.  One
+    action multiplies the largest slot by at most R, the largest
+    d + sum of |row entries| over the rows, and R >= 1, so every slot is
+    at most (sum over S of |u_S d^(m - |S|)|) R^m max|v| in magnitude,
+    and W is above it."""
     acts, scale, d = actions
-    walk, grade = _walk(u)
-    top = max(map(grade, u))
-    coeffs = [c * d ** (top - k) for k, c in zip(map(grade, u), u.values())]
+    top = max(map(int.bit_count, u))
+    coeffs = [c * d ** (top - k) for k, c in zip(map(int.bit_count, u), u.values())]
     reach = max(d + sum(abs(f) for _, f in row) for _, row in acts)
     width, H, masks = _carrier(n, sum(map(abs, coeffs)) * reach ** top * max(map(abs, v.values())))
     moves = [(masks[r], [(masks[b.bit_length() - 1], f) for b, f in row])
@@ -527,14 +504,13 @@ def _packed_sum(actions: tuple, p: int, n: int, u: dict, v: dict) -> tuple:
     def step(X, letter):
         return act(X + H, letter) - images[letter - 1]
 
-    k = n >> 1 if walk is _mask_walk else 0
+    k = n >> 1
     low = (1 << k) - 1
     groups = {}
     for m, c in zip(u, coeffs):
-        high, t = (m & ~low, m & low) if k else (m, 0)
-        groups.setdefault(high, []).append((t, c))
+        groups.setdefault(m & ~low, []).append((m & low, c))
     Z = [0] * (1 << k)
-    for group, _, X in walk(groups.items(), _pack(v, n, width, H), step):
+    for group, _, X in _mask_walk(groups.items(), _pack(v, n, width, H), step):
         for t, c in group:
             Z[t] += c * X
     del groups, X
@@ -553,18 +529,19 @@ def _operate(p: int, n: int, rows: tuple, u: tuple, v: tuple, wedge: bool = True
     contraction by row i of rows (see _actions): the canonical
     (data, den) of the result.  u and v are (data, den) pairs; u's keys
     are masks or words, and v's keys, masks or words, set the action.
-    On masks it runs on packed integers (_packed_sum) when
-    2 min(|u|, |v|) >= 2^n, so that at least half the 2^n slots are
-    filled from the start, else on dicts (_word_sum).  The rule follows
-    a measurement at n = 4, where the packed sum took about 2.5 times as
-    long as the dicts with 4 to 6 terms a side.  The split sum takes 1.2
-    to 1.6 times as long with 4 terms a side, 0.6 to 1.05 times with 5
-    to 7 and about half at the rule's edge, 8; at n = 5 about half with
-    6 terms a side.  So the rule packs later than the carriers cross."""
+    On masks (never words: quotient_map, reverse) it runs on packed
+    integers (_packed_sum) when 2 min(|u|, |v|) >= 2^n, so that at least
+    half the 2^n slots are filled from the start, else on dicts
+    (_word_sum).  The rule follows a measurement at n = 4, where the
+    packed sum took about 2.5 times as long as the dicts with 4 to 6
+    terms a side.  The split sum takes 1.2 to 1.6 times as long with 4
+    terms a side, 0.6 to 1.05 times with 5 to 7 and about half at the
+    rule's edge, 8; at n = 5 about half with 6 terms a side.  So the
+    rule packs later than the carriers cross."""
     (u, du), (v, dv) = u, v
     actions = _actions(n, rows, wedge)
     words = type(next(iter(v), None)) is tuple
-    if not words and 2 * min(len(u), len(v)) >= 1 << n:
+    if not words and 2 * min(len(u), len(v)) >= 1 << n and type(next(iter(u))) is int:
         values, den = _packed_sum(actions, p, n, u, v)
         return _canonical(p, range(1 << n), values, du * dv * den)
     out, den = _word_sum(_act_word if words else _act, actions, p, u, v)
@@ -884,8 +861,8 @@ def contract(f: LinearForm, w: CliffElt) -> CliffElt:
     """The descended antiderivation of a linear form on normal forms:
     the word (1,) acting with f as its only row and no wedge part."""
     same_context(f.ctx, w.cctx.ctx)
-    return CliffElt._of(w.cctx, *_operate(w.cctx.field.char, f.ctx.dim, scaled_ints(list(
-        map(_value, f.coeffs))), ({1: 1}, 1), (w.data, w.den), wedge=False))
+    return CliffElt._of(w.cctx, *_operate(w.cctx.field.char, f.ctx.dim, ints_of(
+        f.ctx.field, f.coeffs), ({1: 1}, 1), (w.data, w.den), wedge=False))
 
 
 def contract_vec(F: BilinearForm, x: Vector, w: CliffElt) -> CliffElt:

@@ -28,8 +28,7 @@ from . import linalg
 from .errors import (CharacteristicError, ContextMismatch, FieldMismatch, FormError,
                      ParseError)
 from .records import record
-from .scalars import (Field, Scalar, canonical_ints, excerpt, scalars_over, scaled_ints,
-                      shaped)
+from .scalars import Field, Scalar, canonical_ints, excerpt, ints_of, scalars_over, shaped
 
 
 @record(frozen=True)
@@ -159,8 +158,7 @@ class _Form:
     @classmethod
     def _made(cls, ctx: AlgebraContext, rows: tuple):
         """The form of its entries, Scalars of ctx's field, kept as rows."""
-        values = [c.value for r in rows for c in r]
-        nums, den = (values, 1) if ctx.field.char else scaled_ints(values)
+        nums, den = ints_of(ctx.field, [c for r in rows for c in r])
         form = cls(ctx, tuple(nums), den)
         object.__setattr__(form, "rows", rows)
         return form

@@ -1,28 +1,29 @@
 """Dense exact linear algebra on raw values.
 
 Internal helper module: matrices are plain lists of lists, row-major.
-The core works on the raw values of scalars and takes the field's
-characteristic p (0 for the rationals): residues in [0, p) over GF(p),
-inverted by pow(x, -1, p); ints or Fractions over Q.  Elimination over
-Q is fraction-free: every row is scaled to a primitive integer vector,
-a row update cross-multiplies by the pivot and removes the content
-(the gcd of the entries) again, and each output row is divided once by
-its pivot; the reduced echelon form is unique, so the result is the
-one exact division would give.  Determinants over Q use Bareiss'
-exact-division elimination, and products scale both operands to
-integers and divide once per entry.  Pivoting picks the first nonzero
-entry; exact arithmetic needs no numerical care.
+The core takes raw values, residues over GF(p) or ints and Fractions
+over Q, and the characteristic p (0 for Q).  Each problem has one
+algorithm for both fields, on integer rows (over Q over a common
+denominator, _int_matrix); the field picks only the row normal form
+(_normal: mod p, or divided by the content, the gcd of the entries)
+and the exit division (by the inverse mod p, or through Fraction).
+Elimination is fraction-free: a row update cross-multiplies by the
+pivot, and each output row is divided once by its pivot; the reduced
+echelon form is unique, so the result is the one exact division would
+give.  Determinants use Bareiss' elimination (Math. Comp. 22, 1968),
+exact over any integral domain; a product divides once per entry.
 
-The functions without a _raw suffix take and return Scalar entries:
-they read the values at entry and build Scalars at exit.
+The functions without a _raw suffix take and return Scalars of one
+field, the first entry's; raw_rows refuses any other entry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
+from operator import floordiv, mod
 
-from .scalars import Field, Scalar, raw_rows, scaled_ints
+from .scalars import Field, Scalar, field_of, raw_rows, scaled_ints
 
 
 def transpose(a):
@@ -32,16 +33,28 @@ def transpose(a):
 # ---------------------------------------------------------------- raw core
 
 
-def _int_matrix(a) -> tuple:
-    """Rational rows as integer rows over one common denominator."""
-    flat, den = scaled_ints([x for row in a for x in row])
-    width = len(a[0]) if a else 0
-    return [flat[i * width:(i + 1) * width] for i in range(len(a))], den
+def _int_matrix(a, p: int) -> tuple:
+    """Rows as integer rows over the lcm of their denominators; ints and residues as they are."""
+    dens = () if p else {x.denominator for row in a for x in row if type(x) is not int}
+    if not dens:
+        return a, 1
+    den = lcm(*dens)
+    return [[x.numerator * (den // x.denominator) for x in row] for row in a], den
 
 
-def _primitive(row):
+def _normal(row, p: int) -> list:
+    """An integer row in the field's normal form, a new list: mod p, or the content removed."""
+    if p:
+        return [x % p for x in row]
     g = gcd(*row)
-    return [x // g for x in row] if g > 1 else row
+    return [x // g for x in row] if g > 1 else list(row)
+
+
+def _combine(a: int, row, f: int, prow, p: int) -> list:
+    """The row update a row - f prow, in normal form (_normal)."""
+    if p:
+        return [(a * x - f * y) % p for x, y in zip(row, prow)]
+    return _normal([a * x - f * y for x, y in zip(row, prow)], 0)
 
 
 def _products(a, b):
@@ -58,13 +71,12 @@ def _products(a, b):
 
 
 def mat_mul_raw(a, b, p: int):
+    (ia, da), (ib, db) = _int_matrix(a, p), _int_matrix(b, p)
+    out = _products(ia, ib)
     if p:
-        return [[s % p for s in row] for row in _products(a, b)]
-    ia, da = _int_matrix(a)
-    ib, db = _int_matrix(b)
+        return [[s % p for s in row] for row in out]
     den = da * db
-    return [[Fraction(s, den) if s and den != 1 else s for s in row]
-            for row in _products(ia, ib)]
+    return [[Fraction(s, den) if s and den != 1 else s for s in row] for row in out]
 
 
 def mat_vec_raw(a, v, p: int):
@@ -74,10 +86,7 @@ def mat_vec_raw(a, v, p: int):
 def rref_raw(a, p: int):
     """Reduced row echelon form of raw rows (on a copy); returns
     (rows, pivot_cols)."""
-    if p:
-        m = [[x % p for x in row] for row in a]
-    else:
-        m = [_primitive(scaled_ints(row)[0]) for row in a]
+    m = [_normal(row, p) for row in _int_matrix(a, p)[0]]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     pivots = []
@@ -87,54 +96,32 @@ def rref_raw(a, p: int):
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        if p:
-            inv = pow(m[r][c], -1, p)
-            prow = m[r] = [x * inv % p for x in m[r]]
-            for i in range(nrows):
-                f = m[i][c]
-                if f and i != r:
-                    m[i] = [(x - f * y) % p for x, y in zip(m[i], prow)]
-        else:
-            prow = m[r]
-            a_c = prow[c]
-            for i in range(nrows):
-                f = m[i][c]
-                if f and i != r:
-                    m[i] = _primitive([a_c * x - f * y for x, y in zip(m[i], prow)])
+        prow = m[r]
+        a_c = prow[c]
+        for i in range(nrows):
+            f = m[i][c]
+            if f and i != r:
+                m[i] = _combine(a_c, m[i], f, prow, p)
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    if not p:
-        for i, c in enumerate(pivots):
-            piv = m[i][c]
-            if piv != 1:
+    for i, c in enumerate(pivots):
+        piv = m[i][c]
+        if piv != 1:
+            if p:
+                inv = pow(piv, -1, p)
+                m[i] = [x * inv % p for x in m[i]]
+            else:
                 m[i] = [Fraction(x, piv) if x else 0 for x in m[i]]
     return m, pivots
 
 
 def det_raw(a, p: int):
     n = len(a)
-    if p:
-        m = [[x % p for x in row] for row in a]
-        result = 1
-        for c in range(n):
-            pr = next((i for i in range(c, n) if m[i][c]), None)
-            if pr is None:
-                return 0
-            if pr != c:
-                m[c], m[pr] = m[pr], m[c]
-                result = -result
-            piv = m[c][c]
-            result = result * piv % p
-            inv = pow(piv, -1, p)
-            for i in range(c + 1, n):
-                f = m[i][c] * inv % p
-                if f:
-                    m[i] = [(x - f * y) % p for x, y in zip(m[i], m[c])]
-        return result % p
     scaled = [scaled_ints(row) for row in a]
-    m = [row for row, _ in scaled]
+    m = [[x % p for x in row] if p else row for row, _ in scaled]
+    exact = mod if p else floordiv
     sign, prev = 1, 1
     for k in range(n):
         pr = next((i for i in range(k, n) if m[i][k]), None)
@@ -145,11 +132,15 @@ def det_raw(a, p: int):
             sign = -sign
         krow = m[k]
         piv = krow[k]
+        # (piv row - f krow) / prev, exact: over GF(p) times prev's inverse, mod p
+        inv = pow(prev, -1, p) if p else 1
+        a, d = piv * inv, p or prev
         for i in range(k + 1, n):
-            f = m[i][k]
-            m[i] = [(piv * x - f * y) // prev for x, y in zip(m[i], krow)]
+            f = m[i][k] * inv
+            m[i] = [exact(a * x - f * y, d) for x, y in zip(m[i], krow)]
         prev = piv
-    return Fraction(sign * m[-1][-1], prod(den for _, den in scaled))
+    last = sign * m[-1][-1] if n else 1
+    return last % p if p else Fraction(last, prod(den for _, den in scaled))
 
 
 def nullspace_raw(a, p: int):
@@ -201,40 +192,39 @@ def _scalars(field: Field, a):
 
 
 def mat_mul(a, b):
-    field = a[0][0].field
-    return _scalars(field, mat_mul_raw(raw_rows(a), raw_rows(b), field.char))
+    field = field_of(a)
+    return _scalars(field, mat_mul_raw(raw_rows(a, field), raw_rows(b, field), field.char))
 
 
 def mat_vec(a, v):
-    field = a[0][0].field
-    return _scalars(field, [mat_vec_raw(raw_rows(a), [x.value for x in v], field.char)])[0]
+    return [row[0] for row in mat_mul(a, [[x] for x in v])]
 
 
 def rref(a):
     """Reduced row echelon form (on a copy); returns (rows, pivot_cols)."""
     if not a or not a[0]:
         return [list(row) for row in a], []
-    field = a[0][0].field
-    red, pivots = rref_raw(raw_rows(a), field.char)
+    field = field_of(a)
+    red, pivots = rref_raw(raw_rows(a, field), field.char)
     return _scalars(field, red), pivots
 
 
 def det(a) -> Scalar:
-    field = a[0][0].field
-    return Scalar(field, det_raw(raw_rows(a), field.char))
+    field = field_of(a)
+    return Scalar(field, det_raw(raw_rows(a, field), field.char))
 
 
 def nullspace(a):
     """Basis of {v : a v = 0}, each vector a list of Scalar."""
-    field = a[0][0].field
-    return _scalars(field, nullspace_raw(raw_rows(a), field.char))
+    field = field_of(a)
+    return _scalars(field, nullspace_raw(raw_rows(a, field), field.char))
 
 
 def solve_matrix(a, b):
     """Solve a @ X = b exactly.  a is m x n, b is m x k; returns the
     n x k solution with free variables zero, or None if inconsistent."""
-    field = a[0][0].field
-    x = solve_matrix_raw(raw_rows(a), raw_rows(b), field.char)
+    field = field_of(a)
+    x = solve_matrix_raw(raw_rows(a, field), raw_rows(b, field), field.char)
     return None if x is None else _scalars(field, x)
 
 

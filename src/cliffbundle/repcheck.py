@@ -32,7 +32,8 @@ from .clifford import (CliffElt, CliffordContext, _act, _actions, _data_of, _pai
 from .errors import CapExceeded, FieldMismatch, FormError
 from .forms import AlgebraContext, BilinearForm, quad_of_bilinear, same_context
 from .records import record
-from .scalars import Field, Scalar, canonical_ints, raw_rows, scalars_over, scaled_ints
+from .scalars import (Field, Scalar, canonical_ints, field_of, ints_of, raw_rows, scalars_over,
+                      scaled_ints)
 
 _REP_DIM_LIMIT = 12
 
@@ -73,10 +74,9 @@ class EndoMatrix:
         n, size = ctx.dim, 1 << ctx.dim
         if len(rows) != size or any(len(row) != size for row in rows):
             raise FormError(f"endomorphism matrix must be {size}x{size}")
-        vals = {(c << n) | r: ctx.coerce(v).value for r, row in enumerate(rows)
-                for c, v in enumerate(row)}
-        nums, den = scaled_ints(list(vals.values()))
-        return _endo(ctx, dict(zip(vals, nums)), den)
+        nums, den = ints_of(ctx.field, ctx.coerce_all(v for row in rows for v in row))
+        keys = ((c << n) | r for r in range(size) for c in range(size))
+        return _endo(ctx, dict(zip(keys, nums)), den)
 
     @classmethod
     def identity(cls, ctx: AlgebraContext) -> "EndoMatrix":
@@ -292,17 +292,17 @@ class ProbeReport:
         }
 
 
-def _raw_of(m) -> list:
-    """The dense raw rows of an EndoMatrix or of a matrix of Scalars."""
+def _raw_of(m) -> tuple:
+    """The field and the dense raw rows of an EndoMatrix, or of a matrix
+    of Scalars of one field (field_of, raw_rows)."""
     if isinstance(m, EndoMatrix):
-        return m._raw_rows()
-    return raw_rows(m)
+        return m.ctx.field, m._raw_rows()
+    field = field_of(m)
+    return field, raw_rows(m, field)
 
 
-def _common_field(mats) -> Field:
-    """The field of every matrix, an EndoMatrix's ctx.field or a Scalar
-    matrix's first entry's; FieldMismatch unless they are one."""
-    fields = [m.ctx.field if isinstance(m, EndoMatrix) else m[0][0].field for m in mats]
+def _common_field(fields) -> Field:
+    """The one field of fields; FieldMismatch unless they are one."""
     for f in fields:
         if f != fields[0]:
             raise FieldMismatch(f"cannot combine {fields[0].spec} and {f.spec} matrices")
@@ -315,14 +315,15 @@ def restrict_matrices(mats, basis):
     plain d x d matrices in the given basis."""
     if not basis:
         raise FormError("cannot restrict to an empty basis")
-    raw = [_raw_of(m) for m in mats]
-    n = len(basis[0])
-    if not n or any(len(v) != n for v in basis) or any(
+    fields, raw = zip(*map(_raw_of, [*mats, basis]))
+    *raw, braw = raw
+    n = len(braw[0])
+    if not n or any(len(v) != n for v in braw) or any(
             len(m) != n or any(len(r) != n for r in m) for m in raw):
         raise FormError("the matrices must be square of the basis vectors' length")
-    field = _common_field([*mats, basis])
+    field = _common_field(fields)
     p = field.char
-    bcols = linalg.transpose(raw_rows(basis))
+    bcols = linalg.transpose(braw)
     out = []
     for m in raw:
         x = linalg.solve_matrix_raw(bcols, linalg.mat_mul_raw(m, bcols, p), p)
@@ -442,11 +443,11 @@ def invariant_probe(mats, seed: int) -> ProbeReport:
     """
     if not mats:
         raise FormError("invariant probe needs at least one matrix")
-    raw = [_raw_of(m) for m in mats]
+    fields, raw = zip(*map(_raw_of, mats))
     n = len(raw[0])
     if not n or any(len(m) != n or any(len(r) != n for r in m) for m in raw):
         raise FormError("all matrices must share one nonempty square dimension")
-    field = _common_field(mats)
+    field = _common_field(fields)
     p = field.char
     raw_t = [linalg.transpose(m) for m in raw]
     rng = random.Random(seed)

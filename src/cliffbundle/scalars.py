@@ -15,9 +15,9 @@ import re
 import sys
 from fractions import Fraction
 from math import gcd, lcm
-from operator import index
+from operator import attrgetter, index
 
-from .errors import CapExceeded, FieldMismatch, ParseError
+from .errors import CapExceeded, FieldMismatch, FormError, ParseError
 from .records import record
 
 # A scalar literal: an integer or a fraction of two integers.
@@ -60,12 +60,6 @@ def scaled_ints(values) -> tuple:
     if den == 1:
         return ([c.numerator for c in values] if dens else list(values)), 1
     return [c.numerator * (den // c.denominator) for c in values], den
-
-
-def raw_rows(rows) -> list:
-    """The raw values (ints or Fractions over Q, residues over GF(p)) of
-    a matrix of Scalars."""
-    return [[x.value for x in row] for row in rows]
 
 
 # Miller-Rabin witnesses that decide primality below _MR_BOUND, the
@@ -307,6 +301,45 @@ class Scalar:
 
 
 _new = object.__new__
+_value, _field = attrgetter("value"), attrgetter("field")
+
+
+def raw_values(field: Field, scalars) -> list:
+    """The raw values of a sequence of Scalars of field.  One C-level pass
+    over the fields finds an entry that is not a Scalar (FormError) or
+    of another field (FieldMismatch)."""
+    try:
+        values = list(map(_value, scalars))
+        mixed = list(map(_field, scalars)).count(field) != len(values)
+    except AttributeError:
+        mixed = True
+    for c in scalars if mixed else ():
+        if type(c) is not Scalar:
+            raise FormError(f"a coefficient must be a Scalar, got {excerpt(c)}")
+        if c.field != field:
+            raise FieldMismatch(f"scalar over {c.field.spec} used in a {field.spec} context")
+    return values
+
+
+def raw_rows(rows, field: Field) -> list:
+    """The raw_values of each row of a matrix of Scalars of field."""
+    return [raw_values(field, row) for row in rows]
+
+
+def field_of(rows) -> Field:
+    """The field of a matrix of Scalars, its first entry's (FormError if none is)."""
+    first = next((x for row in rows for x in row), None)
+    if type(first) is not Scalar:
+        raise FormError(f"a matrix's first entry must be a Scalar, got {excerpt(first)}")
+    return first.field
+
+
+def ints_of(field: Field, scalars) -> tuple:
+    """The canonical (list, den) of a sequence of Scalars of field, the one
+    entry rule for forms, elements and matrices: the raw_values, residues
+    over 1 or, over Q, integers over their denominators' lcm (scaled_ints)."""
+    values = raw_values(field, scalars)
+    return (values, 1) if field.char else scaled_ints(values)
 
 
 def canonical(field: Field, value) -> Scalar:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from .clifford import _Sparse, _data_of, _operate
 from .errors import CapExceeded, FormError, ParseError
 from .forms import AlgebraContext, BilinearForm, LinearForm, Vector, same_context
-from .scalars import excerpt, scaled_ints, shaped
+from .scalars import excerpt, ints_of, shaped
 
 
 # the longest word an operation may build, a guard against runaway products
@@ -136,8 +136,8 @@ def contract(f: LinearForm, u: TensorElt) -> TensorElt:
     That is the word (1,) acting with f as its only row and no wedge
     part."""
     same_context(f.ctx, u.ctx)
-    return TensorElt._of(u.ctx, *_operate(u.ctx.field.char, f.ctx.dim, scaled_ints([
-        c.value for c in f.coeffs]), ({(1,): 1}, 1), (u.data, u.den), wedge=False))
+    return TensorElt._of(u.ctx, *_operate(u.ctx.field.char, f.ctx.dim, ints_of(
+        f.ctx.field, f.coeffs), ({(1,): 1}, 1), (u.data, u.den), wedge=False))
 
 
 def contract_vec(F: BilinearForm, x: Vector, u: TensorElt) -> TensorElt:

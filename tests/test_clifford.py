@@ -465,8 +465,8 @@ def test_split_sum_matches_dict_sum(field):
     under random rows (over Q with a common denominator d != 1, so the
     grades are weighted apart) and, for the dense and edge shapes,
     without it under identity rows as in interior; an edge call also
-    goes through _operate's rule.  Word-keyed u at n = 1 (k = 0, as
-    quotient_map and reverse reach it) agrees too."""
+    goes through _operate's rule.  _operate on word-keyed u at n = 1,
+    as quotient_map and reverse call it, agrees with the dict sum too."""
     rng = random.Random(f"split/{field.spec}")
     for n in range(1, 10):
         identity = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -489,12 +489,36 @@ def test_split_sum_matches_dict_sum(field):
     rows = _kernel_rows([[_coeff(rng, field).value]])
     words, du = _data_of(field, [(1,) * k for k in range(4)],
                          [_coeff(rng, field) for _ in range(4)])
-    actions, p = _actions(1, rows), field.char
-    values, den = _packed_sum(actions, p, 1, words, {0: 1})
-    out, den_dict = _word_sum(_act, actions, p, words, {0: 1})
-    assert (_canonical(p, range(2), values, du * den)
-            == _canonical(p, out, out.values(), du * den_dict)
+    p = field.char
+    out, den = _word_sum(_act, _actions(1, rows), p, words, {0: 1})
+    assert (_canonical(p, out, out.values(), du * den)
             == _operate(p, 1, rows, (words, du), ({0: 1}, 1)))
+
+
+@pytest.mark.parametrize("field", PACKED_FIELDS, ids=lambda f: f.spec)
+def test_word_keys_run_on_dicts(field, monkeypatch):
+    """quotient_map and reverse act on the unit with words as u's keys,
+    and _operate packs only masks: with _packed_sum patched to raise,
+    both still equal the dict sum at n = 1..3, dense u included (at
+    n = 1 it meets the size rule 2 min(|u|, |v|) >= 2^n)."""
+    def refuse(*args):
+        raise AssertionError("_packed_sum reached with word keys")
+
+    monkeypatch.setattr(clifford, "_packed_sum", refuse)
+    rng = random.Random(f"words/{field.spec}")
+    p = field.char
+    for n in range(1, 4):
+        ctx = AlgebraContext(n, field)
+        cctx = CliffordContext(rand_quadratic(rng, ctx))
+        actions = _actions(n, clifford._chevalley(cctx.quadratic))
+        for _ in range(3):
+            w = CliffElt(cctx, _blade_terms(rng, field, n))
+            u = rand_tensor(rng, ctx, max_grade=2 * n, terms=4)
+            words = {index_subset(m)[::-1]: c for m, c in w.data.items()}
+            for got, (data, den) in ((w.reverse(), (words, w.den)),
+                                     (quotient_map(cctx, u), (u.data, u.den))):
+                out, den_dict = _word_sum(_act, actions, p, data, {0: 1})
+                assert (got.data, got.den) == _canonical(p, out, out.values(), den * den_dict)
 
 
 def test_packed_sum_on_wide_rationals():
@@ -741,7 +765,7 @@ def test_constructors_take_scalars_of_their_field(kind):
         make(RATIONALS, Field(7)(10))
     with pytest.raises(FieldMismatch, match=r"^scalar over Q used in a Fp:7 context$"):
         make(Field(7), RATIONALS(Fraction(1, 2)))
-    with pytest.raises(FormError, match=r"^a term's coefficient must be a Scalar, got 3$"):
+    with pytest.raises(FormError, match=r"^a coefficient must be a Scalar, got 3$"):
         make(RATIONALS, 3)
     assert make(Field(7), Field(7)(10)).data == {1 if kind is CliffElt else (1,): 3}
 

@@ -1,16 +1,16 @@
 """Exact linear algebra against a plain Gauss-Jordan oracle and the
-Leibniz determinant, over Q, GF(2), GF(3) and GF(7)."""
+Leibniz determinant, over Q, GF(2), GF(3), GF(7) and GF(2^61 - 1)."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from cliffbundle import Field, linalg
+from cliffbundle import Field, FieldMismatch, FormError, linalg
 
 from oracles import det_perm_sum, matmul_oracle, rref_oracle
 
-PRIMES = [0, 2, 3, 7]
+PRIMES = [0, 2, 3, 7, (1 << 61) - 1]
 Q_VALUES = [Fraction(1, 7), Fraction(-5, 11), Fraction(3, 13), 2, -1]
 SHAPES = {"square": (5, 5), "wide": (3, 6), "tall": (6, 3), "rank-deficient": (5, 5),
           "zero": (3, 4), "single-row": (1, 5)}
@@ -140,3 +140,27 @@ def test_mat_mul_and_mat_vec_match_oracle(p, shape):
         v = [row[0] for row in b]
         got = [x.value for x in linalg.mat_vec(scalars(p, a), scalars(p, [v])[0])]
         assert got == [row[0] for row in matmul_oracle(a, [[x] for x in v], p)]
+
+
+def test_scalar_entries_are_one_field():
+    """The Scalar functions read the field of a matrix's first entry and
+    refuse any entry of another field (FieldMismatch), in either operand,
+    or one that is not a Scalar (FormError), instead of computing in the
+    first entry's field."""
+    F7, F5 = Field(7), Field(5)
+    with pytest.raises(FieldMismatch, match=r"^scalar over Fp:5 used in a Fp:7 context$"):
+        linalg.rref([[F7(2), F5(4)]])
+    mixed = [[F7(1), F5(3)], [F7(0), F7(1)]]
+    one = [[F7(1), F7(3)], [F7(0), F7(1)]]
+    calls = (linalg.det, linalg.nullspace, linalg.row_space_basis,
+             lambda a: linalg.mat_mul(a, one), lambda a: linalg.mat_mul(one, a),
+             lambda a: linalg.mat_vec(one, a[0]), lambda a: linalg.solve_matrix(one, a),
+             lambda a: linalg.solve(one, a[0]))
+    for call in calls:
+        with pytest.raises(FieldMismatch):
+            call(mixed)
+        with pytest.raises(FormError, match="must be a Scalar, got 3"):
+            call([[F7(1), 3], [F7(0), F7(1)]])
+    with pytest.raises(FormError, match=r"^a matrix's first entry must be a Scalar, got 3$"):
+        linalg.det([[3, F7(1)], [F7(0), F7(1)]])
+    assert linalg.det(one) == F7(1)

@@ -321,6 +321,28 @@ def test_probe_refuses_mixed_fields():
         invariant_probe([endo, mats[0]], seed=1)
 
 
+def test_restrict_and_probe_refuse_a_mixed_matrix():
+    """A matrix of Scalars whose entries mix fields, or hold a value that
+    is not a Scalar, is refused by restrict_matrices and invariant_probe,
+    wherever the odd entry sits, not computed in its first entry's field."""
+    F7, F5 = Field(7), Field(5)
+    mixed = [[F7(1), F5(3)], [F7(0), F7(1)]]
+    plain = [[F7(1), 3], [F7(0), F7(1)]]
+    basis = [[F7(1), F7(0)]]
+    with pytest.raises(FieldMismatch, match=r"^scalar over Fp:5 used in a Fp:7 context$"):
+        restrict_matrices([mixed], basis)
+    with pytest.raises(FieldMismatch, match=r"^scalar over Fp:5 used in a Fp:7 context$"):
+        restrict_matrices([[[F7(1), F7(0)], [F7(0), F7(1)]]], [[F7(1), F5(0)]])
+    with pytest.raises(FieldMismatch, match=r"^scalar over Fp:5 used in a Fp:7 context$"):
+        invariant_probe([mixed], seed=0)
+    with pytest.raises(FormError, match="must be a Scalar, got 3"):
+        restrict_matrices([plain], basis)
+    with pytest.raises(FormError, match="must be a Scalar, got 3"):
+        invariant_probe([plain], seed=0)
+    with pytest.raises(FormError, match="must be a Scalar, got 3"):
+        invariant_probe([[[3, F7(1)], [F7(0), F7(1)]]], seed=0)
+
+
 def test_probe_needs_matrices():
     with pytest.raises(FormError):
         invariant_probe([], seed=0)
