@@ -77,9 +77,11 @@ a masked left shift by 2^(i-1) W of the slots without bit i - 1, the
 contraction by e_j* a masked right shift by 2^(j-1) W of the slots
 with bit j - 1 (_contract); a slot with an odd number of set bits
 below the moved one is complemented by one XOR, and the same move on
-H, the bias's image, is taken off; for a contraction that image is
-(H & without) ^ odd.  That is O(n) big-integer operations per action
-in place of one dict update per term and row entry.  _packed_sum acts
+H, the bias's image, is taken off.  As every slot of H is 2^(W - 1),
+the contraction of H by bit r is c_r = (H & without) ^ odd, and each
+image is a sum of shifted and scaled c_r, made once per call
+(_bias_images).  That is O(n) big-integer operations per action in
+place of one dict update per term and row entry.  _packed_sum acts
 by e_i as that shift plus the contraction by its row, and splits each
 blade of u at letter k = n // 2 as e_S = e_T e_R: it acts out e_R . v
 once per high part R, gathers u_S (e_R . v) in 2^k accumulators, one
@@ -90,10 +92,13 @@ n + (nonzero pairs) in all.  W is fixed before the first action from
 a bound on every slot read, from sum |u_S| for a sum and max |w_M| for
 a pair product (see _packed_sum, _packed_pairs), so |x_m| < 2^(W - 1)
 in any field and at any size; over GF(p) the slots are reduced only
-at the exit, which reads X + H in C (_unpack).  H and the masks of a
-carrier of at most 2^16 bits are kept (_kept).  Sparse calls, word
-keys (all of u's, as in quotient_map and reverse) and repcheck's
-matrix builders stay on dicts.
+at the exit (_unpack), which lays the bytes of X + H out as native
+64-bit limbs and reads them through a memoryview cast, in C and with
+no module to import.  Over Q a pair product's input is weighed in
+slot order, by a table of the grades of the 2^n masks (_grades).  H
+and the masks of a carrier of at most 2^16 bits are kept (_kept).
+Sparse calls, word keys (all of u's, as in quotient_map and reverse)
+and repcheck's matrix builders stay on dicts.
 """
 
 from __future__ import annotations
@@ -197,6 +202,13 @@ def _blades(n: int) -> tuple:
         return ((),)
     low = _blades(n - 1)
     return low + tuple([b + (n,) for b in low])
+
+
+@lru_cache(maxsize=None)
+def _grades(n: int) -> bytes:
+    """The grade of every mask below 2^n, in mask order: the packed pair
+    product's table, built for a carrier's 2^n slots only."""
+    return bytes(map(int.bit_count, range(1 << n)))
 
 
 @lru_cache(maxsize=None)
@@ -415,33 +427,38 @@ def _carrier(n: int, bound: int) -> tuple:
     return (width, *(_kept if 8 * width << n <= _KEEP_BITS else _constants)(n, width))
 
 
-def _pack(values: dict, n: int, width: int, H: int) -> int:
-    """The packed map X = sum over m < 2^n of x_m 2^(m W) of a mask -> int
-    map, x_m = 0 at a mask it lacks: the bytes of X + H, x_m + 2^(W - 1)
-    in slot m, joined in one pass, less H."""
-    slots = map(add, map(values.get, range(1 << n), repeat(0)), repeat(1 << (8 * width - 1)))
+def _pack(values, width: int, H: int) -> int:
+    """The packed map X = sum over m < 2^n of x_m 2^(m W) of the values
+    x_m in mask order: the bytes of X + H, x_m + 2^(W - 1) in slot m,
+    joined in one pass, less H."""
+    slots = map(add, values, repeat(1 << (8 * width - 1)))
     return int.from_bytes(b"".join(map(int.to_bytes, slots, repeat(width), repeat("little"))),
                           "little") - H
 
 
+def _limbs(raw: bytes, width: int, order: str) -> bytes:
+    """The little-endian bytes of slots of width bytes, each padded to
+    whole 64-bit limbs laid out in the byte order order: byte j of a
+    slot goes to byte j of its padded stride, j ^ 7 when big-endian."""
+    stride = -(-width // 8) * 8
+    if width == stride and order == "little":
+        return raw
+    buf = bytearray(len(raw) // width * stride)
+    for j in range(width):
+        buf[j ^ 7 if order == "big" else j::stride] = raw[j::width]
+    return buf
+
+
 def _unpack(X: int, n: int, width: int, H: int) -> list:
     """The value x_m of the packed map X at every mask m < 2^n: the
-    bytes of X + H strided into the 64-bit limbs of an array, each
-    slot's limbs joined, less 2^(W - 1)."""
-    from array import array
+    bytes of X + H laid out as native 64-bit limbs (_limbs), read by a
+    memoryview cast, each slot's limbs joined, less 2^(W - 1)."""
     size = -(-width // 8)
-    raw, stride = (X + H).to_bytes(width << n, "little"), 8 * size
-    if width < stride:
-        buf = bytearray(stride << n)
-        for j in range(width):
-            buf[j::stride] = raw[j::width]
-        raw = buf
-    limbs = array("Q", raw)
-    if sys.byteorder == "big":
-        limbs.byteswap()
-    out = limbs[size - 1::size]
+    limbs = memoryview(_limbs((X + H).to_bytes(width << n, "little"), width,
+                              sys.byteorder)).cast("Q")
+    out = limbs[size - 1::size].tolist()
     for k in range(size - 2, -1, -1):
-        out = map(or_, map(lshift, out, repeat(64)), limbs[k::size])
+        out = map(or_, map(lshift, out, repeat(64)), limbs[k::size].tolist())
     return list(map(sub, out, repeat(1 << (8 * width - 1))))
 
 
@@ -462,13 +479,31 @@ def _contract(Y: int, row, out: int = 0) -> int:
     return out
 
 
+def _bias_images(H: int, masks: tuple, actions: tuple) -> list:
+    """The image of H under each act of actions (see _actions) on the
+    carrier of H and masks.  Every slot of H is 2^(W - 1), so its
+    contraction by bit r is c_r = (H & without) ^ odd, and its image
+    under e_i is scale (c_(i-1) << up) plus f c_j for each (2^j, f) of
+    its row."""
+    acts, scale, _ = actions
+    c = {1 << r: (H & without) ^ odd for r, (_, without, odd) in enumerate(masks)}
+    images = []
+    for (up, _, _), (bit, row) in zip(masks, acts):
+        image = (c[bit] << up) * scale
+        for b, f in row:
+            image += c[b] * f
+        images.append(image)
+    return images
+
+
 def _packed_sum(actions: tuple, p: int, n: int, u: dict, v: dict) -> tuple:
     """_word_sum on bitmask keys below 2^n, each coefficient map one
     packed int X (see _carrier): (values, den), values[m] the unreduced
     value at m for every m < 2^n.  e_i moves the slots of X + H without
     bit i - 1 up by 2^(i-1) W, complemented as in _contract, times the
     wedge weight, adds the contraction by its row and takes off the
-    image of both, the same action on H, made once per call.
+    image of both, the same action on H, made once per call from the
+    per-bit contractions of H (_bias_images).
 
     The sum is the baby-step/giant-step evaluation of Paterson and
     Stockmeyer (1973).  Each blade S of u splits at letter k = n // 2
@@ -494,15 +529,13 @@ def _packed_sum(actions: tuple, p: int, n: int, u: dict, v: dict) -> tuple:
     moves = [(masks[r], [(masks[b.bit_length() - 1], f) for b, f in row])
              for r, (_, row) in enumerate(acts)]
 
-    def act(Y, letter):
-        (up, without, odd), row = moves[letter - 1]
-        out = ((Y & without) ^ odd) << up if scale else 0
-        return _contract(Y, row, out * scale if scale > 1 else out)
-
-    images = [act(H, letter) for letter in range(1, len(moves) + 1)]
+    images = _bias_images(H, masks, actions)
 
     def step(X, letter):
-        return act(X + H, letter) - images[letter - 1]
+        (up, without, odd), row = moves[letter - 1]
+        Y = X + H
+        out = ((Y & without) ^ odd) << up if scale else 0
+        return _contract(Y, row, out * scale if scale > 1 else out) - images[letter - 1]
 
     k = n >> 1
     low = (1 << k) - 1
@@ -510,7 +543,8 @@ def _packed_sum(actions: tuple, p: int, n: int, u: dict, v: dict) -> tuple:
     for m, c in zip(u, coeffs):
         groups.setdefault(m & ~low, []).append((m & low, c))
     Z = [0] * (1 << k)
-    for group, _, X in _mask_walk(groups.items(), _pack(v, n, width, H), step):
+    X = _pack(map(v.get, range(1 << n), repeat(0)), width, H)
+    for group, _, X in _mask_walk(groups.items(), X, step):
         for t, c in group:
             Z[t] += c * X
     del groups, X
@@ -583,36 +617,40 @@ def _pair_passes(g: list, terms: dict) -> dict:
     return out
 
 
-def _packed_pairs(g: list, n: int, terms: dict) -> list:
-    """The same product on the packed carrier (see _carrier): values[m]
-    for every m < 2^n.  As i_i^2 = 0, the factors of one i multiply to
+def _packed_pairs(g: list, n: int, values: list) -> list:
+    """The same product on the packed carrier (see _carrier) of the map
+    given by its values in mask order, values[m] at every m < 2^n, and
+    returned so.  As i_i^2 = 0, the factors of one i multiply to
     1 + i_{g_i} i_i, g_i the form sum over j > i of f_ij e_j*, so pass i
     adds the contraction by g_i of the contraction by e_i* of all slots:
     n contractions plus one per pair in place of one pass per pair over
-    every term.  Each takes off its move's image of H, (H & without) ^
-    odd whatever the form, as every slot of H is 2^(W - 1).  Every slot
-    read or made, in X, below or the result, is a signed sum of
+    every term.  Each takes off its move's image of H, c[r] =
+    (H & without) ^ odd for bit r whatever the form, as every slot of H
+    is 2^(W - 1): made once per call and freed before the exit.  Every
+    slot read or made, in X, below or the result, is a signed sum of
     f_P w_(K + P) over sets P of disjoint pairs outside some K, f_P the
     product of their f_ij, each (K, P) once; the k <= T / 2 pairs of a
-    P have distinct first letters, T the top grade of terms, so no slot
-    exceeds max|terms| (sum over k <= T / 2 of e_k(r)), r_i = sum over
+    P have distinct first letters, T the top grade of the map, so no slot
+    exceeds max|values| (sum over k <= T / 2 of e_k(r)), r_i = sum over
     j of |f_ij| and e_k the elementary symmetric sums, and W is fixed
     above that before the first pass."""
-    half = max(map(int.bit_count, terms)) >> 1
+    half = max(compress(_grades(n), values)) >> 1
     e = [1] + [0] * half
     for row in g:
         r = sum([abs(f) for _, f in row])
         for k in range(half, 0, -1):
             e[k] += e[k - 1] * r
-    width, H, masks = _carrier(n, max(map(abs, terms.values())) * sum(e))
-    X = _pack(terms, n, width, H)
+    width, H, masks = _carrier(n, max(map(abs, values)) * sum(e))
+    X = _pack(values, width, H)
+    c = [(H & without) ^ odd for _, without, odd in masks]
     for i, row in enumerate(g):
         if row:  # X += i_{g_i} i_i X, below + H in Y
             down, without, odd = masks[i]
-            Y = ((((X + H) >> down) & without) ^ odd) - ((H & without) ^ odd) + H
+            Y = ((((X + H) >> down) & without) ^ odd) - c[i] + H
             for j, f in row:
                 down, without, odd = masks[j]
-                X += ((((Y >> down) & without) ^ odd) - ((H & without) ^ odd)) * f
+                X += ((((Y >> down) & without) ^ odd) - c[j]) * f
+    del c
     return _unpack(X, n, width, H)
 
 
@@ -630,25 +668,28 @@ def _contract_pairs(p: int, n: int, rows: tuple, w: tuple) -> tuple:
     Q it is fraction-free: with d its common denominator, w_M is
     weighted by d^((T - |M|) / 2), T the top grade of w of the parity
     of |M|, so the result at K is over den(w) d^((T - |K|) / 2); each
-    grade is lifted to the largest of these before the exit."""
+    grade is lifted to the largest of these before the exit.  On the
+    packed carrier both run in slot order, through the grade table
+    _grades(n), and the weighed values are the ones _pack joins."""
     g, d = _pair_rows(p, n, rows)
     terms, den = w
+    packed = 2 * len(terms) >= 1 << max(n, 7)
+    keys = range(1 << n) if packed else terms
+    values = list(map(terms.get, keys, repeat(0))) if packed else terms.values()
     if d != 1:
-        grades = set(map(int.bit_count, terms))
-        top = [max((k for k in grades if k & 1 == r), default=r) for r in (0, 1)]
+        grades = _grades(n) if packed else list(map(int.bit_count, terms))
+        present = set(compress(grades, values))
+        top = [max((k for k in present if k & 1 == r), default=r) for r in (0, 1)]
         powers = [max(top[k & 1] - k, 0) >> 1 for k in range(n + 1)]
-        weights = [d ** x for x in powers]
-        terms = dict(zip(terms, map(mul, terms.values(),
-                                    map(weights.__getitem__, map(int.bit_count, terms)))))
-    if 2 * len(terms) >= 1 << max(n, 7):
-        keys, values = range(1 << n), _packed_pairs(g, n, terms)
+        values = list(map(mul, values, map([d ** x for x in powers].__getitem__, grades)))
+    if packed:
+        values = _packed_pairs(g, n, values)
     else:
-        keys = _pair_passes(g, terms)
-        values = keys.values()
+        keys = _pair_passes(g, dict(zip(terms, values)) if d != 1 else terms)
+        values, grades = keys.values(), map(int.bit_count, keys)
     if d != 1:
         most = max(powers)
-        lift = [d ** (most - x) for x in powers]
-        values = map(mul, values, map(lift.__getitem__, map(int.bit_count, keys)))
+        values = map(mul, values, map([d ** (most - x) for x in powers].__getitem__, grades))
         den *= d ** most
     return _canonical(p, keys, values, den)
 

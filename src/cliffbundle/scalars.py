@@ -305,9 +305,11 @@ _value, _field = attrgetter("value"), attrgetter("field")
 
 
 def raw_values(field: Field, scalars) -> list:
-    """The raw values of a sequence of Scalars of field.  One C-level pass
-    over the fields finds an entry that is not a Scalar (FormError) or
-    of another field (FieldMismatch)."""
+    """The raw values of Scalars of field, read from an iterable that is
+    materialized first if it is its own iterator.  One C-level pass over
+    the fields finds an entry that is not a Scalar (FormError) or of
+    another field (FieldMismatch)."""
+    scalars = list(scalars) if iter(scalars) is scalars else scalars
     try:
         values = list(map(_value, scalars))
         mixed = list(map(_field, scalars)).count(field) != len(values)

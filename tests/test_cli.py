@@ -570,9 +570,9 @@ def test_cli_import_starts_lean():
     the tracer wraps into sys.modules (linalg, tensor, repcheck, checks
     and sampling unexecuted until first use), but neither `dataclasses`
     nor the suite bodies, which the registry loads on first use, nor
-    `array`, which only the packed carrier's unpacking imports.  Neither
-    the import, nor parsing a command line and its help, nor loading the
-    suites brings in `argparse`, `gettext` or `locale`."""
+    `array`, which nothing imports.  Neither the import, nor parsing a
+    command line and its help, nor loading the suites brings in
+    `argparse`, `gettext` or `locale`."""
     proc = subprocess.run([sys.executable, "-S", "-c", STARTUP_PROBE], capture_output=True,
                           text=True, timeout=120, env=_package_env())
     assert proc.returncode == 0, proc.stderr
@@ -585,6 +585,34 @@ def test_cli_import_starts_lean():
     assert report["checks"] == 46
     assert report["suites"]
     assert report["argv"] == []
+
+
+DENSE_PROBE = """\
+import random, sys
+from cliffbundle import (AlgebraContext, CliffElt, CliffordContext, Field, RATIONALS, clifford,
+                         deform, index_subset)
+from cliffbundle.sampling import rand_bilinear, rand_quadratic
+unpack, exits = clifford._unpack, []
+clifford._unpack = lambda *a: exits.append(a[1]) or unpack(*a)
+rng = random.Random(6)
+for field in (Field(7), RATIONALS):
+    ctx = AlgebraContext(6, field)
+    cctx = CliffordContext(rand_quadratic(rng, ctx))
+    u, v = (CliffElt(cctx, {index_subset(m): field(rng.randrange(1, 7)) for m in range(64)})
+            for _ in range(2))
+    u * v if field.char else deform(rand_bilinear(rng, ctx), u)
+print(exits, "array" in sys.modules)
+"""
+
+
+def test_dense_calls_load_no_array_module():
+    """A dense product over GF(7) and a dense deform over Q at n = 6, in
+    a fresh interpreter, each leave the packed carrier through _unpack,
+    and neither loads the `array` extension."""
+    proc = subprocess.run([sys.executable, "-S", "-c", DENSE_PROBE], capture_output=True,
+                          text=True, timeout=120, env=_package_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[0] == "[6, 6] False"
 
 
 # the modules the package registers unexecuted, to run on first use

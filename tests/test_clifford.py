@@ -4,6 +4,7 @@ quantization."""
 
 import random
 import re
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -554,14 +555,16 @@ def _pairs_both_ways(monkeypatch, p, n, rows, w):
     chosen = _contract_pairs(p, n, rows, w)
     packed, passes = clifford._packed_pairs, clifford._pair_passes
 
-    def dict_as_packed(g, n, terms):
-        out = passes(g, terms)
+    def dict_as_packed(g, n, values):
+        out = passes(g, dict(enumerate(values)))
         return [out.get(k, 0) for k in range(1 << n)]
+
+    def packed_as_dict(g, terms):
+        return dict(enumerate(packed(g, len(g), [terms.get(k, 0) for k in range(1 << len(g))])))
 
     with monkeypatch.context() as m:
         m.setattr(clifford, "_packed_pairs", dict_as_packed)
-        m.setattr(clifford, "_pair_passes",
-                  lambda g, terms: dict(enumerate(packed(g, len(g), terms))))
+        m.setattr(clifford, "_pair_passes", packed_as_dict)
         other = _contract_pairs(p, n, rows, w)
     return chosen, other
 
@@ -664,7 +667,7 @@ def test_packed_pairs_at_the_slot_edge(p, monkeypatch):
     for n, c, f in PAIR_EDGES[p]:
         g = [[(i + 1, f)] if i % 2 == 0 else [] for i in range(n)]
         terms = dict.fromkeys(range(1 << n), c)
-        values = clifford._packed_pairs(g, n, terms)
+        values = clifford._packed_pairs(g, n, list(terms.values()))
         passes = clifford._pair_passes(g, terms)
         assert values == [passes.get(m, 0) for m in range(1 << n)], (n, c, f)
         assert max(map(abs, values)) == abs(c * (1 + f) ** (n >> 1)), (n, c, f)
@@ -688,7 +691,7 @@ def test_pack_round_trip(n):
         values[0] = edge
         values[-1] = -edge if n else edge
         H, _ = clifford._constants(n, width)
-        X = clifford._pack(dict(enumerate(values)), n, width, H)
+        X = clifford._pack(values, width, H)
         assert X == sum(x << (m * W) for m, x in enumerate(values))
         assert clifford._unpack(X, n, width, H) == values
 
@@ -707,7 +710,7 @@ def test_packed_moves_at_the_slot_edge(width):
     values = {m: rng.choice((edge, -edge)) for m in range(1 << n)}
     assert clifford._carrier(n, edge)[0] == width
     H, masks = clifford._constants(n, width)
-    X = clifford._pack(values, n, width, H)
+    X = clifford._pack(values.values(), width, H)
     wedge_only = _actions(n, ([0] * n * n, 1))
     for r in range(n):
         bit = 1 << r
@@ -723,6 +726,78 @@ def test_packed_moves_at_the_slot_edge(width):
         assert (H & without) ^ odd == clifford._contract(H, row)
         got = clifford._contract(X + H, row) - clifford._contract(H, row)
         assert clifford._unpack(got, n, width, H) == down
+
+
+@pytest.mark.parametrize("field", (RATIONALS, Field(2), Field(7), Field((1 << 61) - 1)),
+                         ids=lambda f: f.spec)
+def test_bias_images_are_the_actions_on_H(field):
+    """_bias_images, built from the per-bit contractions of H, equals
+    each generator action run on H as a map: the wedge times its weight
+    (d > 1 over Q) plus the contraction by the row, on random rows with
+    the wedge on and off and on identity rows without it (as in
+    interior), on carriers of one to three 64-bit limbs a slot."""
+    rng = random.Random(f"images/{field.spec}")
+    weights = set()
+    for n in (1, 3, 6):
+        rows = [[_coeff(rng, field).value if rng.random() < 0.7 else 0 for _ in range(n)]
+                for _ in range(n)]
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        for raw, wedge in ((rows, True), (rows, False), (identity, False)):
+            actions = _actions(n, _kernel_rows(raw), wedge)
+            acts, scale, _ = actions
+            weights.add(scale)
+            for bound in (1, 1 << 70, 1 << 140):
+                _, H, masks = clifford._carrier(n, bound)
+
+                def act(Y, bit, row):
+                    up, without, odd = masks[bit.bit_length() - 1]
+                    out = ((Y & without) ^ odd) << up if scale else 0
+                    row = [(masks[b.bit_length() - 1], f) for b, f in row]
+                    return clifford._contract(Y, row, out * scale)
+
+                assert clifford._bias_images(H, masks, actions) == [act(H, *a) for a in acts]
+    assert {0, 1} <= weights if field.char else max(weights) > 1
+
+
+@pytest.mark.parametrize("order", ("little", "big"))
+def test_limb_layout_in_either_byte_order(order):
+    """_limbs pads each slot of width bytes to whole 64-bit limbs laid
+    out in the byte order given: each limb read in that order is the
+    slot's next 64-bit digit (so the padding is zero), and in the
+    machine's own order a memoryview cast reads them, as _unpack does."""
+    rng = random.Random(f"limbs/{order}")
+    for width in range(1, 18):
+        size = -(-width // 8)
+        slots = [rng.getrandbits(8 * width) for _ in range(5)]
+        raw = b"".join(x.to_bytes(width, "little") for x in slots)
+        buf = bytes(clifford._limbs(raw, width, order))
+        limbs = [int.from_bytes(buf[i:i + 8], order) for i in range(0, len(buf), 8)]
+        assert limbs == [x >> (64 * k) & ((1 << 64) - 1) for x in slots for k in range(size)]
+        if order == sys.byteorder:
+            assert memoryview(buf).cast("Q").tolist() == limbs
+
+
+def test_rational_pair_weights_follow_the_grade(monkeypatch):
+    """Over Q the pair product weighs w in slot order and lifts the
+    result by grade (_grades): a w of every even grade, top grade
+    n - 1 < n and no odd grade, dense enough to pack at n = 7, and a
+    sparse w of grades 1 and 3 on the dicts each equal _pair_passes run
+    on the Fractions themselves, rows with denominators 7, 11 and 13."""
+    rng = random.Random("pairs/grades")
+    n = 7
+    rows = [[rng.choice(Q_COEFFS) for _ in range(n)] for _ in range(n)]
+    g = [[(j, Fraction(rows[i][j])) for j in range(i + 1, n)] for i in range(n)]
+    real, packed = clifford._packed_pairs, []
+    monkeypatch.setattr(clifford, "_packed_pairs", lambda *a: packed.append(a) or real(*a))
+    even = [m for m in range(1 << n) if not m.bit_count() & 1]
+    odd = [m for m in range(1 << n) if m.bit_count() in (1, 3)]
+    for masks in (even, rng.sample(odd, 5)):
+        w = {m: Fraction(rng.choice(Q_COEFFS)) for m in masks}
+        nums, den = scaled_ints(list(w.values()))
+        data, den = _contract_pairs(0, n, _kernel_rows(rows), (dict(zip(w, nums)), den))
+        want = {m: c for m, c in clifford._pair_passes(g, w).items() if c}
+        assert {m: Fraction(x, den) for m, x in data.items()} == want
+    assert len(packed) == 1
 
 
 def test_carrier_constants_are_kept_up_to_the_limit():

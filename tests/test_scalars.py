@@ -9,11 +9,11 @@ from math import gcd
 import pytest
 
 import cliffbundle as cb
-from cliffbundle import (CapExceeded, Field, FieldMismatch, ParseError, RATIONALS, is_prime,
-                         linalg)
+from cliffbundle import (CapExceeded, Field, FieldMismatch, FormError, ParseError, RATIONALS,
+                         is_prime, linalg)
 from cliffbundle.clifford import _canonical as element_data
 from cliffbundle.repcheck import _endo
-from cliffbundle.scalars import canonical_ints, scalars_over
+from cliffbundle.scalars import canonical_ints, ints_of, scalars_over
 
 
 def test_rational_arithmetic():
@@ -216,6 +216,21 @@ def test_kernel_outputs_are_canonical_on_both_carriers(field):
             elts.append(cb.symbol(u))
         outs += [c for e in elts for c in e.terms.values()]
     assert outs and all(_canonical(x) and x and x == field(x.value) for x in outs)
+
+
+def test_ints_of_reads_a_one_shot_iterator_once():
+    """ints_of (and so raw_values) materializes an iterator before its
+    checks: one that yields a Scalar of another field raises
+    FieldMismatch and one that yields an int FormError, and an
+    iterator of the field's Scalars gives what the list gives."""
+    F7 = Field(7)
+    with pytest.raises(FieldMismatch):
+        ints_of(F7, iter([F7(1), Field(5)(2)]))
+    with pytest.raises(FormError, match="^a coefficient must be a Scalar, got 3$"):
+        ints_of(F7, (x for x in [F7(1), 3]))
+    assert ints_of(F7, iter([F7(1), F7(3)])) == ints_of(F7, [F7(1), F7(3)]) == ([1, 3], 1)
+    halves = [RATIONALS(Fraction(1, 2)), RATIONALS(1)]
+    assert ints_of(RATIONALS, iter(halves)) == ints_of(RATIONALS, halves) == ([1, 2], 2)
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
