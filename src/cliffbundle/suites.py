@@ -21,7 +21,7 @@ from .clifford import (CliffElt, CliffordContext, contract as cl_contract,
                        exp_contract, interior, quantize, quotient_map, symbol,
                        twisted_mul)
 from .errors import CharacteristicError, FormError
-from .forms import (AlgebraContext, BilinearForm, QuadraticForm, Vector,
+from .forms import (AlgebraContext, BilinearForm, QuadraticForm, Vector, _canonical,
                     alt_of_dual, dual_two_form, pfaffian, polar_form,
                     quad_of_bilinear, right_radical, split_sym_alt,
                     triangular_bilinear)
@@ -179,11 +179,10 @@ def _zero_columns(rng, G):
     """Zero out some columns so the right radical is nontrivial."""
     dim = G.ctx.dim
     cols = rng.sample(range(dim), rng.randint(1, max(1, dim // 2)))
-    rows = [list(r) for r in G.rows]
+    nums = list(G.nums)
     for j in cols:
-        for i in range(dim):
-            rows[i][j] = G.ctx.field.zero
-    return BilinearForm.make(G.ctx, rows)
+        nums[j::dim] = [0] * dim
+    return BilinearForm(G.ctx, *_canonical(G.ctx.field, nums, G.den))
 
 
 def _radical_vector(rng, ctx, rad):
@@ -633,10 +632,9 @@ def _rep_lattice(rng, ctx, need, i):
     F = rand_symmetric(rng, ctx)
     # push e_1 into the radical of F so the untwisted generator
     # matrices are visibly reducible (kernel of a nilpotent)
-    rows = [list(r) for r in F.rows]
-    for j in range(ctx.dim):
-        rows[0][j] = rows[j][0] = ctx.field.zero
-    F = BilinearForm.make(ctx, rows)
+    n, nums = ctx.dim, list(F.nums)
+    nums[:n] = nums[::n] = [0] * n
+    F = BilinearForm(ctx, *_canonical(ctx.field, nums, F.den))
     A = rand_alternating(rng, ctx)
     mats_u = generator_matrices(F)
     mats_t = generator_matrices(F + A)
