@@ -13,8 +13,8 @@ column S being u acting on e_S through the rows of F, and the
 generator matrices are the rho_matrix of each e_i; twist_matrix(A) is
 one run of deform's pair passes over the same identity, column S being
 the product over i < j of (1 + A_ij i_j i_i) on e_S; and a product
-combines columns.  The probe and the restriction run on raw
-values, residues mod p or rationals, through the raw core of linalg.
+combines columns.  The probe and the restriction run on the dense
+integer rows of those columns through the raw core of linalg.
 Scalars appear only in EndoMatrix.entries and rows() (built once per
 matrix), in ProbeReport bases and in the matrices restrict_matrices
 returns, and strings only in to_json.
@@ -25,6 +25,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, isqrt, lcm
 
 from . import linalg
 from .clifford import (CliffElt, CliffordContext, _act, _actions, _data_of, _pair_passes,
@@ -32,8 +33,7 @@ from .clifford import (CliffElt, CliffordContext, _act, _actions, _data_of, _pai
 from .errors import CapExceeded, FieldMismatch, FormError
 from .forms import AlgebraContext, BilinearForm, quad_of_bilinear, same_context
 from .records import record
-from .scalars import (Field, Scalar, canonical_ints, field_of, ints_of, raw_rows, scalars_over,
-                      scaled_ints)
+from .scalars import Field, canonical_ints, ints_of, scalars_over, scaled_ints
 
 _REP_DIM_LIMIT = 12
 
@@ -98,15 +98,6 @@ class EndoMatrix:
 
     def rows(self):
         return [list(r) for r in self.entries]
-
-    def _raw_rows(self) -> list:
-        """The dense rows of raw values: residues, or ints and Fractions."""
-        den = self.den
-        rows = [[0] * self.size for _ in self.cols]
-        for c, col in enumerate(self.cols):
-            for r, x in col:
-                rows[r][c] = x if den == 1 else Fraction(x, den)
-        return rows
 
     def __mul__(self, other: "EndoMatrix") -> "EndoMatrix":
         """Column c is the sum over other's entries y at (r, c) of y times column r."""
@@ -292,13 +283,16 @@ class ProbeReport:
         }
 
 
-def _raw_of(m) -> tuple:
-    """The field and the dense raw rows of an EndoMatrix, or of a matrix
-    of Scalars of one field (field_of, raw_rows)."""
-    if isinstance(m, EndoMatrix):
-        return m.ctx.field, m._raw_rows()
-    field = field_of(m)
-    return field, raw_rows(m, field)
+def _int_rows(m) -> tuple:
+    """The field, dense integer rows and den of an EndoMatrix, or of a
+    matrix of Scalars of one field (linalg.int_rows)."""
+    if not isinstance(m, EndoMatrix):
+        return linalg.int_rows(m)
+    rows = [[0] * m.size for _ in m.cols]
+    for c, col in enumerate(m.cols):
+        for r, x in col:
+            rows[r][c] = x
+    return m.ctx.field, rows, m.den
 
 
 def _common_field(fields) -> Field:
@@ -315,113 +309,104 @@ def restrict_matrices(mats, basis):
     plain d x d matrices in the given basis."""
     if not basis:
         raise FormError("cannot restrict to an empty basis")
-    fields, raw = zip(*map(_raw_of, [*mats, basis]))
-    *raw, braw = raw
-    n = len(braw[0])
-    if not n or any(len(v) != n for v in braw) or any(
-            len(m) != n or any(len(r) != n for r in m) for m in raw):
+    fields, rows, dens = zip(*map(_int_rows, [*mats, basis]))
+    *rows, brows = rows
+    n = len(brows[0])
+    if not n or any(len(v) != n for v in brows) or any(
+            len(m) != n or any(len(r) != n for r in m) for m in rows):
         raise FormError("the matrices must be square of the basis vectors' length")
     field = _common_field(fields)
     p = field.char
-    bcols = linalg.transpose(braw)
-    out = []
-    for m in raw:
-        x = linalg.solve_matrix_raw(bcols, linalg.mat_mul_raw(m, bcols, p), p)
-        if x is None:
-            raise FormError("span is not invariant under the given matrices")
-        out.append([[Scalar(field, v) for v in row] for row in x])
-    return out
+    # one solve B X = [M_1 B | M_2 B | ...] for all; scaling B leaves X as it is
+    bcols = linalg.transpose(brows)
+    images = [linalg.mat_mul_raw(m, bcols, p) for m in rows]
+    x = linalg.solve_matrix_raw(bcols, [sum(row, []) for row in zip(*images)], p)
+    if x is None:
+        raise FormError("span is not invariant under the given matrices")
+    d = len(brows)
+    return [[scalars_over(field, row[k * d:(k + 1) * d], x[1] * den) for row in x[0]]
+            for k, den in enumerate(dens[:-1])]
 
 
 def _lift(x, p: int):
-    """A raw value reduced mod p over GF(p), unchanged over Q."""
     return x % p if p else x
 
 
-def _min_poly(rows, p: int):
-    """Monic minimal polynomial of a square matrix, ascending coeffs."""
+def _min_poly(rows, den: int, p: int):
+    """Ascending coefficients of the monic minimal polynomial of rows / den.
+    The powers A^k of the integer rows go into one echelon, each with a
+    tail e_k to carry its combination of powers; the first that reduces to
+    zero gives the relation t, and m(x) = sum t_i x^i / (t_k den^(k - i))."""
     n = len(rows)
-    power = [[int(r == c) for c in range(n)] for r in range(n)]
-    flats = []
-    while True:
-        flat = [v for row in power for v in row]
-        if flats:
-            a = linalg.solve_raw(linalg.transpose(flats), flat, p)
-            if a is not None:
-                return [_lift(-v, p) for v in a] + [1]
-        flats.append(flat)
+    size = n * n
+    echelon, power = [], [[int(r == c) for c in range(n)] for r in range(n)]
+    for k in range(n + 1):
+        flat = [x for row in power for x in row] + [int(i == k) for i in range(n + 1)]
+        t = linalg.echelon_raw(echelon, flat, p, size)[size:size + k + 1]
+        if len(echelon) == k:  # A^k did not grow the echelon
+            return [x * pow(t[k], -1, p) % p if p else Fraction(x, t[k] * den ** (k - i))
+                    for i, x in enumerate(t)]
         power = linalg.mat_mul_raw(power, rows, p)
 
 
-def _int_divisors(m: int):
+def _root_bound(ints) -> int:
+    """An int above |z| for each root z of sum ints[i] x^i, degree d:
+    Fujiwara's 2 max_k |c_(d-k) / c_d|^(1/k), c_0 halved, each root
+    rounded up to a power of two."""
+    d, lead = len(ints) - 1, abs(ints[-1])
+    return 2 * max((1 << -(-(-(-abs(ints[d - k]) // (lead << (k == d)))).bit_length() // k)
+                    for k in range(1, d + 1)), default=1)
+
+
+def _int_divisors(m: int, bound: int):
+    """The divisors of |m| up to bound: trial division to min(bound, sqrt |m|)."""
     m = abs(m)
-    out = []
-    d = 1
-    while d * d <= m:
+    out = set()
+    for d in range(1, min(bound, isqrt(m)) + 1):
         if m % d == 0:
-            out.append(d)
-            out.append(m // d)
-        d += 1
-    return sorted(set(out))
+            out.update((d, m // d))
+    return sorted(x for x in out if x <= bound)
 
 
-def _poly_eval(coeffs, x, p: int):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return _lift(acc, p)
+def _at(ints, a: int, b: int) -> int:
+    """b^d P(a / b) for P = sum ints[i] x^i of degree d, by Horner on ints."""
+    acc, bk = 0, 1
+    for c in reversed(ints):
+        acc = acc * a + c * bk
+        bk *= b
+    return acc
 
 
 def _poly_roots(coeffs, p: int):
     """Roots in the field of a polynomial with ascending coefficients.
     Over the rationals, with the zero roots split off and the rest
-    scaled to integers: every root, by the rational root theorem, while
-    the constant and leading coefficients are at most 10^12 in size;
-    above that only the candidates a/b with |a| <= 8 and 1 <= b <= 4 are
-    tried, so roots can be missed.  Over GF(p): brute force for
-    p <= 512, none above."""
+    scaled to integers: every root, by the rational root theorem (a/b
+    in lowest terms is a root when _at is 0, and |a/b| and |b/a| are
+    below the root bounds of P and its reverse), while the constant and
+    leading coefficients are at most 10^12 in size; above that only
+    a/b with |a| <= 8 and 1 <= b <= 4 are tried, so roots can be
+    missed.  Over GF(p): brute force for p <= 512, none above."""
     if p:
-        if p > 512:
-            return []
-        return [r for r in range(p) if not _poly_eval(coeffs, r, p)]
-    roots = []
-    work = list(coeffs)
-    while len(work) > 1 and not work[0]:
-        roots.append(0)
-        work = work[1:]
-    if len(work) <= 1:
-        return sorted(set(roots), key=str)
-    ints, _ = scaled_ints(work)
+        return [r for r in range(p) if not _at(coeffs, r, 1) % p] if p <= 512 else []
+    zeros = next(i for i, c in enumerate(coeffs) if c)
+    roots = [0] if zeros else []
+    ints, _ = scaled_ints(coeffs[zeros:])
     a0, lead = ints[0], ints[-1]
     if abs(a0) > 10 ** 12 or abs(lead) > 10 ** 12:
-        candidates = [Fraction(a, b) for a in range(-8, 9) for b in range(1, 5)]
+        pairs = [(a, b) for a in range(-8, 9) for b in range(1, 5)]
     else:
-        candidates = []
-        for a in _int_divisors(a0):
-            for b in _int_divisors(lead):
-                candidates.append(Fraction(a, b))
-                candidates.append(Fraction(-a, b))
-    seen = set()
-    for cand in candidates:
-        if cand in seen:
-            continue
-        seen.add(cand)
-        if not _poly_eval(coeffs, cand, 0):
-            roots.append(cand)
+        bound, rbound = _root_bound(ints), _root_bound(ints[::-1])
+        bs = _int_divisors(lead, rbound * abs(a0))
+        pairs = [(s * a, b) for a in _int_divisors(a0, bound * bs[-1]) for b in bs
+                 if a <= bound * b and b <= rbound * a for s in (1, -1)]
+    roots += [Fraction(a, b) for a, b in pairs if gcd(a, b) == 1 and not _at(ints, a, b)]
     return sorted(set(roots), key=str)
 
 
 def _intersect(ubasis, wbasis, p: int):
-    """Basis of the intersection of two row spans."""
-    du = len(ubasis)
-    ucols = linalg.transpose(ubasis)
-    rows = linalg.transpose(ubasis + [[_lift(-x, p) for x in w] for w in wbasis])
-    vecs = []
-    for sol in linalg.nullspace_raw(rows, p):
-        vec = linalg.mat_vec_raw(ucols, sol[:du], p)
-        if any(vec):
-            vecs.append(vec)
-    return linalg.row_space_raw(vecs, p) if vecs else []
+    """The canonical rows of the intersection of two row spans, of independent rows."""
+    sols, _ = linalg.nullspace_raw(linalg.transpose(ubasis + [[-x for x in w] for w in wbasis]), p)
+    return linalg.row_space_raw(linalg.mat_mul_raw([s[:len(ubasis)] for s in sols], ubasis, p), p)
 
 
 def invariant_probe(mats, seed: int) -> ProbeReport:
@@ -435,26 +420,32 @@ def invariant_probe(mats, seed: int) -> ProbeReport:
     always tried.  Records every proper nonzero common invariant
     subspace found, plus pairwise sums and intersections.
 
-    Works on raw values (residues, or rationals) throughout; the
-    reported bases are built as Scalars at the end.
+    Works on integer rows (linalg's raw core), as (rows, den) where the
+    scale matters; a subspace is kept in its canonical form (rref_raw),
+    made Scalars only for the report.
 
     Semi-decision: finding subspaces certifies reducibility; finding
     none proves nothing.
     """
     if not mats:
         raise FormError("invariant probe needs at least one matrix")
-    fields, raw = zip(*map(_raw_of, mats))
-    n = len(raw[0])
-    if not n or any(len(m) != n or any(len(r) != n for r in m) for m in raw):
+    fields, rows, dens = zip(*map(_int_rows, mats))
+    n = len(rows[0])
+    if not n or any(len(m) != n or any(len(r) != n for r in m) for m in rows):
         raise FormError("all matrices must share one nonempty square dimension")
     field = _common_field(fields)
     p = field.char
-    raw_t = [linalg.transpose(m) for m in raw]
+    pairs = list(zip(rows, dens))
+    # row v of [v] @ images is the images M_1 v, M_2 v, ... laid end to end
+    images = [sum(cat, []) for cat in zip(*map(linalg.transpose, rows))]
     rng = random.Random(seed)
     found = {}
 
-    def combine(acc, c, m):
-        return [[_lift(a + c * b, p) for a, b in zip(ra, rb)] for ra, rb in zip(acc, m)]
+    def combine(acc, c, m):  # acc + c m
+        (a, da), (b, db) = acc, m
+        den = lcm(da, db)
+        s, t = den // da, c * (den // db)
+        return [[x * s + y * t for x, y in zip(ra, rb)] for ra, rb in zip(a, b)], den
 
     def rand_vec():
         while True:
@@ -463,60 +454,62 @@ def invariant_probe(mats, seed: int) -> ProbeReport:
                 return v
 
     def close_under(vectors):
-        basis = linalg.row_space_raw(vectors, p)
-        while 0 < len(basis) < n:
-            # row v of basis @ m^T is m v
-            imgs = [img for mt in raw_t for img in linalg.mat_mul_raw(basis, mt, p)]
-            bigger = linalg.row_space_raw(basis + imgs, p)
-            if len(bigger) == len(basis):
+        """The canonical rows of the smallest invariant span of vectors, or
+        [] if it is the whole space: a spin, each vector that grows the
+        span sent through each matrix once, then one canonical_raw.
+        Breadth first: a vector many products deep has long entries."""
+        echelon, todo = [], list(vectors)
+        for v in todo:
+            if len(echelon) == n:
                 break
-            basis = bigger
-        return basis
+            v = linalg.echelon_raw(echelon, v, p)
+            if any(v):
+                img = linalg.mat_mul_raw([v], images, p)[0]
+                todo += [img[k:k + n] for k in range(0, len(img), n)]
+        return linalg.canonical_raw(echelon, p)[0] if len(echelon) < n else []
 
-    def keep(vectors, close=True):
-        if not vectors:
-            return
-        basis = close_under(vectors) if close else linalg.row_space_raw(vectors, p)
+    def keep(basis):
         if 0 < len(basis) < n:
-            key = tuple(tuple(map(str, row)) for row in basis)
-            found.setdefault(key, basis)
+            found.setdefault(tuple(map(tuple, basis)), basis)
 
     def rand_algebra_elt():
-        acc = [[0] * n for _ in range(n)]
+        acc = ([[0] * n for _ in range(n)], 1)
         for _ in range(rng.randint(1, 3)):
-            prod = rng.choice(raw)
+            prod = rng.choice(pairs)
             for _ in range(rng.randint(0, 2)):
-                prod = linalg.mat_mul_raw(prod, rng.choice(raw), p)
+                (a, da), (b, db) = prod, rng.choice(pairs)
+                prod = linalg.mat_mul_raw(a, b, p), da * db
             acc = combine(acc, _lift(rng.choice((-2, -1, 1, 2)), p), prod)
-        return acc
+        return acc[0]  # its kernel and image do not read the scale
 
     # cyclic closures of random vectors, and random spans (these catch
     # small algebras; for rich algebras the closures fill up and drop out)
     for _ in range(6):
-        keep([rand_vec()])
+        keep(close_under([rand_vec()]))
     for k in range(2, n):
-        keep([rand_vec() for _ in range(k)])
+        keep(close_under([rand_vec() for _ in range(k)]))
 
     # kernels of the given matrices, then kernels and images of random
     # algebra elements (random ones are usually invertible)
-    for m in raw:
-        keep(linalg.nullspace_raw(m, p))
+    for m in rows:
+        keep(close_under(linalg.nullspace_raw(m, p)[0]))
     for _ in range(8):
         y = rand_algebra_elt()
-        ker = linalg.nullspace_raw(y, p)
+        ker, _ = linalg.nullspace_raw(y, p)
         if ker:
-            keep(ker)
-            keep([ker[0]])
+            keep(close_under(ker))
+            keep(close_under([ker[0]]))
         img = linalg.row_space_raw(linalg.transpose(y), p)
         if len(img) < n:
-            keep(img)
+            keep(close_under(img))
 
     # commutant eigenspaces: solve Y M_i = M_i Y exactly, then split
     # along rational eigenvalues of random commutant elements (skipped
-    # for large matrices: the solve is n^2 unknowns)
+    # for large matrices: the solve is n^2 unknowns); Y is integer rows
+    # over the nullspace's den, and ker(Y / den - a / b) = ker(b Y - a den)
     if n <= 12:
         eqs = []
-        for m in raw:
+        for m in rows:
             for r in range(n):
                 for c in range(n):
                     row = [0] * (n * n)
@@ -524,21 +517,21 @@ def invariant_probe(mats, seed: int) -> ProbeReport:
                         row[r * n + s] += m[s][c]
                         row[s * n + c] -= m[r][s]
                     eqs.append(row)
-        comm = linalg.nullspace_raw(eqs, p)
+        comm, den = linalg.nullspace_raw(eqs, p)
         if len(comm) > 1:
-            basis_mats = [[sol[r * n:(r + 1) * n] for r in range(n)] for sol in comm]
+            basis_mats = [([sol[r * n:(r + 1) * n] for r in range(n)], den) for sol in comm]
             for _ in range(min(8, 2 * len(basis_mats))):
-                y = [[0] * n for _ in range(n)]
+                y = ([[0] * n for _ in range(n)], den)
                 for bm in basis_mats:
                     c = _lift(rng.randint(-2, 2), p)
                     if c:
                         y = combine(y, c, bm)
-                for mu in _poly_roots(_min_poly(y, p), p):
-                    shifted = [[_lift(y[r][c] - mu, p) if r == c else y[r][c] for c in range(n)]
-                               for r in range(n)]
-                    eig = linalg.nullspace_raw(shifted, p)
-                    if eig:
-                        keep(eig)
+                y, dy = y
+                for mu in _poly_roots(_min_poly(y, dy, p), p):
+                    a, b = mu.numerator * dy, mu.denominator
+                    shifted = [[b * x - a if r == c else b * x for c, x in enumerate(row)]
+                               for r, row in enumerate(y)]
+                    keep(close_under(linalg.nullspace_raw(shifted, p)[0]))
 
     # combine what was found: pairwise sums and intersections
     bases_now = list(found.values())
@@ -546,11 +539,11 @@ def invariant_probe(mats, seed: int) -> ProbeReport:
         for j in range(i + 1, len(bases_now)):
             if len(found) > 80:
                 break
-            keep(bases_now[i] + bases_now[j], close=False)
-            keep(_intersect(bases_now[i], bases_now[j], p), close=False)
+            keep(linalg.row_space_raw(bases_now[i] + bases_now[j], p))
+            keep(_intersect(bases_now[i], bases_now[j], p))
 
-    ordered = [found[key] for key in sorted(found, key=lambda key: (len(key), key))]
-    return ProbeReport(
-        seed=seed,
-        dims=tuple(len(b) for b in ordered),
-        bases=tuple(tuple(tuple(Scalar(field, v) for v in r) for r in b) for b in ordered))
+    # each row over its pivot, the first nonzero entry: the reduced echelon form
+    bases = [tuple(tuple(scalars_over(field, row, next(filter(None, row)))) for row in basis)
+             for basis in found.values()]
+    bases.sort(key=lambda basis: (len(basis), [[str(v) for v in row] for row in basis]))
+    return ProbeReport(seed=seed, dims=tuple(map(len, bases)), bases=tuple(bases))

@@ -323,11 +323,6 @@ def raw_values(field: Field, scalars) -> list:
     return values
 
 
-def raw_rows(rows, field: Field) -> list:
-    """The raw_values of each row of a matrix of Scalars of field."""
-    return [raw_values(field, row) for row in rows]
-
-
 def field_of(rows) -> Field:
     """The field of a matrix of Scalars, its first entry's (FormError if none is)."""
     first = next((x for row in rows for x in row), None)

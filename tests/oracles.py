@@ -332,3 +332,72 @@ def chevalley_rows(p, diag, upper, f=None):
             row.append(x % p if p else x)
         rows.append(row)
     return rows
+
+
+def matrix_poly(coeffs, a, p):
+    """sum coeffs[i] A^i for a square matrix of plain numbers, by the
+    textbook products (matmul_oracle), entries reduced mod p over GF(p)."""
+    n = len(a)
+    power = [[int(r == c) for c in range(n)] for r in range(n)]
+    total = [[0] * n for _ in range(n)]
+    for c in coeffs:
+        total = [[x + c * y for x, y in zip(tr, pr)] for tr, pr in zip(total, power)]
+        power = matmul_oracle(power, a, p)
+    return [[x % p if p else x for x in row] for row in total]
+
+
+def powers_rank(a, k, p):
+    """The rank of I, A, ..., A^(k-1), each flattened to a row (rref_oracle):
+    k exactly when no monic polynomial of degree below k kills A."""
+    n = len(a)
+    power = [[int(r == c) for c in range(n)] for r in range(n)]
+    flats = []
+    for _ in range(k):
+        flats.append([int(x) if p else x for row in power for x in row])
+        power = matmul_oracle(power, a, p)
+    return len(rref_oracle(flats, p)[1])
+
+
+def trial_divisors(m):
+    """Every positive divisor of |m|, by trial division up to its square root."""
+    m, out, d = abs(m), set(), 1
+    while d * d <= m:
+        if m % d == 0:
+            out |= {d, m // d}
+        d += 1
+    return sorted(out)
+
+
+def rational_roots(coeffs, p):
+    """The roots in the field of sum coeffs[i] x^i, each candidate
+    evaluated by the plain sum on Fractions or residues.  Over GF(p) every
+    residue for p <= 512 and none above.  Over Q 0 if c_0 is 0, and with
+    the zero roots dropped and the rest scaled by the lcm of the
+    denominators: +-a/b for every a dividing the constant and b dividing
+    the leading coefficient when both are at most 10^12 in size, and
+    a/b with |a| <= 8, 1 <= b <= 4 otherwise."""
+    if p:
+        return [r for r in range(p) if not sum(c * r ** i for i, c in enumerate(coeffs)) % p] \
+            if p <= 512 else []
+    coeffs = [Fraction(c) for c in coeffs]
+    k = 0
+    while not coeffs[k]:
+        k += 1
+    den = 1
+    for c in coeffs[k:]:
+        den = den * c.denominator // gcd_oracle(den, c.denominator)
+    a0, lead = coeffs[k] * den, coeffs[-1] * den
+    if abs(a0) > 10 ** 12 or abs(lead) > 10 ** 12:
+        cands = {Fraction(a, b) for a in range(-8, 9) for b in range(1, 5)}
+    else:
+        tops, bottoms = trial_divisors(int(a0)), trial_divisors(int(lead))
+        cands = {Fraction(s * a, b) for a in tops for b in bottoms for s in (1, -1)}
+    roots = {x for x in cands if not sum(c * x ** i for i, c in enumerate(coeffs))}
+    return sorted(roots | ({0} if k else set()), key=str)
+
+
+def gcd_oracle(a, b):
+    """Euclid's algorithm."""
+    while b:
+        a, b = b, a % b
+    return abs(a)

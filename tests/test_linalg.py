@@ -3,6 +3,7 @@ Leibniz determinant, over Q, GF(2), GF(3), GF(7) and GF(2^61 - 1)."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -164,3 +165,62 @@ def test_scalar_entries_are_one_field():
     with pytest.raises(FormError, match=r"^a matrix's first entry must be a Scalar, got 3$"):
         linalg.det([[3, F7(1)], [F7(0), F7(1)]])
     assert linalg.det(one) == F7(1)
+
+
+F7 = Field(7)
+BAD_SHAPES = {
+    "solve-short-b": lambda: linalg.solve([[F7(1), F7(0)], [F7(0), F7(1)]], [F7(1)]),
+    "solve-matrix-tall-b": lambda: linalg.solve_matrix([[F7(1)]], [[F7(1)], [F7(2)]]),
+    "mat-mul-inner": lambda: linalg.mat_mul([[F7(1), F7(2)]], [[F7(1)], [F7(2)], [F7(3)]]),
+    "mat-vec-long-v": lambda: linalg.mat_vec([[F7(1), F7(2)]], [F7(1), F7(2), F7(3)]),
+    "det-wide": lambda: linalg.det([[F7(1), F7(2), F7(3)], [F7(4), F7(5), F7(6)]]),
+    "det-tall": lambda: linalg.det([[F7(1), F7(2)], [F7(3), F7(4)], [F7(5), F7(6)]]),
+    "rref-ragged": lambda: linalg.rref([[F7(1), F7(2)], [F7(3)]]),
+    "nullspace-ragged": lambda: linalg.nullspace([[F7(1)], [F7(2), F7(3)]]),
+    "row-space-ragged": lambda: linalg.row_space_basis([[F7(1), F7(2)], [F7(3), F7(4), F7(5)]]),
+    "mat-mul-ragged-b": lambda: linalg.mat_mul([[F7(1), F7(2)]], [[F7(1)], [F7(2), F7(3)]]),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_SHAPES))
+def test_bad_shapes_are_refused_before_any_work(case, monkeypatch):
+    """Operands whose shapes do not fit are refused with FormError before
+    any entry is read: solve([[1, 0], [0, 1]], [1]) answered [1, 0],
+    solve_matrix([[1]], [[1], [2]]) [[1]], mat_mul([[1, 2]], [[1], [2],
+    [3]]) [[5]] and det of a 2x3 matrix 3, while det of a 3x2 matrix and
+    ragged rows raised IndexError."""
+    def no_work(*args):
+        raise AssertionError("entries read before the shape check")
+    monkeypatch.setattr(linalg, "int_rows", no_work)
+    with pytest.raises(FormError):
+        BAD_SHAPES[case]()
+
+
+@pytest.mark.parametrize("p", PRIMES, ids=spec)
+def test_raw_rows_are_the_canonical_form(p):
+    """rref_raw of integer rows is the oracle's reduced echelon form, over
+    Q each row scaled to a primitive integer row with a positive pivot, so
+    rows of one span, scaled any way, give the same answer;
+    nullspace_raw and solve_matrix_raw return integer rows over one den."""
+    rng = random.Random(f"canonical/{p}")
+    for shape in SHAPES:
+        for a in cases(p, shape)[0]:
+            ints = [[int(x * 1001) for x in row] for row in a]  # 1001 = 7 11 13
+            want, pivots = rref_oracle(ints, p)
+            red, got = linalg.rref_raw(ints, p)
+            assert got == pivots
+            for row, w, c in zip(red, want, pivots):
+                assert row[c] > 0 and (p or gcd(*row) == 1)
+                assert [Fraction(x, row[c]) for x in row] == w
+            scales = [rng.choice((-11, -1, 5, 13)) for _ in ints]  # units mod every p here
+            scaled = [[x * s for x in row] for row, s in zip(ints[::-1], scales)]
+            assert linalg.rref_raw(scaled, p)[0][:len(pivots)] == red[:len(pivots)]
+            basis, den = linalg.nullspace_raw(ints, p)
+            assert den > 0 and (p == 0 or den == 1)
+            assert all(x % p == 0 if p else x == 0
+                       for v in basis for row in matmul_oracle(ints, [[x] for x in v], p)
+                       for x in row)
+            b = matmul_oracle(ints, [[rng.randint(-5, 5)] for _ in ints[0]], p)
+            x, den = linalg.solve_matrix_raw(ints, [[int(y) for y in row] for row in b], p)
+            assert den > 0 and matmul_oracle(ints, x, p) == [[y * den % p if p else y * den
+                                                              for y in row] for row in b]

@@ -20,7 +20,8 @@ from cliffbundle import (AlgebraContext, BilinearForm, CapExceeded, CliffElt,
 from cliffbundle import clifford, linalg
 from cliffbundle.sampling import rand_alternating, rand_bilinear, rand_cliff, rand_quadratic
 
-from oracles import deform_sum, matmul_oracle, pair_sum, to_exterior, word_sum
+from oracles import (deform_sum, matmul_oracle, matrix_poly, pair_sum, powers_rank,
+                     rational_roots, to_exterior, trial_divisors, word_sum)
 
 
 def _mat(m):
@@ -504,11 +505,11 @@ def test_builder_digests(field):
 
 
 def _probe_json(case):
-    spec, seed = case.split("/")
-    field = Field.from_spec(spec)
-    _, F, _, _ = _pin_inputs(field, 3, int(seed))
+    spec, seed, *dim = case.split("/")
+    field, n = Field.from_spec(spec), int(dim[0]) if dim else 3
+    _, F, _, _ = _pin_inputs(field, n, int(seed))
     rows = [list(r) for r in F.rows]
-    for j in range(3):
+    for j in range(n):
         rows[0][j] = rows[j][0] = field.zero
     mats = generator_matrices(BilinearForm.make(F.ctx, rows))
     report = invariant_probe(mats, int(seed))
@@ -520,7 +521,11 @@ def _probe_json(case):
 
 # SHA-256 of invariant_probe(generator_matrices(F), seed).to_json(), with
 # e_1 pushed into the radical of F as in rep.invariant-lattice, and of
-# the restrictions to what it reports; recorded as above
+# the restrictions to what it reports; recorded as above.  A case is
+# "field/seed" at dim 3 or "field/seed/dim"; the cases over GF(2),
+# GF(3), GF(2^61 - 1) and at dim 4 were recorded from the probe on
+# Fraction rows (rational candidates evaluated by Horner, one solve
+# per power in the minimal polynomial)
 PROBE_DIGESTS = {
     "Q/0": "d1e05747967f47049d1c69e9d53ea67eb67e45c97cf825957f09442292a8b4a3",
     "Q/1": "767deefb8977c0d1c8240acb20330b6fecd7e337e2799807cd28b02b378a96d1",
@@ -528,12 +533,164 @@ PROBE_DIGESTS = {
     "Fp:7/0": "f2c468a8192dec57e00b8ba261b273a6a876f99dd633aa3213607a9894f36f32",
     "Fp:7/1": "ce74c3878cbcfb065054190afc951a549d072b6ccf444aabbbef05aa9ad5c2d6",
     "Fp:7/3": "548e7013030cc3a92efeae1f53376cd2e2c0b6164a115492e82068902c33bbc5",
+    "Fp:2/0": "c7e8176cdc7ba7635b4dfa74185211b621cc4dfc59a72542fcd7cfa1ff103078",
+    "Fp:2/1": "a511148750201b76914e124277805e79574758b28a387011fb731ba82e38a570",
+    "Fp:3/0": "e86e4077cab02418a00cd8219141e7aaeefd2753d2d9e53eb040c364732511d7",
+    "Fp:3/1": "14e0fbd0825019faba5513717af40dde38f585f632da22837496def103793b82",
+    "Fp:2305843009213693951/0":
+        "192e7c41dae138dc7630ab003dc241b74757e2852e381802ddfeb7026877db81",
+    "Fp:2305843009213693951/1":
+        "44bfed0ef9cbb20109bb1af4629cc41ca584b32fd5fcd86664e2816f77bcdde7",
+    "Q/0/4": "763f348120b954e03f803f18faedab1b805911882d69b8a78e93f039805adb16",
+    "Q/1/4": "464bcf222aca36f161155e209da9c2ecfce726b257f385498aa8c33592bd8a0b",
+    "Fp:7/0/4": "7c170554ab23bf1c3ea23aaa5efe90c6a7afdb38e06aace8b5120419378cbd0c",
+    "Fp:7/1/4": "16dd1920afb3a2214674f33a8d8bc3ffd7d6cb3f98cb94201c7966e0a1b18528",
 }
 
 
 @pytest.mark.parametrize("case", sorted(PROBE_DIGESTS))
 def test_probe_digests(case):
     assert _digest(_probe_json(case)) == PROBE_DIGESTS[case]
+
+
+# ------------------------------------------------ the probe's polynomials, oracles
+
+POLY_PRIMES = [0, 2, 7, (1 << 61) - 1]
+
+
+def _blocks(*blocks):
+    """The block-diagonal matrix of the given square blocks."""
+    n = sum(map(len, blocks))
+    out, at = [[0] * n for _ in range(n)], 0
+    for b in blocks:
+        for r, row in enumerate(b):
+            out[at + r][at:at + len(row)] = row
+        at += len(b)
+    return out
+
+
+def _jordan(lam, k):
+    return [[lam if r == c else int(c == r + 1) for c in range(k)] for r in range(k)]
+
+
+def _poly_matrices(p):
+    """(integer rows, den) pairs: scalar, nilpotent, derogatory
+    block-diagonal and random matrices, over Q with denominators."""
+    rng = random.Random(f"minpoly/{p}")
+    cases = [([[3, 0, 0], [0, 3, 0], [0, 0, 3]], 1), ([[0]], 1), (_jordan(0, 4), 1),
+             (_blocks(_jordan(2, 2), [[2]], _jordan(5, 2), [[5]]), 1),
+             (_blocks(_jordan(1, 3), _jordan(1, 1), [[0]]), 1),
+             ([[1, 2], [3, 4]], 7 if not p else 1)]
+    for n in (2, 3, 5, 8):
+        for _ in range(3):
+            rows = [[rng.randint(-4, 4) if p == 0 else rng.randrange(p) for _ in range(n)]
+                    for _ in range(n)]
+            if n > 2 and rng.random() < 0.5:  # a repeated block: derogatory
+                block = [r[:2] for r in rows[:2]]
+                rows = _blocks(block, block, [[rng.randint(0, 1)]])
+            cases.append((rows, rng.choice((1, 2, 6)) if p == 0 else 1))
+    return cases
+
+
+@pytest.mark.parametrize("p", POLY_PRIMES, ids=lambda p: Field(p).spec)
+def test_min_poly_matches_oracle(p):
+    """_min_poly(rows, den, p) is monic, kills rows / den, and no monic
+    polynomial of lower degree does (the lower powers are independent)."""
+    from cliffbundle.repcheck import _min_poly
+    for rows, den in _poly_matrices(p):
+        a = [[Fraction(x, den) if den != 1 else x % p if p else x for x in row] for row in rows]
+        coeffs = _min_poly(rows, den, p)
+        d = len(coeffs) - 1
+        assert coeffs[-1] == 1
+        assert all(x == 0 for row in matrix_poly(coeffs, a, p) for x in row)
+        assert powers_rank(a, d, p) == d
+    # known answers: (x - 3), x, x^4, (x - 2)^2 (x - 5)^2, (x - 1)^3 x
+    known = [[-3, 1], [0, 1], [0, 0, 0, 0, 1], [100, -140, 69, -14, 1], [0, -1, 3, -3, 1]]
+    for (rows, den), want in zip(_poly_matrices(p), known):
+        assert _min_poly(rows, den, p) == [x % p if p else x for x in want]
+
+
+def _times_linear(coeffs, r):
+    """coeffs times (x - r), ascending."""
+    out = [0] * (len(coeffs) + 1)
+    for i, c in enumerate(coeffs):
+        out[i] -= r * c
+        out[i + 1] += c
+    return out
+
+
+def _poly_cases():
+    """Polynomials with known rational roots and irreducible factors, with
+    the scaled constant and leading coefficients on both sides of 10^12."""
+    rng = random.Random("roots")
+    big = 10 ** 12
+    out = []
+    for extra in ([1], [1, 0, 1], [-2, 0, 1], [big - 1, 0, 1], [big + 1, 1, 0, 1],
+                  [999985999949, 1, 0, 0, 1], [1, 1, 1]):
+        for scale in (1, Fraction(1, 3), Fraction(-7, 2), big, Fraction(1, big + 7)):
+            coeffs = [Fraction(scale) * c for c in extra]
+            for _ in range(rng.randint(0, 3)):
+                coeffs = _times_linear(coeffs, Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+            if rng.random() < 0.3:
+                coeffs = _times_linear(coeffs, 0)
+            out.append(coeffs)
+    # a root that only a divisor near 10^6 of a semiprime constant gives
+    out.append(_times_linear([1000003, 1, 1], 999983))
+    out.append(_times_linear([1000003, 0, 0, 1], -999983))
+    return out
+
+
+@pytest.mark.parametrize("p", [0, 2, 7, 509, 521], ids=lambda p: Field(p).spec)
+def test_poly_roots_match_oracle(p):
+    """_poly_roots against Fraction (or residue) evaluation of every
+    candidate the docstring names, on both sides of the 10^12 cutoff."""
+    from cliffbundle.repcheck import _poly_roots
+    for coeffs in _poly_cases():
+        if p:
+            if any(Fraction(c).denominator % p == 0 for c in coeffs):
+                continue
+            coeffs = [c.numerator * pow(c.denominator, -1, p) % p for c in map(Fraction, coeffs)]
+        got = _poly_roots(coeffs, p)
+        assert got == rational_roots(coeffs, p)
+        assert all(type(r) in (int, Fraction) for r in got)
+    assert _poly_roots(_times_linear([1000003, 1, 1], 999983), 0) == [999983]
+
+
+def test_int_divisors_are_the_bounded_enumeration():
+    """_int_divisors(m, bound), which trial-divides only up to
+    min(bound, sqrt m), is the unbounded enumeration cut at bound,
+    for a semiprime near 10^12 too."""
+    from cliffbundle.repcheck import _int_divisors
+    semi = 999983 * 1000003
+    assert all(999983 % d and 1000003 % d for d in range(2, 1001))  # both prime
+    rng = random.Random("divisors")
+    ms = [1, 2, 12, 360, 997, 2 ** 20, 6 ** 9, semi] + [rng.randint(1, 10 ** 7) for _ in range(20)]
+    for m in ms:
+        full = trial_divisors(m)
+        for bound in (1, 2, 10, 999, 999983, 1000003, 10 ** 13):
+            assert _int_divisors(m, bound) == [d for d in full if d <= bound]
+            assert _int_divisors(-m, bound) == _int_divisors(m, bound)
+    assert _int_divisors(semi, 10 ** 5) == [1]
+
+
+def test_root_bound_bounds_every_root():
+    """_root_bound is above every root's size: the rational roots of
+    products of linear factors, and sqrt(c) for x^2 + c."""
+    from cliffbundle.repcheck import _root_bound
+    rng = random.Random("bound")
+    for _ in range(200):
+        roots = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(rng.randint(1, 5))]
+        coeffs = [rng.randint(1, 9)]
+        for r in roots:
+            coeffs = _times_linear(coeffs, r)
+        if not coeffs[0]:
+            continue
+        bound = _root_bound(coeffs)
+        assert all(abs(r) < bound for r in roots)
+        # the reverse polynomial's roots are the 1/r
+        assert _root_bound(coeffs[::-1]) * min(abs(r) for r in roots) > 1
+    for c in (1, 2, 10 ** 12, 999985999949):
+        assert _root_bound([c, 0, 1]) ** 2 > c
 
 
 # ------------------------------------------------ sparse columns, oracles
