@@ -50,8 +50,9 @@ the sign (-1)^t.  Over GF(p) the coefficients are residues, reduced
 mod p once per generator action.  Over Q the computation is
 fraction-free: with d the common denominator of B, e_i acts by the
 integer operator d e_i ^ + contraction by d B(e_i, .), and the sum is
-divided once at the end.  Forms enter as their integer data (see
-forms; G_Q is a quadratic form's own), and so do elements, as
+divided once at the end.  Forms, vectors and linear forms enter as
+their integer data (see forms; G_Q is a quadratic form's own, and a
+linear form's is contract's one row), and so do elements, as
 (data, den): kernel keys (masks for CliffElt, words for TensorElt)
 mapped to nonzero ints over one int denominator, residues over den 1
 over GF(p), and over Q den > 0 with gcd(den, values) = 1.  The entry
@@ -243,16 +244,21 @@ def _blade_masks(n: int, blades) -> list:
 _new = object.__new__
 
 
+def _keyed(keys, values) -> dict:
+    """The nonzero values at their keys."""
+    return dict(compress(zip(keys, values), values))
+
+
 def _data_of(field: Field, keys, scalars) -> tuple:
     """The canonical (data, den) of Scalars of field at keys (ints_of), zeros dropped."""
     nums, den = ints_of(field, scalars)
-    return dict(compress(zip(keys, nums), nums)), den
+    return _keyed(keys, nums), den
 
 
 def _canonical(p: int, keys, values, den: int) -> tuple:
     """canonical_ints of raw ints at keys over den, zeros dropped: the kernel's exit."""
     values, den = canonical_ints(p, values, den)
-    return dict(compress(zip(keys, values), values)), den
+    return _keyed(keys, values), den
 
 
 def _reduced(out: dict, p: int) -> dict:
@@ -852,8 +858,7 @@ class CliffElt(_Sparse):
     @classmethod
     def from_vector(cls, cctx: CliffordContext, x: Vector) -> "CliffElt":
         same_context(cctx.ctx, x.ctx)
-        return cls._of(cctx, *_data_of(cctx.field, [1 << i for i in range(cctx.dim)],
-                                       x.coeffs))
+        return cls._of(cctx, _keyed([1 << i for i in range(cctx.dim)], x.nums), x.den)
 
     def __mul__(self, other):
         if isinstance(other, CliffElt):
@@ -902,8 +907,8 @@ def contract(f: LinearForm, w: CliffElt) -> CliffElt:
     """The descended antiderivation of a linear form on normal forms:
     the word (1,) acting with f as its only row and no wedge part."""
     same_context(f.ctx, w.cctx.ctx)
-    return CliffElt._of(w.cctx, *_operate(w.cctx.field.char, f.ctx.dim, ints_of(
-        f.ctx.field, f.coeffs), ({1: 1}, 1), (w.data, w.den), wedge=False))
+    return CliffElt._of(w.cctx, *_operate(w.cctx.field.char, f.ctx.dim, (f.nums, f.den),
+                                          ({1: 1}, 1), (w.data, w.den), wedge=False))
 
 
 def contract_vec(F: BilinearForm, x: Vector, w: CliffElt) -> CliffElt:

@@ -4,15 +4,18 @@ An AlgebraContext fixes the dimension n and the field; everything else
 (vectors, linear/bilinear/quadratic forms, exterior-square coefficients)
 is built against it.
 
-The form records (BilinearForm, QuadraticForm, DualTwoForm) hold
-canonical integer data (scalars.canonical_ints): the n x n entries as
-ints nums over one int den.  Over GF(p) the nums are residues in [0, p)
-and den is 1; over Q den > 0 and the gcd of den and every num is 1.  So
-equal forms have equal data, and equality and hashing compare the data.
-The form operations and the kernel's set-up in clifford.py are int list
-work on it.  The Scalar views (rows, diag, upper, coeffs, and at, polar
-and value_at, which read them) are cached properties, rows built by
-scalars.scalars_over; make and from_json keep the Scalars they read.
+Every record here but the context (Vector, LinearForm, BilinearForm,
+QuadraticForm, DualTwoForm) holds canonical integer data
+(scalars.canonical_ints): its n entries, or n x n for a form, as ints
+nums over one int den.  Over GF(p) the nums are residues in [0, p) and
+den is 1; over Q den > 0 and the gcd of den and every num is 1.  So
+equal records have equal data, and equality and hashing compare the
+data.  Their arithmetic, the evaluations F(x, y), Q(x), f(x) and
+F(x, .), and the kernel's set-up in clifford.py are int list work on
+it, with one Scalar per answer.  The Scalar views (coeffs, rows, diag,
+upper, and at, polar and value_at, which read them) are cached
+properties built by scalars.scalars_over; make and from_json, the
+Scalar entry, keep the Scalars they read.
 
 Basis indices are 1-based throughout the public API, matching the word
 and blade conventions of the element modules.
@@ -20,9 +23,10 @@ and blade conventions of the element modules.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import add, sub
+from operator import add, mul, sub
 
 from . import linalg
 from .errors import (CharacteristicError, ContextMismatch, FieldMismatch, FormError,
@@ -67,114 +71,21 @@ def same_context(a: AlgebraContext, b: AlgebraContext):
         raise ContextMismatch(f"contexts differ: {a} vs {b}")
 
 
-@record(frozen=True)
-class Vector:
-    ctx: AlgebraContext
-    coeffs: tuple
-
-    @classmethod
-    def make(cls, ctx: AlgebraContext, values) -> "Vector":
-        coeffs = ctx.coerce_all(values)
-        if len(coeffs) != ctx.dim:
-            raise FormError(f"vector needs {ctx.dim} coefficients, got {len(coeffs)}")
-        return cls(ctx, coeffs)
-
-    @classmethod
-    def basis(cls, ctx: AlgebraContext, i: int) -> "Vector":
-        """The basis vector e_i, 1-based."""
-        if not 1 <= i <= ctx.dim:
-            raise FormError(f"basis index {i} out of range 1..{ctx.dim}")
-        return cls(ctx, tuple(ctx.field(1 if j == i - 1 else 0) for j in range(ctx.dim)))
-
-    @classmethod
-    def zero(cls, ctx: AlgebraContext) -> "Vector":
-        return cls(ctx, tuple(ctx.field.zero for _ in range(ctx.dim)))
-
-    def at(self, i: int) -> Scalar:
-        return self.coeffs[i - 1]
-
-    def __add__(self, other: "Vector") -> "Vector":
-        same_context(self.ctx, other.ctx)
-        return Vector(self.ctx, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "Vector") -> "Vector":
-        same_context(self.ctx, other.ctx)
-        return Vector(self.ctx, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "Vector":
-        return Vector(self.ctx, tuple(-a for a in self.coeffs))
-
-    def __rmul__(self, s) -> "Vector":
-        s = self.ctx.coerce(s)
-        return Vector(self.ctx, tuple(s * a for a in self.coeffs))
-
-
-@record(frozen=True)
-class LinearForm:
-    """An element of the dual space, stored by its values on the basis."""
-
-    ctx: AlgebraContext
-    coeffs: tuple
-
-    @classmethod
-    def make(cls, ctx: AlgebraContext, values) -> "LinearForm":
-        coeffs = ctx.coerce_all(values)
-        if len(coeffs) != ctx.dim:
-            raise FormError(f"linear form needs {ctx.dim} coefficients")
-        return cls(ctx, coeffs)
-
-    def at(self, i: int) -> Scalar:
-        return self.coeffs[i - 1]
-
-    def __call__(self, x: Vector) -> Scalar:
-        same_context(self.ctx, x.ctx)
-        acc = self.ctx.field.zero
-        for a, b in zip(self.coeffs, x.coeffs):
-            if a and b:
-                acc = acc + a * b
-        return acc
-
-
 def _canonical(field: Field, nums, den: int = 1) -> tuple:
     """canonical_ints of raw ints over den, nums a tuple for the record's hash."""
     nums, den = canonical_ints(field.char, nums, den)
     return tuple(nums), den
 
 
-def _transposed(nums: tuple, n: int) -> tuple:
-    """The n x n row-major entries transposed: the columns in turn."""
-    return tuple([x for i in range(n) for x in nums[i::n]])
+def _scalar(field: Field, num: int, den: int) -> Scalar:
+    """The Scalar num / den of products of the records' data (den is 1 over GF(p))."""
+    return field(num if den == 1 else Fraction(num, den))
 
 
-class _Form:
-    """What the form records share: n x n entries, row-major, entry
-    (e_{i+1}, e_{j+1}) being nums[i n + j] / den, their linear
-    arithmetic, and rows, the Scalar view of them."""
-
-    @classmethod
-    def zero(cls, ctx: AlgebraContext):
-        return cls(ctx, (0,) * ctx.dim ** 2, 1)
-
-    @classmethod
-    def _made(cls, ctx: AlgebraContext, rows: tuple):
-        """The form of its entries, Scalars of ctx's field, kept as rows."""
-        nums, den = ints_of(ctx.field, [c for r in rows for c in r])
-        form = cls(ctx, tuple(nums), den)
-        object.__setattr__(form, "rows", rows)
-        return form
-
-    @cached_property
-    def rows(self) -> tuple:
-        """The entries as an n x n tuple of tuples of Scalar."""
-        n, values = self.ctx.dim, scalars_over(self.ctx.field, self.nums, self.den)
-        return tuple(tuple(values[i * n:(i + 1) * n]) for i in range(n))
-
-    def _pairing(self, x: Vector, y: Vector) -> Scalar:
-        """The bilinear form of the entries at (x, y)."""
-        same_context(self.ctx, x.ctx)
-        same_context(self.ctx, y.ctx)
-        return sum((a * c * b for a, row in zip(x.coeffs, self.rows) if a
-                    for b, c in zip(y.coeffs, row) if b and c), self.ctx.field.zero)
+class _Linear:
+    """What the records but the context share: ctx and canonical data
+    nums over den (see the module's notes), and the linear arithmetic
+    on them."""
 
     def __add__(self, other):
         if type(other) is not type(self):
@@ -196,7 +107,7 @@ class _Form:
         return self._scaled(v.numerator, v.denominator)
 
     def _scaled(self, a: int, b: int):
-        """(a / b) times the form, b a unit of the field."""
+        """(a / b) times the record, b a unit of the field."""
         p = self.ctx.field.char
         if p:
             a, b = a * pow(b, -1, p), 1
@@ -205,6 +116,103 @@ class _Form:
 
     def is_zero(self) -> bool:
         return not any(self.nums)
+
+
+class _Coordinates(_Linear):
+    """What Vector and LinearForm share: n entries, the one at e_{i+1}
+    being nums[i] / den, and coeffs, their Scalar view."""
+
+    @classmethod
+    def make(cls, ctx: AlgebraContext, values):
+        """The record of its n entries, Scalars of ctx's field or values
+        they coerce, kept as coeffs."""
+        coeffs = ctx.coerce_all(values)
+        if len(coeffs) != ctx.dim:
+            raise FormError(f"{cls._noun} needs {ctx.dim} coefficients, got {len(coeffs)}")
+        nums, den = ints_of(ctx.field, coeffs)
+        made = cls(ctx, tuple(nums), den)
+        object.__setattr__(made, "coeffs", coeffs)
+        return made
+
+    @classmethod
+    def zero(cls, ctx: AlgebraContext):
+        return cls(ctx, (0,) * ctx.dim, 1)
+
+    @cached_property
+    def coeffs(self) -> tuple:
+        return tuple(scalars_over(self.ctx.field, self.nums, self.den))
+
+    def at(self, i: int) -> Scalar:
+        return self.coeffs[i - 1]
+
+
+@record(frozen=True)
+class Vector(_Coordinates):
+    """x = sum of x_i e_i by its coordinates (see _Coordinates)."""
+
+    _noun = "vector"
+    ctx: AlgebraContext
+    nums: tuple
+    den: int
+
+    @classmethod
+    def basis(cls, ctx: AlgebraContext, i: int) -> "Vector":
+        """The basis vector e_i, 1-based."""
+        if not 1 <= i <= ctx.dim:
+            raise FormError(f"basis index {i} out of range 1..{ctx.dim}")
+        return cls(ctx, tuple([int(j == i - 1) for j in range(ctx.dim)]), 1)
+
+
+@record(frozen=True)
+class LinearForm(_Coordinates):
+    """An element of the dual space by its values on the basis (see _Coordinates)."""
+
+    _noun = "linear form"
+    ctx: AlgebraContext
+    nums: tuple
+    den: int
+
+    def __call__(self, x: Vector) -> Scalar:
+        same_context(self.ctx, x.ctx)
+        return _scalar(self.ctx.field, sum(map(mul, self.nums, x.nums)), self.den * x.den)
+
+
+def _transposed(nums: tuple, n: int) -> tuple:
+    """The n x n row-major entries transposed: the columns in turn."""
+    return tuple([x for i in range(n) for x in nums[i::n]])
+
+
+class _Form(_Linear):
+    """What the form records share: n x n entries, row-major, entry
+    (e_{i+1}, e_{j+1}) being nums[i n + j] / den, and rows, the Scalar
+    view of them."""
+
+    @classmethod
+    def zero(cls, ctx: AlgebraContext):
+        return cls(ctx, (0,) * ctx.dim ** 2, 1)
+
+    @classmethod
+    def _made(cls, ctx: AlgebraContext, rows: tuple):
+        """The form of its entries, Scalars of ctx's field, kept as rows."""
+        nums, den = ints_of(ctx.field, [c for r in rows for c in r])
+        form = cls(ctx, tuple(nums), den)
+        object.__setattr__(form, "rows", rows)
+        return form
+
+    @cached_property
+    def rows(self) -> tuple:
+        """The entries as an n x n tuple of tuples of Scalar."""
+        n, values = self.ctx.dim, scalars_over(self.ctx.field, self.nums, self.den)
+        return tuple(tuple(values[i * n:(i + 1) * n]) for i in range(n))
+
+    def _pairing(self, x: Vector, y: Vector) -> Scalar:
+        """The bilinear form of the entries at (x, y), summed on the ints."""
+        same_context(self.ctx, x.ctx)
+        same_context(self.ctx, y.ctx)
+        n, a, ys = self.ctx.dim, self.nums, y.nums
+        return _scalar(self.ctx.field, sum([c * sum(map(mul, a[i * n:(i + 1) * n], ys))
+                                            for i, c in enumerate(x.nums) if c]),
+                       x.den * self.den * y.den)
 
 
 @record(frozen=True)
@@ -235,11 +243,11 @@ class BilinearForm(_Form):
         return self._pairing(x, y)
 
     def partial_left(self, x: Vector) -> LinearForm:
-        """The linear form F(x, .)."""
+        """The linear form F(x, .): x's nums against each column."""
         same_context(self.ctx, x.ctx)
-        zero = self.ctx.field.zero
-        return LinearForm(self.ctx, tuple(sum((a * c for a, c in zip(x.coeffs, col) if a and c),
-                                              zero) for col in zip(*self.rows)))
+        n, a = self.ctx.dim, self.nums
+        return LinearForm(self.ctx, *_canonical(self.ctx.field, [
+            sum(map(mul, x.nums, a[j::n])) for j in range(n)], x.den * self.den))
 
     def transpose(self) -> "BilinearForm":
         return BilinearForm(self.ctx, _transposed(self.nums, self.ctx.dim), self.den)
@@ -425,13 +433,15 @@ def pfaffian(a: BilinearForm) -> Scalar:
     as pivot, swapping indices 2 and j flips the sign, and then
     Pf(a) = a_12 Pf(S) with S the alternating Schur complement
     S_kl = a_kl + (a_2k a_1l - a_1k a_2l) / a_12 on the indices k, l >= 3.
-    A zero row 1 makes the Pfaffian 0."""
+    A zero row 1 makes the Pfaffian 0.  It runs on a's nums, residues
+    or (once divided) Fractions, and Pf(nums / den) = Pf(nums) / den^(n/2)."""
     if not a.is_alternating():
         raise FormError("pfaffian needs an alternating form")
-    if a.ctx.dim % 2:
+    n, p = a.ctx.dim, a.ctx.field.char
+    if n % 2:
         raise FormError("pfaffian needs even dimension")
-    m = [list(r) for r in a.rows]
-    acc = a.ctx.field.one
+    m = [list(a.nums[i * n:(i + 1) * n]) for i in range(n)]
+    acc = 1
     while m:
         j = next((j for j, v in enumerate(m[0]) if v), None)
         if j is None:
@@ -443,16 +453,20 @@ def pfaffian(a: BilinearForm) -> Scalar:
             acc = -acc
         r0, r1 = m[0], m[1]
         acc = acc * r0[1]
-        inv = r0[1].inverse()
+        inv = pow(r0[1], -1, p) if p else Fraction(1, r0[1])
         m = [[rk[l] + (r1[k] * r0[l] - r0[k] * r1[l]) * inv for l in range(2, len(rk))]
              for k, rk in enumerate(m) if k >= 2]
-    return acc
+        if p:
+            m = [[x % p for x in r] for r in m]
+    return a.ctx.field(acc if p else Fraction(acc, a.den ** (n // 2)))
 
 
 def right_radical(g: BilinearForm):
-    """Basis of {w : G(v, w) = 0 for all v} as a list of Vectors."""
-    basis = linalg.nullspace(g.matrix())
-    return [Vector(g.ctx, tuple(v)) for v in basis]
+    """Basis of {w : G(v, w) = 0 for all v} as a list of Vectors: the
+    nullspace of G's integer rows, 1 at each free column."""
+    n, field = g.ctx.dim, g.ctx.field
+    basis, den = linalg.nullspace_raw([g.nums[i * n:(i + 1) * n] for i in range(n)], field.char)
+    return [Vector(g.ctx, *_canonical(field, v, den)) for v in basis]
 
 
 def dual_two_form(a: BilinearForm) -> DualTwoForm:

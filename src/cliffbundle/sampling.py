@@ -27,13 +27,13 @@ choice((1, 1, 1, 2, 3)).  A generator makes its draws in this order:
                                     draw; rand_tensor then refuses a
                                     word over the grade cap
 
-Scalars are made only where the result holds them (rand_scalar,
-rand_vector, rand_linear_form).  Forms and elements are built as the
-records' canonical integer data: the draws over the lcm of their
-denominators, laid out where the record keeps them and made canonical
-once (forms._canonical, or an element's _made), with no Scalar per
-coefficient.  Colliding terms of an element are summed in that one
-pass, and terms that cancel leave no key.
+A Scalar is made only where the result is one (rand_scalar).  Vectors,
+linear forms, forms and elements are built as the records' canonical
+integer data: the draws over the lcm of their denominators, laid out
+where the record keeps them and made canonical once (forms._canonical,
+or an element's _made), with no Scalar per coefficient.  Colliding
+terms of an element are summed in that one pass, and terms that cancel
+leave no key.
 """
 
 from __future__ import annotations
@@ -97,11 +97,11 @@ def rand_scalar(rng, field: Field, span: int = 5, nonzero: bool = False) -> Scal
 
 
 def rand_vector(rng, ctx: AlgebraContext) -> Vector:
-    return Vector(ctx, tuple(rand_scalar(rng, ctx.field) for _ in range(ctx.dim)))
+    return Vector(ctx, *_canonical(ctx.field, *_draws(rng, ctx.field.char, ctx.dim)))
 
 
 def rand_linear_form(rng, ctx: AlgebraContext) -> LinearForm:
-    return LinearForm(ctx, tuple(rand_scalar(rng, ctx.field) for _ in range(ctx.dim)))
+    return LinearForm(ctx, *_canonical(ctx.field, *_draws(rng, ctx.field.char, ctx.dim)))
 
 
 def rand_bilinear(rng, ctx: AlgebraContext) -> BilinearForm:

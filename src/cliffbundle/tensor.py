@@ -18,10 +18,10 @@ their sparse arithmetic with CliffElt.
 
 from __future__ import annotations
 
-from .clifford import _Sparse, _data_of, _operate
+from .clifford import _Sparse, _data_of, _keyed, _operate
 from .errors import CapExceeded, FormError, ParseError
 from .forms import AlgebraContext, BilinearForm, LinearForm, Vector, same_context
-from .scalars import excerpt, ints_of, shaped
+from .scalars import excerpt, shaped
 
 
 # the longest word an operation may build, a guard against runaway products
@@ -80,8 +80,7 @@ class TensorElt(_Sparse):
 
     @classmethod
     def from_vector(cls, x: Vector) -> "TensorElt":
-        return cls._of(x.ctx, *_data_of(x.ctx.field, [(i + 1,) for i in range(x.ctx.dim)],
-                                        x.coeffs))
+        return cls._of(x.ctx, _keyed([(i + 1,) for i in range(x.ctx.dim)], x.nums), x.den)
 
     def __mul__(self, other):
         if isinstance(other, TensorElt):
@@ -136,8 +135,8 @@ def contract(f: LinearForm, u: TensorElt) -> TensorElt:
     That is the word (1,) acting with f as its only row and no wedge
     part."""
     same_context(f.ctx, u.ctx)
-    return TensorElt._of(u.ctx, *_operate(u.ctx.field.char, f.ctx.dim, ints_of(
-        f.ctx.field, f.coeffs), ({(1,): 1}, 1), (u.data, u.den), wedge=False))
+    return TensorElt._of(u.ctx, *_operate(u.ctx.field.char, f.ctx.dim, (f.nums, f.den),
+                                          ({(1,): 1}, 1), (u.data, u.den), wedge=False))
 
 
 def contract_vec(F: BilinearForm, x: Vector, u: TensorElt) -> TensorElt:

@@ -401,3 +401,38 @@ def gcd_oracle(a, b):
     while b:
         a, b = b, a % b
     return abs(a)
+
+
+def lin_comb(a, x, b, y, p):
+    """a x + b y coordinate by coordinate, on raw values (Fractions, or
+    residues mod p > 0)."""
+    return [(a * s + b * t) % p if p else a * s + b * t for s, t in zip(x, y)]
+
+
+def dot(f, x, p):
+    """The sum of f_i x_i, on raw values."""
+    total = sum(a * b for a, b in zip(f, x))
+    return total % p if p else total
+
+
+def bilinear_sum(f, x, y, p):
+    """F(x, y), the sum over i, j of x_i F_ij y_j, on raw values; f is
+    a list of rows, row i - 1 holding F(e_i, .)."""
+    n = len(x)
+    total = sum(x[i] * f[i][j] * y[j] for i in range(n) for j in range(n))
+    return total % p if p else total
+
+
+def quadratic_sum(diag, upper, x, p):
+    """Q(x) for Q(e_i) = diag[i - 1] and the polar value at (e_i, e_j),
+    i < j, upper[i - 1][j - i - 1]: the sum of Q(e_i) x_i^2 and of the
+    polar values times x_i x_j."""
+    n = len(x)
+    total = sum(diag[i] * x[i] * x[i] for i in range(n))
+    total += sum(upper[i][j - i - 1] * x[i] * x[j] for i in range(n) for j in range(i + 1, n))
+    return total % p if p else total
+
+
+def left_partial(f, x, p):
+    """The values of F(x, .) on e_1 .. e_n: the sum over i of x_i F_ij."""
+    return [dot(x, [row[j] for row in f], p) for j in range(len(x))]

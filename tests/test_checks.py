@@ -78,11 +78,31 @@ def test_dim_override():
     assert res.failed == 0
 
 
-def test_char_zero_only_suite_rejects_prime_field():
-    with pytest.raises(CharacteristicError):
-        run_check("tensor.deform-exp", field="Fp:5", samples=1)
-    # the refusal comes from the first sample, so no sample is no refusal
-    assert run_check("tensor.deform-exp", field="Fp:5", samples=0).samples == 0
+# (suite, dim, the fields it refuses, fields it runs over): the words of
+# tensor.deform-exp have grade <= 5, so its series stops at k = 2, and
+# gauge.exp-identity's stops at k = dim // 2
+EXP_SUITE_FIELDS = {
+    "tensor.deform-exp-dim4": ("tensor.deform-exp", 4, ("Fp:2",), ("Fp:3", "Fp:5")),
+    "tensor.deform-exp-dim6": ("tensor.deform-exp", 6, ("Fp:2",), ("Fp:3",)),
+    "gauge.exp-identity-dim3": ("gauge.exp-identity", 3, (), ("Fp:2", "Fp:3")),
+    "gauge.exp-identity-dim4": ("gauge.exp-identity", 4, ("Fp:2",), ("Fp:3", "Fp:5")),
+    "gauge.exp-identity-dim6": ("gauge.exp-identity", 6, ("Fp:2", "Fp:3"), ("Fp:5", "Fp:7")),
+}
+
+
+@pytest.mark.parametrize("check_id, dim, refused, run", list(EXP_SUITE_FIELDS.values()),
+                         ids=list(EXP_SUITE_FIELDS))
+def test_exp_suites_refuse_only_where_their_series_is_undefined(check_id, dim, refused, run):
+    """An exponential-series suite needs 1/k! up to the last k its
+    series reaches, so it refuses GF(p) for p at or below that k only."""
+    for spec in refused:
+        with pytest.raises(CharacteristicError, match=f"undefined in characteristic {spec[3:]}"):
+            run_check(check_id, field=spec, dim=dim, samples=1)
+        # the refusal comes from the first sample, so no sample is no refusal
+        assert run_check(check_id, field=spec, dim=dim, samples=0).samples == 0
+    for spec in run:
+        res = run_check(check_id, seed=2, field=spec, dim=dim, samples=4)
+        assert res.passed == 4, (spec, res.failures)
 
 
 def test_registry_contents_stable():

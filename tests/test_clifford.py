@@ -1125,7 +1125,7 @@ def test_twisted_product_associative():
 
 def _dual(f):
     """A linear form as a grade-1 element of the exterior algebra."""
-    return CliffElt.from_vector(CliffordContext.exterior(f.ctx), Vector(f.ctx, f.coeffs))
+    return CliffElt.from_vector(CliffordContext.exterior(f.ctx), Vector.make(f.ctx, f.coeffs))
 
 
 def test_dual_wedge_antisymmetry():

@@ -16,7 +16,13 @@ entry, and the pair-contraction digests (dense deform, symbol,
 quantize and exp_contract) on the dictionary pair passes, one pass
 over the running terms per pair.  The split digests (dense products,
 deform_apply and twisted_mul at n = 9 and 10) were computed on the
-packed sum's unsplit walk, one generator action per blade of u.  A
+packed sum's unsplit walk, one generator action per blade of u.  The
+GF(p) suite and draw digests and the GF(2) and GF(7) CLI digests were
+recomputed when gauge.exp-identity and tensor.deform-exp came to run
+over GF(p) with p above the last k of their series (before, both
+refused every p): over GF(3) and GF(7) they answer, over GF(2) they
+refuse with a message that names the k, and every other suite and
+request answers byte for byte as before.  A
 change to the scalar layer, the kernels, the suites or the CLI must
 leave every output byte for byte as it was.  A change that means to
 alter an output updates the digest and says why.
@@ -56,29 +62,28 @@ SUITE_PASSES = {
 
 SUITE_DIGESTS = {
     "default": "8da9a724e00dad0b09829bee613b01ec7c4a56fd14e61dc51e345a7e0d6c7847",
-    "Fp:7": "c313c5b28d07a7f73327560e1b4a98ec4c67f2a280e8a455b732bff267406cce",
-    "Fp:2": "096232a45fd0400d82d169bd7dcee2b4f047d98e5000bf671b5797e693a722cf",
-    "Fp:3": "c313c5b28d07a7f73327560e1b4a98ec4c67f2a280e8a455b732bff267406cce",
+    "Fp:7": "8da9a724e00dad0b09829bee613b01ec7c4a56fd14e61dc51e345a7e0d6c7847",
+    "Fp:2": "f49e56846ddc776887998333c3f35f21706857d5dc0b5173ff65c9c0784b55fe",
+    "Fp:3": "8da9a724e00dad0b09829bee613b01ec7c4a56fd14e61dc51e345a7e0d6c7847",
     "dim=2": "5b16e34a119449a27f81b0357db2af585a2d878ebb4e5eb63d4295b9fb8733e1",
 }
 
-# A result of passing samples says only how many there were (GF(3) and
-# GF(7) give the same digest), so each run's next draw of its seeded
+# A result of passing samples says only how many there were (Q, GF(3)
+# and GF(7) give the same digest), so each run's next draw of its seeded
 # generator is digested too: drawing the samples in another order or
 # number changes it even when every sample passes.
 DRAW_DIGESTS = {
     "default": "1abdfa4f793b63c7b0138007abebef4f971da89d3199ecdcfb8df1a5a64adbab",
-    "Fp:7": "edea48458b19c758c6557473c3c4a67023aee428cb755f1b2f090c06f1bfb6a9",
+    "Fp:7": "45efb7ff135405364ecb6f5280e353bb0a59f46cb8f89d442f90962e4d4b6fee",
     "Fp:2": "01aa342128bf5776605c7177a86f355a0046a11a278d0d7927977cf6cd22ec94",
-    "Fp:3": "3140d753463c4a5abd12cc2243ca95a43a17c2162bebca5af19760b2a0e97f2f",
+    "Fp:3": "dd49bbf9df88913ef3c0ba7b44ca06953c719aa1a82d6548207d751a62f011bf",
     "dim=2": "a950822e893a761563d39a2ea8d763b7cba2d4c0af966c777bd30cfae34d089f",
 }
 
 
-@pytest.mark.parametrize("name", list(SUITE_PASSES))
-def test_suite_digests(name, monkeypatch):
-    """run_check(id, seed=3) of every suite in each pass; a suite the
-    pass's field or dim does not suit contributes its error."""
+@pytest.fixture
+def made(monkeypatch):
+    """The random.Random objects run_check makes, in turn, from now on."""
     made = []
 
     class Recorded(random.Random):
@@ -87,6 +92,13 @@ def test_suite_digests(name, monkeypatch):
             made.append(self)
 
     monkeypatch.setattr(checks, "random", SimpleNamespace(Random=Recorded))
+    return made
+
+
+@pytest.mark.parametrize("name", list(SUITE_PASSES))
+def test_suite_digests(name, made):
+    """run_check(id, seed=3) of every suite in each pass; a suite the
+    pass's field or dim does not suit contributes its error."""
     out, draws = {}, {}
     for cid in list_checks():
         made.clear()
@@ -99,14 +111,35 @@ def test_suite_digests(name, monkeypatch):
     assert _digest(draws) == DRAW_DIGESTS[name]
 
 
+# The exponential-series suites over GF(p), p above the last k of the
+# series (k = 2 for tensor.deform-exp, dim // 2 for gauge.exp-identity),
+# at seed 3: the result and the run's next draw.
+EXP_DIGESTS = {
+    "gauge.exp-identity Fp:3 4": "ceb7e67dbd4a7d5de4d8e5fd60a908db01e892462ec6197b9e36d816ec19279b",
+    "gauge.exp-identity Fp:7 4": "3234ab76128ce2866cb15eebe1002316ec6ef69d307c7a51752a97960ba7b176",
+    "gauge.exp-identity Fp:7 6": "4d74f8c315337c961d11a042c9bd2ee975b71e6ae23cf98427ec094a406044f0",
+    "tensor.deform-exp Fp:3 4": "fdaf3a4bd3ee0f2396527a0996566558c91d285e85ef0cbe8b2d3dcef93bb176",
+    "tensor.deform-exp Fp:7 4": "19a023e019337a2fab6b38d8fcbf99deebd14d8c03501ad3a9688013fc2276c7",
+    "tensor.deform-exp Fp:7 6": "b95f630dea48deadb3720d9fb56c8bcb0bde747299e90a072d71d69b78892c2c",
+}
+
+
+@pytest.mark.parametrize("case", list(EXP_DIGESTS))
+def test_exp_suite_digests(case, made):
+    cid, spec, dim = case.split()
+    res = run_check(cid, seed=3, field=spec, dim=int(dim))
+    assert res.passed == res.samples
+    assert _digest([res.to_json(), made[0].getrandbits(64)]) == EXP_DIGESTS[case]
+
+
 def _terms(*pairs):
     return {"terms": [{"blade": list(b), "coeff": c} for b, c in pairs]}
 
 
 def _requests(spec):
     """(argv, request text) of every subcommand over one field; over
-    GF(2) the symbol maps refuse, and outside Q so does the check
-    gauge.exp-identity, whose series needs 1/k!."""
+    GF(2) the symbol maps refuse, and so does the check
+    gauge.exp-identity at dim 4, whose series needs 1/2!."""
     ctx = {"dim": 3, "field": spec,
            "quadratic": {"diag": ["1", "-2/3", "0"], "polar_upper": [["1/3", "2"], ["-1"]]}}
     u = _terms(((), "2"), ((1,), "-1/3"), ((2, 3), "4"), ((1, 2, 3), "5/3"))
@@ -139,8 +172,8 @@ def _requests(spec):
 
 CLI_DIGESTS = {
     "Q": "ee7673687f35304b6a3048856b4bde9a75f4f13f2fd71ab3506661158c497dbb",
-    "Fp:2": "804944c9558661b14ec8bb0b01b6f0ea24344350776144f3a1b4fd4232d5a750",
-    "Fp:7": "dad2f6fe8d0f9db30325290b4a8118904308c06fa61b775557fd1912b4cc3734",
+    "Fp:2": "5d5c461038004b0e3036bf1cc6f291cf9c79f064912a0865a65ad7f239a27724",
+    "Fp:7": "35796360c637826b1d48662f5a923a15428bddd9b80d7a8106b8cd167c5d2962",
 }
 
 

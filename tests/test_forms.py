@@ -122,8 +122,8 @@ def test_pfaffian_squares_to_det():
                 assert pfaffian(a) * pfaffian(a) == linalg.det(a.matrix())
 
 
-@pytest.mark.parametrize("field", [RATIONALS, Field(2), Field(3), Field(7)],
-                         ids=lambda f: f.spec)
+@pytest.mark.parametrize("field", [RATIONALS, Field(2), Field(3), Field(7),
+                                   Field(2 ** 61 - 1)], ids=lambda f: f.spec)
 def test_pfaffian_pivots_and_degenerate_forms(field):
     """Forms with a_12 = 0 (a pivot swap) and forms with zeroed rows
     (a zero Pfaffian, or a zero row 0 partway through) against the
@@ -192,6 +192,30 @@ def test_right_radical():
                 assert g(Vector.basis(ctx, x_idx), r) == RATIONALS.zero
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.spec)
+def test_right_radical_is_the_scalar_nullspace(field):
+    """The radical from G's integer rows is the basis the Scalar
+    nullspace of G's matrix gives, vector for vector, at ranks from 0
+    to n (zeroed columns, repeated rows) and n = 1 .. 6."""
+    rng = random.Random(f"radical/{field.spec}")
+    for n in range(1, 7):
+        ctx = AlgebraContext(n, field)
+        for trial in range(8):
+            rows = [list(r) for r in rand_bilinear(rng, ctx).rows]
+            for j in rng.sample(range(n), trial % (n + 1)):
+                for r in rows:
+                    r[j] = field.zero
+            if trial % 2 and n > 1:
+                rows[-1] = list(rows[0])
+            g = BilinearForm.make(ctx, rows)
+            rad = right_radical(g)
+            _, pivots = linalg.rref(g.matrix())
+            assert len(rad) == n - len(pivots)
+            assert rad == [Vector.make(ctx, v) for v in linalg.nullspace(g.matrix())]
+            for r in rad:
+                assert all(not g(Vector.basis(ctx, i), r) for i in range(1, n + 1))
+
+
 def test_dual_two_form_round_trip():
     rng = random.Random(19)
     for field in FIELDS:
@@ -250,10 +274,10 @@ def test_context_mismatch_names_both_contexts():
 def test_records_compare_fields_within_one_class():
     ctx = AlgebraContext(2, Field(7))
     coeffs = ctx.coerce_all([1, 3])
-    assert Vector(ctx, coeffs) == Vector.make(ctx, [8, 10])
-    assert hash(Vector(ctx, coeffs)) == hash(Vector.make(ctx, [8, 10]))
-    assert Vector(ctx, coeffs) != LinearForm(ctx, coeffs)
-    assert Vector(ctx, coeffs) != Vector.make(ctx, [1, 4])
+    assert Vector.make(ctx, coeffs) == Vector.make(ctx, [8, 10])
+    assert hash(Vector.make(ctx, coeffs)) == hash(Vector.make(ctx, [8, 10]))
+    assert Vector.make(ctx, coeffs) != LinearForm.make(ctx, coeffs)
+    assert Vector.make(ctx, coeffs) != Vector.make(ctx, [1, 4])
     q = QuadraticForm.make(ctx, [1, 2], [[3]])
     assert CliffordContext(q) == CliffordContext(QuadraticForm.make(ctx, [8, 2], [[10]]))
     assert CliffordContext(q) != CliffordContext.exterior(ctx)

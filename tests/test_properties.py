@@ -1,10 +1,14 @@
 """Property tests over random fields, dimensions and sparse elements:
 the deformation by -F inverts the deformation by F, in the Clifford and
 the tensor algebra, products agree with the relation oracle, the
-deformation reads only the strict upper part of F, and the divided
-powers add up to the tensor deformation."""
+deformation reads only the strict upper part of F, the divided
+powers add up to the tensor deformation, and vectors and linear forms,
+held as integer data, compute what their coordinates do one by one."""
 
+import random
 from fractions import Fraction
+from math import gcd
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,10 +16,13 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from cliffbundle import (AlgebraContext, BilinearForm, CliffElt,  # noqa: E402
-                         CliffordContext, Field, QuadraticForm, TensorElt,
-                         deform, divided_power, tensor_deform)
+                         CliffordContext, Field, LinearForm, QuadraticForm, TensorElt,
+                         Vector, deform, divided_power, sampling, tensor_deform)
+from cliffbundle.clifford import contract as cliff_contract  # noqa: E402
+from cliffbundle.tensor import contract as tensor_contract  # noqa: E402
 
-from oracles import word_sum  # noqa: E402
+from oracles import (bilinear_sum, contract_loop, dot, left_partial, lin_comb,  # noqa: E402
+                     quadratic_sum, raw_terms, word_sum)
 
 FIELDS = (Field(0), Field(2), Field(3), Field(7))
 RATIONAL = st.fractions(min_value=-20, max_value=20, max_denominator=13)
@@ -91,3 +98,90 @@ def test_tensor_deform_inverse_and_divided_powers(data):
     for k in range(u.max_grade() // 2 + 1):
         total = total + divided_power(F, k, u)
     assert total == deformed
+
+
+VECTOR_FIELDS = (Field(0), Field(2), Field(7), Field(2 ** 61 - 1))
+
+
+@st.composite
+def vector_data(draw):
+    """A context of dim 1 .. 6 over one of VECTOR_FIELDS and raw values
+    (Fractions over Q, else residues): vectors x and y, a scalar s, a
+    linear form f, a bilinear form F, a quadratic form's diag and polar
+    values, a sparse element's blades and a sparse tensor's words."""
+    field = draw(st.sampled_from(VECTOR_FIELDS))
+    n = draw(st.integers(1, 6))
+    coeff = RATIONAL if field.char == 0 else st.integers(0, field.char - 1)
+
+    def values(k):
+        return draw(st.lists(coeff, min_size=k, max_size=k))
+
+    blades = st.lists(st.integers(1, n), max_size=n, unique=True).map(lambda b: tuple(sorted(b)))
+    words = st.lists(st.integers(1, n), max_size=4).map(tuple)
+    return SimpleNamespace(
+        ctx=AlgebraContext(n, field), x=values(n), y=values(n), s=draw(coeff), f=values(n),
+        F=[values(n) for _ in range(n)], diag=values(n),
+        upper=[values(n - 1 - i) for i in range(n - 1)],
+        w=draw(st.dictionaries(blades, coeff, max_size=4)),
+        u=draw(st.dictionaries(words, coeff, max_size=4)), seed=draw(st.integers(0, 2 ** 32)))
+
+
+def _values(rec):
+    return [c.value for c in rec.coeffs]
+
+
+def _canonical(rec):
+    """rec's data are canonical and read back as its coeffs."""
+    p = rec.ctx.field.char
+    assert type(rec.nums) is tuple and len(rec.nums) == rec.ctx.dim
+    if p:
+        assert rec.den == 1 and all(0 <= x < p for x in rec.nums)
+    else:
+        assert rec.den > 0 and gcd(rec.den, *rec.nums) == 1
+    assert _values(rec) == [Fraction(x, rec.den) for x in rec.nums]
+
+
+def _one(a, b):
+    """a and b are one record: equal and hash equal."""
+    assert a == b and hash(a) == hash(b)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(vector_data())
+def test_vectors_and_linear_forms_match_the_coordinate_oracle(d):
+    ctx, p = d.ctx, d.ctx.field.char
+    x, y = Vector.make(ctx, d.x), Vector.make(ctx, d.y)
+    f, s = LinearForm.make(ctx, d.f), ctx.coerce(d.s)
+    F = BilinearForm.make(ctx, d.F)
+    q = QuadraticForm.make(ctx, d.diag, d.upper)
+    xr = lin_comb(1, d.x, 0, d.y, p)
+    for got, a, b in ((x + y, 1, 1), (x - y, 1, -1), (-x, -1, 0), (s * x, d.s, 0),
+                      (x, 1, 0)):
+        _canonical(got)
+        assert _values(got) == lin_comb(a, d.x, b, d.y, p)
+        _one(got, Vector.make(ctx, lin_comb(a, d.x, b, d.y, p)))
+    _one((x + y) - y, x)
+    _one(x - x, Vector.zero(ctx))
+    _one(ctx.coerce(2) * x, x + x)
+    assert F(x, y).value == bilinear_sum(d.F, d.x, d.y, p)
+    assert q(x).value == quadratic_sum(d.diag, d.upper, d.x, p)
+    assert f(x).value == dot(d.f, d.x, p)
+    partial = F.partial_left(x)
+    _canonical(partial)
+    assert type(partial) is LinearForm and _values(partial) == left_partial(d.F, d.x, p)
+    _one(partial, LinearForm.make(ctx, left_partial(d.F, d.x, p)))
+    cctx = CliffordContext(q)
+    letters = {(i,): c for i, c in enumerate(xr, 1) if c}
+    assert raw_terms(CliffElt.from_vector(cctx, x)) == letters
+    assert raw_terms(TensorElt.from_vector(x)) == letters
+    w = CliffElt(cctx, {b: ctx.coerce(c) for b, c in d.w.items()})
+    u = TensorElt(ctx, {b: ctx.coerce(c) for b, c in d.u.items()})
+    assert raw_terms(cliff_contract(f, w)) == contract_loop(d.f, raw_terms(w), p)
+    assert raw_terms(tensor_contract(f, u)) == contract_loop(d.f, raw_terms(u), p)
+    drawn = sampling.rand_vector(random.Random(d.seed), ctx)
+    _canonical(drawn)
+    _one(drawn, Vector.make(ctx, drawn.coeffs))
+    _one(drawn, Vector.make(ctx, _values(drawn)) + Vector.zero(ctx))
+    form = sampling.rand_linear_form(random.Random(d.seed), ctx)
+    _canonical(form)
+    assert form != drawn and (form.nums, form.den) == (drawn.nums, drawn.den)

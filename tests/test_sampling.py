@@ -39,11 +39,11 @@ def o_scalar(rng, field, span=5, nonzero=False):
 
 
 def o_vector(rng, ctx):
-    return Vector(ctx, tuple(o_scalar(rng, ctx.field) for _ in range(ctx.dim)))
+    return Vector.make(ctx, [o_scalar(rng, ctx.field) for _ in range(ctx.dim)])
 
 
 def o_linear_form(rng, ctx):
-    return LinearForm(ctx, tuple(o_scalar(rng, ctx.field) for _ in range(ctx.dim)))
+    return LinearForm.make(ctx, [o_scalar(rng, ctx.field) for _ in range(ctx.dim)])
 
 
 def o_bilinear(rng, ctx):
