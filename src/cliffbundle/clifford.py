@@ -56,7 +56,7 @@ linear form's is contract's one row), and so do elements, as
 (data, den): kernel keys (masks for CliffElt, words for TensorElt)
 mapped to nonzero ints over one int denominator, residues over den 1
 over GF(p), and over Q den > 0 with gcd(den, values) = 1.  The entry
-(_data_of) reads Scalars by scalars.ints_of and the exit (_canonical)
+(_Sparse.__init__) reads Scalars by scalars.ints_of and the exit (_canonical)
 makes a result canonical by scalars.canonical_ints, as forms and
 repcheck do; both drop zeros.  Blades and Scalars appear only in an
 element's constructor, from_json, to_json, repr, coeff and read-only
@@ -229,10 +229,11 @@ def _checked_index(n: int, blade) -> int:
     raise KeyError(blade)
 
 
-def _blade_masks(n: int, blades) -> list:
+def _blade_masks(cctx: CliffordContext, blades) -> list:
     """The masks of blades on e_1 .. e_n, looked up in _masks(n) up to
     _TABLE_DIM, else tested one at a time; a key that is not a blade
     raises FormError, and one equal to a blade ((True,)) is taken as it."""
+    n = cctx.dim
     try:
         return list(map(_masks(n).__getitem__ if n <= _TABLE_DIM else partial(_checked_index, n),
                         blades))
@@ -705,7 +706,7 @@ def _chevalley(q: QuadraticForm, F: BilinearForm | None = None) -> tuple:
     form whose action gives normal-ordered coordinates, is q's data."""
     if F is None:
         return q.nums, q.den
-    B = BilinearForm(q.ctx, q.nums, q.den) + F
+    B = BilinearForm._of(q.ctx, q.nums, q.den) + F
     return B.nums, B.den
 
 
@@ -713,12 +714,21 @@ class _Sparse:
     """A finite linear combination over one context as the kernel takes
     it, canonical (data, den) (see the module's notes), so equal
     elements have equal data: the arithmetic CliffElt (masks) and
-    TensorElt (words) share.  Each class checks a key (its constructor,
-    _key), reads the public keys and their grade (_keys, _grade), names
-    the context slot (cctx, ctx) and the unit's key, refuses an operand
-    of another context (_same) and shows a key in _key_text."""
+    TensorElt (words) share.  Each class checks public keys and gives
+    their kernel keys (_checked_keys, _json_key), reads the public keys
+    and their grade (_keys, _grade), names the context slot (cctx, ctx)
+    and the unit's key, refuses an operand of another context (_same)
+    and shows a key in _key_text."""
 
     __slots__ = ("_home", "data", "den", "_terms")
+
+    def __init__(self, home, terms=None):
+        """terms maps keys (blades, words) to Scalars of home's field; a
+        key that is not one raises FormError, zero or not."""
+        terms = terms or {}
+        self._home = home
+        self.data, self.den = _data_of(home.field, self._checked_keys(home, terms),
+                                       terms.values())
 
     @classmethod
     def _of(cls, home, data: dict, den: int = 1):
@@ -791,7 +801,7 @@ class _Sparse:
     def coeff(self, key) -> Scalar:
         """The coefficient of a key (a blade, a word); a key that is not
         one raises the constructor's FormError."""
-        key = self._key(tuple(key) if hasattr(key, "__iter__") else key)
+        key = self._checked_keys(self._home, (tuple(key) if hasattr(key, "__iter__") else key,))[0]
         return scalars_over(self._home.field, [self.data.get(key, 0)], self.den)[0]
 
     def grade_part(self, p: int):
@@ -804,6 +814,17 @@ class _Sparse:
         generated by even elements."""
         return self._made(self._home, self.data, [
             -c if self._grade(k) & 1 else c for k, c in self.data.items()], self.den)
+
+    @classmethod
+    def _read(cls, home, data: dict, noun: str):
+        """The element of a JSON object's "terms", {noun: key, "coeff":
+        literal} each, the key read first (_json_key); equal keys add up."""
+        out = {}
+        for term in shaped(shaped(data, dict, "element")["terms"], list, "terms"):
+            key = cls._json_key(home, shaped(shaped(term, dict, "terms entry")[noun], list, noun))
+            c = home.field.parse(term["coeff"])
+            out[key] = out[key] + c if key in out else c
+        return cls(home, out)
 
     def _sorted_terms(self) -> list:
         """The (key, Scalar) pairs by grade, then lexicographically: the
@@ -827,22 +848,11 @@ class CliffElt(_Sparse):
     _key_text = ("{", ",", "}")
     _unit_key = 0
     _grade = staticmethod(int.bit_count)
+    _checked_keys = staticmethod(_blade_masks)
 
     def _same(self, other: "CliffElt"):
         if self.cctx != other.cctx:
             raise ContextMismatch("elements of different Clifford contexts")
-
-    def __init__(self, cctx: CliffordContext, terms=None):
-        """terms maps blades to Scalars of cctx's field.  A key that is
-        not a blade on e_1 .. e_n raises FormError, zero or not, and one
-        equal to a blade is taken as it: (True,) as (1,)."""
-        terms = terms or {}
-        keys = _blade_masks(cctx.dim, terms)
-        self._home = cctx
-        self.data, self.den = _data_of(cctx.field, keys, terms.values())
-
-    def _key(self, blade) -> int:
-        return _blade_masks(self.cctx.dim, (blade,))[0]
 
     def _keys(self):
         """The blades of the masks in data, from _blades(n) up to _TABLE_DIM."""
@@ -879,20 +889,18 @@ class CliffElt(_Sparse):
     def to_json(self) -> dict:
         return {"terms": [{"blade": list(b), "coeff": str(c)} for b, c in self._sorted_terms()]}
 
+    @staticmethod
+    def _json_key(cctx: CliffordContext, blade: list) -> tuple:
+        if any(isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= cctx.dim
+               for i in blade):
+            raise ParseError(f"blade index out of range: {excerpt(list(blade))}")
+        if any(blade[t] >= blade[t + 1] for t in range(len(blade) - 1)):
+            raise ParseError(f"blade must be strictly increasing: {excerpt(list(blade))}")
+        return tuple(blade)
+
     @classmethod
     def from_json(cls, cctx: CliffordContext, data: dict) -> "CliffElt":
-        out = {}
-        for term in shaped(shaped(data, dict, "element")["terms"], list, "terms"):
-            blade = tuple(shaped(shaped(term, dict, "terms entry")["blade"], list, "blade"))
-            if any(isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= cctx.dim
-                   for i in blade):
-                raise ParseError(f"blade index out of range: {excerpt(list(blade))}")
-            if any(blade[t] >= blade[t + 1] for t in range(len(blade) - 1)):
-                raise ParseError(f"blade must be strictly increasing: {excerpt(list(blade))}")
-            c = cctx.field.parse(term["coeff"])
-            cur = out.get(blade)
-            out[blade] = c if cur is None else cur + c
-        return cls(cctx, out)
+        return cls._read(cctx, data, "blade")
 
 
 def quotient_map(cctx: CliffordContext, u: TensorElt) -> CliffElt:

@@ -10,12 +10,13 @@ QuadraticForm, DualTwoForm) holds canonical integer data
 nums over one int den.  Over GF(p) the nums are residues in [0, p) and
 den is 1; over Q den > 0 and the gcd of den and every num is 1.  So
 equal records have equal data, and equality and hashing compare the
-data.  Their arithmetic, the evaluations F(x, y), Q(x), f(x) and
-F(x, .), and the kernel's set-up in clifford.py are int list work on
-it, with one Scalar per answer.  The Scalar views (coeffs, rows, diag,
-upper, and at, polar and value_at, which read them) are cached
-properties built by scalars.scalars_over; make and from_json, the
-Scalar entry, keep the Scalars they read.
+data.  The public constructor, Vector(ctx, nums, den) and the rest,
+checks its input and keeps it canonical (_Linear.__post_init__); the
+package builds records as elements (clifford._Sparse): _made makes raw
+ints canonical, _of takes canonical data as it is.  make and from_json,
+the Scalar entry, keep the Scalars they read.  Arithmetic, evaluation
+and the kernel's set-up are int list work, one Scalar per answer; the
+Scalar views (coeffs, rows, diag, upper) slice _scalars (scalars_over).
 
 Basis indices are 1-based throughout the public API, matching the word
 and blade conventions of the element modules.
@@ -43,8 +44,8 @@ class AlgebraContext:
     field: Field
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("context dimension must be >= 1")
+        if type(self.dim) is not int or self.dim < 1:
+            raise ValueError(f"context dimension must be >= 1, an int, got {excerpt(self.dim)}")
 
     @classmethod
     def from_json(cls, data: dict) -> "AlgebraContext":
@@ -71,21 +72,75 @@ def same_context(a: AlgebraContext, b: AlgebraContext):
         raise ContextMismatch(f"contexts differ: {a} vs {b}")
 
 
-def _canonical(field: Field, nums, den: int = 1) -> tuple:
-    """canonical_ints of raw ints over den, nums a tuple for the record's hash."""
-    nums, den = canonical_ints(field.char, nums, den)
-    return tuple(nums), den
+def _checked_den(name: str, ctx: AlgebraContext, den) -> int:
+    """ctx's characteristic, ctx an AlgebraContext and den an int unit of its field."""
+    if type(ctx) is not AlgebraContext:
+        raise FormError(f"{name} needs an AlgebraContext, got {excerpt(ctx)}")
+    p = ctx.field.char
+    if type(den) is not int or (den % p if p else den) == 0:
+        raise FormError(f"{name} needs an int den that is a unit of {ctx.field.spec}, "
+                        f"got {excerpt(den)}")
+    return p
 
 
-def _scalar(field: Field, num: int, den: int) -> Scalar:
-    """The Scalar num / den of products of the records' data (den is 1 over GF(p))."""
-    return field(num if den == 1 else Fraction(num, den))
+def _answer(field: Field, num: int, den: int) -> Scalar:
+    """The Scalar num / den of raw ints, made canonical (scalars_over)."""
+    return scalars_over(field, *canonical_ints(field.char, [num], den))[0]
 
 
 class _Linear:
-    """What the records but the context share: ctx and canonical data
-    nums over den (see the module's notes), and the linear arithmetic
-    on them."""
+    """The records but the context: fields, builders, views and linear
+    arithmetic.  A subclass has n ** _rank entries; _above is None if any
+    may be nonzero, else whether the nonzero ones lie strictly above the
+    diagonal (True) or on and below it (False)."""
+
+    ctx: AlgebraContext
+    nums: tuple
+    den: int
+
+    def __post_init__(self):
+        """The public constructor's check: n ** _rank ints in the order
+        of nums, zero where _above says, over an int unit den
+        (_checked_den), else FormError; the data is kept as _made makes it."""
+        name, nums, ctx = type(self).__name__, self.nums, self.ctx
+        p = _checked_den(name, ctx, self.den)
+        n, above = ctx.dim, self._above
+        if (not isinstance(nums, (tuple, list)) or len(nums) != n ** self._rank
+                or any(type(x) is not int for x in nums)):
+            raise FormError(f"{name} at dim {n} needs {n ** self._rank} int entries, "
+                            f"got {excerpt(nums)}")
+        nums, den = canonical_ints(p, nums, self.den)
+        if above is not None and any(x for k, x in enumerate(nums) if (k % n > k // n) != above):
+            raise FormError(f"{name} is zero {'on and below' if above else 'above'} the diagonal")
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _made(cls, ctx: AlgebraContext, nums, den: int):
+        """The record of raw ints over a unit den, made canonical."""
+        nums, den = canonical_ints(ctx.field.char, nums, den)
+        return cls._of(ctx, tuple(nums), den)
+
+    @classmethod
+    def zero(cls, ctx: AlgebraContext):
+        return cls._of(ctx, (0,) * ctx.dim ** cls._rank, 1)
+
+    @classmethod
+    def _entered(cls, ctx: AlgebraContext, scalars: tuple):
+        """The record of n ** _rank Scalars of ctx's field in the order of
+        nums, kept as _scalars: make's entry."""
+        if len(scalars) != ctx.dim ** cls._rank:
+            raise FormError(f"{cls.__name__} needs {ctx.dim ** cls._rank} coefficients, "
+                            f"got {len(scalars)}")
+        nums, den = ints_of(ctx.field, scalars)
+        made = cls._of(ctx, tuple(nums), den)
+        object.__setattr__(made, "_scalars", scalars)
+        return made
+
+    @cached_property
+    def _scalars(self) -> tuple:
+        """The entries as Scalars, in the order of nums: every view's source."""
+        return tuple(scalars_over(self.ctx.field, self.nums, self.den))
 
     def __add__(self, other):
         if type(other) is not type(self):
@@ -93,8 +148,7 @@ class _Linear:
         same_context(self.ctx, other.ctx)
         den = lcm(self.den, other.den)
         a, b = den // self.den, den // other.den
-        return type(self)(self.ctx, *_canonical(self.ctx.field, [
-            x * a + y * b for x, y in zip(self.nums, other.nums)], den))
+        return self._made(self.ctx, [x * a + y * b for x, y in zip(self.nums, other.nums)], den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -108,11 +162,7 @@ class _Linear:
 
     def _scaled(self, a: int, b: int):
         """(a / b) times the record, b a unit of the field."""
-        p = self.ctx.field.char
-        if p:
-            a, b = a * pow(b, -1, p), 1
-        return type(self)(self.ctx, *_canonical(self.ctx.field, [a * x for x in self.nums],
-                                                 self.den * b))
+        return self._made(self.ctx, [a * x for x in self.nums], self.den * b)
 
     def is_zero(self) -> bool:
         return not any(self.nums)
@@ -122,59 +172,40 @@ class _Coordinates(_Linear):
     """What Vector and LinearForm share: n entries, the one at e_{i+1}
     being nums[i] / den, and coeffs, their Scalar view."""
 
+    _rank, _above = 1, None
+
     @classmethod
     def make(cls, ctx: AlgebraContext, values):
-        """The record of its n entries, Scalars of ctx's field or values
-        they coerce, kept as coeffs."""
-        coeffs = ctx.coerce_all(values)
-        if len(coeffs) != ctx.dim:
-            raise FormError(f"{cls._noun} needs {ctx.dim} coefficients, got {len(coeffs)}")
-        nums, den = ints_of(ctx.field, coeffs)
-        made = cls(ctx, tuple(nums), den)
-        object.__setattr__(made, "coeffs", coeffs)
-        return made
+        """The record of its n entries, Scalars of ctx's field or values they coerce."""
+        return cls._entered(ctx, ctx.coerce_all(values))
 
-    @classmethod
-    def zero(cls, ctx: AlgebraContext):
-        return cls(ctx, (0,) * ctx.dim, 1)
-
-    @cached_property
+    @property
     def coeffs(self) -> tuple:
-        return tuple(scalars_over(self.ctx.field, self.nums, self.den))
+        return self._scalars
 
     def at(self, i: int) -> Scalar:
-        return self.coeffs[i - 1]
+        return self._scalars[i - 1]
 
 
 @record(frozen=True)
 class Vector(_Coordinates):
     """x = sum of x_i e_i by its coordinates (see _Coordinates)."""
 
-    _noun = "vector"
-    ctx: AlgebraContext
-    nums: tuple
-    den: int
-
     @classmethod
     def basis(cls, ctx: AlgebraContext, i: int) -> "Vector":
         """The basis vector e_i, 1-based."""
         if not 1 <= i <= ctx.dim:
             raise FormError(f"basis index {i} out of range 1..{ctx.dim}")
-        return cls(ctx, tuple([int(j == i - 1) for j in range(ctx.dim)]), 1)
+        return cls._of(ctx, tuple([int(j == i - 1) for j in range(ctx.dim)]), 1)
 
 
 @record(frozen=True)
 class LinearForm(_Coordinates):
     """An element of the dual space by its values on the basis (see _Coordinates)."""
 
-    _noun = "linear form"
-    ctx: AlgebraContext
-    nums: tuple
-    den: int
-
     def __call__(self, x: Vector) -> Scalar:
         same_context(self.ctx, x.ctx)
-        return _scalar(self.ctx.field, sum(map(mul, self.nums, x.nums)), self.den * x.den)
+        return _answer(self.ctx.field, sum(map(mul, self.nums, x.nums)), self.den * x.den)
 
 
 def _transposed(nums: tuple, n: int) -> tuple:
@@ -182,58 +213,76 @@ def _transposed(nums: tuple, n: int) -> tuple:
     return tuple([x for i in range(n) for x in nums[i::n]])
 
 
+def _strict(n: int, step: int) -> list:
+    """The slices of n x n row-major entries that hold a strict triangle
+    as ragged rows: row i (0-based) is the n - 1 - i entries after
+    (i, i) along row i (step 1) or down column i (step n)."""
+    return [slice(i * (n + 1) + step, i * (n + 1) + step * (n - i), step)
+            for i in range(n - 1)]
+
+
+def _laid(ctx: AlgebraContext, rows, values: list, step: int, what: str) -> list:
+    """values, n x n entries, with ragged rows of Scalars (or values they
+    coerce) laid in a strict triangle (_strict), or FormError."""
+    n = ctx.dim
+    rows = [ctx.coerce_all(row) for row in rows]
+    if len(rows) != max(n - 1, 0) or any(len(row) != n - 1 - i for i, row in enumerate(rows)):
+        raise FormError(f"{what} has the wrong shape")
+    for cells, row in zip(_strict(n, step), rows):
+        values[cells] = row
+    return values
+
+
 class _Form(_Linear):
     """What the form records share: n x n entries, row-major, entry
-    (e_{i+1}, e_{j+1}) being nums[i n + j] / den, and rows, the Scalar
-    view of them."""
+    (e_{i+1}, e_{j+1}) being nums[i n + j] / den, rows, their Scalar
+    view, and the JSON of the forms that name their context."""
 
-    @classmethod
-    def zero(cls, ctx: AlgebraContext):
-        return cls(ctx, (0,) * ctx.dim ** 2, 1)
-
-    @classmethod
-    def _made(cls, ctx: AlgebraContext, rows: tuple):
-        """The form of its entries, Scalars of ctx's field, kept as rows."""
-        nums, den = ints_of(ctx.field, [c for r in rows for c in r])
-        form = cls(ctx, tuple(nums), den)
-        object.__setattr__(form, "rows", rows)
-        return form
+    _rank, _above = 2, None
 
     @cached_property
     def rows(self) -> tuple:
         """The entries as an n x n tuple of tuples of Scalar."""
-        n, values = self.ctx.dim, scalars_over(self.ctx.field, self.nums, self.den)
-        return tuple(tuple(values[i * n:(i + 1) * n]) for i in range(n))
+        n, values = self.ctx.dim, self._scalars
+        return tuple(values[i * n:(i + 1) * n] for i in range(n))
 
     def _pairing(self, x: Vector, y: Vector) -> Scalar:
         """The bilinear form of the entries at (x, y), summed on the ints."""
         same_context(self.ctx, x.ctx)
         same_context(self.ctx, y.ctx)
         n, a, ys = self.ctx.dim, self.nums, y.nums
-        return _scalar(self.ctx.field, sum([c * sum(map(mul, a[i * n:(i + 1) * n], ys))
+        return _answer(self.ctx.field, sum([c * sum(map(mul, a[i * n:(i + 1) * n], ys))
                                             for i, c in enumerate(x.nums) if c]),
                        x.den * self.den * y.den)
+
+    def _json(self, key: str, rows) -> dict:
+        return {"dim": self.ctx.dim, "field": self.ctx.field.spec,
+                key: [[str(v) for v in row] for row in rows]}
+
+    @classmethod
+    def _read(cls, data: dict, ctx: AlgebraContext | None, noun: str, key: str):
+        """The inverse of _json: make of data[key], over ctx or data's."""
+        shaped(data, dict, noun)
+        if ctx is None:
+            ctx = AlgebraContext.from_json(data)
+        return cls.make(ctx, _json_rows(ctx.field, data, key))
 
 
 @record(frozen=True)
 class BilinearForm(_Form):
     """F by its entries F(e_i, e_j) (see _Form)."""
 
-    ctx: AlgebraContext
-    nums: tuple
-    den: int
-
     @classmethod
     def make(cls, ctx: AlgebraContext, entries) -> "BilinearForm":
-        rows = tuple(ctx.coerce_all(r) for r in entries)
+        rows = [ctx.coerce_all(r) for r in entries]
         if len(rows) != ctx.dim or any(len(r) != ctx.dim for r in rows):
             raise FormError(f"bilinear form needs a {ctx.dim}x{ctx.dim} matrix")
-        return cls._made(ctx, rows)
+        return cls._entered(ctx, tuple([c for r in rows for c in r]))
 
     @classmethod
     def identity(cls, ctx: AlgebraContext) -> "BilinearForm":
         n = ctx.dim
-        return cls(ctx, tuple([int(i == j) for i in range(n) for j in range(n)]), 1)
+        return cls._of(ctx, tuple([int(i == j) for i in range(n) for j in range(n)]), 1)
 
     def at(self, i: int, j: int) -> Scalar:
         """F(e_i, e_j), 1-based."""
@@ -246,11 +295,11 @@ class BilinearForm(_Form):
         """The linear form F(x, .): x's nums against each column."""
         same_context(self.ctx, x.ctx)
         n, a = self.ctx.dim, self.nums
-        return LinearForm(self.ctx, *_canonical(self.ctx.field, [
-            sum(map(mul, x.nums, a[j::n])) for j in range(n)], x.den * self.den))
+        return LinearForm._made(self.ctx, [sum(map(mul, x.nums, a[j::n])) for j in range(n)],
+                                x.den * self.den)
 
     def transpose(self) -> "BilinearForm":
-        return BilinearForm(self.ctx, _transposed(self.nums, self.ctx.dim), self.den)
+        return BilinearForm._of(self.ctx, _transposed(self.nums, self.ctx.dim), self.den)
 
     def is_symmetric(self) -> bool:
         return self.nums == _transposed(self.nums, self.ctx.dim)
@@ -264,18 +313,11 @@ class BilinearForm(_Form):
         return [list(r) for r in self.rows]
 
     def to_json(self) -> dict:
-        return {
-            "dim": self.ctx.dim,
-            "field": self.ctx.field.spec,
-            "entries": [[str(v) for v in row] for row in self.rows],
-        }
+        return self._json("entries", self.rows)
 
     @classmethod
     def from_json(cls, data: dict, ctx: AlgebraContext | None = None) -> "BilinearForm":
-        shaped(data, dict, "form")
-        if ctx is None:
-            ctx = AlgebraContext.from_json(data)
-        return cls.make(ctx, _json_rows(ctx.field, data, "entries"))
+        return cls._read(data, ctx, "form", "entries")
 
 
 @record(frozen=True)
@@ -284,13 +326,11 @@ class QuadraticForm(_Form):
     the Clifford kernel acts by: Q(e_i) on the diagonal, the polar value
     of (e_i, e_j), i < j, in row j and column i, zeros above, so that
     G_Q(x, x) = Q(x); the minimal data of Q in every characteristic,
-    including 2.  The views diag (the Q(e_i)) and upper (ragged: row i,
-    0-based, holds the polar values at (e_{i+1}, e_j) for j = i+2 .. n)
-    are read from rows, the view of G_Q."""
+    including 2.  The views are diag, the Q(e_i), and upper, ragged
+    (_strict): row i, 0-based, holds the polar values at (e_{i+1}, e_j)
+    for j = i+2 .. n."""
 
-    ctx: AlgebraContext
-    nums: tuple
-    den: int
+    _above = False
 
     @classmethod
     def make(cls, ctx: AlgebraContext, diag, upper=None) -> "QuadraticForm":
@@ -298,22 +338,19 @@ class QuadraticForm(_Form):
         d = ctx.coerce_all(diag)
         if len(d) != n:
             raise FormError(f"quadratic form needs {n} diagonal values")
-        if upper is None:
-            upper = [[0] * (n - 1 - i) for i in range(n - 1)]
-        up = tuple(ctx.coerce_all(row) for row in upper)
-        if len(up) != max(n - 1, 0) or any(len(row) != n - 1 - i for i, row in enumerate(up)):
-            raise FormError("strict-upper polar data has the wrong shape")
-        zero = ctx.field.zero
-        return cls._made(ctx, tuple(tuple(d[i] if j == i else up[j][i - j - 1] if j < i else zero
-                                          for j in range(n)) for i in range(n)))
+        values = [ctx.field.zero] * n * n
+        values[::n + 1] = d
+        if upper is not None:
+            _laid(ctx, upper, values, n, "strict-upper polar data")
+        return cls._entered(ctx, tuple(values))
 
     @cached_property
     def diag(self) -> tuple:
-        return tuple(r[i] for i, r in enumerate(self.rows))
+        return self._scalars[::self.ctx.dim + 1]
 
     @cached_property
     def upper(self) -> tuple:
-        return tuple(tuple(r[i] for r in self.rows[i + 1:]) for i in range(self.ctx.dim - 1))
+        return tuple(self._scalars[cells] for cells in _strict(self.ctx.dim, self.ctx.dim))
 
     def value_at(self, i: int) -> Scalar:
         """Q(e_i), 1-based."""
@@ -348,23 +385,16 @@ class DualTwoForm(_Form):
     below the diagonal.  The view coeffs is ragged like
     QuadraticForm.upper: row i holds c_{i+1, j} for j = i+2 .. n."""
 
-    ctx: AlgebraContext
-    nums: tuple
-    den: int
+    _above = True
 
     @classmethod
     def make(cls, ctx: AlgebraContext, coeffs) -> "DualTwoForm":
-        n = ctx.dim
-        rows = tuple(ctx.coerce_all(row) for row in coeffs)
-        if len(rows) != max(n - 1, 0) or any(len(row) != n - 1 - i for i, row in enumerate(rows)):
-            raise FormError("exterior-square data has the wrong shape")
-        zero = ctx.field.zero
-        return cls._made(ctx, tuple(tuple(rows[i][j - i - 1] if j > i else zero
-                                          for j in range(n)) for i in range(n)))
+        values = [ctx.field.zero] * ctx.dim ** 2
+        return cls._entered(ctx, tuple(_laid(ctx, coeffs, values, 1, "exterior-square data")))
 
     @cached_property
     def coeffs(self) -> tuple:
-        return tuple(r[i + 1:] for i, r in enumerate(self.rows[:-1]))
+        return tuple(self._scalars[cells] for cells in _strict(self.ctx.dim, 1))
 
     def at(self, i: int, j: int) -> Scalar:
         """Coefficient of e_i* ^ e_j*, requires i < j (1-based)."""
@@ -373,18 +403,11 @@ class DualTwoForm(_Form):
         return self.coeffs[i - 1][j - i - 1]
 
     def to_json(self) -> dict:
-        return {
-            "dim": self.ctx.dim,
-            "field": self.ctx.field.spec,
-            "coeffs": [[str(v) for v in row] for row in self.coeffs],
-        }
+        return self._json("coeffs", self.coeffs)
 
     @classmethod
     def from_json(cls, data: dict, ctx: AlgebraContext | None = None) -> "DualTwoForm":
-        shaped(data, dict, "two_form")
-        if ctx is None:
-            ctx = AlgebraContext.from_json(data)
-        return cls.make(ctx, _json_rows(ctx.field, data, "coeffs"))
+        return cls._read(data, ctx, "two_form", "coeffs")
 
 
 def _json_rows(field: Field, data: dict, key: str) -> list:
@@ -396,8 +419,7 @@ def _json_rows(field: Field, data: dict, key: str) -> list:
 def polar_form(q: QuadraticForm) -> BilinearForm:
     """The symmetric bilinear form x, y -> Q(x+y) - Q(x) - Q(y): G_Q + G_Q^T."""
     n, g = q.ctx.dim, q.nums
-    return BilinearForm(q.ctx, *_canonical(q.ctx.field, list(map(add, g, _transposed(g, n))),
-                                           q.den))
+    return BilinearForm._made(q.ctx, list(map(add, g, _transposed(g, n))), q.den)
 
 
 def _quad_nums(f: BilinearForm) -> list:
@@ -410,13 +432,13 @@ def _quad_nums(f: BilinearForm) -> list:
 
 def quad_of_bilinear(f: BilinearForm) -> QuadraticForm:
     """The quadratic form x -> F(x, x) (see _quad_nums)."""
-    return QuadraticForm(f.ctx, *_canonical(f.ctx.field, _quad_nums(f), f.den))
+    return QuadraticForm._made(f.ctx, _quad_nums(f), f.den)
 
 
 def triangular_bilinear(q: QuadraticForm) -> BilinearForm:
     """Upper-triangular F with F(x, x) = Q(x) in every characteristic:
     diagonal Q(e_i), above-diagonal the polar values, zero below; G_Q^T."""
-    return BilinearForm(q.ctx, _transposed(q.nums, q.ctx.dim), q.den)
+    return BilinearForm._of(q.ctx, _transposed(q.nums, q.ctx.dim), q.den)
 
 
 def split_sym_alt(f: BilinearForm):
@@ -464,9 +486,10 @@ def pfaffian(a: BilinearForm) -> Scalar:
 def right_radical(g: BilinearForm):
     """Basis of {w : G(v, w) = 0 for all v} as a list of Vectors: the
     nullspace of G's integer rows, 1 at each free column."""
-    n, field = g.ctx.dim, g.ctx.field
-    basis, den = linalg.nullspace_raw([g.nums[i * n:(i + 1) * n] for i in range(n)], field.char)
-    return [Vector(g.ctx, *_canonical(field, v, den)) for v in basis]
+    n = g.ctx.dim
+    basis, den = linalg.nullspace_raw([g.nums[i * n:(i + 1) * n] for i in range(n)],
+                                      g.ctx.field.char)
+    return [Vector._made(g.ctx, v, den) for v in basis]
 
 
 def dual_two_form(a: BilinearForm) -> DualTwoForm:
@@ -479,12 +502,12 @@ def dual_two_form(a: BilinearForm) -> DualTwoForm:
     if not a.is_alternating():
         raise FormError("exterior-square coefficients need an alternating form")
     n = a.ctx.dim
-    return DualTwoForm(a.ctx, *_canonical(a.ctx.field, [
-        -x if k % n > k // n else 0 for k, x in enumerate(a.nums)], a.den))
+    return DualTwoForm._made(a.ctx, [-x if k % n > k // n else 0 for k, x in enumerate(a.nums)],
+                             a.den)
 
 
 def alt_of_dual(astar: DualTwoForm) -> BilinearForm:
     """Inverse of dual_two_form: C^T - C, C the coefficients' entries."""
     c = astar.nums
-    return BilinearForm(astar.ctx, *_canonical(astar.ctx.field, list(map(
-        sub, _transposed(c, astar.ctx.dim), c)), astar.den))
+    return BilinearForm._made(astar.ctx, list(map(sub, _transposed(c, astar.ctx.dim), c)),
+                              astar.den)

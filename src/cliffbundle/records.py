@@ -20,18 +20,21 @@ def _frozen_delattr(self, name):
 
 
 def record(frozen: bool = False):
-    """Class decorator for a record of the fields the class annotates,
-    in order; a class attribute of the same name is the field's default.
+    """Class decorator for a record of the fields the class and its
+    bases annotate, in order, bases first; a class attribute of the same
+    name is the field's default.
 
     ``__init__`` takes the fields positionally or by keyword, then calls
-    ``__post_init__`` if the class has one.  ``__eq__`` compares the
-    fields of two instances of one class, and ``__repr__`` shows every
-    field.  A frozen record refuses assignment and deletion and hashes
-    its fields; any other record is unhashable.
+    ``__post_init__`` if the class has one; the classmethod ``_of``
+    takes the fields positionally as they are, with no check.  ``__eq__``
+    compares the fields of two instances of one class, and ``__repr__``
+    shows every field.  A frozen record refuses assignment and deletion
+    and hashes its fields; any other record is unhashable.
     """
 
     def deco(cls):
-        names = tuple(cls.__dict__.get("__annotations__", {}))
+        names = tuple(dict.fromkeys(name for base in reversed(cls.__mro__)
+                                    for name in base.__dict__.get("__annotations__", {})))
         defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
         count = len(names)
         post = getattr(cls, "__post_init__", None)
@@ -65,6 +68,12 @@ def record(frozen: bool = False):
             if post is not None:
                 post(self)
 
+        def _of(cls, *values):
+            self = object.__new__(cls)
+            for name, value in zip(names, values):
+                setter(self, name, value)
+            return self
+
         def __repr__(self):
             shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in names)
             return f"{self.__class__.__qualname__}({shown})"
@@ -79,8 +88,8 @@ def record(frozen: bool = False):
         def __hash__(self):
             return hash(key(self))
 
-        methods = {"__init__": __init__, "__repr__": __repr__, "__eq__": __eq__,
-                   "__hash__": __hash__ if frozen else None}
+        methods = {"__init__": __init__, "_of": classmethod(_of), "__repr__": __repr__,
+                   "__eq__": __eq__, "__hash__": __hash__ if frozen else None}
         if frozen:
             methods.update(__setattr__=_frozen_setattr, __delattr__=_frozen_delattr)
         for name, method in methods.items():

@@ -31,9 +31,9 @@ from . import linalg
 from .clifford import (CliffElt, CliffordContext, _act, _actions, _data_of, _pair_passes,
                        _pair_rows, _word_sum)
 from .errors import CapExceeded, FieldMismatch, FormError
-from .forms import AlgebraContext, BilinearForm, quad_of_bilinear, same_context
+from .forms import AlgebraContext, BilinearForm, _checked_den, quad_of_bilinear, same_context
 from .records import record
-from .scalars import Field, canonical_ints, ints_of, scalars_over, scaled_ints
+from .scalars import Field, canonical_ints, excerpt, ints_of, scalars_over, scaled_ints
 
 _REP_DIM_LIMIT = 12
 
@@ -68,6 +68,26 @@ class EndoMatrix:
     ctx: AlgebraContext
     cols: tuple
     den: int
+
+    def __post_init__(self):
+        """The public constructor's check, kept as _endo makes it: 2^n
+        columns of (row, x) int pairs, rows distinct in 0 .. 2^n - 1."""
+        _checked_den("EndoMatrix", self.ctx, self.den)
+        n, cols = self.ctx.dim, self.cols
+        try:
+            pairs = [(r, x) for col in cols for r, x in col]
+            terms = {(c << n) | r: x for c, col in enumerate(cols) for r, x in col}
+        except (TypeError, ValueError):  # not columns of pairs
+            pairs = terms = None
+        if (terms is None or not isinstance(cols, (tuple, list)) or len(cols) != 1 << n
+                or len(terms) != len(pairs)
+                or any(type(r) is not int or type(x) is not int or not 0 <= r < 1 << n
+                       for r, x in pairs)):
+            raise FormError(f"EndoMatrix at dim {n} needs {1 << n} columns of (row, x) int "
+                            f"pairs, rows distinct in 0..{(1 << n) - 1}, got {excerpt(cols)}")
+        made = _endo(self.ctx, terms, self.den)
+        object.__setattr__(self, "cols", made.cols)
+        object.__setattr__(self, "den", made.den)
 
     @classmethod
     def from_rows(cls, ctx: AlgebraContext, rows) -> "EndoMatrix":
@@ -126,8 +146,8 @@ def _unit_map(n: int) -> dict:
 
 def _endo(ctx: AlgebraContext, terms: dict, den: int) -> EndoMatrix:
     """The matrix whose entry at row r of column c is
-    terms[(c << n) | r] / den, den > 0, its entries made canonical by
-    canonical_ints (over GF(p) den is not read)."""
+    terms[(c << n) | r] / den, den a nonzero int (over GF(p) a unit), its
+    entries made canonical by canonical_ints."""
     n = ctx.dim
     values, den = canonical_ints(ctx.field.char, terms.values(), den)
     cols = [[] for _ in range(1 << n)]
@@ -137,7 +157,7 @@ def _endo(ctx: AlgebraContext, terms: dict, den: int) -> EndoMatrix:
             cols[k >> n].append((k & low, x))
     for col in cols:
         col.sort()
-    return EndoMatrix(ctx, tuple(map(tuple, cols)), den)
+    return EndoMatrix._of(ctx, tuple(map(tuple, cols)), den)
 
 
 def _rep_guard(n: int):

@@ -30,10 +30,9 @@ choice((1, 1, 1, 2, 3)).  A generator makes its draws in this order:
 A Scalar is made only where the result is one (rand_scalar).  Vectors,
 linear forms, forms and elements are built as the records' canonical
 integer data: the draws over the lcm of their denominators, laid out
-where the record keeps them and made canonical once (forms._canonical,
-or an element's _made), with no Scalar per coefficient.  Colliding
-terms of an element are summed in that one pass, and terms that cancel
-leave no key.
+where the record keeps them and made canonical once (the record's
+_made), with no Scalar per coefficient.  Colliding terms of an element
+are summed in that one pass, and terms that cancel leave no key.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from math import lcm
 
 from .clifford import CliffElt, CliffordContext, index_subset
 from .forms import (AlgebraContext, BilinearForm, DualTwoForm, LinearForm,
-                    QuadraticForm, Vector, _canonical)
+                    QuadraticForm, Vector)
 from .scalars import Field, Scalar
 from .tensor import TensorElt, _check_grade
 
@@ -77,7 +76,7 @@ def _form(cls, rng: random.Random, ctx: AlgebraContext, cells: list, mirror: int
         if mirror:
             out[j * n + i] = mirror * x
         out[i * n + j] = x
-    return cls(ctx, *_canonical(ctx.field, out, den))
+    return cls._made(ctx, out, den)
 
 
 def _summed(cls, home, keys: list, draws: list):
@@ -97,16 +96,15 @@ def rand_scalar(rng, field: Field, span: int = 5, nonzero: bool = False) -> Scal
 
 
 def rand_vector(rng, ctx: AlgebraContext) -> Vector:
-    return Vector(ctx, *_canonical(ctx.field, *_draws(rng, ctx.field.char, ctx.dim)))
+    return Vector._made(ctx, *_draws(rng, ctx.field.char, ctx.dim))
 
 
 def rand_linear_form(rng, ctx: AlgebraContext) -> LinearForm:
-    return LinearForm(ctx, *_canonical(ctx.field, *_draws(rng, ctx.field.char, ctx.dim)))
+    return LinearForm._made(ctx, *_draws(rng, ctx.field.char, ctx.dim))
 
 
 def rand_bilinear(rng, ctx: AlgebraContext) -> BilinearForm:
-    nums, den = _draws(rng, ctx.field.char, ctx.dim ** 2)
-    return BilinearForm(ctx, *_canonical(ctx.field, nums, den))
+    return BilinearForm._made(ctx, *_draws(rng, ctx.field.char, ctx.dim ** 2))
 
 
 def rand_symmetric(rng, ctx: AlgebraContext) -> BilinearForm:

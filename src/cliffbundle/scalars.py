@@ -103,8 +103,8 @@ class Field:
     char: int = 0
 
     def __post_init__(self):
-        if self.char != 0 and not is_prime(self.char):
-            raise ValueError(f"field characteristic must be 0 or a prime, got {self.char}")
+        if type(self.char) is not int or self.char != 0 and not is_prime(self.char):
+            raise ValueError(f"field characteristic must be 0 or a prime, got {excerpt(self.char)}")
 
     @property
     def spec(self) -> str:
@@ -349,13 +349,17 @@ def canonical(field: Field, value) -> Scalar:
 
 
 def canonical_ints(p: int, values, den: int) -> tuple:
-    """The canonical (list, den) of raw ints over den > 0, the one rule
-    for forms, elements and matrices: over GF(p) the residues over 1,
-    over Q the values and den divided by their gcd; zeros kept."""
+    """The canonical (list, den) of raw ints over a nonzero den, over
+    GF(p) a unit, the one rule for forms, elements and matrices: over
+    GF(p) the residues of values / den over 1, over Q the values and den
+    divided by their gcd taken with den's sign, so den > 0; zeros kept."""
     if p:
+        if den != 1:
+            u = pow(den, -1, p)
+            return [x * u % p for x in values], 1
         return [x % p for x in values], 1
     values = list(values)
-    g = gcd(den, *values)
+    g = gcd(den, *values) if den > 0 else -gcd(den, *values)
     return (values, den) if g == 1 else ([x // g for x in values], den // g)
 
 

@@ -21,10 +21,9 @@ from .clifford import (CliffElt, CliffordContext, contract as cl_contract,
                        exp_contract, interior, quantize, quotient_map, symbol,
                        twisted_mul)
 from .errors import CharacteristicError, FormError
-from .forms import (AlgebraContext, BilinearForm, QuadraticForm, Vector, _canonical,
-                    alt_of_dual, dual_two_form, pfaffian, polar_form,
-                    quad_of_bilinear, right_radical, split_sym_alt,
-                    triangular_bilinear)
+from .forms import (AlgebraContext, BilinearForm, QuadraticForm, Vector, alt_of_dual,
+                    dual_two_form, pfaffian, polar_form, quad_of_bilinear, right_radical,
+                    split_sym_alt, triangular_bilinear)
 from .repcheck import (check_equivalence, cliff_to_vec, generator_matrices,
                        invariant_probe, restrict_matrices, rho_matrix, twist_matrix)
 from .sampling import (rand_alternating, rand_bilinear, rand_blade, rand_cliff,
@@ -90,7 +89,7 @@ def _forms_char2(rng, ctx, need, i):
     need(quad_of_bilinear(f) == q, "triangular form does not rebuild Q")
     if ctx.field.char == 2 and ctx.dim <= 4:
         for bits in range(1 << ctx.dim):
-            x = Vector.make(ctx, [(bits >> i) & 1 for i in range(ctx.dim)])
+            x = Vector._of(ctx, tuple([(bits >> i) & 1 for i in range(ctx.dim)]), 1)
             need(q(x) == f(x, x), f"mismatch at vector bits {bits}")
 
 
@@ -182,7 +181,7 @@ def _zero_columns(rng, G):
     nums = list(G.nums)
     for j in cols:
         nums[j::dim] = [0] * dim
-    return BilinearForm(G.ctx, *_canonical(G.ctx.field, nums, G.den))
+    return BilinearForm._made(G.ctx, nums, G.den)
 
 
 def _radical_vector(rng, ctx, rad):
@@ -476,8 +475,8 @@ def _interior_action(rng, ctx, need, i):
     w = rand_cliff(rng, cctx)
     f = rand_linear_form(rng, ctx)
     g = rand_linear_form(rng, ctx)
-    fe = CliffElt.from_vector(ext, Vector(ctx, f.nums, f.den))
-    ge = CliffElt.from_vector(ext, Vector(ctx, g.nums, g.den))
+    fe = CliffElt.from_vector(ext, Vector._of(ctx, f.nums, f.den))
+    ge = CliffElt.from_vector(ext, Vector._of(ctx, g.nums, g.den))
     need(interior(fe * ge, w) == interior(fe, interior(ge, w)),
          "wedge does not act as composed contractions")
     astar = rand_dual_two_form(rng, ctx)
@@ -643,7 +642,7 @@ def _rep_lattice(rng, ctx, need, i):
     # matrices are visibly reducible (kernel of a nilpotent)
     n, nums = ctx.dim, list(F.nums)
     nums[:n] = nums[::n] = [0] * n
-    F = BilinearForm(ctx, *_canonical(ctx.field, nums, F.den))
+    F = BilinearForm._made(ctx, nums, F.den)
     A = rand_alternating(rng, ctx)
     mats_u = generator_matrices(F)
     mats_t = generator_matrices(F + A)

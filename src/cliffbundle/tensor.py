@@ -18,10 +18,10 @@ their sparse arithmetic with CliffElt.
 
 from __future__ import annotations
 
-from .clifford import _Sparse, _data_of, _keyed, _operate
+from .clifford import _Sparse, _keyed, _operate
 from .errors import CapExceeded, FormError, ParseError
 from .forms import AlgebraContext, BilinearForm, LinearForm, Vector, same_context
-from .scalars import excerpt, shaped
+from .scalars import excerpt
 
 
 # the longest word an operation may build, a guard against runaway products
@@ -33,14 +33,15 @@ def _check_grade(length: int):
         raise CapExceeded(f"word of length {length} exceeds the grade cap {_GRADE_CAP}")
 
 
-def _checked_word(ctx: AlgebraContext, word: tuple) -> tuple:
-    """word, if it is a tuple of letters in 1..n."""
-    if not isinstance(word, tuple):
-        raise FormError(f"word {excerpt(word)} is not a tuple of letters in 1..{ctx.dim}")
-    for i in word:
-        if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= ctx.dim:
-            raise FormError(f"word index {excerpt(i)} out of range 1..{ctx.dim}")
-    return word
+def _checked_words(ctx: AlgebraContext, words) -> list:
+    """words, if each is a tuple of letters in 1..n."""
+    for word in words:
+        if not isinstance(word, tuple):
+            raise FormError(f"word {excerpt(word)} is not a tuple of letters in 1..{ctx.dim}")
+        for i in word:
+            if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= ctx.dim:
+                raise FormError(f"word index {excerpt(i)} out of range 1..{ctx.dim}")
+    return list(words)
 
 
 class TensorElt(_Sparse):
@@ -52,29 +53,18 @@ class TensorElt(_Sparse):
     _key_text = ("[", ", ", "]")
     _unit_key = ()
     _grade = staticmethod(len)
-
-    def __init__(self, ctx: AlgebraContext, terms=None):
-        """terms maps words to Scalars of ctx's field.  A key that is not
-        a tuple of letters in 1..n raises FormError, zero or not."""
-        terms = terms or {}
-        for word in terms:
-            _checked_word(ctx, word)
-        self._home = ctx
-        self.data, self.den = _data_of(ctx.field, terms, terms.values())
+    _checked_keys = staticmethod(_checked_words)
 
     def _same(self, other: "TensorElt"):
         same_context(self.ctx, other.ctx)
-
-    def _key(self, word) -> tuple:
-        return _checked_word(self.ctx, word)
 
     def _keys(self):
         return self.data
 
     @classmethod
     def from_word(cls, ctx: AlgebraContext, word, coeff=1) -> "TensorElt":
-        # a word that is not iterable goes to _checked_word, which refuses it
-        word = _checked_word(ctx, tuple(word) if hasattr(word, "__iter__") else word)
+        # a word that is not iterable goes to _checked_words, which refuses it
+        word = _checked_words(ctx, (tuple(word) if hasattr(word, "__iter__") else word,))[0]
         _check_grade(len(word))
         return cls(ctx, {word: ctx.coerce(coeff)})
 
@@ -105,21 +95,18 @@ class TensorElt(_Sparse):
     def to_json(self) -> dict:
         return {"terms": [{"word": list(w), "coeff": str(c)} for w, c in self._sorted_terms()]}
 
+    @staticmethod
+    def _json_key(ctx: AlgebraContext, word: list) -> tuple:
+        try:
+            word = _checked_words(ctx, (tuple(word),))[0]
+        except FormError as exc:
+            raise ParseError(str(exc)) from None
+        _check_grade(len(word))
+        return word
+
     @classmethod
     def from_json(cls, ctx: AlgebraContext, data: dict) -> "TensorElt":
-        out = {}
-        for term in shaped(shaped(data, dict, "element")["terms"], list, "terms"):
-            shaped(term, dict, "terms entry")
-            word = shaped(term["word"], list, "word")
-            c = ctx.field.parse(term["coeff"])
-            try:
-                word = _checked_word(ctx, tuple(word))
-            except FormError as exc:
-                raise ParseError(str(exc)) from None
-            _check_grade(len(word))
-            cur = out.get(word)
-            out[word] = c if cur is None else cur + c
-        return cls(ctx, out)
+        return cls._read(ctx, data, "word")
 
 
 def left_mul(x: Vector, u: TensorElt) -> TensorElt:

@@ -3,13 +3,14 @@ two-form dictionary."""
 
 import json
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
 from cliffbundle import (AlgebraContext, BilinearForm, CharacteristicError,
-                         CheckResult, CliffordContext, ContextMismatch, DualTwoForm,
+                         CheckResult, CliffElt, CliffordContext, ContextMismatch, DualTwoForm,
                          EndoMatrix, EquivalenceReport, Field, FormError,
                          LinearForm, ParseError, ProbeReport, QuadraticForm,
                          RATIONALS, Vector, alt_of_dual, dual_two_form,
@@ -339,6 +340,140 @@ def test_context_json_reads_dim_and_field():
                  {"dim": 2, "field": 7, "entries": [["1", "0"], ["0", "1"]]}):
         with pytest.raises(ParseError):
             BilinearForm.from_json(data)
+
+
+# ------------------------------------------------ the checked constructors
+
+Q2, GF7_2 = AlgebraContext(2, RATIONALS), AlgebraContext(2, Field(7))
+IDENTITY_COLS = ((0, 1),), ((1, 1),), ((2, 1),), ((3, 1),)
+
+
+def test_constructor_refuses_a_float_entry():
+    """The parent kept BilinearForm(ctx, (0.5, 0, 0, 1), 1) with
+    rows[0][0] = Scalar(Q, 0.5)."""
+    with pytest.raises(FormError, match=r"^BilinearForm at dim 2 needs 4 int entries"):
+        BilinearForm(Q2, (0.5, 0, 0, 1), 1)
+
+
+def test_constructor_divides_by_a_unit_den_over_gfp():
+    """The parent kept Vector(ctx, (1, 1), 2) over GF(7) as it was, with
+    coeffs Scalar(Fp:7, 1/2)."""
+    x = Vector(GF7_2, (1, 1), 2)
+    assert (x.nums, x.den) == ((4, 4), 1)
+    assert x.coeffs == (GF7_2.field(4),) * 2
+    assert x == Vector.make(GF7_2, [GF7_2.field(1) / 2] * 2)
+
+
+def test_constructor_refuses_a_short_vector():
+    """The parent took Vector(ctx, (1,), 1) at dim 2."""
+    with pytest.raises(FormError, match=r"^Vector at dim 2 needs 2 int entries, got \(1,\)$"):
+        Vector(Q2, (1,), 1)
+
+
+def test_quadratic_constructor_refuses_data_above_the_diagonal():
+    """The parent took QuadraticForm(ctx, (1, 1, 0, 1), 1): its e1 e2
+    was 1 + e1^e2 while its to_json gave the polar value 0."""
+    with pytest.raises(FormError, match="^QuadraticForm is zero above the diagonal$"):
+        QuadraticForm(Q2, (1, 1, 0, 1), 1)
+
+
+@pytest.mark.parametrize("ctx, spelled", [(Q2, ((2, 0, 0, 2), 2)),
+                                          (GF7_2, ((9, 0, -14, 2), 2))])
+def test_two_spellings_of_one_form_are_one_fiber(ctx, spelled):
+    """At the parent two spellings of Q = x1^2 + x2^2 gave unequal
+    CliffordContexts, whose elements raised ContextMismatch."""
+    q, r = QuadraticForm(ctx, (1, 0, 0, 1), 1), QuadraticForm(ctx, *spelled)
+    assert q == r and hash(q) == hash(r) and (r.nums, r.den) == ((1, 0, 0, 1), 1)
+    a, b = CliffordContext(q), CliffordContext(r)
+    assert a == b and hash(a) == hash(b)
+    assert CliffElt.blade(a, (1,)) * CliffElt.blade(b, (1,)) == CliffElt.unit(a)
+
+
+@pytest.mark.parametrize("make, arg", [(Field, 7.0), (Field, "7"),
+                                       (lambda d: AlgebraContext(d, RATIONALS), True),
+                                       (lambda d: AlgebraContext(d, RATIONALS), 2.0),
+                                       (lambda d: AlgebraContext(d, RATIONALS), "3")])
+def test_field_and_context_refuse_values_that_are_not_ints(make, arg):
+    """The parent took Field(7.0), with Field(7.0)(3) = Scalar(Fp:7.0,
+    3.0), AlgebraContext(True, Q) and AlgebraContext(2.0, Q), and
+    raised a bare TypeError from a comparison for "7" and "3"."""
+    with pytest.raises(ValueError, match=f"got {re.escape(repr(arg))}$"):
+        make(arg)
+
+
+def test_endo_matrix_refuses_malformed_columns():
+    """The parent took EndoMatrix(AlgebraContext(2, Q), ((),), 1), whose
+    entries were a 1 x 4 matrix."""
+    with pytest.raises(FormError, match=r"^EndoMatrix at dim 2 needs 4 columns"):
+        EndoMatrix(Q2, ((),), 1)
+
+
+@pytest.mark.parametrize("ctx, cols, den", [
+    (Q2, tuple(((r, 2),) for r in range(4)), 2),
+    (Q2, tuple(((r, -3), (3 - r, 0)) for r in range(4)), -3),
+    (GF7_2, tuple(((r, 9),) for r in range(4)), 2)])
+def test_endo_matrix_constructor_keeps_the_canonical_form(ctx, cols, den):
+    """Any spelling of the identity is the identity, as _endo makes it."""
+    m = EndoMatrix(ctx, cols, den)
+    assert m == EndoMatrix.identity(ctx) and hash(m) == hash(EndoMatrix.identity(ctx))
+    assert (m.cols, m.den) == (IDENTITY_COLS, 1)
+
+
+def test_trusted_builders_skip_the_check():
+    """_of takes data as it is and _made makes it canonical, with no check:
+    the package's own builds, as clifford._Sparse's."""
+    assert Vector._of(Q2, (2, 4), 2).nums == (2, 4)
+    assert Vector._made(Q2, [2, 4], -2) == Vector(Q2, (-1, -2), 1)
+    assert BilinearForm._made(GF7_2, [1, 2, 3, 4], 3) == BilinearForm(GF7_2, (5, 3, 1, 6), 1)
+
+
+REFUSED = [
+    (Vector, (Q2, (1, 2, 3), 1), FormError, "needs 2 int entries"),
+    (Vector, (Q2, 5, 1), FormError, "needs 2 int entries"),
+    (Vector, (Q2, (1, True), 1), FormError, "needs 2 int entries"),
+    (Vector, (Q2, (1, 2), 0), FormError, "int den that is a unit of Q, got 0"),
+    (Vector, (Q2, (1, 2), 1.0), FormError, "int den that is a unit of Q, got 1.0"),
+    (Vector, (Q2, (1, 2), Fraction(1, 2)), FormError, "unit of Q, got Fraction"),
+    (Vector, (GF7_2, (1, 2), 14), FormError, "int den that is a unit of Fp:7, got 14"),
+    (Vector, (None, (1, 2), 1), FormError, "needs an AlgebraContext, got None"),
+    (LinearForm, (Q2, ("1", 2), 1), FormError, "needs 2 int entries"),
+    (LinearForm, (GF7_2, (1, 2), -7), FormError, "unit of Fp:7, got -7"),
+    (BilinearForm, (Q2, (1, 2, 3), 1), FormError, "needs 4 int entries"),
+    (BilinearForm, (Q2, ((1, 0), (0, 1)), 1), FormError, "needs 4 int entries"),
+    (QuadraticForm, (Q2, (1, 1, 0, 1), 1), FormError, "zero above the diagonal"),
+    (QuadraticForm, (GF7_2, (1, 8, 0, 1), 1), FormError, "zero above the diagonal"),
+    (QuadraticForm, (Q2, (1, 0, 0), 1), FormError, "needs 4 int entries"),
+    (DualTwoForm, (Q2, (1, 0, 0, 0), 1), FormError, "zero on and below the diagonal"),
+    (DualTwoForm, (Q2, (0, 1, 1, 0), 1), FormError, "zero on and below the diagonal"),
+    (DualTwoForm, (Q2, (0, 1, 0, 0), 0), FormError, "unit of Q, got 0"),
+    (Field, (7.0,), ValueError, "0 or a prime, got 7.0"),
+    (Field, ("7",), ValueError, "0 or a prime, got '7'"),
+    (Field, (None,), ValueError, "0 or a prime, got None"),
+    (Field, (4,), ValueError, "0 or a prime, got 4"),
+    (Field, (-7,), ValueError, "0 or a prime, got -7"),
+    (AlgebraContext, (True, RATIONALS), ValueError, "must be >= 1, an int, got True"),
+    (AlgebraContext, (2.0, RATIONALS), ValueError, "must be >= 1, an int, got 2.0"),
+    (AlgebraContext, ("3", RATIONALS), ValueError, "must be >= 1, an int, got '3'"),
+    (AlgebraContext, (0, RATIONALS), ValueError, "must be >= 1, an int, got 0"),
+    (EndoMatrix, (Q2, ((),), 1), FormError, "needs 4 columns"),
+    (EndoMatrix, (Q2, None, 1), FormError, "needs 4 columns"),
+    (EndoMatrix, (Q2, ((0, 1),) * 4, 1), FormError, "needs 4 columns"),
+    (EndoMatrix, (Q2, IDENTITY_COLS[:3] + (((4, 1),),), 1), FormError, "needs 4 columns"),
+    (EndoMatrix, (Q2, IDENTITY_COLS[:3] + (((-1, 1),),), 1), FormError, "needs 4 columns"),
+    (EndoMatrix, (Q2, IDENTITY_COLS[:3] + (((3, 1.5),),), 1), FormError, "needs 4 columns"),
+    (EndoMatrix, (Q2, IDENTITY_COLS[:3] + (((3.0, 1),),), 1), FormError, "needs 4 columns"),
+    (EndoMatrix, (Q2, IDENTITY_COLS[:3] + (((3, 1), (3, 2)),), 1), FormError,
+     "rows distinct"),
+    (EndoMatrix, (Q2, IDENTITY_COLS, 0), FormError, "unit of Q, got 0"),
+    (EndoMatrix, (GF7_2, IDENTITY_COLS, 7), FormError, "unit of Fp:7, got 7"),
+]
+
+
+@pytest.mark.parametrize("make, args, error, message", REFUSED,
+                         ids=[f"{m.__name__}-{i}" for i, (m, *_) in enumerate(REFUSED)])
+def test_constructors_refuse_malformed_data(make, args, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        make(*args)
 
 
 # ------------------------------------------------ the forms' integer data

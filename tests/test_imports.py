@@ -8,8 +8,9 @@ syntax tree: a name bound by ``import`` or ``from ... import`` must
 appear somewhere in the module as a name that is read.  ``__future__``
 imports and imports marked ``# noqa: F401`` (kept for their side
 effect) are exempt.  A private helper is an undecorated module-level
-function whose name starts with one underscore; some module of the
-package must read it, as a name, an attribute or an imported name.
+function, or a method of a module-level class, decorated or not, whose
+name starts with one underscore; some module of the package must read
+it, as a name, an attribute or an imported name.
 """
 
 import ast
@@ -52,9 +53,14 @@ def test_every_import_is_read(path):
     assert unread_imports(path.read_text()) == []
 
 
+def _private(node) -> bool:
+    return (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.startswith("_") and not node.name.startswith("__"))
+
+
 def unread_helpers(sources: dict) -> list:
     """The private helpers of sources (module name -> source) that no
-    source reads, as "module.name" in order."""
+    source reads, as "module.name" or "module.Class.name" in order."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
     read = set()
     for tree in trees.values():
@@ -65,10 +71,15 @@ def unread_helpers(sources: dict) -> list:
                 read.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 read.update(alias.name for alias in node.names)
-    return [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and node.name.startswith("_") and not node.name.startswith("__")
-            and not node.decorator_list and node.name not in read]
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if _private(node) and not node.decorator_list:
+                found.append(f"{module}.{node.name}")
+            elif isinstance(node, ast.ClassDef):
+                found += [f"{module}.{node.name}.{item.name}" for item in node.body
+                          if _private(item)]
+    return [name for name in found if name.rpartition(".")[2] not in read]
 
 
 def test_the_scan_finds_unread_helpers():
@@ -80,8 +91,15 @@ def test_the_scan_finds_unread_helpers():
                      "def public():\n    return _called() + b._by_attribute\n"),
                "b": ("def _imported():\n    pass\n"
                      "def _by_attribute():\n    pass\n"
-                     "def _stray():\n    pass\n")}
-    assert unread_helpers(sources) == ["a._orphan", "b._stray"]
+                     "def _stray():\n    pass\n"
+                     "class C:\n"
+                     "    def _used(self):\n        return self._built()\n"
+                     "    @classmethod\n    def _built(cls):\n        pass\n"
+                     "    @classmethod\n    def _unused(cls):\n        pass\n"
+                     "    def _bare(self):\n        pass\n"
+                     "    def __init__(self):\n        self._used()\n"
+                     "    def public(self):\n        pass\n")}
+    assert unread_helpers(sources) == ["a._orphan", "b._stray", "b.C._unused", "b.C._bare"]
 
 
 def test_every_helper_is_read():

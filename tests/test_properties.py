@@ -2,9 +2,12 @@
 the deformation by -F inverts the deformation by F, in the Clifford and
 the tensor algebra, products agree with the relation oracle, the
 deformation reads only the strict upper part of F, the divided
-powers add up to the tensor deformation, and vectors and linear forms,
-held as integer data, compute what their coordinates do one by one."""
+powers add up to the tensor deformation, vectors and linear forms,
+held as integer data, compute what their coordinates do one by one,
+and each record's public constructor keeps any spelling of its data
+as make keeps its values."""
 
+import math
 import random
 from fractions import Fraction
 from math import gcd
@@ -16,8 +19,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from cliffbundle import (AlgebraContext, BilinearForm, CliffElt,  # noqa: E402
-                         CliffordContext, Field, LinearForm, QuadraticForm, TensorElt,
-                         Vector, deform, divided_power, sampling, tensor_deform)
+                         CliffordContext, DualTwoForm, Field, LinearForm, QuadraticForm,
+                         TensorElt, Vector, deform, divided_power, sampling, tensor_deform)
 from cliffbundle.clifford import contract as cliff_contract  # noqa: E402
 from cliffbundle.tensor import contract as tensor_contract  # noqa: E402
 
@@ -185,3 +188,55 @@ def test_vectors_and_linear_forms_match_the_coordinate_oracle(d):
     form = sampling.rand_linear_form(random.Random(d.seed), ctx)
     _canonical(form)
     assert form != drawn and (form.nums, form.den) == (drawn.nums, drawn.den)
+
+
+
+@st.composite
+def spellings(draw):
+    """A context of dim 1 .. 4 over one of VECTOR_FIELDS and, for each
+    record, make of random values (Fractions over Q, else residues) and
+    raw ints nums over a den spelling the same entries: scaled by a
+    common factor, maybe sign-flipped, and over GF(p) shifted out of
+    [0, p) over a unit den."""
+    field = draw(st.sampled_from(VECTOR_FIELDS))
+    n, p = draw(st.integers(1, 4)), field.char
+    coeff = RATIONAL if p == 0 else st.integers(0, p - 1)
+
+    def values(k):
+        return draw(st.lists(coeff, min_size=k, max_size=k))
+
+    def spelled(flat):
+        sign = draw(st.sampled_from((1, -1)))
+        if p:
+            den = sign * draw(st.integers(1, p - 1))
+            return [x * den % p + draw(st.integers(-3, 3)) * p for x in flat], den
+        den = sign * draw(st.integers(1, 6)) * math.lcm(*[Fraction(x).denominator for x in flat])
+        return [int(x * den) for x in flat], den
+
+    ctx = AlgebraContext(n, field)
+    x, f, entries = values(n), values(n), [values(n) for _ in range(n)]
+    diag, upper = values(n), [values(n - 1 - i) for i in range(n - 1)]
+    coeffs = [values(n - 1 - i) for i in range(n - 1)]
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    cases = [(Vector, Vector.make(ctx, x), x), (LinearForm, LinearForm.make(ctx, f), f),
+             (BilinearForm, BilinearForm.make(ctx, entries), [entries[i][j] for i, j in cells]),
+             # G_Q: Q(e_i) at (i, i), the polar value of (e_i, e_j), i < j, at (j, i)
+             (QuadraticForm, QuadraticForm.make(ctx, diag, upper),
+              [diag[i] if i == j else upper[j][i - j - 1] if j < i else 0 for i, j in cells]),
+             # the coefficient of e_i* ^ e_j*, i < j, at (i, j)
+             (DualTwoForm, DualTwoForm.make(ctx, coeffs),
+              [coeffs[i][j - i - 1] if j > i else 0 for i, j in cells])]
+    return ctx, [(cls, made, spelled(flat)) for cls, made, flat in cases]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(spellings())
+def test_public_constructors_keep_every_spelling_as_make_does(data):
+    """Each public constructor equals make of the same values, with
+    equal hash, however its ints spell them."""
+    ctx, cases = data
+    for cls, made, (nums, den) in cases:
+        built = cls(ctx, nums, den)
+        _one(built, made)
+        assert type(built.nums) is tuple and built.den > 0
+        _one(cls(ctx, tuple(nums), den), built)
