@@ -50,17 +50,17 @@ the sign (-1)^t.  Over GF(p) the coefficients are residues, reduced
 mod p once per generator action.  Over Q the computation is
 fraction-free: with d the common denominator of B, e_i acts by the
 integer operator d e_i ^ + contraction by d B(e_i, .), and the sum is
-divided once at the end.  Forms, vectors and linear forms enter as
-their integer data (see forms; G_Q is a quadratic form's own, and a
-linear form's is contract's one row), and so do elements, as
-(data, den): kernel keys (masks for CliffElt, words for TensorElt)
-mapped to nonzero ints over one int denominator, residues over den 1
-over GF(p), and over Q den > 0 with gcd(den, values) = 1.  The entry
-(_Sparse.__init__) reads Scalars by scalars.ints_of and the exit (_canonical)
-makes a result canonical by scalars.canonical_ints, as forms and
-repcheck do; both drop zeros.  Blades and Scalars appear only in an
-element's constructor, from_json, to_json, repr, coeff and read-only
-terms view (scalars.scalars_over, on first read and kept).
+divided once at the end.  Forms and vectors enter as their integer
+data, a form's rows row-major and read in place by e_i (_act: G_Q is
+a quadratic form's own, a linear form contract's one row), and so do
+elements, as (data, den): kernel keys (masks for CliffElt, words for
+TensorElt) mapped to nonzero ints over one int denominator, residues
+over den 1 over GF(p), and over Q den > 0 with gcd(den, values) = 1.
+The entry (_Sparse.__init__) reads Scalars by scalars.ints_of and the
+exit (_canonical) makes a result canonical by scalars.canonical_ints,
+as forms and repcheck do; both drop zeros.  Blades and Scalars appear
+only in an element's constructor, from_json, to_json, repr, coeff and
+read-only terms view (scalars.scalars_over, on first read and kept).
 There a blade becomes its mask through _masks(n) and a mask its blade
 through _blades(n), the 2^n blades in mask order, kept up to n = 12;
 above, key by key.  The blades of u are walked as masks in numeric
@@ -113,8 +113,7 @@ from types import MappingProxyType
 
 from .errors import CapExceeded, CharacteristicError, ContextMismatch, FormError, ParseError
 from .forms import (AlgebraContext, BilinearForm, DualTwoForm, Field, LinearForm,
-                    QuadraticForm, Vector, _quad_nums, polar_form, quad_of_bilinear,
-                    same_context)
+                    QuadraticForm, Vector, polar_form, quad_of_bilinear, same_context)
 from .records import record
 from .scalars import Scalar, canonical_ints, excerpt, ints_of, scalars_over, shaped
 
@@ -124,6 +123,11 @@ class CliffordContext:
     """The algebra over a fixed quadratic form."""
 
     quadratic: QuadraticForm
+
+    def __post_init__(self):
+        if type(self.quadratic) is not QuadraticForm:
+            raise FormError(f"a Clifford context needs a QuadraticForm, got "
+                            f"{excerpt(self.quadratic)}")
 
     @property
     def ctx(self) -> AlgebraContext:
@@ -139,7 +143,7 @@ class CliffordContext:
 
     @classmethod
     def exterior(cls, ctx: AlgebraContext) -> "CliffordContext":
-        return cls(QuadraticForm.zero(ctx))
+        return cls._of(QuadraticForm.zero(ctx))
 
     def is_exterior(self) -> bool:
         return self.quadratic.is_zero()
@@ -150,7 +154,7 @@ class CliffordContext:
     def shift(self, F: BilinearForm) -> "CliffordContext":
         """The context whose quadratic form is Q + (x -> F(x, x))."""
         same_context(self.ctx, F.ctx)
-        return CliffordContext(self.quadratic + quad_of_bilinear(F))
+        return CliffordContext._of(self.quadratic + quad_of_bilinear(F))
 
     def to_json(self) -> dict:
         return {
@@ -269,57 +273,49 @@ def _reduced(out: dict, p: int) -> dict:
     return {k: c for k, c in out.items() if c}
 
 
-def _act(bit: int, scale: int, row, p: int, terms: dict) -> dict:
-    """scale (e_i ^ w) + contraction of w by row, on a mask -> int map;
-    bit is 1 << (i - 1) and row lists (bit, value) for the nonzero
-    entries of B(e_i, .).  Inserting or removing the bit past the k set
-    bits below it carries the sign (-1)^k.  Reduced mod p when p > 0."""
+def _act(r: int, n: int, nums, scale: int, p: int, terms: dict) -> dict:
+    """scale (e_i ^ w) + contraction of w by B(e_i, .), on a mask -> int
+    map, i = r + 1: the row is nums[r n:(r + 1) n] of rows = (nums, d)
+    (see _word_sum), read in place.  Inserting or removing a bit past
+    the k set bits below it carries the sign (-1)^k.  Only the bits
+    below n move, so higher bits of a key ride along.  Reduced mod p
+    when p > 0."""
     out = {}
     if scale:
+        bit = 1 << r
         low = bit - 1
         for m, c in terms.items():
             if not m & bit:
                 out[m | bit] = -scale * c if (m & low).bit_count() & 1 else scale * c
     get = out.get
-    for b, f in row:
-        low = b - 1
-        for m, c in terms.items():
-            if m & b:
-                k = m ^ b
-                t = f * c
-                out[k] = get(k, 0) + (-t if (m & low).bit_count() & 1 else t)
+    b = 1
+    for f in nums[r * n:(r + 1) * n]:
+        if f:
+            low = b - 1
+            for m, c in terms.items():
+                if m & b:
+                    k = m ^ b
+                    t = f * c
+                    out[k] = get(k, 0) + (-t if (m & low).bit_count() & 1 else t)
+        b <<= 1
     return _reduced(out, p)
 
 
-def _act_word(bit: int, scale: int, row, p: int, terms: dict) -> dict:
+def _act_word(r: int, n: int, nums, scale: int, p: int, terms: dict) -> dict:
     """The same action on a word -> int map: scale (e_i w) prepends the
-    letter i, and the contraction removes the letter at position t
-    (from 0) with the sign (-1)^t."""
-    letter = (bit.bit_length(),)
-    values = {b.bit_length(): f for b, f in row}
+    letter i, and the contraction removes the letter a at position t
+    (from 0), row[a - 1] times, with the sign (-1)^t."""
+    letter, row = (r + 1,), nums[r * n:(r + 1) * n]
     out = {letter + w: scale * c for w, c in terms.items()} if scale else {}
     get = out.get
-    for w, c in terms.items() if values else ():
+    for w, c in terms.items() if any(row) else ():
         for t, a in enumerate(w):
-            f = values.get(a)
+            f = row[a - 1]
             if f:
                 k = w[:t] + w[t + 1:]
                 x = f * c
                 out[k] = get(k, 0) + (-x if t & 1 else x)
     return _reduced(out, p)
-
-
-def _actions(n: int, rows: tuple, wedge: bool = True) -> tuple:
-    """The kernel's integer set-up for the generator action attached to
-    rows = (nums, d), the entries of B as a form holds them (see forms):
-    row-major n at a time, each nums[k] / d.  It is (acts, scale, d),
-    acts[i - 1] the bit of e_i and the (bit, value) pairs of the nonzero
-    entries of d B(e_i, .), and scale the wedge weight d (0 when wedge
-    is off).  Each act is then d times the action of e_i."""
-    nums, d = rows
-    acts = [(1 << r, [(1 << j, f) for j, f in enumerate(nums[r * n:(r + 1) * n]) if f])
-            for r in range(len(nums) // n)]
-    return acts, (d if wedge else 0), d
 
 
 def _suffix_walk(words, start, step):
@@ -367,21 +363,25 @@ def _mask_walk(items, start, step):
         yield c, m.bit_count(), got
 
 
-def _word_sum(act, actions: tuple, p: int, u: dict, v: dict) -> tuple:
-    """The sum over the words S of u of u_S (e_S . v): (map, den).  act
-    is the generator action on the keys of v, _act on bitmasks or
-    _act_word on words; u and v map their keys to ints, and u's keys
-    are walked by _mask_walk or _suffix_walk.  Over Q the result is the
-    map divided by den: u_S is weighted by d^(m - |S|), m the longest
-    word of u, and den is d^m.  Over GF(p) the map is unreduced and den is 1."""
-    acts, scale, d = actions
+def _word_sum(p: int, n: int, rows: tuple, u: dict, v: dict, wedge: bool = True) -> tuple:
+    """The sum over the words S of u of u_S (e_S . v): (map, den), e_i
+    acting as d times its action attached to rows = (nums, d), the
+    entries of B as a form holds them (see forms): row-major n at a
+    time, each nums[k] / d, so row r is B(e_(r+1), .).  The wedge weight
+    is d, 0 when wedge is off.  The action on v's keys is _act on masks,
+    _act_word on words; u and v map their keys to ints, and u's keys are
+    walked by _mask_walk or _suffix_walk.  Over Q the result is the map
+    divided by den: u_S is weighted by d^(m - |S|), m the longest word
+    of u, and den is d^m.  Over GF(p) the map is unreduced and den is 1."""
+    nums, d = rows
+    scale = d if wedge else 0
+    act = _act_word if type(next(iter(v), None)) is tuple else _act
     walk, grade = ((_mask_walk, int.bit_count) if type(next(iter(u), None)) is int
                    else (_suffix_walk, len))
     top = max(map(grade, u), default=0)
 
     def step(got, letter):
-        bit, row = acts[letter - 1]
-        return act(bit, scale, row, p, got)
+        return act(letter - 1, n, nums, scale, p, got)
 
     out = {}
     get = out.get
@@ -486,24 +486,19 @@ def _contract(Y: int, row, out: int = 0) -> int:
     return out
 
 
-def _bias_images(H: int, masks: tuple, actions: tuple) -> list:
-    """The image of H under each act of actions (see _actions) on the
-    carrier of H and masks.  Every slot of H is 2^(W - 1), so its
-    contraction by bit r is c_r = (H & without) ^ odd, and its image
-    under e_i is scale (c_(i-1) << up) plus f c_j for each (2^j, f) of
-    its row."""
-    acts, scale, _ = actions
-    c = {1 << r: (H & without) ^ odd for r, (_, without, odd) in enumerate(masks)}
-    images = []
-    for (up, _, _), (bit, row) in zip(masks, acts):
-        image = (c[bit] << up) * scale
-        for b, f in row:
-            image += c[b] * f
-        images.append(image)
-    return images
+def _bias_images(H: int, masks: tuple, n: int, rows: tuple, wedge: bool = True) -> list:
+    """The image of H under the action of each row of rows (see
+    _word_sum) on the carrier of H and masks.  Every slot of H is
+    2^(W - 1), so its contraction by bit r is c_r = (H & without) ^ odd,
+    and its image under e_i is the wedge weight times c_(i-1) << up plus
+    f c_j for each entry f of its row, at column j."""
+    nums, d = rows
+    c = [(H & without) ^ odd for _, without, odd in masks]
+    return [(c[r] << masks[r][0]) * (d if wedge else 0) + sum(map(mul, c, nums[r * n:(r + 1) * n]))
+            for r in range(len(nums) // n)]
 
 
-def _packed_sum(actions: tuple, p: int, n: int, u: dict, v: dict) -> tuple:
+def _packed_sum(p: int, n: int, rows: tuple, u: dict, v: dict, wedge: bool = True) -> tuple:
     """_word_sum on bitmask keys below 2^n, each coefficient map one
     packed int X (see _carrier): (values, den), values[m] the unreduced
     value at m for every m < 2^n.  e_i moves the slots of X + H without
@@ -528,15 +523,16 @@ def _packed_sum(actions: tuple, p: int, n: int, u: dict, v: dict) -> tuple:
     d + sum of |row entries| over the rows, and R >= 1, so every slot is
     at most (sum over S of |u_S d^(m - |S|)|) R^m max|v| in magnitude,
     and W is above it."""
-    acts, scale, d = actions
+    nums, d = rows
+    scale = d if wedge else 0
+    table = [nums[r * n:(r + 1) * n] for r in range(len(nums) // n)]
     top = max(map(int.bit_count, u))
     coeffs = [c * d ** (top - k) for k, c in zip(map(int.bit_count, u), u.values())]
-    reach = max(d + sum(abs(f) for _, f in row) for _, row in acts)
+    reach = d + max(sum(map(abs, row)) for row in table)
     width, H, masks = _carrier(n, sum(map(abs, coeffs)) * reach ** top * max(map(abs, v.values())))
-    moves = [(masks[r], [(masks[b.bit_length() - 1], f) for b, f in row])
-             for r, (_, row) in enumerate(acts)]
-
-    images = _bias_images(H, masks, actions)
+    moves = [(masks[r], [(masks[j], f) for j, f in enumerate(row) if f])
+             for r, row in enumerate(table)]
+    images = _bias_images(H, masks, n, rows, wedge)
 
     def step(X, letter):
         (up, without, odd), row = moves[letter - 1]
@@ -567,7 +563,7 @@ def _packed_sum(actions: tuple, p: int, n: int, u: dict, v: dict) -> tuple:
 def _operate(p: int, n: int, rows: tuple, u: tuple, v: tuple, wedge: bool = True) -> tuple:
     """The sum over the words S of u of u_S (e_S . v), where e_i acts by
     e_i ^ (or e_i (x) on words; not at all when wedge is off) plus the
-    contraction by row i of rows (see _actions): the canonical
+    contraction by row i of rows (see _word_sum): the canonical
     (data, den) of the result.  u and v are (data, den) pairs; u's keys
     are masks or words, and v's keys, masks or words, set the action.
     On masks (never words: quotient_map, reverse) it runs on packed
@@ -580,18 +576,17 @@ def _operate(p: int, n: int, rows: tuple, u: tuple, v: tuple, wedge: bool = True
     rule's edge, 8; at n = 5 about half with 6 terms a side.  So the
     rule packs later than the carriers cross."""
     (u, du), (v, dv) = u, v
-    actions = _actions(n, rows, wedge)
-    words = type(next(iter(v), None)) is tuple
-    if not words and 2 * min(len(u), len(v)) >= 1 << n and type(next(iter(u))) is int:
-        values, den = _packed_sum(actions, p, n, u, v)
+    if (2 * min(len(u), len(v)) >= 1 << n and type(next(iter(u))) is int
+            and type(next(iter(v))) is int):
+        values, den = _packed_sum(p, n, rows, u, v, wedge)
         return _canonical(p, range(1 << n), values, du * dv * den)
-    out, den = _word_sum(_act_word if words else _act, actions, p, u, v)
+    out, den = _word_sum(p, n, rows, u, v, wedge)
     return _canonical(p, out, out.values(), du * dv * den)
 
 
 def _pair_rows(p: int, n: int, rows: tuple) -> tuple:
     """The pair product's integer set-up for the rows of B (see
-    _actions): (g, d), g[i] the (j, f_ij) for j > i with f_ij = d B_ij
+    _word_sum): (g, d), g[i] the (j, f_ij) for j > i with f_ij = d B_ij
     nonzero.  Over GF(p) f_ij is the residue of absolute value at most
     p / 2, which keeps packed slots narrow, and d is 1; over Q d is the
     common denominator of the strict-upper entries."""
@@ -663,7 +658,7 @@ def _packed_pairs(g: list, n: int, values: list) -> list:
 
 def _contract_pairs(p: int, n: int, rows: tuple, w: tuple) -> tuple:
     """exp(sum over i < j of B_ij i_j i_i) w, B of the rows (see
-    _actions) and w a (data, den) pair keyed by masks, as the canonical
+    _word_sum) and w a (data, den) pair keyed by masks, as the canonical
     (data, den) of the result: on the packed carrier (_packed_pairs)
     when 2 |w| >= 2^max(n, 7), else on dicts (_pair_passes).  A dict
     pass is cheaper than a generator action, so the pair product packs
@@ -702,7 +697,7 @@ def _contract_pairs(p: int, n: int, rows: tuple, w: tuple) -> tuple:
 
 
 def _chevalley(q: QuadraticForm, F: BilinearForm | None = None) -> tuple:
-    """The rows (see _actions) of G_q, plus F: G_q, the lower-triangular
+    """The rows (see _word_sum) of G_q, plus F: G_q, the lower-triangular
     form whose action gives normal-ordered coordinates, is q's data."""
     if F is None:
         return q.nums, q.den
@@ -925,12 +920,16 @@ def contract_vec(F: BilinearForm, x: Vector, w: CliffElt) -> CliffElt:
 
 
 def _check_shift(F: BilinearForm, source_q: QuadraticForm, target_q: QuadraticForm):
-    """source_q must be target_q + (x -> F(x, x)): their G_Q entries,
-    cross-multiplied by the three denominators (1 over GF(p), mod p)."""
+    """source_q must be target_q + (x -> F(x, x)): their G_Q entries on
+    and below the diagonal (F_ii, and F_ij + F_ji below it), cross-
+    multiplied by the three denominators (1 over GF(p), mod p), checked
+    in one pass that stops at the first that differs."""
     s, t, f, p = source_q.den, target_q.den, F.den, F.ctx.field.char
-    off = [x * t * f - y * s * f - z * s * t
-           for x, y, z in zip(source_q.nums, target_q.nums, _quad_nums(F))]
-    if source_q.ctx != target_q.ctx or any([x % p for x in off] if p else off):
+    x, y, a, n = source_q.nums, target_q.nums, F.nums, F.ctx.dim
+    offs = (x[i * n + j] * t * f - y[i * n + j] * s * f
+            - (a[i * n + j] + a[j * n + i] if j < i else a[i * n + i]) * s * t
+            for i in range(n) for j in range(i + 1))
+    if source_q.ctx != target_q.ctx or any((c % p for c in offs) if p else offs):
         raise FormError(
             "quadratic forms do not match: source must equal target plus the "
             "quadratic part of the deforming form")
@@ -957,7 +956,7 @@ def deform(F: BilinearForm, w: CliffElt, target: CliffordContext | None = None) 
     src = w.cctx
     same_context(F.ctx, src.ctx)
     if target is None:
-        target = CliffordContext(src.quadratic - quad_of_bilinear(F))
+        target = CliffordContext._of(src.quadratic - quad_of_bilinear(F))
     else:
         same_context(target.ctx, src.ctx)
         _check_shift(F, src.quadratic, target.quadratic)

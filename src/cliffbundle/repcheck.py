@@ -28,8 +28,8 @@ from functools import cached_property
 from math import gcd, isqrt, lcm
 
 from . import linalg
-from .clifford import (CliffElt, CliffordContext, _act, _actions, _data_of, _pair_passes,
-                       _pair_rows, _word_sum)
+from .clifford import (CliffElt, CliffordContext, _data_of, _pair_passes, _pair_rows,
+                       _word_sum)
 from .errors import CapExceeded, FieldMismatch, FormError
 from .forms import AlgebraContext, BilinearForm, _checked_den, quad_of_bilinear, same_context
 from .records import record
@@ -181,24 +181,22 @@ def rho_matrix(F: BilinearForm, u: CliffElt) -> EndoMatrix:
     if u.cctx.quadratic != quad_of_bilinear(F):
         raise FormError("element must live over the quadratic form of F")
     _rep_guard(ctx.dim)
-    return _rho(ctx, _actions(ctx.dim, (F.nums, F.den)), u.data, u.den)
+    return _rho(F, u.data, u.den)
 
 
-def _rho(ctx: AlgebraContext, actions: tuple, u: dict, den: int) -> EndoMatrix:
-    """rho_matrix of u / den, u a mask -> int map, under the generator
-    actions of F (see clifford._actions), its checks passed."""
-    out, scale = _word_sum(_act, actions, ctx.field.char, u, _unit_map(ctx.dim))
+def _rho(F: BilinearForm, u: dict, den: int) -> EndoMatrix:
+    """rho_matrix of u / den, u a mask -> int map, its checks passed:
+    the kernel reads F's rows in place (see clifford._word_sum)."""
+    ctx = F.ctx
+    out, scale = _word_sum(ctx.field.char, ctx.dim, (F.nums, F.den), u, _unit_map(ctx.dim))
     return _endo(ctx, out, den * scale)
 
 
 def generator_matrices(F: BilinearForm):
     """Representation matrices of the n generators e_1 .. e_n: the
-    rho_matrix of each, which lives over the quadratic form of F, with
-    one set-up of F's actions for all of them."""
-    ctx = F.ctx
-    _rep_guard(ctx.dim)
-    actions = _actions(ctx.dim, (F.nums, F.den))
-    return [_rho(ctx, actions, {1 << i: 1}, 1) for i in range(ctx.dim)]
+    rho_matrix of each, which lives over the quadratic form of F."""
+    _rep_guard(F.ctx.dim)
+    return [_rho(F, {1 << i: 1}, 1) for i in range(F.ctx.dim)]
 
 
 def twist_matrix(A: BilinearForm) -> EndoMatrix:

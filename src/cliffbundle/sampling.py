@@ -5,11 +5,15 @@ from a seed.  Coefficients are kept small: identities are linear in each
 argument, so small witnesses are as convincing as large ones and keep
 exact arithmetic fast.
 
-The draw contract, which the suites' digests pin: one coefficient is
-one _draw, over GF(p) randrange(1 if nonzero else 0, p), over Q
-randint(-span, span), then if nonzero and it drew 0
-choice((-1, 1)) * randint(1, span), then the denominator
-choice((1, 1, 1, 2, 3)).  A generator makes its draws in this order:
+The draw contract, which the suites' digests pin, is a sequence of
+getrandbits calls.  An int below m >= 1, written below(m), is what
+random.Random's randrange, randint and choice draw (_below): r =
+getrandbits(k), k = m.bit_length(), drawn again while r >= m.  One
+coefficient is one _draw: over GF(p) below(p), or 1 + below(p - 1) if
+nonzero; over Q the numerator below(2 span + 1) - span, then if
+nonzero and it drew 0 the sign (-1, 1)[below(2)] times
+1 + below(span), then the denominator (1, 1, 1, 2, 3)[below(5)].  A
+generator makes its draws in this order:
 
     rand_scalar, rand_vector,       one draw; dim draws, coordinate order
       rand_linear_form
@@ -19,10 +23,14 @@ choice((1, 1, 1, 2, 3)).  A generator makes its draws in this order:
     rand_quadratic                  the dim Q(e_i), then the polar values
                                     at (e_i, e_j), i < j, row-major
     rand_dual_two_form              c_ij for i < j, row-major
-    rand_word                       randint(0, max_len), then one
-                                    randint(1, dim) per letter
-    rand_blade                      size = randint(0, dim), then a sample
-                                    of size from the dim indices
+    rand_word                       below(max_len + 1) letters, each
+                                    1 + below(dim)
+    rand_blade                      size = below(dim + 1), then the
+                                    indices random.Random.sample(range(dim),
+                                    size) picks: for dim <= 21 from a pool
+                                    of the dim indices, each below(what is
+                                    left) and its slot refilled by the
+                                    pool's last (_mask)
     rand_tensor, rand_cliff         per term a word (a blade), then its
                                     draw; rand_tensor then refuses a
                                     word over the grade cap
@@ -48,15 +56,29 @@ from .scalars import Field, Scalar
 from .tensor import TensorElt, _check_grade
 
 
+def _below(bits, m: int) -> int:
+    """An int in [0, m), m >= 1, from bits, a random.Random's
+    getrandbits, drawn as its randrange, randint and choice draw it."""
+    k = m.bit_length()
+    r = bits(k)
+    while r >= m:
+        r = bits(k)
+    return r
+
+
+_DENS = (1, 1, 1, 2, 3)
+
+
 def _draw(rng: random.Random, p: int, span: int = 5, nonzero: bool = False) -> tuple:
     """One coefficient as (num, den) ints: a residue over 1 over GF(p),
     over Q a numerator and a denominator in 1..3, not reduced."""
+    bits = rng.getrandbits
     if p:
-        return rng.randrange(1 if nonzero else 0, p), 1
-    num = rng.randint(-span, span)
+        return (1 + _below(bits, p - 1) if nonzero else _below(bits, p)), 1
+    num = _below(bits, 2 * span + 1) - span
     if nonzero and num == 0:
-        num = rng.choice((-1, 1)) * rng.randint(1, span)
-    return num, rng.choice((1, 1, 1, 2, 3))
+        num = (2 * _below(bits, 2) - 1) * (1 + _below(bits, span))
+    return num, _DENS[_below(bits, 5)]
 
 
 def _draws(rng: random.Random, p: int, count: int) -> tuple:
@@ -131,8 +153,8 @@ def rand_dual_two_form(rng, ctx: AlgebraContext) -> DualTwoForm:
 
 
 def rand_word(rng, ctx: AlgebraContext, max_len: int) -> tuple:
-    length = rng.randint(0, max_len)
-    return tuple(rng.randint(1, ctx.dim) for _ in range(length))
+    bits, n = rng.getrandbits, ctx.dim
+    return tuple([1 + _below(bits, n) for _ in range(_below(bits, max_len + 1))])
 
 
 def rand_tensor(rng, ctx: AlgebraContext, max_grade: int = 4, terms: int = 3) -> TensorElt:
@@ -145,10 +167,20 @@ def rand_tensor(rng, ctx: AlgebraContext, max_grade: int = 4, terms: int = 3) ->
 
 
 def _mask(rng: random.Random, n: int) -> int:
-    """rand_blade's draws as the blade's mask: sample picks its indices
-    from the population's length alone, so range(n) draws what
-    range(1, n + 1) does, one less."""
-    return sum([1 << i for i in rng.sample(range(n), rng.randint(0, n))])
+    """rand_blade's draws as the blade's mask.  random.Random.sample picks
+    its indices from the population's length alone, so range(n) draws
+    what range(1, n + 1) does, one less; up to n = 21 it always draws
+    from a pool, as here, and above it this calls it."""
+    bits = rng.getrandbits
+    size = _below(bits, n + 1)
+    if n > 21:
+        return sum([1 << i for i in rng.sample(range(n), size)])
+    pool, m = list(range(n)), 0
+    for left in range(n, n - size, -1):
+        j = _below(bits, left)
+        m |= 1 << pool[j]
+        pool[j] = pool[left - 1]
+    return m
 
 
 def rand_blade(rng, ctx: AlgebraContext) -> tuple:

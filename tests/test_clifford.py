@@ -25,10 +25,10 @@ from cliffbundle.sampling import (rand_alternating, rand_bilinear, rand_cliff,
 from cliffbundle import clifford, scalars
 from cliffbundle.forms import quad_of_bilinear
 from cliffbundle.scalars import Scalar, scaled_ints
-from cliffbundle.clifford import (_act, _actions, _canonical, _contract_pairs, _data_of,
+from cliffbundle.clifford import (_act, _act_word, _canonical, _contract_pairs, _data_of,
                                   _operate, _packed_sum, _word_sum, index_subset, subset_index)
-from oracles import (chevalley_rows, deform_sum, interior_sum, pair_sum, quantize_perm_sum,
-                     to_exterior, word_sum)
+from oracles import (chevalley_rows, contract_loop, deform_sum, interior_sum, left_mul_loop,
+                     pair_sum, quantize_perm_sum, to_exterior, word_sum)
 
 FIELDS = (RATIONALS, Field(2), Field(7))
 
@@ -387,11 +387,10 @@ def _both_sums(field, rows, u, v, wedge):
     """_packed_sum and _word_sum of the same call, each through the
     exit _operate takes, as blade -> Scalar maps; u and v map blades
     to Scalars."""
-    n, p = len(rows[0]), field.char
-    actions = _actions(n, _kernel_rows(rows), wedge)
+    n, p, kernel = len(rows[0]), field.char, _kernel_rows(rows)
     (u, du), (v, dv) = _pair(field, u), _pair(field, v)
-    values, den = _packed_sum(actions, p, n, u, v)
-    out, den_dict = _word_sum(_act, actions, p, u, v)
+    values, den = _packed_sum(p, n, kernel, u, v, wedge)
+    out, den_dict = _word_sum(p, n, kernel, u, v, wedge)
     return (_terms(field, _canonical(p, range(1 << n), values, du * dv * den)),
             _terms(field, _canonical(p, out, out.values(), du * dv * den_dict)))
 
@@ -491,7 +490,7 @@ def test_split_sum_matches_dict_sum(field):
     words, du = _data_of(field, [(1,) * k for k in range(4)],
                          [_coeff(rng, field) for _ in range(4)])
     p = field.char
-    out, den = _word_sum(_act, _actions(1, rows), p, words, {0: 1})
+    out, den = _word_sum(p, 1, rows, words, {0: 1})
     assert (_canonical(p, out, out.values(), du * den)
             == _operate(p, 1, rows, (words, du), ({0: 1}, 1)))
 
@@ -511,14 +510,14 @@ def test_word_keys_run_on_dicts(field, monkeypatch):
     for n in range(1, 4):
         ctx = AlgebraContext(n, field)
         cctx = CliffordContext(rand_quadratic(rng, ctx))
-        actions = _actions(n, clifford._chevalley(cctx.quadratic))
+        rows = clifford._chevalley(cctx.quadratic)
         for _ in range(3):
             w = CliffElt(cctx, _blade_terms(rng, field, n))
             u = rand_tensor(rng, ctx, max_grade=2 * n, terms=4)
             words = {index_subset(m)[::-1]: c for m, c in w.data.items()}
             for got, (data, den) in ((w.reverse(), (words, w.den)),
                                      (quotient_map(cctx, u), (u.data, u.den))):
-                out, den_dict = _word_sum(_act, actions, p, data, {0: 1})
+                out, den_dict = _word_sum(p, n, rows, data, {0: 1})
                 assert (got.data, got.den) == _canonical(p, out, out.values(), den * den_dict)
 
 
@@ -711,7 +710,7 @@ def test_packed_moves_at_the_slot_edge(width):
     assert clifford._carrier(n, edge)[0] == width
     H, masks = clifford._constants(n, width)
     X = clifford._pack(values.values(), width, H)
-    wedge_only = _actions(n, ([0] * n * n, 1))
+    wedge_only = ([0] * n * n, 1)
     for r in range(n):
         bit = 1 << r
 
@@ -719,7 +718,7 @@ def test_packed_moves_at_the_slot_edge(width):
             return -1 if (m & (bit - 1)).bit_count() & 1 else 1
 
         wedge = [sign(m ^ bit) * values[m ^ bit] if m & bit else 0 for m in range(1 << n)]
-        assert _packed_sum(wedge_only, 0, n, {bit: 1}, values) == (wedge, 1)
+        assert _packed_sum(0, n, wedge_only, {bit: 1}, values) == (wedge, 1)
         down = [0 if m & bit else sign(m) * values[m | bit] for m in range(1 << n)]
         row = [(masks[r], 1)]
         _, without, odd = masks[r]
@@ -743,20 +742,76 @@ def test_bias_images_are_the_actions_on_H(field):
                 for _ in range(n)]
         identity = [[int(i == j) for j in range(n)] for i in range(n)]
         for raw, wedge in ((rows, True), (rows, False), (identity, False)):
-            actions = _actions(n, _kernel_rows(raw), wedge)
-            acts, scale, _ = actions
+            kernel = _kernel_rows(raw)
+            scale = kernel[1] if wedge else 0
             weights.add(scale)
             for bound in (1, 1 << 70, 1 << 140):
                 _, H, masks = clifford._carrier(n, bound)
 
-                def act(Y, bit, row):
-                    up, without, odd = masks[bit.bit_length() - 1]
+                def act(Y, r):
+                    up, without, odd = masks[r]
                     out = ((Y & without) ^ odd) << up if scale else 0
-                    row = [(masks[b.bit_length() - 1], f) for b, f in row]
+                    row = [(masks[j], f) for j, f in enumerate(kernel[0][r * n:(r + 1) * n]) if f]
                     return clifford._contract(Y, row, out * scale)
 
-                assert clifford._bias_images(H, masks, actions) == [act(H, *a) for a in acts]
+                assert (clifford._bias_images(H, masks, n, kernel, wedge)
+                        == [act(H, r) for r in range(n)])
     assert {0, 1} <= weights if field.char else max(weights) > 1
+
+
+def _word_action(r, row, scale, p, words):
+    """e_(r+1) acting on a word -> int map by the oracles: scale times
+    left multiplication by e_(r+1) plus the contraction by row, reduced
+    mod p when p > 0."""
+    out = left_mul_loop([scale if j == r else 0 for j in range(len(row))], words, 0)
+    for w, c in contract_loop(row, words, 0).items():
+        out[w] = out.get(w, 0) + c
+    return {w: c % p if p else c for w, c in out.items() if (c % p if p else c)}
+
+
+def _mask_action(r, n, row, scale, p, terms):
+    """The same action on a mask -> int map: the low n bits of each mask
+    as an increasing word, pushed back to the exterior algebra, and the
+    bits above n (rho's (column << n) | row) kept as they are."""
+    out = {}
+    for high in {m >> n for m in terms}:
+        words = {index_subset(m & ((1 << n) - 1)): c for m, c in terms.items() if m >> n == high}
+        for blade, c in to_exterior(_word_action(r, row, scale, p, words), p).items():
+            out[subset_index(blade) | high << n] = c
+    return out
+
+
+@pytest.mark.parametrize("field", PACKED_FIELDS, ids=lambda f: f.spec)
+def test_actions_read_rows_in_place(field):
+    """_act and _act_word read row r of the kernel's rows in place,
+    nums[r n:(r + 1) n], and equal the oracles' left multiplication plus
+    contraction at n = 1..6: on the full rows of G_Q + F (d > 1 over Q)
+    with the wedge weight d and with the wedge off, on zero rows, on a
+    single row (contract's), and on masks with bits above n set, as rho
+    keys its identity matrix."""
+    rng = random.Random(f"rows/{field.spec}")
+    p = field.char
+
+    def value():
+        return rng.randrange(p) if p else rng.randint(-40, 40)
+
+    for n in range(1, 7):
+        ctx = AlgebraContext(n, field)
+        full = clifford._chevalley(rand_quadratic(rng, ctx), rand_bilinear(rng, ctx))
+        cases = [(full, full[1]), (full, 0), (([0] * n * n, 1), 1), (([0] * n * n, 1), 0),
+                 (([value() for _ in range(n)], 1), 0)]
+        masks = {rng.randrange(1 << n) | rng.randrange(1 << n) << n: value() for _ in range(12)}
+        words = {tuple(rng.randint(1, n) for _ in range(rng.randint(0, n + 2))): value()
+                 for _ in range(12)}
+        for (nums, d), scale in cases:
+            for r in range(len(nums) // n):
+                row = [nums[r * n + j] for j in range(n)]
+                for terms in (masks, {m & ((1 << n) - 1): c for m, c in masks.items()}):
+                    assert (_act(r, n, nums, scale, p, terms)
+                            == _mask_action(r, n, row, scale, p, terms)), (n, r, scale)
+                assert (_act_word(r, n, nums, scale, p, words)
+                        == _word_action(r, row, scale, p, words)), (n, r, scale)
+    assert full[1] > 1 if not p else full[1] == 1
 
 
 @pytest.mark.parametrize("order", ("little", "big"))
@@ -1080,6 +1135,66 @@ def test_deform_context_mismatch():
         deform(F, CliffElt.unit(cctx), target=wrong_target)
 
 
+_SHIFT_REFUSED = ("quadratic forms do not match: source must equal target plus the "
+                  "quadratic part of the deforming form")
+
+
+def _shift_cases():
+    """(name, F, source Q, target Q, the error deform_apply raises and
+    its message, None when the shift holds) for _check_shift."""
+    q_ctx, f_ctx = AlgebraContext(3, RATIONALS), AlgebraContext(3, Field(7))
+    F = BilinearForm.make(q_ctx, [[1, 2, 0], [Fraction(1, 2), 3, 1], [0, 4, Fraction(-1, 3)]])
+    target = QuadraticForm.make(q_ctx, [1, 0, 2], [[1, Fraction(1, 5)], [0]])
+    source = target + quad_of_bilinear(F)
+
+    def edited(q, k, delta):
+        nums = list(q.nums)
+        nums[k] += delta * q.den
+        return QuadraticForm(q.ctx, nums, q.den)
+
+    G = BilinearForm.make(f_ctx, [[3, 1, 0], [4, 5, 0], [0, 2, 6]])
+    t7 = QuadraticForm.make(f_ctx, [4, 4, 1], [[2, 0], [6]])
+    # the residues of t7 + quad_of_bilinear(G), whose integer differences
+    # at (1, 1) and (2, 1) are 0 - 4 - 3 and 0 - 2 - (4 + 1), both -7
+    s7 = QuadraticForm(f_ctx, (0, 0, 0, 0, 2, 0, 0, 1, 0), 1)
+    # three distinct dens: F over 2, the target over 3, the source over 6
+    H = BilinearForm.make(q_ctx, [[Fraction(1, 2), 0, 0], [0, 0, 0], [1, 0, 0]])
+    t3 = QuadraticForm.make(q_ctx, [Fraction(1, 3), 0, 1], [[1, 0], [Fraction(2, 3)]])
+    s6 = t3 + quad_of_bilinear(H)
+    assert (H.den, t3.den, s6.den) == (2, 3, 6)
+    other = AlgebraContext(2, RATIONALS)
+    refused = (FormError, _SHIFT_REFUSED)
+    return [
+        ("holds", F, source, target, None),
+        ("diagonal wrong", F, edited(source, 4, 1), target, refused),
+        ("one polar value wrong", F, edited(source, 7, -1), target, refused),
+        ("difference 7 over GF(7)", G, s7, t7, None),
+        ("difference nonzero mod 7", G, edited(s7, 0, 1), t7, refused),
+        ("dens differ, values equal", H, s6, t3, None),
+        ("dims differ", F, QuadraticForm.zero(other), target, refused),
+        ("fields differ", G, QuadraticForm.zero(q_ctx), t7, refused),
+        ("F of another context", BilinearForm.zero(other), source, target,
+         (ContextMismatch, f"contexts differ: {other} vs {q_ctx}")),
+    ]
+
+
+@pytest.mark.parametrize("name, F, source, target, refused", _shift_cases(),
+                         ids=[case[0] for case in _shift_cases()])
+def test_check_shift_table(name, F, source, target, refused):
+    """deform_apply checks that the source form is the target's plus
+    F's quadratic part: each refusal raises its error with its message,
+    and each accepted shift gives deform of the source element."""
+    u = CliffElt.blade(CliffordContext(source), (1, 2))
+    v = CliffElt.unit(CliffordContext(target))
+    if refused is None:
+        assert deform_apply(F, u, v) == deform(F, u, target=v.cctx)
+        return
+    error, message = refused
+    with pytest.raises(error) as info:
+        deform_apply(F, u, v)
+    assert str(info.value) == message
+
+
 def test_deform_apply_operator():
     rng = random.Random(14)
     for field in FIELDS:
@@ -1313,6 +1428,20 @@ def test_cliff_json_round_trip():
         w = rand_cliff(rng, cctx)
         assert CliffElt.from_json(cctx, w.to_json()) == w
     assert CliffordContext.from_json(cctx.to_json()) == cctx
+
+
+def test_clifford_context_needs_a_quadratic_form():
+    """A record that is not a QuadraticForm is refused, with FormError:
+    a bilinear form with the same data would multiply as if it were G_Q
+    and write JSON that from_json cannot read.  _of builds take their
+    form as it is."""
+    ctx = AlgebraContext(2, RATIONALS)
+    for bad in (BilinearForm(ctx, (0, 1, 0, 0), 1), QuadraticForm.zero(ctx).nums, None, ctx):
+        with pytest.raises(FormError, match="a Clifford context needs a QuadraticForm"):
+            CliffordContext(bad)
+    q = QuadraticForm(ctx, (0, 0, 1, 0), 1)
+    assert CliffordContext._of(q) == CliffordContext(q) == CliffordContext.exterior(ctx).shift(
+        BilinearForm(ctx, (0, 0, 1, 0), 1))
 
 
 def test_blade_validation():

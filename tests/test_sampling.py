@@ -161,6 +161,29 @@ def test_draws_match_the_scalar_route(field, dim):
         _same_draw(a, b, S.rand_cliff, o_cliff, ext, terms=5)
 
 
+def test_below_draws_what_randrange_draws():
+    """_below(getrandbits, m) draws what randrange(m) does, value and
+    state, at powers of two, just off them, m = 1 and beyond 64 bits."""
+    for m in (1, 2, 3, 5, 7, 8, 9, 11, 2 ** 61 - 1, 2 ** 64, 10 ** 30):
+        a, b = _twins(m % 997)
+        for _ in range(200):
+            assert sampling._below(a.getrandbits, m) == b.randrange(m)
+        assert a.getstate() == b.getstate(), m
+
+
+def test_mask_draws_what_sample_draws():
+    """_mask draws its size as randint(0, n) and its indices as
+    random.Random.sample(range(n), size) does, value and state, for
+    n = 1..30: sample's pool branch at every size up to n = 21, and both
+    its branches (a set of picks at size <= 5, the pool above) beyond."""
+    for n in range(1, 31):
+        a, b = _twins(n)
+        for _ in range(300):
+            size = b.randint(0, n)
+            assert sampling._mask(a, n) == sum(1 << i for i in b.sample(range(n), size))
+            assert a.getstate() == b.getstate(), n
+
+
 @pytest.mark.parametrize("field", FIELDS[:3], ids=lambda f: f.spec)
 def test_colliding_and_cancelling_terms(field):
     """n = 1 with six terms: keys repeat in every draw, and some sums
