@@ -668,11 +668,12 @@ def _contract_pairs(p: int, n: int, rows: tuple, w: tuple) -> tuple:
     wins from half the slots at n = 6 (0.80) and from a quarter at
     n = 7 (0.73-0.75).  The pairs come from _pair_rows.  Over
     Q it is fraction-free: with d its common denominator, w_M is
-    weighted by d^((T - |M|) / 2), T the top grade of w of the parity
-    of |M|, so the result at K is over den(w) d^((T - |K|) / 2); each
-    grade is lifted to the largest of these before the exit.  On the
-    packed carrier both run in slot order, through the grade table
-    _grades(n), and the weighed values are the ones _pack joins."""
+    weighted by d^((n - |M|) >> 1) and the result at K by
+    d^((n >> 1) - ((n - |K|) >> 1)), over den(w) d^(n >> 1): a pass
+    scales by d and takes the grade down 2, so every path from M to K
+    is weighed d^(n >> 1) in all.  On the packed carrier both run in
+    slot order, through the grade table _grades(n), and the weighed
+    values are the ones _pack joins."""
     g, d = _pair_rows(p, n, rows)
     terms, den = w
     packed = 2 * len(terms) >= 1 << max(n, 7)
@@ -680,19 +681,17 @@ def _contract_pairs(p: int, n: int, rows: tuple, w: tuple) -> tuple:
     values = list(map(terms.get, keys, repeat(0))) if packed else terms.values()
     if d != 1:
         grades = _grades(n) if packed else list(map(int.bit_count, terms))
-        present = set(compress(grades, values))
-        top = [max((k for k in present if k & 1 == r), default=r) for r in (0, 1)]
-        powers = [max(top[k & 1] - k, 0) >> 1 for k in range(n + 1)]
-        values = list(map(mul, values, map([d ** x for x in powers].__getitem__, grades)))
+        powers = [d ** ((n - k) >> 1) for k in range(n + 1)]
+        values = list(map(mul, values, map(powers.__getitem__, grades)))
     if packed:
         values = _packed_pairs(g, n, values)
     else:
         keys = _pair_passes(g, dict(zip(terms, values)) if d != 1 else terms)
         values, grades = keys.values(), map(int.bit_count, keys)
     if d != 1:
-        most = max(powers)
-        values = map(mul, values, map([d ** (most - x) for x in powers].__getitem__, grades))
-        den *= d ** most
+        most = d ** (n >> 1)
+        values = map(mul, values, map([most // x for x in powers].__getitem__, grades))
+        den *= most
     return _canonical(p, keys, values, den)
 
 
@@ -710,7 +709,7 @@ class _Sparse:
     it, canonical (data, den) (see the module's notes), so equal
     elements have equal data: the arithmetic CliffElt (masks) and
     TensorElt (words) share.  Each class checks public keys and gives
-    their kernel keys (_checked_keys, _json_key), reads the public keys
+    their kernel keys (_checked_keys), reads the public keys
     and their grade (_keys, _grade), names the context slot (cctx, ctx)
     and the unit's key, refuses an operand of another context (_same)
     and shows a key in _key_text."""
@@ -811,15 +810,27 @@ class _Sparse:
             -c if self._grade(k) & 1 else c for k, c in self.data.items()], self.den)
 
     @classmethod
-    def _read(cls, home, data: dict, noun: str):
+    def _read(cls, home, data: dict, noun: str, cap=None):
         """The element of a JSON object's "terms", {noun: key, "coeff":
-        literal} each, the key read first (_json_key); equal keys add up."""
+        literal} each; equal keys add up.  A key, read before its
+        coefficient, is an array of JSON integers (not true or false) that
+        passes the class's _checked_keys (its FormError goes out as
+        ParseError) and cap, if given, on its grade; built by _of."""
         out = {}
         for term in shaped(shaped(data, dict, "element")["terms"], list, "terms"):
-            key = cls._json_key(home, shaped(shaped(term, dict, "terms entry")[noun], list, noun))
+            key = shaped(shaped(term, dict, "terms entry")[noun], list, noun)
+            if not all(type(i) is int for i in key):
+                raise ParseError(f"a {noun}'s indices must be JSON integers, "
+                                 f"got {excerpt(list(key))}")
+            try:
+                key, = cls._checked_keys(home, (tuple(key),))
+            except FormError as exc:
+                raise ParseError(str(exc)) from None
+            if cap is not None:
+                cap(cls._grade(key))
             c = home.field.parse(term["coeff"])
             out[key] = out[key] + c if key in out else c
-        return cls(home, out)
+        return cls._of(home, *_data_of(home.field, out, out.values()))
 
     def _sorted_terms(self) -> list:
         """The (key, Scalar) pairs by grade, then lexicographically: the
@@ -884,17 +895,9 @@ class CliffElt(_Sparse):
     def to_json(self) -> dict:
         return {"terms": [{"blade": list(b), "coeff": str(c)} for b, c in self._sorted_terms()]}
 
-    @staticmethod
-    def _json_key(cctx: CliffordContext, blade: list) -> tuple:
-        if any(isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= cctx.dim
-               for i in blade):
-            raise ParseError(f"blade index out of range: {excerpt(list(blade))}")
-        if any(blade[t] >= blade[t + 1] for t in range(len(blade) - 1)):
-            raise ParseError(f"blade must be strictly increasing: {excerpt(list(blade))}")
-        return tuple(blade)
-
     @classmethod
     def from_json(cls, cctx: CliffordContext, data: dict) -> "CliffElt":
+        """The element of JSON "terms" (_Sparse._read), each blade checked by _blade_masks."""
         return cls._read(cctx, data, "blade")
 
 

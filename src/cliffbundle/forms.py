@@ -49,11 +49,13 @@ class AlgebraContext:
 
     @classmethod
     def from_json(cls, data: dict) -> "AlgebraContext":
-        """The context of a JSON object's "dim", a JSON integer, and "field"."""
-        dim = shaped(data, dict, "context")["dim"]
-        if isinstance(dim, bool) or not isinstance(dim, int):
-            raise ParseError(f"dim must be an integer, got {excerpt(dim)}")
-        return cls(dim, Field.from_spec(data["field"]))
+        """The context of a JSON object's "dim" and "field" spec (Field.from_spec).
+        The constructor checks dim; its ValueError is reported as ParseError."""
+        dim, field = shaped(data, dict, "context")["dim"], Field.from_spec(data["field"])
+        try:
+            return cls(dim, field)
+        except ValueError as exc:
+            raise ParseError(str(exc)) from None
 
     def coerce(self, value) -> Scalar:
         if isinstance(value, Scalar):

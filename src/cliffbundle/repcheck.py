@@ -28,10 +28,10 @@ from functools import cached_property
 from math import gcd, isqrt, lcm
 
 from . import linalg
-from .clifford import (CliffElt, CliffordContext, _data_of, _pair_passes, _pair_rows,
-                       _word_sum)
+from .clifford import (CliffElt, CliffordContext, _check_shift, _data_of, _pair_passes,
+                       _pair_rows, _word_sum)
 from .errors import CapExceeded, FieldMismatch, FormError
-from .forms import AlgebraContext, BilinearForm, _checked_den, quad_of_bilinear, same_context
+from .forms import AlgebraContext, BilinearForm, QuadraticForm, _checked_den, same_context
 from .records import record
 from .scalars import Field, canonical_ints, excerpt, ints_of, scalars_over, scaled_ints
 
@@ -168,18 +168,17 @@ def _rep_guard(n: int):
 def rho_matrix(F: BilinearForm, u: CliffElt) -> EndoMatrix:
     """Matrix of the operator deformation of u on the exterior algebra.
 
-    u must live over the quadratic form of F itself (x -> F(x, x)); the
-    map is an algebra homomorphism, and its first column (image of the
-    unit) is the coefficient vector of deform(F, u).  Column S is
-    deform_apply(F, u, e_S): u acting on e_S through the form F, the
-    Chevalley form of the exterior algebra plus F.  Every column comes
-    from one walk of u's words over the identity matrix, keyed
+    Column S is deform_apply(F, u, e_S), u acting on e_S through F, so
+    u must live over 0 + Q_F (x -> F(x, x)): deform_apply's rule,
+    clifford._check_shift, checks it.  The map is an algebra
+    homomorphism, and its first column (image of the unit) is the
+    coefficient vector of deform(F, u).  Every column comes from one
+    walk of u's words over the identity matrix, keyed
     (column << n) | row: the kernel reads only the low n bits of a key.
     """
     ctx = F.ctx
     same_context(ctx, u.cctx.ctx)
-    if u.cctx.quadratic != quad_of_bilinear(F):
-        raise FormError("element must live over the quadratic form of F")
+    _check_shift(F, u.cctx.quadratic, QuadraticForm.zero(ctx))
     _rep_guard(ctx.dim)
     return _rho(F, u.data, u.den)
 
@@ -208,7 +207,8 @@ def twist_matrix(A: BilinearForm) -> EndoMatrix:
     passes read only the low n bits of a key.  Over Q each pass is d
     times the true one, so the entry at (S, K), reached by
     (|S| - |K|) / 2 of them, is scaled by d^(n // 2 - (|S| - |K|) / 2)
-    and put over d^(n // 2)."""
+    and put over d^(n // 2): the product of clifford._contract_pairs'
+    weights at grades |S| and |K|."""
     if not A.is_alternating():
         raise FormError("twist matrix needs an alternating form")
     ctx = A.ctx
@@ -251,12 +251,11 @@ def check_equivalence(F: BilinearForm, A: BilinearForm, samples, seed: int = 0) 
 
     The two representations share one source algebra (an alternating
     form has zero quadratic part), so each sample element feeds both
-    sides unchanged.  Failures record the first discrepant entry.
+    sides unchanged.  Failures record the first discrepant entry.  A is
+    checked first, by twist_matrix, and each sample by rho_matrix.
     """
-    if not A.is_alternating():
-        raise FormError("twist form must be alternating")
-    same_context(F.ctx, A.ctx)
     M = twist_matrix(A)
+    same_context(F.ctx, A.ctx)
     Fp = F + A
     failures = []
     total = 0

@@ -22,7 +22,7 @@ from .records import record
 
 # A scalar literal: an integer or a fraction of two integers.
 _LITERAL = re.compile("(-?[0-9]+)(?:/(-?[0-9]+))?")
-_MODULUS = re.compile("Fp:([0-9]+)")
+_MODULUS = re.compile("Fp:0*([1-9][0-9]*)")
 
 # Longest refused value an error message repeats whole.
 _SHOWN = 40
@@ -113,6 +113,9 @@ class Field:
 
     @classmethod
     def from_spec(cls, text: str) -> "Field":
+        """The field of "Q" or "Fp:<p>", p a positive integer.  Only the grammar
+        is read here: the constructor's ValueError (p not a prime below
+        is_prime's bound) goes out as ParseError."""
         if not isinstance(text, str):
             raise ParseError(f"field spec must be a string, got {excerpt(text)}")
         text = text.strip()
@@ -125,12 +128,10 @@ class Field:
             p = int(match[1])
         except ValueError:  # more digits than int() converts
             raise ParseError(f"bad field spec {excerpt(text)}") from None
-        if p >= _MR_BOUND:
-            raise ParseError(f"modulus {excerpt(p)} is not below {_MR_BOUND}, "
-                             "the bound of the primality test")
-        if not is_prime(p):
-            raise ParseError(f"modulus {excerpt(p)} is not prime")
-        return cls(p)
+        try:
+            return cls(p)
+        except ValueError as exc:
+            raise ParseError(str(exc)) from None
 
     def __call__(self, value) -> "Scalar":
         return Scalar(self, value)

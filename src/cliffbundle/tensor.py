@@ -18,8 +18,8 @@ their sparse arithmetic with CliffElt.
 
 from __future__ import annotations
 
-from .clifford import _Sparse, _keyed, _operate
-from .errors import CapExceeded, FormError, ParseError
+from .clifford import _Sparse, _data_of, _keyed, _operate
+from .errors import CapExceeded, FormError
 from .forms import AlgebraContext, BilinearForm, LinearForm, Vector, same_context
 from .scalars import excerpt
 
@@ -64,9 +64,9 @@ class TensorElt(_Sparse):
     @classmethod
     def from_word(cls, ctx: AlgebraContext, word, coeff=1) -> "TensorElt":
         # a word that is not iterable goes to _checked_words, which refuses it
-        word = _checked_words(ctx, (tuple(word) if hasattr(word, "__iter__") else word,))[0]
+        word, = _checked_words(ctx, (tuple(word) if hasattr(word, "__iter__") else word,))
         _check_grade(len(word))
-        return cls(ctx, {word: ctx.coerce(coeff)})
+        return cls._of(ctx, *_data_of(ctx.field, (word,), (ctx.coerce(coeff),)))
 
     @classmethod
     def from_vector(cls, x: Vector) -> "TensorElt":
@@ -95,18 +95,11 @@ class TensorElt(_Sparse):
     def to_json(self) -> dict:
         return {"terms": [{"word": list(w), "coeff": str(c)} for w, c in self._sorted_terms()]}
 
-    @staticmethod
-    def _json_key(ctx: AlgebraContext, word: list) -> tuple:
-        try:
-            word = _checked_words(ctx, (tuple(word),))[0]
-        except FormError as exc:
-            raise ParseError(str(exc)) from None
-        _check_grade(len(word))
-        return word
-
     @classmethod
     def from_json(cls, ctx: AlgebraContext, data: dict) -> "TensorElt":
-        return cls._read(ctx, data, "word")
+        """The element of JSON "terms" (_Sparse._read), each word checked by
+        _checked_words, then by the grade cap, whose CapExceeded goes out as it is."""
+        return cls._read(ctx, data, "word", _check_grade)
 
 
 def left_mul(x: Vector, u: TensorElt) -> TensorElt:

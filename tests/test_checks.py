@@ -45,7 +45,7 @@ def test_cheap_refusals_come_before_the_id():
     refused before the registry is read, so before an unknown id."""
     with pytest.raises(ParseError, match="samples must be >= 0, got -3"):
         run_check("no.such.suite", samples=-3)
-    with pytest.raises(ValueError, match="not prime"):
+    with pytest.raises(ParseError, match="must be 0 or a prime, got 4"):
         run_check("no.such.suite", field="Fp:4")
 
 

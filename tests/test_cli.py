@@ -4,14 +4,18 @@ import importlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import cliffbundle
+from cliffbundle import (RATIONALS, AlgebraContext, CapExceeded, CliffElt, CliffordContext,
+                         Field, ParseError, TensorElt, scalars)
 from cliffbundle.cli import build_parser, main
 
 CTX = {
@@ -420,13 +424,127 @@ def test_field_number_is_refused(monkeypatch, capsys):
     assert err == "cliffbundle: malformed input: field spec must be a string, got 7\n"
 
 
-@pytest.mark.parametrize("dim", [2.5, True, "2"])
+@pytest.mark.parametrize("dim", [2.5, True, "2", 0, -1])
 def test_dim_must_be_a_json_integer(dim, monkeypatch, capsys):
+    """dim is refused by the context's constructor, a JSON integer below
+    1 too, with exit 2 and one line."""
     payload = {"context": dict(CTX, dim=dim), "u": {"terms": []}, "v": {"terms": []}}
     code, out, err = run_cli(["product"], json.dumps(payload), monkeypatch, capsys)
     assert code == 2
     assert not out
-    assert err.startswith("cliffbundle: malformed input: dim must be an integer, got ")
+    assert err.startswith("cliffbundle: malformed input: context dimension must be >= 1, "
+                          "an int, got ") and err.count("\n") == 1
+
+
+# ------------------------------------------------ the JSON readers' refusals
+
+_BOUND = 3317044064679887385961981
+
+
+def _terms(noun, key, coeff="1"):
+    return {"terms": [{noun: key, "coeff": coeff}]}
+
+
+def _blade(n, key, coeff="1"):
+    cctx = CliffordContext.exterior(AlgebraContext(n, RATIONALS))
+    return lambda: CliffElt.from_json(cctx, _terms("blade", key, coeff))
+
+
+def _word(key, coeff="1"):
+    return lambda: TensorElt.from_json(AlgebraContext(3, RATIONALS), _terms("word", key, coeff))
+
+
+def _context(dim):
+    return lambda: AlgebraContext.from_json({"dim": dim, "field": "Q"})
+
+
+def _spec(text):
+    return lambda: Field.from_spec(text)
+
+
+# reader, the error and its text: a value rule's text is its owner's
+# (the constructor, _blade_masks, _checked_words, is_prime); a JSON
+# integer, the spec grammar and the grade cap are the readers' own
+READER_REFUSALS = {
+    "dim 0": (_context(0), ParseError, "context dimension must be >= 1, an int, got 0"),
+    "dim -1": (_context(-1), ParseError, "context dimension must be >= 1, an int, got -1"),
+    "dim 2.0": (_context(2.0), ParseError, "context dimension must be >= 1, an int, got 2.0"),
+    "Fp:4": (_spec("Fp:4"), ParseError, "field characteristic must be 0 or a prime, got 4"),
+    "Fp:1": (_spec("Fp:1"), ParseError, "field characteristic must be 0 or a prime, got 1"),
+    "Fp:0": (_spec("Fp:0"), ParseError, "bad field spec 'Fp:0'"),
+    "Fp:bound": (_spec(f"Fp:{_BOUND}"), ParseError,
+                 f"primality is decided only below {_BOUND}, got {_BOUND}"),
+    "blade [0]": (_blade(3, [0]), ParseError,
+                  "a term's key must be a blade on e_1..e_3, got (0,)"),
+    "blade [4]": (_blade(3, [4]), ParseError,
+                  "a term's key must be a blade on e_1..e_3, got (4,)"),
+    "blade [2, 1]": (_blade(3, [2, 1]), ParseError,
+                     "a term's key must be a blade on e_1..e_3, got (2, 1)"),
+    "blade [1, 1]": (_blade(3, [1, 1]), ParseError,
+                     "a term's key must be a blade on e_1..e_3, got (1, 1)"),
+    "blade [true]": (_blade(3, [True]), ParseError,
+                     "a blade's indices must be JSON integers, got [True]"),
+    "blade [1.5]": (_blade(3, [1.5]), ParseError,
+                    "a blade's indices must be JSON integers, got [1.5]"),
+    "blade ['1']": (_blade(3, ["1"]), ParseError,
+                    "a blade's indices must be JSON integers, got ['1']"),
+    "blade [2, 1] at n = 13": (_blade(13, [2, 1]), ParseError,
+                               "a term's key must be a blade on e_1..e_13, got (2, 1)"),
+    "blade [14] at n = 13": (_blade(13, [14]), ParseError,
+                             "a term's key must be a blade on e_1..e_13, got (14,)"),
+    "word [0]": (_word([0]), ParseError, "word index 0 out of range 1..3"),
+    "word [true]": (_word([True]), ParseError,
+                    "a word's indices must be JSON integers, got [True]"),
+    "word over the cap": (_word([1] * 17), CapExceeded,
+                          "word of length 17 exceeds the grade cap 16"),
+    # the key is read before its coefficient
+    "bad blade, bad coeff": (_blade(3, [4], "x"), ParseError,
+                             "a term's key must be a blade on e_1..e_3, got (4,)"),
+    "bad word, bad coeff": (_word([4], "1/0"), ParseError, "word index 4 out of range 1..3"),
+    "long word, bad coeff": (_word([1] * 17, "x"), CapExceeded,
+                             "word of length 17 exceeds the grade cap 16"),
+}
+
+
+@pytest.mark.parametrize("read,error,text", READER_REFUSALS.values(), ids=list(READER_REFUSALS))
+def test_readers_refuse_with_the_owners_text(read, error, text):
+    """Each JSON reader refuses a value its owner refuses with ParseError
+    and the owner's text; only the tensor grade cap stays CapExceeded."""
+    with pytest.raises(error, match=f"^{re.escape(text)}$"):
+        read()
+
+
+def test_field_spec_tests_primality_once(monkeypatch):
+    """Field.from_spec leaves the bound and the primality test to the
+    constructor: is_prime runs once per spec, accepted or refused."""
+    calls = []
+    real = scalars.is_prime
+    monkeypatch.setattr(scalars, "is_prime", lambda p: calls.append(p) or real(p))
+    assert Field.from_spec("Fp:7").char == 7
+    with pytest.raises(ParseError):
+        Field.from_spec("Fp:4")
+    assert Field.from_spec("Q").char == 0
+    assert calls == [7, 4]
+
+
+@pytest.mark.parametrize("cls,noun,home", [
+    (CliffElt, "blade", CliffordContext.exterior(AlgebraContext(3, RATIONALS))),
+    (TensorElt, "word", AlgebraContext(3, RATIONALS))])
+def test_each_json_key_is_checked_once(cls, noun, home, monkeypatch):
+    """The element readers run the class's own key check once per JSON
+    key, a repeated key included, and build the element from the keys
+    it returns."""
+    seen = []
+    real = cls._checked_keys
+    monkeypatch.setattr(cls, "_checked_keys",
+                        staticmethod(lambda h, keys: seen.append(keys) or real(h, keys)))
+    keys = [[1, 2], [3], [1, 2], []]
+    data = {"terms": [{noun: k, "coeff": c} for k, c in zip(keys, ["1", "2", "1/2", "-1"])]}
+    elt = cls.from_json(home, data)
+    assert seen == [(tuple(k),) for k in keys]
+    monkeypatch.undo()
+    assert elt == cls(home, {(1, 2): home.coerce(Fraction(3, 2)), (3,): home.coerce(2),
+                             (): home.coerce(-1)})
 
 
 def test_domain_error_exits_one(monkeypatch, capsys):
@@ -681,6 +799,17 @@ def test_tracer_installs():
                           text=True, timeout=120, env=_package_env(),
                           cwd=Path(__file__).resolve().parent.parent)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_bench_selftest_passes():
+    """bench/selftest.py, run from the repository root, finds that each
+    of the benchmark's checks accepts a correct result and rejects a
+    corrupted one."""
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "bench/selftest.py"], capture_output=True,
+                          text=True, timeout=120, env=_package_env(), cwd=root)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "selftest: ok"
 
 
 # each public name's home module, "public=attribute" where they differ

@@ -855,6 +855,28 @@ def test_rational_pair_weights_follow_the_grade(monkeypatch):
     assert len(packed) == 1
 
 
+@pytest.mark.parametrize("n,top", [(8, 2), (9, 3), (10, 2), (11, 1), (12, 2), (8, 8), (9, 9)])
+def test_rational_pair_weights_match_the_word_sum(n, top, monkeypatch):
+    """Over Q, with a common denominator d != 1, the pair product's
+    closed-form weights (d^((n - k) >> 1) in, d^((n >> 1) - ((n - k) >> 1))
+    out, at grade k) give the word sum of w acting on the unit through
+    the same rows, _operate(p, n, rows, w, unit): on w of grades <= top
+    below n on the dicts, and on a dense w at n = 8, 9 on the packed
+    carrier."""
+    rng = random.Random(f"pairs/closed/{n}/{top}")
+    rows = _kernel_rows([[rng.choice(Q_COEFFS) for _ in range(n)] for _ in range(n)])
+    assert clifford._pair_rows(0, n, rows)[1] != 1
+    real, packed = clifford._packed_pairs, []
+    monkeypatch.setattr(clifford, "_packed_pairs", lambda *a: packed.append(a) or real(*a))
+    masks = [m for m in range(1 << n) if m.bit_count() <= top]
+    if top < n:
+        masks = rng.sample(masks, min(len(masks), 40))
+    nums, den = scaled_ints([Fraction(rng.choice(Q_COEFFS)) for _ in masks])
+    w = _canonical(0, masks, nums, den)
+    assert _contract_pairs(0, n, rows, w) == _operate(0, n, rows, w, ({0: 1}, 1))
+    assert len(packed) == (top == n)
+
+
 def test_carrier_constants_are_kept_up_to_the_limit():
     """A carrier of at most _KEEP_BITS bits takes its constants from the
     kept table, equal to a fresh build, in at most 64 entries; a dense

@@ -328,7 +328,7 @@ def test_reports_are_unhashable_values():
     assert ProbeReport.certifies_irreducibility is False
 
 
-@pytest.mark.parametrize("dim", [2.5, True, "2", None, [2]])
+@pytest.mark.parametrize("dim", [2.5, True, "2", None, [2], 0, -1])
 def test_context_json_needs_integer_dim(dim):
     with pytest.raises(ParseError):
         AlgebraContext.from_json({"dim": dim, "field": "Q"})

@@ -124,6 +124,32 @@ def test_rho_rejects_wrong_form():
         rho_matrix(F, CliffElt.unit(wrong))
 
 
+@pytest.mark.parametrize("field", [RATIONALS, Field(7)], ids=lambda f: f.spec)
+def test_rho_takes_its_source_rule_from_deform_apply(field):
+    """rho_matrix(F, u) is deform_apply(F, u, .) on the exterior algebra,
+    so it refuses u with deform_apply's FormError exactly when u does
+    not live over 0 + Q_F: random forms, and the quadratic form of F
+    shifted by one unit at a random entry."""
+    rng = random.Random(f"rho/source/{field.spec}")
+    ctx = AlgebraContext(3, field)
+    ext = CliffordContext.exterior(ctx)
+    for _ in range(6):
+        F = rand_bilinear(rng, ctx)
+        q = quad_of_bilinear(F)
+        nums = list(q.nums)
+        k = rng.choice([i * 3 + j for i in range(3) for j in range(i + 1)])
+        nums[k] += q.den
+        for source in (type(q).make(ctx, q.diag, q.upper), rand_quadratic(rng, ctx),
+                       type(q)._made(ctx, nums, q.den)):
+            u = rand_cliff(rng, CliffordContext(source))
+            if source == q:
+                column = [row[0] for row in rho_matrix(F, u).entries]
+                assert column == cliff_to_vec(deform_apply(F, u, CliffElt.unit(ext)))
+            else:
+                with pytest.raises(FormError, match="^quadratic forms do not match"):
+                    rho_matrix(F, u)
+
+
 def test_twist_matrix_is_unipotent():
     # deformation by an alternating form is grade-filtration unipotent
     rng = random.Random(8)
@@ -199,9 +225,12 @@ def test_check_equivalence_reports_first_differing_entry(monkeypatch):
 
 
 def test_check_equivalence_needs_alternating():
+    """A twist form that is not alternating is refused by twist_matrix's
+    FormError, before the contexts are compared."""
     ctx = AlgebraContext(2, RATIONALS)
-    with pytest.raises(FormError):
-        check_equivalence(BilinearForm.identity(ctx), BilinearForm.identity(ctx), [])
+    for F in (BilinearForm.identity(ctx), BilinearForm.identity(AlgebraContext(3, RATIONALS))):
+        with pytest.raises(FormError, match="^twist matrix needs an alternating form$"):
+            check_equivalence(F, BilinearForm.identity(ctx), [])
 
 
 def test_vec_cliff_round_trip():
