@@ -93,9 +93,12 @@ n + (nonzero pairs) in all.  W is fixed before the first action from
 a bound on every slot read, from sum |u_S| for a sum and max |w_M| for
 a pair product (see _packed_sum, _packed_pairs), so |x_m| < 2^(W - 1)
 in any field and at any size; over GF(p) the slots are reduced only
-at the exit (_unpack), which lays the bytes of X + H out as native
-64-bit limbs and reads them through a memoryview cast, in C and with
-no module to import.  Over Q a pair product's input is weighed in
+at the exit.  The entry (_pack) and the exit (_unpack) of slots of at
+most 8 bytes move whole buffers through struct, with no pass per
+slot: W-bit two's complement is the low bytes of each 8-byte image,
+and XOR with H turns it into x_m + 2^(W - 1).  Wider slots are joined
+by int.to_bytes and read as native 64-bit limbs through a memoryview
+cast (_limbs).  Over Q a pair product's input is weighed in
 slot order, by a table of the grades of the 2^n masks (_grades).  H
 and the masks of a carrier of at most 2^16 bits are kept (_kept).
 Sparse calls, word keys (all of u's, as in quotient_map and reverse)
@@ -104,6 +107,7 @@ and repcheck's matrix builders stay on dicts.
 
 from __future__ import annotations
 
+import struct
 import sys
 from functools import lru_cache, partial, reduce
 from itertools import compress, repeat
@@ -372,7 +376,9 @@ def _word_sum(p: int, n: int, rows: tuple, u: dict, v: dict, wedge: bool = True)
     _act_word on words; u and v map their keys to ints, and u's keys are
     walked by _mask_walk or _suffix_walk.  Over Q the result is the map
     divided by den: u_S is weighted by d^(m - |S|), m the longest word
-    of u, and den is d^m.  Over GF(p) the map is unreduced and den is 1."""
+    of u, and den is d^m.  Over GF(p) the map is unreduced and den is 1.
+    A u of one term with coefficient 1 returns the walk's map itself,
+    v when S is empty, so callers read the result and do not change it."""
     nums, d = rows
     scale = d if wedge else 0
     act = _act_word if type(next(iter(v), None)) is tuple else _act
@@ -386,6 +392,8 @@ def _word_sum(p: int, n: int, rows: tuple, u: dict, v: dict, wedge: bool = True)
     out = {}
     get = out.get
     for c, length, got in walk(u.items(), v, step):
+        if c == 1 and len(u) == 1:
+            return got, d ** top
         if d != 1:
             c *= d ** (top - length)
         for k, x in got.items():
@@ -436,11 +444,24 @@ def _carrier(n: int, bound: int) -> tuple:
 
 def _pack(values, width: int, H: int) -> int:
     """The packed map X = sum over m < 2^n of x_m 2^(m W) of the values
-    x_m in mask order: the bytes of X + H, x_m + 2^(W - 1) in slot m,
-    joined in one pass, less H."""
-    slots = map(add, values, repeat(1 << (8 * width - 1)))
-    return int.from_bytes(b"".join(map(int.to_bytes, slots, repeat(width), repeat("little"))),
-                          "little") - H
+    x_m in mask order.  For W <= 64 the values are packed as one buffer
+    of 8-byte two's complements, whose low width bytes each are x_m in
+    W-bit two's complement, read as one int U: flipping every slot's top
+    bit, U ^ H, makes slot m x_m + 2^(W - 1), and the result is
+    (U ^ H) - H.  Wider slots are the bytes of x_m + 2^(W - 1) joined
+    slot by slot, less H."""
+    if width > 8:
+        slots = map(add, values, repeat(1 << (8 * width - 1)))
+        return int.from_bytes(b"".join(map(int.to_bytes, slots, repeat(width),
+                                           repeat("little"))), "little") - H
+    count = H.bit_length() // (8 * width)  # H has one bit in each of the 2^n slots
+    raw = struct.pack(f"<{count}q", *values)
+    if width < 8:
+        buf = bytearray(count * width)
+        for j in range(width):
+            buf[j::width] = raw[j::8]
+        raw = buf
+    return (int.from_bytes(raw, "little") ^ H) - H
 
 
 def _limbs(raw: bytes, width: int, order: str) -> bytes:
@@ -456,10 +477,29 @@ def _limbs(raw: bytes, width: int, order: str) -> bytes:
     return buf
 
 
+# each byte's sign as a fill byte: 0 below 128, 0xff from 128
+_SIGN_FILL = bytes(128) + b"\xff" * 128
+
+
 def _unpack(X: int, n: int, width: int, H: int) -> list:
-    """The value x_m of the packed map X at every mask m < 2^n: the
-    bytes of X + H laid out as native 64-bit limbs (_limbs), read by a
-    memoryview cast, each slot's limbs joined, less 2^(W - 1)."""
+    """The value x_m of the packed map X at every mask m < 2^n.  For
+    W <= 64, (X + H) ^ H holds x_m in W-bit two's complement in slot m:
+    its bytes are spread over 8-byte strides, bytes width..7 of each the
+    sign of its slot's top byte (_SIGN_FILL), and the strides read as
+    signed 64-bit ints in one call.  Wider slots are the bytes of X + H
+    laid out as native 64-bit limbs (_limbs), read by a memoryview cast,
+    each slot's limbs joined, less 2^(W - 1)."""
+    if width <= 8:
+        raw = ((X + H) ^ H).to_bytes(width << n, "little")
+        if width < 8:
+            buf = bytearray(8 << n)
+            for j in range(width):
+                buf[j::8] = raw[j::width]
+            sign = raw[width - 1::width].translate(_SIGN_FILL)
+            for j in range(width, 8):
+                buf[j::8] = sign
+            raw = buf
+        return list(struct.unpack(f"<{1 << n}q", raw))
     size = -(-width // 8)
     limbs = memoryview(_limbs((X + H).to_bytes(width << n, "little"), width,
                               sys.byteorder)).cast("Q")
@@ -673,7 +713,7 @@ def _contract_pairs(p: int, n: int, rows: tuple, w: tuple) -> tuple:
     scales by d and takes the grade down 2, so every path from M to K
     is weighed d^(n >> 1) in all.  On the packed carrier both run in
     slot order, through the grade table _grades(n), and the weighed
-    values are the ones _pack joins."""
+    values are the ones _pack takes."""
     g, d = _pair_rows(p, n, rows)
     terms, den = w
     packed = 2 * len(terms) >= 1 << max(n, 7)
@@ -697,11 +737,14 @@ def _contract_pairs(p: int, n: int, rows: tuple, w: tuple) -> tuple:
 
 def _chevalley(q: QuadraticForm, F: BilinearForm | None = None) -> tuple:
     """The rows (see _word_sum) of G_q, plus F: G_q, the lower-triangular
-    form whose action gives normal-ordered coordinates, is q's data."""
+    form whose action gives normal-ordered coordinates, is q's data.
+    G_q + F is summed on the ints over the lcm of the two dens and made
+    canonical, the (nums, den) of the BilinearForm sum, with no record."""
     if F is None:
         return q.nums, q.den
-    B = BilinearForm._of(q.ctx, q.nums, q.den) + F
-    return B.nums, B.den
+    den = lcm(q.den, F.den)
+    a, b = den // q.den, den // F.den
+    return canonical_ints(q.ctx.field.char, [x * a + y * b for x, y in zip(q.nums, F.nums)], den)
 
 
 class _Sparse:

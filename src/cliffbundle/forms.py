@@ -263,11 +263,16 @@ class _Form(_Linear):
 
     @classmethod
     def _read(cls, data: dict, ctx: AlgebraContext | None, noun: str, key: str):
-        """The inverse of _json: make of data[key], over ctx or data's."""
+        """The inverse of _json: make of data[key], over ctx or data's;
+        make's FormError goes out as ParseError with its text."""
         shaped(data, dict, noun)
         if ctx is None:
             ctx = AlgebraContext.from_json(data)
-        return cls.make(ctx, _json_rows(ctx.field, data, key))
+        rows = _json_rows(ctx.field, data, key)
+        try:
+            return cls.make(ctx, rows)
+        except FormError as exc:
+            raise ParseError(str(exc)) from None
 
 
 @record(frozen=True)
@@ -375,9 +380,15 @@ class QuadraticForm(_Form):
 
     @classmethod
     def from_json(cls, ctx: AlgebraContext, data: dict) -> "QuadraticForm":
+        """make of data's "diag" and "polar_upper"; its FormError goes
+        out as ParseError with its text."""
         shaped(data, dict, "quadratic")
-        return cls.make(ctx, [ctx.field.parse(v) for v in shaped(data["diag"], list, "diag")],
-                        _json_rows(ctx.field, data, "polar_upper"))
+        diag = [ctx.field.parse(v) for v in shaped(data["diag"], list, "diag")]
+        upper = _json_rows(ctx.field, data, "polar_upper")
+        try:
+            return cls.make(ctx, diag, upper)
+        except FormError as exc:
+            raise ParseError(str(exc)) from None
 
 
 @record(frozen=True)

@@ -14,8 +14,9 @@ from pathlib import Path
 import pytest
 
 import cliffbundle
-from cliffbundle import (RATIONALS, AlgebraContext, CapExceeded, CliffElt, CliffordContext,
-                         Field, ParseError, TensorElt, scalars)
+from cliffbundle import (RATIONALS, AlgebraContext, BilinearForm, CapExceeded, CliffElt,
+                         CliffordContext, DualTwoForm, Field, ParseError, QuadraticForm,
+                         TensorElt, scalars)
 from cliffbundle.cli import build_parser, main
 
 CTX = {
@@ -462,9 +463,19 @@ def _spec(text):
     return lambda: Field.from_spec(text)
 
 
+def _form(cls, key, rows):
+    return lambda: cls.from_json({"dim": 3, "field": "Q", key: rows})
+
+
+def _quadratic(diag, upper):
+    return lambda: QuadraticForm.from_json(AlgebraContext(3, RATIONALS),
+                                           {"diag": diag, "polar_upper": upper})
+
+
 # reader, the error and its text: a value rule's text is its owner's
-# (the constructor, _blade_masks, _checked_words, is_prime); a JSON
-# integer, the spec grammar and the grade cap are the readers' own
+# (the constructor, _blade_masks, _checked_words, is_prime, a form's
+# make); a JSON integer, the spec grammar and the grade cap are the
+# readers' own
 READER_REFUSALS = {
     "dim 0": (_context(0), ParseError, "context dimension must be >= 1, an int, got 0"),
     "dim -1": (_context(-1), ParseError, "context dimension must be >= 1, an int, got -1"),
@@ -503,6 +514,14 @@ READER_REFUSALS = {
     "bad word, bad coeff": (_word([4], "1/0"), ParseError, "word index 4 out of range 1..3"),
     "long word, bad coeff": (_word([1] * 17, "x"), CapExceeded,
                              "word of length 17 exceeds the grade cap 16"),
+    "bilinear 1x1": (_form(BilinearForm, "entries", [["1"]]), ParseError,
+                     "bilinear form needs a 3x3 matrix"),
+    "two-form 1 row": (_form(DualTwoForm, "coeffs", [["1"]]), ParseError,
+                       "exterior-square data has the wrong shape"),
+    "quadratic 2 diag": (_quadratic(["1", "1"], [["0", "0"], ["0"]]), ParseError,
+                         "quadratic form needs 3 diagonal values"),
+    "quadratic 1 upper row": (_quadratic(["1", "1", "1"], [["0", "0"]]), ParseError,
+                              "strict-upper polar data has the wrong shape"),
 }
 
 
@@ -710,7 +729,7 @@ import random, sys
 from cliffbundle import (AlgebraContext, CliffElt, CliffordContext, Field, RATIONALS, clifford,
                          deform, index_subset)
 from cliffbundle.sampling import rand_bilinear, rand_quadratic
-unpack, exits = clifford._unpack, []
+unpack, exits, loaded = clifford._unpack, [], set()
 clifford._unpack = lambda *a: exits.append(a[1]) or unpack(*a)
 rng = random.Random(6)
 for field in (Field(7), RATIONALS):
@@ -718,19 +737,24 @@ for field in (Field(7), RATIONALS):
     cctx = CliffordContext(rand_quadratic(rng, ctx))
     u, v = (CliffElt(cctx, {index_subset(m): field(rng.randrange(1, 7)) for m in range(64)})
             for _ in range(2))
-    u * v if field.char else deform(rand_bilinear(rng, ctx), u)
+    F, before = rand_bilinear(rng, ctx), set(sys.modules)
+    u * v if field.char else deform(F, u)
+    loaded |= set(sys.modules) - before
 print(exits, "array" in sys.modules)
+print(sorted(loaded))
 """
 
 
 def test_dense_calls_load_no_array_module():
     """A dense product over GF(7) and a dense deform over Q at n = 6, in
-    a fresh interpreter, each leave the packed carrier through _unpack,
-    and neither loads the `array` extension."""
+    a fresh interpreter without site, each leave the packed carrier
+    through _unpack, neither loads the `array` extension, and neither
+    adds any module to sys.modules: `struct` comes in with clifford."""
     proc = subprocess.run([sys.executable, "-S", "-c", DENSE_PROBE], capture_output=True,
                           text=True, timeout=120, env=_package_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[0] == "[6, 6] False"
+    assert proc.stdout.split("\n")[1] == "[]"
 
 
 # the modules the package registers unexecuted, to run on first use

@@ -251,6 +251,23 @@ def test_chevalley_rows_match_oracle(field):
                     == [x for row in want for x in row]
 
 
+@pytest.mark.parametrize("field", (RATIONALS, Field(2), Field(7)), ids=lambda f: f.spec)
+def test_chevalley_rows_are_the_form_sum(field):
+    """_chevalley(q, F) is the (nums, den) of the BilinearForm record
+    G_q + F, summed without the record; over Q the two dens differ."""
+    rng = random.Random(f"chevalley-sum/{field.spec}")
+    dens = set()
+    for n in range(1, 6):
+        ctx = AlgebraContext(n, field)
+        for _ in range(4):
+            q, F = rand_quadratic(rng, ctx), rand_bilinear(rng, ctx)
+            B = BilinearForm._of(q.ctx, q.nums, q.den) + F
+            nums, den = clifford._chevalley(q, F)
+            assert (tuple(nums), den) == (B.nums, B.den)
+            dens.add((q.den, F.den))
+    assert any(a != b for a, b in dens) if not field.char else dens == {(1, 1)}
+
+
 def _count_scalars(monkeypatch) -> list:
     """Count every Scalar built from here on, by Scalar.__init__ or by
     scalars.canonical, which every view reaches through scalars_over: a
@@ -493,6 +510,28 @@ def test_split_sum_matches_dict_sum(field):
     out, den = _word_sum(p, 1, rows, words, {0: 1})
     assert (_canonical(p, out, out.values(), du * den)
             == _operate(p, 1, rows, (words, du), ({0: 1}, 1)))
+
+
+@pytest.mark.parametrize("field", (RATIONALS, Field(7)), ids=lambda f: f.spec)
+def test_word_sum_of_one_unit_term_is_the_walks_map(field, monkeypatch):
+    """A u of one term with coefficient 1 gives back the map its walk
+    made, not a copy: v itself for the unit, else _act's last map; its
+    values are half those of the same term with coefficient 2, and over
+    Q (d > 1) den is d^|S| either way."""
+    rng = random.Random(f"one-term/{field.spec}")
+    made = []
+    monkeypatch.setattr(clifford, "_act", lambda *a: made.append(_act(*a)) or made[-1])
+    p, n = field.char, 4
+    rows = clifford._chevalley(rand_quadratic(rng, AlgebraContext(n, field)),
+                               rand_bilinear(rng, AlgebraContext(n, field)))
+    v = {m: rng.randrange(1, 7) for m in range(1 << n)}
+    assert _word_sum(p, n, rows, {0: 1}, v) == (v, 1)
+    assert _word_sum(p, n, rows, {0: 1}, v)[0] is v
+    for m in (1, 6, 15):
+        out, den = _word_sum(p, n, rows, {m: 1}, v)
+        assert out is made[-1] and den == rows[1] ** m.bit_count()
+        assert _word_sum(p, n, rows, {m: 2}, v) == ({k: 2 * x for k, x in out.items()}, den)
+    assert rows[1] > 1 if not p else rows[1] == 1
 
 
 @pytest.mark.parametrize("field", PACKED_FIELDS, ids=lambda f: f.spec)
